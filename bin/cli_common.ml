@@ -8,16 +8,25 @@ let scenario_doc =
 
 (* One source of truth for scenario naming: the campaign spec's
    scenario decoder, so `ddcr_sim -s trading -n 4` and a campaign cell
-   build byte-identical instances. *)
+   build byte-identical instances.  A scenario with no single-bus
+   instance (unknown kind, "topo", bad size) ends the tool with exit 2. *)
 let instance_of ~scenario ~size ~load ~deadline_windows =
-  Rtnet_campaign.Spec.instance
-    {
-      Rtnet_campaign.Spec.sc_kind = scenario;
-      sc_size = size;
-      sc_load = load;
-      sc_deadline_windows = deadline_windows;
-      sc_fanout = 1;
-    }
+  match
+    Rtnet_campaign.Spec.instance_result
+      {
+        Rtnet_campaign.Spec.sc_kind = scenario;
+        sc_size = size;
+        sc_load = load;
+        sc_deadline_windows = deadline_windows;
+        sc_fanout = 1;
+      }
+  with
+  | Ok inst -> inst
+  | Error e ->
+    Printf.eprintf "%s: %s\n%!"
+      (Filename.remove_extension (Filename.basename Sys.executable_name))
+      e;
+    exit 2
 
 let scenario =
   Arg.(

@@ -1,20 +1,24 @@
-(* ddcr_chaos: adversarial fault-schedule search for the DDCR stack.
+(* ddcr_chaos: adversarial counterexample search for the DDCR stack.
 
-   `search` samples random fault plans over a severity budget, runs
-   each candidate through the harness on a supervised worker pool
-   (watchdog timeout, bounded retry with backoff, graceful degradation
-   on an exhausted wall budget) and classifies outcomes with the
-   analysis oracles.  `shrink` minimizes a failing plan by delta
-   debugging (drop events, narrow windows, weaken severities).
-   `replay` re-executes a frozen repro artifact and verifies that both
-   the verdict and the trace fingerprint reproduce byte-identically.
-   `soak` runs repeated searches under one wall budget, freezing each
-   de-duplicated finding as a repro artifact.
+   `search` samples candidates of one chaos subject — fault plans on a
+   single bus (default, or --config), per-segment fault plans on a
+   bridged tree (--topo-segments) or admission churn streams
+   (--admit-params) — runs each on a supervised worker pool (watchdog
+   timeout, bounded retry with backoff, graceful degradation on an
+   exhausted wall budget) and classifies outcomes with the analysis
+   oracles.  `shrink` minimizes a finding by delta debugging (drop
+   atoms, then narrow crash windows and weaken severities).  `replay`
+   re-executes a frozen repro artifact of any subject and verifies that
+   both the verdict and the trace fingerprint reproduce
+   byte-identically.  `soak` runs repeated single-bus searches under
+   one wall budget, freezing each de-duplicated finding as a repro
+   artifact.
 
    Exit codes: 0 success (for `search --expect-finding`: a violation
    was found; for `replay`: the artifact reproduced); 1 expectation
    failed (no finding / verdict or fingerprint drifted / shrink above
-   --max-fraction); 2 invalid config, artifact or I/O error.
+   --max-fraction); 2 invalid config, conflicting search modes,
+   invalid artifact (including an unknown scenario) or I/O error.
 
    Examples:
      ddcr_chaos search -s videoconference -n 4 --horizon-ms 2 --candidates 32
@@ -24,17 +28,16 @@
      ddcr_chaos soak -s trading -n 3 --rounds 8 --wall-budget 60 --out-dir repros *)
 
 module Spec = Rtnet_campaign.Spec
-module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
-module Candidate = Rtnet_chaos.Candidate
+module Subject = Rtnet_chaos.Subject
+module Plain = Rtnet_chaos.Plain
+module Federated = Rtnet_chaos.Federated
+module Admission = Rtnet_chaos.Admission
 module Search = Rtnet_chaos.Search
 module Shrink = Rtnet_chaos.Shrink
 module Repro = Rtnet_chaos.Repro
 module Soak = Rtnet_chaos.Soak
-module Registry = Rtnet_telemetry.Registry
-module Topo = Rtnet_topology.Topo
-module Flight = Rtnet_obs.Flight
 module Postmortem = Rtnet_obs.Postmortem
 
 open Cmdliner
@@ -46,9 +49,10 @@ let config_file =
     value
     & opt (some file) None
     & info [ "config" ] ~docv:"FILE"
-        ~doc:"Load the search configuration from a JSON file (fields: \
-              scenario, horizon_ms, seed, candidates, budget, jobs, \
-              watchdog_s, retries, backoff_s, wall_budget_s).")
+        ~doc:"Load the single-bus search configuration from a JSON file \
+              (fields: scenario, horizon_ms, seed, candidates, budget, \
+              jobs, watchdog_s, retries, backoff_s, wall_budget_s).  \
+              Exclusive with --topo-segments and --admit-params.")
 
 let candidates_t =
   Arg.(
@@ -121,7 +125,8 @@ let topo_segments =
               admission layer — candidates are per-segment fault plans over \
               an N-segment uniform tree (N >= 2; 0 disables).  --load and \
               --deadline-windows describe the per-segment workload; \
-              --scenario/--size are ignored.")
+              --scenario/--size are ignored.  Exclusive with --config and \
+              --admit-params.")
 
 let topo_fanout =
   Arg.(
@@ -144,7 +149,8 @@ let admit_params =
               (flow add/remove/modify) decided by rtnet.admit under the \
               protocol parameters in $(docv), after which the admitted set \
               is simulated; a deadline miss in an accepted set is the \
-              violation.  --scenario/--size are ignored.")
+              violation.  --scenario/--size are ignored.  Exclusive with \
+              --config and --topo-segments.")
 
 let admit_sources =
   Arg.(
@@ -176,55 +182,66 @@ let log_of quiet =
   if quiet then fun (_ : string) -> ()
   else fun m -> Printf.eprintf "ddcr_chaos: %s\n%!" m
 
-let config_of_args config_file scenario size load deadline_windows horizon_ms
-    seed candidates jobs watchdog retries backoff wall_budget max_events
-    max_rate =
+let fail fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "ddcr_chaos: %s@." m;
+      2)
+    fmt
+
+(* Seed, candidate count and pool supervision, shared by every
+   subject's search; the environment and sampling space are filled in
+   per subject. *)
+let pool_t =
+  let make seed count jobs watchdog retries backoff wall_budget =
+    {
+      Search.s_env = ();
+      s_space = ();
+      s_seed = seed;
+      s_count = count;
+      s_jobs = jobs;
+      s_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
+      s_retries = retries;
+      s_backoff_s = backoff;
+      s_wall_budget_s = wall_budget;
+    }
+  in
+  Term.(
+    const make $ Cli_common.seed $ candidates_t $ jobs $ watchdog $ retries
+    $ backoff $ wall_budget)
+
+let budget_t =
+  let make max_events max_rate =
+    {
+      Generator.default_budget with
+      Generator.g_max_events = max_events;
+      g_max_rate = max_rate;
+    }
+  in
+  Term.(const make $ max_events $ max_rate)
+
+(* The single-bus search configuration: the --config file when given,
+   else the command-line scenario. *)
+let plain_config config_file ~scenario ~size ~load ~deadline_windows
+    ~horizon_ms pool budget =
   match config_file with
-  | Some f -> Search.load_config f
+  | Some f -> Plain.load_config f
   | None ->
-    let cf =
-      {
-        Candidate.cf_scenario =
-          {
-            Spec.sc_kind = scenario;
-            sc_size = size;
-            sc_load = load;
-            sc_deadline_windows = deadline_windows;
-            sc_fanout = 1;
-          };
-        cf_horizon_ms = horizon_ms;
-        cf_params = None;
-      }
-    in
-    Ok
-      {
-        (Search.default_config cf) with
-        Search.s_seed = seed;
-        s_count = candidates;
-        s_jobs = jobs;
-        s_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
-        s_retries = retries;
-        s_backoff_s = backoff;
-        s_wall_budget_s = wall_budget;
-        s_budget =
-          {
-            Generator.default_budget with
-            Generator.g_max_events = max_events;
-            g_max_rate = max_rate;
-          };
-      }
-
-let write_repro ~config ~note path finding =
-  Repro.save ~path
-    (Repro.make ~config ~candidate:finding.Search.fi_candidate
-       ~report:finding.Search.fi_report ~note)
-
-let plans_label plans =
-  String.concat "; "
-    (List.map (fun (n, sp) -> n ^ ":" ^ Fault_plan.label sp) plans)
-
-let plans_events plans =
-  List.fold_left (fun a (_, sp) -> a + Fault_plan.event_count sp) 0 plans
+    Result.map
+      (fun env -> { pool with Search.s_env = env; s_space = budget })
+      (Plain.check_env
+         {
+           Plain.cf_scenario =
+             {
+               Spec.sc_kind = scenario;
+               sc_size = size;
+               sc_load = load;
+               sc_deadline_windows = deadline_windows;
+               sc_fanout = 1;
+             };
+           cf_horizon_ms = horizon_ms;
+           cf_params = None;
+         })
 
 (* -------------------- search -------------------- *)
 
@@ -236,279 +253,125 @@ let expect_finding =
               smoke gate's assertion that the seeded violation is still \
               found.")
 
-(* Topology mode: the same search loop over federated-tree candidates
-   (per-segment fault plans, end-to-end oracle verdicts). *)
-let run_topo_search ~segments ~fanout ~sources ~load ~deadline_windows
-    ~horizon_ms ~seed ~candidates ~jobs ~watchdog ~retries ~backoff
-    ~wall_budget ~max_events ~max_rate ~out ~out_dir ~quiet ~expect_finding =
-  let tc =
-    {
-      Candidate.tc_segments = segments;
-      tc_fanout = fanout;
-      tc_sources = sources;
-      tc_load = load;
-      tc_deadline_windows = deadline_windows;
-      tc_horizon_ms = horizon_ms;
-    }
-  in
-  let config =
-    {
-      (Search.default_topo_config tc) with
-      Search.t_seed = seed;
-      t_count = candidates;
-      t_jobs = jobs;
-      t_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
-      t_retries = retries;
-      t_backoff_s = backoff;
-      t_wall_budget_s = wall_budget;
-      t_budget =
-        {
-          Generator.default_budget with
-          Generator.g_max_events = max_events;
-          g_max_rate = max_rate;
-        };
-    }
-  in
-  let log = log_of quiet in
-  let registry = Registry.create () in
-  let res = Search.run_topo ~registry ~log config in
-  Format.printf
-    "topo search: %d/%d candidates examined, %d finding(s), %d gave up%s@."
-    res.Search.tr_examined config.Search.t_count
-    (List.length res.Search.tr_findings)
-    (List.length res.Search.tr_gave_up)
-    (if res.Search.tr_exhausted then " (budget exhausted, partial)" else "");
+let search (type e s c) ~out ~out_dir ~quiet ~expect_finding
+    ((module S) as subject : (e, s, c) Subject.t) (config : (e, s) Search.config)
+    =
+  let res = Search.run ~log:(log_of quiet) subject config in
+  Format.printf "%s: %d/%d candidates examined, %d finding(s), %d gave up%s@."
+    S.search_label res.Search.r_examined config.Search.s_count
+    (List.length res.Search.r_findings)
+    (List.length res.Search.r_gave_up)
+    (if res.Search.r_exhausted then " (budget exhausted, partial)" else "");
   List.iter
     (fun f ->
-      Format.printf "  candidate %d [%s]: %s@." f.Search.tf_index
-        (plans_label f.Search.tf_candidate.Candidate.td_plans)
-        (Oracle.describe f.Search.tf_report.Candidate.rp_verdict))
-    res.Search.tr_findings;
-  let note i =
-    Printf.sprintf "topo search seed=%d candidate=%d" config.Search.t_seed i
+      Format.printf "  candidate %d [%s]: %s@." f.Search.fi_index
+        (S.describe f.Search.fi_candidate)
+        (Oracle.describe f.Search.fi_report.Subject.rp_verdict))
+    res.Search.r_findings;
+  let write path f =
+    Repro.save subject ~path
+      (Repro.make ~env:config.Search.s_env ~candidate:f.Search.fi_candidate
+         ~report:f.Search.fi_report
+         ~note:
+           (Printf.sprintf "%s seed=%d candidate=%d" S.search_label
+              config.Search.s_seed f.Search.fi_index))
   in
-  let write path (f : Search.topo_finding) =
-    Repro.save_topo ~path
-      (Repro.make_topo ~config:tc ~candidate:f.Search.tf_candidate
-         ~report:f.Search.tf_report ~note:(note f.Search.tf_index))
-  in
-  (try
-     (match (out, res.Search.tr_findings) with
-     | Some path, f :: _ ->
-       write path f;
-       Format.printf "first finding written to %s@." path
-     | Some _, [] | None, _ -> ());
-     match out_dir with
-     | None -> Ok ()
-     | Some dir ->
-       List.iter
-         (fun f ->
-           write
-             (Filename.concat dir
-                (Printf.sprintf "topo_chaos_finding_%d.json" f.Search.tf_index))
-             f)
-         res.Search.tr_findings;
-       Ok ()
-   with Sys_error e -> Error e)
-  |> function
-  | Error e ->
-    Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
-    2
-  | Ok () ->
-    if expect_finding && res.Search.tr_findings = [] then begin
+  match
+    (match (out, res.Search.r_findings) with
+    | Some path, f :: _ ->
+      write path f;
+      Format.printf "first finding written to %s@." path
+    | Some _, [] | None, _ -> ());
+    Option.iter
+      (fun dir ->
+        List.iter
+          (fun f ->
+            write
+              (Filename.concat dir
+                 (Printf.sprintf "%s_finding_%d.json" S.tag f.Search.fi_index))
+              f)
+          res.Search.r_findings)
+      out_dir
+  with
+  | exception Sys_error e -> fail "cannot write artifact: %s" e
+  | () ->
+    if expect_finding && res.Search.r_findings = [] then begin
       Format.eprintf
         "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
-        res.Search.tr_examined;
+        res.Search.r_examined;
       1
     end
     else 0
 
-(* Admission mode: the same search loop over churn-stream candidates
-   (admit the stream, simulate the admitted set). *)
-let run_admit_search ~params_file ~sources ~pool ~requests ~phy ~horizon_ms
-    ~seed ~candidates ~jobs ~watchdog ~retries ~backoff ~wall_budget ~out
-    ~out_dir ~quiet ~expect_finding =
-  match
-    Result.bind (Rtnet_util.Json.parse_file params_file)
-      Rtnet_core.Ddcr_params.of_json
-  with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: --admit-params %s: %s@." params_file e;
-    2
-  | Ok params ->
-    let ac =
-      {
-        Candidate.an_phy = phy;
-        an_sources = sources;
-        an_params = params;
-        an_horizon_ms = horizon_ms;
-      }
-    in
-    let config =
-      {
-        (Search.default_admit_config ac) with
-        Search.a_seed = seed;
-        a_count = candidates;
-        a_pool = pool;
-        a_requests = requests;
-        a_jobs = jobs;
-        a_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
-        a_retries = retries;
-        a_backoff_s = backoff;
-        a_wall_budget_s = wall_budget;
-      }
-    in
-    let log = log_of quiet in
-    let registry = Registry.create () in
-    let res = Search.run_admit ~registry ~log config in
-    Format.printf
-      "admit search: %d/%d candidates examined, %d finding(s), %d gave up%s@."
-      res.Search.as_examined config.Search.a_count
-      (List.length res.Search.as_findings)
-      (List.length res.Search.as_gave_up)
-      (if res.Search.as_exhausted then " (budget exhausted, partial)" else "");
-    List.iter
-      (fun f ->
-        Format.printf "  candidate %d [%d request(s)]: %s@." f.Search.af_index
-          (List.length f.Search.af_candidate.Candidate.ar_requests)
-          (Oracle.describe f.Search.af_report.Candidate.rp_verdict))
-      res.Search.as_findings;
-    let note i =
-      Printf.sprintf "admit search seed=%d candidate=%d" config.Search.a_seed i
-    in
-    let write path (f : Search.admit_finding) =
-      Repro.save_admission ~path
-        (Repro.make_admission ~config:ac ~candidate:f.Search.af_candidate
-           ~report:f.Search.af_report ~note:(note f.Search.af_index))
-    in
-    (try
-       (match (out, res.Search.as_findings) with
-       | Some path, f :: _ ->
-         write path f;
-         Format.printf "first finding written to %s@." path
-       | Some _, [] | None, _ -> ());
-       match out_dir with
-       | None -> Ok ()
-       | Some dir ->
-         List.iter
-           (fun f ->
-             write
-               (Filename.concat dir
-                  (Printf.sprintf "admit_chaos_finding_%d.json"
-                     f.Search.af_index))
-               f)
-           res.Search.as_findings;
-         Ok ()
-     with Sys_error e -> Error e)
-    |> ( function
-    | Error e ->
-      Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
-      2
-    | Ok () ->
-      if expect_finding && res.Search.as_findings = [] then begin
-        Format.eprintf
-          "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
-          res.Search.as_examined;
-        1
-      end
-      else 0 )
-
-let run_search config_file scenario size load deadline_windows horizon_ms seed
-    candidates jobs watchdog retries backoff wall_budget max_events max_rate
-    out out_dir quiet expect_finding topo_segments topo_fanout topo_sources
-    admit_params admit_sources admit_pool admit_requests admit_phy =
-  match admit_params with
-  | Some params_file ->
-    run_admit_search ~params_file ~sources:admit_sources ~pool:admit_pool
-      ~requests:admit_requests ~phy:admit_phy ~horizon_ms ~seed ~candidates
-      ~jobs ~watchdog ~retries ~backoff ~wall_budget ~out ~out_dir ~quiet
-      ~expect_finding
-  | None ->
-  if topo_segments > 0 then
-    if topo_segments < 2 then begin
-      Format.eprintf "ddcr_chaos: --topo-segments must be >= 2@.";
-      2
-    end
+let run_search pool budget config_file scenario size load deadline_windows
+    horizon_ms out out_dir quiet expect_finding topo_segments topo_fanout
+    topo_sources admit_params admit_sources admit_pool admit_requests
+    admit_phy =
+  let search subject config =
+    search ~out ~out_dir ~quiet ~expect_finding subject config
+  in
+  match (config_file, topo_segments > 0, admit_params) with
+  | _, false, None -> (
+    match
+      plain_config config_file ~scenario ~size ~load ~deadline_windows
+        ~horizon_ms pool budget
+    with
+    | Error e -> fail "%s" e
+    | Ok config -> search (module Plain) config)
+  | None, true, None ->
+    if topo_segments < 2 then fail "--topo-segments must be >= 2"
     else
-      run_topo_search ~segments:topo_segments ~fanout:topo_fanout
-        ~sources:topo_sources ~load ~deadline_windows ~horizon_ms ~seed
-        ~candidates ~jobs ~watchdog ~retries ~backoff ~wall_budget ~max_events
-        ~max_rate ~out ~out_dir ~quiet ~expect_finding
-  else
-  match
-    config_of_args config_file scenario size load deadline_windows horizon_ms
-      seed candidates jobs watchdog retries backoff wall_budget max_events
-      max_rate
-  with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: %s@." e;
-    2
-  | Ok config -> (
-    let log = log_of quiet in
-    let registry = Registry.create () in
-    let res = Search.run ~registry ~log config in
-    Format.printf "search: %d/%d candidates examined, %d finding(s), %d gave \
-                   up%s@."
-      res.Search.r_examined config.Search.s_count
-      (List.length res.Search.r_findings)
-      (List.length res.Search.r_gave_up)
-      (if res.Search.r_exhausted then " (budget exhausted, partial)" else "");
-    List.iter
-      (fun f ->
-        Format.printf "  candidate %d [%s]: %s@." f.Search.fi_index
-          (Fault_plan.label f.Search.fi_candidate.Candidate.cd_plan)
-          (Oracle.describe f.Search.fi_report.Candidate.rp_verdict))
-      res.Search.r_findings;
-    let note i =
-      Printf.sprintf "search seed=%d candidate=%d" config.Search.s_seed i
-    in
-    (try
-       (match (out, res.Search.r_findings) with
-       | Some path, f :: _ ->
-         write_repro ~config:config.Search.s_candidate ~note:(note f.Search.fi_index)
-           path f;
-         Format.printf "first finding written to %s@." path
-       | Some _, [] | None, _ -> ());
-       match out_dir with
-       | None -> Ok ()
-       | Some dir ->
-         List.iter
-           (fun f ->
-             write_repro ~config:config.Search.s_candidate
-               ~note:(note f.Search.fi_index)
-               (Filename.concat dir
-                  (Printf.sprintf "chaos_finding_%d.json" f.Search.fi_index))
-               f)
-           res.Search.r_findings;
-         Ok ()
-     with Sys_error e -> Error e)
-    |> function
-    | Error e ->
-      Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
-      2
-    | Ok () ->
-      if expect_finding && res.Search.r_findings = [] then begin
-        Format.eprintf
-          "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
-          res.Search.r_examined;
-        1
-      end
-      else 0)
+      search (module Federated)
+        {
+          pool with
+          Search.s_env =
+            {
+              Federated.tc_segments = topo_segments;
+              tc_fanout = topo_fanout;
+              tc_sources = topo_sources;
+              tc_load = load;
+              tc_deadline_windows = deadline_windows;
+              tc_horizon_ms = horizon_ms;
+            };
+          s_space = budget;
+        }
+  | None, false, Some file -> (
+    match
+      Result.bind (Rtnet_util.Json.parse_file file)
+        Rtnet_core.Ddcr_params.of_json
+    with
+    | Error e -> fail "--admit-params %s: %s" file e
+    | Ok params ->
+      search (module Admission)
+        {
+          pool with
+          Search.s_env =
+            {
+              Admission.an_phy = admit_phy;
+              an_sources = admit_sources;
+              an_params = params;
+              an_horizon_ms = horizon_ms;
+            };
+          s_space =
+            { Admission.ch_pool = admit_pool; ch_requests = admit_requests };
+        })
+  | _ ->
+    fail
+      "--config, --topo-segments and --admit-params each select a different \
+       search; give at most one"
 
 let search_cmd =
   let term =
     Term.(
-      const run_search $ config_file $ Cli_common.scenario $ Cli_common.size
-      $ Cli_common.load $ Cli_common.deadline_windows $ Cli_common.horizon_ms
-      $ Cli_common.seed $ candidates_t $ jobs $ watchdog $ retries $ backoff
-      $ wall_budget $ max_events $ max_rate $ out $ out_dir $ quiet
-      $ expect_finding $ topo_segments $ topo_fanout $ topo_sources
-      $ admit_params $ admit_sources $ admit_pool $ admit_requests
-      $ admit_phy)
+      const run_search $ pool_t $ budget_t $ config_file $ Cli_common.scenario
+      $ Cli_common.size $ Cli_common.load $ Cli_common.deadline_windows
+      $ Cli_common.horizon_ms $ out $ out_dir $ quiet $ expect_finding
+      $ topo_segments $ topo_fanout $ topo_sources $ admit_params
+      $ admit_sources $ admit_pool $ admit_requests $ admit_phy)
   in
   Cmd.v
     (Cmd.info "search"
-       ~doc:"Sample adversarial fault plans and hunt for oracle violations")
+       ~doc:"Sample adversarial candidates and hunt for oracle violations")
     term
 
 (* -------------------- shrink -------------------- *)
@@ -532,184 +395,64 @@ let max_fraction =
     value
     & opt (some float) None
     & info [ "max-fraction" ] ~docv:"F"
-        ~doc:"Exit 1 unless the minimized plan has at most F times the \
-              original event count — the smoke gate's shrink-quality \
-              assertion.")
+        ~doc:"Exit 1 unless the minimized candidate has at most F times the \
+              original event (or request) count — the smoke gate's \
+              shrink-quality assertion.")
 
-(* The shared tail of both shrink paths: report the reduction, enforce the
-   optional --max-fraction quality gate. *)
-let finish_shrink ~shrink_out ~max_fraction ~original_events ~shrunk_events
-    ~plan_label ~verdict =
-  Format.printf "shrink: %d -> %d event(s) [%s], verdict %s, written to %s@."
-    original_events shrunk_events plan_label (Oracle.label verdict) shrink_out;
-  match max_fraction with
-  | Some f when float_of_int shrunk_events > f *. float_of_int original_events
-    ->
-    Format.eprintf
-      "ddcr_chaos: --max-fraction %.2f: minimized plan still has %d of %d \
-       events@."
-      f shrunk_events original_events;
-    1
-  | _ -> 0
-
-let run_topo_shrink ~log ~repro_in ~shrink_out ~max_fraction
-    (repro : Repro.topo) =
-  let config, td = Repro.topo_candidate repro in
-  let oracle plans =
-    (Candidate.run_topo config { td with Candidate.td_plans = plans })
-      .Candidate.rp_verdict
-  in
-  let original_events = plans_events repro.Repro.rt_plans in
+let shrink (type e s c) ~quiet ~repro_in ~shrink_out ~max_fraction
+    ((module S) as subject : (e, s, c) Subject.t) (repro : (e, c) Repro.t) =
+  let env = repro.Repro.re_env and target = repro.Repro.re_verdict in
   let res =
-    Shrink.run_topo ~oracle ~target:repro.Repro.rt_verdict repro.Repro.rt_plans
+    Shrink.run subject ~oracle:(Subject.run subject env) ~target
+      repro.Repro.re_candidate
   in
-  let shrunk_events = plans_events res.Shrink.st_plans in
-  if not (Oracle.same_class res.Shrink.st_verdict repro.Repro.rt_verdict) then begin
+  let size c = List.length (S.atoms c) in
+  let original = size repro.Repro.re_candidate
+  and shrunk = size res.Shrink.sh_candidate in
+  let verdict = res.Shrink.sh_report.Subject.rp_verdict in
+  if not (Oracle.same_class verdict target) then begin
     Format.eprintf
       "ddcr_chaos: the repro does not reproduce its own verdict (%s vs \
        expected %s) — nothing to shrink@."
-      (Oracle.label res.Shrink.st_verdict)
-      (Oracle.label repro.Repro.rt_verdict);
+      (Oracle.label verdict) (Oracle.label target);
     1
   end
   else begin
-    log
-      (Printf.sprintf "shrink: %d -> %d event(s) in %d oracle check(s)"
-         original_events shrunk_events res.Shrink.st_checks);
-    let minimized_cd = { td with Candidate.td_plans = res.Shrink.st_plans } in
-    let report = Candidate.run_topo config minimized_cd in
+    log_of quiet
+      (Printf.sprintf "shrink: %d -> %d %s in %d oracle check(s)" original
+         shrunk S.unit res.Shrink.sh_checks);
+    (* Re-freeze with the minimized candidate's own verdict and
+       fingerprint: the minimized artifact must replay byte-identically
+       too. *)
     let minimized =
-      Repro.make_topo ~config ~candidate:minimized_cd ~report
+      Repro.make ~env ~candidate:res.Shrink.sh_candidate
+        ~report:res.Shrink.sh_report
         ~note:
-          (Printf.sprintf "shrunk from %s (%d -> %d events)"
-             (Filename.basename repro_in) original_events shrunk_events)
+          (Printf.sprintf "shrunk from %s (%d -> %d %s)"
+             (Filename.basename repro_in) original shrunk S.unit)
     in
-    match Repro.save_topo ~path:shrink_out minimized with
-    | () ->
-      finish_shrink ~shrink_out ~max_fraction ~original_events ~shrunk_events
-        ~plan_label:(plans_label res.Shrink.st_plans)
-        ~verdict:report.Candidate.rp_verdict
-    | exception Sys_error e ->
-      Format.eprintf "ddcr_chaos: cannot write %s: %s@." shrink_out e;
-      2
-  end
-
-(* Admission findings shrink over the churn stream itself: ddmin drops
-   requests (an order-preserving subsequence) while the verdict class
-   holds.  "Events" are requests here. *)
-let run_admit_shrink ~log ~repro_in ~shrink_out ~max_fraction
-    (repro : Repro.admission) =
-  let config, ad = Repro.admission_candidate repro in
-  let oracle reqs =
-    (Candidate.run_admit config { ad with Candidate.ar_requests = reqs })
-      .Candidate.rp_verdict
-  in
-  let original_events = List.length repro.Repro.ra_requests in
-  let res =
-    Shrink.run_admit ~oracle ~target:repro.Repro.ra_verdict
-      repro.Repro.ra_requests
-  in
-  let shrunk_events = List.length res.Shrink.sa_requests in
-  if not (Oracle.same_class res.Shrink.sa_verdict repro.Repro.ra_verdict)
-  then begin
-    Format.eprintf
-      "ddcr_chaos: the repro does not reproduce its own verdict (%s vs \
-       expected %s) — nothing to shrink@."
-      (Oracle.label res.Shrink.sa_verdict)
-      (Oracle.label repro.Repro.ra_verdict);
-    1
-  end
-  else begin
-    log
-      (Printf.sprintf "shrink: %d -> %d request(s) in %d oracle check(s)"
-         original_events shrunk_events res.Shrink.sa_checks);
-    let minimized_cd = { ad with Candidate.ar_requests = res.Shrink.sa_requests } in
-    let report = Candidate.run_admit config minimized_cd in
-    let minimized =
-      Repro.make_admission ~config ~candidate:minimized_cd ~report
-        ~note:
-          (Printf.sprintf "shrunk from %s (%d -> %d requests)"
-             (Filename.basename repro_in) original_events shrunk_events)
-    in
-    match Repro.save_admission ~path:shrink_out minimized with
-    | () ->
-      finish_shrink ~shrink_out ~max_fraction ~original_events ~shrunk_events
-        ~plan_label:(Printf.sprintf "%d request(s)" shrunk_events)
-        ~verdict:report.Candidate.rp_verdict
-    | exception Sys_error e ->
-      Format.eprintf "ddcr_chaos: cannot write %s: %s@." shrink_out e;
-      2
+    match Repro.save subject ~path:shrink_out minimized with
+    | exception Sys_error e -> fail "cannot write %s: %s" shrink_out e
+    | () -> (
+      Format.printf "shrink: %d -> %d %s [%s], verdict %s, written to %s@."
+        original shrunk S.unit
+        (S.describe res.Shrink.sh_candidate)
+        (Oracle.label verdict) shrink_out;
+      match max_fraction with
+      | Some f when float_of_int shrunk > f *. float_of_int original ->
+        Format.eprintf
+          "ddcr_chaos: --max-fraction %.2f: minimized candidate still has %d \
+           of %d %s@."
+          f shrunk original S.unit;
+        1
+      | _ -> 0)
   end
 
 let run_shrink repro_in shrink_out max_fraction quiet =
-  let log = log_of quiet in
   match Repro.load_any ~path:repro_in with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: %s@." e;
-    2
-  | Ok (Repro.Federated repro) ->
-    run_topo_shrink ~log ~repro_in ~shrink_out ~max_fraction repro
-  | Ok (Repro.Admission repro) ->
-    run_admit_shrink ~log ~repro_in ~shrink_out ~max_fraction repro
-  | Ok (Repro.Plain repro) -> (
-    let config, cd = Repro.candidate repro in
-    let oracle sp =
-      (Candidate.run config { cd with Candidate.cd_plan = sp })
-        .Candidate.rp_verdict
-    in
-    let original_events = Fault_plan.event_count repro.Repro.re_plan in
-    let res =
-      Shrink.run ~oracle ~target:repro.Repro.re_verdict repro.Repro.re_plan
-    in
-    let shrunk_events = Fault_plan.event_count res.Shrink.sh_plan in
-    if not (Oracle.same_class res.Shrink.sh_verdict repro.Repro.re_verdict)
-    then begin
-      Format.eprintf
-        "ddcr_chaos: the repro does not reproduce its own verdict (%s vs \
-         expected %s) — nothing to shrink@."
-        (Oracle.label res.Shrink.sh_verdict)
-        (Oracle.label repro.Repro.re_verdict);
-      1
-    end
-    else begin
-      log
-        (Printf.sprintf "shrink: %d -> %d event(s) in %d oracle check(s)"
-           original_events shrunk_events res.Shrink.sh_checks);
-      (* Re-freeze with the minimized plan's own verdict/fingerprint:
-         the minimized artifact must replay byte-identically too. *)
-      let report =
-        Candidate.run config { cd with Candidate.cd_plan = res.Shrink.sh_plan }
-      in
-      let minimized =
-        Repro.make ~config
-          ~candidate:{ cd with Candidate.cd_plan = res.Shrink.sh_plan }
-          ~report
-          ~note:
-            (Printf.sprintf "shrunk from %s (%d -> %d events)"
-               (Filename.basename repro_in) original_events shrunk_events)
-      in
-      match Repro.save ~path:shrink_out minimized with
-      | () ->
-        Format.printf
-          "shrink: %d -> %d event(s) [%s], verdict %s, written to %s@."
-          original_events shrunk_events
-          (Fault_plan.label res.Shrink.sh_plan)
-          (Oracle.label report.Candidate.rp_verdict)
-          shrink_out;
-        (match max_fraction with
-        | Some f
-          when float_of_int shrunk_events
-               > f *. float_of_int original_events ->
-          Format.eprintf
-            "ddcr_chaos: --max-fraction %.2f: minimized plan still has %d of \
-             %d events@."
-            f shrunk_events original_events;
-          1
-        | _ -> 0)
-      | exception Sys_error e ->
-        Format.eprintf "ddcr_chaos: cannot write %s: %s@." shrink_out e;
-        2
-    end)
+  | Error e -> fail "%s" e
+  | Ok (Repro.Any (subject, repro)) ->
+    shrink ~quiet ~repro_in ~shrink_out ~max_fraction subject repro
 
 let shrink_cmd =
   let term =
@@ -718,7 +461,7 @@ let shrink_cmd =
   Cmd.v
     (Cmd.info "shrink"
        ~doc:
-         "Minimize a failing plan by delta debugging (drop events, narrow \
+         "Minimize a finding by delta debugging (drop events, narrow \
           windows, weaken severities) while preserving the verdict")
     term
 
@@ -742,95 +485,46 @@ let replay_postmortem_out =
            fingerprint.  Because the seeds are frozen, re-running the same \
            replay writes a byte-identical artifact.")
 
-(* Shared verdict printing for both artifact flavors. *)
-let report_replay ~replay_file ~expected_verdict ~expected_fingerprint
-    (r : Repro.replay) =
-  Format.printf "replay %s: verdict %s (%s), fingerprint %s@."
-    (Filename.basename replay_file)
-    (Oracle.label r.Repro.rr_report.Candidate.rp_verdict)
-    (if r.Repro.rr_verdict_ok then "matches" else "DRIFTED")
-    (if r.Repro.rr_fingerprint_ok then "matches" else "DRIFTED");
-  if r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok then 0
-  else begin
-    Format.eprintf
-      "ddcr_chaos: %s no longer reproduces: expected %s / %s, got %s / %s@."
-      replay_file
-      (Oracle.describe expected_verdict)
-      expected_fingerprint
-      (Oracle.describe r.Repro.rr_report.Candidate.rp_verdict)
-      r.Repro.rr_report.Candidate.rp_fingerprint;
-    1
-  end
-
 let run_replay replay_file postmortem_out =
   match Repro.load_any ~path:replay_file with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: %s@." e;
-    2
-  | Ok (Repro.Plain repro) ->
-    if postmortem_out <> None then
-      Format.eprintf
-        "ddcr_chaos: --postmortem-out applies to federated artifacts only; \
-         ignoring@.";
-    report_replay ~replay_file ~expected_verdict:repro.Repro.re_verdict
-      ~expected_fingerprint:repro.Repro.re_fingerprint (Repro.replay repro)
-  | Ok (Repro.Admission repro) ->
-    if postmortem_out <> None then
-      Format.eprintf
-        "ddcr_chaos: --postmortem-out applies to federated artifacts only; \
-         ignoring@.";
-    report_replay ~replay_file ~expected_verdict:repro.Repro.ra_verdict
-      ~expected_fingerprint:repro.Repro.ra_fingerprint
-      (Repro.replay_admission repro)
-  | Ok (Repro.Federated repro) ->
-    let flights = ref [] in
-    let result = ref None in
-    let sink_for, on_result =
-      match postmortem_out with
-      | None -> (None, None)
-      | Some _ ->
-        ( Some
-            (fun ~index ~segment ->
-              let f = Flight.create ~segment () in
-              flights := (index, f) :: !flights;
-              Flight.sink f),
-          Some (fun r -> result := Some r) )
-    in
-    let r = Repro.replay_topo ?sink_for ?on_result repro in
-    (match (postmortem_out, !result) with
-    | Some out, Some res ->
-      (* Re-freeze the black box of the frozen failure.  The trigger is
-         taken from the replayed result itself; if the oracle verdict
-         fired on evidence outside the driver's own miss accounting,
-         fall back to the artifact's frozen verdict label. *)
-      let trigger =
-        match Postmortem.trigger_of_result res with
-        | Some t -> t
-        | None -> Postmortem.Verdict (Oracle.label repro.Repro.rt_verdict)
-      in
-      let pm =
-        Postmortem.build ~trigger
-          ~topology:
-            (Candidate.topo_tree repro.Repro.rt_config).Topo.tp_name
-          ~seed:repro.Repro.rt_trace_seed
-          ~fault_seed:repro.Repro.rt_fault_seed
-          ~horizon:(repro.Repro.rt_config.Candidate.tc_horizon_ms * 1_000_000)
-          ~result:res
-          ~flights:(List.map snd (List.sort compare !flights))
-          ~repro:(repro.Repro.rt_note, repro.Repro.rt_fingerprint)
-          ()
-      in
-      Postmortem.save ~path:out pm;
+  | Error e -> fail "%s" e
+  | Ok (Repro.Any (subject, repro)) ->
+    let black_box = ref None in
+    let postmortem = Option.map (fun _ pm -> black_box := Some pm) postmortem_out in
+    let r = Repro.replay ?postmortem subject repro in
+    (match (postmortem_out, !black_box) with
+    | Some out, Some pm ->
+      Postmortem.save ~path:out
+        {
+          pm with
+          Postmortem.pm_repro =
+            Some (repro.Repro.re_note, repro.Repro.re_fingerprint);
+        };
       Format.printf "postmortem: %s (trigger: %a)@." out Postmortem.pp_trigger
-        trigger
+        pm.Postmortem.pm_trigger
     | Some out, None ->
       Format.eprintf
-        "ddcr_chaos: replay ended in a configuration error — no driver \
-         result, %s not written@."
+        "ddcr_chaos: no driver result to freeze (not a federated artifact, \
+         or a configuration error), %s not written@."
         out
     | None, _ -> ());
-    report_replay ~replay_file ~expected_verdict:repro.Repro.rt_verdict
-      ~expected_fingerprint:repro.Repro.rt_fingerprint r
+    let report = r.Repro.rr_report in
+    Format.printf "replay %s: verdict %s (%s), fingerprint %s@."
+      (Filename.basename replay_file)
+      (Oracle.label report.Subject.rp_verdict)
+      (if r.Repro.rr_verdict_ok then "matches" else "DRIFTED")
+      (if r.Repro.rr_fingerprint_ok then "matches" else "DRIFTED");
+    if r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok then 0
+    else begin
+      Format.eprintf
+        "ddcr_chaos: %s no longer reproduces: expected %s / %s, got %s / %s@."
+        replay_file
+        (Oracle.describe repro.Repro.re_verdict)
+        repro.Repro.re_fingerprint
+        (Oracle.describe report.Subject.rp_verdict)
+        report.Subject.rp_fingerprint;
+      1
+    end
 
 let replay_cmd =
   let term = Term.(const run_replay $ replay_file $ replay_postmortem_out) in
@@ -848,27 +542,26 @@ let rounds =
     value & opt int 4
     & info [ "rounds" ] ~docv:"N" ~doc:"Maximum search rounds.")
 
-let run_soak config_file scenario size load deadline_windows horizon_ms seed
-    candidates jobs watchdog retries backoff wall_budget max_events max_rate
-    rounds out_dir quiet =
+let run_soak pool budget config_file scenario size load deadline_windows
+    horizon_ms rounds out_dir quiet =
+  (* --wall-budget bounds the whole soak, not each round. *)
   match
-    config_of_args config_file scenario size load deadline_windows horizon_ms
-      seed candidates jobs watchdog retries backoff None max_events max_rate
+    plain_config config_file ~scenario ~size ~load ~deadline_windows
+      ~horizon_ms
+      { pool with Search.s_wall_budget_s = None }
+      budget
   with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: %s@." e;
-    2
+  | Error e -> fail "%s" e
   | Ok search_config ->
-    let log = log_of quiet in
     (match out_dir with
     | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
     | _ -> ());
     let res =
-      Soak.run ~log
+      Soak.run ~log:(log_of quiet)
         {
           Soak.so_search = search_config;
           so_rounds = rounds;
-          so_wall_budget_s = wall_budget;
+          so_wall_budget_s = pool.Search.s_wall_budget_s;
           so_out_dir = out_dir;
         }
     in
@@ -884,10 +577,9 @@ let run_soak config_file scenario size load deadline_windows horizon_ms seed
 let soak_cmd =
   let term =
     Term.(
-      const run_soak $ config_file $ Cli_common.scenario $ Cli_common.size
-      $ Cli_common.load $ Cli_common.deadline_windows $ Cli_common.horizon_ms
-      $ Cli_common.seed $ candidates_t $ jobs $ watchdog $ retries $ backoff
-      $ wall_budget $ max_events $ max_rate $ rounds $ out_dir $ quiet)
+      const run_soak $ pool_t $ budget_t $ config_file $ Cli_common.scenario
+      $ Cli_common.size $ Cli_common.load $ Cli_common.deadline_windows
+      $ Cli_common.horizon_ms $ rounds $ out_dir $ quiet)
   in
   Cmd.v
     (Cmd.info "soak"
@@ -902,7 +594,7 @@ let cmd =
   Cmd.group
     (Cmd.info "ddcr_chaos"
        ~doc:
-         "Adversarial fault-schedule search with delta-debugging shrinker \
+         "Adversarial counterexample search with delta-debugging shrinker \
           and deterministic replay artifacts")
     [ search_cmd; shrink_cmd; replay_cmd; soak_cmd ]
 

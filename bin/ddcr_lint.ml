@@ -215,42 +215,21 @@ let main scenario size load deadline_windows indices burst theta allocation
       Format.eprintf "ddcr_lint: cannot parse %s: %s@." path e;
       2
     | Ok j -> (
-      (* Report the version the artifact DECLARES, not the current
-         constant: a back-compatible v1 file must read as v1. *)
-      let declared key =
-        match
-          Result.bind (Rtnet_util.Json.field key j) Rtnet_util.Json.get_int
-        with
-        | Ok v -> string_of_int v
-        | Error _ -> "?"
-      in
       match Rtnet_chaos.Repro.load_any ~path with
-      | Ok (Rtnet_chaos.Repro.Plain r) ->
-        Format.printf "chaos repro %s: schema v%s, plan [%s]%s, verdict %s ok@."
-          path
-          (declared "chaos_repro_version")
-          (Rtnet_channel.Fault_plan.label r.Rtnet_chaos.Repro.re_plan)
-          (match r.Rtnet_chaos.Repro.re_params with
+      | Ok (Rtnet_chaos.Repro.Any (((module S) as subject), r)) ->
+        (* Report the version the artifact DECLARES, not the current
+           constant: a back-compatible v1 file must read as v1. *)
+        let key = Rtnet_chaos.Repro.version_key subject in
+        Format.printf "%s: %s %s, [%s]%s, verdict %s ok@." path key
+          (Option.fold ~none:"?" ~some:Rtnet_util.Json.to_string
+             (Rtnet_util.Json.member key j))
+          (S.describe r.Rtnet_chaos.Repro.re_candidate)
+          (* Only a plain artifact pinning its DDCR parameters (a model
+             checker export) carries a top-level "params" key. *)
+          (match Rtnet_util.Json.member "params" j with
           | Some _ -> ", params override"
           | None -> "")
           (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.re_verdict);
-        0
-      | Ok (Rtnet_chaos.Repro.Federated r) ->
-        Format.printf
-          "topo chaos repro %s: schema v%s, %d segment plan(s), verdict %s \
-           ok@."
-          path
-          (declared "topo_chaos_repro_version")
-          (List.length r.Rtnet_chaos.Repro.rt_plans)
-          (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.rt_verdict);
-        0
-      | Ok (Rtnet_chaos.Repro.Admission r) ->
-        Format.printf
-          "admit chaos repro %s: schema v%s, %d request(s), verdict %s ok@."
-          path
-          (declared "admit_chaos_repro_version")
-          (List.length r.Rtnet_chaos.Repro.ra_requests)
-          (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.ra_verdict);
         0
       | Error e ->
         Format.eprintf "ddcr_lint: %s@." e;

@@ -34,7 +34,8 @@ module Ddcr_params = Rtnet_core.Ddcr_params
 module Json = Rtnet_util.Json
 module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
-module Candidate = Rtnet_chaos.Candidate
+module Plain = Rtnet_chaos.Plain
+module Subject = Rtnet_chaos.Subject
 module Repro = Rtnet_chaos.Repro
 module Transition = Rtnet_model.Transition
 module Explore = Rtnet_model.Explore
@@ -103,9 +104,9 @@ let build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed ~params_file
         sc_fanout = 1;
       }
     in
-    match Spec.instance sc with
-    | exception Failure e -> Error e
-    | inst -> (
+    match Spec.instance_result sc with
+    | Error e -> Error e
+    | Ok inst -> (
       let horizon = horizon_ms * 1_000_000 in
       let trace = Instance.trace inst ~seed ~horizon in
       let params =
@@ -264,12 +265,12 @@ let run_export scenario size load deadline_windows horizon_ms seed params_file
     | f :: _ -> (
       print_finding ~quiet f;
       let repro, report = Witness.export src f in
-      match Repro.save ~path:out repro with
+      match Repro.save (module Plain) ~path:out repro with
       | () ->
         Format.printf
           "export: plan [%s], simulator verdict %s, written to %s@."
-          (Fault_plan.label repro.Repro.re_plan)
-          (Oracle.label report.Candidate.rp_verdict)
+          (Fault_plan.label repro.Repro.re_candidate.Plain.cd_plan)
+          (Oracle.label report.Subject.rp_verdict)
           out;
         0
       | exception Sys_error e ->

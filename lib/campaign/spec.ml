@@ -67,6 +67,11 @@ let instance sc =
     failwith "topo scenarios have no single-segment instance"
   | other -> failwith (Printf.sprintf "unknown scenario %S" other)
 
+let instance_result sc =
+  match instance sc with
+  | inst -> Ok inst
+  | exception (Failure e | Invalid_argument e) -> Error e
+
 type variant = {
   v_fault_rate : float;
   v_burst_bits : int;

@@ -66,6 +66,11 @@ val instance : scenario -> Rtnet_workload.Instance.t
     specs first) and on ["topo"] — a topo scenario is a federation,
     not one instance; [Grid] builds it via [Rtnet_topology.Topo.tree]. *)
 
+val instance_result : scenario -> (Rtnet_workload.Instance.t, string) result
+(** [instance] with its errors (unknown kind, ["topo"], a size the
+    scenario builder rejects) returned as [Error] — the CLIs and the
+    chaos subjects report these and exit 2. *)
+
 type variant = {
   v_fault_rate : float;  (** channel-noise probability (ddcr and beb) *)
   v_burst_bits : int;  (** packet-bursting budget, 0 = off (ddcr) *)

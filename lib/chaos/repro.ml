@@ -1,99 +1,45 @@
 module Json = Rtnet_util.Json
-module Spec = Rtnet_campaign.Spec
-module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
-module Ddcr_params = Rtnet_core.Ddcr_params
-module Topo = Rtnet_topology.Topo
 
 let ( let* ) = Result.bind
 
-(* v1: (scenario, horizon, plan, seeds, verdict, fingerprint, note).
-   v2 adds the optional "params" protocol-parameter override (model
-   checker counterexamples pin the exact — possibly pathological —
-   configuration they were found under) and the scheduled fault-plan
-   atoms inside "plan".  v1 artifacts are still decoded (params = None,
-   no scheduled atoms); v2 is always emitted. *)
-let schema_version = 2
-
-type t = {
-  re_scenario : Spec.scenario;
-  re_horizon_ms : int;
-  re_params : Ddcr_params.t option;
-  re_plan : Fault_plan.spec;
-  re_trace_seed : int;
-  re_fault_seed : int;
+type ('e, 'c) t = {
+  re_env : 'e;
+  re_candidate : 'c;
   re_verdict : Oracle.verdict;
   re_fingerprint : string;
   re_note : string;
 }
 
-let make ~config ~candidate ~report ~note =
+let make ~env ~candidate ~report ~note =
   {
-    re_scenario = config.Candidate.cf_scenario;
-    re_horizon_ms = config.Candidate.cf_horizon_ms;
-    re_params = config.Candidate.cf_params;
-    re_plan = candidate.Candidate.cd_plan;
-    re_trace_seed = candidate.Candidate.cd_trace_seed;
-    re_fault_seed = candidate.Candidate.cd_fault_seed;
-    re_verdict = report.Candidate.rp_verdict;
-    re_fingerprint = report.Candidate.rp_fingerprint;
+    re_env = env;
+    re_candidate = candidate;
+    re_verdict = report.Subject.rp_verdict;
+    re_fingerprint = report.Subject.rp_fingerprint;
     re_note = note;
   }
 
-let candidate t =
-  ( {
-      Candidate.cf_scenario = t.re_scenario;
-      cf_horizon_ms = t.re_horizon_ms;
-      cf_params = t.re_params;
-    },
-    {
-      Candidate.cd_plan = t.re_plan;
-      cd_trace_seed = t.re_trace_seed;
-      cd_fault_seed = t.re_fault_seed;
-    } )
+let version_key (type e s c) ((module S) : (e, s, c) Subject.t) =
+  S.tag ^ "_repro_version"
 
-let to_json t =
+let to_json (type e s c) ((module S) as subject : (e, s, c) Subject.t) t =
   Json.Obj
-    ([
-       ("chaos_repro_version", Json.Int schema_version);
-       ("scenario", Spec.scenario_to_json t.re_scenario);
-       ("horizon_ms", Json.Int t.re_horizon_ms);
-     ]
-    @ (match t.re_params with
-      | None -> []
-      | Some p -> [ ("params", Ddcr_params.to_json p) ])
+    (((version_key subject, Json.Int S.version)
+     :: S.to_json t.re_env t.re_candidate)
     @ [
-        ("plan", Fault_plan.spec_to_json t.re_plan);
-        ("trace_seed", Json.Int t.re_trace_seed);
-        ("fault_seed", Json.Int t.re_fault_seed);
         ("verdict", Oracle.to_json t.re_verdict);
         ("fingerprint", Json.String t.re_fingerprint);
         ("note", Json.String t.re_note);
       ])
 
-let of_json j =
-  let* v = Result.bind (Json.field "chaos_repro_version" j) Json.get_int in
-  if v < 1 || v > schema_version then
-    Error (Printf.sprintf "unsupported chaos repro version %d" v)
+let of_json (type e s c) ((module S) as subject : (e, s, c) Subject.t) j =
+  let key = version_key subject in
+  let* v = Result.bind (Json.field key j) Json.get_int in
+  if v < 1 || v > S.version then
+    Error (Printf.sprintf "unsupported %s %d" key v)
   else
-    let* scenario = Result.bind (Json.field "scenario" j) Spec.scenario_of_json in
-    let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
-    let* params =
-      match Json.member "params" j with
-      | None | Some Json.Null -> Ok None
-      | Some pj when v >= 2 ->
-        Result.map Option.some
-          (Result.map_error (fun e -> "params: " ^ e) (Ddcr_params.of_json pj))
-      | Some _ -> Error "params override requires chaos repro version >= 2"
-    in
-    let* plan = Result.bind (Json.field "plan" j) Fault_plan.spec_of_json in
-    let* () =
-      Result.map_error
-        (fun e -> "plan: " ^ e)
-        (Fault_plan.validate ~horizon:(horizon_ms * 1_000_000) plan)
-    in
-    let* trace_seed = Result.bind (Json.field "trace_seed" j) Json.get_int in
-    let* fault_seed = Result.bind (Json.field "fault_seed" j) Json.get_int in
+    let* env, candidate = S.of_json ~version:v j in
     let* verdict = Result.bind (Json.field "verdict" j) Oracle.of_json in
     let* fingerprint = Result.bind (Json.field "fingerprint" j) Json.get_string in
     let* note =
@@ -101,290 +47,44 @@ let of_json j =
       | None -> Ok ""
       | Some n -> Json.get_string n
     in
-    if horizon_ms < 1 then Error "horizon_ms < 1"
-    else
-      Ok
-        {
-          re_scenario = scenario;
-          re_horizon_ms = horizon_ms;
-          re_params = params;
-          re_plan = plan;
-          re_trace_seed = trace_seed;
-          re_fault_seed = fault_seed;
-          re_verdict = verdict;
-          re_fingerprint = fingerprint;
-          re_note = note;
-        }
+    Ok
+      {
+        re_env = env;
+        re_candidate = candidate;
+        re_verdict = verdict;
+        re_fingerprint = fingerprint;
+        re_note = note;
+      }
 
-let save ~path t = Json.to_file path (to_json t)
+let save subject ~path t = Json.to_file path (to_json subject t)
 
-let load ~path =
+let load subject ~path =
   let* j = Json.parse_file path in
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (of_json j)
+  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (of_json subject j)
 
 type replay = {
-  rr_report : Candidate.report;
+  rr_report : Subject.report;
   rr_verdict_ok : bool;
   rr_fingerprint_ok : bool;
 }
 
-let replay ?sink t =
-  let config, cd = candidate t in
-  let report = Candidate.run ?sink config cd in
+let replay ?postmortem subject t =
+  let report = Subject.run subject ?postmortem t.re_env t.re_candidate in
   {
     rr_report = report;
-    rr_verdict_ok = report.Candidate.rp_verdict = t.re_verdict;
+    rr_verdict_ok = report.Subject.rp_verdict = t.re_verdict;
     rr_fingerprint_ok =
-      String.equal report.Candidate.rp_fingerprint t.re_fingerprint;
+      String.equal report.Subject.rp_fingerprint t.re_fingerprint;
   }
 
-(* -------------------- topology artifacts -------------------- *)
-
-let topo_schema_version = 1
-
-type topo = {
-  rt_config : Candidate.topo_config;
-  rt_plans : (string * Fault_plan.spec) list;
-  rt_trace_seed : int;
-  rt_fault_seed : int;
-  rt_verdict : Oracle.verdict;
-  rt_fingerprint : string;
-  rt_note : string;
-}
-
-let make_topo ~config ~candidate ~report ~note =
-  {
-    rt_config = config;
-    rt_plans = candidate.Candidate.td_plans;
-    rt_trace_seed = candidate.Candidate.td_trace_seed;
-    rt_fault_seed = candidate.Candidate.td_fault_seed;
-    rt_verdict = report.Candidate.rp_verdict;
-    rt_fingerprint = report.Candidate.rp_fingerprint;
-    rt_note = note;
-  }
-
-let topo_candidate t =
-  ( t.rt_config,
-    {
-      Candidate.td_plans = t.rt_plans;
-      td_trace_seed = t.rt_trace_seed;
-      td_fault_seed = t.rt_fault_seed;
-    } )
-
-let topo_to_json t =
-  Json.Obj
-    [
-      ("topo_chaos_repro_version", Json.Int topo_schema_version);
-      ("topology", Candidate.topo_config_to_json t.rt_config);
-      ( "plans",
-        Json.Obj
-          (List.map (fun (n, sp) -> (n, Fault_plan.spec_to_json sp)) t.rt_plans)
-      );
-      ("trace_seed", Json.Int t.rt_trace_seed);
-      ("fault_seed", Json.Int t.rt_fault_seed);
-      ("verdict", Oracle.to_json t.rt_verdict);
-      ("fingerprint", Json.String t.rt_fingerprint);
-      ("note", Json.String t.rt_note);
-    ]
-
-let topo_of_json j =
-  let* v = Result.bind (Json.field "topo_chaos_repro_version" j) Json.get_int in
-  if v <> topo_schema_version then
-    Error (Printf.sprintf "unsupported topo chaos repro version %d" v)
-  else
-    let* config =
-      Result.bind (Json.field "topology" j) Candidate.topo_config_of_json
-    in
-    let horizon = config.Candidate.tc_horizon_ms * 1_000_000 in
-    let* plans =
-      match Json.member "plans" j with
-      | Some (Json.Obj kvs) ->
-        let rec decode acc = function
-          | [] -> Ok (List.rev acc)
-          | (name, pj) :: tl ->
-            let* sp =
-              Result.map_error
-                (fun e -> Printf.sprintf "plans: %s: %s" name e)
-                (Fault_plan.spec_of_json pj)
-            in
-            let* () =
-              Result.map_error
-                (fun e -> Printf.sprintf "plans: %s: %s" name e)
-                (Fault_plan.validate ~horizon sp)
-            in
-            decode ((name, sp) :: acc) tl
-        in
-        decode [] kvs
-      | Some _ -> Error "plans: expected an object"
-      | None -> Error "missing plans"
-    in
-    (* The plan set must attach to the tree the config describes —
-       a renamed segment would otherwise fail only at replay time. *)
-    let* () =
-      match Topo.with_faults (Candidate.topo_tree config) plans with
-      | Ok _ -> Ok ()
-      | Error e -> Error ("plans: " ^ e)
-    in
-    let* trace_seed = Result.bind (Json.field "trace_seed" j) Json.get_int in
-    let* fault_seed = Result.bind (Json.field "fault_seed" j) Json.get_int in
-    let* verdict = Result.bind (Json.field "verdict" j) Oracle.of_json in
-    let* fingerprint = Result.bind (Json.field "fingerprint" j) Json.get_string in
-    let* note =
-      match Json.member "note" j with
-      | None -> Ok ""
-      | Some n -> Json.get_string n
-    in
-    Ok
-      {
-        rt_config = config;
-        rt_plans = plans;
-        rt_trace_seed = trace_seed;
-        rt_fault_seed = fault_seed;
-        rt_verdict = verdict;
-        rt_fingerprint = fingerprint;
-        rt_note = note;
-      }
-
-let save_topo ~path t = Json.to_file path (topo_to_json t)
-
-let load_topo ~path =
-  let* j = Json.parse_file path in
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (topo_of_json j)
-
-let replay_topo ?sink_for ?on_result t =
-  let config, td = topo_candidate t in
-  let report = Candidate.run_topo ?sink_for ?on_result config td in
-  {
-    rr_report = report;
-    rr_verdict_ok = report.Candidate.rp_verdict = t.rt_verdict;
-    rr_fingerprint_ok =
-      String.equal report.Candidate.rp_fingerprint t.rt_fingerprint;
-  }
-
-(* -------------------- admission artifacts -------------------- *)
-
-module A_request = Rtnet_admit.Request
-
-let admit_schema_version = 1
-
-type admission = {
-  ra_config : Candidate.admit_config;
-  ra_requests : A_request.t list;
-  ra_trace_seed : int;
-  ra_verdict : Oracle.verdict;
-  ra_fingerprint : string;
-  ra_note : string;
-}
-
-let make_admission ~config ~candidate ~report ~note =
-  {
-    ra_config = config;
-    ra_requests = candidate.Candidate.ar_requests;
-    ra_trace_seed = candidate.Candidate.ar_trace_seed;
-    ra_verdict = report.Candidate.rp_verdict;
-    ra_fingerprint = report.Candidate.rp_fingerprint;
-    ra_note = note;
-  }
-
-let admission_candidate t =
-  ( t.ra_config,
-    {
-      Candidate.ar_requests = t.ra_requests;
-      ar_trace_seed = t.ra_trace_seed;
-    } )
-
-let admission_to_json t =
-  Json.Obj
-    [
-      ("admit_chaos_repro_version", Json.Int admit_schema_version);
-      ("admit", Candidate.admit_config_to_json t.ra_config);
-      ("requests", Json.List (List.map A_request.to_json t.ra_requests));
-      ("trace_seed", Json.Int t.ra_trace_seed);
-      ("verdict", Oracle.to_json t.ra_verdict);
-      ("fingerprint", Json.String t.ra_fingerprint);
-      ("note", Json.String t.ra_note);
-    ]
-
-let admission_of_json j =
-  let* v = Result.bind (Json.field "admit_chaos_repro_version" j) Json.get_int in
-  if v <> admit_schema_version then
-    Error (Printf.sprintf "unsupported admit chaos repro version %d" v)
-  else
-    let* config =
-      Result.bind (Json.field "admit" j) Candidate.admit_config_of_json
-    in
-    (* The environment must reconstruct: unknown phy names and
-       parameters invalid for the source count fail here, not at
-       replay time. *)
-    let* () =
-      let* phy = A_request.phy_of_name config.Candidate.an_phy in
-      match
-        Rtnet_admit.Engine.create ~phy
-          ~num_sources:config.Candidate.an_sources
-          ~params:config.Candidate.an_params
-      with
-      | Ok _ -> Ok ()
-      | Error e -> Error ("admit: " ^ e)
-    in
-    let* reqs = Result.bind (Json.field "requests" j) Json.get_list in
-    let* requests =
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | r :: tl -> (
-          match A_request.of_json r with
-          | Ok req -> go (i + 1) (req :: acc) tl
-          | Error e -> Error (Printf.sprintf "requests: %d: %s" i e))
-      in
-      go 0 [] reqs
-    in
-    let* trace_seed = Result.bind (Json.field "trace_seed" j) Json.get_int in
-    let* verdict = Result.bind (Json.field "verdict" j) Oracle.of_json in
-    let* fingerprint = Result.bind (Json.field "fingerprint" j) Json.get_string in
-    let* note =
-      match Json.member "note" j with
-      | None -> Ok ""
-      | Some n -> Json.get_string n
-    in
-    Ok
-      {
-        ra_config = config;
-        ra_requests = requests;
-        ra_trace_seed = trace_seed;
-        ra_verdict = verdict;
-        ra_fingerprint = fingerprint;
-        ra_note = note;
-      }
-
-let save_admission ~path t = Json.to_file path (admission_to_json t)
-
-let load_admission ~path =
-  let* j = Json.parse_file path in
-  Result.map_error
-    (fun e -> Printf.sprintf "%s: %s" path e)
-    (admission_of_json j)
-
-let replay_admission ?sink t =
-  let config, ad = admission_candidate t in
-  let report = Candidate.run_admit ?sink config ad in
-  {
-    rr_report = report;
-    rr_verdict_ok = report.Candidate.rp_verdict = t.ra_verdict;
-    rr_fingerprint_ok =
-      String.equal report.Candidate.rp_fingerprint t.ra_fingerprint;
-  }
-
-(* -------------------- auto-detection -------------------- *)
-
-type any = Plain of t | Federated of topo | Admission of admission
+type any = Any : ('e, 's, 'c) Subject.t * ('e, 'c) t -> any
 
 let load_any ~path =
   let* j = Json.parse_file path in
+  let has subject = Json.member (version_key subject) j <> None in
+  let decode subject = Result.map (fun t -> Any (subject, t)) (of_json subject j) in
   Result.map_error
     (fun e -> Printf.sprintf "%s: %s" path e)
-    (match
-       ( Json.member "topo_chaos_repro_version" j,
-         Json.member "admit_chaos_repro_version" j )
-     with
-    | Some _, _ -> Result.map (fun t -> Federated t) (topo_of_json j)
-    | None, Some _ -> Result.map (fun t -> Admission t) (admission_of_json j)
-    | None, None -> Result.map (fun t -> Plain t) (of_json j))
+    (if has (module Federated) then decode (module Federated)
+     else if has (module Admission) then decode (module Admission)
+     else decode (module Plain))

@@ -1,165 +1,65 @@
 (** Self-contained, deterministic replay artifacts.
 
     A repro freezes everything needed to re-execute one chaos finding
-    byte-identically: the scenario and horizon, the minimized (or
-    raw) fault plan, the candidate's pinned trace/fault seeds, the
-    expected {!Rtnet_analysis.Oracle.verdict} and the expected trace
-    fingerprint.  [ddcr_chaos replay] re-runs the candidate and exits
-    non-zero unless {e both} the verdict and the fingerprint
-    reproduce exactly — the committed repro fixture under
-    [test/fixtures/] is replayed this way on every [make chaos-smoke]. *)
+    byte-identically: the subject's environment and candidate (its
+    {!Subject.S.to_json} fields), the expected
+    {!Rtnet_analysis.Oracle.verdict} and the expected trace
+    fingerprint.  The JSON envelope is the subject's version key, its
+    fields, then ["verdict"], ["fingerprint"] and ["note"].
+    [ddcr_chaos replay] re-runs the candidate and exits non-zero
+    unless {e both} the verdict and the fingerprint reproduce exactly —
+    the committed repro fixtures under [test/fixtures/] are replayed
+    this way on every [dune runtest]. *)
 
-val schema_version : int
-(** The emitted version (2).  {!of_json} accepts 1 and 2: v2 added the
-    optional protocol-parameter override and the scheduled fault-plan
-    atoms; a v1 artifact decodes with [re_params = None].  Versions
-    outside [\[1, 2]] are rejected. *)
-
-type t = {
-  re_scenario : Rtnet_campaign.Spec.scenario;
-  re_horizon_ms : int;
-  re_params : Rtnet_core.Ddcr_params.t option;
-      (** protocol-parameter override (v2); [None] = scenario default *)
-  re_plan : Rtnet_channel.Fault_plan.spec;
-  re_trace_seed : int;
-  re_fault_seed : int;
+type ('e, 'c) t = {
+  re_env : 'e;
+  re_candidate : 'c;
   re_verdict : Rtnet_analysis.Oracle.verdict;  (** expected verdict *)
   re_fingerprint : string;  (** expected trace fingerprint *)
   re_note : string;  (** provenance, e.g. "search seed=7 candidate=12" *)
 }
 
 val make :
-  config:Candidate.config ->
-  candidate:Candidate.t ->
-  report:Candidate.report ->
-  note:string ->
-  t
-(** [make ~config ~candidate ~report ~note] freezes a finding. *)
+  env:'e -> candidate:'c -> report:Subject.report -> note:string -> ('e, 'c) t
+(** [make ~env ~candidate ~report ~note] freezes a finding. *)
 
-val candidate : t -> Candidate.config * Candidate.t
-(** The run the artifact describes. *)
+val version_key : ('e, 's, 'c) Subject.t -> string
+(** [tag ^ "_repro_version"]. *)
 
-val to_json : t -> Rtnet_util.Json.t
-(** Canonical encoding (fixed key order, versioned). *)
+val to_json : ('e, 's, 'c) Subject.t -> ('e, 'c) t -> Rtnet_util.Json.t
+(** Canonical encoding (fixed key order, current version). *)
 
-val of_json : Rtnet_util.Json.t -> (t, string) result
-(** Decodes and validates: schema version, plan validity
-    ({!Rtnet_channel.Fault_plan.validate} against the horizon) and a
-    well-formed verdict — [ddcr_lint --check-repro] is this function
-    on a file. *)
+val of_json :
+  ('e, 's, 'c) Subject.t -> Rtnet_util.Json.t -> (('e, 'c) t, string) result
+(** Decodes and validates: schema version in [1 .. version], the
+    subject's fields ({!Subject.S.of_json}) and a well-formed verdict —
+    [ddcr_lint --check-repro] is this function on a file. *)
 
-val save : path:string -> t -> unit
-val load : path:string -> (t, string) result
+val save : ('e, 's, 'c) Subject.t -> path:string -> ('e, 'c) t -> unit
+
+val load :
+  ('e, 's, 'c) Subject.t -> path:string -> (('e, 'c) t, string) result
 
 type replay = {
-  rr_report : Candidate.report;  (** what the re-execution produced *)
+  rr_report : Subject.report;  (** what the re-execution produced *)
   rr_verdict_ok : bool;  (** verdict structurally equal to expected *)
   rr_fingerprint_ok : bool;  (** fingerprint byte-equal to expected *)
 }
 
-val replay : ?sink:Rtnet_telemetry.Sink.t -> t -> replay
-(** [replay t] re-executes the candidate with the frozen seeds and
-    compares against the expectations.  [sink] attaches a telemetry
-    probe (e.g. a flight recorder) to the replayed run. *)
-
-(** {1 Topology artifacts}
-
-    A federated-topology finding freezes the tree parameters, the
-    per-segment fault plans and the pinned seeds — everything
-    {!Candidate.run_topo} needs.  Its JSON carries the distinct
-    ["topo_chaos_repro_version"] key, so {!load_any} can dispatch a
-    file of either kind. *)
-
-val topo_schema_version : int
-(** The emitted (and only accepted) topology-artifact version (1). *)
-
-type topo = {
-  rt_config : Candidate.topo_config;
-  rt_plans : (string * Rtnet_channel.Fault_plan.spec) list;
-  rt_trace_seed : int;
-  rt_fault_seed : int;
-  rt_verdict : Rtnet_analysis.Oracle.verdict;
-  rt_fingerprint : string;
-  rt_note : string;
-}
-
-val make_topo :
-  config:Candidate.topo_config ->
-  candidate:Candidate.topo ->
-  report:Candidate.report ->
-  note:string ->
-  topo
-
-val topo_candidate : topo -> Candidate.topo_config * Candidate.topo
-val topo_to_json : topo -> Rtnet_util.Json.t
-
-val topo_of_json : Rtnet_util.Json.t -> (topo, string) result
-(** Decodes and validates: schema version, per-plan
-    {!Rtnet_channel.Fault_plan.validate} against the horizon, and
-    that every plan attaches to a segment of the described tree. *)
-
-val save_topo : path:string -> topo -> unit
-val load_topo : path:string -> (topo, string) result
-
-val replay_topo :
-  ?sink_for:(index:int -> segment:string -> Rtnet_telemetry.Sink.t) ->
-  ?on_result:(Rtnet_topology.Driver.result -> unit) ->
-  topo ->
+val replay :
+  ?postmortem:(Rtnet_obs.Postmortem.t -> unit) ->
+  ('e, 's, 'c) Subject.t ->
+  ('e, 'c) t ->
   replay
-(** [replay_topo t] re-executes the federated run with the frozen
-    seeds; same verdict + fingerprint contract as {!replay}.
-    [sink_for] attaches per-segment probes; [on_result] observes the
-    raw driver result (when the run completes without a configuration
-    error) — [ddcr_chaos replay --postmortem-out] uses both to
-    regenerate the postmortem artifact of the frozen failure. *)
+(** [replay subject t] re-executes the candidate and compares against
+    the expectations.  [postmortem] is passed to the subject's run
+    ([ddcr_chaos replay --postmortem-out] regenerates the black box of
+    a frozen federated failure this way). *)
 
-(** {1 Admission artifacts}
-
-    An admission finding freezes the environment (phy, sources,
-    protocol parameters, horizon), the churn stream and the pinned
-    arrival-trace seed — everything {!Candidate.run_admit} needs.
-    Its JSON carries the distinct ["admit_chaos_repro_version"] key
-    for {!load_any} dispatch. *)
-
-val admit_schema_version : int
-(** The emitted (and only accepted) admission-artifact version (1). *)
-
-type admission = {
-  ra_config : Candidate.admit_config;
-  ra_requests : Rtnet_admit.Request.t list;
-  ra_trace_seed : int;
-  ra_verdict : Rtnet_analysis.Oracle.verdict;
-  ra_fingerprint : string;
-  ra_note : string;
-}
-
-val make_admission :
-  config:Candidate.admit_config ->
-  candidate:Candidate.admit ->
-  report:Candidate.report ->
-  note:string ->
-  admission
-
-val admission_candidate : admission -> Candidate.admit_config * Candidate.admit
-val admission_to_json : admission -> Rtnet_util.Json.t
-
-val admission_of_json : Rtnet_util.Json.t -> (admission, string) result
-(** Decodes and validates: schema version, resolvable phy name,
-    parameters valid for the source count, well-formed requests and
-    verdict. *)
-
-val save_admission : path:string -> admission -> unit
-val load_admission : path:string -> (admission, string) result
-
-val replay_admission : ?sink:Rtnet_telemetry.Sink.t -> admission -> replay
-(** [replay_admission t] re-decides the frozen churn stream and
-    re-simulates the admitted set; same verdict + fingerprint contract
-    as {!replay} (the fingerprint covers the decision log lines, so
-    byte-identity asserts the decisions too). *)
-
-type any = Plain of t | Federated of topo | Admission of admission
+type any = Any : ('e, 's, 'c) Subject.t * ('e, 'c) t -> any
 
 val load_any : path:string -> (any, string) result
-(** [load_any ~path] loads an artifact of any kind, dispatching on
-    the version key — [ddcr_chaos replay] and [shrink] take whichever
-    file they are handed. *)
+(** [load_any ~path] loads an artifact of any of the three subjects
+    ({!Plain}, {!Federated}, {!Admission}), dispatching on the version
+    key — [ddcr_chaos replay] and [shrink] take whichever file they are
+    handed.  A file carrying none of the keys is decoded as plain. *)

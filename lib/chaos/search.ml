@@ -1,190 +1,90 @@
-module Prng = Rtnet_util.Prng
-module Json = Rtnet_util.Json
-module Spec = Rtnet_campaign.Spec
 module Pool = Rtnet_campaign.Pool
 module Oracle = Rtnet_analysis.Oracle
 module Registry = Rtnet_telemetry.Registry
 module Sink = Rtnet_telemetry.Sink
-module Instance = Rtnet_workload.Instance
 
-let ( let* ) = Result.bind
-
-type config = {
-  s_candidate : Candidate.config;
+type ('e, 's) config = {
+  s_env : 'e;
+  s_space : 's;
   s_seed : int;
   s_count : int;
-  s_budget : Generator.budget;
   s_jobs : int;
   s_watchdog_s : float option;
   s_retries : int;
   s_backoff_s : float;
   s_wall_budget_s : float option;
-  s_hang_ms : int option;
 }
 
-let default_config candidate =
+let default_config env space =
   {
-    s_candidate = candidate;
+    s_env = env;
+    s_space = space;
     s_seed = 1;
     s_count = 64;
-    s_budget = Generator.default_budget;
     s_jobs = 2;
     s_watchdog_s = Some 30.;
     s_retries = 1;
     s_backoff_s = 0.1;
     s_wall_budget_s = None;
-    s_hang_ms = None;
   }
 
-(* -------------------- config codec -------------------- *)
+let candidate_of (type e s c) ((module S) : (e, s, c) Subject.t) config i =
+  S.sample config.s_env config.s_space ~seed:config.s_seed ~index:i
 
-let config_to_json c =
-  Json.Obj
-    ([
-       ("scenario", Spec.scenario_to_json c.s_candidate.Candidate.cf_scenario);
-       ("horizon_ms", Json.Int c.s_candidate.Candidate.cf_horizon_ms);
-       ("seed", Json.Int c.s_seed);
-       ("candidates", Json.Int c.s_count);
-       ("budget", Generator.budget_to_json c.s_budget);
-       ("jobs", Json.Int c.s_jobs);
-     ]
-    @ (match c.s_watchdog_s with
-      | None -> []
-      | Some w -> [ ("watchdog_s", Json.Float w) ])
-    @ [
-        ("retries", Json.Int c.s_retries);
-        ("backoff_s", Json.Float c.s_backoff_s);
-      ]
-    @
-    match c.s_wall_budget_s with
-    | None -> []
-    | Some w -> [ ("wall_budget_s", Json.Float w) ])
-
-let opt j key decode default =
-  match Json.member key j with None -> Ok default | Some v -> decode v
-
-let opt_some j key decode =
-  match Json.member key j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> Result.map Option.some (decode v)
-
-let config_of_json j =
-  let* scenario = Result.bind (Json.field "scenario" j) Spec.scenario_of_json in
-  let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
-  let* seed = opt j "seed" Json.get_int 1 in
-  let* count = opt j "candidates" Json.get_int 64 in
-  let* budget =
-    match Json.member "budget" j with
-    | None -> Ok Generator.default_budget
-    | Some b -> Generator.budget_of_json b
-  in
-  let* jobs = opt j "jobs" Json.get_int 2 in
-  let* watchdog_s = opt_some j "watchdog_s" Json.get_float in
-  let* retries = opt j "retries" Json.get_int 1 in
-  let* backoff_s = opt j "backoff_s" Json.get_float 0.1 in
-  let* wall_budget_s = opt_some j "wall_budget_s" Json.get_float in
-  if count < 1 then Error "candidates < 1"
-  else if jobs < 1 then Error "jobs < 1"
-  else
-    Ok
-      {
-        s_candidate =
-          { Candidate.cf_scenario = scenario; cf_horizon_ms = horizon_ms; cf_params = None };
-        s_seed = seed;
-        s_count = count;
-        s_budget = budget;
-        s_jobs = jobs;
-        s_watchdog_s = watchdog_s;
-        s_retries = retries;
-        s_backoff_s = backoff_s;
-        s_wall_budget_s = wall_budget_s;
-        s_hang_ms = None;
-      }
-
-let load_config path =
-  let* j = Json.parse_file path in
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (config_of_json j)
-
-(* -------------------- candidates -------------------- *)
-
-(* Domain separation mirrors the campaign's Seeding module: the trace
-   and fault seeds of candidate [i] come from disjoint derive chains
-   of the root seed, and the generator's plan stream uses its own tag
-   — no coordinate ever shares a stream prefix with another. *)
-let trace_seed_of config i = Prng.derive (Prng.derive config.s_seed 1) i
-let fault_seed_of config i = Prng.derive (Prng.derive config.s_seed 2) i
-
-let candidate_of config i =
-  let horizon = config.s_candidate.Candidate.cf_horizon_ms * 1_000_000 in
-  let inst = Spec.instance config.s_candidate.Candidate.cf_scenario in
-  let sources = inst.Instance.num_sources in
-  {
-    Candidate.cd_plan =
-      Generator.sample ~budget:config.s_budget ~seed:config.s_seed ~index:i
-        ~horizon ~sources;
-    cd_trace_seed = trace_seed_of config i;
-    cd_fault_seed = fault_seed_of config i;
-  }
-
-(* -------------------- search -------------------- *)
-
-type finding = {
+type 'c finding = {
   fi_index : int;
-  fi_candidate : Candidate.t;
-  fi_report : Candidate.report;
+  fi_candidate : 'c;
+  fi_report : Subject.report;
 }
 
 type gave_up = { gu_index : int; gu_attempts : int; gu_reason : string }
 
-type result = {
+type 'c result = {
   r_examined : int;
-  r_findings : finding list;
+  r_findings : 'c finding list;
   r_task_errors : (int * string) list;
   r_gave_up : gave_up list;
   r_exhausted : bool;
 }
 
-(* Shared supervised pool loop: execute [task] over the indexed
-   candidate array, classify completions with [Oracle.is_failure],
-   and collect failures as (index, report) pairs — the plain and
-   topology searches only differ in the candidate type, which this
-   driver never inspects. *)
-let drive ?registry ~sink ~log ~jobs ~watchdog_s ~retries ~backoff_s
-    ~wall_budget_s ~count:n ~task candidates =
+let run ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ()) subject
+    config =
+  let candidates = Array.init config.s_count (candidate_of subject config) in
   let count key = Option.iter (fun r -> Registry.incr r key) registry in
   let t0 = Unix.gettimeofday () in
   let should_stop () =
-    match wall_budget_s with
+    match config.s_wall_budget_s with
     | None -> false
     | Some b -> Unix.gettimeofday () -. t0 >= b
   in
   let stopped_early = ref false in
-  let failures = ref [] in
+  let findings = ref [] in
   let task_errors = ref [] in
   let gave_up = ref [] in
   let examined = ref 0 in
+  let cell pos (timing : Pool.timing) ~ok =
+    incr examined;
+    count "chaos/candidates";
+    sink.Sink.worker_cell ~worker:timing.Pool.worker
+      ~key:(Printf.sprintf "cand%d" pos)
+      ~t0:timing.Pool.t0 ~t1:timing.Pool.t1 ~ok
+  in
   let on_event = function
     | Pool.Completed (pos, timing, report) ->
-      incr examined;
-      count "chaos/candidates";
-      let ok = not (Oracle.is_failure report.Candidate.rp_verdict) in
-      sink.Sink.worker_cell ~worker:timing.Pool.worker
-        ~key:(Printf.sprintf "cand%d" pos)
-        ~t0:timing.Pool.t0 ~t1:timing.Pool.t1 ~ok;
+      let ok = not (Oracle.is_failure report.Subject.rp_verdict) in
+      cell pos timing ~ok;
       if not ok then begin
         count "chaos/findings";
-        failures := (pos, report) :: !failures;
+        findings :=
+          { fi_index = pos; fi_candidate = candidates.(pos); fi_report = report }
+          :: !findings;
         log
           (Printf.sprintf "candidate %d: %s" pos
-             (Oracle.describe report.Candidate.rp_verdict))
+             (Oracle.describe report.Subject.rp_verdict))
       end
     | Pool.Task_error (pos, timing, e) ->
-      incr examined;
-      count "chaos/candidates";
+      cell pos timing ~ok:false;
       count "chaos/task_errors";
-      sink.Sink.worker_cell ~worker:timing.Pool.worker
-        ~key:(Printf.sprintf "cand%d" pos)
-        ~t0:timing.Pool.t0 ~t1:timing.Pool.t1 ~ok:false;
       task_errors := (pos, e) :: !task_errors;
       log (Printf.sprintf "candidate %d: task error: %s" pos e)
     | Pool.Gave_up { position; attempts; reason } ->
@@ -202,213 +102,29 @@ let drive ?registry ~sink ~log ~jobs ~watchdog_s ~retries ~backoff_s
         (Printf.sprintf "candidate %d: gave up after %d attempt(s): %s"
            position attempts (Pool.reason_text reason))
   in
-  let launched =
-    Pool.supervise ~jobs ?watchdog_s ~retries ~backoff_s
-      ~on_retry:(fun ~position ~attempt ~reason ->
-        count "chaos/retries";
-        log
-          (Printf.sprintf "candidate %d: retry %d (%s)" position attempt reason))
-      ~should_stop:(fun () ->
-        let stop = should_stop () in
-        if stop && not !stopped_early then begin
-          stopped_early := true;
-          log "wall budget exhausted: draining running candidates"
-        end;
-        stop)
-      ~on_event task candidates
-  in
-  ignore launched;
+  ignore
+    (Pool.supervise ~jobs:config.s_jobs ?watchdog_s:config.s_watchdog_s
+       ~retries:config.s_retries ~backoff_s:config.s_backoff_s
+       ~on_retry:(fun ~position ~attempt ~reason ->
+         count "chaos/retries";
+         log
+           (Printf.sprintf "candidate %d: retry %d (%s)" position attempt
+              reason))
+       ~should_stop:(fun () ->
+         let stop = should_stop () in
+         if stop && not !stopped_early then begin
+           stopped_early := true;
+           log "wall budget exhausted: draining running candidates"
+         end;
+         stop)
+       ~on_event
+       (Subject.run subject config.s_env)
+       candidates);
   let by f l = List.sort (fun a b -> compare (f a) (f b)) l in
-  ( !examined,
-    by fst !failures,
-    by fst !task_errors,
-    by (fun g -> g.gu_index) !gave_up,
-    !stopped_early || !examined < n )
-
-let run ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ()) config =
-  let candidates =
-    Array.init config.s_count (fun i -> (i, candidate_of config i))
-  in
-  let task (i, cd) =
-    (match config.s_hang_ms with
-    | Some ms when i = 0 ->
-      (* Deliberate hang, used by the watchdog tests: sleep far past
-         any sensible watchdog so the kill path is exercised. *)
-      Unix.sleepf (float_of_int ms /. 1000.)
-    | _ -> ());
-    Candidate.run config.s_candidate cd
-  in
-  let examined, failures, task_errors, gave_up, exhausted =
-    drive ?registry ~sink ~log ~jobs:config.s_jobs
-      ~watchdog_s:config.s_watchdog_s ~retries:config.s_retries
-      ~backoff_s:config.s_backoff_s ~wall_budget_s:config.s_wall_budget_s
-      ~count:config.s_count ~task candidates
-  in
   {
-    r_examined = examined;
-    r_findings =
-      List.map
-        (fun (pos, report) ->
-          { fi_index = pos; fi_candidate = snd candidates.(pos); fi_report = report })
-        failures;
-    r_task_errors = task_errors;
-    r_gave_up = gave_up;
-    r_exhausted = exhausted;
-  }
-
-(* -------------------- topology search -------------------- *)
-
-type topo_config = {
-  t_candidate : Candidate.topo_config;
-  t_seed : int;
-  t_count : int;
-  t_budget : Generator.budget;
-  t_jobs : int;
-  t_watchdog_s : float option;
-  t_retries : int;
-  t_backoff_s : float;
-  t_wall_budget_s : float option;
-}
-
-let default_topo_config candidate =
-  {
-    t_candidate = candidate;
-    t_seed = 1;
-    t_count = 64;
-    t_budget = Generator.default_budget;
-    t_jobs = 2;
-    t_watchdog_s = Some 30.;
-    t_retries = 1;
-    t_backoff_s = 0.1;
-    t_wall_budget_s = None;
-  }
-
-(* Same derive chains as the plain search: plans from the generator's
-   (disjoint) topo stream family, per-index trace/fault seeds from
-   branches 1 and 2 of the root. *)
-let topo_candidate_of config i =
-  let horizon = config.t_candidate.Candidate.tc_horizon_ms * 1_000_000 in
-  let topo = Candidate.topo_tree config.t_candidate in
-  {
-    Candidate.td_plans =
-      Generator.sample_topo ~budget:config.t_budget ~seed:config.t_seed
-        ~index:i ~horizon topo;
-    td_trace_seed = Prng.derive (Prng.derive config.t_seed 1) i;
-    td_fault_seed = Prng.derive (Prng.derive config.t_seed 2) i;
-  }
-
-type topo_finding = {
-  tf_index : int;
-  tf_candidate : Candidate.topo;
-  tf_report : Candidate.report;
-}
-
-type topo_result = {
-  tr_examined : int;
-  tr_findings : topo_finding list;
-  tr_task_errors : (int * string) list;
-  tr_gave_up : gave_up list;
-  tr_exhausted : bool;
-}
-
-let run_topo ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ())
-    config =
-  let candidates =
-    Array.init config.t_count (fun i -> (i, topo_candidate_of config i))
-  in
-  let task (_, td) = Candidate.run_topo config.t_candidate td in
-  let examined, failures, task_errors, gave_up, exhausted =
-    drive ?registry ~sink ~log ~jobs:config.t_jobs
-      ~watchdog_s:config.t_watchdog_s ~retries:config.t_retries
-      ~backoff_s:config.t_backoff_s ~wall_budget_s:config.t_wall_budget_s
-      ~count:config.t_count ~task candidates
-  in
-  {
-    tr_examined = examined;
-    tr_findings =
-      List.map
-        (fun (pos, report) ->
-          { tf_index = pos; tf_candidate = snd candidates.(pos); tf_report = report })
-        failures;
-    tr_task_errors = task_errors;
-    tr_gave_up = gave_up;
-    tr_exhausted = exhausted;
-  }
-
-(* -------------------- admission search -------------------- *)
-
-type admit_config = {
-  a_candidate : Candidate.admit_config;
-  a_seed : int;
-  a_count : int;
-  a_pool : int;
-  a_requests : int;
-  a_jobs : int;
-  a_watchdog_s : float option;
-  a_retries : int;
-  a_backoff_s : float;
-  a_wall_budget_s : float option;
-}
-
-let default_admit_config candidate =
-  {
-    a_candidate = candidate;
-    a_seed = 1;
-    a_count = 64;
-    a_pool = 8;
-    a_requests = 64;
-    a_jobs = 2;
-    a_watchdog_s = Some 30.;
-    a_retries = 1;
-    a_backoff_s = 0.1;
-    a_wall_budget_s = None;
-  }
-
-(* Churn streams from the generator's (disjoint) churn family; the
-   per-index trace seed from branch 1 of the root, as everywhere. *)
-let admit_candidate_of config i =
-  {
-    Candidate.ar_requests =
-      Generator.sample_churn ~seed:config.a_seed ~index:i
-        ~sources:config.a_candidate.Candidate.an_sources ~pool:config.a_pool
-        ~requests:config.a_requests;
-    ar_trace_seed = Prng.derive (Prng.derive config.a_seed 1) i;
-  }
-
-type admit_finding = {
-  af_index : int;
-  af_candidate : Candidate.admit;
-  af_report : Candidate.report;
-}
-
-type admit_result = {
-  as_examined : int;
-  as_findings : admit_finding list;
-  as_task_errors : (int * string) list;
-  as_gave_up : gave_up list;
-  as_exhausted : bool;
-}
-
-let run_admit ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ())
-    config =
-  let candidates =
-    Array.init config.a_count (fun i -> (i, admit_candidate_of config i))
-  in
-  let task (_, ad) = Candidate.run_admit config.a_candidate ad in
-  let examined, failures, task_errors, gave_up, exhausted =
-    drive ?registry ~sink ~log ~jobs:config.a_jobs
-      ~watchdog_s:config.a_watchdog_s ~retries:config.a_retries
-      ~backoff_s:config.a_backoff_s ~wall_budget_s:config.a_wall_budget_s
-      ~count:config.a_count ~task candidates
-  in
-  {
-    as_examined = examined;
-    as_findings =
-      List.map
-        (fun (pos, report) ->
-          { af_index = pos; af_candidate = snd candidates.(pos); af_report = report })
-        failures;
-    as_task_errors = task_errors;
-    as_gave_up = gave_up;
-    as_exhausted = exhausted;
+    r_examined = !examined;
+    r_findings = by (fun f -> f.fi_index) !findings;
+    r_task_errors = by fst !task_errors;
+    r_gave_up = by (fun g -> g.gu_index) !gave_up;
+    r_exhausted = !stopped_early || !examined < config.s_count;
   }

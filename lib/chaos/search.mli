@@ -1,11 +1,12 @@
 (** The chaos search loop: sample candidates, execute them on a
-    supervised worker pool, collect the failures.
+    supervised worker pool, collect the failures — over any
+    {!Subject}.
 
-    Candidates are indexed [0 .. s_count - 1]; candidate [i]'s plan
-    and seeds are pure functions of [(config, i)] ({!candidate_of}),
-    so a finding is reproducible from its index alone and the search
-    is deterministic up to the {e set} of results (execution order
-    varies with scheduling; results are re-sorted by index).
+    Candidates are indexed [0 .. s_count - 1]; candidate [i] is a pure
+    function of [(config, i)] ({!candidate_of}), so a finding is
+    reproducible from its index alone and the search is deterministic
+    up to the {e set} of results (execution order varies with
+    scheduling; results are re-sorted by index).
 
     Execution robustness comes from {!Rtnet_campaign.Pool.supervise}:
     a hung candidate is killed at the watchdog timeout and retried
@@ -14,52 +15,36 @@
     new candidates while draining the running ones — the search
     reports partial results ([r_exhausted = true]) and never crashes. *)
 
-type config = {
-  s_candidate : Candidate.config;  (** scenario + horizon under test *)
+type ('e, 's) config = {
+  s_env : 'e;  (** the subject's environment under test *)
+  s_space : 's;  (** the subject's sampling parameters *)
   s_seed : int;  (** root seed; everything derives from it *)
   s_count : int;  (** candidate budget *)
-  s_budget : Generator.budget;  (** severity budget *)
   s_jobs : int;  (** concurrent workers *)
   s_watchdog_s : float option;  (** per-candidate kill timeout *)
   s_retries : int;  (** retry budget per candidate *)
   s_backoff_s : float;  (** linear backoff unit between retries *)
   s_wall_budget_s : float option;  (** total wall-clock budget *)
-  s_hang_ms : int option;
-      (** {b test hook}: when [Some ms], candidate index 0 sleeps that
-          many milliseconds inside the worker before running — the
-          watchdog test's deliberately hung candidate.  [None] in any
-          real search. *)
 }
 
-val default_config : Candidate.config -> config
-(** 64 candidates, {!Generator.default_budget}, 2 jobs, 30 s
-    watchdog, 1 retry, 0.1 s backoff, no wall budget, no hang hook. *)
+val default_config : 'e -> 's -> ('e, 's) config
+(** Seed 1, 64 candidates, 2 jobs, 30 s watchdog, 1 retry, 0.1 s
+    backoff, no wall budget. *)
 
-val config_to_json : config -> Rtnet_util.Json.t
-(** Canonical encoding — the committed smoke config is this shape.
-    The hang hook is never serialized. *)
+val candidate_of : ('e, 's, 'c) Subject.t -> ('e, 's) config -> int -> 'c
+(** [candidate_of subject config i] is candidate [i]. *)
 
-val config_of_json : Rtnet_util.Json.t -> (config, string) result
-
-val load_config : string -> (config, string) result
-(** [load_config path] parses a config file. *)
-
-val candidate_of : config -> int -> Candidate.t
-(** [candidate_of config i] is candidate [i]: its sampled plan and the
-    per-index trace/fault seeds (domain-separated
-    {!Rtnet_util.Prng.derive} chains of [s_seed]). *)
-
-type finding = {
+type 'c finding = {
   fi_index : int;
-  fi_candidate : Candidate.t;
-  fi_report : Candidate.report;
+  fi_candidate : 'c;
+  fi_report : Subject.report;
 }
 
 type gave_up = { gu_index : int; gu_attempts : int; gu_reason : string }
 
-type result = {
+type 'c result = {
   r_examined : int;  (** candidates that produced any event *)
-  r_findings : finding list;  (** failing candidates, by index *)
+  r_findings : 'c finding list;  (** failing candidates, by index *)
   r_task_errors : (int * string) list;
       (** candidates whose worker-side task raised outside the
           simulator mapping (should be empty; kept for honesty) *)
@@ -71,120 +56,12 @@ val run :
   ?registry:Rtnet_telemetry.Registry.t ->
   ?sink:Rtnet_telemetry.Sink.t ->
   ?log:(string -> unit) ->
-  config ->
-  result
-(** [run config] executes the search.  [registry] (optional) receives
-    the chaos counters ([chaos/candidates], [chaos/findings],
+  ('e, 's, 'c) Subject.t ->
+  ('e, 's) config ->
+  'c result
+(** [run subject config] executes the search.  [registry] (optional)
+    receives the chaos counters ([chaos/candidates], [chaos/findings],
     [chaos/retries], [chaos/gave_up], [chaos/task_errors]); [sink]
     receives one [worker_cell] probe per candidate (wall-clock
-    timeline, Perfetto-exportable via
-    {!Rtnet_telemetry.Recorder}); [log] receives one progress line
-    per notable event. *)
-
-(** {1 Topology search}
-
-    The same supervised loop over {e federated-topology} candidates:
-    per-segment fault plans from {!Generator.sample_topo}, executed
-    through {!Candidate.run_topo} and classified with the end-to-end
-    oracle verdicts — this is how [ddcr_chaos] hunts
-    accept-then-violate bugs of the admission layer (topologies the
-    checker admits that a bridge crash then makes miss, shed or
-    drop). *)
-
-type topo_config = {
-  t_candidate : Candidate.topo_config;
-  t_seed : int;
-  t_count : int;
-  t_budget : Generator.budget;
-  t_jobs : int;
-  t_watchdog_s : float option;
-  t_retries : int;
-  t_backoff_s : float;
-  t_wall_budget_s : float option;
-}
-
-val default_topo_config : Candidate.topo_config -> topo_config
-(** Same defaults as {!default_config}: 64 candidates, default
-    budget, 2 jobs, 30 s watchdog, 1 retry, 0.1 s backoff. *)
-
-val topo_candidate_of : topo_config -> int -> Candidate.topo
-(** [topo_candidate_of config i] is topology candidate [i] — a pure
-    function of [(config, i)], like {!candidate_of}. *)
-
-type topo_finding = {
-  tf_index : int;
-  tf_candidate : Candidate.topo;
-  tf_report : Candidate.report;
-}
-
-type topo_result = {
-  tr_examined : int;
-  tr_findings : topo_finding list;
-  tr_task_errors : (int * string) list;
-  tr_gave_up : gave_up list;
-  tr_exhausted : bool;
-}
-
-val run_topo :
-  ?registry:Rtnet_telemetry.Registry.t ->
-  ?sink:Rtnet_telemetry.Sink.t ->
-  ?log:(string -> unit) ->
-  topo_config ->
-  topo_result
-(** [run_topo config] is {!run} over topology candidates: same pool
-    supervision, same counters and probes, findings carrying the
-    per-segment plans. *)
-
-(** {1 Admission search}
-
-    The same supervised loop over {e admission churn} candidates:
-    request streams from {!Generator.sample_churn}, executed through
-    {!Candidate.run_admit} — admit the stream, simulate the admitted
-    set — hunting flow sets the engine accepts that the simulator then
-    makes miss deadlines
-    ({!Rtnet_analysis.Oracle.Admission_violation}). *)
-
-type admit_config = {
-  a_candidate : Candidate.admit_config;  (** environment under test *)
-  a_seed : int;
-  a_count : int;
-  a_pool : int;  (** flow-id pool size per candidate *)
-  a_requests : int;  (** churn-stream length per candidate *)
-  a_jobs : int;
-  a_watchdog_s : float option;
-  a_retries : int;
-  a_backoff_s : float;
-  a_wall_budget_s : float option;
-}
-
-val default_admit_config : Candidate.admit_config -> admit_config
-(** 64 candidates of 64 requests over an 8-id pool; pool supervision
-    defaults as in {!default_config}. *)
-
-val admit_candidate_of : admit_config -> int -> Candidate.admit
-(** [admit_candidate_of config i] is admission candidate [i] — a pure
-    function of [(config, i)], like {!candidate_of}. *)
-
-type admit_finding = {
-  af_index : int;
-  af_candidate : Candidate.admit;
-  af_report : Candidate.report;
-}
-
-type admit_result = {
-  as_examined : int;
-  as_findings : admit_finding list;
-  as_task_errors : (int * string) list;
-  as_gave_up : gave_up list;
-  as_exhausted : bool;
-}
-
-val run_admit :
-  ?registry:Rtnet_telemetry.Registry.t ->
-  ?sink:Rtnet_telemetry.Sink.t ->
-  ?log:(string -> unit) ->
-  admit_config ->
-  admit_result
-(** [run_admit config] is {!run} over admission candidates: same pool
-    supervision, same counters and probes, findings carrying the churn
-    stream that elicited the verdict. *)
+    timeline, Perfetto-exportable via {!Rtnet_telemetry.Recorder});
+    [log] receives one progress line per notable event. *)

@@ -1,9 +1,9 @@
 module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
 
-type result = {
-  sh_plan : Fault_plan.spec;
-  sh_verdict : Oracle.verdict;
+type 'c result = {
+  sh_candidate : 'c;
+  sh_report : Subject.report;
   sh_checks : int;
 }
 
@@ -92,103 +92,20 @@ let weaken_severities check sp =
   done;
   !sp
 
-let run ~oracle ~target plan =
+let refine_plan ~check sp = weaken_severities check (narrow_windows check sp)
+
+let run (type e s c) ((module S) : (e, s, c) Subject.t) ~oracle ~target cand =
   let checks = ref 0 in
-  let check sp =
-    (not (Fault_plan.is_empty sp))
+  let check c =
+    S.atoms c <> []
     &&
     (incr checks;
-     Oracle.same_class (oracle sp) target)
+     Oracle.same_class (oracle c).Subject.rp_verdict target)
   in
-  if not (check plan) then
-    { sh_plan = plan; sh_verdict = oracle plan; sh_checks = !checks }
-  else begin
-    let atoms = ddmin (fun l -> check (Fault_plan.merge l)) (Fault_plan.atoms plan) in
-    let sp = Fault_plan.merge atoms in
-    let sp = narrow_windows check sp in
-    let sp = weaken_severities check sp in
-    { sh_plan = sp; sh_verdict = oracle sp; sh_checks = !checks }
-  end
-
-(* -------------------- topology plans -------------------- *)
-
-type topo_result = {
-  st_plans : (string * Fault_plan.spec) list;
-  st_verdict : Oracle.verdict;
-  st_checks : int;
-}
-
-let run_topo ~oracle ~target plans =
-  let checks = ref 0 in
-  (* ddmin works over (segment, atom) pairs; rebuilding preserves the
-     original segment order so the minimized plan set composes onto
-     the topology deterministically. *)
-  let order = List.map fst plans in
-  let rebuild pairs =
-    List.filter_map
-      (fun seg ->
-        match
-          List.filter_map (fun (s, a) -> if s = seg then Some a else None) pairs
-        with
-        | [] -> None
-        | atoms -> Some (seg, Fault_plan.merge atoms))
-      order
+  let cand =
+    if not (check cand) then cand
+    else
+      let atoms = ddmin (fun l -> check (S.with_atoms cand l)) (S.atoms cand) in
+      S.refine ~check (S.with_atoms cand atoms)
   in
-  let check_pairs pairs =
-    pairs <> []
-    && (incr checks;
-        Oracle.same_class (oracle (rebuild pairs)) target)
-  in
-  let all_pairs =
-    List.concat_map
-      (fun (seg, sp) -> List.map (fun a -> (seg, a)) (Fault_plan.atoms sp))
-      plans
-  in
-  if not (check_pairs all_pairs) then
-    { st_plans = plans; st_verdict = oracle plans; st_checks = !checks }
-  else begin
-    let pairs = ddmin check_pairs all_pairs in
-    let cur = ref (rebuild pairs) in
-    let with_seg seg sp =
-      List.map (fun (s, sp0) -> if s = seg then (s, sp) else (s, sp0)) !cur
-    in
-    (* Per-segment window narrowing and severity weakening, each
-       candidate mutation re-checked against the whole plan set. *)
-    List.iter
-      (fun (seg, _) ->
-        let check_sp sp' =
-          (not (Fault_plan.is_empty sp'))
-          && (incr checks;
-              Oracle.same_class (oracle (with_seg seg sp')) target)
-        in
-        let sp' = narrow_windows check_sp (List.assoc seg !cur) in
-        let sp' = weaken_severities check_sp sp' in
-        cur := with_seg seg sp')
-      !cur;
-    { st_plans = !cur; st_verdict = oracle !cur; st_checks = !checks }
-  end
-
-(* -------------------- admission churn -------------------- *)
-
-type admit_result = {
-  sa_requests : Rtnet_admit.Request.t list;
-  sa_verdict : Oracle.verdict;
-  sa_checks : int;
-}
-
-(* Request streams shrink by ddmin alone: requests are the atoms, and
-   order is preserved (ddmin only ever removes), so the minimized
-   stream is a subsequence of the original — any decision it elicits
-   the original also explains. *)
-let run_admit ~oracle ~target requests =
-  let checks = ref 0 in
-  let check reqs =
-    reqs <> []
-    && (incr checks;
-        Oracle.same_class (oracle reqs) target)
-  in
-  if not (check requests) then
-    { sa_requests = requests; sa_verdict = oracle requests; sa_checks = !checks }
-  else
-    let reqs = ddmin check requests in
-    { sa_requests = reqs; sa_verdict = oracle reqs; sa_checks = !checks }
+  { sh_candidate = cand; sh_report = oracle cand; sh_checks = !checks }

@@ -1,75 +1,42 @@
-(** Delta-debugging shrinker for failing fault plans.
+(** Delta-debugging shrinker for failing candidates.
 
-    Minimizes a plan while preserving the oracle verdict {e class}
-    ({!Rtnet_analysis.Oracle.same_class}), along three axes in order:
-
-    + {b drop fault events} — classic ddmin (Zeller's delta debugging)
-      over the plan's {!Rtnet_channel.Fault_plan.atoms};
-    + {b narrow windows} — each surviving crash window is repeatedly
-      replaced by whichever half ({!Rtnet_channel.Fault_plan.split_crash})
-      still reproduces the verdict;
-    + {b weaken severities} — garble/misperception rates are halved
-      ({!Rtnet_channel.Fault_plan.scale_severity}) while the verdict
-      survives.
+    Minimizes a candidate while preserving the oracle verdict {e class}
+    ({!Rtnet_analysis.Oracle.same_class}): first classic ddmin
+    (Zeller's delta debugging) over the subject's atoms — fault events
+    of a plan, (segment, fault event) pairs of a federated schedule,
+    requests of a churn stream (order-preserving removal only) — then
+    the subject's {!Subject.S.refine} step.
 
     The oracle is re-checked after every candidate mutation; a
     mutation that changes the verdict class is discarded.  The result
-    is 1-minimal with respect to event removal: dropping any single
-    remaining event loses the verdict. *)
+    is 1-minimal with respect to atom removal: dropping any single
+    remaining atom loses the verdict. *)
 
-type result = {
-  sh_plan : Rtnet_channel.Fault_plan.spec;  (** the minimized plan *)
-  sh_verdict : Rtnet_analysis.Oracle.verdict;
-      (** the minimized plan's verdict (same class as the target) *)
+type 'c result = {
+  sh_candidate : 'c;  (** the minimized candidate *)
+  sh_report : Subject.report;
+      (** the minimized candidate's report (same verdict class as the
+          target unless the input did not reproduce it) *)
   sh_checks : int;  (** oracle invocations spent *)
 }
 
 val run :
-  oracle:(Rtnet_channel.Fault_plan.spec -> Rtnet_analysis.Oracle.verdict) ->
+  ('e, 's, 'c) Subject.t ->
+  oracle:('c -> Subject.report) ->
   target:Rtnet_analysis.Oracle.verdict ->
-  Rtnet_channel.Fault_plan.spec ->
-  result
-(** [run ~oracle ~target plan] minimizes [plan].  [oracle] must be
+  'c ->
+  'c result
+(** [run subject ~oracle ~target c] minimizes [c].  [oracle] must be
     deterministic (re-run the candidate with its pinned seeds);
-    [target] is the verdict to preserve.  If [plan] itself does not
+    [target] is the verdict to preserve.  If [c] itself does not
     reproduce [target]'s class under [oracle], it is returned
     unchanged with [sh_checks = 1]. *)
 
-type topo_result = {
-  st_plans : (string * Rtnet_channel.Fault_plan.spec) list;
-      (** the minimized per-segment plan set (segments whose plan
-          shrank to nothing are removed) *)
-  st_verdict : Rtnet_analysis.Oracle.verdict;
-  st_checks : int;
-}
-
-val run_topo :
-  oracle:
-    ((string * Rtnet_channel.Fault_plan.spec) list ->
-    Rtnet_analysis.Oracle.verdict) ->
-  target:Rtnet_analysis.Oracle.verdict ->
-  (string * Rtnet_channel.Fault_plan.spec) list ->
-  topo_result
-(** [run_topo ~oracle ~target plans] minimizes a topology fault
-    schedule: ddmin over the {e union} of (segment, fault-event)
-    pairs — so a whole-federation storm shrinks down to the one
-    segment (typically the one bridge crash) that carries the verdict
-    — followed by per-segment crash-window narrowing and severity
-    weakening, every mutation re-checked against the full plan set. *)
-
-type admit_result = {
-  sa_requests : Rtnet_admit.Request.t list;  (** minimized churn stream *)
-  sa_verdict : Rtnet_analysis.Oracle.verdict;
-  sa_checks : int;
-}
-
-val run_admit :
-  oracle:(Rtnet_admit.Request.t list -> Rtnet_analysis.Oracle.verdict) ->
-  target:Rtnet_analysis.Oracle.verdict ->
-  Rtnet_admit.Request.t list ->
-  admit_result
-(** [run_admit ~oracle ~target requests] minimizes an admission churn
-    stream by ddmin over the requests (order-preserving removal only:
-    the result is a subsequence of the original stream).  The usual
-    outcome for an accept-then-violate finding is the single [add]
-    whose acceptance the simulation contradicts. *)
+val refine_plan :
+  check:(Rtnet_channel.Fault_plan.spec -> bool) ->
+  Rtnet_channel.Fault_plan.spec ->
+  Rtnet_channel.Fault_plan.spec
+(** The fault-plan refine step: each crash window is repeatedly
+    replaced by whichever half ({!Rtnet_channel.Fault_plan.split_crash})
+    still passes [check], then garble/misperception rates are halved
+    ({!Rtnet_channel.Fault_plan.scale_severity}) while [check] holds. *)

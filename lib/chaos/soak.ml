@@ -2,7 +2,7 @@ module Prng = Rtnet_util.Prng
 module Oracle = Rtnet_analysis.Oracle
 
 type config = {
-  so_search : Search.config;
+  so_search : (Plain.env, Plain.space) Search.config;
   so_rounds : int;
   so_wall_budget_s : float option;
   so_out_dir : string option;
@@ -48,25 +48,25 @@ let run ?(log = fun (_ : string) -> ()) config =
          }
        in
        log (Printf.sprintf "soak round %d/%d" (r + 1) config.so_rounds);
-       let res = Search.run ~log round_config in
+       let res = Search.run ~log (module Plain) round_config in
        incr rounds_run;
        examined := !examined + res.Search.r_examined;
        gave_up := !gave_up + List.length res.Search.r_gave_up;
        if res.Search.r_exhausted then exhausted := true;
        List.iter
          (fun f ->
-           let fp = f.Search.fi_report.Candidate.rp_fingerprint in
+           let fp = f.Search.fi_report.Subject.rp_fingerprint in
            if not (Hashtbl.mem seen fp) then begin
              Hashtbl.replace seen fp ();
              log
                (Printf.sprintf "new finding (round %d, candidate %d): %s"
                   (r + 1) f.Search.fi_index
-                  (Oracle.describe f.Search.fi_report.Candidate.rp_verdict));
+                  (Oracle.describe f.Search.fi_report.Subject.rp_verdict));
              match config.so_out_dir with
              | None -> ()
              | Some dir ->
                let repro =
-                 Repro.make ~config:config.so_search.Search.s_candidate
+                 Repro.make ~env:config.so_search.Search.s_env
                    ~candidate:f.Search.fi_candidate
                    ~report:f.Search.fi_report
                    ~note:
@@ -77,7 +77,7 @@ let run ?(log = fun (_ : string) -> ()) config =
                  Filename.concat dir
                    (Printf.sprintf "chaos_repro_%s.json" (String.sub fp 0 12))
                in
-               Repro.save ~path repro;
+               Repro.save (module Plain) ~path repro;
                paths := path :: !paths
            end)
          res.Search.r_findings

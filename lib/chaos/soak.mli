@@ -11,7 +11,8 @@
     and stops — it never crashes. *)
 
 type config = {
-  so_search : Search.config;  (** per-round search configuration *)
+  so_search : (Plain.env, Plain.space) Search.config;
+      (** per-round search configuration (single-bus subject) *)
   so_rounds : int;  (** maximum rounds *)
   so_wall_budget_s : float option;
       (** total budget across rounds; overrides the per-round budget

@@ -1,5 +1,6 @@
 module Fault_plan = Rtnet_channel.Fault_plan
-module Candidate = Rtnet_chaos.Candidate
+module Plain = Rtnet_chaos.Plain
+module Subject = Rtnet_chaos.Subject
 module Repro = Rtnet_chaos.Repro
 module T = Transition
 
@@ -56,25 +57,21 @@ type source = {
 
 let export src finding =
   let plan = plan_of_trail finding.Explore.f_trail in
-  let config =
+  let env =
     {
-      Candidate.cf_scenario = src.w_scenario;
+      Plain.cf_scenario = src.w_scenario;
       cf_horizon_ms = src.w_horizon_ms;
       cf_params = src.w_params;
     }
   in
   let cd =
-    {
-      Candidate.cd_plan = plan;
-      cd_trace_seed = src.w_trace_seed;
-      cd_fault_seed = 0;
-    }
+    { Plain.cd_plan = plan; cd_trace_seed = src.w_trace_seed; cd_fault_seed = 0 }
   in
   (* Freeze what the real simulator produces for this schedule — the
      artifact's expectations come from an actual run, never from the
      model's prediction, so replay equality is exact by construction. *)
-  let report = Candidate.run config cd in
-  ( Repro.make ~config ~candidate:cd ~report
+  let report = Subject.run (module Plain) env cd in
+  ( Repro.make ~env ~candidate:cd ~report
       ~note:
         (Printf.sprintf "model counterexample: %s"
            (T.describe_violation finding.Explore.f_violation)),

@@ -11,7 +11,7 @@
     carries.
 
     The artifact's frozen verdict and fingerprint come from an actual
-    {!Rtnet_chaos.Candidate.run} of the schedule — never from the
+    {!Rtnet_chaos.Subject.run} of the schedule — never from the
     model's prediction — so replay equality is exact by
     construction. *)
 
@@ -35,7 +35,10 @@ type source = {
     it must match what {!Transition.make} was given. *)
 
 val export :
-  source -> Explore.finding -> Rtnet_chaos.Repro.t * Rtnet_chaos.Candidate.report
+  source ->
+  Explore.finding ->
+  (Rtnet_chaos.Plain.env, Rtnet_chaos.Plain.candidate) Rtnet_chaos.Repro.t
+  * Rtnet_chaos.Subject.report
 (** [export src finding] runs the real simulator on the trail's plan
     and freezes the result as a replay artifact whose note names the
     violated model invariant.  Also returns the simulator's report so

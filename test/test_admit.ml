@@ -1,7 +1,7 @@
 (* rtnet.admit: the incremental admission engine, the crash-safe
    decision journal, the overload-protected service loop, the CFG-ADMIT
-   lint rules and the admission chaos closure (generator, candidate,
-   shrinker, repro artifacts). *)
+   lint rules and the admission chaos closure (generator, subject,
+   search, shrinker, repro artifacts). *)
 
 module Json = Rtnet_util.Json
 module Request = Rtnet_admit.Request
@@ -12,7 +12,8 @@ module Config_lint = Rtnet_analysis.Config_lint
 module Diagnostic = Rtnet_analysis.Diagnostic
 module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
-module Candidate = Rtnet_chaos.Candidate
+module Subject = Rtnet_chaos.Subject
+module Admission = Rtnet_chaos.Admission
 module Shrink = Rtnet_chaos.Shrink
 module Repro = Rtnet_chaos.Repro
 module Ddcr_params = Rtnet_core.Ddcr_params
@@ -486,9 +487,9 @@ let test_sample_churn_deterministic () =
     (churn 64 ~seed:7 <> churn 64 ~seed:7 ~index:1);
   Alcotest.(check int) "length" 64 (List.length a)
 
-let admit_config =
+let admit_env =
   {
-    Candidate.an_phy = "gigabit-ethernet";
+    Admission.an_phy = "gigabit-ethernet";
     an_sources = 2;
     an_params = broken_params;
     an_horizon_ms = 10;
@@ -499,76 +500,44 @@ let violating_candidate () =
      under the horizon-starved parameters (asserted below, and frozen
      into fixtures/admit_chaos_repro_min.json). *)
   {
-    Candidate.ar_requests = churn 64 ~seed:7 ~pool:8;
+    Admission.ar_requests = churn 64 ~seed:7 ~pool:8;
     ar_trace_seed = Rtnet_util.Prng.derive (Rtnet_util.Prng.derive 7 1) 0;
   }
 
+let run_admit ?(env = admit_env) cd = Subject.run (module Admission) env cd
+
 let test_run_admit_violation () =
-  let report = Candidate.run_admit admit_config (violating_candidate ()) in
-  (match report.Candidate.rp_verdict with
+  let report = run_admit (violating_candidate ()) in
+  (match report.Subject.rp_verdict with
   | Oracle.Admission_violation { misses; _ } ->
     Alcotest.(check bool) "misses counted" true (misses > 0)
   | v -> Alcotest.failf "expected admission violation, got %s" (Oracle.label v));
-  let again = Candidate.run_admit admit_config (violating_candidate ()) in
+  let again = run_admit (violating_candidate ()) in
   Alcotest.(check string)
-    "fingerprint stable" report.Candidate.rp_fingerprint
-    again.Candidate.rp_fingerprint
+    "fingerprint stable" report.Subject.rp_fingerprint
+    again.Subject.rp_fingerprint
 
 let test_run_admit_good_params_pass () =
-  let config = { admit_config with Candidate.an_params = good_params ~sources:2 } in
-  let report = Candidate.run_admit config (violating_candidate ()) in
+  let env = { admit_env with Admission.an_params = good_params ~sources:2 } in
+  let report = run_admit ~env (violating_candidate ()) in
   Alcotest.(check string)
     "sound params pass" "pass"
-    (Oracle.label report.Candidate.rp_verdict)
+    (Oracle.label report.Subject.rp_verdict)
 
 let test_shrink_preserves_class () =
   let cd = violating_candidate () in
-  let target = (Candidate.run_admit admit_config cd).Candidate.rp_verdict in
-  let oracle reqs =
-    (Candidate.run_admit admit_config { cd with Candidate.ar_requests = reqs })
-      .Candidate.rp_verdict
+  let target = (run_admit cd).Subject.rp_verdict in
+  let res =
+    Shrink.run (module Admission) ~oracle:(fun cd -> run_admit cd) ~target cd
   in
-  let res = Shrink.run_admit ~oracle ~target cd.Candidate.ar_requests in
   Alcotest.(check bool)
     "verdict class preserved" true
-    (Oracle.same_class res.Shrink.sa_verdict target);
+    (Oracle.same_class res.Shrink.sh_report.Subject.rp_verdict target);
   Alcotest.(check bool)
     "no longer than original" true
-    (List.length res.Shrink.sa_requests
-    <= List.length cd.Candidate.ar_requests);
-  Alcotest.(check bool) "did some checks" true (res.Shrink.sa_checks > 0)
-
-let test_repro_roundtrip () =
-  let cd = violating_candidate () in
-  let report = Candidate.run_admit admit_config cd in
-  let repro =
-    Repro.make_admission ~config:admit_config ~candidate:cd ~report
-      ~note:"unit test"
-  in
-  let decoded = ok_exn (Repro.admission_of_json (Repro.admission_to_json repro)) in
-  Alcotest.(check bool) "roundtrip" true (decoded = repro);
-  let replay = Repro.replay_admission repro in
-  Alcotest.(check bool) "verdict reproduces" true replay.Repro.rr_verdict_ok;
-  Alcotest.(check bool)
-    "fingerprint reproduces" true replay.Repro.rr_fingerprint_ok;
-  (* Tampering with the verdict must be caught by replay. *)
-  let tampered = { repro with Repro.ra_verdict = Oracle.Pass } in
-  Alcotest.(check bool)
-    "tampered verdict drifts" false
-    (Repro.replay_admission tampered).Repro.rr_verdict_ok
-
-let test_repro_load_any_dispatch () =
-  let path = Filename.temp_file "admit_repro" ".json" in
-  let cd = violating_candidate () in
-  let report = Candidate.run_admit admit_config cd in
-  Repro.save_admission ~path
-    (Repro.make_admission ~config:admit_config ~candidate:cd ~report
-       ~note:"dispatch test");
-  (match Repro.load_any ~path with
-  | Ok (Repro.Admission _) -> ()
-  | Ok _ -> Alcotest.fail "dispatched to the wrong artifact kind"
-  | Error e -> Alcotest.fail e);
-  Sys.remove path
+    (List.length res.Shrink.sh_candidate.Admission.ar_requests
+    <= List.length cd.Admission.ar_requests);
+  Alcotest.(check bool) "did some checks" true (res.Shrink.sh_checks > 0)
 
 let test_oracle_verdict_roundtrip () =
   let v = Oracle.Admission_violation { flow = "f3"; misses = 7 } in
@@ -620,9 +589,7 @@ let suite =
         Alcotest.test_case "shrink preserves the verdict class" `Quick
           test_shrink_preserves_class;
         Alcotest.test_case "admission repro roundtrip + replay" `Quick
-          test_repro_roundtrip;
-        Alcotest.test_case "load_any dispatches admission artifacts" `Quick
-          test_repro_load_any_dispatch;
+          (Test_chaos.test_repro_roundtrip Test_chaos.admit_case);
         Alcotest.test_case "oracle admission verdict roundtrip" `Quick
           test_oracle_verdict_roundtrip;
       ] );

@@ -6,7 +6,9 @@
    seeded violations; shrinking preserves the verdict class while
    shedding fault events; a frozen repro replays to the same verdict
    and trace fingerprint; and a hung candidate costs its watchdog
-   timeout, not the search. *)
+   timeout, not the search.  The search-determinism and artifact tests
+   take the subject as an input ([case]) and run over all three; the
+   admission artifact test is registered in Test_admit. *)
 
 module Json = Rtnet_util.Json
 module Fault_plan = Rtnet_channel.Fault_plan
@@ -14,7 +16,10 @@ module Topo = Rtnet_topology.Topo
 module Spec = Rtnet_campaign.Spec
 module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
-module Candidate = Rtnet_chaos.Candidate
+module Subject = Rtnet_chaos.Subject
+module Plain = Rtnet_chaos.Plain
+module Federated = Rtnet_chaos.Federated
+module Admission = Rtnet_chaos.Admission
 module Search = Rtnet_chaos.Search
 module Shrink = Rtnet_chaos.Shrink
 module Repro = Rtnet_chaos.Repro
@@ -40,18 +45,18 @@ let smoke_scenario =
   { Spec.sc_kind = "uniform"; sc_size = 4; sc_load = 0.55;
     sc_deadline_windows = 1.5; sc_fanout = 1 }
 
-let smoke_candidate =
-  { Candidate.cf_scenario = smoke_scenario; cf_horizon_ms = 2; cf_params = None }
+let smoke_env =
+  { Plain.cf_scenario = smoke_scenario; cf_horizon_ms = 2; cf_params = None }
 
 let smoke_config =
   {
-    (Search.default_config smoke_candidate) with
+    (Search.default_config smoke_env
+       { Generator.default_budget with Generator.g_max_events = 4;
+         g_max_rate = 0.6 })
+    with
     Search.s_seed = 7;
     s_count = 12;
     s_jobs = 2;
-    s_budget =
-      { Generator.default_budget with Generator.g_max_events = 4;
-        g_max_rate = 0.6 };
   }
 
 let horizon = 2 * 1_000_000
@@ -135,9 +140,144 @@ let test_generator_family_gates () =
            ~budget:{ Generator.default_budget with Generator.g_max_events = 0 }
            0))
 
+(* -------------------- subjects under test -------------------- *)
+
+(* One subject under test: a small search over it, its committed
+   minimized artifact, and a change to the frozen candidate that
+   replay must catch. *)
+type case =
+  | Case : {
+      subject : ('e, 's, 'c) Subject.t;
+      config : ('e, 's) Search.config;
+      fixture : string;
+      tamper : 'c -> 'c;
+    }
+      -> case
+
+let fixture name = Filename.concat "fixtures" name
+
+let plain_case =
+  Case
+    {
+      subject = (module Plain);
+      config = smoke_config;
+      fixture = fixture "chaos_repro_min.json";
+      tamper = (fun cd -> { cd with Plain.cd_fault_seed = 42 });
+    }
+
+let topo_env =
+  { Federated.tc_segments = 3; tc_fanout = 2; tc_sources = 4; tc_load = 0.3;
+    tc_deadline_windows = 8.0; tc_horizon_ms = 5 }
+
+(* Without the bridge crash the run passes, which matches neither the
+   frozen verdict nor the frozen fingerprint. *)
+let topo_case =
+  Case
+    {
+      subject = (module Federated);
+      config =
+        {
+          (Search.default_config topo_env Generator.default_budget) with
+          Search.s_seed = 29;
+          s_count = 4;
+          s_jobs = 2;
+        };
+      fixture = fixture "topo_chaos_repro_min.json";
+      tamper = (fun td -> { td with Federated.td_plans = [] });
+    }
+
+(* The CLI admission smoke search's first candidates, over the
+   horizon-starved parameters.  Emptying the frozen stream admits
+   nothing, which passes. *)
+let admit_case =
+  let params =
+    match
+      Result.bind
+        (Json.parse_file (fixture "model_params_broken.json"))
+        Rtnet_core.Ddcr_params.of_json
+    with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  Case
+    {
+      subject = (module Admission);
+      config =
+        {
+          (Search.default_config
+             {
+               Admission.an_phy = "gigabit-ethernet";
+               an_sources = 2;
+               an_params = params;
+               an_horizon_ms = 10;
+             }
+             { Admission.ch_pool = 8; ch_requests = 64 })
+          with
+          Search.s_seed = 7;
+          s_count = 4;
+          s_jobs = 2;
+        };
+      fixture = fixture "admit_chaos_repro_min.json";
+      tamper = (fun cd -> { cd with Admission.ar_requests = [] });
+    }
+
+let test_search_deterministic (Case { subject; config; _ }) () =
+  let key r =
+    List.map
+      (fun f ->
+        ( f.Search.fi_index,
+          Oracle.label f.Search.fi_report.Subject.rp_verdict,
+          f.Search.fi_report.Subject.rp_fingerprint ))
+      r.Search.r_findings
+  in
+  let r1 = Search.run subject config in
+  let r2 = Search.run subject config in
+  Alcotest.(check int) "all candidates examined" config.Search.s_count
+    r1.Search.r_examined;
+  Alcotest.(check bool) "same seed, same findings" true (key r1 = key r2)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Decode-then-encode reproduces the committed bytes, the frozen run
+   replays to the same verdict and fingerprint, a tampered candidate or
+   verdict is caught, and load_any dispatches the file to this
+   subject. *)
+let test_repro_roundtrip (Case { subject; fixture; tamper; _ }) () =
+  let repro =
+    match Repro.load subject ~path:fixture with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "copy.json" in
+      Repro.save subject ~path repro;
+      Alcotest.(check string) "artifact bytes round-trip" (read_file fixture)
+        (read_file path));
+  let r = Repro.replay subject repro in
+  Alcotest.(check bool) "verdict reproduces" true r.Repro.rr_verdict_ok;
+  Alcotest.(check bool) "fingerprint reproduces" true r.Repro.rr_fingerprint_ok;
+  let r =
+    Repro.replay subject
+      { repro with Repro.re_candidate = tamper repro.Repro.re_candidate }
+  in
+  Alcotest.(check bool) "tampered candidate detected" false
+    (r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok);
+  (* Every committed fixture freezes a failure, so expecting Pass must
+     fail the verdict comparison alone. *)
+  let r = Repro.replay subject { repro with Repro.re_verdict = Oracle.Pass } in
+  Alcotest.(check bool) "tampered verdict drifts" false r.Repro.rr_verdict_ok;
+  Alcotest.(check bool) "fingerprint still reproduces" true
+    r.Repro.rr_fingerprint_ok;
+  match Repro.load_any ~path:fixture with
+  | Ok (Repro.Any (s, r)) ->
+    Alcotest.(check string) "load_any picks this subject"
+      (Json.to_string (Repro.to_json subject repro))
+      (Json.to_string (Repro.to_json s r))
+  | Error e -> Alcotest.fail e
+
 (* -------------------- search -------------------- *)
 
-let run_smoke_search () = Search.run smoke_config
+let run_smoke_search () = Search.run (module Plain) smoke_config
 
 let test_search_finds_seeded_violations () =
   let res = run_smoke_search () in
@@ -157,36 +297,34 @@ let test_search_finds_seeded_violations () =
   List.iter
     (fun f ->
       Alcotest.(check bool) "finding verdicts are failures" true
-        (Oracle.is_failure f.Search.fi_report.Candidate.rp_verdict))
+        (Oracle.is_failure f.Search.fi_report.Subject.rp_verdict))
     res.Search.r_findings
 
-let test_search_deterministic () =
-  let tags r =
-    List.map
-      (fun f ->
-        ( f.Search.fi_index,
-          Oracle.label f.Search.fi_report.Candidate.rp_verdict,
-          f.Search.fi_report.Candidate.rp_fingerprint ))
-      r.Search.r_findings
-  in
-  Alcotest.(check bool) "two runs, same findings" true
-    (tags (run_smoke_search ()) = tags (run_smoke_search ()))
+(* The plain subject, except that candidate 0 hangs far past any
+   sensible watchdog, so the kill path is exercised. *)
+module Hung = struct
+  include Plain
+
+  let run ?postmortem env cd =
+    if cd = Search.candidate_of (module Plain) smoke_config 0 then
+      Unix.sleepf 60.;
+    Plain.run ?postmortem env cd
+end
 
 let test_search_watchdog_hung_candidate () =
-  (* The hang hook makes candidate 0 sleep far past the watchdog: it
-     must be killed, retried once, then surface as a structured
-     give-up — while the other candidates complete normally. *)
+  (* Candidate 0 must be killed, retried once, then surface as a
+     structured give-up — while the other candidates complete
+     normally. *)
   let config =
     {
       smoke_config with
       Search.s_count = 3;
-      s_hang_ms = Some 60_000;
       s_watchdog_s = Some 0.2;
       s_retries = 1;
       s_backoff_s = 0.01;
     }
   in
-  let res = Search.run config in
+  let res = Search.run (module Hung) config in
   Alcotest.(check int) "all candidates accounted for" 3 res.Search.r_examined;
   (match res.Search.r_gave_up with
   | [ g ] ->
@@ -206,14 +344,15 @@ let test_search_wall_budget_partial () =
   (* An already-exhausted budget yields partial (here: empty) results
      and the exhausted flag — never an exception. *)
   let res =
-    Search.run { smoke_config with Search.s_wall_budget_s = Some 0. }
+    Search.run (module Plain)
+      { smoke_config with Search.s_wall_budget_s = Some 0. }
   in
   Alcotest.(check bool) "flagged exhausted" true res.Search.r_exhausted;
   Alcotest.(check bool) "partial results" true
     (res.Search.r_examined < smoke_config.Search.s_count)
 
 let test_search_config_roundtrip () =
-  match Search.config_of_json (Search.config_to_json smoke_config) with
+  match Plain.config_of_json (Plain.config_to_json smoke_config) with
   | Ok c -> Alcotest.(check bool) "round-trips" true (c = smoke_config)
   | Error e -> Alcotest.fail e
 
@@ -223,95 +362,84 @@ let four_event_finding () =
   let res = run_smoke_search () in
   match
     List.filter
-      (fun f -> Fault_plan.event_count f.Search.fi_candidate.Candidate.cd_plan = 4)
+      (fun f -> Fault_plan.event_count f.Search.fi_candidate.Plain.cd_plan = 4)
       res.Search.r_findings
   with
   | f :: _ -> f
   | [] -> Alcotest.fail "smoke search lost its 4-event finding"
 
-let oracle_for cd plan =
-  (Candidate.run smoke_candidate { cd with Candidate.cd_plan = plan })
-    .Candidate.rp_verdict
-
 let test_shrink_reduces_and_preserves () =
   let f = four_event_finding () in
   let cd = f.Search.fi_candidate in
-  let target = f.Search.fi_report.Candidate.rp_verdict in
-  let res = Shrink.run ~oracle:(oracle_for cd) ~target cd.Candidate.cd_plan in
-  let n = Fault_plan.event_count res.Shrink.sh_plan in
-  Alcotest.(check bool) "at most 25% of the original events" true (n <= 1);
+  let target = f.Search.fi_report.Subject.rp_verdict in
+  let oracle = Subject.run (module Plain) smoke_env in
+  let res = Shrink.run (module Plain) ~oracle ~target cd in
+  let plan = res.Shrink.sh_candidate.Plain.cd_plan in
+  Alcotest.(check bool) "at most 25% of the original events" true
+    (Fault_plan.event_count plan <= 1);
   Alcotest.(check bool) "verdict class preserved" true
-    (Oracle.same_class res.Shrink.sh_verdict target);
+    (Oracle.same_class res.Shrink.sh_report.Subject.rp_verdict target);
   Alcotest.(check bool) "minimized plan still fails on re-check" true
-    (Oracle.same_class (oracle_for cd res.Shrink.sh_plan) target);
+    (Oracle.same_class
+       (oracle { cd with Plain.cd_plan = plan }).Subject.rp_verdict target);
   Alcotest.(check bool) "oracle consulted" true (res.Shrink.sh_checks > 0)
+
+let pass = { Subject.rp_verdict = Oracle.Pass; rp_fingerprint = "00" }
 
 let test_shrink_keeps_unreproducible_input () =
   (* If the plan does not reproduce the target verdict, shrinking has
      nothing to stand on: the input comes back unchanged. *)
-  let plan = Fault_plan.iid 0.05 in
+  let cd =
+    { Plain.cd_plan = Fault_plan.iid 0.05; cd_trace_seed = 1; cd_fault_seed = 2 }
+  in
   let res =
-    Shrink.run
-      ~oracle:(fun _ -> Oracle.Pass)
+    Shrink.run (module Plain)
+      ~oracle:(fun _ -> pass)
       ~target:(Oracle.Failed_resync { source = 0 })
-      plan
+      cd
   in
   Alcotest.(check string) "plan unchanged"
-    (plan_bytes plan)
-    (plan_bytes res.Shrink.sh_plan)
+    (plan_bytes cd.Plain.cd_plan)
+    (plan_bytes res.Shrink.sh_candidate.Plain.cd_plan)
 
 (* -------------------- repro -------------------- *)
 
-let test_repro_roundtrip_and_replay () =
-  let f = four_event_finding () in
-  let repro =
-    Repro.make ~config:smoke_candidate ~candidate:f.Search.fi_candidate
-      ~report:f.Search.fi_report ~note:"test"
-  in
-  (match Repro.of_json (Repro.to_json repro) with
-  | Ok r ->
-    Alcotest.(check string) "artifact bytes round-trip"
-      (Json.to_string (Repro.to_json repro))
-      (Json.to_string (Repro.to_json r))
-  | Error e -> Alcotest.fail e);
-  let r = Repro.replay repro in
-  Alcotest.(check bool) "verdict reproduces" true r.Repro.rr_verdict_ok;
-  Alcotest.(check bool) "fingerprint reproduces" true r.Repro.rr_fingerprint_ok;
-  (* Tampering with the fault seed must be caught by replay. *)
-  let tampered = { repro with Repro.re_fault_seed = 42 } in
-  let r = Repro.replay tampered in
-  Alcotest.(check bool) "tampered seed detected" false
-    (r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok)
+let plain_repro ?params () =
+  Repro.make
+    ~env:{ smoke_env with Plain.cf_params = params }
+    ~candidate:
+      { Plain.cd_plan = Fault_plan.iid 0.1; cd_trace_seed = 1; cd_fault_seed = 2 }
+    ~report:pass ~note:""
 
 let test_repro_rejects_bad_artifacts () =
-  let good = Repro.to_json
-      (Repro.make ~config:smoke_candidate
-         ~candidate:
-           { Candidate.cd_plan = Fault_plan.iid 0.1; cd_trace_seed = 1;
-             cd_fault_seed = 2 }
-         ~report:
-           {
-             Candidate.rp_verdict = Oracle.Pass;
-             rp_fingerprint = "00";
-             rp_delivered = 0;
-             rp_misses = 0;
-             rp_elapsed_s = 0.;
-           }
-         ~note:"")
-  in
+  let good = Repro.to_json (module Plain) (plain_repro ()) in
   let patch key v =
     match good with
     | Json.Obj fields ->
       Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) fields)
     | _ -> Alcotest.fail "artifact is not an object"
   in
-  (match Repro.of_json (patch "chaos_repro_version" (Json.Int 99)) with
+  (match Repro.of_json (module Plain) (patch "chaos_repro_version" (Json.Int 99)) with
   | Error e ->
     Alcotest.(check bool) "version mismatch diagnosed" true
       (Astring_contains.contains e "version")
   | Ok _ -> Alcotest.fail "accepted an unknown schema version");
+  (* A scenario with no single-bus instance is an invalid artifact, not
+     a run-time crash. *)
+  List.iter
+    (fun kind ->
+      match
+        Repro.of_json (module Plain)
+          (patch "scenario"
+             (Spec.scenario_to_json { smoke_scenario with Spec.sc_kind = kind }))
+      with
+      | Error e ->
+        Alcotest.(check bool) ("scenario " ^ kind ^ " diagnosed") true
+          (Astring_contains.contains e "scenario")
+      | Ok _ -> Alcotest.fail ("accepted scenario " ^ kind))
+    [ "bogus"; "topo" ];
   match
-    Repro.of_json
+    Repro.of_json (module Plain)
       (patch "plan"
          (Fault_plan.spec_to_json
             (Fault_plan.crash ~source:0 ~from_:0 ~until:(50 * 1_000_000))))
@@ -327,25 +455,10 @@ let test_repro_rejects_bad_artifacts () =
    reinterpreted. *)
 let test_repro_v1_back_compat () =
   let v2 =
-    Repro.to_json
-      (Repro.make
-         ~config:
-           { smoke_candidate with
-             Candidate.cf_params =
-               Some (Rtnet_core.Ddcr_params.default
-                       (Spec.instance smoke_scenario)) }
-         ~candidate:
-           { Candidate.cd_plan = Fault_plan.iid 0.1; cd_trace_seed = 1;
-             cd_fault_seed = 2 }
-         ~report:
-           {
-             Candidate.rp_verdict = Oracle.Pass;
-             rp_fingerprint = "00";
-             rp_delivered = 0;
-             rp_misses = 0;
-             rp_elapsed_s = 0.;
-           }
-         ~note:"")
+    Repro.to_json (module Plain)
+      (plain_repro
+         ~params:(Rtnet_core.Ddcr_params.default (Spec.instance smoke_scenario))
+         ())
   in
   let fields = match v2 with Json.Obj f -> f | _ -> Alcotest.fail "not an object" in
   let v1 =
@@ -357,10 +470,10 @@ let test_repro_v1_back_compat () =
            else Some (k, x))
          fields)
   in
-  (match Repro.of_json v1 with
+  (match Repro.of_json (module Plain) v1 with
   | Ok r ->
     Alcotest.(check bool) "v1 decodes without a params override" true
-      (r.Repro.re_params = None)
+      (r.Repro.re_env.Plain.cf_params = None)
   | Error e -> Alcotest.fail ("v1 artifact rejected: " ^ e));
   let v1_with_params =
     Json.Obj
@@ -369,7 +482,7 @@ let test_repro_v1_back_compat () =
            (k, if k = "chaos_repro_version" then Json.Int 1 else x))
          fields)
   in
-  match Repro.of_json v1_with_params with
+  match Repro.of_json (module Plain) v1_with_params with
   | Error e ->
     Alcotest.(check bool) "v1 + params is diagnosed" true
       (Astring_contains.contains e "version")
@@ -378,8 +491,8 @@ let test_repro_v1_back_compat () =
 let test_candidate_run_deterministic () =
   let f = four_event_finding () in
   let fp () =
-    (Candidate.run smoke_candidate f.Search.fi_candidate)
-      .Candidate.rp_fingerprint
+    (Subject.run (module Plain) smoke_env f.Search.fi_candidate)
+      .Subject.rp_fingerprint
   in
   Alcotest.(check string) "same candidate, same fingerprint" (fp ()) (fp ())
 
@@ -405,25 +518,21 @@ let test_soak_collects_deduped_repros () =
       (* Every written artifact is itself a valid, loadable repro. *)
       List.iter
         (fun path ->
-          match Repro.load ~path with
+          match Repro.load (module Plain) ~path with
           | Ok _ -> ()
           | Error e -> Alcotest.fail e)
         res.Soak.so_repro_paths)
 
 (* -------------------- federated (topology) chaos -------------------- *)
 
-let topo_fixture = Filename.concat "fixtures" "topo_chaos_repro_min.json"
-
-let topo_config =
-  { Candidate.tc_segments = 3; tc_fanout = 2; tc_sources = 4; tc_load = 0.3;
-    tc_deadline_windows = 8.0; tc_horizon_ms = 5 }
+let topo_fixture = fixture "topo_chaos_repro_min.json"
 
 let plans_bytes plans =
   String.concat ";" (List.map (fun (n, sp) -> n ^ "=" ^ plan_bytes sp) plans)
 
 let test_sample_topo_deterministic_and_targeted () =
-  let topo = Candidate.topo_tree topo_config in
-  let horizon = topo_config.Candidate.tc_horizon_ms * 1_000_000 in
+  let topo = Federated.tree topo_env in
+  let horizon = topo_env.Federated.tc_horizon_ms * 1_000_000 in
   let sample i =
     Generator.sample_topo ~budget:Generator.default_budget ~seed:5 ~index:i
       ~horizon topo
@@ -465,99 +574,67 @@ let test_sample_topo_deterministic_and_targeted () =
   done
 
 let load_topo_fixture () =
-  match Repro.load_topo ~path:topo_fixture with
+  match Repro.load (module Federated) ~path:topo_fixture with
   | Ok r -> r
   | Error e -> Alcotest.fail e
 
 let test_run_topo_deterministic_and_classified () =
   let repro = load_topo_fixture () in
-  let config, td = Repro.topo_candidate repro in
-  let r1 = Candidate.run_topo config td in
-  let r2 = Candidate.run_topo config td in
+  let run () =
+    Subject.run (module Federated) repro.Repro.re_env repro.Repro.re_candidate
+  in
+  let r1 = run () and r2 = run () in
   Alcotest.(check string) "same candidate, same fingerprint"
-    r1.Candidate.rp_fingerprint r2.Candidate.rp_fingerprint;
+    r1.Subject.rp_fingerprint r2.Subject.rp_fingerprint;
   Alcotest.(check bool) "verdict matches the frozen one" true
-    (Oracle.same_class r1.Candidate.rp_verdict repro.Repro.rt_verdict);
-  match r1.Candidate.rp_verdict with
+    (Oracle.same_class r1.Subject.rp_verdict repro.Repro.re_verdict);
+  match r1.Subject.rp_verdict with
   | Oracle.Handoff_loss { bridge; chains } ->
     Alcotest.(check string) "shed at the crashed bridge" "br2" bridge;
     Alcotest.(check bool) "chains counted" true (chains > 0)
   | v -> Alcotest.fail ("expected a hand-off loss, got " ^ Oracle.label v)
 
-let test_topo_repro_replay_and_load_any () =
-  let repro = load_topo_fixture () in
-  let r = Repro.replay_topo repro in
-  Alcotest.(check bool) "verdict reproduces" true r.Repro.rr_verdict_ok;
-  Alcotest.(check bool) "fingerprint reproduces" true r.Repro.rr_fingerprint_ok;
-  (* Tampering with the frozen fault plan must be caught: without the
-     bridge crash the run passes, which matches neither the expected
-     verdict nor the expected fingerprint. *)
-  let tampered = { repro with Repro.rt_plans = [] } in
-  let r = Repro.replay_topo tampered in
-  Alcotest.(check bool) "tampered plan detected" false
-    (r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok);
-  (* load_any dispatches on the version key, for both kinds. *)
-  (match Repro.load_any ~path:topo_fixture with
-  | Ok (Repro.Federated _) -> ()
-  | Ok (Repro.Plain _ | Repro.Admission _) ->
-    Alcotest.fail "topo artifact loaded as another kind"
-  | Error e -> Alcotest.fail e);
-  let f = four_event_finding () in
-  with_tmp_dir (fun dir ->
-      let path = Filename.concat dir "plain.json" in
-      Repro.save ~path
-        (Repro.make ~config:smoke_candidate ~candidate:f.Search.fi_candidate
-           ~report:f.Search.fi_report ~note:"");
-      match Repro.load_any ~path with
-      | Ok (Repro.Plain _) -> ()
-      | Ok (Repro.Federated _ | Repro.Admission _) ->
-        Alcotest.fail "plain artifact loaded as another kind"
-      | Error e -> Alcotest.fail e)
-
 let test_shrink_topo_preserves_class () =
   let repro = load_topo_fixture () in
-  let config, td = Repro.topo_candidate repro in
-  let oracle plans =
-    (Candidate.run_topo config { td with Candidate.td_plans = plans })
-      .Candidate.rp_verdict
-  in
+  let td = repro.Repro.re_candidate and target = repro.Repro.re_verdict in
   let res =
-    Shrink.run_topo ~oracle ~target:repro.Repro.rt_verdict repro.Repro.rt_plans
+    Shrink.run (module Federated)
+      ~oracle:(Subject.run (module Federated) repro.Repro.re_env)
+      ~target td
   in
   Alcotest.(check bool) "verdict class preserved" true
-    (Oracle.same_class res.Shrink.st_verdict repro.Repro.rt_verdict);
-  Alcotest.(check bool) "oracle consulted" true (res.Shrink.st_checks > 0);
-  let events plans =
-    List.fold_left (fun a (_, sp) -> a + Fault_plan.event_count sp) 0 plans
+    (Oracle.same_class res.Shrink.sh_report.Subject.rp_verdict target);
+  Alcotest.(check bool) "oracle consulted" true (res.Shrink.sh_checks > 0);
+  let events td =
+    List.fold_left
+      (fun a (_, sp) -> a + Fault_plan.event_count sp)
+      0 td.Federated.td_plans
   in
   Alcotest.(check bool) "never grows" true
-    (events res.Shrink.st_plans <= events repro.Repro.rt_plans);
+    (events res.Shrink.sh_candidate <= events td);
   (* An unreproducible input comes back unchanged, as with plain
      shrinking. *)
-  let res =
-    Shrink.run_topo
-      ~oracle:(fun _ -> Oracle.Pass)
-      ~target:repro.Repro.rt_verdict repro.Repro.rt_plans
-  in
+  let res = Shrink.run (module Federated) ~oracle:(fun _ -> pass) ~target td in
   Alcotest.(check string) "plans unchanged"
-    (plans_bytes repro.Repro.rt_plans)
-    (plans_bytes res.Shrink.st_plans)
+    (plans_bytes td.Federated.td_plans)
+    (plans_bytes res.Shrink.sh_candidate.Federated.td_plans)
 
 let test_topo_repro_rejects_bad_artifacts () =
-  let good = Repro.topo_to_json (load_topo_fixture ()) in
+  let good = Repro.to_json (module Federated) (load_topo_fixture ()) in
   let patch key v =
     match good with
     | Json.Obj fields ->
       Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) fields)
     | _ -> Alcotest.fail "artifact is not an object"
   in
-  (match Repro.topo_of_json (patch "topo_chaos_repro_version" (Json.Int 99)) with
+  let decode = Repro.of_json (module Federated) in
+  (match decode (patch "topo_chaos_repro_version" (Json.Int 99)) with
   | Error e ->
     Alcotest.(check bool) "version mismatch diagnosed" true
       (Astring_contains.contains e "version")
   | Ok _ -> Alcotest.fail "accepted an unknown schema version");
   (match
-     Repro.topo_of_json
+     decode
        (patch "plans"
           (Json.Obj
              [ ("ghost", Fault_plan.spec_to_json (Fault_plan.iid 0.1)) ]))
@@ -565,7 +642,7 @@ let test_topo_repro_rejects_bad_artifacts () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a plan naming an unknown segment");
   match
-    Repro.topo_of_json
+    decode
       (patch "plans"
          (Json.Obj
             [
@@ -577,27 +654,6 @@ let test_topo_repro_rejects_bad_artifacts () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a plan reaching past the horizon"
-
-let test_search_topo_deterministic () =
-  let config =
-    {
-      (Search.default_topo_config topo_config) with
-      Search.t_seed = 29;
-      t_count = 4;
-      t_jobs = 2;
-    }
-  in
-  let key r =
-    List.map
-      (fun f ->
-        (f.Search.tf_index, f.Search.tf_report.Candidate.rp_fingerprint))
-      r.Search.tr_findings
-  in
-  let r1 = Search.run_topo config in
-  let r2 = Search.run_topo config in
-  Alcotest.(check int) "all candidates examined" 4 r1.Search.tr_examined;
-  Alcotest.(check (list (pair int string)))
-    "same seed, same findings" (key r1) (key r2)
 
 let suite =
   [
@@ -612,7 +668,7 @@ let suite =
         Alcotest.test_case "search finds seeded violations" `Quick
           test_search_finds_seeded_violations;
         Alcotest.test_case "search deterministic" `Quick
-          test_search_deterministic;
+          (test_search_deterministic plain_case);
         Alcotest.test_case "search watchdog on hung candidate" `Quick
           test_search_watchdog_hung_candidate;
         Alcotest.test_case "search wall budget partial" `Quick
@@ -624,7 +680,7 @@ let suite =
         Alcotest.test_case "shrink keeps unreproducible input" `Quick
           test_shrink_keeps_unreproducible_input;
         Alcotest.test_case "repro round-trip and replay" `Quick
-          test_repro_roundtrip_and_replay;
+          (test_repro_roundtrip plain_case);
         Alcotest.test_case "repro rejects bad artifacts" `Quick
           test_repro_rejects_bad_artifacts;
         Alcotest.test_case "repro v1 back-compat" `Quick
@@ -638,12 +694,16 @@ let suite =
         Alcotest.test_case "run_topo deterministic and classified" `Slow
           test_run_topo_deterministic_and_classified;
         Alcotest.test_case "topo repro replay and load_any" `Slow
-          test_topo_repro_replay_and_load_any;
+          (test_repro_roundtrip topo_case);
         Alcotest.test_case "shrink_topo preserves class" `Slow
           test_shrink_topo_preserves_class;
         Alcotest.test_case "topo repro rejects bad artifacts" `Quick
           test_topo_repro_rejects_bad_artifacts;
-        Alcotest.test_case "search_topo deterministic" `Slow
-          test_search_topo_deterministic;
+        Alcotest.test_case "topo search deterministic" `Slow
+          (test_search_deterministic topo_case);
+        (* Registered here, not in the admit suite: the pool forks, and
+           suites after this one start domains. *)
+        Alcotest.test_case "admit search deterministic" `Quick
+          (test_search_deterministic admit_case);
       ] );
   ]

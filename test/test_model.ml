@@ -21,7 +21,8 @@ module Prng = Rtnet_util.Prng
 module Json = Rtnet_util.Json
 module Spec = Rtnet_campaign.Spec
 module Oracle = Rtnet_analysis.Oracle
-module Candidate = Rtnet_chaos.Candidate
+module Plain = Rtnet_chaos.Plain
+module Subject = Rtnet_chaos.Subject
 module Repro = Rtnet_chaos.Repro
 module Transition = Rtnet_model.Transition
 module Explore = Rtnet_model.Explore
@@ -311,7 +312,7 @@ let test_witness_round_trip () =
   in
   let repro, report = Witness.export src f in
   (* The real simulator reproduces the model's verdict... *)
-  (match report.Candidate.rp_verdict with
+  (match report.Subject.rp_verdict with
   | Oracle.Deadline_miss { first_uid; _ } ->
     Alcotest.(check int) "simulator misses the same first frame" 0 first_uid
   | v -> Alcotest.fail ("unexpected verdict: " ^ Oracle.describe v));
@@ -319,26 +320,26 @@ let test_witness_round_trip () =
     (Astring_contains.contains repro.Repro.re_note "model counterexample");
   (* ...and the frozen artifact replays to identical verdict and
      fingerprint, surviving a JSON round trip. *)
-  let r = Repro.replay repro in
+  let r = Repro.replay (module Plain) repro in
   Alcotest.(check bool) "replayed verdict matches" true r.Repro.rr_verdict_ok;
   Alcotest.(check bool) "replayed fingerprint matches" true
     r.Repro.rr_fingerprint_ok;
-  match Repro.of_json (Repro.to_json repro) with
+  match Repro.of_json (module Plain) (Repro.to_json (module Plain) repro) with
   | Error e -> Alcotest.fail e
   | Ok decoded ->
     Alcotest.(check string) "codec round trip is the identity"
-      (Json.to_string (Repro.to_json repro))
-      (Json.to_string (Repro.to_json decoded))
+      (Json.to_string (Repro.to_json (module Plain) repro))
+      (Json.to_string (Repro.to_json (module Plain) decoded))
 
 let test_committed_artifact_replays () =
   (* The committed artifact (regenerated by the model-smoke dune rule,
      byte-diffed on drift) re-executes to its frozen expectations. *)
-  match Repro.load ~path:(fixture "model_repro_min.json") with
+  match Repro.load (module Plain) ~path:(fixture "model_repro_min.json") with
   | Error e -> Alcotest.fail e
   | Ok repro ->
     Alcotest.(check bool) "carries a params override" true
-      (repro.Repro.re_params <> None);
-    let r = Repro.replay repro in
+      (repro.Repro.re_env.Plain.cf_params <> None);
+    let r = Repro.replay (module Plain) repro in
     Alcotest.(check bool) "verdict matches" true r.Repro.rr_verdict_ok;
     Alcotest.(check bool) "fingerprint matches" true r.Repro.rr_fingerprint_ok
 
