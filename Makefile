@@ -8,7 +8,7 @@
 
 .PHONY: all build lint test check clean campaign-smoke campaign-baseline \
   faults-smoke telemetry-smoke chaos-smoke model-smoke topo-smoke \
-  topo-faults-smoke obs-smoke admit-smoke
+  topo-faults-smoke obs-smoke admit-smoke bench-smoke
 
 all: build
 
@@ -135,6 +135,14 @@ admit-smoke: build
 	  _build/BENCH_admit_churn.current.json --baseline BENCH_admit_churn.json
 	dune exec bench/admit_guard.exe
 
+# Layered-benchmark gate: every perfbench workload (dense, faulty,
+# churn, federation) in both modes (end-to-end and per-layer) at tiny
+# sizes.  Exits non-zero if a run reports a correctness violation
+# (digest drift across repetitions, message conservation, unexcused
+# misses) or leaves out a metric BENCHMARK.json declares.
+bench-smoke: build
+	python3 perfbench/run.py --smoke
+
 # Refresh the committed campaign baselines after an intentional
 # behaviour change (review the diff before committing!).
 campaign-baseline: build
@@ -156,7 +164,7 @@ check:
 	  && $(MAKE) faults-smoke && $(MAKE) telemetry-smoke \
 	  && $(MAKE) chaos-smoke && $(MAKE) model-smoke && $(MAKE) topo-smoke \
 	  && $(MAKE) topo-faults-smoke && $(MAKE) obs-smoke \
-	  && $(MAKE) admit-smoke
+	  && $(MAKE) admit-smoke && $(MAKE) bench-smoke
 
 clean:
 	dune clean

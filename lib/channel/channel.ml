@@ -25,15 +25,22 @@ type stats = {
 
 type fault = { fault_rate : float; fault_seed : int }
 
+type carried = {
+  mutable c_src : int;
+  mutable c_tag : int;
+  mutable c_start : int;
+  mutable c_finish : int;
+}
+
 type t = {
   phy : Phy.t;
   mutable free_at : int;
-  mutable holder : int option; (* source of the frame just carried *)
+  mutable holder : int; (* source of the frame just carried, -1 if none *)
   noise : Rtnet_util.Prng.t option; (* fault-injection draws *)
   fault_rate : float;
   plan : Fault_plan.t option; (* richer fault model; excludes [noise] *)
   mutable st : stats;
-  mutable log : (int * int * int * int) list; (* reversed *)
+  last : carried; (* the most recent carried frame, updated in place *)
 }
 
 let create ?fault ?plan phy =
@@ -53,7 +60,7 @@ let create ?fault ?plan phy =
     phy;
     plan;
     free_at = 0;
-    holder = None;
+    holder = -1;
     noise;
     fault_rate;
     st =
@@ -65,7 +72,7 @@ let create ?fault ?plan phy =
         busy_bits = 0;
         total_bits = 0;
       };
-    log = [];
+    last = { c_src = -1; c_tag = -1; c_start = 0; c_finish = 0 };
   }
 
 let phy ch = ch.phy
@@ -82,9 +89,21 @@ let distinct_sources attempts =
   in
   no_dup sorted
 
+(* Mutual exclusion, checked as each frame is carried: it must start no
+   earlier than the previous carried frame ended. *)
 let record_tx ch ~src ~tag ~start ~bits =
   let on_wire = Phy.tx_bits ch.phy bits in
-  ch.log <- (src, tag, start, start + on_wire) :: ch.log;
+  let last = ch.last in
+  if start < last.c_finish then
+    failwith
+      (Printf.sprintf
+         "MAC safety violated: transmissions overlap: src %d tag %d (ends %d) \
+          vs src %d tag %d (starts %d)"
+         last.c_src last.c_tag last.c_finish src tag start);
+  last.c_src <- src;
+  last.c_tag <- tag;
+  last.c_start <- start;
+  last.c_finish <- start + on_wire;
   ch.st <-
     {
       ch.st with
@@ -193,14 +212,13 @@ let contend ch ~now attempts =
   ch.free_at <- free_at;
   ch.holder <-
     (match resolution with
-    | Tx { src; _ } | Clash { survivor = Some (src, _, _); _ } -> Some src
-    | Idle | Garbled _ | Clash { survivor = None; _ } -> None);
+    | Tx { src; _ } | Clash { survivor = Some (src, _, _); _ } -> src
+    | Idle | Garbled _ | Clash { survivor = None; _ } -> -1);
   (resolution, free_at)
 
 let burst ch ~src ~tag ~bits =
-  (match ch.holder with
-  | Some holder when holder = src -> ()
-  | Some _ | None -> invalid_arg "Channel.burst: source does not hold the channel");
+  if ch.holder < 0 || ch.holder <> src then
+    invalid_arg "Channel.burst: source does not hold the channel";
   let start = ch.free_at in
   let on_wire = record_tx ch ~src ~tag ~start ~bits in
   ch.st <- { ch.st with total_bits = ch.st.total_bits + on_wire };
@@ -213,21 +231,4 @@ let utilization ch =
   if ch.st.total_bits = 0 then 0.
   else float_of_int ch.st.busy_bits /. float_of_int ch.st.total_bits
 
-let carried ch = List.rev ch.log
-
-let check_safety ch =
-  let txs =
-    List.sort (fun (_, _, s1, _) (_, _, s2, _) -> compare s1 s2) ch.log
-  in
-  let rec go = function
-    | (src1, tag1, _, f1) :: ((src2, tag2, s2, _) :: _ as rest) ->
-      if s2 < f1 then
-        Error
-          (Printf.sprintf
-             "transmissions overlap: src %d tag %d (ends %d) vs src %d tag \
-              %d (starts %d)"
-             src1 tag1 f1 src2 tag2 s2)
-      else go rest
-    | [ _ ] | [] -> Ok ()
-  in
-  go txs
+let last_carried ch = ch.last

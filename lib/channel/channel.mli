@@ -6,9 +6,11 @@
     channel state — silence, busy (one transmission) or collision —
     within the slot time [x], as the paper's medium model requires.
 
-    The channel owns the safety property of [<p.HRTDM>]: it records
-    every carried transmission and {!check_safety} verifies that no two
-    of them ever overlapped. *)
+    The channel owns the safety property of [<p.HRTDM>]: as each frame
+    is carried it asserts that the frame starts no earlier than the
+    previous carried frame ended, so no two carried transmissions ever
+    overlap.  It keeps no transmission log: {!last_carried} exposes the
+    most recent carried frame, and [(stats ch).tx_count] counts them. *)
 
 type attempt = {
   att_source : int;  (** attempting source id *)
@@ -38,7 +40,7 @@ type resolution =
 
 type t
 (** Stateful channel: medium parameters plus occupancy statistics and
-    the safety log. *)
+    the most recent carried frame. *)
 
 type fault = {
   fault_rate : float;  (** probability that a lone frame is garbled *)
@@ -76,9 +78,11 @@ val contend : t -> now:int -> attempt list -> resolution * int
     which the channel is next free (start of the next slot): [now +
     slot] after [Idle] or a destructive [Clash], [now + on_wire] after
     a [Tx], and [now + slot + on_wire] after an arbitrated [Clash].
-    Statistics and the safety log are updated.
+    Statistics and {!last_carried} are updated.
     @raise Invalid_argument if [now] precedes the end of the previous
-    slot, or if two attempts share a source id. *)
+    slot, or if two attempts share a source id.
+    @raise Failure ["MAC safety violated: ..."] if a carried frame would
+    start before the previous carried frame ended. *)
 
 val burst : t -> src:int -> tag:int -> bits:int -> int * int
 (** [burst ch ~src ~tag ~bits] appends one more frame to the channel
@@ -86,8 +90,8 @@ val burst : t -> src:int -> tag:int -> bits:int -> int * int
     valid only immediately after a slot whose resolution carried a
     frame from [src] (a [Tx] or an arbitrated [Clash] survivor) and
     before any further {!contend}.  Returns [(on_wire, next_free)].
-    The safety log and statistics are updated exactly as for a normal
-    transmission.
+    The overlap assertion, {!last_carried} and statistics are updated
+    exactly as for a normal transmission.
     @raise Invalid_argument if [src] does not hold the channel. *)
 
 (** Channel occupancy statistics, all in slots/bit-times of this
@@ -108,12 +112,16 @@ val utilization : t -> float
 (** [utilization ch] is [busy_bits / total_bits] (0 if nothing has
     happened yet). *)
 
-val carried : t -> (int * int * int * int) list
-(** [carried ch] lists every carried transmission as
-    [(source, tag, start, finish)], oldest first. *)
+type carried = private {
+  mutable c_src : int;  (** sender, [-1] before the first carried frame *)
+  mutable c_tag : int;  (** tag of the carried attempt *)
+  mutable c_start : int;  (** first bit on the wire *)
+  mutable c_finish : int;  (** end of the frame, [0] before the first *)
+}
+(** A carried frame, read-only outside this module. *)
 
-val check_safety : t -> (unit, string) result
-(** [check_safety ch] re-examines the full transmission log and returns
-    [Error reason] if any two carried transmissions overlapped in time —
-    i.e. if the mutual-exclusion requirement of [<p.HRTDM>] was
-    violated. *)
+val last_carried : t -> carried
+(** [last_carried ch] is the most recent carried frame (a [Tx], an
+    arbitrated survivor or a {!burst} continuation).  The record is the
+    channel's own and is updated in place by every carried frame, so a
+    caller can compare a completion against it without allocating. *)

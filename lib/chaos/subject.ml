@@ -58,8 +58,8 @@ let run (type e s c) ((module S) : (e, s, c) t) ?postmortem env candidate =
   | exception Ddcr.Protocol_violation msg ->
     failed (Oracle.Run_crash ("protocol violation: " ^ msg))
   | exception Failure msg ->
-    (* The harness raises [Failure] when safety or the end-of-run
-       transmission-log reconciliation breaks. *)
+    (* The channel raises [Failure] when mutual exclusion breaks, the
+       harness when a completion disagrees with the carried frames. *)
     failed (Oracle.Safety_violation msg)
   | exception Assert_failure _ ->
     failed (Oracle.Run_crash "assertion failure in the simulator")

@@ -8,8 +8,8 @@ exception Protocol_violation of string
 
 (* The pure per-replica transition function.  Every field is immutable:
    [observe] maps (state, feedback) to a fresh state, so the same code
-   drives the production simulator (through the thin mutable [Automaton]
-   wrapper below), the lockstep-replication property tests and the
+   drives the production simulator (one [state] per source in
+   [run_trace]), the lockstep-replication property tests and the
    [rtnet.model] explicit-state explorer — which needs values it can
    hash, dedup and stash in a frontier without defensive copies.  The
    records are small (a handful of words; stack tails are shared
@@ -240,6 +240,72 @@ module Step = struct
         sts.time_leaf tts.f_star tts.sent pp_stack sts.s_stack pp_stack
         tts.t_stack
 
+  (* Equality on exactly the fields [fingerprint] prints — all but the
+     private [rank] and [last_out] — without formatting anything: every
+     printed interval is delimited, so two fingerprints are equal iff
+     these fields are. *)
+  let rec same_stack (a : (int * int) list) b =
+    a == b
+    ||
+    match (a, b) with
+    | (lo1, w1) :: r1, (lo2, w2) :: r2 ->
+      lo1 = lo2 && w1 = w2 && same_stack r1 r2
+    | [], [] -> true
+    | _ :: _, [] | [], _ :: _ -> false
+
+  let same_tts a b =
+    a == b
+    || a.f_star = b.f_star && a.sent = b.sent && same_stack a.t_stack b.t_stack
+
+  let same_shared a b =
+    a.reft = b.reft
+    &&
+    match (a.phase, b.phase) with
+    | Free, Free | Attempt, Attempt -> true
+    | Tts x, Tts y -> same_tts x y
+    | Sts (s1, t1), Sts (s2, t2) ->
+      s1.time_leaf = s2.time_leaf
+      && same_stack s1.s_stack s2.s_stack
+      && same_tts t1 t2
+    | (Free | Attempt | Tts _ | Sts _), _ -> false
+
+  (* The consensus rule of divergence detection: among the [member]
+     replicas the largest group of [same_shared] states wins, ties going
+     to the group holding the lowest id; the result is that group's
+     lowest member.  Under consistent observation every member agrees
+     with the first, which takes one pass. *)
+  let plurality ~member states =
+    let n = Array.length states in
+    let rec first s = if s >= n || member s then s else first (s + 1) in
+    let agrees r s = (not (member s)) || same_shared states.(s) states.(r) in
+    let rec all_agree r s = s >= n || (agrees r s && all_agree r (s + 1)) in
+    let group_size r =
+      let size = ref 0 in
+      for s = r to n - 1 do
+        if member s && same_shared states.(s) states.(r) then incr size
+      done;
+      !size
+    in
+    let f = first 0 in
+    if f >= n then None
+    else if all_agree f (f + 1) then Some f
+    else begin
+      (* Scanning upwards with a strict [>], the first member reaching the
+         largest size is the lowest member of the lowest-id largest
+         group. *)
+      let best = ref f and best_size = ref (group_size f) in
+      for r = f + 1 to n - 1 do
+        if member r then begin
+          let size = group_size r in
+          if size > !best_size then begin
+            best := r;
+            best_size := size
+          end
+        end
+      done;
+      Some !best
+    end
+
   let phase_name st =
     match st.phase with
     | Free -> "free"
@@ -249,11 +315,6 @@ module Step = struct
 
   let at_boundary st =
     match st.phase with Free | Attempt -> true | Tts _ | Sts _ -> false
-
-  let sts_leaf st =
-    match st.phase with
-    | Sts (sts, _) -> Some sts.time_leaf
-    | Free | Attempt | Tts _ -> None
 
   (* Structural well-formedness — the slot-accounting obligations the
      model checker asserts on every reached state.  The proofs maintain
@@ -314,38 +375,11 @@ module Step = struct
       else Ok ()
 end
 
-(* The production wrapper: one mutable cell per replica around the pure
-   transition function, preserving the original imperative interface. *)
-module Automaton = struct
-  type t = { params : Ddcr_params.t; source : int; mutable st : Step.state }
-
-  let create params ~source = { params; source; st = Step.init }
-  let state t = t.st
-  let decide t ~msg_star = Step.decide t.params ~source:t.source t.st ~msg_star
-
-  let observe t ~resolution ~next_free =
-    t.st <- Step.observe t.params ~source:t.source t.st ~resolution ~next_free
-
-  let fingerprint t = Step.fingerprint t.st
-  let phase_name t = Step.phase_name t.st
-  let reft t = t.st.Step.reft
-  let last_tts_sent t = t.st.Step.last_out
-  let sts_leaf t = Step.sts_leaf t.st
-  let at_boundary t = Step.at_boundary t.st
-
-  (* Divergence recovery (TDMH-style resync): a listen-only replica
-     adopts the reference replica's shared state.  Only legal at a
-     tree-epoch boundary — [Free]/[Attempt] carry no tree-search state,
-     and the copied value is immutable, so nothing is shared unsafely. *)
-  let resync t ~reference =
-    if not (at_boundary reference) then
-      invalid_arg "Automaton.resync: reference replica is inside a tree search";
-    t.st <- { reference.st with Step.rank = 0 }
-
-  (* Cold restart: the only live station re-seeds the shared state from
-     scratch (everyone else resyncs to it as it becomes the reference). *)
-  let restart t ~reft = t.st <- { Step.init with Step.reft = reft }
-end
+let via_of_phase = function
+  | Step.Free -> Ddcr_trace.Free_csma
+  | Step.Attempt -> Ddcr_trace.Open_attempt
+  | Step.Tts _ -> Ddcr_trace.Time_tree
+  | Step.Sts _ -> Ddcr_trace.Static_tree
 
 let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
     ?(sink = Sink.null) ?on_complete ?inject params inst trace
@@ -354,35 +388,36 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
   | Ok () -> ()
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let z = inst.Instance.num_sources in
-  let autos = Array.init z (fun source -> Automaton.create params ~source) in
+  (* Each source's replica of the shared protocol state. *)
+  let replicas = Array.make z Step.init in
   let plan_active = plan <> None in
   (* [synced.(s)]: s's replica tracks the shared state and s contends.
      Cleared on crash and on divergence detection; a non-synced live
      station is listen-only until it resyncs at a tree-epoch boundary. *)
   let synced = Array.make z true in
   let prev_alive = Array.make z true in
-  let emit = match on_event with Some f -> f | None -> fun _ -> () in
+  (* Trace events are built only when someone listens. *)
+  let tracing = on_event <> None in
+  let emit ev = match on_event with Some f -> f ev | None -> () in
   let telemetry = sink.Sink.enabled in
   (* Open tree-search spans (start bit-time, -1 when closed), for the
      telemetry [search] probe. *)
   let tts_start = ref (-1) in
   let sts_start = ref (-1) in
   let sts_sent = ref false in
-  let via_of_phase = function
-    | "free" -> Ddcr_trace.Free_csma
-    | "attempt" -> Ddcr_trace.Open_attempt
-    | "tts" -> Ddcr_trace.Time_tree
-    | "sts" -> Ddcr_trace.Static_tree
-    | other -> invalid_arg ("Ddcr.run_trace: unknown phase " ^ other)
-  in
   let decide services ~now:_ =
-    Array.to_list autos
-    |> List.filter_map (fun a ->
-           let s = a.Automaton.source in
-           if not (services.Rtnet_mac.Harness.alive s && synced.(s)) then None
-           else
-             Automaton.decide a
-               ~msg_star:(services.Rtnet_mac.Harness.peek s))
+    let rec go s acc =
+      if s < 0 then acc
+      else if services.Rtnet_mac.Harness.alive s && synced.(s) then
+        match
+          Step.decide params ~source:s replicas.(s)
+            ~msg_star:(services.Rtnet_mac.Harness.peek s)
+        with
+        | Some a -> go (s - 1) (a :: acc)
+        | None -> go (s - 1) acc
+      else go (s - 1) acc
+    in
+    go (z - 1) []
   in
   (* Packet bursting (Section 5): the acquiring source may append
      further EDF-ranked frames while they fit in the budget. *)
@@ -405,15 +440,16 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
               ~bits:m.Message.cls.Message.cls_bits
           in
           services.complete m ~start ~finish:(start + on_wire);
-          emit
-            (Ddcr_trace.Frame_sent
-               {
-                 time = start;
-                 finish = start + on_wire;
-                 source = src;
-                 uid = m.Message.uid;
-                 via = Ddcr_trace.Bursting;
-               });
+          if tracing then
+            emit
+              (Ddcr_trace.Frame_sent
+                 {
+                   time = start;
+                   finish = start + on_wire;
+                   source = src;
+                   uid = m.Message.uid;
+                   via = Ddcr_trace.Bursting;
+                 });
           go (start + on_wire) (budget - on_wire)
         | None -> start)
       | Some _ | None -> start
@@ -421,63 +457,66 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
     go start0 params.Ddcr_params.burst_bits
   in
   (* The reference replica: the lowest-id live, synced station.  It
-     stands for "the shared state" in trace events, divergence
-     detection and recovery.  Without a fault plan it is autos.(0),
-     as before. *)
+     stands for "the shared state" in trace events and recovery.
+     Without a fault plan it is station 0. *)
   let pick_reference services =
     let rec go s =
       if s >= z then None
-      else if services.Rtnet_mac.Harness.alive s && synced.(s) then
-        Some autos.(s)
+      else if services.Rtnet_mac.Harness.alive s && synced.(s) then Some s
       else go (s + 1)
     in
     go 0
   in
   let after services ~now ~resolution ~next_free =
-    let ref_pre =
-      match pick_reference services with Some a -> a | None -> autos.(0)
+    let alive s = services.Rtnet_mac.Harness.alive s in
+    let pre =
+      match pick_reference services with
+      | Some r -> replicas.(r)
+      | None -> replicas.(0)
     in
-    let pre_phase = Automaton.phase_name ref_pre in
     let slot = Channel.slot_bits services.Rtnet_mac.Harness.channel in
-    if telemetry && pre_phase = "sts" then begin
-      match resolution with
-      | Channel.Tx _ | Channel.Clash { survivor = Some _; _ } ->
-        sts_sent := true
-      | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ }
-        -> ()
-    end;
+    (if telemetry then
+       match (pre.Step.phase, resolution) with
+       | Step.Sts _, (Channel.Tx _ | Channel.Clash { survivor = Some _; _ }) ->
+         sts_sent := true
+       | _ -> ());
     (* Slot events, classified by the phase the slot was spent in. *)
-    (match resolution with
-    | Channel.Idle ->
-      emit (Ddcr_trace.Idle_slot { time = now; phase = pre_phase })
-    | Channel.Garbled { on_wire } ->
-      emit (Ddcr_trace.Garbled_slot { time = now; on_wire })
-    | Channel.Tx { src; tag; on_wire } ->
-      emit
-        (Ddcr_trace.Frame_sent
-           {
-             time = now;
-             finish = now + on_wire;
-             source = src;
-             uid = tag;
-             via = via_of_phase pre_phase;
-           })
-    | Channel.Clash { survivor; contenders } ->
-      emit
-        (Ddcr_trace.Collision_slot
-           { time = now; phase = pre_phase; contenders = List.length contenders });
-      (match survivor with
-      | Some (src, tag, on_wire) ->
-        emit
-          (Ddcr_trace.Frame_sent
-             {
-               time = now + slot;
-               finish = now + slot + on_wire;
-               source = src;
-               uid = tag;
-               via = via_of_phase pre_phase;
-             })
-      | None -> ()));
+    (if tracing then
+       match resolution with
+       | Channel.Idle ->
+         emit (Ddcr_trace.Idle_slot { time = now; phase = Step.phase_name pre })
+       | Channel.Garbled { on_wire } ->
+         emit (Ddcr_trace.Garbled_slot { time = now; on_wire })
+       | Channel.Tx { src; tag; on_wire } ->
+         emit
+           (Ddcr_trace.Frame_sent
+              {
+                time = now;
+                finish = now + on_wire;
+                source = src;
+                uid = tag;
+                via = via_of_phase pre.Step.phase;
+              })
+       | Channel.Clash { survivor; contenders } -> (
+         emit
+           (Ddcr_trace.Collision_slot
+              {
+                time = now;
+                phase = Step.phase_name pre;
+                contenders = List.length contenders;
+              });
+         match survivor with
+         | Some (src, tag, on_wire) ->
+           emit
+             (Ddcr_trace.Frame_sent
+                {
+                  time = now + slot;
+                  finish = now + slot + on_wire;
+                  source = src;
+                  uid = tag;
+                  via = via_of_phase pre.Step.phase;
+                })
+         | None -> ()));
     let next_free =
       match resolution with
       | Channel.Tx { src; on_wire; _ } -> do_burst services src (now + on_wire)
@@ -487,99 +526,66 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
         ->
         next_free
     in
-    (* Liveness transitions: a station entering a crash window loses
-       its replica (stale on rejoin); one leaving it rejoins
-       listen-only. *)
-    Array.iter
-      (fun a ->
-        let s = a.Automaton.source in
-        let alive = services.Rtnet_mac.Harness.alive s in
+    (* Liveness transitions (only a plan crashes stations): a station
+       entering a crash window loses its replica (stale on rejoin); one
+       leaving it rejoins listen-only. *)
+    if plan_active then
+      for s = 0 to z - 1 do
+        let alive = alive s in
         (match (prev_alive.(s), alive) with
         | true, false ->
           synced.(s) <- false;
-          emit (Ddcr_trace.Crash { time = now; source = s })
-        | false, true -> emit (Ddcr_trace.Rejoin { time = now; source = s })
+          if tracing then emit (Ddcr_trace.Crash { time = now; source = s })
+        | false, true ->
+          if tracing then emit (Ddcr_trace.Rejoin { time = now; source = s })
         | _ -> ());
-        prev_alive.(s) <- alive)
-      autos;
+        prev_alive.(s) <- alive
+      done;
     (* Each live, synced replica advances on its OWN observation of the
        slot — equal to the wire unless the fault plan made it
        misperceive.  Desynced stations are listen-only: their stale
        replica is not advanced (it is replaced wholesale on resync). *)
-    Array.iter
-      (fun a ->
-        let s = a.Automaton.source in
-        if services.Rtnet_mac.Harness.alive s && synced.(s) then
-          Automaton.observe a
+    for s = 0 to z - 1 do
+      if alive s && synced.(s) then
+        replicas.(s) <-
+          Step.observe params ~source:s replicas.(s)
             ~resolution:(services.Rtnet_mac.Harness.observed s)
-            ~next_free)
-      autos;
-    (* Divergence detection: compare the per-slot replica-state digest
-       across live synced stations; minority digests go listen-only.
-       The plurality (ties broken toward the lowest station id) is
-       "consensus reality" — under consistent observation all digests
-       agree and this is a no-op. *)
+            ~next_free
+    done;
+    (* Divergence detection: live synced replicas disagreeing with the
+       plurality ("consensus reality", ties broken toward the lowest
+       station id) go listen-only.  Under consistent observation every
+       replica agrees and this is one pass of structural comparisons. *)
     if plan_active then begin
-      let groups : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-      Array.iter
-        (fun a ->
-          let s = a.Automaton.source in
-          if services.Rtnet_mac.Harness.alive s && synced.(s) then begin
-            let fp = Automaton.fingerprint a in
-            let members =
-              match Hashtbl.find_opt groups fp with Some l -> l | None -> []
-            in
-            Hashtbl.replace groups fp (s :: members)
-          end)
-        autos;
-      if Hashtbl.length groups > 1 then begin
-        let best =
-          Hashtbl.fold
-            (fun fp members acc ->
-              let size = List.length members in
-              let low = List.fold_left min max_int members in
-              match acc with
-              | Some (_, bsize, blow)
-                when size < bsize || (size = bsize && low > blow) ->
-                acc
-              | _ -> Some (fp, size, low))
-            groups None
-        in
-        let ref_fp =
-          match best with Some (fp, _, _) -> fp | None -> assert false
-        in
-        Array.iter
-          (fun a ->
-            let s = a.Automaton.source in
-            if
-              services.Rtnet_mac.Harness.alive s
-              && synced.(s)
-              && Automaton.fingerprint a <> ref_fp
-            then begin
-              synced.(s) <- false;
+      let member s = alive s && synced.(s) in
+      (match Step.plurality ~member replicas with
+      | Some r ->
+        let consensus = replicas.(r) in
+        for s = 0 to z - 1 do
+          if member s && not (Step.same_shared replicas.(s) consensus) then begin
+            synced.(s) <- false;
+            if tracing then
               emit (Ddcr_trace.Desync { time = next_free; source = s })
-            end)
-          autos
-      end;
+          end
+        done
+      | None -> ());
       (* Degradation accounting: every live station sitting out this
          slot desynchronized extends the fault epoch. *)
-      Array.iter
-        (fun a ->
-          let s = a.Automaton.source in
-          if services.Rtnet_mac.Harness.alive s && not synced.(s) then
-            services.Rtnet_mac.Harness.mark_desync s)
-        autos
+      for s = 0 to z - 1 do
+        if alive s && not synced.(s) then
+          services.Rtnet_mac.Harness.mark_desync s
+      done
     end;
     let ref_post = pick_reference services in
-    (if on_event <> None || telemetry then
+    (if tracing || telemetry then
        (* Phase-transition events, derived from the reference replica. *)
        match ref_post with
        | None -> ()
-       | Some a0 -> (
-         let post_phase = Automaton.phase_name a0 in
+       | Some r -> (
+         let post = replicas.(r) in
          let close_tts () =
-           let sent = Automaton.last_tts_sent a0 in
-           emit (Ddcr_trace.Tts_end { time = next_free; sent });
+           let sent = post.Step.last_out in
+           if tracing then emit (Ddcr_trace.Tts_end { time = next_free; sent });
            if telemetry then begin
              if !tts_start >= 0 then
                sink.Sink.search ~tree:Sink.Time_tree ~start:!tts_start
@@ -590,12 +596,12 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
              let theta = params.Ddcr_params.theta in
              if (not sent) && theta > 0 then
                sink.Sink.jump ~now:next_free
-                 ~reft_from:(Automaton.reft a0 - theta)
-                 ~reft_to:(Automaton.reft a0)
+                 ~reft_from:(post.Step.reft - theta)
+                 ~reft_to:post.Step.reft
            end
          in
          let close_sts () =
-           emit (Ddcr_trace.Sts_end { time = next_free });
+           if tracing then emit (Ddcr_trace.Sts_end { time = next_free });
            if telemetry then begin
              if !sts_start >= 0 then
                sink.Sink.search ~tree:Sink.Static_tree ~start:!sts_start
@@ -604,78 +610,78 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
              sts_sent := false
            end
          in
-         match (pre_phase, post_phase) with
-         | ("free" | "attempt"), "tts" ->
-           emit
-             (Ddcr_trace.Tts_begin { time = next_free; reft = Automaton.reft a0 });
+         match (pre.Step.phase, post.Step.phase) with
+         | (Step.Free | Step.Attempt), Step.Tts _ ->
+           if tracing then
+             emit
+               (Ddcr_trace.Tts_begin { time = next_free; reft = post.Step.reft });
            if telemetry then tts_start := next_free
-         | "tts", "sts" ->
-           let leaf = Option.value ~default:(-1) (Automaton.sts_leaf a0) in
-           emit (Ddcr_trace.Sts_begin { time = next_free; time_leaf = leaf });
+         | Step.Tts _, Step.Sts (sts, _) ->
+           if tracing then
+             emit
+               (Ddcr_trace.Sts_begin
+                  { time = next_free; time_leaf = sts.Step.time_leaf });
            if telemetry then begin
              sts_start := next_free;
              sts_sent := false
            end
-         | "sts", "tts" -> close_sts ()
-         | "sts", "attempt" ->
+         | Step.Sts _, Step.Tts _ -> close_sts ()
+         | Step.Sts _, Step.Attempt ->
            close_sts ();
            close_tts ()
-         | "tts", "attempt" -> close_tts ()
+         | Step.Tts _, Step.Attempt -> close_tts ()
          | _, _ -> ()));
     (* Recovery.  A listen-only station re-acquires the shared state at
        the next tree-epoch boundary: the reference replica must be in
-       free/attempt (no tree-search state to copy mid-flight).  If no
-       live synced station remains, the lowest-id live one cold-starts
-       the shared state and becomes the reference. *)
+       free/attempt (no tree-search state to copy mid-flight), and the
+       copy resets the private rank.  If no live synced station remains,
+       the lowest-id live one cold-starts the shared state and becomes
+       the reference. *)
     if plan_active then begin
       (match ref_post with
       | Some _ -> ()
       | None -> (
         let rec first_alive s =
-          if s >= z then None
-          else if services.Rtnet_mac.Harness.alive s then Some autos.(s)
-          else first_alive (s + 1)
+          if s >= z then None else if alive s then Some s else first_alive (s + 1)
         in
         match first_alive 0 with
         | None -> ()
-        | Some a ->
-          Automaton.restart a ~reft:next_free;
-          synced.(a.Automaton.source) <- true;
-          services.Rtnet_mac.Harness.mark_resync a.Automaton.source;
-          emit
-            (Ddcr_trace.Resync { time = next_free; source = a.Automaton.source })));
+        | Some s ->
+          replicas.(s) <- { Step.init with Step.reft = next_free };
+          synced.(s) <- true;
+          services.Rtnet_mac.Harness.mark_resync s;
+          if tracing then
+            emit (Ddcr_trace.Resync { time = next_free; source = s })));
       match pick_reference services with
-      | Some reference when Automaton.at_boundary reference ->
-        Array.iter
-          (fun a ->
-            let s = a.Automaton.source in
-            if services.Rtnet_mac.Harness.alive s && not synced.(s) then begin
-              Automaton.resync a ~reference;
-              synced.(s) <- true;
-              services.Rtnet_mac.Harness.mark_resync s;
+      | Some r when Step.at_boundary replicas.(r) ->
+        let reference = { (replicas.(r)) with Step.rank = 0 } in
+        for s = 0 to z - 1 do
+          if alive s && not synced.(s) then begin
+            replicas.(s) <- reference;
+            synced.(s) <- true;
+            services.Rtnet_mac.Harness.mark_resync s;
+            if tracing then
               emit (Ddcr_trace.Resync { time = next_free; source = s })
-            end)
-          autos
+          end
+        done
       | Some _ | None -> ()
     end;
-    if check_lockstep then begin
-      match ref_post with
-      | None -> ()
-      | Some a0 ->
-        let reference = Automaton.fingerprint a0 in
-        Array.iter
-          (fun a ->
-            let s = a.Automaton.source in
-            if
-              services.Rtnet_mac.Harness.alive s && synced.(s)
-              && Automaton.fingerprint a <> reference
-            then
-              raise
-                (Protocol_violation
-                   (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
-                      reference (Automaton.fingerprint a))))
-          autos
-    end;
+    (if check_lockstep then
+       match ref_post with
+       | None -> ()
+       | Some r ->
+         let reference = replicas.(r) in
+         for s = 0 to z - 1 do
+           if
+             alive s && synced.(s)
+             && not (Step.same_shared replicas.(s) reference)
+           then
+             raise
+               (Protocol_violation
+                  (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
+                     (Step.fingerprint reference)
+                     (Step.fingerprint replicas.(s))))
+         done);
     next_free
   in
   Rtnet_mac.Harness.run ~protocol:"csma-ddcr" ?fault ?plan ?analyze ~sink

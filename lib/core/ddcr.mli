@@ -31,9 +31,9 @@ exception Protocol_violation of string
     invariants (e.g. a collision on a static tree leaf, which disjoint
     index ownership makes impossible). *)
 
-(** The pure per-replica transition function: the whole DDCR step as a
-    [state -> feedback -> state] map over immutable records.  The
-    mutable {!Automaton} below is a thin wrapper over this module; the
+(** The per-source protocol automaton as a pure transition function:
+    the whole DDCR step as a [state -> feedback -> state] map over
+    immutable records.  {!run_trace} holds one [state] per source; the
     explicit-state model checker ([Rtnet_model]) explores these values
     directly — they are hashable, comparable and structurally shared,
     so a frontier of reached states needs no defensive copies. *)
@@ -68,7 +68,9 @@ module Step : sig
     state ->
     msg_star:Rtnet_workload.Message.t option ->
     Rtnet_channel.Channel.attempt option
-  (** Pure counterpart of {!Automaton.decide}. *)
+  (** [decide p ~source st ~msg_star] is the source's action for the
+      next contention slot, given the head of its local EDF queue:
+      [Some attempt] to transmit, [None] to stay silent. *)
 
   val observe :
     Ddcr_params.t ->
@@ -77,24 +79,39 @@ module Step : sig
     resolution:Rtnet_channel.Channel.resolution ->
     next_free:int ->
     state
-  (** Pure counterpart of {!Automaton.observe}: the state after the
-      slot's channel feedback.  [source] is needed only for the private
-      rank bump on the replica's own static-tree transmissions.
+  (** [observe p ~source st ~resolution ~next_free] is the state after
+      the slot's channel feedback; [next_free] is the start of the next
+      contention slot ("local physical time" at which the next decision
+      is taken).  [source] is needed only for the private rank bump on
+      the replica's own static-tree transmissions.
       @raise Protocol_violation on inconsistent feedback. *)
 
   val fingerprint : state -> string
-  (** Digest of the {b shared} state (phase, stacks, [reft], [f*]);
-      byte-identical to {!Automaton.fingerprint} on the wrapped state.
-      Private state (the rank) is excluded. *)
+  (** Printable digest of the {b shared} state (phase, stacks, [reft],
+      [f*]); private state ([rank], [last_out]) is excluded.  Used for
+      failure messages and state keys; comparisons use
+      {!same_shared}. *)
+
+  val same_shared : state -> state -> bool
+  (** [same_shared a b] iff [a] and [b] agree on the shared state —
+      exactly the fields {!fingerprint} prints, so it holds iff
+      [fingerprint a = fingerprint b] — without building a string.
+      Replicas in lockstep are [same_shared] after every slot. *)
+
+  val plurality : member:(int -> bool) -> state array -> int option
+  (** [plurality ~member states] is the consensus replica of divergence
+      detection: among the indices [s] with [member s], the largest
+      group of {!same_shared} states wins, ties going to the group that
+      holds the lowest index, and the result is that group's lowest
+      index ([None] if no index is a member).  When every member agrees
+      with the first one it costs a single pass. *)
 
   val phase_name : state -> string
   (** ["free"], ["attempt"], ["tts"] or ["sts"]. *)
 
   val at_boundary : state -> bool
-  (** Between tree epochs (phase free or attempt). *)
-
-  val sts_leaf : state -> int option
-  (** The colliding deadline class of an STs in progress, if any. *)
+  (** Between tree epochs (phase free or attempt) — the only states a
+      recovering replica may copy. *)
 
   val wf : Ddcr_params.t -> source:int -> state -> (unit, string) result
   (** [wf p ~source st] checks structural well-formedness — the
@@ -103,71 +120,6 @@ module Step : sig
       and disjoint; [f* + 1] equal to the top time interval's start;
       [reft >= 0]; [0 <= rank <= ν(source)]; a non-empty stack in each
       in-search phase and the STs leaf in range. *)
-end
-
-(** The per-source protocol automaton, exposed for unit tests and for
-    the lockstep-replication property test.  A thin mutable wrapper
-    around {!Step}. *)
-module Automaton : sig
-  type t
-  (** Replicated protocol state of one source. *)
-
-  val state : t -> Step.state
-  (** [state a] is the wrapped pure state (shared, immutable). *)
-
-  val create : Ddcr_params.t -> source:int -> t
-  (** [create params ~source] is the automaton of source [source] in
-      its initial (free CSMA-CD) state. *)
-
-  val decide :
-    t -> msg_star:Rtnet_workload.Message.t option -> Rtnet_channel.Channel.attempt option
-  (** [decide a ~msg_star] is the source's action for the next
-      contention slot, given the head of its local EDF queue: [Some
-      attempt] to transmit, [None] to stay silent. *)
-
-  val observe :
-    t ->
-    resolution:Rtnet_channel.Channel.resolution ->
-    next_free:int ->
-    unit
-  (** [observe a ~resolution ~next_free] advances the replica with the
-      channel feedback of the slot; [next_free] is the start of the
-      next contention slot ("local physical time" at which the next
-      decision is taken). *)
-
-  val fingerprint : t -> string
-  (** [fingerprint a] digests the {b shared} replica state (phase,
-      stacks, [reft], [f*]) — equal across all sources after every slot
-      iff replication is in lockstep.  Private state (the static-index
-      rank) is excluded. *)
-
-  val phase_name : t -> string
-  (** [phase_name a] is ["free"], ["attempt"], ["tts"] or ["sts"]. *)
-
-  val reft : t -> int
-  (** [reft a] is the replica's current reference time. *)
-
-  val last_tts_sent : t -> bool
-  (** [last_tts_sent a] is the [out] flag of the most recently
-      completed time tree search ([false] before the first one). *)
-
-  val sts_leaf : t -> int option
-  (** [sts_leaf a] is the colliding deadline class of the static tree
-      search in progress, if any. *)
-
-  val at_boundary : t -> bool
-  (** [at_boundary a] iff the replica is between tree epochs (phase
-      free or attempt) — the only states a recovering station may copy. *)
-
-  val resync : t -> reference:t -> unit
-  (** [resync a ~reference] replaces [a]'s shared replica state (phase,
-      [reft], [out]) with [reference]'s and resets its private rank —
-      the divergence-recovery step, legal only at a tree-epoch boundary.
-      @raise Invalid_argument if [reference] is inside a tree search. *)
-
-  val restart : t -> reft:int -> unit
-  (** [restart a ~reft] cold-starts the replica (free CSMA-CD, the
-      given [reft]) — used when no synced station is left to copy. *)
 end
 
 val run_trace :
@@ -188,16 +140,16 @@ val run_trace :
 (** [run_trace params inst trace ~horizon] simulates CSMA/DDCR for the
     given arrival trace on [inst]'s medium until [horizon] (bit-times)
     and reports the outcome (completions carry exact start/finish
-    times; the channel's safety log is embedded in the statistics).
+    times; the channel's occupancy statistics are embedded).
     With [check_lockstep] (default [false]) every slot asserts that all
     sources' replicas agree — O(z) extra work per slot.  [on_event]
     receives one {!Ddcr_trace.event} per slot plus phase transitions
-    (see {!Ddcr_trace.collector}).  [fault] injects channel noise
-    (garbled frames); the protocol retries garbled frames and remains
-    safe, at the cost of latency.  [analyze] is forwarded to
-    {!Rtnet_mac.Harness.run} (default [true]): the completion list is
-    reconciled against the channel's transmission log when the run
-    ends.
+    (see {!Ddcr_trace.collector}); events are built only when
+    [on_event] is given.  [fault] injects channel noise (garbled
+    frames); the protocol retries garbled frames and remains safe, at
+    the cost of latency.  [analyze] is forwarded to
+    {!Rtnet_mac.Harness.run} (default [true]): every completion is
+    checked against the frame the channel carried.
 
     [plan] runs the protocol under a {!Rtnet_channel.Fault_plan}:
 
@@ -207,13 +159,14 @@ val run_trace :
       ([Harness.observed]), so per-source misperception can make
       replicas diverge;
     - divergence is detected the slot it occurs by comparing replica
-      digests ({!Automaton.fingerprint}); sources disagreeing with the
-      plurality (ties broken towards the lowest id) are desynchronized
-      and go listen-only;
+      states structurally ({!Step.same_shared}); sources disagreeing
+      with the plurality ({!Step.plurality}: ties broken towards the
+      lowest id) are desynchronized and go listen-only;
     - a desynchronized source recovers at the first tree-epoch boundary
       (the plurality replica in phase free/attempt): it copies the
-      reference replica state and re-enters contention — within one
-      tree epoch of the fault clearing.  If {e no} synced source
+      reference replica state, with its private rank reset, and
+      re-enters contention — within one tree epoch of the fault
+      clearing.  If {e no} synced source
       remains, the lowest-id live source cold-restarts the protocol and
       the others resync to it;
     - with [check_lockstep], lockstep is asserted among the live synced

@@ -3,7 +3,6 @@ module Channel = Rtnet_channel.Channel
 module Fault_plan = Rtnet_channel.Fault_plan
 module Edf_queue = Rtnet_edf.Edf_queue
 module Run = Rtnet_stats.Run
-module Engine = Rtnet_sim.Engine
 module Sink = Rtnet_telemetry.Sink
 
 type services = {
@@ -36,55 +35,6 @@ let () =
   Printexc.register_printer (function
     | Mismatch m -> Some ("Rtnet_mac.Harness.Mismatch: " ^ mismatch_message m)
     | _ -> None)
-
-(* Post-run invariant check (the [?analyze] flag): the completion list
-   the harness assembled must reconcile exactly with the channel's
-   transmission log — same multiset of (source, uid, start, finish) —
-   and no two completions may overlap on the wire.  [Channel.check_safety]
-   already re-examines the channel's own log; this pass catches
-   bookkeeping divergence between the protocol layer and the medium. *)
-let reconcile completions channel =
-  let of_completion c =
-    ( c.Run.c_msg.Message.cls.Message.cls_source,
-      c.Run.c_msg.Message.uid,
-      c.Run.c_start,
-      c.Run.c_finish )
-  in
-  let ours = List.sort compare (List.map of_completion completions) in
-  let theirs = List.sort compare (Channel.carried channel) in
-  let problems = ref [] in
-  if List.length ours <> List.length theirs then
-    problems :=
-      Printf.sprintf "%d completions recorded but the channel carried %d"
-        (List.length ours) (List.length theirs)
-      :: !problems
-  else
-    List.iter2
-      (fun ((s1, u1, t1, f1) as a) b ->
-        if a <> b then
-          let s2, u2, t2, f2 = b in
-          problems :=
-            Printf.sprintf
-              "completion (src %d uid %d [%d, %d)) disagrees with the channel \
-               log entry (src %d uid %d [%d, %d))"
-              s1 u1 t1 f1 s2 u2 t2 f2
-            :: !problems)
-      ours theirs;
-  let by_start =
-    List.sort (fun a b -> compare a.Run.c_start b.Run.c_start) completions
-  in
-  let rec overlaps = function
-    | a :: (b :: _ as rest) ->
-      if b.Run.c_start < a.Run.c_finish then
-        problems :=
-          Printf.sprintf "completions uid %d and uid %d overlap on the wire"
-            a.Run.c_msg.Message.uid b.Run.c_msg.Message.uid
-          :: !problems;
-      overlaps rest
-    | [ _ ] | [] -> ()
-  in
-  overlaps by_start;
-  List.rev !problems
 
 (* A listener's local decoding of the wire under misperception: a
    carried frame decodes as CRC-garbage, a destructive collision as
@@ -154,6 +104,37 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       epoch_open := Some (start, finish)
     | None -> epoch_open := Some (start, finish)
   in
+  (* [analyze], checked as each completion is recorded: the completion
+     must be the frame the channel carried last, and no earlier carried
+     frame may still lack its completion.  With the channel's own
+     overlap assertion this makes the completion list equal, in order,
+     to the frames the wire carried.  Plain int comparisons on the
+     channel's in-place record: nothing allocates unless it fails. *)
+  let carried = Channel.last_carried channel in
+  let completed = ref 0 in
+  let analyze_failure fmt =
+    Printf.ksprintf (fun msg -> failwith ("harness analyze: " ^ msg)) fmt
+  in
+  let tx_count () = (Channel.stats channel).Channel.tx_count in
+  let check_completion m ~start ~finish =
+    let src = m.Message.cls.Message.cls_source and uid = m.Message.uid in
+    if tx_count () <> !completed + 1 then
+      analyze_failure
+        "completion (src %d uid %d [%d, %d)) recorded as completion %d but \
+         the channel carried %d frames"
+        src uid start finish (!completed + 1) (tx_count ())
+    else if
+      carried.Channel.c_src <> src
+      || carried.Channel.c_tag <> uid
+      || carried.Channel.c_start <> start
+      || carried.Channel.c_finish <> finish
+    then
+      analyze_failure
+        "completion (src %d uid %d [%d, %d)) disagrees with the channel's \
+         last carried frame (src %d tag %d [%d, %d))"
+        src uid start finish carried.Channel.c_src carried.Channel.c_tag
+        carried.Channel.c_start carried.Channel.c_finish
+  in
   let services =
     {
       channel;
@@ -167,6 +148,8 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
           | None -> None);
       complete =
         (fun m ~start ~finish ->
+          if analyze then check_completion m ~start ~finish;
+          incr completed;
           if telemetry then sink.Sink.complete ~msg:m ~start ~finish;
           (match on_complete with
           | None -> ()
@@ -213,13 +196,17 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
              mm_reason = "transmitted from an empty queue";
            })
   in
-  let engine =
-    if telemetry then
-      Engine.create ~on_step:(fun ~time -> sink.Sink.engine_event ~time) ()
-    else Engine.create ()
-  in
-  let rec slot eng =
-    let now = Engine.now eng in
+  (* A crashed source transmits nothing, whatever the protocol's
+     decision callback returned; the participants of the slot are
+     marked in [participant] (cleared again after the observations). *)
+  let attempt_alive a = alive_now.(a.Channel.att_source) in
+  let participant = Array.make num_sources false in
+  let mark a = participant.(a.Channel.att_source) <- true in
+  let unmark a = participant.(a.Channel.att_source) <- false in
+  (* One contention slot starting at [now]; returns the next slot
+     boundary. *)
+  let slot now =
+    if telemetry then sink.Sink.engine_event ~time:now;
     (* Bridge ingress (multi-hop topologies): the injector may hand the
        harness new messages at any slot boundary; they join the arrival
        stream and become visible to the EDF queues exactly like trace
@@ -248,13 +235,11 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
         end
       done);
     let attempts = decide services ~now in
-    (* A crashed source transmits nothing, whatever the protocol's
-       decision callback returned. *)
     let attempts =
       match plan with
-      | None -> attempts
-      | Some _ ->
-        List.filter (fun a -> alive_now.(a.Channel.att_source)) attempts
+      | Some _ when not (List.for_all attempt_alive attempts) ->
+        List.filter attempt_alive attempts
+      | Some _ | None -> attempts
     in
     let resolution, next_free = Channel.contend channel ~now attempts in
     if telemetry then sink.Sink.slot ~now ~next_free ~resolution;
@@ -263,9 +248,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       (* No plan: every source observes the wire. *)
       Array.fill observed_now 0 num_sources resolution
     | Some p ->
-      let participants =
-        List.map (fun a -> a.Channel.att_source) attempts
-      in
+      List.iter mark attempts;
       (match resolution with
       | Channel.Garbled _ ->
         (* Wire-level noise destroyed a frame: the slot is degraded
@@ -280,19 +263,22 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
           | _ -> missed.(s) <- missed.(s) + 1
         end
         else begin
-          let listener = not (List.mem s participants) in
           let flips = Fault_plan.misperceives p ~source:s ~now in
           let obs =
-            if listener && flips then misperceived_view resolution
+            if flips && not participant.(s) then misperceived_view resolution
             else resolution
           in
           observed_now.(s) <- obs;
-          if obs <> resolution then begin
+          (* The physical test first: an unflipped view is the wire
+             value itself, and the structural one walks the slot's
+             contender list. *)
+          if obs != resolution && obs <> resolution then begin
             misperceived.(s) <- misperceived.(s) + 1;
             slot_faulty := true
           end
         end
-      done);
+      done;
+      List.iter unmark attempts);
     (match resolution with
     | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ } ->
       ()
@@ -304,20 +290,19 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       let start = now + Channel.slot_bits channel in
       services.complete m ~start ~finish:(start + on_wire));
     let next_free = after services ~now ~resolution ~next_free in
+    if analyze && tx_count () <> !completed then
+      analyze_failure
+        "slot at t=%d: the channel carried %d frames but %d completions \
+         were recorded"
+        now (tx_count ()) !completed;
     if !slot_faulty then note_epoch ~start:now ~finish:next_free;
-    if next_free < horizon then Engine.schedule_at eng ~time:next_free slot
+    next_free
   in
-  Engine.schedule_at engine ~time:0 slot;
-  Engine.run engine;
-  (match Channel.check_safety channel with
-  | Ok () -> ()
-  | Error reason -> failwith ("MAC safety violated: " ^ reason));
-  if analyze then begin
-    match reconcile !completions channel with
-    | [] -> ()
-    | problems ->
-      failwith ("harness analyze: " ^ String.concat "; " problems)
-  end;
+  let rec loop now =
+    let next_free = slot now in
+    if next_free < horizon then loop next_free
+  in
+  loop 0;
   let unfinished =
     Array.fold_left (fun acc q -> acc @ Edf_queue.to_sorted_list q) [] queues
     @ List.filter (fun m -> m.Message.arrival < horizon) !arrivals

@@ -6,9 +6,9 @@
     transmission attempts, resolve the slot on the {!Rtnet_channel}
     medium, record the carried frame (if any) as a completion, let the
     protocol update its state from the feedback, and repeat until the
-    horizon.  This module owns that skeleton — driven by the
-    {!Rtnet_sim.Engine} discrete-event kernel — so a protocol only
-    supplies two callbacks:
+    horizon.  This module owns that skeleton — a plain loop from one
+    slot boundary to the next — so a protocol only supplies two
+    callbacks:
 
     - [decide]: the attempts for the next contention slot;
     - [after]: protocol-state update from the slot's resolution, with
@@ -25,9 +25,10 @@
     much (per-source counters, merged fault epochs) in
     {!Rtnet_stats.Run.fault_stats}.
 
-    The harness asserts the channel-level safety property (mutual
-    exclusion) when the run ends and assembles the {!Rtnet_stats.Run}
-    outcome (completions, unfinished, dropped, channel statistics). *)
+    The channel asserts mutual exclusion as each frame is carried; the
+    harness checks every completion against the carried frame (see
+    [analyze] on {!run}) and assembles the {!Rtnet_stats.Run} outcome
+    (completions, unfinished, dropped, channel statistics). *)
 
 type services = {
   channel : Rtnet_channel.Channel.t;  (** the medium (e.g. for {!Rtnet_channel.Channel.burst}) *)
@@ -133,7 +134,13 @@ val run :
     + if anything was degraded this slot (crash, miss, misperception,
       wire garbling, or the protocol called [mark_desync]), extends
       the current fault epoch to the returned boundary,
-    + asserts, at the end, that no two carried frames overlapped.
+    + and starts the next slot at that boundary while it is before
+      [horizon] (the slot at time 0 always runs).
+
+    Mutual exclusion is asserted by the channel as each frame is
+    carried ({!Rtnet_channel.Channel.contend}): a frame starting
+    before the previous one ended fails the run with
+    ["MAC safety violated: ..."].
 
     [fault] is the legacy i.i.d. noise model, [plan] the composable
     fault-plan model; they are mutually exclusive (the channel rejects
@@ -141,11 +148,15 @@ val run :
     given.
 
     With [analyze] (default [true] — every harness run is
-    invariant-checked unless explicitly opted out) the run additionally
-    reconciles its completion list against the channel's transmission
-    log when it ends: the two must agree entry for entry on
-    (source, uid, start, finish), and no two completions may overlap on
-    the wire.  This is the MAC-layer half of the [rtnet.analysis]
+    invariant-checked unless explicitly opted out) every recorded
+    completion, main or burst frame, is checked as it is recorded: it
+    must equal the frame the channel carried last
+    ({!Rtnet_channel.Channel.last_carried}) on (source, uid, start,
+    finish), and after every slot the number of completions must equal
+    the number of carried frames.  So the completion list equals, in
+    order, the frames the wire carried, which the channel keeps from
+    overlapping; the check is a few int comparisons per completion and
+    allocates nothing.  This is the MAC-layer half of the [rtnet.analysis]
     safety net; the richer protocol-trace obligations (nesting,
     timeliness, ξ bounds) live in [Rtnet_analysis.Trace_check], which
     sits above this library.
@@ -153,7 +164,7 @@ val run :
     [sink] (default {!Rtnet_telemetry.Sink.null}) receives the
     harness-level probes: [enqueue] on queue insertion, [slot] after
     every channel resolution, [complete]/[drop] on message service,
-    [engine_event] per engine dispatch, and [epoch] for each merged
+    [engine_event] once per slot (at its start), and [epoch] for each merged
     fault epoch at the end of the run.  With the null sink every probe
     is a single boolean test.
 
@@ -170,8 +181,9 @@ val run :
     arrival time passes — exactly the visibility rule trace arrivals
     follow.  Injected messages are indistinguishable from trace
     arrivals afterwards: they are EDF-queued, completed, counted in
-    [unfinished] if still pending, and reconciled by [analyze].
+    [unfinished] if still pending, and checked by [analyze].
 
     @raise Mismatch on tag/queue-head disagreement.
-    @raise Failure if the channel safety check or the [analyze]
-    reconciliation fails. *)
+    @raise Failure ["MAC safety violated: ..."] if two carried frames
+    overlap, or ["harness analyze: ..."] if a completion disagrees with
+    the carried frames. *)

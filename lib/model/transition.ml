@@ -159,9 +159,9 @@ let exists_src z p =
 (* One slot.  Applies [action], then mirrors, in order: the harness
    slot body (deliver, liveness refresh, decide, contend, per-source
    observation, completion) and Ddcr.run_trace's [after] (liveness
-   edges, per-replica observe on the OWN observation, fingerprint
-   plurality, desync accounting, cold restart, boundary resync),
-   then the harness epoch note — and checks the invariants. *)
+   edges, per-replica observe on the OWN observation, Step.plurality
+   divergence detection, desync accounting, cold restart, boundary
+   resync), then the harness epoch note — and checks the invariants. *)
 let step sys nd action =
   let z = sys.inst.Instance.num_sources in
   let phy = sys.inst.Instance.phy in
@@ -356,43 +356,18 @@ let step sys nd action =
           match !proto_err with
           | Some reason -> Violating (Protocol_error { time = now; reason })
           | None -> (
-            (* Fingerprint plurality: minority digests go listen-only
+            (* Divergence detection, by the simulator's own rule:
+               replicas disagreeing with the plurality go listen-only
                (ties broken toward the group holding the lowest id). *)
-            let groups : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-            for s = 0 to z - 1 do
-              if alive s && synced.(s) then begin
-                let fp = Step.fingerprint replicas.(s) in
-                let members =
-                  match Hashtbl.find_opt groups fp with
-                  | Some l -> l
-                  | None -> []
-                in
-                Hashtbl.replace groups fp (s :: members)
-              end
-            done;
-            if Hashtbl.length groups > 1 then begin
-              let best =
-                Hashtbl.fold
-                  (fun fp members acc ->
-                    let size = List.length members in
-                    let low = List.fold_left min max_int members in
-                    match acc with
-                    | Some (_, bsize, blow)
-                      when size < bsize || (size = bsize && low > blow) ->
-                      acc
-                    | _ -> Some (fp, size, low))
-                  groups None
-              in
-              let ref_fp =
-                match best with Some (fp, _, _) -> fp | None -> assert false
-              in
+            let member s = alive s && synced.(s) in
+            (match Step.plurality ~member replicas with
+            | Some r ->
+              let consensus = replicas.(r) in
               for s = 0 to z - 1 do
-                if
-                  alive s && synced.(s)
-                  && Step.fingerprint replicas.(s) <> ref_fp
+                if member s && not (Step.same_shared replicas.(s) consensus)
                 then synced.(s) <- false
               done
-            end;
+            | None -> ());
             (* Desync accounting extends the fault epoch. *)
             if exists_src z (fun s -> alive s && not synced.(s)) then
               slot_faulty := true;
@@ -460,21 +435,20 @@ let step sys nd action =
             (match pick_reference () with
             | None -> ()
             | Some r ->
-              let ref_fp = Step.fingerprint replicas.(r) in
               for s = 0 to z - 1 do
-                if alive s && synced.(s) then begin
-                  let fp = Step.fingerprint replicas.(s) in
-                  if fp <> ref_fp then
-                    set
-                      (Lockstep_broken
-                         {
-                           time = next_free;
-                           reference = r;
-                           source = s;
-                           ref_fp;
-                           fp;
-                         })
-                end
+                if
+                  alive s && synced.(s)
+                  && not (Step.same_shared replicas.(s) replicas.(r))
+                then
+                  set
+                    (Lockstep_broken
+                       {
+                         time = next_free;
+                         reference = r;
+                         source = s;
+                         ref_fp = Step.fingerprint replicas.(r);
+                         fp = Step.fingerprint replicas.(s);
+                       })
               done;
               (* Resync within one tree epoch: no live station may still
                  be desynchronized once the reference reached a

@@ -9,10 +9,11 @@
     deliver arrivals, collect decisions, resolve the channel, compute
     each source's {e local} observation, pop the completed frame,
     advance every live synced replica on its own observation, detect
-    divergence by fingerprint plurality, recover (cold restart,
+    divergence by replica plurality, recover (cold restart,
     boundary resync) and extend the fault epoch.  Every deterministic
     piece {e reuses the production code} ([Step.decide]/[Step.observe],
-    the channel's arbitration rule, [Harness.misperceived_view]); what
+    [Step.plurality]/[Step.same_shared], the channel's arbitration
+    rule, [Harness.misperceived_view]); what
     the simulator samples randomly is the explorer's branching choice —
     at most one fault {!action} per slot.
 

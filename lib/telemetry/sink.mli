@@ -1,7 +1,7 @@
 (** Probe sink: the typed callback surface the whole stack emits into.
 
-    Instrumented layers ({!Rtnet_sim.Engine}, {!Rtnet_mac.Harness},
-    [Rtnet_core.Ddcr], [Rtnet_campaign.Pool]) take a [Sink.t] and call
+    Instrumented layers ({!Rtnet_mac.Harness}, [Rtnet_core.Ddcr],
+    [Rtnet_campaign.Pool]) take a [Sink.t] and call
     its fields at well-defined probe points.  The default is {!null},
     whose [enabled] flag is [false]: every emit site guards with
     [if sink.enabled then ...], so a disabled sink costs one boolean
@@ -41,7 +41,8 @@ type t = {
       (** A fault epoch (injected perturbation window) covered
           [\[start, finish)]. *)
   engine_event : time:int -> unit;
-      (** The discrete-event engine dispatched one event at [time]. *)
+      (** The simulation loop started one slot at [time] (fired by the
+          MAC harness once per slot, before the slot's other probes). *)
   worker_cell :
     worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit;
       (** Campaign worker [worker] ran cell [key] over wall-clock

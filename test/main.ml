@@ -3,7 +3,7 @@
 let () =
   Alcotest.run "rtnet"
     (Test_int_math.suite @ Test_prng.suite @ Test_table.suite
-   @ Test_event_queue.suite @ Test_engine.suite @ Test_phy.suite
+   @ Test_phy.suite
    @ Test_channel.suite @ Test_message.suite @ Test_arrival.suite
    @ Test_instance.suite @ Test_scenarios.suite @ Test_edf_queue.suite
    @ Test_np_edf.suite @ Test_summary.suite @ Test_run.suite @ Test_xi.suite

@@ -80,10 +80,20 @@ let test_duplicate_source_rejected () =
 
 let test_safety_log () =
   let ch = Channel.create Phy.gigabit_ethernet in
+  let last = Channel.last_carried ch in
+  Alcotest.(check int) "nothing carried yet" (-1) last.Channel.c_src;
   let _, n1 = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
-  let _, _ = Channel.contend ch ~now:n1 [ attempt 2 8000 ] in
-  Alcotest.(check bool) "no overlap" true (Channel.check_safety ch = Ok ());
-  Alcotest.(check int) "two carried" 2 (List.length (Channel.carried ch))
+  let _, n2 = Channel.contend ch ~now:n1 [ attempt 2 8000 ] in
+  Alcotest.(check int) "two carried" 2 (Channel.stats ch).Channel.tx_count;
+  (* The record is updated in place: the handle taken before the run
+     now describes the second frame, back to back with the first. *)
+  Alcotest.(check (list int)) "last carried frame" [ 2; 102; n1; n2 ]
+    [
+      last.Channel.c_src;
+      last.Channel.c_tag;
+      last.Channel.c_start;
+      last.Channel.c_finish;
+    ]
 
 let test_utilization () =
   let ch = Channel.create Phy.gigabit_ethernet in
@@ -97,8 +107,11 @@ let test_burst_extends_acquisition () =
   let _, n1 = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
   let on_wire, n2 = Channel.burst ch ~src:1 ~tag:7 ~bits:5000 in
   Alcotest.(check int) "second frame appended" (n1 + on_wire) n2;
-  Alcotest.(check int) "both logged" 2 (List.length (Channel.carried ch));
-  Alcotest.(check bool) "still safe" true (Channel.check_safety ch = Ok ());
+  Alcotest.(check int) "both carried" 2 (Channel.stats ch).Channel.tx_count;
+  Alcotest.(check (pair int int)) "burst frame is the last carried"
+    (n1, n2)
+    ((Channel.last_carried ch).Channel.c_start,
+     (Channel.last_carried ch).Channel.c_finish);
   (* Only the holder may burst, and only until the next contention. *)
   Alcotest.check_raises "stranger"
     (Invalid_argument "Channel.burst: source does not hold the channel")

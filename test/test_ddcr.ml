@@ -11,7 +11,10 @@ module Run = Rtnet_stats.Run
 
 let ms = 1_000_000
 
-(* --- Automaton unit tests (hand-driven channel feedback) --- *)
+(* --- Step unit tests: the per-source automaton under hand-driven
+   channel feedback --- *)
+
+module Step = Ddcr.Step
 
 let tiny_params =
   {
@@ -45,104 +48,102 @@ let mk_msg ?(uid = 0) ~arrival ~deadline () =
 let clash ?survivor contenders =
   Channel.Clash { contenders; survivor }
 
+let decide ~source st msg = Step.decide tiny_params ~source st ~msg_star:msg
+
+let observe ~source st resolution next_free =
+  Step.observe tiny_params ~source st ~resolution ~next_free
+
+(* Feed one clash per listed slot boundary. *)
+let clashes ~source st boundaries =
+  List.fold_left
+    (fun st nf -> observe ~source st (clash [ (0, 0); (1, 1) ]) nf)
+    st boundaries
+
 let test_automaton_free_phase () =
-  let a = Ddcr.Automaton.create tiny_params ~source:0 in
-  Alcotest.(check string) "starts free" "free" (Ddcr.Automaton.phase_name a);
+  let st = Step.init in
+  Alcotest.(check string) "starts free" "free" (Step.phase_name st);
   Alcotest.(check bool) "silent without msg" true
-    (Ddcr.Automaton.decide a ~msg_star:None = None);
+    (decide ~source:0 st None = None);
   let m = mk_msg ~arrival:0 ~deadline:5000 () in
-  (match Ddcr.Automaton.decide a ~msg_star:(Some m) with
+  (match decide ~source:0 st (Some m) with
   | Some att ->
     Alcotest.(check int) "attempts own frame" 0 att.Channel.att_source;
     Alcotest.(check int) "tag is uid" 0 att.Channel.att_tag
   | None -> Alcotest.fail "expected attempt in free phase");
   (* Tx and Idle keep it free; a clash starts CSMA/DDCR. *)
-  Ddcr.Automaton.observe a ~resolution:Channel.Idle ~next_free:512;
-  Alcotest.(check string) "still free" "free" (Ddcr.Automaton.phase_name a);
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:1024;
-  Alcotest.(check string) "clash enters TTs" "tts" (Ddcr.Automaton.phase_name a)
+  let st = observe ~source:0 st Channel.Idle 512 in
+  Alcotest.(check string) "still free" "free" (Step.phase_name st);
+  let st = observe ~source:0 st (clash [ (0, 0); (1, 1) ]) 1024 in
+  Alcotest.(check string) "clash enters TTs" "tts" (Step.phase_name st)
 
 let test_automaton_tts_walk () =
-  let a = Ddcr.Automaton.create tiny_params ~source:0 in
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:1000;
+  let st = clashes ~source:0 Step.init [ 1000 ] in
   (* reft = 1000; a message with DM in [1000, 9000) maps to the root
      interval. *)
   let m = mk_msg ~arrival:0 ~deadline:3000 () (* DM = 3000 -> idx 2 *) in
-  (match Ddcr.Automaton.decide a ~msg_star:(Some m) with
+  (match decide ~source:0 st (Some m) with
   | Some _ -> ()
   | None -> Alcotest.fail "expected participation at root");
   (* Root clash: splits into [0,4) then [4,8). *)
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:1512;
+  let st = clashes ~source:0 st [ 1512 ] in
   Alcotest.(check bool) "fingerprint shows two intervals" true
-    (Astring_contains.contains (Ddcr.Automaton.fingerprint a) "[0+4)[4+4)");
+    (Astring_contains.contains (Step.fingerprint st) "[0+4)[4+4)");
   (* A message with idx 6 must stay silent while [0,4) is probed. *)
   let far = mk_msg ~uid:1 ~arrival:0 ~deadline:7100 () (* idx 6 *) in
   Alcotest.(check bool) "outside top interval: silent" true
-    (Ddcr.Automaton.decide a ~msg_star:(Some far) = None);
+    (decide ~source:0 st (Some far) = None);
   (* Empty left subtree, then a transmission closes the right one. *)
-  Ddcr.Automaton.observe a ~resolution:Channel.Idle ~next_free:2024;
+  let st = observe ~source:0 st Channel.Idle 2024 in
   Alcotest.(check bool) "f* advanced past left subtree" true
-    (Astring_contains.contains (Ddcr.Automaton.fingerprint a) "f*=3");
-  Ddcr.Automaton.observe a
-    ~resolution:(Channel.Tx { src = 1; tag = 9; on_wire = 1160 })
-    ~next_free:3184;
-  Alcotest.(check string) "TTs over -> attempt" "attempt"
-    (Ddcr.Automaton.phase_name a);
+    (Astring_contains.contains (Step.fingerprint st) "f*=3");
+  let st =
+    observe ~source:0 st (Channel.Tx { src = 1; tag = 9; on_wire = 1160 }) 3184
+  in
+  Alcotest.(check string) "TTs over -> attempt" "attempt" (Step.phase_name st);
   Alcotest.(check bool) "reft reset by in-tree tx" true
-    (Astring_contains.contains (Ddcr.Automaton.fingerprint a) "reft=3184")
+    (Astring_contains.contains (Step.fingerprint st) "reft=3184")
 
 let test_automaton_sts_path () =
-  let a = Ddcr.Automaton.create tiny_params ~source:1 in
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:1000;
-  (* Collide all the way down to time leaf 0. *)
-  List.iter
-    (fun nf ->
-      Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:nf)
-    [ 1512; 2024; 2536 ];
-  (* [0,1) leaf clash -> static search *)
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:3048;
-  Alcotest.(check string) "in STs" "sts" (Ddcr.Automaton.phase_name a);
+  (* Collide all the way down to time leaf 0, then on the [0,1) leaf:
+     static search. *)
+  let st = clashes ~source:1 Step.init [ 1000; 1512; 2024; 2536; 3048 ] in
+  Alcotest.(check string) "in STs" "sts" (Step.phase_name st);
   (* Source 1 owns static index 1: at the root static interval [0,4) it
      participates if its message is in class <= 0. *)
   let urgent = mk_msg ~uid:2 ~arrival:0 ~deadline:900 () (* idx <= 0 via f*+1 *) in
-  (match Ddcr.Automaton.decide a ~msg_star:(Some urgent) with
+  (match decide ~source:1 st (Some urgent) with
   | Some _ -> ()
   | None -> Alcotest.fail "expected STs participation");
   (* Static root clash splits into [0,2) and [2,4). *)
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 2) ]) ~next_free:3560;
+  let st = observe ~source:1 st (clash [ (0, 0); (1, 2) ]) 3560 in
   (* Peer alone in [0,2): transmits, interval popped, STs continues. *)
-  Ddcr.Automaton.observe a
-    ~resolution:(Channel.Tx { src = 0; tag = 0; on_wire = 1160 })
-    ~next_free:4720;
-  Alcotest.(check string) "still sts" "sts" (Ddcr.Automaton.phase_name a);
+  let st =
+    observe ~source:1 st (Channel.Tx { src = 0; tag = 0; on_wire = 1160 }) 4720
+  in
+  Alcotest.(check string) "still sts" "sts" (Step.phase_name st);
   (* Our transmission closes [2,4): STs completes, back to TTs with the
      colliding time leaf popped and reft reset. *)
-  Ddcr.Automaton.observe a
-    ~resolution:(Channel.Tx { src = 1; tag = 2; on_wire = 1160 })
-    ~next_free:5880;
-  Alcotest.(check string) "back in tts" "tts" (Ddcr.Automaton.phase_name a);
+  let st =
+    observe ~source:1 st (Channel.Tx { src = 1; tag = 2; on_wire = 1160 }) 5880
+  in
+  Alcotest.(check string) "back in tts" "tts" (Step.phase_name st);
   Alcotest.(check bool) "time leaf popped, f*=0" true
-    (Astring_contains.contains (Ddcr.Automaton.fingerprint a) "f*=0");
+    (Astring_contains.contains (Step.fingerprint st) "f*=0");
   Alcotest.(check bool) "reft updated at STs completion" true
-    (Astring_contains.contains (Ddcr.Automaton.fingerprint a) "reft=5880")
+    (Astring_contains.contains (Step.fingerprint st) "reft=5880")
 
 let test_automaton_static_leaf_collision_rejected () =
-  let a = Ddcr.Automaton.create tiny_params ~source:0 in
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:1000;
-  List.iter
-    (fun nf ->
-      Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:nf)
-    [ 1512; 2024; 2536; 3048 ];
-  (* Descend the static tree to a leaf under repeated clashes: [0,4)
-     then [0,2) then leaf [0,1) — a clash there is impossible. *)
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:3560;
-  Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ]) ~next_free:4072;
+  (* Down the time tree to leaf [0,1), then down the static tree under
+     repeated clashes: [0,4) then [0,2) then leaf [0,1) — a clash
+     there is impossible. *)
+  let st =
+    clashes ~source:0 Step.init
+      [ 1000; 1512; 2024; 2536; 3048; 3560; 4072 ]
+  in
   Alcotest.check_raises "static leaf collision"
     (Ddcr.Protocol_violation
        "collision on a static tree leaf: static indices are not disjoint")
-    (fun () ->
-      Ddcr.Automaton.observe a ~resolution:(clash [ (0, 0); (1, 1) ])
-        ~next_free:4584)
+    (fun () -> ignore (clashes ~source:0 st [ 4584 ]))
 
 (* --- End-to-end runs --- *)
 

@@ -27,8 +27,7 @@ let test_channel_always_garbles_at_rate_one () =
   | Channel.Idle | Channel.Tx _ | Channel.Clash _ ->
     Alcotest.fail "expected Garbled");
   Alcotest.(check int) "counted" 1 (Channel.stats ch).Channel.garbled_count;
-  Alcotest.(check int) "nothing carried" 0 (Channel.stats ch).Channel.tx_count;
-  Alcotest.(check int) "log empty" 0 (List.length (Channel.carried ch))
+  Alcotest.(check int) "nothing carried" 0 (Channel.stats ch).Channel.tx_count
 
 let test_channel_rate_zero_is_clean () =
   let fault = { Channel.fault_rate = 0.0; fault_seed = 1 } in

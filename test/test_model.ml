@@ -1,9 +1,10 @@
 (* rtnet.model: the explicit-state model checker.
 
-   The load-bearing properties: the pure Ddcr.Step transition agrees
-   step-for-step with the mutable Automaton wrapper on randomized
-   fault-free and faulty feedback sequences (the differential
-   property); exploration is deterministic and proves a small clean
+   The load-bearing properties: the structural replica agreement the
+   simulator and the model checker share (Step.same_shared) decides
+   exactly fingerprint equality on states reached by randomized faulty
+   feedback, and Step.plurality picks the documented consensus group;
+   exploration is deterministic and proves a small clean
    instance clean; the committed broken-parameters fixture yields a
    deadline-miss counterexample whose exported artifact replays
    through the real simulator to the same Oracle verdict and
@@ -28,7 +29,7 @@ module Transition = Rtnet_model.Transition
 module Explore = Rtnet_model.Explore
 module Witness = Rtnet_model.Witness
 
-(* -------------------- differential: Step vs Automaton -------------------- *)
+(* -------------------- agreement: same_shared and plurality -------------------- *)
 
 let diff_params =
   {
@@ -59,21 +60,16 @@ let mk_msg ~src ~uid ~arrival ~deadline =
     arrival;
   }
 
-(* A micro-harness driving TWO implementations of both replicas of a
-   2-source system through the same feedback: the mutable Automaton
-   and a fold over the pure Step function.  The channel logic is the
-   simplest faithful abstraction (lone attempt carried, two attempts
-   clash — destructively or with a key-arbitrated survivor — and an
-   optional garble corrupting a carried frame), which is enough to
-   reach every observe arm.  Any disagreement in decisions, states or
-   fingerprints fails the property. *)
-let run_differential ~seed ~faulty ~arbitrated ~slots =
+(* Replica states of a 2-source system driven by random faulty
+   feedback: a lone attempt is carried or garbled, two attempts clash
+   (destructively or with a key-arbitrated survivor), and each replica
+   independently misperceives the slot (Harness.misperceived_view), so
+   the replicas drift apart.  A replica that meets feedback its own
+   history makes inconsistent restarts from [Step.init].  Returns every
+   state reached. *)
+let reached_states ~seed ~arbitrated ~slots =
   let rng = Prng.create seed in
-  let auts =
-    [| Ddcr.Automaton.create diff_params ~source:0;
-       Ddcr.Automaton.create diff_params ~source:1 |]
-  in
-  let pure = [| Step.init; Step.init |] in
+  let replicas = [| Step.init; Step.init |] in
   let queues =
     Array.init 2 (fun src ->
         ref
@@ -83,40 +79,26 @@ let run_differential ~seed ~faulty ~arbitrated ~slots =
   in
   let now = ref 0 in
   let slot = 512 in
+  let seen = ref [] in
   for _ = 1 to slots do
     let msg_star src =
       match !(queues.(src)) with
       | m :: _ when m.Message.arrival <= !now -> Some m
       | _ -> None
     in
-    let pop src =
-      match !(queues.(src)) with
-      | _ :: rest -> queues.(src) := rest
-      | [] -> ()
-    in
     let attempts =
       List.filter_map
         (fun src ->
-          let from_aut =
-            Ddcr.Automaton.decide auts.(src) ~msg_star:(msg_star src)
-          in
-          let from_step =
-            Step.decide diff_params ~source:src pure.(src)
-              ~msg_star:(msg_star src)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "decide agrees (source %d, t=%d)" src !now)
-            true
-            (from_aut = from_step);
-          Option.map (fun a -> (src, a)) from_aut)
+          Step.decide diff_params ~source:src replicas.(src)
+            ~msg_star:(msg_star src))
         [ 0; 1 ]
     in
-    let garble = faulty && Prng.int rng 4 = 0 in
     let resolution =
       match attempts with
       | [] -> Channel.Idle
-      | [ (_, a) ] ->
-        if garble then Channel.Garbled { on_wire = a.Channel.att_bits }
+      | [ a ] ->
+        if Prng.int rng 4 = 0 then
+          Channel.Garbled { on_wire = a.Channel.att_bits }
         else
           Channel.Tx
             {
@@ -126,21 +108,19 @@ let run_differential ~seed ~faulty ~arbitrated ~slots =
             }
       | many ->
         let contenders =
-          List.map
-            (fun (_, a) -> (a.Channel.att_source, a.Channel.att_tag))
-            many
+          List.map (fun a -> (a.Channel.att_source, a.Channel.att_tag)) many
         in
         let survivor =
           if not arbitrated then None
           else
-            let _, a =
+            let a =
               List.fold_left
-                (fun ((_, best) as acc) ((_, c) as cand) ->
+                (fun best c ->
                   if
                     (c.Channel.att_key, c.Channel.att_source)
                     < (best.Channel.att_key, best.Channel.att_source)
-                  then cand
-                  else acc)
+                  then c
+                  else best)
                 (List.hd many) (List.tl many)
             in
             Some (a.Channel.att_source, a.Channel.att_tag, a.Channel.att_bits)
@@ -149,60 +129,110 @@ let run_differential ~seed ~faulty ~arbitrated ~slots =
     in
     let next_free =
       match resolution with
-      | Channel.Idle -> !now + slot
+      | Channel.Idle | Channel.Clash { survivor = None; _ } -> !now + slot
       | Channel.Tx { on_wire; _ } | Channel.Garbled { on_wire } ->
         !now + on_wire
-      | Channel.Clash { survivor = None; _ } -> !now + slot
       | Channel.Clash { survivor = Some (_, _, on_wire); _ } ->
         !now + slot + on_wire
     in
     (match resolution with
     | Channel.Tx { src; _ } | Channel.Clash { survivor = Some (src, _, _); _ }
-      ->
-      pop src
+      -> (
+      match !(queues.(src)) with
+      | _ :: rest -> queues.(src) := rest
+      | [] -> ())
     | _ -> ());
     for src = 0 to 1 do
-      let from_aut =
-        match
-          Ddcr.Automaton.observe auts.(src) ~resolution ~next_free
-        with
-        | () -> None
-        | exception Ddcr.Protocol_violation m -> Some m
+      let observed =
+        if Prng.int rng 5 = 0 then
+          Rtnet_mac.Harness.misperceived_view resolution
+        else resolution
       in
-      let from_step =
-        match
-          Step.observe diff_params ~source:src pure.(src) ~resolution
-            ~next_free
-        with
-        | st ->
-          pure.(src) <- st;
-          None
-        | exception Ddcr.Protocol_violation m -> Some m
-      in
-      Alcotest.(check (option string))
-        (Printf.sprintf "observe agrees on violations (source %d, t=%d)" src
-           !now)
-        from_aut from_step;
-      if from_aut = None then begin
-        Alcotest.(check bool)
-          (Printf.sprintf "states agree (source %d, t=%d)" src !now)
-          true
-          (Ddcr.Automaton.state auts.(src) = pure.(src));
-        Alcotest.(check string)
-          (Printf.sprintf "fingerprints agree (source %d, t=%d)" src !now)
-          (Ddcr.Automaton.fingerprint auts.(src))
-          (Step.fingerprint pure.(src))
-      end
+      replicas.(src) <-
+        (try
+           Step.observe diff_params ~source:src replicas.(src)
+             ~resolution:observed ~next_free
+         with Ddcr.Protocol_violation _ -> Step.init);
+      seen := replicas.(src) :: !seen
     done;
     now := next_free
-  done
+  done;
+  !seen
 
-let prop_differential =
-  QCheck.Test.make ~name:"pure Step agrees with mutable Automaton" ~count:60
-    QCheck.(triple (int_range 0 10_000) bool bool)
-    (fun (seed, faulty, arbitrated) ->
-      run_differential ~seed ~faulty ~arbitrated ~slots:40;
-      true)
+(* Each reached state; a copy differing only in the private fields
+   (the same shared state); Free and Attempt copies at its reft (another
+   phase at an equal reft); and copies with exactly one shared field
+   changed, each of which must compare unequal. *)
+let with_variants st =
+  let bump = function (lo, w) :: rest -> (lo, w + 1) :: rest | [] -> [ (0, 1) ] in
+  let tts_variants tts =
+    [
+      { tts with Step.sent = not tts.Step.sent };
+      { tts with Step.f_star = tts.Step.f_star + 1 };
+      { tts with Step.t_stack = bump tts.Step.t_stack };
+    ]
+  in
+  let in_search =
+    match st.Step.phase with
+    | Step.Free | Step.Attempt -> []
+    | Step.Tts tts -> List.map (fun t -> Step.Tts t) (tts_variants tts)
+    | Step.Sts (sts, tts) ->
+      Step.Sts ({ sts with Step.time_leaf = sts.Step.time_leaf + 1 }, tts)
+      :: Step.Sts ({ sts with Step.s_stack = bump sts.Step.s_stack }, tts)
+      :: List.map (fun t -> Step.Sts (sts, t)) (tts_variants tts)
+  in
+  st
+  :: { st with Step.rank = st.Step.rank + 1; last_out = not st.Step.last_out }
+  :: { st with Step.phase = Step.Free }
+  :: { st with Step.phase = Step.Attempt }
+  :: { st with Step.reft = st.Step.reft + 1 }
+  :: List.map (fun phase -> { st with Step.phase }) in_search
+
+let prop_same_shared_is_fingerprint_equality =
+  QCheck.Test.make ~name:"same_shared iff fingerprints equal" ~count:40
+    QCheck.(pair (int_range 0 10_000) bool)
+    (fun (seed, arbitrated) ->
+      let states =
+        Array.of_list
+          (List.concat_map with_variants
+             (reached_states ~seed ~arbitrated ~slots:40))
+      in
+      let fps = Array.map Step.fingerprint states in
+      let agree = ref 0 and differ = ref 0 in
+      Array.iteri
+        (fun i a ->
+          Array.iteri
+            (fun j b ->
+              let same = Step.same_shared a b in
+              if same <> String.equal fps.(i) fps.(j) then
+                QCheck.Test.fail_reportf "same_shared %b for %S vs %S" same
+                  fps.(i) fps.(j);
+              if i <> j then if same then incr agree else incr differ)
+            states)
+        states;
+      (* Both outcomes occur: at least the private-field copies agree,
+         the one-field copies differ. *)
+      !agree > 0 && !differ > 0)
+
+let test_plurality_rule () =
+  let at reft = { Step.init with Step.reft = reft } in
+  let a = at 1 and b = at 2 and c = at 3 in
+  let everyone _ = true in
+  Alcotest.(check (option int)) "unanimous: the first member" (Some 1)
+    (Step.plurality ~member:(fun s -> s > 0) [| c; a; a; a |]);
+  Alcotest.(check (option int)) "largest group wins" (Some 1)
+    (Step.plurality ~member:everyone [| a; b; c; b |]);
+  Alcotest.(check (option int)) "tie: the group holding the lowest id"
+    (Some 0)
+    (Step.plurality ~member:everyone [| a; b; b; a; c |]);
+  Alcotest.(check (option int)) "private fields do not split a group"
+    (Some 0)
+    (Step.plurality ~member:everyone
+       [| a; b; { a with Step.rank = 1; last_out = true }; b; a |]);
+  Alcotest.(check (option int)) "non-members do not vote" (Some 2)
+    (Step.plurality ~member:(fun s -> s <> 0 && s <> 1) [| a; a; c; b |]);
+  Alcotest.(check (option int)) "no member" None
+    (Step.plurality ~member:(fun _ -> false) [| a; b |])
 
 (* -------------------- exploration -------------------- *)
 
@@ -379,7 +409,7 @@ let suite =
   [
     ( "model",
       [
-        QCheck_alcotest.to_alcotest prop_differential;
+        QCheck_alcotest.to_alcotest prop_same_shared_is_fingerprint_equality;
         Alcotest.test_case "clean instance proves clean" `Quick
           test_clean_instance_proves_clean;
         Alcotest.test_case "exploration is deterministic" `Quick
@@ -396,5 +426,6 @@ let suite =
           test_committed_artifact_replays;
         Alcotest.test_case "trail folds into scheduled atoms" `Quick
           test_plan_of_trail;
+        Alcotest.test_case "plurality rule" `Quick test_plurality_rule;
       ] );
   ]

@@ -1,5 +1,4 @@
 module Json = Rtnet_util.Json
-module Engine = Rtnet_sim.Engine
 module Channel = Rtnet_channel.Channel
 module Scenarios = Rtnet_workload.Scenarios
 module Instance = Rtnet_workload.Instance
@@ -170,26 +169,34 @@ let test_null_sink_transparent () =
   Alcotest.(check bool) "recording sink is an observer" true (plain = recorded);
   Alcotest.(check bool) "null sink is an observer" true (plain = null)
 
-(* --- Engine probe --- *)
+(* --- Engine probe: the harness fires it once per slot --- *)
 
 let test_engine_on_step () =
-  let steps = ref 0 in
-  let last = ref (-1) in
-  let eng =
-    Engine.create
-      ~on_step:(fun ~time ->
-        incr steps;
-        last := time)
+  let inst = Scenarios.videoconference ~stations:4 in
+  let horizon = 5 * ms in
+  let params = Ddcr_params.default inst in
+  let r = Recorder.create () in
+  let starts = ref [] and slots = ref [] in
+  let probe =
+    Sink.create
+      ~engine_event:(fun ~time -> starts := time :: !starts)
+      ~slot:(fun ~now ~next_free:_ ~resolution:_ -> slots := now :: !slots)
       ()
   in
-  List.iter
-    (fun t -> Engine.schedule_at eng ~time:t (fun _ -> ()))
-    [ 7; 3; 11 ];
-  Engine.run eng;
-  Alcotest.(check int) "one probe per event" (Engine.events_processed eng)
-    !steps;
-  Alcotest.(check int) "three events" 3 !steps;
-  Alcotest.(check int) "probe sees dispatch time" 11 !last
+  let fault = { Channel.fault_rate = 0.1; fault_seed = 7 } in
+  let o =
+    Ddcr.run ~seed:11 ~fault
+      ~sink:(Sink.tee (Recorder.sink r) probe)
+      params inst ~horizon
+  in
+  let st = Option.get o.Run.channel in
+  Alcotest.(check bool) "noise garbled some frames" true
+    (st.Channel.garbled_count > 0);
+  Alcotest.(check int) "one engine event per slot"
+    (st.Channel.idle_slots + st.Channel.collision_slots + st.Channel.tx_count
+   + st.Channel.garbled_count)
+    (Registry.counter_value (Recorder.registry r) "engine/events");
+  Alcotest.(check (list int)) "probe sees each slot's start" !slots !starts
 
 (* --- Pool timing --- *)
 
