@@ -29,6 +29,15 @@ type entry = {
   mutable en_dirty : bool;
 }
 
+(* The S₁ memo's key (u, v), hashed and compared as two ints — no
+   polymorphic hash or compare per lookup. *)
+module S1_tab = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (u1, v1) (u2, v2) = Int.equal u1 u2 && Int.equal v1 v2
+  let hash (u, v) = ((u * 65599) + v) land max_int
+end)
+
 type t = {
   phy : Phy.t;
   num_sources : int;
@@ -36,7 +45,7 @@ type t = {
   arbitrated : bool;
   x : float;
   eq5 : int;  (* cached time-tree search bound ξ₂ = Xi.eq5(m, F) *)
-  s1_tab : (int * int, float) Hashtbl.t;  (* (u, v) ↦ ξ̃ bound S₁ *)
+  s1_tab : float S1_tab.t;  (* (u, v) ↦ ξ̃ bound S₁ *)
   flows : (string, entry) Hashtbl.t;
   mutable entries : entry list;  (* unordered; ties broken by cls_id *)
   mutable next_cls_id : int;
@@ -56,7 +65,7 @@ let create ~phy ~num_sources ~params =
       x = float_of_int phy.Phy.slot_bits;
       eq5 =
         Xi.eq5 ~m:params.Ddcr_params.time_m ~t:params.Ddcr_params.time_leaves;
-      s1_tab = Hashtbl.create 256;
+      s1_tab = S1_tab.create 256;
       flows = Hashtbl.create 64;
       entries = [];
       next_cls_id = 0;
@@ -139,8 +148,8 @@ let decision_of_json j =
 
 (* -------------------- feasibility terms -------------------- *)
 
-(* The per-pair terms mirror Feasibility.{rank,interference}_bound and
-   Feasibility.transmission_time verbatim — integer for integer. *)
+(* The per-pair terms mirror the r(M), u(M) and transmission-time sums
+   of Feasibility verbatim — integer for integer. *)
 
 let term_r ~m_deadline (c : Request.flow) =
   Int_math.cdiv m_deadline c.Request.fl_window * c.Request.fl_burst
@@ -150,17 +159,18 @@ let term_u ~m_deadline ~m_wire (c : Request.flow) =
   max 0 (Int_math.cdiv numerator c.Request.fl_window) * c.Request.fl_burst
 
 let s1 t ~u ~v =
-  match Hashtbl.find_opt t.s1_tab (u, v) with
-  | Some s ->
+  let key = (u, v) in
+  match S1_tab.find t.s1_tab key with
+  | s ->
     t.n_s1_hits <- t.n_s1_hits + 1;
     s
-  | None ->
+  | exception Not_found ->
     t.n_s1_misses <- t.n_s1_misses + 1;
     let s =
       Multi_tree.bound ~m:t.params.Ddcr_params.static_m
         ~t:t.params.Ddcr_params.static_leaves ~u ~v
     in
-    Hashtbl.add t.s1_tab (u, v) s;
+    S1_tab.add t.s1_tab key s;
     s
 
 let v_of t en =
@@ -264,35 +274,32 @@ let better (id_a, cls_a, h_a) (id_b, cls_b, h_b) =
   else if cls_a <= cls_b then (id_a, cls_a, h_a)
   else (id_b, cls_b, h_b)
 
+(* The binding entry is the one with the least headroom d − B_DDCR,
+   ties to the lower class id — the rule [better] applies, walked over
+   the entries themselves so no tuple is built per resident. *)
 let evaluate t =
-  match t.entries with
-  | [] -> Empty
-  | first :: _ ->
-    refresh t first;
-    let init =
-      ( first.en_flow.Request.fl_id,
-        first.en_cls_id,
-        float_of_int first.en_flow.Request.fl_deadline -. first.en_bound )
-    in
-    let ok = ref true in
-    let worst =
-      List.fold_left
-        (fun acc en ->
-          refresh t en;
-          if
-            not
-              (en.en_bound <= float_of_int en.en_flow.Request.fl_deadline)
-          then ok := false;
-          if en == first then acc
-          else
-            better acc
-              ( en.en_flow.Request.fl_id,
-                en.en_cls_id,
-                float_of_int en.en_flow.Request.fl_deadline -. en.en_bound ))
-        init t.entries
-    in
-    let binding, _, headroom = worst in
-    Eval { binding; headroom; ok = !ok }
+  let headroom en =
+    float_of_int en.en_flow.Request.fl_deadline -. en.en_bound
+  in
+  let rec walk best ok = function
+    | [] ->
+      Eval
+        { binding = best.en_flow.Request.fl_id; headroom = headroom best; ok }
+    | en :: rest ->
+      refresh t en;
+      let ok =
+        ok && en.en_bound <= float_of_int en.en_flow.Request.fl_deadline
+      in
+      let h_best = headroom best and h = headroom en in
+      let best =
+        if h_best < h then best
+        else if h < h_best then en
+        else if best.en_cls_id <= en.en_cls_id then best
+        else en
+      in
+      walk best ok rest
+  in
+  match t.entries with [] -> Empty | first :: _ as all -> walk first true all
 
 (* From-scratch twin of [evaluate]: every sum recomputed by the O(n²)
    pairwise loops and every S₁ by a direct Multi_tree call — no cache
@@ -487,8 +494,9 @@ let cls_of_entry en =
     cls_window = f.Request.fl_window;
   }
 
-let instance t =
-  match t.entries with
+(* [sorted] is the entries in class-id order ({!by_cls_id}). *)
+let instance_of t sorted =
+  match sorted with
   | [] -> Error "no admitted flows"
   | _ ->
     Instance.create ~name:"admit" ~phy:t.phy ~num_sources:t.num_sources
@@ -496,64 +504,68 @@ let instance t =
          (fun en ->
            ( cls_of_entry en,
              Arrival.Periodic { offset = en.en_flow.Request.fl_offset } ))
-         (by_cls_id t))
+         sorted)
+
+let instance t = instance_of t (by_cls_id t)
 
 (* -------------------- differential self-check -------------------- *)
 
 (* The invariant the whole fast path hangs on: the cached answer must
    equal a from-scratch Feasibility.check — not approximately, exactly,
    down to the float bit pattern (both sides compute the same integer
-   sums and the same float expression). *)
+   sums and the same float expression).  The report's rows are in class
+   id order, so one walk pairs them with the entries sorted the same
+   way; class ids are unique (decide assigns them, restore rejects a
+   repeat). *)
 let selfcheck t =
   match t.entries with
   | [] -> Ok ()
   | _ -> (
-    match instance t with
+    let sorted = by_cls_id t in
+    match instance_of t sorted with
     | Error e -> Error ("selfcheck: " ^ e)
     | Ok inst ->
       let report = Feasibility.check t.params inst in
-      let mismatch = ref None in
-      let note fmt = Printf.ksprintf (fun s -> mismatch := Some s) fmt in
-      List.iter
-        (fun cr ->
-          if !mismatch = None then begin
-            let cid = cr.Feasibility.cr_cls.Message.cls_id in
-            match
-              List.find_opt (fun en -> en.en_cls_id = cid) t.entries
-            with
-            | None -> note "selfcheck: class %d not in engine" cid
-            | Some en ->
-              refresh t en;
-              if cr.Feasibility.cr_r <> en.en_r - 1 then
-                note "selfcheck: %s: r %d <> %d"
-                  en.en_flow.Request.fl_id cr.Feasibility.cr_r (en.en_r - 1)
-              else if cr.Feasibility.cr_u <> en.en_u then
-                note "selfcheck: %s: u %d <> %d" en.en_flow.Request.fl_id
-                  cr.Feasibility.cr_u en.en_u
-              else if cr.Feasibility.cr_v <> v_of t en then
-                note "selfcheck: %s: v %d <> %d" en.en_flow.Request.fl_id
-                  cr.Feasibility.cr_v (v_of t en)
-              else if cr.Feasibility.cr_bound <> en.en_bound then
-                note "selfcheck: %s: bound %.17g <> %.17g"
-                  en.en_flow.Request.fl_id cr.Feasibility.cr_bound
-                  en.en_bound
-              else if
-                cr.Feasibility.cr_feasible
-                <> (en.en_bound
-                   <= float_of_int en.en_flow.Request.fl_deadline)
-              then
-                note "selfcheck: %s: feasibility verdict differs"
-                  en.en_flow.Request.fl_id
-          end)
-        report.Feasibility.per_class;
-      (match !mismatch with
-      | None ->
-        if List.length report.Feasibility.per_class <> size t then
-          note "selfcheck: class count %d <> %d"
-            (List.length report.Feasibility.per_class)
-            (size t)
-      | Some _ -> ());
-      match !mismatch with None -> Ok () | Some m -> Error m)
+      let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+      let same cr en =
+        refresh t en;
+        let name = en.en_flow.Request.fl_id in
+        if cr.Feasibility.cr_r <> en.en_r - 1 then
+          fail "selfcheck: %s: r %d <> %d" name cr.Feasibility.cr_r
+            (en.en_r - 1)
+        else if cr.Feasibility.cr_u <> en.en_u then
+          fail "selfcheck: %s: u %d <> %d" name cr.Feasibility.cr_u en.en_u
+        else if cr.Feasibility.cr_v <> v_of t en then
+          fail "selfcheck: %s: v %d <> %d" name cr.Feasibility.cr_v
+            (v_of t en)
+        else if cr.Feasibility.cr_bound <> en.en_bound then
+          fail "selfcheck: %s: bound %.17g <> %.17g" name
+            cr.Feasibility.cr_bound en.en_bound
+        else if
+          cr.Feasibility.cr_feasible
+          <> (en.en_bound <= float_of_int en.en_flow.Request.fl_deadline)
+        then fail "selfcheck: %s: feasibility verdict differs" name
+        else Ok ()
+      in
+      (* A sorted merge; an entry the report lacks is skipped here and
+         caught by the class count. *)
+      let rec walk rows ens =
+        match (rows, ens) with
+        | [], _ ->
+          let n = List.length report.Feasibility.per_class in
+          if n <> size t then fail "selfcheck: class count %d <> %d" n (size t)
+          else Ok ()
+        | cr :: _, en :: ens'
+          when en.en_cls_id < cr.Feasibility.cr_cls.Message.cls_id ->
+          walk rows ens'
+        | cr :: rows', en :: ens'
+          when en.en_cls_id = cr.Feasibility.cr_cls.Message.cls_id -> (
+          match same cr en with Ok () -> walk rows' ens' | e -> e)
+        | cr :: _, _ ->
+          fail "selfcheck: class %d not in engine"
+            cr.Feasibility.cr_cls.Message.cls_id
+      in
+      walk report.Feasibility.per_class sorted)
 
 (* -------------------- snapshots -------------------- *)
 
@@ -576,6 +588,7 @@ let restore ~phy ~num_sources ~params j =
   let* t = create ~phy ~num_sources ~params in
   let* next_cls_id = Result.bind (Json.field "next_cls_id" j) Json.get_int in
   let* flows = Result.bind (Json.field "flows" j) Json.get_list in
+  let cls_ids = Hashtbl.create 64 in
   let* () =
     List.fold_left
       (fun acc fj ->
@@ -585,10 +598,13 @@ let restore ~phy ~num_sources ~params j =
         let* () = validate_flow t f in
         if Hashtbl.mem t.flows f.Request.fl_id then
           Error (Printf.sprintf "snapshot: duplicate flow %s" f.Request.fl_id)
+        else if Hashtbl.mem cls_ids cls_id then
+          Error (Printf.sprintf "snapshot: duplicate class id %d" cls_id)
         else if cls_id >= next_cls_id then
           Error (Printf.sprintf "snapshot: class id %d >= next %d" cls_id
                    next_cls_id)
         else begin
+          Hashtbl.add cls_ids cls_id ();
           attach t (mk_entry t ~cls_id f);
           Ok ()
         end)

@@ -105,7 +105,9 @@ val restore :
   Rtnet_util.Json.t ->
   (t, string) result
 (** [restore ~phy ~num_sources ~params j] rebuilds an engine from a
-    {!snapshot}, recomputing every cached sum from scratch. *)
+    {!snapshot}, recomputing every cached sum from scratch.  [Error] on
+    a malformed snapshot, including one that repeats a flow id or a
+    class id. *)
 
 type stats = {
   st_decisions : int;  (** decisions answered *)

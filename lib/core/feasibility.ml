@@ -3,102 +3,114 @@ module Message = Rtnet_workload.Message
 module Instance = Rtnet_workload.Instance
 module Phy = Rtnet_channel.Phy
 
-let member inst m_cls =
-  List.exists
-    (fun c -> c.Message.cls_id = m_cls.Message.cls_id)
-    (Instance.classes inst)
-
 let require_member inst m_cls =
-  if not (member inst m_cls) then
-    invalid_arg "Feasibility: class does not belong to the instance"
+  let id = m_cls.Message.cls_id in
+  if
+    not
+      (Array.exists (fun (c, _) -> c.Message.cls_id = id) inst.Instance.classes)
+  then invalid_arg "Feasibility: class does not belong to the instance"
 
-let rank_bound inst m_cls =
+(* On-wire length l'(m) of every class, in the instance's id order. *)
+let wires inst =
+  Array.map
+    (fun (c, _) -> Phy.tx_bits inst.Instance.phy c.Message.cls_bits)
+    inst.Instance.classes
+
+(* The three Section 4.3 sums for class [m], in one walk over the
+   instance's classes ([wires] from {!wires}):
+   - [r] = r(M) = Σ_{m∈MSG_i} ⌈d(M)/w(m)⌉·a(m) − 1;
+   - [u] = u(M) = Σ_{m∈MSG} max(0, ⌈(d(M)+d(m)−l'(M))/w(m)⌉)·a(m);
+   - [tx], the transmission time of those u(M) messages: the same
+     per-class counts weighted by each class's l'(m).
+   This is the only place the sums are written; the engine's per-pair
+   terms mirror them integer for integer. *)
+type sums = { r : int; u : int; tx : int }
+
+let sums inst wires m =
+  let classes = inst.Instance.classes in
+  let d_m = m.Message.cls_deadline in
+  let wire_m = Phy.tx_bits inst.Instance.phy m.Message.cls_bits in
+  let r = ref (-1) and u = ref 0 and tx = ref 0 in
+  for i = 0 to Array.length classes - 1 do
+    let c, _ = classes.(i) in
+    let count =
+      Int.max 0
+        (Int_math.cdiv
+           (d_m + c.Message.cls_deadline - wire_m)
+           c.Message.cls_window)
+    in
+    u := !u + (count * c.Message.cls_burst);
+    tx := !tx + (count * c.Message.cls_burst * wires.(i));
+    if c.Message.cls_source = m.Message.cls_source then
+      r := !r + (Int_math.cdiv d_m c.Message.cls_window * c.Message.cls_burst)
+  done;
+  { r = !r; u = !u; tx = !tx }
+
+let sums_of inst m_cls =
   require_member inst m_cls;
-  let own = Instance.classes_of_source inst m_cls.Message.cls_source in
-  List.fold_left
-    (fun acc c ->
-      acc
-      + (Int_math.cdiv m_cls.Message.cls_deadline c.Message.cls_window
-        * c.Message.cls_burst))
-    (-1) own
+  sums inst (wires inst) m_cls
 
-let interference_bound inst m_cls =
-  require_member inst m_cls;
-  let wire_m = Phy.tx_bits inst.Instance.phy m_cls.Message.cls_bits in
-  List.fold_left
-    (fun acc c ->
-      let numerator =
-        m_cls.Message.cls_deadline + c.Message.cls_deadline - wire_m
-      in
-      let count = max 0 (Int_math.cdiv numerator c.Message.cls_window) in
-      acc + (count * c.Message.cls_burst))
-    0 (Instance.classes inst)
+let rank_bound inst m_cls = (sums_of inst m_cls).r
+let interference_bound inst m_cls = (sums_of inst m_cls).u
 
-let static_trees_bound p inst m_cls =
-  require_member inst m_cls;
-  let nu = Ddcr_params.nu p m_cls.Message.cls_source in
-  1 + (rank_bound inst m_cls / nu)
+(* v(M) = 1 + ⌊r(M)/ν_i⌋. *)
+let trees p m_cls r = 1 + (r / Ddcr_params.nu p m_cls.Message.cls_source)
 
-let s1 p ~u ~v =
-  Multi_tree.bound ~m:p.Ddcr_params.static_m ~t:p.Ddcr_params.static_leaves ~u ~v
+let static_trees_bound p inst m_cls = trees p m_cls (rank_bound inst m_cls)
 
-let s2 p ~v =
-  float_of_int
-    (Int_math.cdiv v 2
-    * Xi.eq5 ~m:p.Ddcr_params.time_m ~t:p.Ddcr_params.time_leaves)
+let eq5 p = Xi.eq5 ~m:p.Ddcr_params.time_m ~t:p.Ddcr_params.time_leaves
 
-let search_slot_bound p inst m_cls =
-  let u = interference_bound inst m_cls in
-  let v = static_trees_bound p inst m_cls in
-  s1 p ~u ~v +. s2 p ~v
+(* S = S₁ + S₂: the static searches and ⌈v/2⌉ time-tree searches of
+   cost ξ₂ each ([eq5]). *)
+let search_slots p ~eq5 ~u ~v =
+  Multi_tree.bound ~m:p.Ddcr_params.static_m ~t:p.Ddcr_params.static_leaves
+    ~u ~v
+  +. float_of_int (Int_math.cdiv v 2 * eq5)
 
 (* Arbitrated medium with the re-probing discipline the automaton uses:
    every collision slot carries the smallest-keyed frame, so each of
    the u(M) interfering messages costs at most one collision slot, and
    the only other costly slots are the empty epoch probes — bounded by
    the paper's own epoch count ⌈v/2⌉ (Section 4.3's S₂ accounting). *)
-let search_slot_bound_arbitrated p inst m_cls =
-  let u = interference_bound inst m_cls in
-  let v = static_trees_bound p inst m_cls in
-  float_of_int (u + Int_math.cdiv v 2)
+let search_slots_arbitrated ~u ~v = float_of_int (u + Int_math.cdiv v 2)
 
-(* Transmission time of the u(M) interfering messages: the same
-   per-class counts as u(M), weighted by each class's on-wire time. *)
-let transmission_time inst m_cls =
-  let wire_m = Phy.tx_bits inst.Instance.phy m_cls.Message.cls_bits in
-  List.fold_left
-    (fun acc c ->
-      let numerator =
-        m_cls.Message.cls_deadline + c.Message.cls_deadline - wire_m
-      in
-      let count = max 0 (Int_math.cdiv numerator c.Message.cls_window) in
-      acc + (count * c.Message.cls_burst * Phy.tx_bits inst.Instance.phy c.Message.cls_bits))
-    0 (Instance.classes inst)
+let slot inst = float_of_int inst.Instance.phy.Phy.slot_bits
+let latency ~x ~tx slots = float_of_int tx +. (x *. slots)
+
+(* The paper bound [b] plus the per-realisation overheads: the
+   open-attempt/collision slots bracketing each epoch and one maximal
+   frame of head-of-medium blocking (plus the bursting budget). *)
+let impl p ~x ~max_wire ~v b =
+  b
+  +. (2. *. x *. float_of_int (Int_math.cdiv v 2 + 1))
+  +. float_of_int (max_wire + p.Ddcr_params.burst_bits)
+
+let search_slot_bound p inst m_cls =
+  let s = sums_of inst m_cls in
+  search_slots p ~eq5:(eq5 p) ~u:s.u ~v:(trees p m_cls s.r)
+
+let search_slot_bound_arbitrated p inst m_cls =
+  let s = sums_of inst m_cls in
+  search_slots_arbitrated ~u:s.u ~v:(trees p m_cls s.r)
 
 let latency_bound p inst m_cls =
-  require_member inst m_cls;
-  let x = float_of_int inst.Instance.phy.Phy.slot_bits in
-  float_of_int (transmission_time inst m_cls)
-  +. (x *. search_slot_bound p inst m_cls)
+  let s = sums_of inst m_cls in
+  latency ~x:(slot inst) ~tx:s.tx
+    (search_slots p ~eq5:(eq5 p) ~u:s.u ~v:(trees p m_cls s.r))
 
 let latency_bound_arbitrated p inst m_cls =
-  require_member inst m_cls;
-  let x = float_of_int inst.Instance.phy.Phy.slot_bits in
-  float_of_int (transmission_time inst m_cls)
-  +. (x *. search_slot_bound_arbitrated p inst m_cls)
+  let s = sums_of inst m_cls in
+  latency ~x:(slot inst) ~tx:s.tx
+    (search_slots_arbitrated ~u:s.u ~v:(trees p m_cls s.r))
 
 let latency_bound_impl p inst m_cls =
-  let x = float_of_int inst.Instance.phy.Phy.slot_bits in
-  let v = static_trees_bound p inst m_cls in
-  let epochs = Int_math.cdiv v 2 + 1 in
-  let max_wire =
-    List.fold_left
-      (fun acc c -> max acc (Phy.tx_bits inst.Instance.phy c.Message.cls_bits))
-      0 (Instance.classes inst)
-  in
-  latency_bound p inst m_cls
-  +. (2. *. x *. float_of_int epochs)
-  +. float_of_int (max_wire + p.Ddcr_params.burst_bits)
+  require_member inst m_cls;
+  let wires = wires inst in
+  let s = sums inst wires m_cls in
+  let v = trees p m_cls s.r in
+  let x = slot inst in
+  impl p ~x ~max_wire:(Array.fold_left Int.max 0 wires) ~v
+    (latency ~x ~tx:s.tx (search_slots p ~eq5:(eq5 p) ~u:s.u ~v))
 
 type class_report = {
   cr_cls : Message.cls;
@@ -127,32 +139,34 @@ let check p inst =
   let arbitrated =
     inst.Instance.phy.Phy.semantics = Phy.Arbitration
   in
-  let bound_of c =
-    if arbitrated then latency_bound_arbitrated p inst c
-    else latency_bound p inst c
+  let wires = wires inst in
+  let eq5 = eq5 p and x = slot inst in
+  let max_wire = Array.fold_left Int.max 0 wires in
+  (* Per class: one walk for the sums and one Multi_tree call.  Every
+     float is the expression the per-class functions evaluate, in the
+     same order, so each field is bit-identical to theirs. *)
+  let row (c, _) rows =
+    let s = sums inst wires c in
+    let v = trees p c s.r in
+    let paper_slots = search_slots p ~eq5 ~u:s.u ~v in
+    let paper = latency ~x ~tx:s.tx paper_slots in
+    let slots =
+      if arbitrated then search_slots_arbitrated ~u:s.u ~v else paper_slots
+    in
+    let bound = if arbitrated then latency ~x ~tx:s.tx slots else paper in
+    {
+      cr_cls = c;
+      cr_r = s.r;
+      cr_u = s.u;
+      cr_v = v;
+      cr_search_slots = slots;
+      cr_bound = bound;
+      cr_bound_impl = impl p ~x ~max_wire ~v paper -. paper +. bound;
+      cr_feasible = bound <= float_of_int c.Message.cls_deadline;
+    }
+    :: rows
   in
-  let slots_of c =
-    if arbitrated then search_slot_bound_arbitrated p inst c
-    else search_slot_bound p inst c
-  in
-  let per_class =
-    List.map
-      (fun c ->
-        let bound = bound_of c in
-        {
-          cr_cls = c;
-          cr_r = rank_bound inst c;
-          cr_u = interference_bound inst c;
-          cr_v = static_trees_bound p inst c;
-          cr_search_slots = slots_of c;
-          cr_bound = bound;
-          cr_bound_impl =
-            latency_bound_impl p inst c
-            -. latency_bound p inst c +. bound;
-          cr_feasible = bound <= float_of_int c.Message.cls_deadline;
-        })
-      (Instance.classes inst)
-  in
+  let per_class = Array.fold_right row inst.Instance.classes [] in
   let worst_margin =
     List.fold_left
       (fun acc cr ->

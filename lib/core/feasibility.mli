@@ -93,7 +93,9 @@ val check : Ddcr_params.t -> Rtnet_workload.Instance.t -> report
 (** [check p inst] evaluates the feasibility conditions for every
     class, using {!latency_bound} on destructive media and
     {!latency_bound_arbitrated} on arbitrated ones (the medium's
-    semantics decide which analysis applies).
+    semantics decide which analysis applies).  Cost for [n] classes:
+    one walk over the classes per class ([O(n²)] integer work), one
+    {!Multi_tree.bound} per class, [O(n)] allocation.
     @raise Invalid_argument if [p] fails validation. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -52,7 +52,7 @@ let broken_params =
        (Json.parse_file "fixtures/model_params_broken.json")
        Ddcr_params.of_json)
 
-let fresh_engine ?(sources = 2) () =
+let fresh_engine ?(phy = phy) ?(sources = 2) () =
   ok_exn
     (Engine.create ~phy ~num_sources:sources ~params:(good_params ~sources))
 
@@ -131,10 +131,12 @@ let test_engine_never_raises () =
 (* The tentpole invariant: the incremental decision and the from-scratch
    one agree on EVERY request of a churn stream — structurally equal
    decisions, float bit for float bit — and the per-decision sampled
-   self-check (a third, Feasibility-based path) agrees too. *)
-let test_differential_churn () =
-  let inc = fresh_engine () in
-  let full = fresh_engine () in
+   self-check (a third, Feasibility-based path) agrees too.  Run per
+   medium: destructive media take the ξ branch of the bound, arbitrated
+   ones the re-probe branch. *)
+let test_differential_churn phy () =
+  let inc = fresh_engine ~phy () in
+  let full = fresh_engine ~phy () in
   List.iteri
     (fun i req ->
       let a = Engine.decide inc req in
@@ -186,6 +188,48 @@ let test_snapshot_roundtrip () =
         "post-restore decision" true
         (Engine.decide eng r = Engine.decide restored r))
     (churn 80 ~seed:5)
+
+(* A snapshot in which two flows share a class id must not restore:
+   the engine would fail every later self-check and instance call, and
+   a failed restore is what sends --resume to journal-only recovery. *)
+let test_restore_rejects_repeated_cls_id () =
+  let eng = fresh_engine () in
+  List.iter (fun r -> ignore (Engine.decide eng r)) (churn 120);
+  Alcotest.(check bool) "two flows or more" true (Engine.size eng >= 2);
+  let restore j =
+    Engine.restore ~phy ~num_sources:2 ~params:(good_params ~sources:2) j
+  in
+  let snap = Engine.snapshot eng in
+  ignore (ok_exn (restore snap));
+  let set_cls_id id = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function "cls_id", _ -> ("cls_id", Json.Int id) | kv -> kv)
+           fields)
+    | j -> j
+  in
+  let tampered =
+    match snap with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "flows", Json.List (f0 :: f1 :: rest) ->
+               let id0 =
+                 ok_exn (Result.bind (Json.field "cls_id" f0) Json.get_int)
+               in
+               ("flows", Json.List (f0 :: set_cls_id id0 f1 :: rest))
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  match restore tampered with
+  | Ok _ -> Alcotest.fail "a snapshot with a repeated cls_id restored"
+  | Error e ->
+    Alcotest.(check bool)
+      ("names the repeat: " ^ e) true
+      (Astring_contains.contains e "duplicate class id")
 
 (* -------------------- journal -------------------- *)
 
@@ -556,7 +600,7 @@ let suite =
         Alcotest.test_case "malformed churn never raises" `Quick
           test_engine_never_raises;
         Alcotest.test_case "incremental == from-scratch on churn" `Quick
-          test_differential_churn;
+          (test_differential_churn phy);
         Alcotest.test_case "differential holds under broken params" `Quick
           test_differential_broken_params;
         Alcotest.test_case "engine snapshot roundtrip" `Quick
@@ -592,5 +636,10 @@ let suite =
           (Test_chaos.test_repro_roundtrip Test_chaos.admit_case);
         Alcotest.test_case "oracle admission verdict roundtrip" `Quick
           test_oracle_verdict_roundtrip;
+        Alcotest.test_case "incremental == from-scratch on atm-bus churn"
+          `Quick
+          (test_differential_churn (ok_exn (Request.phy_of_name "atm-bus")));
+        Alcotest.test_case "restore rejects a repeated cls_id" `Quick
+          test_restore_rejects_repeated_cls_id;
       ] );
   ]

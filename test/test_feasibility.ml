@@ -192,6 +192,175 @@ let prop_u_at_least_r =
       Feasibility.interference_bound i2 c0
       >= Feasibility.rank_bound i2 c0 + 1)
 
+(* An independent reference for [check]: the §4.3 quantities straight
+   from the formulas, one list fold over [Instance.classes] per sum.
+   [check] must match it field by field, float bit for float bit. *)
+let reference_rows p inst =
+  let classes = Instance.classes inst in
+  let phy = inst.Instance.phy in
+  let cdiv = Rtnet_util.Int_math.cdiv in
+  let wire c = Phy.tx_bits phy c.Message.cls_bits in
+  let x = float_of_int phy.Phy.slot_bits in
+  let xi2 = Xi.eq5 ~m:p.Ddcr_params.time_m ~t:p.Ddcr_params.time_leaves in
+  let max_wire = List.fold_left (fun acc c -> max acc (wire c)) 0 classes in
+  List.map
+    (fun m ->
+      let d = m.Message.cls_deadline in
+      let r =
+        List.fold_left
+          (fun acc c ->
+            if c.Message.cls_source = m.Message.cls_source then
+              acc + (cdiv d c.Message.cls_window * c.Message.cls_burst)
+            else acc)
+          (-1) classes
+      in
+      let count c =
+        max 0 (cdiv (d + c.Message.cls_deadline - wire m) c.Message.cls_window)
+      in
+      let u =
+        List.fold_left
+          (fun acc c -> acc + (count c * c.Message.cls_burst))
+          0 classes
+      in
+      let tx =
+        List.fold_left
+          (fun acc c -> acc + (count c * c.Message.cls_burst * wire c))
+          0 classes
+      in
+      let v = 1 + (r / Ddcr_params.nu p m.Message.cls_source) in
+      let s1 =
+        Multi_tree.bound ~m:p.Ddcr_params.static_m
+          ~t:p.Ddcr_params.static_leaves ~u ~v
+      in
+      let paper_slots = s1 +. float_of_int (cdiv v 2 * xi2) in
+      let paper = float_of_int tx +. (x *. paper_slots) in
+      let slots =
+        if phy.Phy.semantics = Phy.Arbitration then
+          float_of_int (u + cdiv v 2)
+        else paper_slots
+      in
+      let bound = float_of_int tx +. (x *. slots) in
+      let impl =
+        paper
+        +. (2. *. x *. float_of_int (cdiv v 2 + 1))
+        +. float_of_int (max_wire + p.Ddcr_params.burst_bits)
+      in
+      (m, r, u, v, slots, bound, impl -. paper +. bound))
+    classes
+
+(* Random instances on both media: 1–4 sources with 1–4 classes each,
+   a positive bursting budget, and a first class whose frame outlasts
+   twice its deadline, so d(M) + d(m) − l'(M) < 0 occurs in every
+   instance (its own pair at least). *)
+let gen_instance =
+  QCheck.Gen.(
+    bool >>= fun atm ->
+    int_range 1 4 >>= fun sources ->
+    int_range 1 4 >>= fun per_source ->
+    int_range 1 3 >>= fun indices ->
+    int_range 1 40_000 >>= fun burst_bits ->
+    let cls =
+      int_range 1 16_000 >>= fun bits ->
+      oneof [ int_range 1 6_000; int_range 6_000 2_000_000 ] >>= fun deadline ->
+      int_range 1 4 >>= fun burst ->
+      int_range 500 1_000_000 >>= fun window ->
+      return (bits, deadline, burst, window)
+    in
+    list_repeat (sources * per_source) cls >>= fun specs ->
+    int_range 1 4_000 >>= fun tight ->
+    let specs =
+      match specs with
+      | (_, _, burst, window) :: rest -> (12_000, tight, burst, window) :: rest
+      | [] -> []
+    in
+    return (atm, sources, indices, burst_bits, specs))
+
+let print_instance (atm, sources, indices, burst_bits, specs) =
+  Printf.sprintf "%s sources=%d indices=%d burst_bits=%d [%s]"
+    (if atm then "atm-bus" else "gigabit-ethernet")
+    sources indices burst_bits
+    (String.concat "; "
+       (List.map
+          (fun (b, d, a, w) -> Printf.sprintf "l=%d d=%d a=%d w=%d" b d a w)
+          specs))
+
+let prop_check_matches_reference =
+  let bits = Int64.bits_of_float in
+  QCheck.Test.make ~name:"check == list-fold reference, bit for bit" ~count:300
+    (QCheck.make ~print:print_instance gen_instance)
+    (fun (atm, sources, indices, burst_bits, specs) ->
+      let phy = if atm then Phy.atm_bus else Phy.gigabit_ethernet in
+      let inst =
+        Instance.create_exn ~name:"random" ~phy ~num_sources:sources
+          (List.mapi
+             (fun i (b, d, a, w) ->
+               ( {
+                   Message.cls_id = i;
+                   cls_name = Printf.sprintf "c%d" i;
+                   cls_source = i mod sources;
+                   cls_bits = b;
+                   cls_deadline = d;
+                   cls_burst = a;
+                   cls_window = w;
+                 },
+                 law ))
+             specs)
+      in
+      let p =
+        {
+          (Ddcr_params.default ~indices_per_source:indices inst) with
+          Ddcr_params.burst_bits;
+        }
+      in
+      let report = Feasibility.check p inst in
+      let rows = reference_rows p inst in
+      List.length rows = List.length report.Feasibility.per_class
+      && List.for_all2
+           (fun cr (m, r, u, v, slots, bound, bound_impl) ->
+             cr.Feasibility.cr_cls = m
+             && cr.Feasibility.cr_r = r
+             && cr.Feasibility.cr_u = u
+             && cr.Feasibility.cr_v = v
+             && bits cr.Feasibility.cr_search_slots = bits slots
+             && bits cr.Feasibility.cr_bound = bits bound
+             && bits cr.Feasibility.cr_bound_impl = bits bound_impl
+             && cr.Feasibility.cr_feasible
+                = (bound <= float_of_int m.Message.cls_deadline))
+           report.Feasibility.per_class rows
+      && report.Feasibility.feasible
+         = List.for_all
+             (fun (m, _, _, _, _, bound, _) ->
+               bound <= float_of_int m.Message.cls_deadline)
+             rows
+      && bits report.Feasibility.worst_margin
+         = bits
+             (List.fold_left
+                (fun acc (m, _, _, _, _, bound, _) ->
+                  max acc (bound /. float_of_int m.Message.cls_deadline))
+                0. rows))
+
+(* [check] allocates O(n) words for n classes (the report rows and a
+   few per-class temporaries, all small blocks); its integer work stays
+   O(n²).  Counted, not timed, so the test cannot flake: for 4× the
+   classes the minor words must grow less than 6×, where a quadratic
+   allocator grows ~16×. *)
+let test_check_allocation_linear () =
+  let words_for ~classes_per_source =
+    let inst =
+      Scenarios.uniform ~sources:16 ~classes_per_source ~load:0.5
+        ~deadline_windows:2.0
+    in
+    let p = Ddcr_params.default inst in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Feasibility.check p inst));
+    Gc.minor_words () -. w0
+  in
+  let w64 = words_for ~classes_per_source:4 in
+  let w256 = words_for ~classes_per_source:16 in
+  if w256 /. w64 >= 6. then
+    Alcotest.failf "64 -> 256 classes: %.0f -> %.0f words (%.1fx)" w64 w256
+      (w256 /. w64)
+
 let suite =
   [
     ( "feasibility",
@@ -209,5 +378,8 @@ let suite =
         Alcotest.test_case "overload infeasible" `Quick test_overload_infeasible;
         Alcotest.test_case "foreign class" `Quick test_foreign_class_rejected;
         QCheck_alcotest.to_alcotest prop_u_at_least_r;
+        QCheck_alcotest.to_alcotest prop_check_matches_reference;
+        Alcotest.test_case "check allocation is linear" `Quick
+          test_check_allocation_linear;
       ] );
   ]
