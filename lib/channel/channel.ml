@@ -32,6 +32,8 @@ type carried = {
   mutable c_finish : int;
 }
 
+(* The counters are mutable fields, so updating one allocates nothing;
+   [stats] copies them out. *)
 type t = {
   phy : Phy.t;
   mutable free_at : int;
@@ -39,7 +41,12 @@ type t = {
   noise : Rtnet_util.Prng.t option; (* fault-injection draws *)
   fault_rate : float;
   plan : Fault_plan.t option; (* richer fault model; excludes [noise] *)
-  mutable st : stats;
+  mutable idle : int;
+  mutable collisions : int;
+  mutable carried_frames : int;
+  mutable garbled_frames : int;
+  mutable busy : int;
+  mutable total : int;
   last : carried; (* the most recent carried frame, updated in place *)
 }
 
@@ -63,15 +70,12 @@ let create ?fault ?plan phy =
     holder = -1;
     noise;
     fault_rate;
-    st =
-      {
-        idle_slots = 0;
-        collision_slots = 0;
-        tx_count = 0;
-        garbled_count = 0;
-        busy_bits = 0;
-        total_bits = 0;
-      };
+    idle = 0;
+    collisions = 0;
+    carried_frames = 0;
+    garbled_frames = 0;
+    busy = 0;
+    total = 0;
     last = { c_src = -1; c_tag = -1; c_start = 0; c_finish = 0 };
   }
 
@@ -79,15 +83,14 @@ let phy ch = ch.phy
 
 let slot_bits ch = ch.phy.Phy.slot_bits
 
-let distinct_sources attempts =
-  let sorted =
-    List.sort compare (List.map (fun a -> a.att_source) attempts)
-  in
-  let rec no_dup = function
-    | a :: (b :: _ as rest) -> a <> b && no_dup rest
-    | [ _ ] | [] -> true
-  in
-  no_dup sorted
+(* Pairwise over the slot's few attempts, allocating nothing. *)
+let rec source_absent src = function
+  | [] -> true
+  | a :: rest -> a.att_source <> src && source_absent src rest
+
+let rec distinct_sources = function
+  | [] -> true
+  | a :: rest -> source_absent a.att_source rest && distinct_sources rest
 
 (* Mutual exclusion, checked as each frame is carried: it must start no
    earlier than the previous carried frame ended. *)
@@ -104,13 +107,84 @@ let record_tx ch ~src ~tag ~start ~bits =
   last.c_tag <- tag;
   last.c_start <- start;
   last.c_finish <- start + on_wire;
-  ch.st <-
-    {
-      ch.st with
-      tx_count = ch.st.tx_count + 1;
-      busy_bits = ch.st.busy_bits + on_wire;
-    };
+  ch.carried_frames <- ch.carried_frames + 1;
+  ch.busy <- ch.busy + on_wire;
   on_wire
+
+(* The slot outcomes.  Each one updates the counters, sets [free_at]
+   and [holder], and returns the resolution; they are top-level
+   functions so a slot builds no closure. *)
+let finish_idle ch ~now =
+  let slot = ch.phy.Phy.slot_bits in
+  ch.idle <- ch.idle + 1;
+  ch.total <- ch.total + slot;
+  ch.free_at <- now + slot;
+  ch.holder <- -1;
+  Idle
+
+let garbled ch ~now =
+  match ch.plan with
+  | Some p -> Fault_plan.wire_garbles p ~now
+  | None -> (
+    match ch.noise with
+    | None -> false
+    | Some rng -> Rtnet_util.Prng.float rng 1.0 < ch.fault_rate)
+
+let finish_tx ch ~now a =
+  if garbled ch ~now then begin
+    (* The frame occupies the wire for its full length but carries
+       nothing: every station sees a CRC-invalid frame. *)
+    let on_wire = Phy.tx_bits ch.phy a.att_bits in
+    ch.garbled_frames <- ch.garbled_frames + 1;
+    ch.total <- ch.total + on_wire;
+    ch.free_at <- now + on_wire;
+    ch.holder <- -1;
+    Garbled { on_wire }
+  end
+  else begin
+    let on_wire =
+      record_tx ch ~src:a.att_source ~tag:a.att_tag ~start:now ~bits:a.att_bits
+    in
+    ch.total <- ch.total + on_wire;
+    ch.free_at <- now + on_wire;
+    ch.holder <- a.att_source;
+    Tx { src = a.att_source; tag = a.att_tag; on_wire }
+  end
+
+(* Wired-OR arbitration order: the smaller (deadline, static index)
+   key wins, then the smaller source id. *)
+let beats a b =
+  let d1, i1 = a.att_key and d2, i2 = b.att_key in
+  d1 < d2 || (d1 = d2 && (i1 < i2 || (i1 = i2 && a.att_source < b.att_source)))
+
+let rec arbitrate best = function
+  | [] -> best
+  | a :: rest -> arbitrate (if beats a best then a else best) rest
+
+let id a = (a.att_source, a.att_tag)
+
+let finish_clash ch ~now first rest =
+  let slot = ch.phy.Phy.slot_bits in
+  let ids = id first :: List.map id rest in
+  ch.collisions <- ch.collisions + 1;
+  match ch.phy.Phy.semantics with
+  | Phy.Destructive ->
+    ch.total <- ch.total + slot;
+    ch.free_at <- now + slot;
+    ch.holder <- -1;
+    Clash { contenders = ids; survivor = None }
+  | Phy.Arbitration ->
+    (* The smallest key survives the collision window and transmits
+       immediately. *)
+    let a = arbitrate first rest in
+    let on_wire =
+      record_tx ch ~src:a.att_source ~tag:a.att_tag ~start:(now + slot)
+        ~bits:a.att_bits
+    in
+    ch.total <- ch.total + slot + on_wire;
+    ch.free_at <- now + slot + on_wire;
+    ch.holder <- a.att_source;
+    Clash { contenders = ids; survivor = Some (a.att_source, a.att_tag, on_wire) }
 
 let contend ch ~now attempts =
   if now < ch.free_at then invalid_arg "Channel.contend: channel busy";
@@ -119,116 +193,36 @@ let contend ch ~now attempts =
   (* The burst-noise state chain advances once per contention slot,
      whatever the slot carries. *)
   (match ch.plan with None -> () | Some p -> Fault_plan.tick p);
-  let slot = ch.phy.Phy.slot_bits in
-  let finish_idle () =
-    ch.st <-
-      {
-        ch.st with
-        idle_slots = ch.st.idle_slots + 1;
-        total_bits = ch.st.total_bits + slot;
-      };
-    (Idle, now + slot)
-  in
-  let garbled ch =
-    match ch.plan with
-    | Some p -> Fault_plan.wire_garbles p ~now
-    | None -> (
-      match ch.noise with
-      | None -> false
-      | Some rng -> Rtnet_util.Prng.float rng 1.0 < ch.fault_rate)
-  in
-  let finish_tx a =
-    if garbled ch then begin
-      (* The frame occupies the wire for its full length but carries
-         nothing: every station sees a CRC-invalid frame. *)
-      let on_wire = Phy.tx_bits ch.phy a.att_bits in
-      ch.st <-
-        {
-          ch.st with
-          garbled_count = ch.st.garbled_count + 1;
-          total_bits = ch.st.total_bits + on_wire;
-        };
-      (Garbled { on_wire }, now + on_wire)
-    end
-    else begin
-      let on_wire =
-        record_tx ch ~src:a.att_source ~tag:a.att_tag ~start:now ~bits:a.att_bits
-      in
-      ch.st <- { ch.st with total_bits = ch.st.total_bits + on_wire };
-      (Tx { src = a.att_source; tag = a.att_tag; on_wire }, now + on_wire)
-    end
-  in
-  let finish_clash contenders =
-    let ids = List.map (fun a -> (a.att_source, a.att_tag)) contenders in
-    match ch.phy.Phy.semantics with
-    | Phy.Destructive ->
-      ch.st <-
-        {
-          ch.st with
-          collision_slots = ch.st.collision_slots + 1;
-          total_bits = ch.st.total_bits + slot;
-        };
-      (Clash { contenders = ids; survivor = None }, now + slot)
-    | Phy.Arbitration ->
-      (* Wired-OR arbitration: the smallest (deadline, static-index) key
-         survives the collision window and transmits immediately. *)
-      let best =
-        List.fold_left
-          (fun acc a ->
-            match acc with
-            | None -> Some a
-            | Some b ->
-              if
-                compare (a.att_key, a.att_source) (b.att_key, b.att_source)
-                < 0
-              then Some a
-              else acc)
-          None contenders
-      in
-      let a = match best with Some a -> a | None -> assert false in
-      let on_wire =
-        record_tx ch ~src:a.att_source ~tag:a.att_tag ~start:(now + slot)
-          ~bits:a.att_bits
-      in
-      ch.st <-
-        {
-          ch.st with
-          collision_slots = ch.st.collision_slots + 1;
-          total_bits = ch.st.total_bits + slot + on_wire;
-        };
-      ( Clash
-          {
-            contenders = ids;
-            survivor = Some (a.att_source, a.att_tag, on_wire);
-          },
-        now + slot + on_wire )
-  in
-  let resolution, free_at =
+  let resolution =
     match attempts with
-    | [] -> finish_idle ()
-    | [ a ] -> finish_tx a
-    | _ :: _ :: _ -> finish_clash attempts
+    | [] -> finish_idle ch ~now
+    | [ a ] -> finish_tx ch ~now a
+    | first :: rest -> finish_clash ch ~now first rest
   in
-  ch.free_at <- free_at;
-  ch.holder <-
-    (match resolution with
-    | Tx { src; _ } | Clash { survivor = Some (src, _, _); _ } -> src
-    | Idle | Garbled _ | Clash { survivor = None; _ } -> -1);
-  (resolution, free_at)
+  (resolution, ch.free_at)
 
 let burst ch ~src ~tag ~bits =
   if ch.holder < 0 || ch.holder <> src then
     invalid_arg "Channel.burst: source does not hold the channel";
   let start = ch.free_at in
   let on_wire = record_tx ch ~src ~tag ~start ~bits in
-  ch.st <- { ch.st with total_bits = ch.st.total_bits + on_wire };
+  ch.total <- ch.total + on_wire;
   ch.free_at <- start + on_wire;
   (on_wire, ch.free_at)
 
-let stats ch = ch.st
+let stats ch =
+  {
+    idle_slots = ch.idle;
+    collision_slots = ch.collisions;
+    tx_count = ch.carried_frames;
+    garbled_count = ch.garbled_frames;
+    busy_bits = ch.busy;
+    total_bits = ch.total;
+  }
+
+let tx_count ch = ch.carried_frames
 
 let utilization ch =
-  if ch.st.total_bits = 0 then 0.
-  else float_of_int ch.st.busy_bits /. float_of_int ch.st.total_bits
+  if ch.total = 0 then 0. else float_of_int ch.busy /. float_of_int ch.total
 
 let last_carried ch = ch.last

@@ -10,7 +10,7 @@
     is carried it asserts that the frame starts no earlier than the
     previous carried frame ended, so no two carried transmissions ever
     overlap.  It keeps no transmission log: {!last_carried} exposes the
-    most recent carried frame, and [(stats ch).tx_count] counts them. *)
+    most recent carried frame, and {!tx_count} counts them. *)
 
 type attempt = {
   att_source : int;  (** attempting source id *)
@@ -106,7 +106,12 @@ type stats = {
 }
 
 val stats : t -> stats
-(** [stats ch] is a snapshot of the counters. *)
+(** [stats ch] is a snapshot of the counters: later {!contend} and
+    {!burst} calls do not change a record already returned. *)
+
+val tx_count : t -> int
+(** [tx_count ch] is [(stats ch).tx_count], the number of frames
+    carried so far, without building the snapshot. *)
 
 val utilization : t -> float
 (** [utilization ch] is [busy_bits / total_bits] (0 if nothing has

@@ -165,9 +165,13 @@ let env_of_json j =
     Result.bind (Json.field "deadline_windows" j) Json.get_float
   in
   let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
+  let positive x = Float.is_finite x && x > 0. in
   if segments < 2 then Error "segments < 2"
   else if fanout < 1 then Error "fanout < 1"
   else if sources < 1 then Error "sources < 1"
+  else if not (positive load) then Error "load must be finite and > 0"
+  else if not (positive deadline_windows) then
+    Error "deadline_windows must be finite and > 0"
   else if horizon_ms < 1 then Error "horizon_ms < 1"
   else
     Ok

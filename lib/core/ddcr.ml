@@ -8,14 +8,14 @@ exception Protocol_violation of string
 
 (* The pure per-replica transition function.  Every field is immutable:
    [observe] maps (state, feedback) to a fresh state, so the same code
-   drives the production simulator (one [state] per source in
-   [run_trace]), the lockstep-replication property tests and the
-   [rtnet.model] explicit-state explorer — which needs values it can
-   hash, dedup and stash in a frontier without defensive copies.  The
-   records are small (a handful of words; stack tails are shared
-   structurally), keeping the per-slot allocation cost to at most two
-   short-lived blocks — the same property the zero-alloc slot-loop work
-   relies on. *)
+   drives the production simulator, the lockstep-replication property
+   tests and the [rtnet.model] explicit-state explorer — which needs
+   values it can hash, dedup and stash in a frontier without defensive
+   copies.  [observe] is the composition of the shared step
+   ([observe_shared], the same for every replica fed the same
+   observation) with the private rank rule ([rank_after]); [run_trace]
+   calls the two halves separately, so it evaluates the shared step
+   once per distinct observation and keeps ranks in an array. *)
 module Step = struct
   type tts = {
     t_stack : (int * int) list; (* unsearched time-tree intervals *)
@@ -56,7 +56,7 @@ module Step = struct
       att_key = (Message.abs_deadline msg, source);
     }
 
-  let decide p ~source st ~msg_star =
+  let decide_ranked p ~source ~rank st ~msg_star =
     match (st.phase, msg_star) with
     | (Free | Attempt), Some m -> Some (attempt_of ~source m)
     | (Free | Attempt), None -> None
@@ -74,14 +74,17 @@ module Step = struct
       | (lo, w) :: _ ->
         let own = p.Ddcr_params.static_indices.(source) in
         if
-          st.rank < Array.length own
-          && own.(st.rank) >= lo
-          && own.(st.rank) < lo + w
+          rank < Array.length own
+          && own.(rank) >= lo
+          && own.(rank) < lo + w
           && time_index p st tts m <= sts.time_leaf
         then Some (attempt_of ~source m)
         else None
       | [] -> raise (Protocol_violation "decide: empty static-tree stack"))
     | Sts _, None -> None
+
+  let decide p ~source st ~msg_star =
+    decide_ranked p ~source ~rank:st.rank st ~msg_star
 
   let enter_tts p ~reft st =
     {
@@ -125,7 +128,10 @@ module Step = struct
       | leaf :: rest -> pop_time_interval p st tts leaf rest
       | [] -> raise (Protocol_violation "sts completion: no time leaf"))
 
-  let observe p ~source st ~resolution ~next_free =
+  (* The shared transition: a pure function of (params, state,
+     observation, next_free) that leaves the private [rank] alone, so
+     every replica fed the same inputs reaches the same state. *)
+  let observe_shared p st ~resolution ~next_free =
     match st.phase with
     | Free -> (
       match resolution with
@@ -178,7 +184,6 @@ module Step = struct
             else
               {
                 st with
-                rank = 0;
                 phase =
                   Sts
                     ( {
@@ -195,17 +200,13 @@ module Step = struct
         | Channel.Idle ->
           finish_sts_if_done p st { sts with s_stack = rest } tts ~next_free
         | Channel.Garbled _ -> st
-        | Channel.Tx { src; _ } ->
-          let st = if src = source then { st with rank = st.rank + 1 } else st in
+        | Channel.Tx _ ->
           finish_sts_if_done p st { sts with s_stack = rest }
             { tts with sent = true } ~next_free
         | Channel.Clash { survivor; _ } -> (
           match survivor with
-          | Some (src, _, _) ->
+          | Some _ ->
             (* Arbitrated medium: carried frame, re-probe in place. *)
-            let st =
-              if src = source then { st with rank = st.rank + 1 } else st
-            in
             { st with phase = Sts (sts, { tts with sent = true }) }
           | None ->
             if w > 1 then
@@ -224,6 +225,25 @@ module Step = struct
                 (Protocol_violation
                    "collision on a static tree leaf: static indices are not \
                     disjoint"))))
+
+  (* The private rank rule: back to the first own index on entering a
+     static tree, one index further on each of the station's own
+     static-tree frames (a [Tx] or an arbitrated survivor). *)
+  let[@inline] rank_after ~source ~pre ~resolution ~post rank =
+    match (pre.phase, post.phase) with
+    | Tts _, Sts _ -> 0
+    | Sts _, _ -> (
+      match resolution with
+      | Channel.Tx { src; _ } | Channel.Clash { survivor = Some (src, _, _); _ }
+        when src = source ->
+        rank + 1
+      | Channel.Idle | Channel.Tx _ | Channel.Garbled _ | Channel.Clash _ -> rank)
+    | (Free | Attempt | Tts _), _ -> rank
+
+  let observe p ~source st ~resolution ~next_free =
+    let post = observe_shared p st ~resolution ~next_free in
+    let rank = rank_after ~source ~pre:st ~resolution ~post st.rank in
+    if rank = post.rank then post else { post with rank }
 
   let pp_stack fmt stack =
     List.iter (fun (lo, w) -> Format.fprintf fmt "[%d+%d)" lo w) stack
@@ -258,7 +278,8 @@ module Step = struct
     || a.f_star = b.f_star && a.sent = b.sent && same_stack a.t_stack b.t_stack
 
   let same_shared a b =
-    a.reft = b.reft
+    a == b
+    || a.reft = b.reft
     &&
     match (a.phase, b.phase) with
     | Free, Free | Attempt, Attempt -> true
@@ -388,8 +409,17 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
   | Ok () -> ()
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let z = inst.Instance.num_sources in
-  (* Each source's replica of the shared protocol state. *)
+  (* Each source's replica of the shared protocol state.  Stations in
+     lockstep hold the same physical value, and their [rank] field is
+     not used: each station's private static-tree rank lives in
+     [ranks]. *)
   let replicas = Array.make z Step.init in
+  let ranks = Array.make z 0 in
+  (* The slot's distinct (shared state, observation) pairs, in the
+     order first met, and the shared state each one leads to. *)
+  let memo_pre = Array.make z Step.init in
+  let memo_obs = Array.make z Channel.Idle in
+  let memo_post = Array.make z Step.init in
   let plan_active = plan <> None in
   (* [synced.(s)]: s's replica tracks the shared state and s contends.
      Cleared on crash and on divergence detection; a non-synced live
@@ -405,20 +435,18 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
   let tts_start = ref (-1) in
   let sts_start = ref (-1) in
   let sts_sent = ref false in
-  let decide services ~now:_ =
-    let rec go s acc =
-      if s < 0 then acc
-      else if services.Rtnet_mac.Harness.alive s && synced.(s) then
-        match
-          Step.decide params ~source:s replicas.(s)
-            ~msg_star:(services.Rtnet_mac.Harness.peek s)
-        with
-        | Some a -> go (s - 1) (a :: acc)
-        | None -> go (s - 1) acc
-      else go (s - 1) acc
-    in
-    go (z - 1) []
+  let rec attempts services s acc =
+    if s < 0 then acc
+    else if services.Rtnet_mac.Harness.alive s && synced.(s) then
+      match
+        Step.decide_ranked params ~source:s ~rank:ranks.(s) replicas.(s)
+          ~msg_star:(services.Rtnet_mac.Harness.peek s)
+      with
+      | Some a -> attempts services (s - 1) (a :: acc)
+      | None -> attempts services (s - 1) acc
+    else attempts services (s - 1) acc
   in
+  let decide services ~now:_ = attempts services (z - 1) [] in
   (* Packet bursting (Section 5): the acquiring source may append
      further EDF-ranked frames while they fit in the budget. *)
   let do_burst services src start0 =
@@ -544,13 +572,35 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
     (* Each live, synced replica advances on its OWN observation of the
        slot — equal to the wire unless the fault plan made it
        misperceive.  Desynced stations are listen-only: their stale
-       replica is not advanced (it is replaced wholesale on resync). *)
+       replica is not advanced (it is replaced wholesale on resync).
+       The shared step is pure, so it is evaluated once per distinct
+       (state, observation) pair and every replica that supplied the
+       pair gets the same physical result: one evaluation per slot
+       under consistent observation, a few under a fault plan.  The
+       private rank follows per station. *)
+    let distinct = ref 0 in
     for s = 0 to z - 1 do
-      if alive s && synced.(s) then
-        replicas.(s) <-
-          Step.observe params ~source:s replicas.(s)
-            ~resolution:(services.Rtnet_mac.Harness.observed s)
-            ~next_free
+      if alive s && synced.(s) then begin
+        let pre = replicas.(s)
+        and obs = services.Rtnet_mac.Harness.observed s in
+        let j = ref 0 in
+        while
+          !j < !distinct && not (memo_pre.(!j) == pre && memo_obs.(!j) == obs)
+        do
+          incr j
+        done;
+        if !j = !distinct then begin
+          memo_pre.(!j) <- pre;
+          memo_obs.(!j) <- obs;
+          memo_post.(!j) <-
+            Step.observe_shared params pre ~resolution:obs ~next_free;
+          incr distinct
+        end;
+        let post = memo_post.(!j) in
+        ranks.(s) <-
+          Step.rank_after ~source:s ~pre ~resolution:obs ~post ranks.(s);
+        if post != pre then replicas.(s) <- post
+      end
     done;
     (* Divergence detection: live synced replicas disagreeing with the
        plurality ("consensus reality", ties broken toward the lowest
@@ -648,16 +698,18 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
         | None -> ()
         | Some s ->
           replicas.(s) <- { Step.init with Step.reft = next_free };
+          ranks.(s) <- 0;
           synced.(s) <- true;
           services.Rtnet_mac.Harness.mark_resync s;
           if tracing then
             emit (Ddcr_trace.Resync { time = next_free; source = s })));
       match pick_reference services with
       | Some r when Step.at_boundary replicas.(r) ->
-        let reference = { (replicas.(r)) with Step.rank = 0 } in
+        let reference = replicas.(r) in
         for s = 0 to z - 1 do
           if alive s && not synced.(s) then begin
             replicas.(s) <- reference;
+            ranks.(s) <- 0;
             synced.(s) <- true;
             services.Rtnet_mac.Harness.mark_resync s;
             if tracing then

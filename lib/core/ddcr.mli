@@ -33,10 +33,14 @@ exception Protocol_violation of string
 
 (** The per-source protocol automaton as a pure transition function:
     the whole DDCR step as a [state -> feedback -> state] map over
-    immutable records.  {!run_trace} holds one [state] per source; the
-    explicit-state model checker ([Rtnet_model]) explores these values
-    directly — they are hashable, comparable and structurally shared,
-    so a frontier of reached states needs no defensive copies. *)
+    immutable records.  {!Step.observe} is the composition of a shared
+    half, identical for every replica fed the same observation, and the
+    private static-tree rank rule; {!run_trace} evaluates the shared
+    half once per distinct observation and keeps one rank per source.
+    The explicit-state model checker ([Rtnet_model]) explores whole
+    states directly — they are hashable, comparable and structurally
+    shared, so a frontier of reached states needs no defensive
+    copies. *)
 module Step : sig
   type tts = {
     t_stack : (int * int) list;
@@ -82,8 +86,12 @@ module Step : sig
   (** [observe p ~source st ~resolution ~next_free] is the state after
       the slot's channel feedback; [next_free] is the start of the next
       contention slot ("local physical time" at which the next decision
-      is taken).  [source] is needed only for the private rank bump on
-      the replica's own static-tree transmissions.
+      is taken).  It is the composition of a shared step, a pure
+      function of ([p], [st], [resolution], [next_free]) that every
+      replica fed the same state and observation agrees on, with the
+      private rank rule: [rank] goes to 0 on entering a static tree and
+      up by one on each of [source]'s own static-tree frames.  [source]
+      is needed only for that rank.
       @raise Protocol_violation on inconsistent feedback. *)
 
   val fingerprint : state -> string
@@ -96,7 +104,9 @@ module Step : sig
   (** [same_shared a b] iff [a] and [b] agree on the shared state —
       exactly the fields {!fingerprint} prints, so it holds iff
       [fingerprint a = fingerprint b] — without building a string.
-      Replicas in lockstep are [same_shared] after every slot. *)
+      Replicas in lockstep are [same_shared] after every slot.
+      Physically equal states answer at once, without a field
+      compared. *)
 
   val plurality : member:(int -> bool) -> state array -> int option
   (** [plurality ~member states] is the consensus replica of divergence
@@ -142,7 +152,8 @@ val run_trace :
     and reports the outcome (completions carry exact start/finish
     times; the channel's occupancy statistics are embedded).
     With [check_lockstep] (default [false]) every slot asserts that all
-    sources' replicas agree — O(z) extra work per slot.  [on_event]
+    sources' replicas agree — O(z) pointer comparisons per slot while
+    they share one physical state.  [on_event]
     receives one {!Ddcr_trace.event} per slot plus phase transitions
     (see {!Ddcr_trace.collector}); events are built only when
     [on_event] is given.  [fault] injects channel noise (garbled
@@ -157,7 +168,11 @@ val run_trace :
       {e desynchronized} and stays listen-only;
     - every live synced replica is fed its own local observation
       ([Harness.observed]), so per-source misperception can make
-      replicas diverge;
+      replicas diverge.  The shared half of {!Step.observe} is
+      evaluated once per distinct (replica state, observation) pair
+      of the slot, and every replica that supplied the pair gets the
+      same physical state — one evaluation per slot under consistent
+      observation.  Each station's private rank is kept apart;
     - divergence is detected the slot it occurs by comparing replica
       states structurally ({!Step.same_shared}); sources disagreeing
       with the plurality ({!Step.plurality}: ties broken towards the

@@ -53,9 +53,8 @@ let misperceived_view (resolution : Channel.resolution) =
     resolution
 
 let arrival_order a b =
-  compare
-    (a.Message.arrival, a.Message.uid)
-    (b.Message.arrival, b.Message.uid)
+  let c = Int.compare a.Message.arrival b.Message.arrival in
+  if c <> 0 then c else Int.compare a.Message.uid b.Message.uid
 
 let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     ?on_complete ?inject ~phy ~num_sources ~horizon ~decide ~after trace =
@@ -65,23 +64,24 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
   let completions = ref [] in
   let dropped = ref [] in
   let arrivals = ref (List.sort arrival_order trace) in
-  let deliver now =
-    let rec go = function
-      | m :: rest when m.Message.arrival <= now ->
-        let s = m.Message.cls.Message.cls_source in
-        if s < 0 || s >= num_sources then
-          failwith
-            (Printf.sprintf
-               "harness: arrival for unknown source %d (instance has %d \
-                sources)"
-               s num_sources);
-        queues.(s) <- Edf_queue.insert queues.(s) m;
-        if telemetry then sink.Sink.enqueue ~now ~msg:m;
-        go rest
-      | rest -> arrivals := rest
-    in
-    go !arrivals
+  let rec deliver_from now = function
+    | m :: rest when m.Message.arrival <= now ->
+      let s = m.Message.cls.Message.cls_source in
+      if s < 0 || s >= num_sources then
+        failwith
+          (Printf.sprintf
+             "harness: arrival for unknown source %d (instance has %d \
+              sources)"
+             s num_sources);
+      queues.(s) <- Edf_queue.insert queues.(s) m;
+      if telemetry then sink.Sink.enqueue ~now ~msg:m;
+      deliver_from now rest
+    | rest -> arrivals := rest
   in
+  let deliver now = deliver_from now !arrivals in
+  (* The slot's wire resolution, which every source observes without a
+     plan. *)
+  let wire = ref Channel.Idle in
   (* Per-source fault bookkeeping (only populated under a plan). *)
   let alive_now = Array.make num_sources true in
   let observed_now = Array.make num_sources Channel.Idle in
@@ -115,14 +115,13 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
   let analyze_failure fmt =
     Printf.ksprintf (fun msg -> failwith ("harness analyze: " ^ msg)) fmt
   in
-  let tx_count () = (Channel.stats channel).Channel.tx_count in
   let check_completion m ~start ~finish =
     let src = m.Message.cls.Message.cls_source and uid = m.Message.uid in
-    if tx_count () <> !completed + 1 then
+    if Channel.tx_count channel <> !completed + 1 then
       analyze_failure
         "completion (src %d uid %d [%d, %d)) recorded as completion %d but \
          the channel carried %d frames"
-        src uid start finish (!completed + 1) (tx_count ())
+        src uid start finish (!completed + 1) (Channel.tx_count channel)
     else if
       carried.Channel.c_src <> src
       || carried.Channel.c_tag <> uid
@@ -163,7 +162,10 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
           dropped := m :: !dropped);
       deliver_until = (fun time -> deliver time);
       alive = (fun src -> alive_now.(src));
-      observed = (fun src -> observed_now.(src));
+      observed =
+        (match plan with
+        | None -> fun _ -> !wire
+        | Some _ -> fun src -> observed_now.(src));
       mark_desync =
         (fun src ->
           desync_slots.(src) <- desync_slots.(src) + 1;
@@ -243,10 +245,9 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     in
     let resolution, next_free = Channel.contend channel ~now attempts in
     if telemetry then sink.Sink.slot ~now ~next_free ~resolution;
+    wire := resolution;
     (match plan with
-    | None ->
-      (* No plan: every source observes the wire. *)
-      Array.fill observed_now 0 num_sources resolution
+    | None -> ()
     | Some p ->
       List.iter mark attempts;
       (match resolution with
@@ -290,11 +291,11 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       let start = now + Channel.slot_bits channel in
       services.complete m ~start ~finish:(start + on_wire));
     let next_free = after services ~now ~resolution ~next_free in
-    if analyze && tx_count () <> !completed then
+    if analyze && Channel.tx_count channel <> !completed then
       analyze_failure
         "slot at t=%d: the channel carried %d frames but %d completions \
          were recorded"
-        now (tx_count ()) !completed;
+        now (Channel.tx_count channel) !completed;
     if !slot_faulty then note_epoch ~start:now ~finish:next_free;
     next_free
   in

@@ -95,6 +95,12 @@ val misperceived_view :
     Exposed so model checkers ([Rtnet_model]) apply the {e exact} same
     observation corruption the harness does. *)
 
+val arrival_order :
+  Rtnet_workload.Message.t -> Rtnet_workload.Message.t -> int
+(** [arrival_order a b] orders messages by arrival time, then by uid —
+    the order in which {!run} delivers them, and the one every copy of
+    a trace is sorted by ([Rtnet_model] sorts its arrivals with it). *)
+
 val run :
   protocol:string ->
   ?fault:Rtnet_channel.Channel.fault ->

@@ -35,6 +35,11 @@ type node = {
   budget : int; (* remaining fault actions *)
   epochs : (int * int) list; (* closed fault epochs, most recent first *)
   epoch_open : (int * int) option; (* the growing current epoch *)
+  (* History only (no future depends on it, so [key] leaves it out):
+     what Harness.run reports for the same schedule. *)
+  completed : (int * int * int) list; (* (uid, start, finish), latest first *)
+  desync_slots : int array; (* per source, as Harness mark_desync counts *)
+  resyncs : int array; (* per source, as Harness mark_resync counts *)
 }
 
 type action =
@@ -109,11 +114,7 @@ let make ~params ~inst ~trace ~horizon =
       "Transition.make: packet bursting is outside the model (burst_bits must \
        be 0)";
   let arrivals =
-    List.sort
-      (fun a b ->
-        compare (a.Message.arrival, a.Message.uid) (b.Message.arrival, b.Message.uid))
-      trace
-    |> Array.of_list
+    Array.of_list (List.sort Rtnet_mac.Harness.arrival_order trace)
   in
   { params; inst; arrivals; horizon }
 
@@ -129,6 +130,9 @@ let init sys =
     budget = 0 (* set by the explorer *);
     epochs = [];
     epoch_open = None;
+    completed = [];
+    desync_slots = Array.make z 0;
+    resyncs = Array.make z 0;
   }
 
 (* Mirrors Harness.note_epoch: adjacent/overlapping faulty slots
@@ -369,8 +373,14 @@ let step sys nd action =
               done
             | None -> ());
             (* Desync accounting extends the fault epoch. *)
-            if exists_src z (fun s -> alive s && not synced.(s)) then
-              slot_faulty := true;
+            let desync_slots = Array.copy nd.desync_slots in
+            for s = 0 to z - 1 do
+              if alive s && not synced.(s) then begin
+                desync_slots.(s) <- desync_slots.(s) + 1;
+                slot_faulty := true
+              end
+            done;
+            let resyncs = Array.copy nd.resyncs in
             (* Recovery: cold restart if no synced station remains,
                then boundary resync toward the reference. *)
             let pick_reference () =
@@ -391,13 +401,15 @@ let step sys nd action =
               | None -> ()
               | Some s ->
                 replicas.(s) <- { Step.init with Step.reft = next_free };
-                synced.(s) <- true));
+                synced.(s) <- true;
+                resyncs.(s) <- resyncs.(s) + 1));
             (match pick_reference () with
             | Some r when Step.at_boundary replicas.(r) ->
               for s = 0 to z - 1 do
                 if alive s && not synced.(s) then begin
                   replicas.(s) <- { (replicas.(r)) with Step.rank = 0 };
-                  synced.(s) <- true
+                  synced.(s) <- true;
+                  resyncs.(s) <- resyncs.(s) + 1
                 end
               done
             | Some _ | None -> ());
@@ -413,6 +425,13 @@ let step sys nd action =
                 budget;
                 epochs = nd.epochs;
                 epoch_open = nd.epoch_open;
+                completed =
+                  (match !completion with
+                  | Some (m, start, finish) ->
+                    (m.Message.uid, start, finish) :: nd.completed
+                  | None -> nd.completed);
+                desync_slots;
+                resyncs;
               }
             in
             let nd' =

@@ -40,7 +40,20 @@ type node = {
   budget : int;  (** remaining fault actions *)
   epochs : (int * int) list;  (** closed fault epochs, most recent first *)
   epoch_open : (int * int) option;  (** the growing current epoch *)
+  completed : (int * int * int) list;
+      (** [(uid, start, finish)] of every completed frame, most recent
+          first *)
+  desync_slots : int array;
+      (** per source, the slots it spent desynchronized — what the
+          harness's [mark_desync] counts *)
+  resyncs : int array;
+      (** per source, its completed recoveries — what the harness's
+          [mark_resync] counts *)
 }
+(** The last three fields are history: no future transition or
+    invariant depends on them, so {!key} leaves them out.  They are
+    what {!Rtnet_mac.Harness.run} reports for the same schedule
+    (completions, [sf_desync_slots], [sf_resyncs]). *)
 
 type action =
   | No_fault

@@ -76,7 +76,12 @@ let test_duplicate_source_rejected () =
   let ch = Channel.create Phy.gigabit_ethernet in
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Channel.contend: duplicate source in slot") (fun () ->
-      ignore (Channel.contend ch ~now:0 [ attempt 1 4000; attempt 1 4000 ]))
+      ignore (Channel.contend ch ~now:0 [ attempt 1 4000; attempt 1 4000 ]));
+  Alcotest.check_raises "duplicate, not adjacent"
+    (Invalid_argument "Channel.contend: duplicate source in slot") (fun () ->
+      ignore
+        (Channel.contend ch ~now:0
+           [ attempt 3 4000; attempt 1 4000; attempt 2 4000; attempt 3 4000 ]))
 
 let test_safety_log () =
   let ch = Channel.create Phy.gigabit_ethernet in
@@ -94,6 +99,33 @@ let test_safety_log () =
       last.Channel.c_start;
       last.Channel.c_finish;
     ]
+
+let test_stats_snapshot () =
+  let ch = Channel.create Phy.gigabit_ethernet in
+  let _, n1 = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
+  let snap = Channel.stats ch in
+  let counters st =
+    [
+      st.Channel.idle_slots;
+      st.Channel.collision_slots;
+      st.Channel.tx_count;
+      st.Channel.garbled_count;
+      st.Channel.busy_bits;
+      st.Channel.total_bits;
+    ]
+  in
+  let before = counters snap in
+  let _, n2 = Channel.contend ch ~now:n1 [ attempt 1 4000; attempt 2 4000 ] in
+  let _, n3 = Channel.contend ch ~now:n2 [] in
+  let _, _ = Channel.contend ch ~now:n3 [ attempt 2 8000 ] in
+  let _ = Channel.burst ch ~src:2 ~tag:9 ~bits:1000 in
+  Alcotest.(check (list int)) "snapshot unchanged by later slots" before
+    (counters snap);
+  Alcotest.(check (list int)) "snapshot taken after one frame"
+    [ 0; 0; 1; 0; n1; n1 ] before;
+  Alcotest.(check int) "fresh snapshot counts all three frames" 3
+    (Channel.stats ch).Channel.tx_count;
+  Alcotest.(check int) "tx_count agrees" 3 (Channel.tx_count ch)
 
 let test_utilization () =
   let ch = Channel.create Phy.gigabit_ethernet in
@@ -151,5 +183,6 @@ let suite =
         Alcotest.test_case "utilization" `Quick test_utilization;
         Alcotest.test_case "packet bursting" `Quick test_burst_extends_acquisition;
         QCheck_alcotest.to_alcotest prop_resolution_cases;
+        Alcotest.test_case "stats snapshot" `Quick test_stats_snapshot;
       ] );
   ]

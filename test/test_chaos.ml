@@ -655,6 +655,44 @@ let test_topo_repro_rejects_bad_artifacts () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a plan reaching past the horizon"
 
+(* An environment no tree can be built from is a typed error, never an
+   exception out of [Topo.tree]. *)
+let test_topo_repro_rejects_bad_env () =
+  let good = Repro.to_json (module Federated) (load_topo_fixture ()) in
+  let patch_env key v =
+    match good with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, x) ->
+             match (k, x) with
+             | "topology", Json.Obj env ->
+               ( k,
+                 Json.Obj
+                   (List.map (fun (k', y) -> (k', if k' = key then v else y)) env)
+               )
+             | _ -> (k, x))
+           fields)
+    | _ -> Alcotest.fail "artifact is not an object"
+  in
+  List.iter
+    (fun (key, v, label) ->
+      match Repro.of_json (module Federated) (patch_env key v) with
+      | Error e ->
+        Alcotest.(check bool) (label ^ " names the field") true
+          (Astring_contains.contains e key)
+      | Ok _ -> Alcotest.fail ("accepted " ^ label)
+      | exception exn ->
+        Alcotest.fail (label ^ " raised " ^ Printexc.to_string exn))
+    [
+      ("deadline_windows", Json.Float 0., "a zero deadline");
+      ("deadline_windows", Json.Float (-2.), "a negative deadline");
+      ("deadline_windows", Json.Float infinity, "an infinite deadline");
+      ("load", Json.Float (-1.), "a negative load");
+      ("load", Json.Float 0., "a zero load");
+      ("load", Json.Float nan, "a NaN load");
+    ]
+
 let suite =
   [
     ( "chaos",
@@ -705,5 +743,7 @@ let suite =
            suites after this one start domains. *)
         Alcotest.test_case "admit search deterministic" `Quick
           (test_search_deterministic admit_case);
+        Alcotest.test_case "topo repro rejects a bad environment" `Quick
+          test_topo_repro_rejects_bad_env;
       ] );
   ]

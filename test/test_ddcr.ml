@@ -384,6 +384,38 @@ let test_edf_service_order_within_source () =
       Alcotest.(check bool) "per-source EDF order" true (ok cs))
     by_source
 
+(* Minor words a fault-free run allocates per resolved slot.  The shared
+   replica step is evaluated once per slot, however many stations hold
+   a replica, so this grows with the station count only through the
+   slot's own attempts. *)
+let minor_words_per_slot ~sources =
+  let inst =
+    Scenarios.uniform ~sources ~classes_per_source:2 ~load:0.8
+      ~deadline_windows:2.0
+  in
+  let params = Ddcr_params.default inst in
+  let horizon = 20 * ms in
+  let trace = Instance.trace inst ~seed:1 ~horizon in
+  let before = Gc.minor_words () in
+  let o = Ddcr.run_trace params inst trace ~horizon in
+  let words = Gc.minor_words () -. before in
+  match o.Run.channel with
+  | Some st ->
+    words
+    /. float_of_int
+         (st.Channel.idle_slots + st.Channel.collision_slots
+        + st.Channel.tx_count + st.Channel.garbled_count)
+  | None -> Alcotest.fail "no channel statistics"
+
+let test_allocation_flat_in_stations () =
+  let small = minor_words_per_slot ~sources:4
+  and large = minor_words_per_slot ~sources:32 in
+  Alcotest.(check bool)
+    (Printf.sprintf "32 stations allocate %.0f <= 1.5 x %.0f words per slot"
+       large small)
+    true
+    (large <= 1.5 *. small)
+
 let suite =
   [
     ( "ddcr",
@@ -414,5 +446,7 @@ let suite =
           test_allocation_matters_on_skewed_load;
         Alcotest.test_case "per-source EDF order" `Quick
           test_edf_service_order_within_source;
+        Alcotest.test_case "slot allocation flat in stations" `Quick
+          test_allocation_flat_in_stations;
       ] );
   ]

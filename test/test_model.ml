@@ -234,6 +234,101 @@ let test_plurality_rule () =
   Alcotest.(check (option int)) "no member" None
     (Step.plurality ~member:(fun _ -> false) [| a; b |])
 
+(* -------------------- the per-replica reference -------------------- *)
+
+(* Transition.step evaluates every replica on its own; Ddcr.run_trace
+   evaluates the shared step once per distinct (state, observation)
+   pair.  Along a random enabled trail of fault actions the two must
+   report the same run: the same completions, the same per-source
+   desync and resync counts and the same fault epochs. *)
+
+module Scenarios = Rtnet_workload.Scenarios
+module Run = Rtnet_stats.Run
+
+(* Two classes and two static indices per source, so a source can
+   send twice in one static tree and its private rank matters. *)
+let reference_instance ~arbitrated =
+  if arbitrated then Scenarios.atm_fabric ~ports:3
+  else
+    Scenarios.uniform ~sources:3 ~classes_per_source:2 ~load:0.5
+      ~deadline_windows:4.0
+
+(* A random action, tried first; a disabled or violating one falls back
+   to No_fault.  The trail ends early where No_fault violates too. *)
+let random_trail sys ~rng ~slots =
+  let z = sys.Transition.inst.Instance.num_sources in
+  let pick () =
+    match Prng.int rng 10 with
+    | 0 -> Transition.Garble
+    | 1 | 2 -> Transition.Misperceive (Prng.int rng z)
+    | 3 -> Transition.Crash (Prng.int rng z)
+    | 4 | 5 -> Transition.Revive (Prng.int rng z)
+    | _ -> Transition.No_fault
+  in
+  let rec go nd trail n =
+    if n = 0 then (nd, List.rev trail)
+    else
+      let try_step action =
+        match Transition.step sys nd action with
+        | Transition.Stepped nd' -> Some (action, nd')
+        | Transition.Disabled | Transition.Violating _ -> None
+      in
+      let stepped =
+        match try_step (pick ()) with
+        | Some _ as r -> r
+        | None -> try_step Transition.No_fault
+      in
+      match stepped with
+      | Some (action, nd') -> go nd' ((nd.Transition.time, action) :: trail) (n - 1)
+      | None -> (nd, List.rev trail)
+  in
+  go { (Transition.init sys) with Transition.budget = max_int } [] slots
+
+let prop_simulator_matches_reference =
+  QCheck.Test.make ~name:"run_trace agrees with Transition.step on trails"
+    ~count:40
+    QCheck.(pair (int_range 0 10_000) bool)
+    (fun (seed, arbitrated) ->
+      let inst = reference_instance ~arbitrated in
+      let params =
+        Ddcr_params.with_burst (Ddcr_params.default ~indices_per_source:2 inst) 0
+      in
+      let trace = Instance.trace inst ~seed ~horizon:1_000_000 in
+      let sys = Transition.make ~params ~inst ~trace ~horizon:1_000_000 in
+      let nd, trail = random_trail sys ~rng:(Prng.create seed) ~slots:80 in
+      if trail = [] then QCheck.assume_fail ()
+      else begin
+        let plan = Fault_plan.create ~seed:0 (Witness.plan_of_trail trail) in
+        let o =
+          Ddcr.run_trace ~check_lockstep:true ~plan params inst trace
+            ~horizon:nd.Transition.time
+        in
+        let completions =
+          List.map
+            (fun c -> (c.Run.c_msg.Message.uid, c.Run.c_start, c.Run.c_finish))
+            o.Run.completions
+        in
+        let f = Option.get o.Run.faults in
+        let per_source field = Array.of_list (List.map field f.Run.f_per_source) in
+        let epochs =
+          List.rev
+            (match nd.Transition.epoch_open with
+            | Some span -> span :: nd.Transition.epochs
+            | None -> nd.Transition.epochs)
+        in
+        let fail what = QCheck.Test.fail_reportf "%s differ (seed %d)" what seed in
+        if completions <> List.rev nd.Transition.completed then fail "completions"
+        else if
+          per_source (fun sf -> sf.Run.sf_desync_slots)
+          <> nd.Transition.desync_slots
+        then fail "desync counts"
+        else if
+          per_source (fun sf -> sf.Run.sf_resyncs) <> nd.Transition.resyncs
+        then fail "resync counts"
+        else if f.Run.f_epochs <> epochs then fail "fault epochs"
+        else true
+      end)
+
 (* -------------------- exploration -------------------- *)
 
 let uniform2 =
@@ -427,5 +522,6 @@ let suite =
         Alcotest.test_case "trail folds into scheduled atoms" `Quick
           test_plan_of_trail;
         Alcotest.test_case "plurality rule" `Quick test_plurality_rule;
+        QCheck_alcotest.to_alcotest prop_simulator_matches_reference;
       ] );
   ]
