@@ -10,6 +10,8 @@ let scenario_doc =
    scenario decoder, so `ddcr_sim -s trading -n 4` and a campaign cell
    build byte-identical instances.  A scenario with no single-bus
    instance (unknown kind, "topo", bad size) ends the tool with exit 2. *)
+let tool () = Filename.remove_extension (Filename.basename Sys.executable_name)
+
 let instance_of ~scenario ~size ~load ~deadline_windows =
   match
     Rtnet_campaign.Spec.instance_result
@@ -23,10 +25,19 @@ let instance_of ~scenario ~size ~load ~deadline_windows =
   with
   | Ok inst -> inst
   | Error e ->
-    Printf.eprintf "%s: %s\n%!"
-      (Filename.remove_extension (Filename.basename Sys.executable_name))
-      e;
+    Printf.eprintf "%s: %s\n%!" (tool ()) e;
     exit 2
+
+(* The simulated horizon in bit-times.  A non-positive --horizon-ms
+   leaves nothing to simulate: like an unknown scenario, it ends the
+   tool with exit 2 and a message. *)
+let horizon_of horizon_ms =
+  if horizon_ms < 1 then begin
+    Printf.eprintf "%s: --horizon-ms must be at least 1 (got %d)\n%!" (tool ())
+      horizon_ms;
+    exit 2
+  end;
+  horizon_ms * 1_000_000
 
 let scenario =
   Arg.(

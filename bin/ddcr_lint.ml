@@ -154,23 +154,25 @@ let params_for ~indices ~burst ~theta ~allocation inst =
        burst)
     theta
 
-(* Config lint, optionally followed by a simulated, invariant-checked
-   trace.  The simulation is skipped when the configuration itself is
-   structurally invalid (Ddcr.run_trace would reject it). *)
-let lint_one ~strict ~with_trace ~seed ~horizon params inst =
+(* Config lint, followed by a simulated, invariant-checked trace when a
+   [trace_horizon] is given.  The simulation is skipped when the
+   configuration itself is structurally invalid (Ddcr.run_trace would
+   reject it). *)
+let lint_one ~strict ~seed ~trace_horizon params inst =
   let cfg = Config_lint.check ~strict params inst in
   let structurally_broken =
     List.exists
       (fun d -> d.Diagnostic.rule_id = "CFG-PARAMS")
       (Diagnostic.errors cfg)
   in
-  if (not with_trace) || structurally_broken then cfg
-  else begin
+  match trace_horizon with
+  | None -> cfg
+  | Some _ when structurally_broken -> cfg
+  | Some horizon ->
     let workload = Instance.trace inst ~seed ~horizon in
     let record, finish = Ddcr_trace.collector () in
     let outcome = Ddcr.run_trace ~on_event:record params inst workload ~horizon in
     cfg @ Trace_check.check_run ~workload ~outcome (finish ())
-  end
 
 let dump ~seed ~horizon params inst path =
   let workload = Instance.trace inst ~seed ~horizon in
@@ -194,7 +196,6 @@ let main scenario size load deadline_windows indices burst theta allocation
     seed horizon_ms strict with_trace bounded max_m max_leaves all_scenarios
     check_trace_file check_perfetto_file check_repro_file
     check_admit_trace_file dump_trace_file sd sw =
-  let horizon = horizon_ms * 1_000_000 in
   match check_admit_trace_file with
   | Some path -> (
     match Rtnet_admit.Request.load_trace ~path with
@@ -279,18 +280,20 @@ let main scenario size load deadline_windows indices burst theta allocation
     match dump_trace_file with
     | Some path ->
       let name, inst = List.hd targets in
+      let horizon = Cli_common.horizon_of horizon_ms in
       Format.printf "== scenario %s ==@." name;
       dump ~seed ~horizon (params_for ~indices ~burst ~theta ~allocation inst)
         inst path;
       0
     | None ->
+      let trace_horizon =
+        if with_trace then Some (Cli_common.horizon_of horizon_ms) else None
+      in
       let scenario_diags =
         List.concat_map
           (fun (name, inst) ->
             let params = params_for ~indices ~burst ~theta ~allocation inst in
-            let diags =
-              lint_one ~strict ~with_trace ~seed ~horizon params inst
-            in
+            let diags = lint_one ~strict ~seed ~trace_horizon params inst in
             Format.printf "== scenario %s ==@.%a@." name Diagnostic.pp_report
               diags;
             diags)

@@ -1,13 +1,14 @@
 (* ddcr_model: explicit-state model checking of the DDCR automaton.
 
-   The model (rtnet.model) mirrors one contention slot of the whole
-   system — replicated Ddcr.Step states, EDF queues, channel
-   resolution, divergence detection and recovery — as a pure
-   transition function, and explores it breadth-first over every
-   schedule of at most one fault action per slot (wire garble, local
-   misperception, crash, revive) within a fault budget.  Invariants
-   checked on every reached state: protocol safety, per-replica
-   well-formedness (slot accounting), lockstep among synced replicas,
+   The model (rtnet.model) runs the simulator's own slot
+   (Ddcr.Slot.step) on copies of the whole system state — replicated
+   Ddcr.Step states, EDF queues, channel, divergence detection and
+   recovery — and explores it breadth-first over every schedule of at
+   most one fault action per slot (wire garble, local misperception,
+   crash, revive) within a fault budget, each action handed to the slot
+   as a one-slot plan of scheduled fault atoms.  Invariants checked on
+   every reached state: protocol safety, per-replica well-formedness
+   (slot accounting), lockstep among synced replicas,
    resync-by-the-next-tree-epoch-boundary, and unexcused deadline
    misses.
 
@@ -21,7 +22,8 @@
    Exit codes: 0 success (check: proven clean within bounds;
    export-repro: artifact written); 1 expectation failed (check:
    violation or truncation; export-repro: no violation found);
-   2 invalid configuration or I/O error.
+   2 invalid configuration (including --horizon-ms < 1, --depth < 0,
+   --budget < 0 or --max-states < 1) or I/O error.
 
    Examples:
      ddcr_model explore -s uniform -n 2 --horizon-ms 1 --depth 12
@@ -89,40 +91,46 @@ let load_params = function
 
 (* The model must explore exactly the workload the replay artifact will
    re-execute: same scenario instance, same arrival trace (trace seed),
-   same horizon, same (possibly overridden) parameters. *)
+   same horizon, same (possibly overridden) parameters.  Impossible
+   exploration bounds are rejected here, before anything runs. *)
 let build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed ~params_file
-    =
-  match load_params params_file with
-  | Error e -> Error e
-  | Ok override -> (
-    let sc =
-      {
-        Spec.sc_kind = scenario;
-        sc_size = size;
-        sc_load = load;
-        sc_deadline_windows = deadline_windows;
-        sc_fanout = 1;
-      }
-    in
-    match Spec.instance_result sc with
-    | Error e -> Error e
-    | Ok inst -> (
-      let horizon = horizon_ms * 1_000_000 in
-      let trace = Instance.trace inst ~seed ~horizon in
-      let params =
-        match override with Some p -> p | None -> Ddcr_params.default inst
-      in
-      match Transition.make ~params ~inst ~trace ~horizon with
-      | exception Invalid_argument e -> Error e
-      | sys ->
-        Ok
-          ( sys,
-            {
-              Witness.w_scenario = sc;
-              w_horizon_ms = horizon_ms;
-              w_params = override;
-              w_trace_seed = seed;
-            } )))
+    ~depth ~budget ~max_states =
+  let ( let* ) = Result.bind in
+  let horizon = Cli_common.horizon_of horizon_ms in
+  let at_least name least v =
+    if v < least then
+      Error (Printf.sprintf "--%s must be at least %d (got %d)" name least v)
+    else Ok ()
+  in
+  let* () = at_least "depth" 0 depth in
+  let* () = at_least "budget" 0 budget in
+  let* () = at_least "max-states" 1 max_states in
+  let* override = load_params params_file in
+  let sc =
+    {
+      Spec.sc_kind = scenario;
+      sc_size = size;
+      sc_load = load;
+      sc_deadline_windows = deadline_windows;
+      sc_fanout = 1;
+    }
+  in
+  let* inst = Spec.instance_result sc in
+  let trace = Instance.trace inst ~seed ~horizon in
+  let params =
+    match override with Some p -> p | None -> Ddcr_params.default inst
+  in
+  match Transition.make ~params ~inst ~trace ~horizon with
+  | exception Invalid_argument e -> Error e
+  | sys ->
+    Ok
+      ( sys,
+        {
+          Witness.w_scenario = sc;
+          w_horizon_ms = horizon_ms;
+          w_params = override;
+          w_trace_seed = seed;
+        } )
 
 let explore_with ~depth ~budget ~max_states ?(max_violations = 1) sys =
   Explore.run
@@ -158,7 +166,7 @@ let run_explore scenario size load deadline_windows horizon_ms seed params_file
     depth budget max_states quiet =
   match
     build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed
-      ~params_file
+      ~params_file ~depth ~budget ~max_states
   with
   | Error e ->
     Format.eprintf "ddcr_model: %s@." e;
@@ -191,7 +199,7 @@ let run_check scenario size load deadline_windows horizon_ms seed params_file
     depth budget max_states quiet =
   match
     build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed
-      ~params_file
+      ~params_file ~depth ~budget ~max_states
   with
   | Error e ->
     Format.eprintf "ddcr_model: %s@." e;
@@ -247,7 +255,7 @@ let run_export scenario size load deadline_windows horizon_ms seed params_file
     depth budget max_states quiet out =
   match
     build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed
-      ~params_file
+      ~params_file ~depth ~budget ~max_states
   with
   | Error e ->
     Format.eprintf "ddcr_model: %s@." e;

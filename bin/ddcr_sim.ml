@@ -25,8 +25,6 @@ module Headroom = Rtnet_telemetry.Headroom
 
 open Cmdliner
 
-let ms = 1_000_000
-
 let protocol =
   Arg.(
     value & opt string "ddcr"
@@ -117,7 +115,7 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
   let inst =
     if adversary then Instance.with_law inst Arrival.Greedy_burst else inst
   in
-  let horizon = horizon_ms * ms in
+  let horizon = Cli_common.horizon_of horizon_ms in
   let trace = Instance.trace inst ~seed ~horizon in
   let params =
     Ddcr_params.with_theta

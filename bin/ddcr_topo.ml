@@ -232,7 +232,7 @@ let run_run path policy domains horizon_ms seed trace_out faults telemetry
     Format.eprintf "ddcr_topo: %s@." e;
     2
   | Ok e ->
-    let horizon = horizon_ms * 1_000_000 in
+    let horizon = Cli_common.horizon_of horizon_ms in
     let want_recorder = trace_out <> None || telemetry || headroom in
     let want_flight = postmortem_out <> None in
     let recorders = ref [] in

@@ -50,10 +50,6 @@ let epochs_of_events events =
   Hashtbl.iter (fun _ s -> spans := (s, last + 1) :: !spans) open_at;
   List.sort compare !spans
 
-(* A deadline miss is excused (degradation, not a violation) iff a
-   fault epoch overlaps the window from the earlier of frame start and
-   deadline up to the frame's finish: a fault entirely after the frame
-   finished cannot have delayed it. *)
 let inside_epoch ~epochs ~t0 ~dm ~finish =
   let lo = min t0 dm in
   List.exists (fun (s, e) -> s < finish && lo < e) epochs

@@ -39,6 +39,13 @@
     ["TRC-DEADLINE"] error; safety (["TRC-SAFETY"]) is never relaxed:
     mutual exclusion must hold under every fault plan. *)
 
+val inside_epoch :
+  epochs:(int * int) list -> t0:int -> dm:int -> finish:int -> bool
+(** The excusal rule of ["TRC-DEGRADED"]: a frame started at [t0] with
+    deadline [dm] and finished at [finish] misses excusably iff an epoch
+    overlaps [\[min t0 dm, finish)] — a fault entirely after the frame
+    finished cannot have delayed it. *)
+
 val check :
   ?workload:Rtnet_workload.Message.t list ->
   ?deadlines:(int * int) list ->

@@ -38,9 +38,8 @@ type t = {
   phy : Phy.t;
   mutable free_at : int;
   mutable holder : int; (* source of the frame just carried, -1 if none *)
-  noise : Rtnet_util.Prng.t option; (* fault-injection draws *)
+  noise : Rtnet_util.Prng.t option; (* legacy fault-injection draws *)
   fault_rate : float;
-  plan : Fault_plan.t option; (* richer fault model; excludes [noise] *)
   mutable idle : int;
   mutable collisions : int;
   mutable carried_frames : int;
@@ -50,11 +49,7 @@ type t = {
   last : carried; (* the most recent carried frame, updated in place *)
 }
 
-let create ?fault ?plan phy =
-  (match (fault, plan) with
-  | Some _, Some _ ->
-    invalid_arg "Channel.create: fault and plan are mutually exclusive"
-  | _ -> ());
+let create ?fault phy =
   let noise, fault_rate =
     match fault with
     | None -> (None, 0.)
@@ -65,7 +60,6 @@ let create ?fault ?plan phy =
   in
   {
     phy;
-    plan;
     free_at = 0;
     holder = -1;
     noise;
@@ -78,6 +72,10 @@ let create ?fault ?plan phy =
     total = 0;
     last = { c_src = -1; c_tag = -1; c_start = 0; c_finish = 0 };
   }
+
+let copy ch =
+  let last = { ch.last with c_src = ch.last.c_src } (* a fresh record *) in
+  { ch with noise = Option.map Rtnet_util.Prng.copy ch.noise; last }
 
 let phy ch = ch.phy
 
@@ -122,16 +120,16 @@ let finish_idle ch ~now =
   ch.holder <- -1;
   Idle
 
-let garbled ch ~now =
-  match ch.plan with
+let garbled ch plan ~now =
+  match plan with
   | Some p -> Fault_plan.wire_garbles p ~now
   | None -> (
     match ch.noise with
     | None -> false
     | Some rng -> Rtnet_util.Prng.float rng 1.0 < ch.fault_rate)
 
-let finish_tx ch ~now a =
-  if garbled ch ~now then begin
+let finish_tx ch plan ~now a =
+  if garbled ch plan ~now then begin
     (* The frame occupies the wire for its full length but carries
        nothing: every station sees a CRC-invalid frame. *)
     let on_wire = Phy.tx_bits ch.phy a.att_bits in
@@ -186,20 +184,27 @@ let finish_clash ch ~now first rest =
     ch.holder <- a.att_source;
     Clash { contenders = ids; survivor = Some (a.att_source, a.att_tag, on_wire) }
 
-let contend ch ~now attempts =
+let contend_under ch plan ~now attempts =
   if now < ch.free_at then invalid_arg "Channel.contend: channel busy";
   if not (distinct_sources attempts) then
     invalid_arg "Channel.contend: duplicate source in slot";
-  (* The burst-noise state chain advances once per contention slot,
-     whatever the slot carries. *)
-  (match ch.plan with None -> () | Some p -> Fault_plan.tick p);
+  (match (plan, ch.noise) with
+  | None, _ -> ()
+  | Some _, Some _ ->
+    invalid_arg "Channel.contend_under: fault and plan are mutually exclusive"
+  | Some p, None ->
+    (* The burst-noise state chain advances once per contention slot,
+       whatever the slot carries. *)
+    Fault_plan.tick p);
   let resolution =
     match attempts with
     | [] -> finish_idle ch ~now
-    | [ a ] -> finish_tx ch ~now a
+    | [ a ] -> finish_tx ch plan ~now a
     | first :: rest -> finish_clash ch ~now first rest
   in
   (resolution, ch.free_at)
+
+let contend ch ~now attempts = contend_under ch None ~now attempts
 
 let burst ch ~src ~tag ~bits =
   if ch.holder < 0 || ch.holder <> src then

@@ -53,18 +53,18 @@ type fault = {
     Arbitrated survivors and {!burst} continuations are not subjected
     to faults (bursting rides a verified acquisition). *)
 
-val create : ?fault:fault -> ?plan:Fault_plan.t -> Phy.t -> t
+val create : ?fault:fault -> Phy.t -> t
 (** [create phy] is a fresh, idle channel over medium [phy], fault-free
-    unless [fault] or [plan] is given.  [fault] is the legacy i.i.d.
-    lone-frame garbling model; [plan] is the composable fault-plan
-    model ({!Fault_plan}) whose wire-level axes (i.i.d. or
-    Gilbert–Elliott burst garbling) the channel applies — its
-    state chain advances once per {!contend} and the current rate
-    applies to the slot's lone frame.  Per-source axes (misperception,
-    crash windows) are sampled by the MAC harness, not here: the
-    channel models the wire, which always carries one truth.
-    @raise Invalid_argument if both [fault] and [plan] are given, or
-    if [fault.fault_rate] is outside [\[0, 1]]. *)
+    unless [fault] (the legacy i.i.d. lone-frame garbling model) is
+    given.  A {!Fault_plan}'s wire-level axes (i.i.d. or
+    Gilbert–Elliott burst garbling) reach the channel per slot through
+    {!contend_under}; its per-source axes (misperception, crash
+    windows) are sampled by the MAC harness: the channel models the
+    wire, which always carries one truth.
+    @raise Invalid_argument if [fault.fault_rate] is outside [\[0, 1]]. *)
+
+val copy : t -> t
+(** An independent channel in the same state (noise stream included). *)
 
 val phy : t -> Phy.t
 (** [phy ch] is the underlying medium. *)
@@ -83,6 +83,14 @@ val contend : t -> now:int -> attempt list -> resolution * int
     slot, or if two attempts share a source id.
     @raise Failure ["MAC safety violated: ..."] if a carried frame would
     start before the previous carried frame ended. *)
+
+val contend_under :
+  t -> Fault_plan.t option -> now:int -> attempt list -> resolution * int
+(** {!contend} with the slot's wire faults from [plan]: with [Some p],
+    [p]'s state chain advances once and [p] decides whether a lone frame
+    is garbled; [None] is {!contend}.
+    @raise Invalid_argument as {!contend} does, and on [Some _] for a
+    channel created with a legacy [fault] (the two are exclusive). *)
 
 val burst : t -> src:int -> tag:int -> bits:int -> int * int
 (** [burst ch ~src ~tag ~bits] appends one more frame to the channel

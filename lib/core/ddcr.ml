@@ -7,15 +7,12 @@ module Sink = Rtnet_telemetry.Sink
 exception Protocol_violation of string
 
 (* The pure per-replica transition function.  Every field is immutable:
-   [observe] maps (state, feedback) to a fresh state, so the same code
-   drives the production simulator, the lockstep-replication property
-   tests and the [rtnet.model] explicit-state explorer — which needs
-   values it can hash, dedup and stash in a frontier without defensive
-   copies.  [observe] is the composition of the shared step
-   ([observe_shared], the same for every replica fed the same
-   observation) with the private rank rule ([rank_after]); [run_trace]
-   calls the two halves separately, so it evaluates the shared step
-   once per distinct observation and keeps ranks in an array. *)
+   [observe] maps (state, feedback) to a fresh state, so replicas in
+   lockstep share one physical value.  [observe] is the composition of
+   the shared step ([observe_shared], the same for every replica fed the
+   same observation) with the private rank rule ([rank_after]); [Slot]
+   calls the two halves separately, so it evaluates the shared step once
+   per distinct observation and keeps ranks in an array. *)
 module Step = struct
   type tts = {
     t_stack : (int * int) list; (* unsearched time-tree intervals *)
@@ -402,74 +399,81 @@ let via_of_phase = function
   | Step.Tts _ -> Ddcr_trace.Time_tree
   | Step.Sts _ -> Ddcr_trace.Static_tree
 
-let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
-    ?(sink = Sink.null) ?on_complete ?inject params inst trace
-    ~horizon =
-  (match Ddcr_params.validate params ~num_sources:inst.Instance.num_sources with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
-  let z = inst.Instance.num_sources in
-  (* Each source's replica of the shared protocol state.  Stations in
-     lockstep hold the same physical value, and their [rank] field is
-     not used: each station's private static-tree rank lives in
-     [ranks]. *)
-  let replicas = Array.make z Step.init in
-  let ranks = Array.make z 0 in
-  (* The slot's distinct (shared state, observation) pairs, in the
-     order first met, and the shared state each one leads to. *)
-  let memo_pre = Array.make z Step.init in
-  let memo_obs = Array.make z Channel.Idle in
-  let memo_post = Array.make z Step.init in
-  let plan_active = plan <> None in
-  (* [synced.(s)]: s's replica tracks the shared state and s contends.
-     Cleared on crash and on divergence detection; a non-synced live
-     station is listen-only until it resyncs at a tree-epoch boundary. *)
-  let synced = Array.make z true in
-  let prev_alive = Array.make z true in
-  (* Trace events are built only when someone listens. *)
-  let tracing = on_event <> None in
-  let emit ev = match on_event with Some f -> f ev | None -> () in
-  let telemetry = sink.Sink.enabled in
-  (* Open tree-search spans (start bit-time, -1 when closed), for the
-     telemetry [search] probe. *)
-  let tts_start = ref (-1) in
-  let sts_start = ref (-1) in
-  let sts_sent = ref false in
-  let rec attempts services s acc =
+module Harness = Rtnet_mac.Harness
+
+module Slot = struct
+  type t = {
+    params : Ddcr_params.t;
+    h : Harness.t;
+    (* Each source's replica of the shared protocol state.  Stations in
+       lockstep hold the same physical value, and their [rank] field is
+       not used: each station's private static-tree rank lives in
+       [ranks]. *)
+    replicas : Step.state array;
+    ranks : int array;
+    (* [synced.(s)]: s's replica tracks the shared state and s contends.
+       Cleared on crash and on divergence detection; a non-synced live
+       station is listen-only until it resyncs at a tree-epoch
+       boundary. *)
+    synced : bool array;
+    prev_alive : bool array;
+    (* Scratch shared by copies: the slot's distinct (shared state,
+       observation) pairs, in the order first met, and their results. *)
+    memo_pre : Step.state array;
+    memo_obs : Channel.resolution array;
+    memo_post : Step.state array;
+    check_lockstep : bool;
+    on_event : (Ddcr_trace.event -> unit) option;
+    tracing : bool; (* trace events are built only when someone listens *)
+    sink : Sink.t;
+    mutable faulted : bool; (* the current slot runs under a fault plan *)
+    (* Open tree-search spans (start bit-time, -1 when closed), for the
+       telemetry [search] probe. *)
+    mutable tts_start : int;
+    mutable sts_start : int;
+    mutable sts_sent : bool;
+  }
+
+  let emit t ev = match t.on_event with Some f -> f ev | None -> ()
+
+  let rec attempts t services s acc =
     if s < 0 then acc
-    else if services.Rtnet_mac.Harness.alive s && synced.(s) then
+    else if services.Harness.alive s && t.synced.(s) then
       match
-        Step.decide_ranked params ~source:s ~rank:ranks.(s) replicas.(s)
-          ~msg_star:(services.Rtnet_mac.Harness.peek s)
+        Step.decide_ranked t.params ~source:s ~rank:t.ranks.(s)
+          t.replicas.(s) ~msg_star:(services.Harness.peek s)
       with
-      | Some a -> attempts services (s - 1) (a :: acc)
-      | None -> attempts services (s - 1) acc
-    else attempts services (s - 1) acc
-  in
-  let decide services ~now:_ = attempts services (z - 1) [] in
+      | Some a -> attempts t services (s - 1) (a :: acc)
+      | None -> attempts t services (s - 1) acc
+    else attempts t services (s - 1) acc
+
+  let decide t services ~now:_ =
+    attempts t services (Array.length t.replicas - 1) []
+
   (* Packet bursting (Section 5): the acquiring source may append
      further EDF-ranked frames while they fit in the budget. *)
-  let do_burst services src start0 =
-    let open Rtnet_mac.Harness in
+  let do_burst t services src start0 =
     let rec go start budget =
       (* Section 5: the burst carries "the first k messages (EDF
          ranked) waiting in Q" — the live queue, so arrivals during the
          acquisition participate in the ranking. *)
-      services.deliver_until start;
-      match services.peek src with
+      services.Harness.deliver_until start;
+      match services.Harness.peek src with
       | Some m
         when budget > 0
-             && Phy.tx_bits inst.Instance.phy m.Message.cls.Message.cls_bits
-                <= budget -> (
-        match services.pop src with
+             && Phy.tx_bits (Channel.phy services.Harness.channel)
+                  m.Message.cls.Message.cls_bits
+                <= budget
+        -> (
+        match services.Harness.pop src with
         | Some m ->
           let on_wire, _ =
-            Channel.burst services.channel ~src ~tag:m.Message.uid
+            Channel.burst services.Harness.channel ~src ~tag:m.Message.uid
               ~bits:m.Message.cls.Message.cls_bits
           in
-          services.complete m ~start ~finish:(start + on_wire);
-          if tracing then
-            emit
+          services.Harness.complete m ~start ~finish:(start + on_wire);
+          if t.tracing then
+            emit t
               (Ddcr_trace.Frame_sent
                  {
                    time = start;
@@ -482,41 +486,44 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
         | None -> start)
       | Some _ | None -> start
     in
-    go start0 params.Ddcr_params.burst_bits
-  in
+    go start0 t.params.Ddcr_params.burst_bits
+
   (* The reference replica: the lowest-id live, synced station.  It
      stands for "the shared state" in trace events and recovery.
      Without a fault plan it is station 0. *)
-  let pick_reference services =
+  let pick_reference t services =
     let rec go s =
-      if s >= z then None
-      else if services.Rtnet_mac.Harness.alive s && synced.(s) then Some s
+      if s >= Array.length t.replicas then None
+      else if services.Harness.alive s && t.synced.(s) then Some s
       else go (s + 1)
     in
     go 0
-  in
-  let after services ~now ~resolution ~next_free =
-    let alive s = services.Rtnet_mac.Harness.alive s in
+
+  let after t services ~now ~resolution ~next_free =
+    let z = Array.length t.replicas in
+    let alive = services.Harness.alive in
     let pre =
-      match pick_reference services with
-      | Some r -> replicas.(r)
-      | None -> replicas.(0)
+      match pick_reference t services with
+      | Some r -> t.replicas.(r)
+      | None -> t.replicas.(0)
     in
-    let slot = Channel.slot_bits services.Rtnet_mac.Harness.channel in
+    let telemetry = t.sink.Sink.enabled in
+    let slot = Channel.slot_bits services.Harness.channel in
     (if telemetry then
        match (pre.Step.phase, resolution) with
        | Step.Sts _, (Channel.Tx _ | Channel.Clash { survivor = Some _; _ }) ->
-         sts_sent := true
+         t.sts_sent <- true
        | _ -> ());
     (* Slot events, classified by the phase the slot was spent in. *)
-    (if tracing then
+    (if t.tracing then
        match resolution with
        | Channel.Idle ->
-         emit (Ddcr_trace.Idle_slot { time = now; phase = Step.phase_name pre })
+         emit t
+           (Ddcr_trace.Idle_slot { time = now; phase = Step.phase_name pre })
        | Channel.Garbled { on_wire } ->
-         emit (Ddcr_trace.Garbled_slot { time = now; on_wire })
+         emit t (Ddcr_trace.Garbled_slot { time = now; on_wire })
        | Channel.Tx { src; tag; on_wire } ->
-         emit
+         emit t
            (Ddcr_trace.Frame_sent
               {
                 time = now;
@@ -526,7 +533,7 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
                 via = via_of_phase pre.Step.phase;
               })
        | Channel.Clash { survivor; contenders } -> (
-         emit
+         emit t
            (Ddcr_trace.Collision_slot
               {
                 time = now;
@@ -535,7 +542,7 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
               });
          match survivor with
          | Some (src, tag, on_wire) ->
-           emit
+           emit t
              (Ddcr_trace.Frame_sent
                 {
                   time = now + slot;
@@ -547,9 +554,9 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
          | None -> ()));
     let next_free =
       match resolution with
-      | Channel.Tx { src; on_wire; _ } -> do_burst services src (now + on_wire)
+      | Channel.Tx { src; on_wire; _ } -> do_burst t services src (now + on_wire)
       | Channel.Clash { survivor = Some (src, _, on_wire); _ } ->
-        do_burst services src (now + slot + on_wire)
+        do_burst t services src (now + slot + on_wire)
       | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ }
         ->
         next_free
@@ -557,17 +564,17 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
     (* Liveness transitions (only a plan crashes stations): a station
        entering a crash window loses its replica (stale on rejoin); one
        leaving it rejoins listen-only. *)
-    if plan_active then
+    if t.faulted then
       for s = 0 to z - 1 do
         let alive = alive s in
-        (match (prev_alive.(s), alive) with
+        (match (t.prev_alive.(s), alive) with
         | true, false ->
-          synced.(s) <- false;
-          if tracing then emit (Ddcr_trace.Crash { time = now; source = s })
+          t.synced.(s) <- false;
+          if t.tracing then emit t (Ddcr_trace.Crash { time = now; source = s })
         | false, true ->
-          if tracing then emit (Ddcr_trace.Rejoin { time = now; source = s })
+          if t.tracing then emit t (Ddcr_trace.Rejoin { time = now; source = s })
         | _ -> ());
-        prev_alive.(s) <- alive
+        t.prev_alive.(s) <- alive
       done;
     (* Each live, synced replica advances on its OWN observation of the
        slot — equal to the wire unless the fault plan made it
@@ -580,100 +587,100 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
        private rank follows per station. *)
     let distinct = ref 0 in
     for s = 0 to z - 1 do
-      if alive s && synced.(s) then begin
-        let pre = replicas.(s)
-        and obs = services.Rtnet_mac.Harness.observed s in
+      if alive s && t.synced.(s) then begin
+        let pre = t.replicas.(s) and obs = services.Harness.observed s in
         let j = ref 0 in
         while
-          !j < !distinct && not (memo_pre.(!j) == pre && memo_obs.(!j) == obs)
+          !j < !distinct
+          && not (t.memo_pre.(!j) == pre && t.memo_obs.(!j) == obs)
         do
           incr j
         done;
         if !j = !distinct then begin
-          memo_pre.(!j) <- pre;
-          memo_obs.(!j) <- obs;
-          memo_post.(!j) <-
-            Step.observe_shared params pre ~resolution:obs ~next_free;
+          t.memo_pre.(!j) <- pre;
+          t.memo_obs.(!j) <- obs;
+          t.memo_post.(!j) <-
+            Step.observe_shared t.params pre ~resolution:obs ~next_free;
           incr distinct
         end;
-        let post = memo_post.(!j) in
-        ranks.(s) <-
-          Step.rank_after ~source:s ~pre ~resolution:obs ~post ranks.(s);
-        if post != pre then replicas.(s) <- post
+        let post = t.memo_post.(!j) in
+        t.ranks.(s) <-
+          Step.rank_after ~source:s ~pre ~resolution:obs ~post t.ranks.(s);
+        if post != pre then t.replicas.(s) <- post
       end
     done;
     (* Divergence detection: live synced replicas disagreeing with the
        plurality ("consensus reality", ties broken toward the lowest
        station id) go listen-only.  Under consistent observation every
        replica agrees and this is one pass of structural comparisons. *)
-    if plan_active then begin
-      let member s = alive s && synced.(s) in
-      (match Step.plurality ~member replicas with
+    if t.faulted then begin
+      let member s = alive s && t.synced.(s) in
+      (match Step.plurality ~member t.replicas with
       | Some r ->
-        let consensus = replicas.(r) in
+        let consensus = t.replicas.(r) in
         for s = 0 to z - 1 do
-          if member s && not (Step.same_shared replicas.(s) consensus) then begin
-            synced.(s) <- false;
-            if tracing then
-              emit (Ddcr_trace.Desync { time = next_free; source = s })
+          if member s && not (Step.same_shared t.replicas.(s) consensus)
+          then begin
+            t.synced.(s) <- false;
+            if t.tracing then
+              emit t (Ddcr_trace.Desync { time = next_free; source = s })
           end
         done
       | None -> ());
       (* Degradation accounting: every live station sitting out this
          slot desynchronized extends the fault epoch. *)
       for s = 0 to z - 1 do
-        if alive s && not synced.(s) then
-          services.Rtnet_mac.Harness.mark_desync s
+        if alive s && not t.synced.(s) then services.Harness.mark_desync s
       done
     end;
-    let ref_post = pick_reference services in
-    (if tracing || telemetry then
+    let ref_post = pick_reference t services in
+    (if t.tracing || telemetry then
        (* Phase-transition events, derived from the reference replica. *)
        match ref_post with
        | None -> ()
        | Some r -> (
-         let post = replicas.(r) in
+         let post = t.replicas.(r) in
          let close_tts () =
            let sent = post.Step.last_out in
-           if tracing then emit (Ddcr_trace.Tts_end { time = next_free; sent });
+           if t.tracing then emit t (Ddcr_trace.Tts_end { time = next_free; sent });
            if telemetry then begin
-             if !tts_start >= 0 then
-               sink.Sink.search ~tree:Sink.Time_tree ~start:!tts_start
+             if t.tts_start >= 0 then
+               t.sink.Sink.search ~tree:Sink.Time_tree ~start:t.tts_start
                  ~finish:next_free ~sent;
-             tts_start := -1;
+             t.tts_start <- -1;
              (* An unproductive TTs compresses time: reft jumped ahead
                 by θ without consuming slots (Section 4.3). *)
-             let theta = params.Ddcr_params.theta in
+             let theta = t.params.Ddcr_params.theta in
              if (not sent) && theta > 0 then
-               sink.Sink.jump ~now:next_free
+               t.sink.Sink.jump ~now:next_free
                  ~reft_from:(post.Step.reft - theta)
                  ~reft_to:post.Step.reft
            end
          in
          let close_sts () =
-           if tracing then emit (Ddcr_trace.Sts_end { time = next_free });
+           if t.tracing then emit t (Ddcr_trace.Sts_end { time = next_free });
            if telemetry then begin
-             if !sts_start >= 0 then
-               sink.Sink.search ~tree:Sink.Static_tree ~start:!sts_start
-                 ~finish:next_free ~sent:!sts_sent;
-             sts_start := -1;
-             sts_sent := false
+             if t.sts_start >= 0 then
+               t.sink.Sink.search ~tree:Sink.Static_tree ~start:t.sts_start
+                 ~finish:next_free ~sent:t.sts_sent;
+             t.sts_start <- -1;
+             t.sts_sent <- false
            end
          in
          match (pre.Step.phase, post.Step.phase) with
          | (Step.Free | Step.Attempt), Step.Tts _ ->
-           if tracing then
-             emit
+           if t.tracing then
+             emit t
                (Ddcr_trace.Tts_begin { time = next_free; reft = post.Step.reft });
-           if telemetry then tts_start := next_free
+           if telemetry then t.tts_start <- next_free
          | Step.Tts _, Step.Sts (sts, _) ->
-           if tracing then
-             emit
+           if t.tracing then
+             emit t
                (Ddcr_trace.Sts_begin
                   { time = next_free; time_leaf = sts.Step.time_leaf });
            if telemetry then begin
-             sts_start := next_free;
-             sts_sent := false
+             t.sts_start <- next_free;
+             t.sts_sent <- false
            end
          | Step.Sts _, Step.Tts _ -> close_sts ()
          | Step.Sts _, Step.Attempt ->
@@ -687,7 +694,7 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
        copy resets the private rank.  If no live synced station remains,
        the lowest-id live one cold-starts the shared state and becomes
        the reference. *)
-    if plan_active then begin
+    if t.faulted then begin
       (match ref_post with
       | Some _ -> ()
       | None -> (
@@ -697,48 +704,113 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
         match first_alive 0 with
         | None -> ()
         | Some s ->
-          replicas.(s) <- { Step.init with Step.reft = next_free };
-          ranks.(s) <- 0;
-          synced.(s) <- true;
-          services.Rtnet_mac.Harness.mark_resync s;
-          if tracing then
-            emit (Ddcr_trace.Resync { time = next_free; source = s })));
-      match pick_reference services with
-      | Some r when Step.at_boundary replicas.(r) ->
-        let reference = replicas.(r) in
+          t.replicas.(s) <- { Step.init with Step.reft = next_free };
+          t.ranks.(s) <- 0;
+          t.synced.(s) <- true;
+          services.Harness.mark_resync s;
+          if t.tracing then
+            emit t (Ddcr_trace.Resync { time = next_free; source = s })));
+      match pick_reference t services with
+      | Some r when Step.at_boundary t.replicas.(r) ->
+        let reference = t.replicas.(r) in
         for s = 0 to z - 1 do
-          if alive s && not synced.(s) then begin
-            replicas.(s) <- reference;
-            ranks.(s) <- 0;
-            synced.(s) <- true;
-            services.Rtnet_mac.Harness.mark_resync s;
-            if tracing then
-              emit (Ddcr_trace.Resync { time = next_free; source = s })
+          if alive s && not t.synced.(s) then begin
+            t.replicas.(s) <- reference;
+            t.ranks.(s) <- 0;
+            t.synced.(s) <- true;
+            services.Harness.mark_resync s;
+            if t.tracing then
+              emit t (Ddcr_trace.Resync { time = next_free; source = s })
           end
         done
       | Some _ | None -> ()
     end;
-    (if check_lockstep then
+    (if t.check_lockstep then
        match ref_post with
        | None -> ()
        | Some r ->
-         let reference = replicas.(r) in
+         let reference = t.replicas.(r) in
          for s = 0 to z - 1 do
            if
-             alive s && synced.(s)
-             && not (Step.same_shared replicas.(s) reference)
+             alive s && t.synced.(s)
+             && not (Step.same_shared t.replicas.(s) reference)
            then
              raise
                (Protocol_violation
                   (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
                      (Step.fingerprint reference)
-                     (Step.fingerprint replicas.(s))))
+                     (Step.fingerprint t.replicas.(s))))
          done);
     next_free
+
+  let make ~check_lockstep ~on_event ~fault ~analyze ~sink ~on_complete
+      ~inject params inst trace ~horizon =
+    let z = inst.Instance.num_sources in
+    {
+      params;
+      h =
+        Harness.create ~protocol:"csma-ddcr" ~fault ~analyze ~sink
+          ~on_complete ~inject ~phy:inst.Instance.phy ~num_sources:z
+          ~horizon trace;
+      replicas = Array.make z Step.init;
+      ranks = Array.make z 0;
+      synced = Array.make z true;
+      prev_alive = Array.make z true;
+      memo_pre = Array.make z Step.init;
+      memo_obs = Array.make z Channel.Idle;
+      memo_post = Array.make z Step.init;
+      check_lockstep;
+      on_event;
+      tracing = Option.is_some on_event;
+      sink;
+      faulted = false;
+      tts_start = -1;
+      sts_start = -1;
+      sts_sent = false;
+    }
+
+  let create params inst trace ~horizon =
+    make ~check_lockstep:false ~on_event:None ~fault:None ~analyze:true
+      ~sink:Sink.null ~on_complete:None ~inject:None params inst trace
+      ~horizon
+
+  let copy t =
+    {
+      t with
+      h = Harness.copy t.h;
+      replicas = Array.copy t.replicas;
+      ranks = Array.copy t.ranks;
+      synced = Array.copy t.synced;
+      prev_alive = Array.copy t.prev_alive;
+    }
+
+  let step t faults =
+    t.faulted <- Option.is_some faults;
+    Harness.slot t.h faults t ~decide ~after
+
+  let harness t = t.h
+  let now t = Harness.now t.h
+  let alive t s = (Harness.services t.h).Harness.alive s
+  let synced t s = t.synced.(s)
+  let replica t s = { (t.replicas.(s)) with Step.rank = t.ranks.(s) }
+end
+
+let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
+    ?(analyze = true) ?(sink = Sink.null) ?on_complete ?inject params inst
+    trace ~horizon =
+  (match Ddcr_params.validate params ~num_sources:inst.Instance.num_sources with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
+  let t =
+    Slot.make ~check_lockstep ~on_event ~fault ~analyze ~sink ~on_complete
+      ~inject params inst trace ~horizon
   in
-  Rtnet_mac.Harness.run ~protocol:"csma-ddcr" ?fault ?plan ?analyze ~sink
-    ?on_complete ?inject ~phy:inst.Instance.phy ~num_sources:z ~horizon
-    ~decide ~after trace
+  let rec loop () =
+    Slot.step t plan;
+    if Slot.now t < horizon then loop ()
+  in
+  loop ();
+  Harness.finish t.Slot.h
 
 let run ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?on_complete
     ?inject ?(seed = 1) params inst ~horizon =

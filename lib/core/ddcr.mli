@@ -132,6 +132,45 @@ module Step : sig
       in-search phase and the STs leaf in range. *)
 end
 
+(** The whole simulated system as one mutable, copyable state — the
+    harness's ({!Rtnet_mac.Harness.t}) plus every station's replica,
+    private rank, sync flag and previous liveness — and the slot that
+    steps it in place.  {!run_trace} is a state, a loop of
+    {!Slot.step} and {!Rtnet_mac.Harness.finish}; the model checker
+    ([Rtnet_model]) runs the same {!Slot.step} on copies. *)
+module Slot : sig
+  type t
+
+  val create :
+    Ddcr_params.t ->
+    Rtnet_workload.Instance.t ->
+    Rtnet_workload.Message.t list ->
+    horizon:int ->
+    t
+  (** The state before the slot at time 0 of {!run_trace} with default
+      options; [params] must be valid for [inst]. *)
+
+  val copy : t -> t
+
+  val step : t -> Rtnet_channel.Fault_plan.t option -> unit
+  (** One slot of {!run_trace} under [faults] (see
+      {!Rtnet_mac.Harness.slot}); with [Some _] DDCR's fault handling
+      runs too.
+      @raise Protocol_violation on inconsistent channel feedback, and
+      {!Rtnet_mac.Harness.Mismatch}. *)
+
+  val harness : t -> Rtnet_mac.Harness.t
+  val now : t -> int
+  val synced : t -> int -> bool
+
+  val alive : t -> int -> bool
+  (** Live in the last slot. *)
+
+  val replica : t -> int -> Step.state
+  (** [s]'s replica with its private rank in [rank] (stale while [s]
+      is crashed or desynchronized). *)
+end
+
 val run_trace :
   ?check_lockstep:bool ->
   ?on_event:(Ddcr_trace.event -> unit) ->
@@ -158,9 +197,9 @@ val run_trace :
     (see {!Ddcr_trace.collector}); events are built only when
     [on_event] is given.  [fault] injects channel noise (garbled
     frames); the protocol retries garbled frames and remains safe, at
-    the cost of latency.  [analyze] is forwarded to
-    {!Rtnet_mac.Harness.run} (default [true]): every completion is
-    checked against the frame the channel carried.
+    the cost of latency.  [analyze] is the harness's (default [true]):
+    every completion is checked against the frame the channel
+    carried.
 
     [plan] runs the protocol under a {!Rtnet_channel.Fault_plan}:
 
@@ -195,8 +234,8 @@ val run_trace :
     completed TTs/STs descent and one [jump] per compressed-time θ
     advance (an unproductive TTs).
 
-    [on_complete] and [inject] are forwarded verbatim to
-    {!Rtnet_mac.Harness.run} — the federation hooks a multi-hop
+    [on_complete] and [inject] are the harness's (see
+    {!Rtnet_mac.Harness.run}) — the federation hooks a multi-hop
     topology driver uses to ingest this segment's completions online
     and to inject bridged arrivals from upstream segments.
     @raise Invalid_argument if [params] fail validation for [inst].

@@ -56,290 +56,384 @@ let arrival_order a b =
   let c = Int.compare a.Message.arrival b.Message.arrival in
   if c <> 0 then c else Int.compare a.Message.uid b.Message.uid
 
-let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
-    ?on_complete ?inject ~phy ~num_sources ~horizon ~decide ~after trace =
-  let telemetry = sink.Sink.enabled in
-  let channel = Channel.create ?fault ?plan phy in
-  let queues = Array.make num_sources Edf_queue.empty in
-  let completions = ref [] in
-  let dropped = ref [] in
-  let arrivals = ref (List.sort arrival_order trace) in
-  let rec deliver_from now = function
-    | m :: rest when m.Message.arrival <= now ->
-      let s = m.Message.cls.Message.cls_source in
-      if s < 0 || s >= num_sources then
-        failwith
-          (Printf.sprintf
-             "harness: arrival for unknown source %d (instance has %d \
-              sources)"
-             s num_sources);
-      queues.(s) <- Edf_queue.insert queues.(s) m;
-      if telemetry then sink.Sink.enqueue ~now ~msg:m;
-      deliver_from now rest
-    | rest -> arrivals := rest
-  in
-  let deliver now = deliver_from now !arrivals in
-  (* The slot's wire resolution, which every source observes without a
-     plan. *)
-  let wire = ref Channel.Idle in
-  (* Per-source fault bookkeeping (only populated under a plan). *)
-  let alive_now = Array.make num_sources true in
-  let observed_now = Array.make num_sources Channel.Idle in
-  let crashed_slots = Array.make num_sources 0 in
-  let missed = Array.make num_sources 0 in
-  let misperceived = Array.make num_sources 0 in
-  let desync_slots = Array.make num_sources 0 in
-  let resyncs = Array.make num_sources 0 in
-  let slot_faulty = ref false in
+(* Everything one slot reads and writes, updated in place. *)
+type state = {
+  protocol : string;
+  num_sources : int;
+  horizon : int;
+  analyze : bool;
+  sink : Sink.t;
+  on_complete : (msg:Message.t -> start:int -> finish:int -> unit) option;
+  inject : (now:int -> Message.t list) option;
+  channel : Channel.t;
+  queues : Edf_queue.t array;
+  mutable arrivals : Message.t list; (* undelivered, in arrival order *)
+  mutable now : int; (* start of the next slot *)
+  mutable completions : Run.completion list; (* most recent first *)
+  mutable completed : int; (* length of [completions] *)
+  mutable dropped : Message.t list; (* most recent first *)
+  mutable wire : Channel.resolution; (* what all observe without a plan *)
+  mutable planned : bool; (* the last slot ran under a fault plan *)
+  (* Per-source fault bookkeeping (only written under a plan). *)
+  alive : bool array;
+  observed : Channel.resolution array;
+  crashed_slots : int array;
+  missed : int array;
+  misperceived : int array;
+  desync_slots : int array;
+  resyncs : int array;
+  mutable slot_faulty : bool;
   (* Fault epochs, merged on the fly: adjacent/overlapping faulty slots
      coalesce because the next slot starts exactly at this one's
      [next_free]. *)
-  let epochs = ref [] in
-  let epoch_open = ref None in
-  let note_epoch ~start ~finish =
-    match !epoch_open with
-    | Some (s, e) when start <= e -> epoch_open := Some (s, max e finish)
-    | Some (s, e) ->
-      epochs := (s, e) :: !epochs;
-      epoch_open := Some (start, finish)
-    | None -> epoch_open := Some (start, finish)
-  in
-  (* [analyze], checked as each completion is recorded: the completion
-     must be the frame the channel carried last, and no earlier carried
-     frame may still lack its completion.  With the channel's own
-     overlap assertion this makes the completion list equal, in order,
-     to the frames the wire carried.  Plain int comparisons on the
-     channel's in-place record: nothing allocates unless it fails. *)
-  let carried = Channel.last_carried channel in
-  let completed = ref 0 in
-  let analyze_failure fmt =
-    Printf.ksprintf (fun msg -> failwith ("harness analyze: " ^ msg)) fmt
-  in
-  let check_completion m ~start ~finish =
-    let src = m.Message.cls.Message.cls_source and uid = m.Message.uid in
-    if Channel.tx_count channel <> !completed + 1 then
-      analyze_failure
-        "completion (src %d uid %d [%d, %d)) recorded as completion %d but \
-         the channel carried %d frames"
-        src uid start finish (!completed + 1) (Channel.tx_count channel)
-    else if
-      carried.Channel.c_src <> src
-      || carried.Channel.c_tag <> uid
-      || carried.Channel.c_start <> start
-      || carried.Channel.c_finish <> finish
-    then
-      analyze_failure
-        "completion (src %d uid %d [%d, %d)) disagrees with the channel's \
-         last carried frame (src %d tag %d [%d, %d))"
-        src uid start finish carried.Channel.c_src carried.Channel.c_tag
-        carried.Channel.c_start carried.Channel.c_finish
-  in
-  let services =
+  mutable epochs : (int * int) list; (* closed, most recent first *)
+  mutable epoch_open : (int * int) option;
+  participant : bool array; (* scratch, cleared by each slot: shared *)
+}
+
+type t = { st : state; services : services }
+
+let note_epoch st ~start ~finish =
+  match st.epoch_open with
+  | Some (s, e) when start <= e -> st.epoch_open <- Some (s, max e finish)
+  | Some span ->
+    st.epochs <- span :: st.epochs;
+    st.epoch_open <- Some (start, finish)
+  | None -> st.epoch_open <- Some (start, finish)
+
+let rec deliver_from st now = function
+  | m :: rest when m.Message.arrival <= now ->
+    let s = m.Message.cls.Message.cls_source in
+    if s < 0 || s >= st.num_sources then
+      failwith
+        (Printf.sprintf
+           "harness: arrival for unknown source %d (instance has %d sources)"
+           s st.num_sources);
+    st.queues.(s) <- Edf_queue.insert st.queues.(s) m;
+    if st.sink.Sink.enabled then st.sink.Sink.enqueue ~now ~msg:m;
+    deliver_from st now rest
+  | rest -> st.arrivals <- rest
+
+let deliver st now = deliver_from st now st.arrivals
+
+let analyze_failure fmt =
+  Printf.ksprintf (fun msg -> failwith ("harness analyze: " ^ msg)) fmt
+
+(* [analyze], checked as each completion is recorded: the completion
+   must be the frame the channel carried last, and no earlier carried
+   frame may still lack its completion.  With the channel's own
+   overlap assertion this makes the completion list equal, in order,
+   to the frames the wire carried.  Plain int comparisons on the
+   channel's in-place record: nothing allocates unless it fails. *)
+let check_completion st m ~start ~finish =
+  let src = m.Message.cls.Message.cls_source and uid = m.Message.uid in
+  let carried = Channel.last_carried st.channel in
+  if Channel.tx_count st.channel <> st.completed + 1 then
+    analyze_failure
+      "completion (src %d uid %d [%d, %d)) recorded as completion %d but the \
+       channel carried %d frames"
+      src uid start finish (st.completed + 1) (Channel.tx_count st.channel)
+  else if
+    carried.Channel.c_src <> src
+    || carried.Channel.c_tag <> uid
+    || carried.Channel.c_start <> start
+    || carried.Channel.c_finish <> finish
+  then
+    analyze_failure
+      "completion (src %d uid %d [%d, %d)) disagrees with the channel's last \
+       carried frame (src %d tag %d [%d, %d))"
+      src uid start finish carried.Channel.c_src carried.Channel.c_tag
+      carried.Channel.c_start carried.Channel.c_finish
+
+let complete st m ~start ~finish =
+  if st.analyze then check_completion st m ~start ~finish;
+  st.completed <- st.completed + 1;
+  if st.sink.Sink.enabled then st.sink.Sink.complete ~msg:m ~start ~finish;
+  (match st.on_complete with None -> () | Some f -> f ~msg:m ~start ~finish);
+  st.completions <-
+    { Run.c_msg = m; c_start = start; c_finish = finish } :: st.completions
+
+let pop st src =
+  match Edf_queue.pop st.queues.(src) with
+  | Some (m, q) ->
+    st.queues.(src) <- q;
+    Some m
+  | None -> None
+
+(* The per-source callbacks capture the arrays themselves: they run for
+   every station in every slot. *)
+let services_of st =
+  let queues = st.queues and alive = st.alive and observed = st.observed in
+  {
+    channel = st.channel;
+    peek = (fun src -> Edf_queue.peek queues.(src));
+    pop = pop st;
+    complete = complete st;
+    drop =
+      (fun m ->
+        if st.sink.Sink.enabled then st.sink.Sink.drop ~msg:m;
+        st.dropped <- m :: st.dropped);
+    deliver_until = deliver st;
+    alive = (fun src -> alive.(src));
+    observed = (fun src -> if st.planned then observed.(src) else st.wire);
+    mark_desync =
+      (fun src ->
+        st.desync_slots.(src) <- st.desync_slots.(src) + 1;
+        st.slot_faulty <- true);
+    mark_resync = (fun src -> st.resyncs.(src) <- st.resyncs.(src) + 1);
+  }
+
+let attach st = { st; services = services_of st }
+
+let create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
+    ~num_sources ~horizon trace =
+  let per_source v = Array.make num_sources v in
+  attach
     {
-      channel;
-      peek = (fun src -> Edf_queue.peek queues.(src));
-      pop =
-        (fun src ->
-          match Edf_queue.pop queues.(src) with
-          | Some (m, q) ->
-            queues.(src) <- q;
-            Some m
-          | None -> None);
-      complete =
-        (fun m ~start ~finish ->
-          if analyze then check_completion m ~start ~finish;
-          incr completed;
-          if telemetry then sink.Sink.complete ~msg:m ~start ~finish;
-          (match on_complete with
-          | None -> ()
-          | Some f -> f ~msg:m ~start ~finish);
-          completions :=
-            { Run.c_msg = m; c_start = start; c_finish = finish }
-            :: !completions);
-      drop =
-        (fun m ->
-          if telemetry then sink.Sink.drop ~msg:m;
-          dropped := m :: !dropped);
-      deliver_until = (fun time -> deliver time);
-      alive = (fun src -> alive_now.(src));
-      observed =
-        (match plan with
-        | None -> fun _ -> !wire
-        | Some _ -> fun src -> observed_now.(src));
-      mark_desync =
-        (fun src ->
-          desync_slots.(src) <- desync_slots.(src) + 1;
-          slot_faulty := true);
-      mark_resync = (fun src -> resyncs.(src) <- resyncs.(src) + 1);
+      protocol;
+      num_sources;
+      horizon;
+      analyze;
+      sink;
+      on_complete;
+      inject;
+      channel = Channel.create ?fault phy;
+      queues = per_source Edf_queue.empty;
+      arrivals = List.sort arrival_order trace;
+      now = 0;
+      completions = [];
+      completed = 0;
+      dropped = [];
+      wire = Channel.Idle;
+      planned = false;
+      alive = per_source true;
+      observed = per_source Channel.Idle;
+      crashed_slots = per_source 0;
+      missed = per_source 0;
+      misperceived = per_source 0;
+      desync_slots = per_source 0;
+      resyncs = per_source 0;
+      slot_faulty = false;
+      epochs = [];
+      epoch_open = None;
+      participant = per_source false;
     }
+
+let copy { st; _ } =
+  attach
+    {
+      st with
+      channel = Channel.copy st.channel;
+      queues = Array.copy st.queues;
+      alive = Array.copy st.alive;
+      observed = Array.copy st.observed;
+      crashed_slots = Array.copy st.crashed_slots;
+      missed = Array.copy st.missed;
+      misperceived = Array.copy st.misperceived;
+      desync_slots = Array.copy st.desync_slots;
+      resyncs = Array.copy st.resyncs;
+    }
+
+let take st ~now src tag =
+  match pop st src with
+  | Some m when m.Message.uid = tag -> m
+  | Some m ->
+    raise
+      (Mismatch
+         {
+           mm_slot = now;
+           mm_source = src;
+           mm_tag = tag;
+           mm_reason =
+             Printf.sprintf "transmitted tag disagrees with the EDF head (uid %d)"
+               m.Message.uid;
+         })
+  | None ->
+    raise
+      (Mismatch
+         {
+           mm_slot = now;
+           mm_source = src;
+           mm_tag = tag;
+           mm_reason = "transmitted from an empty queue";
+         })
+
+(* A crashed source transmits nothing, whatever the protocol's
+   decision callback returned. *)
+let rec all_alive alive = function
+  | [] -> true
+  | a :: rest -> alive.(a.Channel.att_source) && all_alive alive rest
+
+let rec mark participant v = function
+  | [] -> ()
+  | a :: rest ->
+    participant.(a.Channel.att_source) <- v;
+    mark participant v rest
+
+(* Under a plan: each live source's local observation of the slot
+   (misperception draws), each crashed source's missed slots. *)
+let observe st plan ~now resolution attempts =
+  mark st.participant true attempts;
+  (match resolution with
+  | Channel.Garbled _ ->
+    (* Wire-level noise destroyed a frame: the slot is degraded even
+       though everyone observed it consistently. *)
+    st.slot_faulty <- true
+  | _ -> ());
+  for s = 0 to st.num_sources - 1 do
+    if not st.alive.(s) then begin
+      st.observed.(s) <- Channel.Idle;
+      match resolution with
+      | Channel.Idle -> ()
+      | _ -> st.missed.(s) <- st.missed.(s) + 1
+    end
+    else begin
+      let flips = Fault_plan.misperceives plan ~source:s ~now in
+      let obs =
+        if flips && not st.participant.(s) then misperceived_view resolution
+        else resolution
+      in
+      st.observed.(s) <- obs;
+      (* The physical test first: an unflipped view is the wire value
+         itself, and the structural one walks the slot's contender
+         list. *)
+      if obs != resolution && obs <> resolution then begin
+        st.misperceived.(s) <- st.misperceived.(s) + 1;
+        st.slot_faulty <- true
+      end
+    end
+  done;
+  mark st.participant false attempts
+
+let slot { st; services } faults p ~decide ~after =
+  let now = st.now in
+  let sink = st.sink in
+  if sink.Sink.enabled then sink.Sink.engine_event ~time:now;
+  (* Bridge ingress (multi-hop topologies): the injector may hand the
+     harness new messages at any slot boundary; they join the arrival
+     stream and become visible to the EDF queues exactly like trace
+     arrivals (at the first boundary at or after their arrival time). *)
+  (match st.inject with
+  | None -> ()
+  | Some f -> (
+    match f ~now with
+    | [] -> ()
+    | injected ->
+      st.arrivals <-
+        List.merge arrival_order (List.sort arrival_order injected)
+          st.arrivals));
+  deliver st now;
+  st.slot_faulty <- false;
+  (match faults with
+  | None -> st.planned <- false
+  | Some plan ->
+    st.planned <- true;
+    for s = 0 to st.num_sources - 1 do
+      let a = Fault_plan.alive plan ~source:s ~now in
+      st.alive.(s) <- a;
+      if not a then begin
+        st.crashed_slots.(s) <- st.crashed_slots.(s) + 1;
+        st.slot_faulty <- true
+      end
+    done);
+  let attempts = decide p services ~now in
+  let attempts =
+    match faults with
+    | Some _ when not (all_alive st.alive attempts) ->
+      List.filter (fun a -> st.alive.(a.Channel.att_source)) attempts
+    | Some _ | None -> attempts
   in
-  let take ~now src tag =
-    match services.pop src with
-    | Some m when m.Message.uid = tag -> m
-    | Some m ->
-      raise
-        (Mismatch
-           {
-             mm_slot = now;
-             mm_source = src;
-             mm_tag = tag;
-             mm_reason =
-               Printf.sprintf
-                 "transmitted tag disagrees with the EDF head (uid %d)"
-                 m.Message.uid;
-           })
-    | None ->
-      raise
-        (Mismatch
-           {
-             mm_slot = now;
-             mm_source = src;
-             mm_tag = tag;
-             mm_reason = "transmitted from an empty queue";
-           })
+  let resolution, next_free =
+    Channel.contend_under st.channel faults ~now attempts
   in
-  (* A crashed source transmits nothing, whatever the protocol's
-     decision callback returned; the participants of the slot are
-     marked in [participant] (cleared again after the observations). *)
-  let attempt_alive a = alive_now.(a.Channel.att_source) in
-  let participant = Array.make num_sources false in
-  let mark a = participant.(a.Channel.att_source) <- true in
-  let unmark a = participant.(a.Channel.att_source) <- false in
-  (* One contention slot starting at [now]; returns the next slot
-     boundary. *)
-  let slot now =
-    if telemetry then sink.Sink.engine_event ~time:now;
-    (* Bridge ingress (multi-hop topologies): the injector may hand the
-       harness new messages at any slot boundary; they join the arrival
-       stream and become visible to the EDF queues exactly like trace
-       arrivals (at the first boundary at or after their arrival time). *)
-    (match inject with
-    | None -> ()
-    | Some f -> (
-      match f ~now with
-      | [] -> ()
-      | injected ->
-        arrivals :=
-          List.merge arrival_order
-            (List.sort arrival_order injected)
-            !arrivals));
-    deliver now;
-    slot_faulty := false;
-    (match plan with
-    | None -> ()
-    | Some p ->
-      for s = 0 to num_sources - 1 do
-        let a = Fault_plan.alive p ~source:s ~now in
-        alive_now.(s) <- a;
-        if not a then begin
-          crashed_slots.(s) <- crashed_slots.(s) + 1;
-          slot_faulty := true
-        end
-      done);
-    let attempts = decide services ~now in
-    let attempts =
-      match plan with
-      | Some _ when not (List.for_all attempt_alive attempts) ->
-        List.filter attempt_alive attempts
-      | Some _ | None -> attempts
-    in
-    let resolution, next_free = Channel.contend channel ~now attempts in
-    if telemetry then sink.Sink.slot ~now ~next_free ~resolution;
-    wire := resolution;
-    (match plan with
-    | None -> ()
-    | Some p ->
-      List.iter mark attempts;
-      (match resolution with
-      | Channel.Garbled _ ->
-        (* Wire-level noise destroyed a frame: the slot is degraded
-           even though everyone observed it consistently. *)
-        slot_faulty := true
-      | _ -> ());
-      for s = 0 to num_sources - 1 do
-        if not alive_now.(s) then begin
-          observed_now.(s) <- Channel.Idle;
-          match resolution with
-          | Channel.Idle -> ()
-          | _ -> missed.(s) <- missed.(s) + 1
-        end
-        else begin
-          let flips = Fault_plan.misperceives p ~source:s ~now in
-          let obs =
-            if flips && not participant.(s) then misperceived_view resolution
-            else resolution
-          in
-          observed_now.(s) <- obs;
-          (* The physical test first: an unflipped view is the wire
-             value itself, and the structural one walks the slot's
-             contender list. *)
-          if obs != resolution && obs <> resolution then begin
-            misperceived.(s) <- misperceived.(s) + 1;
-            slot_faulty := true
-          end
-        end
-      done;
-      List.iter unmark attempts);
-    (match resolution with
-    | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ } ->
-      ()
-    | Channel.Tx { src; tag; on_wire } ->
-      let m = take ~now src tag in
-      services.complete m ~start:now ~finish:(now + on_wire)
-    | Channel.Clash { survivor = Some (src, tag, on_wire); _ } ->
-      let m = take ~now src tag in
-      let start = now + Channel.slot_bits channel in
-      services.complete m ~start ~finish:(start + on_wire));
-    let next_free = after services ~now ~resolution ~next_free in
-    if analyze && Channel.tx_count channel <> !completed then
-      analyze_failure
-        "slot at t=%d: the channel carried %d frames but %d completions \
-         were recorded"
-        now (Channel.tx_count channel) !completed;
-    if !slot_faulty then note_epoch ~start:now ~finish:next_free;
-    next_free
-  in
-  let rec loop now =
-    let next_free = slot now in
-    if next_free < horizon then loop next_free
-  in
-  loop 0;
+  if sink.Sink.enabled then sink.Sink.slot ~now ~next_free ~resolution;
+  st.wire <- resolution;
+  (match faults with
+  | None -> ()
+  | Some plan -> observe st plan ~now resolution attempts);
+  (match resolution with
+  | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ } ->
+    ()
+  | Channel.Tx { src; tag; on_wire } ->
+    let m = take st ~now src tag in
+    complete st m ~start:now ~finish:(now + on_wire)
+  | Channel.Clash { survivor = Some (src, tag, on_wire); _ } ->
+    let m = take st ~now src tag in
+    let start = now + Channel.slot_bits st.channel in
+    complete st m ~start ~finish:(start + on_wire));
+  let next_free = after p services ~now ~resolution ~next_free in
+  if st.analyze && Channel.tx_count st.channel <> st.completed then
+    analyze_failure
+      "slot at t=%d: the channel carried %d frames but %d completions were \
+       recorded"
+      now (Channel.tx_count st.channel) st.completed;
+  if st.slot_faulty then note_epoch st ~start:now ~finish:next_free;
+  st.now <- next_free
+
+let now h = h.st.now
+let services h = h.services
+let queued h src = Edf_queue.to_sorted_list h.st.queues.(src)
+let pending h = h.st.arrivals
+let completions h = h.st.completions
+
+let epochs h =
+  List.rev
+    (match h.st.epoch_open with
+    | Some span -> span :: h.st.epochs
+    | None -> h.st.epochs)
+
+let source_faults h s =
+  let st = h.st in
+  {
+    Run.sf_source = s;
+    sf_crashed_slots = st.crashed_slots.(s);
+    sf_missed = st.missed.(s);
+    sf_misperceived = st.misperceived.(s);
+    sf_desync_slots = st.desync_slots.(s);
+    sf_resyncs = st.resyncs.(s);
+  }
+
+let finish h =
+  let st = h.st in
   let unfinished =
-    Array.fold_left (fun acc q -> acc @ Edf_queue.to_sorted_list q) [] queues
-    @ List.filter (fun m -> m.Message.arrival < horizon) !arrivals
+    Array.fold_left (fun acc q -> acc @ Edf_queue.to_sorted_list q) [] st.queues
+    @ List.filter (fun m -> m.Message.arrival < st.horizon) st.arrivals
   in
   let faults =
-    match plan with
-    | None -> None
-    | Some _ ->
-      (match !epoch_open with
-      | Some span -> epochs := span :: !epochs
-      | None -> ());
-      if telemetry then
+    if not st.planned then None
+    else begin
+      let epochs = epochs h in
+      if st.sink.Sink.enabled then
         List.iter
-          (fun (start, finish) -> sink.Sink.epoch ~start ~finish)
-          (List.rev !epochs);
+          (fun (start, finish) -> st.sink.Sink.epoch ~start ~finish)
+          epochs;
       Some
         {
-          Run.f_per_source =
-            List.init num_sources (fun s ->
-                {
-                  Run.sf_source = s;
-                  sf_crashed_slots = crashed_slots.(s);
-                  sf_missed = missed.(s);
-                  sf_misperceived = misperceived.(s);
-                  sf_desync_slots = desync_slots.(s);
-                  sf_resyncs = resyncs.(s);
-                });
-          f_epochs = List.rev !epochs;
+          Run.f_per_source = List.init st.num_sources (source_faults h);
+          f_epochs = epochs;
         }
+    end
   in
   {
-    Run.protocol;
-    completions = List.rev !completions;
+    Run.protocol = st.protocol;
+    completions = List.rev st.completions;
     unfinished;
-    dropped = List.rev !dropped;
-    horizon;
-    channel = Some (Channel.stats channel);
+    dropped = List.rev st.dropped;
+    horizon = st.horizon;
+    channel = Some (Channel.stats st.channel);
     faults;
   }
+
+let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
+    ?on_complete ?inject ~phy ~num_sources ~horizon ~decide ~after trace =
+  let h =
+    create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
+      ~num_sources ~horizon trace
+  in
+  let decide () = decide and after () = after in
+  let rec loop () =
+    slot h plan () ~decide ~after;
+    if now h < horizon then loop ()
+  in
+  loop ();
+  finish h

@@ -28,7 +28,11 @@
     The channel asserts mutual exclusion as each frame is carried; the
     harness checks every completion against the carried frame (see
     [analyze] on {!run}) and assembles the {!Rtnet_stats.Run} outcome
-    (completions, unfinished, dropped, channel statistics). *)
+    (completions, unfinished, dropped, channel statistics).
+
+    {!run} is {!create}, a loop of {!slot} and {!finish} over one
+    mutable slot state ({!t}); {!copy} lets a model checker
+    ([Rtnet_model]) branch a run and step the very same slot. *)
 
 type services = {
   channel : Rtnet_channel.Channel.t;  (** the medium (e.g. for {!Rtnet_channel.Channel.burst}) *)
@@ -91,15 +95,76 @@ val misperceived_view :
 (** [misperceived_view resolution] is what a misperceiving listener
     decodes instead of [resolution]: a [Tx] as CRC-garbage
     ([Garbled]), a destructive [Clash] as silence ([Idle]); [Idle],
-    [Garbled] and arbitrated-survivor slots pass through unchanged.
-    Exposed so model checkers ([Rtnet_model]) apply the {e exact} same
-    observation corruption the harness does. *)
+    [Garbled] and arbitrated-survivor slots pass through unchanged. *)
 
 val arrival_order :
   Rtnet_workload.Message.t -> Rtnet_workload.Message.t -> int
 (** [arrival_order a b] orders messages by arrival time, then by uid —
-    the order in which {!run} delivers them, and the one every copy of
-    a trace is sorted by ([Rtnet_model] sorts its arrivals with it). *)
+    the order in which {!run} delivers them. *)
+
+type t
+(** A run's state (queues, arrivals, channel, per-source liveness,
+    views and fault counters, epoch ledger), updated in place. *)
+
+val create :
+  protocol:string ->
+  fault:Rtnet_channel.Channel.fault option ->
+  analyze:bool ->
+  sink:Rtnet_telemetry.Sink.t ->
+  on_complete:
+    (msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit) option ->
+  inject:(now:int -> Rtnet_workload.Message.t list) option ->
+  phy:Rtnet_channel.Phy.t ->
+  num_sources:int ->
+  horizon:int ->
+  Rtnet_workload.Message.t list ->
+  t
+(** The state before the slot at time 0; the arguments are {!run}'s. *)
+
+val copy : t -> t
+(** An independent state equal to [h] (the sink and hooks are shared). *)
+
+val slot :
+  t ->
+  Rtnet_channel.Fault_plan.t option ->
+  'p ->
+  decide:('p -> services -> now:int -> Rtnet_channel.Channel.attempt list) ->
+  after:
+    ('p ->
+    services ->
+    now:int ->
+    resolution:Rtnet_channel.Channel.resolution ->
+    next_free:int ->
+    int) ->
+  unit
+(** [slot h faults p ~decide ~after] runs the slot at [now h] for the
+    protocol state [p] (steps under {!run}).  Faults enter only through
+    [faults], asked for liveness at the slot start, garbling of a lone
+    frame ({!Rtnet_channel.Channel.contend_under}) and misperception by
+    each live listener; [None] means all live, observing the wire.
+    @raise Mismatch as {!run} does; the state is then undefined. *)
+
+val now : t -> int  (** The start of the next slot. *)
+
+val services : t -> services
+(** After a slot, [alive] and [observed] still answer for it. *)
+
+val queued : t -> int -> Rtnet_workload.Message.t list  (** Head first. *)
+
+val pending : t -> Rtnet_workload.Message.t list
+(** The undelivered arrivals, in {!arrival_order}. *)
+
+val completions : t -> Rtnet_stats.Run.completion list
+(** Most recent first. *)
+
+val epochs : t -> (int * int) list
+(** The fault-epoch ledger so far, in time order (closed, then open). *)
+
+val source_faults : t -> int -> Rtnet_stats.Run.source_faults
+
+val finish : t -> Rtnet_stats.Run.outcome
+(** The run's outcome ([faults] is [Some] iff the last slot ran under
+    a plan); also sends each merged epoch to the sink. *)
 
 val run :
   protocol:string ->
@@ -123,7 +188,8 @@ val run :
   Rtnet_workload.Message.t list ->
   Rtnet_stats.Run.outcome
 (** [run ~protocol ~phy ~num_sources ~horizon ~decide ~after trace]
-    simulates the protocol on [trace].  Per slot, the harness:
+    simulates the protocol on [trace]: {!create}, {!slot} until the
+    horizon, {!finish}.  Per slot, the harness:
 
     + delivers arrivals with [T <= now] into the EDF queues,
     + under a [plan], refreshes per-source liveness (crash windows),
@@ -149,8 +215,9 @@ val run :
     ["MAC safety violated: ..."].
 
     [fault] is the legacy i.i.d. noise model, [plan] the composable
-    fault-plan model; they are mutually exclusive (the channel rejects
-    both).  The outcome's [faults] field is [Some] iff [plan] was
+    fault-plan model, handed to every {!slot}; they are mutually
+    exclusive (the channel rejects the pair at the first slot).  The
+    outcome's [faults] field is [Some] iff [plan] was
     given.
 
     With [analyze] (default [true] — every harness run is

@@ -32,29 +32,21 @@ type outcome = {
   o_findings : finding list;
 }
 
-let actions_for sys nd =
-  let z = sys.T.inst.Rtnet_workload.Instance.num_sources in
-  let acc = ref [ T.No_fault ] in
-  if nd.T.budget > 0 then begin
-    acc := T.Garble :: !acc;
-    for s = z - 1 downto 0 do
-      if (not nd.T.crashed.(s)) && nd.T.synced.(s) then
-        acc := T.Misperceive s :: !acc
-    done;
-    for s = z - 1 downto 0 do
-      if not nd.T.crashed.(s) then acc := T.Crash s :: !acc
-    done
-  end;
-  for s = z - 1 downto 0 do
-    if nd.T.crashed.(s) then acc := T.Revive s :: !acc
-  done;
-  !acc
+(* Transition.step answers Disabled where an action's preconditions
+   fail at a node, so the candidates do not depend on it. *)
+let actions_for sys =
+  let each f = List.init sys.T.inst.Rtnet_workload.Instance.num_sources f in
+  each (fun s -> T.Revive s)
+  @ each (fun s -> T.Crash s)
+  @ each (fun s -> T.Misperceive s)
+  @ [ T.Garble; T.No_fault ]
 
 let run ?(config = default_config) sys ~budget =
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
   let frontier = Queue.create () in
   let root = { (T.init sys) with T.budget } in
-  Hashtbl.replace visited (T.key root) ();
+  let actions = actions_for sys in
+  Hashtbl.replace visited (T.key sys root) ();
   Queue.add (root, [], 0) frontier;
   let explored = ref 0 in
   let transitions = ref 0 in
@@ -77,7 +69,7 @@ let run ?(config = default_config) sys ~budget =
              | T.Disabled -> ()
              | T.Stepped nd' ->
                incr transitions;
-               let k = T.key nd' in
+               let k = T.key sys nd' in
                if not (Hashtbl.mem visited k) then begin
                  if Hashtbl.length visited >= config.c_max_states then
                    truncated := true
@@ -102,7 +94,7 @@ let run ?(config = default_config) sys ~budget =
                  if List.length !findings >= config.c_max_violations then
                    raise Exit
                end)
-           (actions_for sys nd)
+           actions
      done
    with Exit -> ());
   {

@@ -34,12 +34,11 @@ type outcome = {
   o_findings : finding list;
 }
 
-val actions_for : Transition.sys -> Transition.node -> Transition.action list
-(** The candidate actions at a node: [No_fault] always; with budget
-    left, [Garble], [Misperceive s] of each live synced source and
-    [Crash s] of each live source; [Revive s] of each crashed source
-    (free — ending a crash spends no budget).  Inapplicable candidates
-    are filtered by {!Transition.step} returning [Disabled]. *)
+val actions_for : Transition.sys -> Transition.action list
+(** The candidate actions, in the order successors are enqueued:
+    [Revive s], [Crash s] and [Misperceive s] of each source, then
+    [Garble] and [No_fault].  At a node, {!Transition.step} answers
+    [Disabled] to those whose preconditions fail. *)
 
 val run : ?config:config -> Transition.sys -> budget:int -> outcome
 (** [run sys ~budget] explores from {!Transition.init} with the given

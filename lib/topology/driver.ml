@@ -126,11 +126,6 @@ type held = {
   hd_next_idx : int;  (* hop index the release would start *)
 }
 
-let arrival_order (a : Message.t) (b : Message.t) =
-  match compare a.Message.arrival b.Message.arrival with
-  | 0 -> compare a.Message.uid b.Message.uid
-  | c -> c
-
 let rec chunk n = function
   | [] -> []
   | xs ->
@@ -574,7 +569,9 @@ let run_exn ~domains ?check_lockstep ?sink_for ~fault_seed (e : Admit.t)
                 (plan_of_segment name)
             in
             let trace = List.assoc name prepared in
-            let pend0 = List.sort arrival_order !(pending_ref name) in
+            let pend0 =
+              List.sort Rtnet_mac.Harness.arrival_order !(pending_ref name)
+            in
             let flow_ids =
               Hashtbl.fold
                 (fun (s, id) _ acc -> if s = name then id :: acc else acc)

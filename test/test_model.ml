@@ -1,15 +1,16 @@
 (* rtnet.model: the explicit-state model checker.
 
-   The load-bearing properties: the structural replica agreement the
-   simulator and the model checker share (Step.same_shared) decides
-   exactly fingerprint equality on states reached by randomized faulty
-   feedback, and Step.plurality picks the documented consensus group;
-   exploration is deterministic and proves a small clean
+   The load-bearing properties: the structural replica agreement
+   (Step.same_shared) decides exactly fingerprint equality on states
+   reached by randomized faulty feedback, and Step.plurality picks the
+   documented consensus group; the model's slot is the simulator's, so
+   run_trace under a trail's merged plan reports the same run, and
+   every replica the slot advances is what Step.observe makes of it
+   alone; exploration is deterministic and proves a small clean
    instance clean; the committed broken-parameters fixture yields a
-   deadline-miss counterexample whose exported artifact replays
-   through the real simulator to the same Oracle verdict and
-   fingerprint; and trails fold into scheduled fault-plan atoms
-   exactly. *)
+   deadline-miss counterexample whose exported artifact replays through
+   the real simulator to the same Oracle verdict and fingerprint; and
+   trails fold into scheduled fault-plan atoms exactly. *)
 
 module Ddcr = Rtnet_core.Ddcr
 module Step = Rtnet_core.Ddcr.Step
@@ -234,16 +235,20 @@ let test_plurality_rule () =
   Alcotest.(check (option int)) "no member" None
     (Step.plurality ~member:(fun _ -> false) [| a; b |])
 
-(* -------------------- the per-replica reference -------------------- *)
+(* -------------------- the simulator's slot as the model -------------------- *)
 
-(* Transition.step evaluates every replica on its own; Ddcr.run_trace
-   evaluates the shared step once per distinct (state, observation)
-   pair.  Along a random enabled trail of fault actions the two must
-   report the same run: the same completions, the same per-source
-   desync and resync counts and the same fault epochs. *)
+(* Transition.step runs the simulator's own slot (Ddcr.Slot.step) under
+   a one-slot plan per action.  Along a random enabled trail of fault
+   actions, Ddcr.run_trace under the trail's merged plan
+   (Witness.plan_of_trail: crash windows from crash to revive) must
+   report the same run as the per-slot choices: the same completions,
+   the same per-source desync and resync counts and the same fault
+   epochs. *)
 
 module Scenarios = Rtnet_workload.Scenarios
 module Run = Rtnet_stats.Run
+module Harness = Rtnet_mac.Harness
+module Slot = Rtnet_core.Ddcr.Slot
 
 (* Two classes and two static indices per source, so a source can
    send twice in one static tree and its private rank matters. *)
@@ -252,6 +257,14 @@ let reference_instance ~arbitrated =
   else
     Scenarios.uniform ~sources:3 ~classes_per_source:2 ~load:0.5
       ~deadline_windows:4.0
+
+let reference_sys ~seed ~arbitrated =
+  let inst = reference_instance ~arbitrated in
+  let params =
+    Ddcr_params.with_burst (Ddcr_params.default ~indices_per_source:2 inst) 0
+  in
+  let trace = Instance.trace inst ~seed ~horizon:1_000_000 in
+  Transition.make ~params ~inst ~trace ~horizon:1_000_000
 
 (* A random action, tried first; a disabled or violating one falls back
    to No_fault.  The trail ends early where No_fault violates too. *)
@@ -289,45 +302,100 @@ let prop_simulator_matches_reference =
     ~count:40
     QCheck.(pair (int_range 0 10_000) bool)
     (fun (seed, arbitrated) ->
-      let inst = reference_instance ~arbitrated in
-      let params =
-        Ddcr_params.with_burst (Ddcr_params.default ~indices_per_source:2 inst) 0
-      in
-      let trace = Instance.trace inst ~seed ~horizon:1_000_000 in
-      let sys = Transition.make ~params ~inst ~trace ~horizon:1_000_000 in
+      let sys = reference_sys ~seed ~arbitrated in
+      let params = sys.Transition.params and inst = sys.Transition.inst in
       let nd, trail = random_trail sys ~rng:(Prng.create seed) ~slots:80 in
       if trail = [] then QCheck.assume_fail ()
       else begin
         let plan = Fault_plan.create ~seed:0 (Witness.plan_of_trail trail) in
         let o =
-          Ddcr.run_trace ~check_lockstep:true ~plan params inst trace
-            ~horizon:nd.Transition.time
+          Ddcr.run_trace ~check_lockstep:true ~plan params inst
+            sys.Transition.trace ~horizon:nd.Transition.time
         in
-        let completions =
+        let h = Slot.harness nd.Transition.slot in
+        let uids completions =
           List.map
             (fun c -> (c.Run.c_msg.Message.uid, c.Run.c_start, c.Run.c_finish))
-            o.Run.completions
+            completions
         in
         let f = Option.get o.Run.faults in
         let per_source field = Array.of_list (List.map field f.Run.f_per_source) in
-        let epochs =
-          List.rev
-            (match nd.Transition.epoch_open with
-            | Some span -> span :: nd.Transition.epochs
-            | None -> nd.Transition.epochs)
+        let model field =
+          Array.init inst.Instance.num_sources (fun s ->
+              field (Harness.source_faults h s))
         in
         let fail what = QCheck.Test.fail_reportf "%s differ (seed %d)" what seed in
-        if completions <> List.rev nd.Transition.completed then fail "completions"
+        if uids o.Run.completions <> uids (List.rev (Harness.completions h)) then
+          fail "completions"
         else if
           per_source (fun sf -> sf.Run.sf_desync_slots)
-          <> nd.Transition.desync_slots
+          <> model (fun sf -> sf.Run.sf_desync_slots)
         then fail "desync counts"
         else if
-          per_source (fun sf -> sf.Run.sf_resyncs) <> nd.Transition.resyncs
+          per_source (fun sf -> sf.Run.sf_resyncs)
+          <> model (fun sf -> sf.Run.sf_resyncs)
         then fail "resync counts"
-        else if f.Run.f_epochs <> epochs then fail "fault epochs"
+        else if f.Run.f_epochs <> Harness.epochs h then fail "fault epochs"
         else true
       end)
+
+(* The per-replica reference.  The slot evaluates the shared step once
+   per distinct (state, observation) pair and keeps each station's rank
+   apart, so no library code evaluates a replica on its own any more.
+   Along random enabled trails, every replica that was synced entering
+   a slot, live in it and not resynced or restarted by it must be what
+   Step.observe makes of its own pre-slot state and its own
+   observation: the same shared state and the same rank. *)
+let prop_replicas_match_step_observe =
+  QCheck.Test.make ~name:"slot replicas match Step.observe per replica"
+    ~count:40
+    QCheck.(pair (int_range 0 10_000) bool)
+    (fun (seed, arbitrated) ->
+      let sys = reference_sys ~seed ~arbitrated in
+      let params = sys.Transition.params in
+      let z = sys.Transition.inst.Instance.num_sources in
+      let _, trail = random_trail sys ~rng:(Prng.create seed) ~slots:80 in
+      let resyncs slot s =
+        (Harness.source_faults (Slot.harness slot) s).Run.sf_resyncs
+      in
+      let check pre post =
+        for s = 0 to z - 1 do
+          if
+            Slot.synced pre s && Slot.alive post s
+            && resyncs pre s = resyncs post s
+          then begin
+            let observed =
+              (Harness.services (Slot.harness post)).Harness.observed s
+            in
+            let expected =
+              Step.observe params ~source:s (Slot.replica pre s)
+                ~resolution:observed ~next_free:(Slot.now post)
+            and got = Slot.replica post s in
+            if
+              not
+                (Step.same_shared expected got
+                && expected.Step.rank = got.Step.rank)
+            then
+              QCheck.Test.fail_reportf
+                "source %d at t=%d: slot gave [%s] rank %d, Step.observe \
+                 [%s] rank %d (seed %d)"
+                s (Slot.now pre) (Step.fingerprint got) got.Step.rank
+                (Step.fingerprint expected) expected.Step.rank seed
+          end
+        done
+      in
+      ignore
+        (List.fold_left
+           (fun nd (_, action) ->
+             match Transition.step sys nd action with
+             | Transition.Stepped nd' ->
+               check nd.Transition.slot nd'.Transition.slot;
+               nd'
+             | Transition.Disabled | Transition.Violating _ ->
+               QCheck.Test.fail_reportf "trail does not replay (seed %d)" seed)
+           { (Transition.init sys) with Transition.budget = max_int }
+           trail);
+      true)
 
 (* -------------------- exploration -------------------- *)
 
@@ -523,5 +591,6 @@ let suite =
           test_plan_of_trail;
         Alcotest.test_case "plurality rule" `Quick test_plurality_rule;
         QCheck_alcotest.to_alcotest prop_simulator_matches_reference;
+        QCheck_alcotest.to_alcotest prop_replicas_match_step_observe;
       ] );
   ]
