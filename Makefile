@@ -8,7 +8,7 @@
 
 .PHONY: all build lint test check clean campaign-smoke campaign-baseline \
   faults-smoke telemetry-smoke chaos-smoke model-smoke topo-smoke \
-  topo-faults-smoke obs-smoke admit-smoke bench-smoke
+  topo-faults-smoke obs-smoke admit-smoke bench-smoke slot-guard
 
 all: build
 
@@ -135,6 +135,13 @@ admit-smoke: build
 	  _build/BENCH_admit_churn.current.json --baseline BENCH_admit_churn.json
 	dune exec bench/admit_guard.exe
 
+# Station-scaling gate of the DDCR slot: the dense bus with and without
+# 48 silent stations on one 64-leaf static tree must keep the same
+# outcome digest, and the silent stations may make a slot at most 1.8x
+# as costly (Bechamel guard).
+slot-guard: build
+	dune exec bench/slot_guard.exe
+
 # Layered-benchmark gate: every perfbench workload (dense, faulty,
 # churn, federation) in both modes (end-to-end and per-layer) at tiny
 # sizes.  Exits non-zero if a run reports a correctness violation
@@ -164,7 +171,7 @@ check:
 	  && $(MAKE) faults-smoke && $(MAKE) telemetry-smoke \
 	  && $(MAKE) chaos-smoke && $(MAKE) model-smoke && $(MAKE) topo-smoke \
 	  && $(MAKE) topo-faults-smoke && $(MAKE) obs-smoke \
-	  && $(MAKE) admit-smoke && $(MAKE) bench-smoke
+	  && $(MAKE) admit-smoke && $(MAKE) slot-guard && $(MAKE) bench-smoke
 
 clean:
 	dune clean

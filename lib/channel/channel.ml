@@ -149,8 +149,8 @@ let finish_tx ch plan ~now a =
     Tx { src = a.att_source; tag = a.att_tag; on_wire }
   end
 
-(* Wired-OR arbitration order: the smaller (deadline, static index)
-   key wins, then the smaller source id. *)
+(* Wired-OR arbitration order: the smaller key wins, then the smaller
+   source id. *)
 let beats a b =
   let d1, i1 = a.att_key and d2, i2 = b.att_key in
   d1 < d2 || (d1 = d2 && (i1 < i2 || (i1 = i2 && a.att_source < b.att_source)))
@@ -196,15 +196,16 @@ let contend_under ch plan ~now attempts =
     (* The burst-noise state chain advances once per contention slot,
        whatever the slot carries. *)
     Fault_plan.tick p);
-  let resolution =
-    match attempts with
-    | [] -> finish_idle ch ~now
-    | [ a ] -> finish_tx ch plan ~now a
-    | first :: rest -> finish_clash ch ~now first rest
-  in
-  (resolution, ch.free_at)
+  match attempts with
+  | [] -> finish_idle ch ~now
+  | [ a ] -> finish_tx ch plan ~now a
+  | first :: rest -> finish_clash ch ~now first rest
 
-let contend ch ~now attempts = contend_under ch None ~now attempts
+let free_at ch = ch.free_at
+
+let contend ch ~now attempts =
+  let resolution = contend_under ch None ~now attempts in
+  (resolution, ch.free_at)
 
 let burst ch ~src ~tag ~bits =
   if ch.holder < 0 || ch.holder <> src then

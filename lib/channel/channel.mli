@@ -17,8 +17,10 @@ type attempt = {
   att_tag : int;  (** caller-chosen message tag, reported back *)
   att_bits : int;  (** Data-Link frame length [l], bits *)
   att_key : int * int;
-      (** arbitration key (absolute deadline, static index); only used
-          by {!Phy.Arbitration} media, smaller wins *)
+      (** arbitration key, compared lexicographically, smaller wins;
+          only used by {!Phy.Arbitration} media.  Every protocol here
+          passes (absolute deadline, source id), so ties on the
+          deadline go to the lower source id. *)
 }
 
 type resolution =
@@ -85,12 +87,18 @@ val contend : t -> now:int -> attempt list -> resolution * int
     start before the previous carried frame ended. *)
 
 val contend_under :
-  t -> Fault_plan.t option -> now:int -> attempt list -> resolution * int
-(** {!contend} with the slot's wire faults from [plan]: with [Some p],
-    [p]'s state chain advances once and [p] decides whether a lone frame
-    is garbled; [None] is {!contend}.
+  t -> Fault_plan.t option -> now:int -> attempt list -> resolution
+(** {!contend} with the slot's wire faults from [plan], returning the
+    resolution alone (the next slot starts at {!free_at}, so nothing is
+    paired per slot): with [Some p], [p]'s state chain advances once and
+    [p] decides whether a lone frame is garbled; [None] is {!contend}.
     @raise Invalid_argument as {!contend} does, and on [Some _] for a
     channel created with a legacy [fault] (the two are exclusive). *)
+
+val free_at : t -> int
+(** [free_at ch] is the time at which the channel is next free: the
+    start of the next slot after a {!contend_under}, or the end of the
+    last {!burst} frame. *)
 
 val burst : t -> src:int -> tag:int -> bits:int -> int * int
 (** [burst ch ~src ~tag ~bits] appends one more frame to the channel

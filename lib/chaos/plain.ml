@@ -1,6 +1,7 @@
 module Json = Rtnet_util.Json
 module Spec = Rtnet_campaign.Spec
 module Instance = Rtnet_workload.Instance
+module Message = Rtnet_workload.Message
 module Fault_plan = Rtnet_channel.Fault_plan
 module Ddcr = Rtnet_core.Ddcr
 module Ddcr_params = Rtnet_core.Ddcr_params
@@ -29,9 +30,35 @@ let version = 2
 let search_label = "search"
 let unit = "events"
 
+let max_trace_messages = 1_000_000
+let max_horizon_ms = 60_000
+
+(* The most messages a trace of [inst] over [horizon_ms] can hold, in
+   floats so no product overflows: a class releases at most [a]
+   messages in any window [w], so at most a·⌈horizon/w⌉ in all. *)
+let trace_bound inst ~horizon_ms =
+  let horizon = float_of_int horizon_ms *. 1e6 in
+  List.fold_left
+    (fun acc c ->
+      acc
+      +. float_of_int c.Message.cls_burst
+         *. Float.ceil (horizon /. float_of_int c.Message.cls_window))
+    0. (Instance.classes inst)
+
 let check_env env =
-  let* _ = Spec.instance_result env.cf_scenario in
-  if env.cf_horizon_ms < 1 then Error "horizon_ms < 1" else Ok env
+  let* inst = Spec.instance_result env.cf_scenario in
+  if env.cf_horizon_ms < 1 then Error "horizon_ms < 1"
+  else if env.cf_horizon_ms > max_horizon_ms then
+    Error (Printf.sprintf "horizon_ms > %d" max_horizon_ms)
+  else
+    let bound = trace_bound inst ~horizon_ms:env.cf_horizon_ms in
+    if bound > float_of_int max_trace_messages then
+      Error
+        (Printf.sprintf
+           "the trace may hold %.3g messages, more than the %d a plain \
+            environment allows"
+           bound max_trace_messages)
+    else Ok env
 
 let sample env budget ~seed ~index =
   let inst = Spec.instance env.cf_scenario in

@@ -37,10 +37,25 @@ include
      and type space = Generator.budget
      and type atom = Rtnet_channel.Fault_plan.spec
 
+val max_trace_messages : int
+(** The largest trace a plain environment may demand: one million
+    messages.  The committed artifacts and search configurations need
+    a few hundred. *)
+
+val max_horizon_ms : int
+(** The longest horizon a plain environment may demand: one minute
+    (60 000 ms).  A run resolves a slot at least every slot time, so
+    the horizon bounds its work as the trace size does. *)
+
 val check_env : env -> (env, string) result
 (** [Ok env] iff the scenario has a single-bus instance (an unknown
-    kind, or ["topo"], does not) and the horizon is at least 1 ms —
-    checked wherever a plain environment is decoded or built. *)
+    kind, or ["topo"], does not), the horizon is between 1 ms and
+    {!max_horizon_ms}, and no trace of the instance over the horizon can hold more than
+    {!max_trace_messages} messages: Σ a·⌈horizon/w⌉ over the classes
+    (each releases at most [a] messages in any window [w]), computed
+    before any trace is generated.  Checked wherever a plain
+    environment is decoded or built, so a decoded artifact cannot
+    demand unbounded work. *)
 
 (** {1 Search configuration files} *)
 

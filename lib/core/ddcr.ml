@@ -12,7 +12,18 @@ exception Protocol_violation of string
    the shared step ([observe_shared], the same for every replica fed the
    same observation) with the private rank rule ([rank_after]); [Slot]
    calls the two halves separately, so it evaluates the shared step once
-   per distinct observation and keeps ranks in an array. *)
+   per distinct observation and keeps ranks in an array.  [decide] is a
+   band on the head's deadline ([set_band]), which [Slot] computes once per
+   slot for every station. *)
+
+(* A value defined inside a submodule also takes a word of the
+   submodule's block, allocated at start-up, so the helpers of [Step]
+   and of [Slot]'s replica set live at the top level. *)
+
+let rec push_children lo child i rest =
+  if i < 0 then rest
+  else push_children lo child (i - 1) ((lo + (i * child), child) :: rest)
+
 module Step = struct
   type tts = {
     t_stack : (int * int) list; (* unsearched time-tree intervals *)
@@ -36,52 +47,84 @@ module Step = struct
 
   let init = { phase = Free; reft = 0; rank = 0; last_out = false }
 
-  (* f(reft, I.msg) = max(⌊(DM − (α + reft))/c⌋, f* + 1). *)
-  let time_index p st tts msg =
-    let natural =
-      Rtnet_util.Int_math.fdiv
-        (Message.abs_deadline msg - p.Ddcr_params.alpha - st.reft)
-        p.Ddcr_params.class_width
-    in
-    max natural (tts.f_star + 1)
+  (* The decision rule as a band on the head's absolute deadline DM.
+     In the paper a source joins a probed time interval [lo, lo+w) iff
+     f(reft, msg) = max(⌊(DM − α − reft)/c⌋, f*+1) lies in it and is at
+     most F−1, and a static interval iff its next own index lies in it
+     and f(reft, msg) is at most the colliding time leaf L.  Since
+     ⌊x/c⌋ < k ⟺ x < k·c for c > 0, each is an interval of DM, the same
+     for every replica holding the state:
+     - TTs, with top = min(lo+w, F): nobody if f*+1 >= top, else
+       DM < α + reft + c·top, and DM >= α + reft + c·lo when f*+1 < lo;
+     - STs: nobody if f*+1 > L, else DM < α + reft + c·(L+1), and the
+       next own static index inside the probed interval;
+     - free and attempt: any queued message (DM < max_int). *)
+  type band = {
+    mutable lo : int; (* lowest DM that transmits *)
+    mutable hi : int; (* DM must be below *)
+    mutable static : bool; (* the next own index must lie in [s_lo, s_hi) *)
+    mutable s_lo : int;
+    mutable s_hi : int;
+  }
 
-  let attempt_of ~source msg =
-    {
-      Channel.att_source = source;
-      att_tag = msg.Message.uid;
-      att_bits = msg.Message.cls.Message.cls_bits;
-      att_key = (Message.abs_deadline msg, source);
-    }
-
-  let decide_ranked p ~source ~rank st ~msg_star =
-    match (st.phase, msg_star) with
-    | (Free | Attempt), Some m -> Some (attempt_of ~source m)
-    | (Free | Attempt), None -> None
-    | Tts tts, Some m -> (
+  (* Writes [st]'s band into [b]: ints and bools only, so filling it
+     allocates nothing. *)
+  let set_band b p st =
+    let base = p.Ddcr_params.alpha + st.reft and c = p.Ddcr_params.class_width in
+    b.static <- false;
+    b.lo <- min_int;
+    match st.phase with
+    | Free | Attempt -> b.hi <- max_int
+    | Tts tts -> (
       match tts.t_stack with
       | (lo, w) :: _ ->
-        let idx = time_index p st tts m in
-        if idx <= p.Ddcr_params.time_leaves - 1 && idx >= lo && idx < lo + w
-        then Some (attempt_of ~source m)
-        else None
+        let next = tts.f_star + 1 and top = min (lo + w) p.Ddcr_params.time_leaves in
+        if next >= top then b.hi <- min_int
+        else begin
+          if next < lo then b.lo <- base + (c * lo);
+          b.hi <- base + (c * top)
+        end
       | [] -> raise (Protocol_violation "decide: empty time-tree stack"))
-    | Tts _, None -> None
-    | Sts (sts, tts), Some m -> (
+    | Sts (sts, tts) -> (
       match sts.s_stack with
       | (lo, w) :: _ ->
-        let own = p.Ddcr_params.static_indices.(source) in
-        if
-          rank < Array.length own
-          && own.(rank) >= lo
-          && own.(rank) < lo + w
-          && time_index p st tts m <= sts.time_leaf
-        then Some (attempt_of ~source m)
-        else None
+        if tts.f_star + 1 > sts.time_leaf then b.hi <- min_int
+        else begin
+          b.hi <- base + (c * (sts.time_leaf + 1));
+          b.static <- true;
+          b.s_lo <- lo;
+          b.s_hi <- lo + w
+        end
       | [] -> raise (Protocol_violation "decide: empty static-tree stack"))
-    | Sts _, None -> None
+
+  (* A station transmits iff its head deadline is [in_band] and it
+     [joins] the probed static interval; the slot tests the deadline
+     first, so a station outside the band costs one load and two
+     compares. *)
+  let[@inline] in_band b dm = b.lo <= dm && dm < b.hi
+
+  let[@inline] joins p b ~source ~rank =
+    (not b.static)
+    ||
+    let own = p.Ddcr_params.static_indices.(source) in
+    rank < Array.length own && own.(rank) >= b.s_lo && own.(rank) < b.s_hi
 
   let decide p ~source st ~msg_star =
-    decide_ranked p ~source ~rank:st.rank st ~msg_star
+    match msg_star with
+    | None -> None
+    | Some m ->
+      let b = { lo = 0; hi = 0; static = false; s_lo = 0; s_hi = 0 } in
+      set_band b p st;
+      if in_band b (Message.abs_deadline m) && joins p b ~source ~rank:st.rank
+      then
+        Some
+          {
+            Channel.att_source = source;
+            att_tag = m.Message.uid;
+            att_bits = m.Message.cls.Message.cls_bits;
+            att_key = (Message.abs_deadline m, source);
+          }
+      else None
 
   let enter_tts p ~reft st =
     {
@@ -107,9 +150,8 @@ module Step = struct
         phase = Attempt;
       }
 
-  let split m (lo, w) =
-    let child = w / m in
-    List.init m (fun i -> (lo + (i * child), child))
+  (* The [m] children of [(lo, w)], in order, pushed onto [rest]. *)
+  let split m (lo, w) rest = push_children lo (w / m) (m - 1) rest
 
   let pop_time_interval p st tts (lo, w) rest =
     finish_tts_if_done p st { tts with t_stack = rest; f_star = lo + w - 1 }
@@ -175,7 +217,7 @@ module Step = struct
                   Tts
                     {
                       tts with
-                      t_stack = split p.Ddcr_params.time_m top @ rest;
+                      t_stack = split p.Ddcr_params.time_m top rest;
                     };
               }
             else
@@ -213,7 +255,7 @@ module Step = struct
                   Sts
                     ( {
                         sts with
-                        s_stack = split p.Ddcr_params.static_m top @ rest;
+                        s_stack = split p.Ddcr_params.static_m top rest;
                       },
                       tts );
               }
@@ -401,70 +443,215 @@ let via_of_phase = function
 
 module Harness = Rtnet_mac.Harness
 
+(* What copies of one run share: the parameters, the listeners, and
+   scratch rewritten by every slot — the step memo (the slot's
+   distinct (replica, observation) pairs, in the order first met, and
+   their results) and the deadline band. *)
+type slot_config = {
+  params : Ddcr_params.t;
+  check_lockstep : bool;
+  on_event : (Ddcr_trace.event -> unit) option;
+  tracing : bool; (* trace events are built only when someone listens *)
+  sink : Sink.t;
+  memo_pre : Step.state array;
+  memo_obs : Channel.resolution array;
+  memo_post : Step.state array;
+  band : Step.band; (* the slot's deadline band, rewritten by [decide] *)
+}
+
+type slot = {
+  cfg : slot_config;
+  h : Harness.t;
+  (* The replica of every station that holds [sharing] in [replicas]:
+     each of them is live and synced and holds exactly this value, so
+     it is stepped once per slot whatever the station count. *)
+  mutable shared : Step.state;
+  (* The other stations differ and hold their own replica here:
+     crashed, desynchronized, misperceiving this slot, or holding a
+     physically different state.  None without a fault plan. *)
+  replicas : Step.state array;
+  mutable differing : int list; (* the stations that differ, ascending *)
+  mutable n_differing : int;
+  (* Each station's private static-tree rank; the [rank] field of the
+     replica states is not used. *)
+  ranks : int array;
+  (* [synced.(s)]: s's replica tracks the shared state and s contends.
+     Cleared on crash and on divergence detection; a non-synced live
+     station is listen-only until it resyncs at a tree-epoch
+     boundary. *)
+  synced : bool array;
+  prev_alive : bool array;
+  (* Open tree-search spans (start bit-time, -1 when closed), for the
+     telemetry [search] probe. *)
+  mutable tts_start : int;
+  mutable sts_start : int;
+  mutable sts_sent : bool;
+}
+
+(* The mark of a station holding the shared replica; never a state. *)
+let sharing = { Step.phase = Step.Free; reft = -1; rank = 0; last_out = false }
+
+let emit t ev = match t.cfg.on_event with Some f -> f ev | None -> ()
+let differs t s = t.replicas.(s) != sharing
+
+let state_of t s =
+  let st = t.replicas.(s) in
+  if st == sharing then t.shared else st
+
+(* Every live synced replica holds the shared state (plurality
+   desynchronizes the rest), so the deadline band is computed once and
+   a station that does not transmit costs one load and two compares.
+   A station that crashed this slot may still attempt here: the
+   harness discards its attempt. *)
+let rec attempts (t : slot) (b : Step.band) heads s acc =
+  if s < 0 then acc
+  else
+    let acc =
+      if
+        Step.in_band b heads.(s)
+        && Step.joins t.cfg.params b ~source:s ~rank:t.ranks.(s)
+        && t.synced.(s)
+      then Harness.head_attempt t.h s :: acc
+      else acc
+    in
+    attempts t b heads (s - 1) acc
+
+let rec insert s = function
+  | d :: rest when d < s -> d :: insert s rest
+  | l -> s :: l
+
+(* [s] leaves the shared replica, keeping the state it holds. *)
+let diverge t s =
+  if not (differs t s) then begin
+    t.replicas.(s) <- t.shared;
+    t.differing <- insert s t.differing;
+    t.n_differing <- t.n_differing + 1
+  end
+
+let rec diverge_all t = function
+  | [] -> ()
+  | s :: rest ->
+    diverge t s;
+    diverge_all t rest
+
+(* The reference replica: the lowest-id live, synced station, or -1.
+   It stands for "the shared state" in trace events and recovery.
+   Stations outside the differing set are live and synced, so the scan
+   ends at the first of them: without a fault plan, station 0. *)
+let rec reference t services s =
+  if s >= Array.length t.ranks then -1
+  else if (not (differs t s)) || (t.synced.(s) && services.Harness.alive s)
+  then s
+  else reference t services (s + 1)
+
+let rec memo_find t pre obs j distinct =
+  if j >= distinct || (t.cfg.memo_pre.(j) == pre && t.cfg.memo_obs.(j) == obs)
+  then j
+  else memo_find t pre obs (j + 1) distinct
+
+(* Each live, synced differing replica advances on its OWN
+   observation of the slot — equal to the wire unless the fault plan
+   made it misperceive.  The shared step is pure, so it is evaluated
+   once per distinct (state, observation) pair, the shared replica's
+   pair first, and every replica that supplied a pair gets the same
+   physical result. *)
+let rec step_differing t services ~next_free distinct = function
+  | [] -> ()
+  | s :: rest ->
+    let distinct =
+      if t.synced.(s) && services.Harness.alive s then begin
+        let pre = t.replicas.(s) and obs = services.Harness.observed s in
+        let j = memo_find t pre obs 0 distinct in
+        let distinct =
+          if j < distinct then distinct
+          else begin
+            t.cfg.memo_pre.(j) <- pre;
+            t.cfg.memo_obs.(j) <- obs;
+            t.cfg.memo_post.(j) <-
+              Step.observe_shared t.cfg.params pre ~resolution:obs ~next_free;
+            distinct + 1
+          end
+        in
+        let post = t.cfg.memo_post.(j) in
+        t.ranks.(s) <-
+          Step.rank_after ~source:s ~pre ~resolution:obs ~post t.ranks.(s);
+        if post != pre then t.replicas.(s) <- post;
+        distinct
+      end
+      else distinct
+    in
+    step_differing t services ~next_free distinct rest
+
+(* Every live synced differing replica agrees with the shared one. *)
+let rec all_agree t services = function
+  | [] -> true
+  | s :: rest ->
+    ((not (t.synced.(s) && services.Harness.alive s))
+    || Step.same_shared t.replicas.(s) t.shared)
+    && all_agree t services rest
+
+let resync t services ~next_free s st =
+  t.replicas.(s) <- st;
+  t.ranks.(s) <- 0;
+  t.synced.(s) <- true;
+  services.Harness.mark_resync s;
+  if t.cfg.tracing then emit t (Ddcr_trace.Resync { time = next_free; source = s })
+
+let rec resync_all t services ~next_free st = function
+  | [] -> ()
+  | s :: rest ->
+    if services.Harness.alive s && not t.synced.(s) then
+      resync t services ~next_free s st;
+    resync_all t services ~next_free st rest
+
+let rec check_agree t services ~now reference = function
+  | [] -> ()
+  | s :: rest ->
+    if
+      t.synced.(s) && services.Harness.alive s
+      && not (Step.same_shared t.replicas.(s) reference)
+    then
+      raise
+        (Protocol_violation
+           (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
+              (Step.fingerprint reference)
+              (Step.fingerprint t.replicas.(s))));
+    check_agree t services ~now reference rest
+
+let rec rejoin t services = function
+  | [] -> []
+  | s :: rest ->
+    if
+      t.replicas.(s) == t.shared && t.synced.(s) && services.Harness.alive s
+    then begin
+      t.replicas.(s) <- sharing;
+      t.n_differing <- t.n_differing - 1;
+      rejoin t services rest
+    end
+    else s :: rejoin t services rest
+
 module Slot = struct
-  type t = {
-    params : Ddcr_params.t;
-    h : Harness.t;
-    (* Each source's replica of the shared protocol state.  Stations in
-       lockstep hold the same physical value, and their [rank] field is
-       not used: each station's private static-tree rank lives in
-       [ranks]. *)
-    replicas : Step.state array;
-    ranks : int array;
-    (* [synced.(s)]: s's replica tracks the shared state and s contends.
-       Cleared on crash and on divergence detection; a non-synced live
-       station is listen-only until it resyncs at a tree-epoch
-       boundary. *)
-    synced : bool array;
-    prev_alive : bool array;
-    (* Scratch shared by copies: the slot's distinct (shared state,
-       observation) pairs, in the order first met, and their results. *)
-    memo_pre : Step.state array;
-    memo_obs : Channel.resolution array;
-    memo_post : Step.state array;
-    check_lockstep : bool;
-    on_event : (Ddcr_trace.event -> unit) option;
-    tracing : bool; (* trace events are built only when someone listens *)
-    sink : Sink.t;
-    mutable faulted : bool; (* the current slot runs under a fault plan *)
-    (* Open tree-search spans (start bit-time, -1 when closed), for the
-       telemetry [search] probe. *)
-    mutable tts_start : int;
-    mutable sts_start : int;
-    mutable sts_sent : bool;
-  }
+  type t = slot
 
-  let emit t ev = match t.on_event with Some f -> f ev | None -> ()
-
-  let rec attempts t services s acc =
-    if s < 0 then acc
-    else if services.Harness.alive s && t.synced.(s) then
-      match
-        Step.decide_ranked t.params ~source:s ~rank:t.ranks.(s)
-          t.replicas.(s) ~msg_star:(services.Harness.peek s)
-      with
-      | Some a -> attempts t services (s - 1) (a :: acc)
-      | None -> attempts t services (s - 1) acc
-    else attempts t services (s - 1) acc
-
-  let decide t services ~now:_ =
-    attempts t services (Array.length t.replicas - 1) []
+  let decide t _services ~now:_ =
+    let b = t.cfg.band in
+    Step.set_band b t.cfg.params t.shared;
+    attempts t b (Harness.head_deadlines t.h) (Array.length t.ranks - 1) []
 
   (* Packet bursting (Section 5): the acquiring source may append
-     further EDF-ranked frames while they fit in the budget. *)
-  let do_burst t services src start0 =
-    let rec go start budget =
-      (* Section 5: the burst carries "the first k messages (EDF
-         ranked) waiting in Q" — the live queue, so arrivals during the
-         acquisition participate in the ranking. *)
-      services.Harness.deliver_until start;
+     further EDF-ranked frames while they fit in the budget.  The burst
+     carries "the first k messages (EDF ranked) waiting in Q" — the live
+     queue, so arrivals during the acquisition participate in the
+     ranking. *)
+  let rec burst t services src start budget =
+    services.Harness.deliver_until start;
+    if budget <= 0 then start
+    else
       match services.Harness.peek src with
       | Some m
-        when budget > 0
-             && Phy.tx_bits (Channel.phy services.Harness.channel)
-                  m.Message.cls.Message.cls_bits
-                <= budget
-        -> (
+        when Phy.tx_bits (Channel.phy services.Harness.channel)
+               m.Message.cls.Message.cls_bits
+             <= budget -> (
         match services.Harness.pop src with
         | Some m ->
           let on_wire, _ =
@@ -472,7 +659,7 @@ module Slot = struct
               ~bits:m.Message.cls.Message.cls_bits
           in
           services.Harness.complete m ~start ~finish:(start + on_wire);
-          if t.tracing then
+          if t.cfg.tracing then
             emit t
               (Ddcr_trace.Frame_sent
                  {
@@ -482,32 +669,129 @@ module Slot = struct
                    uid = m.Message.uid;
                    via = Ddcr_trace.Bursting;
                  });
-          go (start + on_wire) (budget - on_wire)
+          burst t services src (start + on_wire) (budget - on_wire)
         | None -> start)
       | Some _ | None -> start
-    in
-    go start0 t.params.Ddcr_params.burst_bits
 
-  (* The reference replica: the lowest-id live, synced station.  It
-     stands for "the shared state" in trace events and recovery.
-     Without a fault plan it is station 0. *)
-  let pick_reference t services =
-    let rec go s =
-      if s >= Array.length t.replicas then None
-      else if services.Harness.alive s && t.synced.(s) then Some s
-      else go (s + 1)
+  (* Liveness transitions (only a plan crashes stations, and a crashed
+     station differs): one entering a crash window loses its replica
+     (stale on rejoin); one leaving it rejoins listen-only. *)
+  let rec liveness t services ~now = function
+    | [] -> ()
+    | s :: rest ->
+      let alive = services.Harness.alive s in
+      (match (t.prev_alive.(s), alive) with
+      | true, false ->
+        t.synced.(s) <- false;
+        if t.cfg.tracing then emit t (Ddcr_trace.Crash { time = now; source = s })
+      | false, true ->
+        if t.cfg.tracing then emit t (Ddcr_trace.Rejoin { time = now; source = s })
+      | _ -> ());
+      t.prev_alive.(s) <- alive;
+      liveness t services ~now rest
+
+  (* Desynchronized stations are listen-only: their stale replica is
+     not advanced (it is replaced wholesale on resync). *)
+  let step_replicas t services ~resolution ~next_free =
+    let distinct =
+      if t.n_differing = Array.length t.ranks then 0
+      else begin
+        let pre = t.shared in
+        let post = Step.observe_shared t.cfg.params pre ~resolution ~next_free in
+        t.cfg.memo_pre.(0) <- pre;
+        t.cfg.memo_obs.(0) <- resolution;
+        t.cfg.memo_post.(0) <- post;
+        t.shared <- post;
+        (* The private rank rule where it acts: entering a static tree
+           resets every rank, and an own static-tree frame advances the
+           sender's. *)
+        (match (pre.Step.phase, post.Step.phase) with
+        | Step.Tts _, Step.Sts _ ->
+          for s = 0 to Array.length t.ranks - 1 do
+            if not (differs t s) then t.ranks.(s) <- 0
+          done
+        | _ -> (
+          match resolution with
+          | Channel.Tx { src; _ } | Channel.Clash { survivor = Some (src, _, _); _ }
+            when not (differs t src) ->
+            t.ranks.(src) <-
+              Step.rank_after ~source:src ~pre ~resolution ~post t.ranks.(src)
+          | Channel.Idle | Channel.Tx _ | Channel.Garbled _ | Channel.Clash _ ->
+            ()));
+        1
+      end
     in
-    go 0
+    step_differing t services ~next_free distinct t.differing
+
+  (* Divergence detection: live synced replicas disagreeing with the
+     plurality ("consensus reality", ties broken toward the lowest
+     station id) go listen-only.  While the shared replica has holders
+     and every live synced differing replica agrees with it, that is
+     the plurality and nobody disagrees. *)
+  let detect_divergence t services ~next_free =
+    if not (t.n_differing < Array.length t.ranks && all_agree t services t.differing)
+    then begin
+      let states = Array.init (Array.length t.ranks) (state_of t) in
+      let member s = t.synced.(s) && services.Harness.alive s in
+      match Step.plurality ~member states with
+      | Some r ->
+        for s = 0 to Array.length states - 1 do
+          if member s && not (Step.same_shared states.(s) states.(r)) then begin
+            diverge t s;
+            t.synced.(s) <- false;
+            if t.cfg.tracing then
+              emit t (Ddcr_trace.Desync { time = next_free; source = s })
+          end
+        done
+      | None -> ()
+    end
+
+  (* Degradation accounting: every live station sitting out this slot
+     desynchronized extends the fault epoch. *)
+  let rec count_desync t services = function
+    | [] -> ()
+    | s :: rest ->
+      if services.Harness.alive s && not t.synced.(s) then
+        services.Harness.mark_desync s;
+      count_desync t services rest
+
+  (* Recovery.  A listen-only station re-acquires the shared state at
+     the next tree-epoch boundary: the reference replica must be in
+     free/attempt (no tree-search state to copy mid-flight), and the
+     copy resets the private rank.  If no live synced station remains,
+     the lowest-id live one cold-starts the shared state and becomes
+     the reference.  Only differing stations are listen-only. *)
+  let recover t services ~next_free ~ref_post =
+    (if ref_post < 0 then
+       let rec first_alive s =
+         if s >= Array.length t.ranks then -1
+         else if services.Harness.alive s then s
+         else first_alive (s + 1)
+       in
+       let s = first_alive 0 in
+       if s >= 0 then
+         resync t services ~next_free s { Step.init with Step.reft = next_free });
+    let r = reference t services 0 in
+    if r >= 0 && Step.at_boundary (state_of t r) then
+      resync_all t services ~next_free (state_of t r) t.differing
+
+  (* Stations holding the shared value again, live and synced, rejoin
+     it; if no station holds it, the reference's replica becomes it. *)
+  let normalize t services =
+    if t.n_differing > 0 then begin
+      (if t.n_differing = Array.length t.ranks then
+         let r = reference t services 0 in
+         if r >= 0 then t.shared <- t.replicas.(r));
+      t.differing <- rejoin t services t.differing
+    end
 
   let after t services ~now ~resolution ~next_free =
-    let z = Array.length t.replicas in
-    let alive = services.Harness.alive in
-    let pre =
-      match pick_reference t services with
-      | Some r -> t.replicas.(r)
-      | None -> t.replicas.(0)
-    in
-    let telemetry = t.sink.Sink.enabled in
+    (* This slot's crashed and misperceiving stations leave the shared
+       replica with the state they held entering it. *)
+    diverge_all t (Harness.deviants t.h);
+    let r_pre = reference t services 0 in
+    let pre = state_of t (if r_pre >= 0 then r_pre else 0) in
+    let telemetry = t.cfg.sink.Sink.enabled in
     let slot = Channel.slot_bits services.Harness.channel in
     (if telemetry then
        match (pre.Step.phase, resolution) with
@@ -515,7 +799,7 @@ module Slot = struct
          t.sts_sent <- true
        | _ -> ());
     (* Slot events, classified by the phase the slot was spent in. *)
-    (if t.tracing then
+    (if t.cfg.tracing then
        match resolution with
        | Channel.Idle ->
          emit t
@@ -552,218 +836,117 @@ module Slot = struct
                   via = via_of_phase pre.Step.phase;
                 })
          | None -> ()));
+    let budget = t.cfg.params.Ddcr_params.burst_bits in
     let next_free =
       match resolution with
-      | Channel.Tx { src; on_wire; _ } -> do_burst t services src (now + on_wire)
+      | Channel.Tx { src; on_wire; _ } ->
+        burst t services src (now + on_wire) budget
       | Channel.Clash { survivor = Some (src, _, on_wire); _ } ->
-        do_burst t services src (now + slot + on_wire)
+        burst t services src (now + slot + on_wire) budget
       | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ }
         ->
         next_free
     in
-    (* Liveness transitions (only a plan crashes stations): a station
-       entering a crash window loses its replica (stale on rejoin); one
-       leaving it rejoins listen-only. *)
-    if t.faulted then
-      for s = 0 to z - 1 do
-        let alive = alive s in
-        (match (t.prev_alive.(s), alive) with
-        | true, false ->
-          t.synced.(s) <- false;
-          if t.tracing then emit t (Ddcr_trace.Crash { time = now; source = s })
-        | false, true ->
-          if t.tracing then emit t (Ddcr_trace.Rejoin { time = now; source = s })
-        | _ -> ());
-        t.prev_alive.(s) <- alive
-      done;
-    (* Each live, synced replica advances on its OWN observation of the
-       slot — equal to the wire unless the fault plan made it
-       misperceive.  Desynced stations are listen-only: their stale
-       replica is not advanced (it is replaced wholesale on resync).
-       The shared step is pure, so it is evaluated once per distinct
-       (state, observation) pair and every replica that supplied the
-       pair gets the same physical result: one evaluation per slot
-       under consistent observation, a few under a fault plan.  The
-       private rank follows per station. *)
-    let distinct = ref 0 in
-    for s = 0 to z - 1 do
-      if alive s && t.synced.(s) then begin
-        let pre = t.replicas.(s) and obs = services.Harness.observed s in
-        let j = ref 0 in
-        while
-          !j < !distinct
-          && not (t.memo_pre.(!j) == pre && t.memo_obs.(!j) == obs)
-        do
-          incr j
-        done;
-        if !j = !distinct then begin
-          t.memo_pre.(!j) <- pre;
-          t.memo_obs.(!j) <- obs;
-          t.memo_post.(!j) <-
-            Step.observe_shared t.params pre ~resolution:obs ~next_free;
-          incr distinct
-        end;
-        let post = t.memo_post.(!j) in
-        t.ranks.(s) <-
-          Step.rank_after ~source:s ~pre ~resolution:obs ~post t.ranks.(s);
-        if post != pre then t.replicas.(s) <- post
-      end
-    done;
-    (* Divergence detection: live synced replicas disagreeing with the
-       plurality ("consensus reality", ties broken toward the lowest
-       station id) go listen-only.  Under consistent observation every
-       replica agrees and this is one pass of structural comparisons. *)
-    if t.faulted then begin
-      let member s = alive s && t.synced.(s) in
-      (match Step.plurality ~member t.replicas with
-      | Some r ->
-        let consensus = t.replicas.(r) in
-        for s = 0 to z - 1 do
-          if member s && not (Step.same_shared t.replicas.(s) consensus)
-          then begin
-            t.synced.(s) <- false;
-            if t.tracing then
-              emit t (Ddcr_trace.Desync { time = next_free; source = s })
-          end
-        done
-      | None -> ());
-      (* Degradation accounting: every live station sitting out this
-         slot desynchronized extends the fault epoch. *)
-      for s = 0 to z - 1 do
-        if alive s && not t.synced.(s) then services.Harness.mark_desync s
-      done
-    end;
-    let ref_post = pick_reference t services in
-    (if t.tracing || telemetry then
+    liveness t services ~now t.differing;
+    step_replicas t services ~resolution ~next_free;
+    detect_divergence t services ~next_free;
+    count_desync t services t.differing;
+    let ref_post = reference t services 0 in
+    (if (t.cfg.tracing || telemetry) && ref_post >= 0 then
        (* Phase-transition events, derived from the reference replica. *)
-       match ref_post with
-       | None -> ()
-       | Some r -> (
-         let post = t.replicas.(r) in
-         let close_tts () =
-           let sent = post.Step.last_out in
-           if t.tracing then emit t (Ddcr_trace.Tts_end { time = next_free; sent });
-           if telemetry then begin
-             if t.tts_start >= 0 then
-               t.sink.Sink.search ~tree:Sink.Time_tree ~start:t.tts_start
-                 ~finish:next_free ~sent;
-             t.tts_start <- -1;
-             (* An unproductive TTs compresses time: reft jumped ahead
-                by θ without consuming slots (Section 4.3). *)
-             let theta = t.params.Ddcr_params.theta in
-             if (not sent) && theta > 0 then
-               t.sink.Sink.jump ~now:next_free
-                 ~reft_from:(post.Step.reft - theta)
-                 ~reft_to:post.Step.reft
-           end
-         in
-         let close_sts () =
-           if t.tracing then emit t (Ddcr_trace.Sts_end { time = next_free });
-           if telemetry then begin
-             if t.sts_start >= 0 then
-               t.sink.Sink.search ~tree:Sink.Static_tree ~start:t.sts_start
-                 ~finish:next_free ~sent:t.sts_sent;
-             t.sts_start <- -1;
-             t.sts_sent <- false
-           end
-         in
-         match (pre.Step.phase, post.Step.phase) with
-         | (Step.Free | Step.Attempt), Step.Tts _ ->
-           if t.tracing then
-             emit t
-               (Ddcr_trace.Tts_begin { time = next_free; reft = post.Step.reft });
-           if telemetry then t.tts_start <- next_free
-         | Step.Tts _, Step.Sts (sts, _) ->
-           if t.tracing then
-             emit t
-               (Ddcr_trace.Sts_begin
-                  { time = next_free; time_leaf = sts.Step.time_leaf });
-           if telemetry then begin
-             t.sts_start <- next_free;
-             t.sts_sent <- false
-           end
-         | Step.Sts _, Step.Tts _ -> close_sts ()
-         | Step.Sts _, Step.Attempt ->
-           close_sts ();
-           close_tts ()
-         | Step.Tts _, Step.Attempt -> close_tts ()
-         | _, _ -> ()));
-    (* Recovery.  A listen-only station re-acquires the shared state at
-       the next tree-epoch boundary: the reference replica must be in
-       free/attempt (no tree-search state to copy mid-flight), and the
-       copy resets the private rank.  If no live synced station remains,
-       the lowest-id live one cold-starts the shared state and becomes
-       the reference. *)
-    if t.faulted then begin
-      (match ref_post with
-      | Some _ -> ()
-      | None -> (
-        let rec first_alive s =
-          if s >= z then None else if alive s then Some s else first_alive (s + 1)
-        in
-        match first_alive 0 with
-        | None -> ()
-        | Some s ->
-          t.replicas.(s) <- { Step.init with Step.reft = next_free };
-          t.ranks.(s) <- 0;
-          t.synced.(s) <- true;
-          services.Harness.mark_resync s;
-          if t.tracing then
-            emit t (Ddcr_trace.Resync { time = next_free; source = s })));
-      match pick_reference t services with
-      | Some r when Step.at_boundary t.replicas.(r) ->
-        let reference = t.replicas.(r) in
-        for s = 0 to z - 1 do
-          if alive s && not t.synced.(s) then begin
-            t.replicas.(s) <- reference;
-            t.ranks.(s) <- 0;
-            t.synced.(s) <- true;
-            services.Harness.mark_resync s;
-            if t.tracing then
-              emit t (Ddcr_trace.Resync { time = next_free; source = s })
-          end
-        done
-      | Some _ | None -> ()
-    end;
-    (if t.check_lockstep then
-       match ref_post with
-       | None -> ()
-       | Some r ->
-         let reference = t.replicas.(r) in
-         for s = 0 to z - 1 do
-           if
-             alive s && t.synced.(s)
-             && not (Step.same_shared t.replicas.(s) reference)
-           then
-             raise
-               (Protocol_violation
-                  (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
-                     (Step.fingerprint reference)
-                     (Step.fingerprint t.replicas.(s))))
-         done);
+       let post = state_of t ref_post in
+       let close_tts () =
+         let sent = post.Step.last_out in
+         if t.cfg.tracing then emit t (Ddcr_trace.Tts_end { time = next_free; sent });
+         if telemetry then begin
+           if t.tts_start >= 0 then
+             t.cfg.sink.Sink.search ~tree:Sink.Time_tree ~start:t.tts_start
+               ~finish:next_free ~sent;
+           t.tts_start <- -1;
+           (* An unproductive TTs compresses time: reft jumped ahead
+              by θ without consuming slots (Section 4.3). *)
+           let theta = t.cfg.params.Ddcr_params.theta in
+           if (not sent) && theta > 0 then
+             t.cfg.sink.Sink.jump ~now:next_free
+               ~reft_from:(post.Step.reft - theta)
+               ~reft_to:post.Step.reft
+         end
+       in
+       let close_sts () =
+         if t.cfg.tracing then emit t (Ddcr_trace.Sts_end { time = next_free });
+         if telemetry then begin
+           if t.sts_start >= 0 then
+             t.cfg.sink.Sink.search ~tree:Sink.Static_tree ~start:t.sts_start
+               ~finish:next_free ~sent:t.sts_sent;
+           t.sts_start <- -1;
+           t.sts_sent <- false
+         end
+       in
+       match (pre.Step.phase, post.Step.phase) with
+       | (Step.Free | Step.Attempt), Step.Tts _ ->
+         if t.cfg.tracing then
+           emit t
+             (Ddcr_trace.Tts_begin { time = next_free; reft = post.Step.reft });
+         if telemetry then t.tts_start <- next_free
+       | Step.Tts _, Step.Sts (sts, _) ->
+         if t.cfg.tracing then
+           emit t
+             (Ddcr_trace.Sts_begin
+                { time = next_free; time_leaf = sts.Step.time_leaf });
+         if telemetry then begin
+           t.sts_start <- next_free;
+           t.sts_sent <- false
+         end
+       | Step.Sts _, Step.Tts _ -> close_sts ()
+       | Step.Sts _, Step.Attempt ->
+         close_sts ();
+         close_tts ()
+       | Step.Tts _, Step.Attempt -> close_tts ()
+       | _, _ -> ());
+    recover t services ~next_free ~ref_post;
+    (if t.cfg.check_lockstep && ref_post >= 0 then
+       let reference = state_of t ref_post in
+       if
+         t.n_differing < Array.length t.ranks
+         && not (Step.same_shared t.shared reference)
+       then
+         raise
+           (Protocol_violation
+              (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
+                 (Step.fingerprint reference)
+                 (Step.fingerprint t.shared)));
+       check_agree t services ~now reference t.differing);
+    normalize t services;
     next_free
 
   let make ~check_lockstep ~on_event ~fault ~analyze ~sink ~on_complete
       ~inject params inst trace ~horizon =
     let z = inst.Instance.num_sources in
+    let h =
+      Harness.create ~protocol:"csma-ddcr" ~fault ~analyze ~sink ~on_complete
+        ~inject ~phy:inst.Instance.phy ~num_sources:z ~horizon trace
+    in
     {
-      params;
-      h =
-        Harness.create ~protocol:"csma-ddcr" ~fault ~analyze ~sink
-          ~on_complete ~inject ~phy:inst.Instance.phy ~num_sources:z
-          ~horizon trace;
-      replicas = Array.make z Step.init;
+      cfg =
+        {
+          params;
+          check_lockstep;
+          on_event;
+          tracing = Option.is_some on_event;
+          sink;
+          memo_pre = Array.make (z + 1) Step.init;
+          memo_obs = Array.make (z + 1) Channel.Idle;
+          memo_post = Array.make (z + 1) Step.init;
+          band = { Step.lo = 0; hi = 0; static = false; s_lo = 0; s_hi = 0 };
+        };
+      h;
+      shared = Step.init;
+      replicas = Array.make z sharing;
+      differing = [];
+      n_differing = 0;
       ranks = Array.make z 0;
       synced = Array.make z true;
       prev_alive = Array.make z true;
-      memo_pre = Array.make z Step.init;
-      memo_obs = Array.make z Channel.Idle;
-      memo_post = Array.make z Step.init;
-      check_lockstep;
-      on_event;
-      tracing = Option.is_some on_event;
-      sink;
-      faulted = false;
       tts_start = -1;
       sts_start = -1;
       sts_sent = false;
@@ -784,15 +967,12 @@ module Slot = struct
       prev_alive = Array.copy t.prev_alive;
     }
 
-  let step t faults =
-    t.faulted <- Option.is_some faults;
-    Harness.slot t.h faults t ~decide ~after
-
+  let step t faults = Harness.slot t.h faults t ~decide ~after
   let harness t = t.h
   let now t = Harness.now t.h
   let alive t s = (Harness.services t.h).Harness.alive s
   let synced t s = t.synced.(s)
-  let replica t s = { (t.replicas.(s)) with Step.rank = t.ranks.(s) }
+  let replica t s = { (state_of t s) with Step.rank = t.ranks.(s) }
 end
 
 let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
@@ -810,7 +990,7 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
     if Slot.now t < horizon then loop ()
   in
   loop ();
-  Harness.finish t.Slot.h
+  Harness.finish t.h
 
 let run ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?on_complete
     ?inject ?(seed = 1) params inst ~horizon =

@@ -24,7 +24,14 @@
     - {b open attempt}: after each TTs, one à-la-CSMA-CD attempt slot;
       its collision resets [reft] and starts the next TTs; silence
       returns the channel to free CSMA-CD.  A TTs that transmitted
-      nothing first advances [reft] by [θ(c)] (compressed time). *)
+      nothing first advances [reft] by [θ(c)] (compressed time).
+
+    Between faults every source holds the same shared state, so the
+    simulator ({!Slot}) keeps it once: one replica for all the stations
+    that agree, stepped once per slot, and a band on the head's
+    absolute deadline, computed once per slot, for the decisions.
+    Without a fault plan a slot costs in proportion to the stations
+    that transmit (DESIGN.md §4.1). *)
 
 exception Protocol_violation of string
 (** Raised if the channel feedback is inconsistent with the protocol's
@@ -35,8 +42,9 @@ exception Protocol_violation of string
     the whole DDCR step as a [state -> feedback -> state] map over
     immutable records.  {!Step.observe} is the composition of a shared
     half, identical for every replica fed the same observation, and the
-    private static-tree rank rule; {!run_trace} evaluates the shared
-    half once per distinct observation and keeps one rank per source.
+    private static-tree rank rule; {!Slot} evaluates the shared half
+    once per distinct observation, keeps one rank per source, and
+    decides for every station with one deadline band per slot.
     The explicit-state model checker ([Rtnet_model]) explores whole
     states directly — they are hashable, comparable and structurally
     shared, so a frontier of reached states needs no defensive
@@ -74,7 +82,21 @@ module Step : sig
     Rtnet_channel.Channel.attempt option
   (** [decide p ~source st ~msg_star] is the source's action for the
       next contention slot, given the head of its local EDF queue:
-      [Some attempt] to transmit, [None] to stay silent. *)
+      [Some attempt] to transmit, [None] to stay silent.  The rule is a
+      band on the head's absolute deadline [DM], computed from [st]
+      alone (with [base = α + reft], top interval [(lo, w)], [F] time
+      leaves, and [f(reft, msg) = max(⌊(DM − base)/c⌋, f* + 1)]):
+      - free or attempt phase: any message;
+      - TTs: nobody if [f* + 1 >= min(lo + w, F)]; otherwise
+        [DM < base + c·min(lo + w, F)], and also [DM >= base + c·lo]
+        when [f* + 1 < lo] — exactly "[f] lies in [\[lo, lo + w)] and
+        is at most [F − 1]";
+      - STs at time leaf [L]: [f* + 1 <= L], [DM < base + c·(L + 1)],
+        and the source's next own static index (at [st.rank]) inside
+        the probed static interval.
+      The simulator ({!Slot}) applies the same band to every station
+      with one computation per slot; this function is its per-replica
+      reference.  The attempt's key is [(DM, source)]. *)
 
   val observe :
     Ddcr_params.t ->
@@ -137,7 +159,15 @@ end
     private rank, sync flag and previous liveness — and the slot that
     steps it in place.  {!run_trace} is a state, a loop of
     {!Slot.step} and {!Rtnet_mac.Harness.finish}; the model checker
-    ([Rtnet_model]) runs the same {!Slot.step} on copies. *)
+    ([Rtnet_model]) runs the same {!Slot.step} on copies.
+
+    The stations whose replica is the reference's share one replica,
+    stepped once per slot; only the stations that differ (crashed,
+    desynchronized, misperceiving this slot, or holding a physically
+    different state) keep their own, stepped one by one.  Without a
+    fault plan none differs.  Decisions read each station's head
+    deadline ({!Rtnet_mac.Harness.head_deadlines}) against the deadline
+    band of {!Step.decide}, computed once per slot. *)
 module Slot : sig
   type t
 
@@ -168,7 +198,8 @@ module Slot : sig
 
   val replica : t -> int -> Step.state
   (** [s]'s replica with its private rank in [rank] (stale while [s]
-      is crashed or desynchronized). *)
+      is crashed or desynchronized) — the shared replica for a station
+      that does not differ, its own otherwise. *)
 end
 
 val run_trace :
@@ -191,8 +222,8 @@ val run_trace :
     and reports the outcome (completions carry exact start/finish
     times; the channel's occupancy statistics are embedded).
     With [check_lockstep] (default [false]) every slot asserts that all
-    sources' replicas agree — O(z) pointer comparisons per slot while
-    they share one physical state.  [on_event]
+    sources' replicas agree — one comparison for the stations sharing
+    the reference's replica and one per differing station.  [on_event]
     receives one {!Ddcr_trace.event} per slot plus phase transitions
     (see {!Ddcr_trace.collector}); events are built only when
     [on_event] is given.  [fault] injects channel noise (garbled
@@ -208,10 +239,12 @@ val run_trace :
     - every live synced replica is fed its own local observation
       ([Harness.observed]), so per-source misperception can make
       replicas diverge.  The shared half of {!Step.observe} is
-      evaluated once per distinct (replica state, observation) pair
-      of the slot, and every replica that supplied the pair gets the
-      same physical state — one evaluation per slot under consistent
-      observation.  Each station's private rank is kept apart;
+      evaluated once for the stations that share the reference's
+      replica and once per further distinct (replica state,
+      observation) pair of the differing stations, and every replica
+      that supplied a pair gets the same physical state — one
+      evaluation per slot under consistent observation.  Each
+      station's private rank is kept apart;
     - divergence is detected the slot it occurs by comparing replica
       states structurally ({!Step.same_shared}); sources disagreeing
       with the plurality ({!Step.plurality}: ties broken towards the

@@ -5,7 +5,7 @@ type t = Leaf | Node of { rank : int; msg : Message.t; left : t; right : t }
 
 let empty = Leaf
 
-let is_empty q = q = Leaf
+let is_empty = function Leaf -> true | Node _ -> false
 
 let rank = function Leaf -> 0 | Node { rank; _ } -> rank
 
@@ -25,6 +25,12 @@ let rec merge a b =
 let insert q m = merge q (Node { rank = 1; msg = m; left = Leaf; right = Leaf })
 
 let peek = function Leaf -> None | Node { msg; _ } -> Some msg
+
+let head = function
+  | Leaf -> invalid_arg "Edf_queue.head: empty queue"
+  | Node { msg; _ } -> msg
+
+let rest = function Leaf -> Leaf | Node { left; right; _ } -> merge left right
 
 let pop = function
   | Leaf -> None

@@ -27,6 +27,14 @@ val peek : t -> Rtnet_workload.Message.t option
 val pop : t -> (Rtnet_workload.Message.t * t) option
 (** [pop q] removes and returns [msg*]. *)
 
+val head : t -> Rtnet_workload.Message.t
+(** [head q] is [msg*] without the option {!peek} allocates.
+    @raise Invalid_argument on the empty queue. *)
+
+val rest : t -> t
+(** [rest q] is [q] without [msg*] — {!pop}'s queue, without the pair
+    and option — and {!empty} for {!empty}. *)
+
 val of_list : Rtnet_workload.Message.t list -> t
 (** [of_list ms] builds a queue from arbitrary order. *)
 

@@ -56,6 +56,15 @@ let arrival_order a b =
   let c = Int.compare a.Message.arrival b.Message.arrival in
   if c <> 0 then c else Int.compare a.Message.uid b.Message.uid
 
+(* [Arrival.to_trace] already returns (arrival, uid) order: one pass
+   that allocates nothing checks it, and only a trace out of order is
+   sorted. *)
+let rec in_order = function
+  | a :: (b :: _ as rest) -> arrival_order a b <= 0 && in_order rest
+  | [ _ ] | [] -> true
+
+let sorted trace = if in_order trace then trace else List.sort arrival_order trace
+
 (* Everything one slot reads and writes, updated in place. *)
 type state = {
   protocol : string;
@@ -67,6 +76,11 @@ type state = {
   inject : (now:int -> Message.t list) option;
   channel : Channel.t;
   queues : Edf_queue.t array;
+  (* Per source, kept equal to its queue's head: the head's absolute
+     deadline ([max_int] when empty) and the attempt sending it, built
+     on first demand ([no_attempt] until then). *)
+  heads : int array;
+  head_att : Channel.attempt array;
   mutable arrivals : Message.t list; (* undelivered, in arrival order *)
   mutable now : int; (* start of the next slot *)
   mutable completions : Run.completion list; (* most recent first *)
@@ -83,6 +97,7 @@ type state = {
   desync_slots : int array;
   resyncs : int array;
   mutable slot_faulty : bool;
+  mutable deviants : int list; (* down or misperceiving in this slot *)
   (* Fault epochs, merged on the fly: adjacent/overlapping faulty slots
      coalesce because the next slot starts exactly at this one's
      [next_free]. *)
@@ -101,6 +116,18 @@ let note_epoch st ~start ~finish =
     st.epoch_open <- Some (start, finish)
   | None -> st.epoch_open <- Some (start, finish)
 
+(* A constant, so nothing is allocated at start-up. *)
+let no_attempt =
+  { Channel.att_source = -1; att_tag = -1; att_bits = 0; att_key = (0, -1) }
+
+(* After [s]'s head changed. *)
+let refresh st s =
+  let q = st.queues.(s) in
+  st.heads.(s) <-
+    (if Edf_queue.is_empty q then max_int
+     else Message.abs_deadline (Edf_queue.head q));
+  st.head_att.(s) <- no_attempt
+
 let rec deliver_from st now = function
   | m :: rest when m.Message.arrival <= now ->
     let s = m.Message.cls.Message.cls_source in
@@ -109,7 +136,9 @@ let rec deliver_from st now = function
         (Printf.sprintf
            "harness: arrival for unknown source %d (instance has %d sources)"
            s st.num_sources);
-    st.queues.(s) <- Edf_queue.insert st.queues.(s) m;
+    let q = Edf_queue.insert st.queues.(s) m in
+    st.queues.(s) <- q;
+    if Edf_queue.head q == m then refresh st s;
     if st.sink.Sink.enabled then st.sink.Sink.enqueue ~now ~msg:m;
     deliver_from st now rest
   | rest -> st.arrivals <- rest
@@ -153,12 +182,20 @@ let complete st m ~start ~finish =
   st.completions <-
     { Run.c_msg = m; c_start = start; c_finish = finish } :: st.completions
 
+(* Removes [src]'s head, which the caller has read. *)
+let remove_head st src =
+  st.queues.(src) <- Edf_queue.rest st.queues.(src);
+  refresh st src
+
 let pop st src =
-  match Edf_queue.pop st.queues.(src) with
-  | Some (m, q) ->
-    st.queues.(src) <- q;
+  let q = st.queues.(src) in
+  if Edf_queue.is_empty q then None
+  else begin
+    let m = Edf_queue.head q in
+    remove_head st src;
     Some m
-  | None -> None
+  end
+
 
 (* The per-source callbacks capture the arrays themselves: they run for
    every station in every slot. *)
@@ -199,7 +236,9 @@ let create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
       inject;
       channel = Channel.create ?fault phy;
       queues = per_source Edf_queue.empty;
-      arrivals = List.sort arrival_order trace;
+      heads = per_source max_int;
+      head_att = per_source no_attempt;
+      arrivals = sorted trace;
       now = 0;
       completions = [];
       completed = 0;
@@ -214,6 +253,7 @@ let create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
       desync_slots = per_source 0;
       resyncs = per_source 0;
       slot_faulty = false;
+      deviants = [];
       epochs = [];
       epoch_open = None;
       participant = per_source false;
@@ -225,6 +265,8 @@ let copy { st; _ } =
       st with
       channel = Channel.copy st.channel;
       queues = Array.copy st.queues;
+      heads = Array.copy st.heads;
+      head_att = Array.copy st.head_att;
       alive = Array.copy st.alive;
       observed = Array.copy st.observed;
       crashed_slots = Array.copy st.crashed_slots;
@@ -234,29 +276,21 @@ let copy { st; _ } =
       resyncs = Array.copy st.resyncs;
     }
 
+let mismatch ~now src tag reason =
+  Mismatch { mm_slot = now; mm_source = src; mm_tag = tag; mm_reason = reason }
+
 let take st ~now src tag =
-  match pop st src with
-  | Some m when m.Message.uid = tag -> m
-  | Some m ->
+  let q = st.queues.(src) in
+  if Edf_queue.is_empty q then
+    raise (mismatch ~now src tag "transmitted from an empty queue");
+  let m = Edf_queue.head q in
+  if m.Message.uid <> tag then
     raise
-      (Mismatch
-         {
-           mm_slot = now;
-           mm_source = src;
-           mm_tag = tag;
-           mm_reason =
-             Printf.sprintf "transmitted tag disagrees with the EDF head (uid %d)"
-               m.Message.uid;
-         })
-  | None ->
-    raise
-      (Mismatch
-         {
-           mm_slot = now;
-           mm_source = src;
-           mm_tag = tag;
-           mm_reason = "transmitted from an empty queue";
-         })
+      (mismatch ~now src tag
+         (Printf.sprintf "transmitted tag disagrees with the EDF head (uid %d)"
+            m.Message.uid));
+  remove_head st src;
+  m
 
 (* A crashed source transmits nothing, whatever the protocol's
    decision callback returned. *)
@@ -299,6 +333,7 @@ let observe st plan ~now resolution attempts =
          list. *)
       if obs != resolution && obs <> resolution then begin
         st.misperceived.(s) <- st.misperceived.(s) + 1;
+        st.deviants <- s :: st.deviants;
         st.slot_faulty <- true
       end
     end
@@ -324,6 +359,7 @@ let slot { st; services } faults p ~decide ~after =
           st.arrivals));
   deliver st now;
   st.slot_faulty <- false;
+  st.deviants <- [];
   (match faults with
   | None -> st.planned <- false
   | Some plan ->
@@ -333,6 +369,7 @@ let slot { st; services } faults p ~decide ~after =
       st.alive.(s) <- a;
       if not a then begin
         st.crashed_slots.(s) <- st.crashed_slots.(s) + 1;
+        st.deviants <- s :: st.deviants;
         st.slot_faulty <- true
       end
     done);
@@ -343,9 +380,8 @@ let slot { st; services } faults p ~decide ~after =
       List.filter (fun a -> st.alive.(a.Channel.att_source)) attempts
     | Some _ | None -> attempts
   in
-  let resolution, next_free =
-    Channel.contend_under st.channel faults ~now attempts
-  in
+  let resolution = Channel.contend_under st.channel faults ~now attempts in
+  let next_free = Channel.free_at st.channel in
   if sink.Sink.enabled then sink.Sink.slot ~now ~next_free ~resolution;
   st.wire <- resolution;
   (match faults with
@@ -372,6 +408,26 @@ let slot { st; services } faults p ~decide ~after =
 
 let now h = h.st.now
 let services h = h.services
+let head_deadlines h = h.st.heads
+
+let head_attempt { st; _ } s =
+  let a = st.head_att.(s) in
+  if a != no_attempt then a
+  else begin
+    let m = Edf_queue.head st.queues.(s) in
+    let a =
+      {
+        Channel.att_source = s;
+        att_tag = m.Message.uid;
+        att_bits = m.Message.cls.Message.cls_bits;
+        att_key = (Message.abs_deadline m, s);
+      }
+    in
+    st.head_att.(s) <- a;
+    a
+  end
+
+let deviants h = h.st.deviants
 let queued h src = Edf_queue.to_sorted_list h.st.queues.(src)
 let pending h = h.st.arrivals
 let completions h = h.st.completions

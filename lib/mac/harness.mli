@@ -149,6 +149,27 @@ val now : t -> int  (** The start of the next slot. *)
 val services : t -> services
 (** After a slot, [alive] and [observed] still answer for it. *)
 
+val head_deadlines : t -> int array
+(** Per source, the absolute deadline of its queue's head ([msg*]), or
+    [max_int] for an empty queue — the array itself, kept equal to the
+    queues wherever a head changes (delivery, {!services}' [pop], the
+    slot's own take), so a protocol deciding by deadline reads one int
+    per station and calls nothing.  Read-only for callers. *)
+
+val head_attempt : t -> int -> Rtnet_channel.Channel.attempt
+(** [head_attempt h s] is the attempt that sends [s]'s head: its uid
+    as the tag, its length, and the arbitration key (absolute deadline,
+    [s]) every protocol here uses.  Built once per head and kept until
+    the head changes.
+    @raise Invalid_argument if [s]'s queue is empty. *)
+
+val deviants : t -> int list
+(** The stations that are down in the current slot or whose local view
+    of it differs from the wire's, in no particular order; empty
+    without a fault plan.  Valid during [after], like [alive] and
+    [observed]: a protocol with replicated state needs to look at no
+    other station apart. *)
+
 val queued : t -> int -> Rtnet_workload.Message.t list  (** Head first. *)
 
 val pending : t -> Rtnet_workload.Message.t list

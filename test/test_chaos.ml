@@ -693,6 +693,40 @@ let test_topo_repro_rejects_bad_env () =
       ("load", Json.Float nan, "a NaN load");
     ]
 
+(* A plain environment must bound its trace before any is generated: a
+   load of 5.1e307 clamps every window to one bit-time, and a huge
+   horizon resolves a slot per slot time. *)
+let test_plain_check_env_bounds_work () =
+  let with_load load =
+    { smoke_env with Plain.cf_scenario = { smoke_scenario with Spec.sc_load = load } }
+  in
+  let rejected label env =
+    match Plain.check_env env with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail ("accepted " ^ label)
+    | exception exn -> Alcotest.fail (label ^ " raised " ^ Printexc.to_string exn)
+  in
+  Alcotest.(check bool) "the smoke environment passes" true
+    (Result.is_ok (Plain.check_env smoke_env));
+  rejected "a load of 5.1e307" (with_load 5.1e307);
+  rejected "a load of 1e4" (with_load 1e4);
+  rejected "a horizon of max_int ms"
+    { smoke_env with Plain.cf_horizon_ms = max_int };
+  rejected "a horizon past the cap"
+    { smoke_env with Plain.cf_horizon_ms = Plain.max_horizon_ms + 1 };
+  (* The decoder goes through the same check. *)
+  (match Repro.load (module Plain) ~path:(fixture "chaos_repro_huge_load.json") with
+  | Error e ->
+    Alcotest.(check bool) "the message names the trace size" true
+      (Astring_contains.contains e "messages")
+  | Ok _ -> Alcotest.fail "decoded the huge-load artifact");
+  List.iter
+    (fun name ->
+      match Repro.load (module Plain) ~path:(fixture name) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (name ^ ": " ^ e))
+    [ "chaos_repro_min.json"; "model_repro_min.json" ]
+
 let suite =
   [
     ( "chaos",
@@ -745,5 +779,7 @@ let suite =
           (test_search_deterministic admit_case);
         Alcotest.test_case "topo repro rejects a bad environment" `Quick
           test_topo_repro_rejects_bad_env;
+        Alcotest.test_case "plain check_env bounds the work" `Quick
+          test_plain_check_env_bounds_work;
       ] );
   ]

@@ -145,6 +145,111 @@ let test_automaton_static_leaf_collision_rejected () =
        "collision on a static tree leaf: static indices are not disjoint")
     (fun () -> ignore (clashes ~source:0 st [ 4584 ]))
 
+(* --- The decision rule: the deadline band against the paper's formula --- *)
+
+(* The paper's rule, kept here as the reference: a source joins the
+   probed time interval [lo, lo+w) iff f(reft, msg) = max(⌊(DM − α −
+   reft)/c⌋, f*+1) lies in it and is at most F−1, and the probed static
+   interval iff its next own index lies in it and f(reft, msg) is at
+   most the colliding time leaf. *)
+let paper_f p st (tts : Step.tts) m =
+  max
+    (Rtnet_util.Int_math.fdiv
+       (Message.abs_deadline m - p.Ddcr_params.alpha - st.Step.reft)
+       p.Ddcr_params.class_width)
+    (tts.Step.f_star + 1)
+
+let paper_decides p ~source st m =
+  match st.Step.phase with
+  | Step.Free | Step.Attempt -> true
+  | Step.Tts tts -> (
+    match tts.Step.t_stack with
+    | (lo, w) :: _ ->
+      let f = paper_f p st tts m in
+      f <= p.Ddcr_params.time_leaves - 1 && lo <= f && f < lo + w
+    | [] -> false)
+  | Step.Sts (sts, tts) -> (
+    match sts.Step.s_stack with
+    | (lo, w) :: _ ->
+      let own = p.Ddcr_params.static_indices.(source) in
+      let rank = st.Step.rank in
+      rank < Array.length own
+      && lo <= own.(rank)
+      && own.(rank) < lo + w
+      && paper_f p st tts m <= sts.Step.time_leaf
+    | [] -> false)
+
+(* Random parameters, states and messages, not only well-formed ones:
+   intervals may reach past F, f*+1 may lie inside, below or above the
+   probed interval, and DM − α − reft ranges from below zero to past
+   c·F. *)
+let band_case =
+  let open QCheck.Gen in
+  let* m = oneofl [ 2; 4 ] in
+  let* k = int_range 1 3 in
+  let leaves = int_of_float (float_of_int m ** float_of_int k) in
+  let* c = int_range 1 3000 in
+  let* alpha = int_range 0 3000 in
+  let* reft = int_range 0 50_000 in
+  let* lo = int_range 0 (leaves + 1) in
+  let* w = int_range 1 leaves in
+  let* f_star = int_range (-1) (leaves + 1) in
+  let* time_leaf = int_range 0 (leaves - 1) in
+  let* rank = int_range 0 2 in
+  let* own = list_size (int_range 0 2) (int_range 0 (leaves - 1)) in
+  let* phase = int_range 0 3 in
+  (* Half the offsets sit on or next to a multiple of c, where the
+     floor changes. *)
+  let* k = int_range (-3) (leaves + 3) in
+  let* d = oneof [ return 0; return (c - 1); int_range 0 (c - 1) ] in
+  let offset = (k * c) + d in
+  let p =
+    {
+      Ddcr_params.time_m = m;
+      time_leaves = leaves;
+      class_width = c;
+      alpha;
+      theta = 0;
+      static_m = m;
+      static_leaves = leaves;
+      static_indices = [| Array.of_list own |];
+      burst_bits = 0;
+    }
+  in
+  let tts = { Step.t_stack = [ (lo, w) ]; f_star; sent = false } in
+  let phase =
+    match phase with
+    | 0 -> Step.Free
+    | 1 -> Step.Attempt
+    | 2 -> Step.Tts tts
+    | _ -> Step.Sts ({ Step.s_stack = [ (lo, w) ]; time_leaf }, tts)
+  in
+  let st = { Step.phase; reft; rank; last_out = false } in
+  (* DM − α − reft = offset, with a non-negative arrival. *)
+  let dm = alpha + reft + offset in
+  let arrival = max 0 (dm - 1) in
+  return (p, st, mk_msg ~uid:7 ~arrival ~deadline:(dm - arrival) ())
+
+let prop_band_matches_paper =
+  QCheck.Test.make ~name:"decide's deadline band is the paper's f(reft, msg)"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (p, st, m) ->
+         Printf.sprintf "F=%d c=%d alpha=%d [%s] rank=%d DM=%d"
+           p.Ddcr_params.time_leaves p.Ddcr_params.class_width
+           p.Ddcr_params.alpha (Step.fingerprint st) st.Step.rank
+           (Message.abs_deadline m))
+       band_case)
+    (fun (p, st, m) ->
+      match Step.decide p ~source:0 st ~msg_star:(Some m) with
+      | Some a ->
+        paper_decides p ~source:0 st m
+        && a.Channel.att_source = 0
+        && a.Channel.att_tag = m.Message.uid
+        && a.Channel.att_bits = m.Message.cls.Message.cls_bits
+        && a.Channel.att_key = (Message.abs_deadline m, 0)
+      | None -> not (paper_decides p ~source:0 st m))
+
 (* --- End-to-end runs --- *)
 
 let test_scenarios_safe_and_feasible () =
@@ -409,12 +514,97 @@ let minor_words_per_slot ~sources =
 
 let test_allocation_flat_in_stations () =
   let small = minor_words_per_slot ~sources:4
-  and large = minor_words_per_slot ~sources:32 in
+  and large = minor_words_per_slot ~sources:64 in
   Alcotest.(check bool)
-    (Printf.sprintf "32 stations allocate %.0f <= 1.5 x %.0f words per slot"
+    (Printf.sprintf "64 stations allocate %.1f <= 1.5 x %.1f words per slot"
        large small)
     true
     (large <= 1.5 *. small)
+
+(* Absolute pin on the dense bus: what is left per slot is the per
+   message work (queue node, completion, attempt, carried frame) and
+   the one immutable protocol state a slot reaches. *)
+let test_allocation_pinned () =
+  let words = minor_words_per_slot ~sources:16 in
+  Alcotest.(check bool)
+    (Printf.sprintf "16 stations allocate %.1f <= 90 words per slot" words)
+    true (words <= 90.)
+
+(* --- The slot pinned at scale: outcome digests of whole runs --- *)
+
+(* Completions with their start and finish, the unfinished and dropped
+   counts, and under a plan every per-source fault counter and the
+   fault epochs. *)
+let outcome_digest (o : Run.outcome) =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun c ->
+      Printf.bprintf b "%d:%d:%d;" c.Run.c_msg.Message.uid c.Run.c_start
+        c.Run.c_finish)
+    o.Run.completions;
+  Printf.bprintf b "|%d|%d" (List.length o.Run.unfinished)
+    (List.length o.Run.dropped);
+  (match o.Run.faults with
+  | None -> ()
+  | Some f ->
+    List.iter
+      (fun sf ->
+        Printf.bprintf b "|%d:%d:%d:%d:%d:%d" sf.Run.sf_source
+          sf.Run.sf_crashed_slots sf.Run.sf_missed sf.Run.sf_misperceived
+          sf.Run.sf_desync_slots sf.Run.sf_resyncs)
+      f.Run.f_per_source;
+    List.iter (fun (s, e) -> Printf.bprintf b "[%d,%d)" s e) f.Run.f_epochs);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The benchmark's dense bus: 16 stations under the staggered greedy
+   adversary, the phase drawn from the seed. *)
+let dense_instance ~seed =
+  let base =
+    Scenarios.uniform ~sources:16 ~classes_per_source:2 ~load:0.8
+      ~deadline_windows:2.0
+  in
+  let phase = Rtnet_util.Prng.float (Rtnet_util.Prng.create seed) (1. /. 16.) in
+  Instance.with_law base (Arrival.Staggered_burst { phase })
+
+let pinned_digest ?plan inst ~horizon =
+  let trace = Instance.trace inst ~seed:1 ~horizon in
+  outcome_digest
+    (Ddcr.run_trace ?plan (Ddcr_params.default inst) inst trace ~horizon)
+
+let test_pinned_dense () =
+  Alcotest.(check string) "dense, 16 stations, 20 ms"
+    "e8b3a39beb7ddf0a9afdb61b3da7ff27"
+    (pinned_digest (dense_instance ~seed:1) ~horizon:(20 * ms))
+
+(* The same classes and arrivals with four times the deadline, under
+   misperception, i.i.d. garbling and one 50 µs crash window. *)
+let test_pinned_faulty () =
+  let horizon = 20 * ms in
+  let inst = Instance.scale_deadlines (dense_instance ~seed:1) 4.0 in
+  let module Fault_plan = Rtnet_channel.Fault_plan in
+  let plan =
+    Fault_plan.create ~horizon ~seed:1
+      (Fault_plan.merge
+         [
+           Fault_plan.misperceive 0.001;
+           Fault_plan.iid 0.002;
+           Fault_plan.crash
+             ~source:(Rtnet_util.Prng.int (Rtnet_util.Prng.create 2) 16)
+             ~from_:(horizon / 4)
+             ~until:((horizon / 4) + 50_000);
+         ])
+  in
+  Alcotest.(check string) "dense under faults, 16 stations, 20 ms"
+    "d024e8e1978df3249fb1447885fd222e"
+    (pinned_digest ~plan inst ~horizon)
+
+let test_pinned_64_stations () =
+  Alcotest.(check string) "uniform, 64 stations, 20 ms"
+    "ce52722f1e9585fa41b4a35810607531"
+    (pinned_digest
+       (Scenarios.uniform ~sources:64 ~classes_per_source:2 ~load:0.8
+          ~deadline_windows:2.0)
+       ~horizon:(20 * ms))
 
 let suite =
   [
@@ -425,6 +615,7 @@ let suite =
         Alcotest.test_case "automaton sts path" `Quick test_automaton_sts_path;
         Alcotest.test_case "automaton static leaf rejected" `Quick
           test_automaton_static_leaf_collision_rejected;
+        QCheck_alcotest.to_alcotest prop_band_matches_paper;
         Alcotest.test_case "scenarios safe" `Slow test_scenarios_safe_and_feasible;
         Alcotest.test_case "conservation" `Quick test_conservation;
         Alcotest.test_case "bound domination" `Slow
@@ -448,5 +639,12 @@ let suite =
           test_edf_service_order_within_source;
         Alcotest.test_case "slot allocation flat in stations" `Quick
           test_allocation_flat_in_stations;
+        Alcotest.test_case "slot allocation pinned at 16 stations" `Quick
+          test_allocation_pinned;
+        Alcotest.test_case "dense outcome pinned" `Quick test_pinned_dense;
+        Alcotest.test_case "dense outcome under faults pinned" `Quick
+          test_pinned_faulty;
+        Alcotest.test_case "64-station outcome pinned" `Quick
+          test_pinned_64_stations;
       ] );
   ]

@@ -397,6 +397,92 @@ let prop_replicas_match_step_observe =
            trail);
       true)
 
+(* The slot decides by a deadline band computed once from the shared
+   replica; Step.decide stays the per-replica reference.  Along random
+   enabled trails, the senders of every slot — a Tx's source, or a
+   Clash's contenders — must be exactly the stations live in the slot
+   and synced entering it for which Step.decide, on their own replica
+   and their queue head after the slot's deliveries, returns Some; a
+   Garbled slot must have exactly one such station, an Idle one none.
+   A sender is immune to misperception, so any station whose view is a
+   Clash holds the wire's contenders. *)
+let prop_senders_match_step_decide =
+  QCheck.Test.make ~name:"slot senders match Step.decide per station"
+    ~count:40
+    QCheck.(pair (int_range 0 10_000) bool)
+    (fun (seed, arbitrated) ->
+      let sys = reference_sys ~seed ~arbitrated in
+      let params = sys.Transition.params in
+      let z = sys.Transition.inst.Instance.num_sources in
+      let stations = List.init z Fun.id in
+      let _, trail = random_trail sys ~rng:(Prng.create seed) ~slots:80 in
+      let head pre s =
+        let h = Slot.harness pre in
+        let arrived =
+          List.filter
+            (fun m ->
+              m.Message.arrival <= Slot.now pre
+              && m.Message.cls.Message.cls_source = s)
+            (Harness.pending h)
+        in
+        match List.sort Message.compare_edf (Harness.queued h s @ arrived) with
+        | m :: _ -> Some m
+        | [] -> None
+      in
+      let check pre post =
+        let deciders =
+          List.filter
+            (fun s ->
+              Slot.alive post s && Slot.synced pre s
+              && Step.decide params ~source:s (Slot.replica pre s)
+                   ~msg_star:(head pre s)
+                 <> None)
+            stations
+        in
+        let stats slot =
+          Channel.stats (Harness.services (Slot.harness slot)).Harness.channel
+        in
+        let before = stats pre and after = stats post in
+        let senders =
+          if after.Channel.collision_slots > before.Channel.collision_slots then
+            List.find_map
+              (fun s ->
+                match (Harness.services (Slot.harness post)).Harness.observed s with
+                | Channel.Clash { contenders; _ } ->
+                  Some (List.sort compare (List.map fst contenders))
+                | Channel.Idle | Channel.Tx _ | Channel.Garbled _ -> None)
+              stations
+          else if after.Channel.garbled_count > before.Channel.garbled_count then
+            if List.length deciders = 1 then Some deciders else None
+          else if after.Channel.tx_count > before.Channel.tx_count then
+            match Harness.completions (Slot.harness post) with
+            | c :: _ -> Some [ c.Run.c_msg.Message.cls.Message.cls_source ]
+            | [] -> None
+          else Some []
+        in
+        if senders <> Some deciders then
+          QCheck.Test.fail_reportf
+            "slot at t=%d: senders [%s], Step.decide [%s] (seed %d)"
+            (Slot.now pre)
+            (match senders with
+            | Some l -> String.concat "; " (List.map string_of_int l)
+            | None -> "?")
+            (String.concat "; " (List.map string_of_int deciders))
+            seed
+      in
+      ignore
+        (List.fold_left
+           (fun nd (_, action) ->
+             match Transition.step sys nd action with
+             | Transition.Stepped nd' ->
+               check nd.Transition.slot nd'.Transition.slot;
+               nd'
+             | Transition.Disabled | Transition.Violating _ ->
+               QCheck.Test.fail_reportf "trail does not replay (seed %d)" seed)
+           { (Transition.init sys) with Transition.budget = max_int }
+           trail);
+      true)
+
 (* -------------------- exploration -------------------- *)
 
 let uniform2 =
@@ -592,5 +678,6 @@ let suite =
         Alcotest.test_case "plurality rule" `Quick test_plurality_rule;
         QCheck_alcotest.to_alcotest prop_simulator_matches_reference;
         QCheck_alcotest.to_alcotest prop_replicas_match_step_observe;
+        QCheck_alcotest.to_alcotest prop_senders_match_step_decide;
       ] );
   ]
