@@ -1,14 +1,14 @@
-(* admit_guard: the incremental-admission speedup gate (ISSUE 10).
+(* admit_guard: the incremental-admission speedup gate.
 
-   The admission engine answers each request by updating cached
-   per-class interference sums in O(n) instead of re-running the O(n²)
-   pairwise Section 4.3 analysis; Engine.decide_full is the deliberate
-   from-scratch path kept for the differential self-check.  This guard
-   drains the same churn stream both ways through fresh engines and
-   fails (exit 1) unless the incremental path is at least [threshold]
-   times faster — the regression it pins is the incremental path
-   silently degrading into re-analysis (a dropped cache, an
-   accidentally-quadratic delta).
+   The admission engine answers each request by updating running
+   per-class sums of Feasibility's §4.3 terms in O(n) instead of
+   re-running the O(n²) pairwise analysis; Engine.decide_full is the
+   from-scratch path, Feasibility.check itself on the tentative flow
+   set.  This guard drains the same churn stream both ways through
+   fresh engines and fails (exit 1) unless the incremental path is at
+   least [threshold] times faster — the regression it pins is the
+   incremental path silently degrading into re-analysis (a dropped
+   cache, an accidentally-quadratic delta).
 
    Run directly (it is part of `make admit-smoke`):
      dune exec bench/admit_guard.exe *)

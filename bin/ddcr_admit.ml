@@ -26,10 +26,8 @@ module Engine = Rtnet_admit.Engine
 module Journal = Rtnet_admit.Journal
 module Service = Rtnet_admit.Service
 module Generator = Rtnet_chaos.Generator
-module Ddcr = Rtnet_core.Ddcr
+module Admission = Rtnet_chaos.Admission
 module Ddcr_params = Rtnet_core.Ddcr_params
-module Instance = Rtnet_workload.Instance
-module Message = Rtnet_workload.Message
 module Run = Rtnet_stats.Run
 module Oracle = Rtnet_analysis.Oracle
 module Json = Rtnet_util.Json
@@ -373,51 +371,21 @@ let run_main trace_file out journal_path resume chunk capacity high low
                 0
               end
               else (
-                match Engine.instance eng with
-                | Error e -> fail 2 "admitted set not instantiable: %s" e
-                | Ok inst ->
-                  let horizon = sim_horizon_ms * 1_000_000 in
-                  let wtrace = Instance.trace inst ~seed ~horizon in
-                  let outcome =
-                    Ddcr.run_trace ~check_lockstep:true
-                      trace.Request.tr_params inst wtrace ~horizon
-                  in
-                  let m = Run.metrics outcome in
-                  if m.Run.deadline_misses = 0 then begin
-                    if not quiet then
-                      Format.printf
-                        "simulate: %d admitted flow(s), %d delivered, 0 \
-                         misses — pass@."
-                        summary.Service.sm_flows m.Run.delivered;
-                    0
-                  end
-                  else begin
-                    let flow =
-                      let due msg =
-                        Message.abs_deadline msg <= outcome.Run.horizon
-                      in
-                      let name msg = msg.Message.cls.Message.cls_name in
-                      match
-                        List.find_opt Run.missed outcome.Run.completions
-                      with
-                      | Some c -> name c.Run.c_msg
-                      | None -> (
-                        match
-                          List.find_opt due outcome.Run.dropped
-                        with
-                        | Some msg -> name msg
-                        | None -> (
-                          match
-                            List.find_opt due outcome.Run.unfinished
-                          with
-                          | Some msg -> name msg
-                          | None -> "?"))
-                    in
-                    fail 1 "%s"
-                      (Oracle.describe
-                         (Oracle.Admission_violation
-                            { flow; misses = m.Run.deadline_misses }))
-                  end))))
+                match
+                  Admission.simulate_admitted eng ~trace_seed:seed
+                    ~horizon_ms:sim_horizon_ms
+                with
+                | Error e -> fail 2 "%s" e
+                | Ok (outcome, Oracle.Pass) ->
+                  if not quiet then
+                    Format.printf
+                      "simulate: %d admitted flow(s), %d delivered, 0 \
+                       misses — pass@."
+                      summary.Service.sm_flows
+                      (Run.metrics outcome).Run.delivered;
+                  0
+                | Ok (_, violation) ->
+                  fail 1 "%s" (Oracle.describe violation)))))
 
 let run_cmd =
   let term =

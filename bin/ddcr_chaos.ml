@@ -341,20 +341,25 @@ let run_search pool budget config_file scenario size load deadline_windows
         Rtnet_core.Ddcr_params.of_json
     with
     | Error e -> fail "--admit-params %s: %s" file e
-    | Ok params ->
-      search (module Admission)
-        {
-          pool with
-          Search.s_env =
-            {
-              Admission.an_phy = admit_phy;
-              an_sources = admit_sources;
-              an_params = params;
-              an_horizon_ms = horizon_ms;
-            };
-          s_space =
-            { Admission.ch_pool = admit_pool; ch_requests = admit_requests };
-        })
+    | Ok params -> (
+      match
+        Admission.check_env
+          {
+            Admission.an_phy = admit_phy;
+            an_sources = admit_sources;
+            an_params = params;
+            an_horizon_ms = horizon_ms;
+          }
+      with
+      | Error e -> fail "%s" e
+      | Ok env ->
+        search (module Admission)
+          {
+            pool with
+            Search.s_env = env;
+            s_space =
+              { Admission.ch_pool = admit_pool; ch_requests = admit_requests };
+          }))
   | _ ->
     fail
       "--config, --topo-segments and --admit-params each select a different \

@@ -80,20 +80,6 @@ let headroom_flag =
           "Print the per-class bound-headroom table (observed worst access \
            delay vs. the analytic B_DDCR/B_impl bounds) for the DDCR run.")
 
-(* Same analytic bounds the feasibility checker reports, reshaped for
-   the recorder's per-class annotations. *)
-let bounds_for params inst =
-  List.map
-    (fun cr ->
-      {
-        Headroom.b_cls = cr.Feasibility.cr_cls.Message.cls_id;
-        b_name = cr.Feasibility.cr_cls.Message.cls_name;
-        b_deadline = cr.Feasibility.cr_cls.Message.cls_deadline;
-        b_bound = cr.Feasibility.cr_bound;
-        b_bound_impl = cr.Feasibility.cr_bound_impl;
-      })
-    (Feasibility.check params inst).Feasibility.per_class
-
 let run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~on_event ~sink
     =
   match name with
@@ -147,7 +133,11 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
       in
       let tele =
         if want_telemetry && name = "ddcr" then
-          Some (Recorder.create ~bounds:(bounds_for params inst) ())
+          Some
+            (Recorder.create
+               ~bounds:
+                 (Feasibility.headroom_bounds (Feasibility.check params inst))
+               ())
         else None
       in
       let sink =

@@ -39,7 +39,6 @@ module Driver = Rtnet_topology.Driver
 module Decompose = Rtnet_core.Decompose
 module Feasibility = Rtnet_core.Feasibility
 module Fault_plan = Rtnet_channel.Fault_plan
-module Message = Rtnet_workload.Message
 module Run = Rtnet_stats.Run
 module Sink = Rtnet_telemetry.Sink
 module Recorder = Rtnet_telemetry.Recorder
@@ -212,18 +211,8 @@ let check_cmd =
    segment of the elaborated federation: the admitted hop classes
    priced by the Section 4.3 feasibility checker. *)
 let seg_bounds e name =
-  let params = Admit.params_of e name in
-  let inst = Admit.instance_of e name in
-  List.map
-    (fun cr ->
-      {
-        Headroom.b_cls = cr.Feasibility.cr_cls.Message.cls_id;
-        b_name = cr.Feasibility.cr_cls.Message.cls_name;
-        b_deadline = cr.Feasibility.cr_cls.Message.cls_deadline;
-        b_bound = cr.Feasibility.cr_bound;
-        b_bound_impl = cr.Feasibility.cr_bound_impl;
-      })
-    (Feasibility.check params inst).Feasibility.per_class
+  Feasibility.headroom_bounds
+    (Feasibility.check (Admit.params_of e name) (Admit.instance_of e name))
 
 let run_run path policy domains horizon_ms seed trace_out faults telemetry
     headroom postmortem_out =

@@ -1,4 +1,3 @@
-module Int_math = Rtnet_util.Int_math
 module Json = Rtnet_util.Json
 module Message = Rtnet_workload.Message
 module Instance = Rtnet_workload.Instance
@@ -11,17 +10,17 @@ module Feasibility = Rtnet_core.Feasibility
 
 let ( let* ) = Result.bind
 
-(* Per-admitted-flow cache of the Section 4.3 quantities.  [en_r] is
-   the rank sum *including* the paper's [−1] left out (so r(M) =
-   en_r − 1); [en_u]/[en_tx] are the interference count and its
-   transmission time.  All three are exact integer sums of per-pair
-   terms, so delta updates commute and removing a flow restores the
-   pre-add values bit-for-bit — which is what lets the differential
-   self-check demand *exact* float equality against Feasibility. *)
+(* Per-admitted-flow running sums of the Section 4.3 quantities: [en_r]
+   is r(M), [en_u]/[en_tx] the interference count and its transmission
+   time, each a sum of Feasibility's per-pair terms over the admitted
+   classes.  All three are exact integers, so delta updates commute
+   and removing a flow restores the pre-add values bit-for-bit — which
+   is what lets the differential self-check demand *exact* float
+   equality against Feasibility. *)
 type entry = {
   en_flow : Request.flow;
-  en_cls_id : int;
-  en_wire : int;
+  en_cls : Message.cls;  (* the flow as a class, built once at admission *)
+  en_wire : int;  (* l'(M) *)
   mutable en_r : int;
   mutable en_u : int;
   mutable en_tx : int;
@@ -38,24 +37,46 @@ module S1_tab = Hashtbl.Make (struct
   let hash (u, v) = ((u * 65599) + v) land max_int
 end)
 
+type s1_memo = {
+  s1_tab : float S1_tab.t;  (* (u, v) ↦ ξ̃ bound S₁ *)
+  mutable n_s1_hits : int;
+  mutable n_s1_misses : int;
+}
+
+(* S₁ = Multi_tree.bound, memoized by its only inputs (u, v). *)
+let memo_s1 params memo ~u ~v =
+  let key = (u, v) in
+  match S1_tab.find memo.s1_tab key with
+  | s ->
+    memo.n_s1_hits <- memo.n_s1_hits + 1;
+    s
+  | exception Not_found ->
+    memo.n_s1_misses <- memo.n_s1_misses + 1;
+    let s =
+      Multi_tree.bound ~m:params.Ddcr_params.static_m
+        ~t:params.Ddcr_params.static_leaves ~u ~v
+    in
+    S1_tab.add memo.s1_tab key s;
+    s
+
 type t = {
   phy : Phy.t;
   num_sources : int;
   params : Ddcr_params.t;
   arbitrated : bool;
   x : float;
-  eq5 : int;  (* cached time-tree search bound ξ₂ = Xi.eq5(m, F) *)
-  s1_tab : float S1_tab.t;  (* (u, v) ↦ ξ̃ bound S₁ *)
+  xi2 : int;  (* cached time-tree search bound ξ₂ = Xi.eq5(m, F) *)
+  memo : s1_memo;
+  s1 : u:int -> v:int -> float;  (* S₁ through [memo] *)
   flows : (string, entry) Hashtbl.t;
   mutable entries : entry list;  (* unordered; ties broken by cls_id *)
   mutable next_cls_id : int;
   mutable n_decisions : int;
-  mutable n_s1_hits : int;
-  mutable n_s1_misses : int;
 }
 
 let create ~phy ~num_sources ~params =
   let* () = Ddcr_params.validate params ~num_sources in
+  let memo = { s1_tab = S1_tab.create 256; n_s1_hits = 0; n_s1_misses = 0 } in
   Ok
     {
       phy;
@@ -63,15 +84,14 @@ let create ~phy ~num_sources ~params =
       params;
       arbitrated = phy.Phy.semantics = Phy.Arbitration;
       x = float_of_int phy.Phy.slot_bits;
-      eq5 =
+      xi2 =
         Xi.eq5 ~m:params.Ddcr_params.time_m ~t:params.Ddcr_params.time_leaves;
-      s1_tab = S1_tab.create 256;
+      memo;
+      s1 = memo_s1 params memo;
       flows = Hashtbl.create 64;
       entries = [];
       next_cls_id = 0;
       n_decisions = 0;
-      n_s1_hits = 0;
-      n_s1_misses = 0;
     }
 
 let size t = Hashtbl.length t.flows
@@ -148,58 +168,34 @@ let decision_of_json j =
 
 (* -------------------- feasibility terms -------------------- *)
 
-(* The per-pair terms mirror the r(M), u(M) and transmission-time sums
-   of Feasibility verbatim — integer for integer. *)
+(* Every term and the bound itself are Feasibility's; the engine only
+   keeps the running sums and knows which of them moved. *)
 
-let term_r ~m_deadline (c : Request.flow) =
-  Int_math.cdiv m_deadline c.Request.fl_window * c.Request.fl_burst
-
-let term_u ~m_deadline ~m_wire (c : Request.flow) =
-  let numerator = m_deadline + c.Request.fl_deadline - m_wire in
-  max 0 (Int_math.cdiv numerator c.Request.fl_window) * c.Request.fl_burst
-
-let s1 t ~u ~v =
-  let key = (u, v) in
-  match S1_tab.find t.s1_tab key with
-  | s ->
-    t.n_s1_hits <- t.n_s1_hits + 1;
-    s
-  | exception Not_found ->
-    t.n_s1_misses <- t.n_s1_misses + 1;
-    let s =
-      Multi_tree.bound ~m:t.params.Ddcr_params.static_m
-        ~t:t.params.Ddcr_params.static_leaves ~u ~v
-    in
-    S1_tab.add t.s1_tab key s;
-    s
-
-let v_of t en =
-  1 + ((en.en_r - 1) / Ddcr_params.nu t.params en.en_flow.Request.fl_source)
-
-(* B_DDCR from the cached integers; bit-identical to
-   Feasibility.latency_bound{,_arbitrated} because every operation and
-   its order match. *)
-let bound_of t en =
-  let u = en.en_u in
-  let v = v_of t en in
-  if t.arbitrated then
-    float_of_int en.en_tx +. (t.x *. float_of_int (u + Int_math.cdiv v 2))
-  else
-    float_of_int en.en_tx
-    +. (t.x *. (s1 t ~u ~v +. float_of_int (Int_math.cdiv v 2 * t.eq5)))
+let v_of t en = Feasibility.static_trees t.params en.en_cls ~r:en.en_r
 
 let refresh t en =
   if en.en_dirty then begin
-    en.en_bound <- bound_of t en;
+    en.en_bound <-
+      Feasibility.bound_of_sums ~arbitrated:t.arbitrated ~x:t.x ~xi2:t.xi2
+        ~s1:t.s1 ~tx:en.en_tx ~u:en.en_u ~v:(v_of t en);
     en.en_dirty <- false
   end
 
 (* -------------------- attach / detach -------------------- *)
 
-let mk_entry t ~cls_id f =
+let mk_entry t ~cls_id (f : Request.flow) =
   {
     en_flow = f;
-    en_cls_id = cls_id;
+    en_cls =
+      {
+        Message.cls_id;
+        cls_name = f.Request.fl_id;
+        cls_source = f.Request.fl_source;
+        cls_bits = f.Request.fl_bits;
+        cls_deadline = f.Request.fl_deadline;
+        cls_burst = f.Request.fl_burst;
+        cls_window = f.Request.fl_window;
+      };
     en_wire = Phy.tx_bits t.phy f.Request.fl_bits;
     en_r = 0;
     en_u = 0;
@@ -208,75 +204,64 @@ let mk_entry t ~cls_id f =
     en_dirty = true;
   }
 
+(* Add [sign] times [c]'s per-pair terms to [m]'s sums; [m] turns dirty
+   if they moved.  Inlined: attach and detach run it per resident. *)
+let[@inline] shift ~sign m c =
+  let du =
+    sign * Feasibility.interference_term ~wire:m.en_wire m.en_cls c.en_cls
+  in
+  let dr = sign * Feasibility.rank_term m.en_cls c.en_cls in
+  m.en_u <- m.en_u + du;
+  m.en_tx <- m.en_tx + (du * c.en_wire);
+  m.en_r <- m.en_r + dr;
+  if du <> 0 || dr <> 0 then m.en_dirty <- true
+
 (* Add [en] to the admitted set, pushing its terms into every resident
    class and summing the residents' (and its own) terms into it.  Only
    classes whose sums actually moved are marked dirty — the dirty set. *)
 let attach t en =
-  let f = en.en_flow in
-  en.en_r <- 0;
+  en.en_r <- -1;
   en.en_u <- 0;
   en.en_tx <- 0;
   en.en_dirty <- true;
-  let fold other =
-    let g = other.en_flow in
-    let du =
-      term_u ~m_deadline:g.Request.fl_deadline ~m_wire:other.en_wire f
-    in
-    other.en_u <- other.en_u + du;
-    other.en_tx <- other.en_tx + (du * en.en_wire);
-    if du <> 0 then other.en_dirty <- true;
-    if g.Request.fl_source = f.Request.fl_source then begin
-      other.en_r <- other.en_r + term_r ~m_deadline:g.Request.fl_deadline f;
-      other.en_dirty <- true
-    end;
-    let du' =
-      term_u ~m_deadline:f.Request.fl_deadline ~m_wire:en.en_wire g
-    in
-    en.en_u <- en.en_u + du';
-    en.en_tx <- en.en_tx + (du' * other.en_wire);
-    if g.Request.fl_source = f.Request.fl_source then
-      en.en_r <- en.en_r + term_r ~m_deadline:f.Request.fl_deadline g
-  in
-  List.iter fold t.entries;
-  let self = term_u ~m_deadline:f.Request.fl_deadline ~m_wire:en.en_wire f in
-  en.en_u <- en.en_u + self;
-  en.en_tx <- en.en_tx + (self * en.en_wire);
-  en.en_r <- en.en_r + term_r ~m_deadline:f.Request.fl_deadline f;
-  Hashtbl.replace t.flows f.Request.fl_id en;
+  List.iter
+    (fun other ->
+      shift ~sign:1 other en;
+      shift ~sign:1 en other)
+    t.entries;
+  shift ~sign:1 en en;
+  Hashtbl.replace t.flows en.en_flow.Request.fl_id en;
   t.entries <- en :: t.entries
 
 let detach t en =
-  let f = en.en_flow in
-  Hashtbl.remove t.flows f.Request.fl_id;
+  Hashtbl.remove t.flows en.en_flow.Request.fl_id;
   t.entries <- List.filter (fun e -> e != en) t.entries;
-  List.iter
-    (fun other ->
-      let g = other.en_flow in
-      let du =
-        term_u ~m_deadline:g.Request.fl_deadline ~m_wire:other.en_wire f
-      in
-      other.en_u <- other.en_u - du;
-      other.en_tx <- other.en_tx - (du * en.en_wire);
-      if du <> 0 then other.en_dirty <- true;
-      if g.Request.fl_source = f.Request.fl_source then begin
-        other.en_r <- other.en_r - term_r ~m_deadline:g.Request.fl_deadline f;
-        other.en_dirty <- true
-      end)
+  List.iter (fun other -> shift ~sign:(-1) other en) t.entries
+
+let by_cls_id t =
+  List.sort
+    (fun a b -> Int.compare a.en_cls.Message.cls_id b.en_cls.Message.cls_id)
     t.entries
+
+(* [sorted] is the entries in class-id order ({!by_cls_id}). *)
+let instance_of t sorted =
+  match sorted with
+  | [] -> Error "no admitted flows"
+  | _ ->
+    Instance.create ~name:"admit" ~phy:t.phy ~num_sources:t.num_sources
+      (List.map
+         (fun en ->
+           ( en.en_cls,
+             Arrival.Periodic { offset = en.en_flow.Request.fl_offset } ))
+         sorted)
 
 (* -------------------- evaluation -------------------- *)
 
 type eval = Empty | Eval of { binding : string; headroom : float; ok : bool }
 
-let better (id_a, cls_a, h_a) (id_b, cls_b, h_b) =
-  if h_a < h_b then (id_a, cls_a, h_a)
-  else if h_b < h_a then (id_b, cls_b, h_b)
-  else if cls_a <= cls_b then (id_a, cls_a, h_a)
-  else (id_b, cls_b, h_b)
-
 (* The binding entry is the one with the least headroom d − B_DDCR,
-   ties to the lower class id — the rule [better] applies, walked over
-   the entries themselves so no tuple is built per resident. *)
+   ties to the lower class id, walked over the entries themselves so
+   no tuple is built per resident. *)
 let evaluate t =
   let headroom en =
     float_of_int en.en_flow.Request.fl_deadline -. en.en_bound
@@ -294,72 +279,39 @@ let evaluate t =
       let best =
         if h_best < h then best
         else if h < h_best then en
-        else if best.en_cls_id <= en.en_cls_id then best
+        else if best.en_cls.Message.cls_id <= en.en_cls.Message.cls_id then
+          best
         else en
       in
       walk best ok rest
   in
   match t.entries with [] -> Empty | first :: _ as all -> walk first true all
 
-(* From-scratch twin of [evaluate]: every sum recomputed by the O(n²)
-   pairwise loops and every S₁ by a direct Multi_tree call — no cache
-   is read or written.  The bench guard pins [decide] at ≥10× this. *)
-let evaluate_full t =
-  match t.entries with
-  | [] -> Empty
-  | entries_hd :: _ ->
-    let fresh en =
-      let f = en.en_flow in
-      let r = ref 0 and u = ref 0 and tx = ref 0 in
-      List.iter
-        (fun other ->
-          let g = other.en_flow in
-          let du =
-            term_u ~m_deadline:f.Request.fl_deadline ~m_wire:en.en_wire g
-          in
-          u := !u + du;
-          tx := !tx + (du * other.en_wire);
-          if g.Request.fl_source = f.Request.fl_source then
-            r := !r + term_r ~m_deadline:f.Request.fl_deadline g)
-        t.entries;
-      let v =
-        1 + ((!r - 1) / Ddcr_params.nu t.params f.Request.fl_source)
-      in
-      let bound =
-        if t.arbitrated then
-          float_of_int !tx
-          +. (t.x *. float_of_int (!u + Int_math.cdiv v 2))
-        else
-          float_of_int !tx
-          +. t.x
-             *. (Multi_tree.bound ~m:t.params.Ddcr_params.static_m
-                   ~t:t.params.Ddcr_params.static_leaves ~u:!u ~v
-                +. float_of_int
-                     (Int_math.cdiv v 2
-                     * Xi.eq5 ~m:t.params.Ddcr_params.time_m
-                         ~t:t.params.Ddcr_params.time_leaves))
-      in
-      (en, bound)
+(* From scratch: Feasibility.check itself on the tentative set, no
+   cache read or written.  The binding rule is [evaluate]'s; the
+   report's rows are in class-id order, so the first row of least
+   headroom is the one. *)
+let evaluate_reference t =
+  match instance_of t (by_cls_id t) with
+  | Error _ -> Empty (* only when empty: admitted flows are all valid *)
+  | Ok inst ->
+    let report = Feasibility.check t.params inst in
+    let headroom cr =
+      float_of_int cr.Feasibility.cr_cls.Message.cls_deadline
+      -. cr.Feasibility.cr_bound
     in
-    let first = fresh entries_hd in
-    let hr (en, bound) = float_of_int en.en_flow.Request.fl_deadline -. bound in
-    let init =
-      let en, _ = first in
-      (en.en_flow.Request.fl_id, en.en_cls_id, hr first)
-    in
-    let ok = ref true in
-    let worst =
+    let rows = report.Feasibility.per_class in
+    let best =
       List.fold_left
-        (fun acc en ->
-          let ((_, bound) as fb) = if en == entries_hd then first else fresh en in
-          if not (bound <= float_of_int en.en_flow.Request.fl_deadline) then
-            ok := false;
-          if en == entries_hd then acc
-          else better acc (en.en_flow.Request.fl_id, en.en_cls_id, hr fb))
-        init t.entries
+        (fun best cr -> if headroom cr < headroom best then cr else best)
+        (List.hd rows) rows
     in
-    let binding, _, headroom = worst in
-    Eval { binding; headroom; ok = !ok }
+    Eval
+      {
+        binding = best.Feasibility.cr_cls.Message.cls_name;
+        headroom = headroom best;
+        ok = report.Feasibility.feasible;
+      }
 
 (* -------------------- the decision procedure -------------------- *)
 
@@ -376,6 +328,21 @@ let validate_flow t (f : Request.flow) =
   else if f.Request.fl_offset < 0 then Error "offset must be >= 0"
   else Ok ()
 
+(* Attach [f] under the next class id and keep it if the set stays
+   feasible; otherwise detach it again and run [undo]. *)
+let admit ~eval t f ~undo =
+  let en = mk_entry t ~cls_id:t.next_cls_id f in
+  attach t en;
+  match eval t with
+  | Empty -> assert false
+  | Eval { binding; headroom; ok = true } ->
+    t.next_cls_id <- t.next_cls_id + 1;
+    Accepted { binding = Some (binding, headroom) }
+  | Eval { binding; headroom; ok = false } ->
+    detach t en;
+    undo ();
+    Rejected (Infeasible { binding; headroom })
+
 let decide_with ~eval t req =
   t.n_decisions <- t.n_decisions + 1;
   match req with
@@ -384,21 +351,7 @@ let decide_with ~eval t req =
     | Error e -> Rejected (Invalid_params e)
     | Ok () ->
       if Hashtbl.mem t.flows f.Request.fl_id then Rejected Duplicate_flow
-      else begin
-        let en = mk_entry t ~cls_id:t.next_cls_id f in
-        attach t en;
-        match eval t with
-        | Empty -> assert false
-        | Eval { binding; headroom; ok } ->
-          if ok then begin
-            t.next_cls_id <- t.next_cls_id + 1;
-            Accepted { binding = Some (binding, headroom) }
-          end
-          else begin
-            detach t en;
-            Rejected (Infeasible { binding; headroom })
-          end
-      end)
+      else admit ~eval t f ~undo:ignore)
   | Request.Remove id -> (
     match Hashtbl.find_opt t.flows id with
     | None -> Rejected Unknown_flow
@@ -416,95 +369,49 @@ let decide_with ~eval t req =
     | Ok () -> (
       match Hashtbl.find_opt t.flows f.Request.fl_id with
       | None -> Rejected Unknown_flow
-      | Some old -> (
+      | Some old ->
         detach t old;
-        let en = mk_entry t ~cls_id:t.next_cls_id f in
-        attach t en;
-        match eval t with
-        | Empty -> assert false
-        | Eval { binding; headroom; ok } ->
-          if ok then begin
-            t.next_cls_id <- t.next_cls_id + 1;
-            Accepted { binding = Some (binding, headroom) }
-          end
-          else begin
-            (* Atomic replace: infeasible new parameters leave the old
-               flow admitted under its original class id. *)
-            detach t en;
-            attach t old;
-            Rejected (Infeasible { binding; headroom })
-          end)))
+        (* Atomic replace: infeasible new parameters leave the old
+           flow admitted under its original class id. *)
+        admit ~eval t f ~undo:(fun () -> attach t old)))
 
 let decide t req = decide_with ~eval:evaluate t req
-let decide_full t req = decide_with ~eval:evaluate_full t req
+let decide_full t req = decide_with ~eval:evaluate_reference t req
 
 (* Replay a journaled decision without re-deciding: accepted requests
    mutate, rejections are no-ops.  Errors mean the journal does not
    describe this engine's history. *)
 let apply t req decision =
+  let append f =
+    attach t (mk_entry t ~cls_id:t.next_cls_id f);
+    t.next_cls_id <- t.next_cls_id + 1
+  in
   match (req, decision) with
   | _, Rejected _ -> Ok ()
   | Request.Add f, Accepted _ ->
     if Hashtbl.mem t.flows f.Request.fl_id then
       Error (Printf.sprintf "journal: duplicate add of %s" f.Request.fl_id)
-    else begin
-      attach t (mk_entry t ~cls_id:t.next_cls_id f);
-      t.next_cls_id <- t.next_cls_id + 1;
-      Ok ()
-    end
+    else Ok (append f)
   | Request.Remove id, Accepted _ -> (
     match Hashtbl.find_opt t.flows id with
     | None -> Error (Printf.sprintf "journal: remove of unknown %s" id)
-    | Some en ->
-      detach t en;
-      Ok ())
+    | Some en -> Ok (detach t en))
   | Request.Modify f, Accepted _ -> (
     match Hashtbl.find_opt t.flows f.Request.fl_id with
     | None -> Error (Printf.sprintf "journal: modify of unknown %s" f.Request.fl_id)
     | Some old ->
       detach t old;
-      attach t (mk_entry t ~cls_id:t.next_cls_id f);
-      t.next_cls_id <- t.next_cls_id + 1;
-      Ok ())
+      Ok (append f))
 
 (* -------------------- views -------------------- *)
 
-let by_cls_id t =
-  List.sort (fun a b -> compare a.en_cls_id b.en_cls_id) t.entries
-
 let flows t =
-  List.map
-    (fun en -> (en.en_flow, en.en_cls_id))
-    (by_cls_id t)
+  List.map (fun en -> (en.en_flow, en.en_cls.Message.cls_id)) (by_cls_id t)
 
 let headroom t =
   match evaluate t with
   | Empty -> None
   | Eval { binding; headroom; _ } -> Some (binding, headroom)
-
-let cls_of_entry en =
-  let f = en.en_flow in
-  {
-    Message.cls_id = en.en_cls_id;
-    cls_name = f.Request.fl_id;
-    cls_source = f.Request.fl_source;
-    cls_bits = f.Request.fl_bits;
-    cls_deadline = f.Request.fl_deadline;
-    cls_burst = f.Request.fl_burst;
-    cls_window = f.Request.fl_window;
-  }
-
-(* [sorted] is the entries in class-id order ({!by_cls_id}). *)
-let instance_of t sorted =
-  match sorted with
-  | [] -> Error "no admitted flows"
-  | _ ->
-    Instance.create ~name:"admit" ~phy:t.phy ~num_sources:t.num_sources
-      (List.map
-         (fun en ->
-           ( cls_of_entry en,
-             Arrival.Periodic { offset = en.en_flow.Request.fl_offset } ))
-         sorted)
 
 let instance t = instance_of t (by_cls_id t)
 
@@ -512,8 +419,8 @@ let instance t = instance_of t (by_cls_id t)
 
 (* The invariant the whole fast path hangs on: the cached answer must
    equal a from-scratch Feasibility.check — not approximately, exactly,
-   down to the float bit pattern (both sides compute the same integer
-   sums and the same float expression).  The report's rows are in class
+   down to the float bit pattern (both sides add up the same
+   Feasibility terms and evaluate the same Feasibility expression).  The report's rows are in class
    id order, so one walk pairs them with the entries sorted the same
    way; class ids are unique (decide assigns them, restore rejects a
    repeat). *)
@@ -530,9 +437,8 @@ let selfcheck t =
       let same cr en =
         refresh t en;
         let name = en.en_flow.Request.fl_id in
-        if cr.Feasibility.cr_r <> en.en_r - 1 then
-          fail "selfcheck: %s: r %d <> %d" name cr.Feasibility.cr_r
-            (en.en_r - 1)
+        if cr.Feasibility.cr_r <> en.en_r then
+          fail "selfcheck: %s: r %d <> %d" name cr.Feasibility.cr_r en.en_r
         else if cr.Feasibility.cr_u <> en.en_u then
           fail "selfcheck: %s: u %d <> %d" name cr.Feasibility.cr_u en.en_u
         else if cr.Feasibility.cr_v <> v_of t en then
@@ -556,10 +462,12 @@ let selfcheck t =
           if n <> size t then fail "selfcheck: class count %d <> %d" n (size t)
           else Ok ()
         | cr :: _, en :: ens'
-          when en.en_cls_id < cr.Feasibility.cr_cls.Message.cls_id ->
+          when en.en_cls.Message.cls_id < cr.Feasibility.cr_cls.Message.cls_id
+          ->
           walk rows ens'
         | cr :: rows', en :: ens'
-          when en.en_cls_id = cr.Feasibility.cr_cls.Message.cls_id -> (
+          when en.en_cls.Message.cls_id = cr.Feasibility.cr_cls.Message.cls_id
+          -> (
           match same cr en with Ok () -> walk rows' ens' | e -> e)
         | cr :: _, _ ->
           fail "selfcheck: class %d not in engine"
@@ -579,7 +487,8 @@ let snapshot t =
              (fun en ->
                match Request.flow_to_json en.en_flow with
                | Json.Obj fields ->
-                 Json.Obj (("cls_id", Json.Int en.en_cls_id) :: fields)
+                 Json.Obj
+                   (("cls_id", Json.Int en.en_cls.Message.cls_id) :: fields)
                | _ -> assert false)
              (by_cls_id t)) );
     ]
@@ -620,6 +529,6 @@ type stats = { st_decisions : int; st_s1_hits : int; st_s1_misses : int }
 let stats t =
   {
     st_decisions = t.n_decisions;
-    st_s1_hits = t.n_s1_hits;
-    st_s1_misses = t.n_s1_misses;
+    st_s1_hits = t.memo.n_s1_hits;
+    st_s1_misses = t.memo.n_s1_misses;
   }

@@ -2,21 +2,26 @@
     maintained as a running data structure instead of recomputed per
     request.
 
-    For every admitted flow [M] the engine caches the integer
-    quantities [r(M)], [u(M)] and the interference transmission time,
-    all of which are sums of per-pair terms; admitting or evicting a
-    flow [f] adds or subtracts [f]'s term from each resident class in
-    O(1) per class (with only the classes whose sums moved marked
-    dirty), instead of re-running the O(n²) pairwise analysis.  The ξ
-    machinery is cached too: the time-tree bound [ξ₂ = Xi.eq5] is a
+    The engine writes none of the analysis itself.  For every admitted
+    flow [M] it keeps running sums of [r(M)], [u(M)] and the
+    interference transmission time, each a sum of
+    {!Rtnet_core.Feasibility}'s per-pair terms
+    ({!Rtnet_core.Feasibility.rank_term},
+    {!Rtnet_core.Feasibility.interference_term}); admitting or
+    evicting a flow [f] adds or subtracts [f]'s terms from each
+    resident class in O(1) per class (with only the classes whose sums
+    moved marked dirty), instead of re-running the O(n²) pairwise
+    analysis.  A dirty class's [B_DDCR] is
+    {!Rtnet_core.Feasibility.bound_of_sums} of its sums.  The ξ
+    machinery is cached: the time-tree bound [ξ₂ = Xi.eq5] is a
     per-engine constant of the parameters, and the static-tree bound
     [S₁ = Multi_tree.bound] is memoized by its only inputs [(u, v)].
 
-    Because all cached quantities are exact integers and the final
-    bound is the same float expression Feasibility evaluates, the
-    incremental answer is bit-identical to a from-scratch
-    {!Rtnet_core.Feasibility.check} — an invariant {!selfcheck}
-    asserts and the service's differential mode gates on. *)
+    Because the sums are exact integers and the bound is Feasibility's
+    own expression, the incremental answer is bit-identical to a
+    from-scratch {!Rtnet_core.Feasibility.check} — an invariant
+    {!selfcheck} asserts and the service's differential mode gates
+    on. *)
 
 type t
 
@@ -61,10 +66,12 @@ val decide : t -> Request.t -> decision
 
 val decide_full : t -> Request.t -> decision
 (** [decide_full t req] reaches the same decision as {!decide} but
-    evaluates feasibility from scratch: every per-class sum recomputed
-    by the O(n²) pairwise loops, every [S₁] by a direct [Multi_tree]
-    call, no cache consulted.  The bench guard pins {!decide} at ≥10×
-    this path. *)
+    evaluates the tentative flow set from scratch with
+    {!Rtnet_core.Feasibility.check} on {!instance}, the paper's own
+    checker, consulting no running sum and no memo.  The binding class
+    is the one with least headroom [d − B_DDCR], ties to the lower
+    class id.  The differential tests compare {!decide} with this
+    path, and the bench guard pins {!decide} at ≥10× it. *)
 
 val apply : t -> Request.t -> decision -> (unit, string) result
 (** [apply t req d] replays a journaled decision without re-deciding:

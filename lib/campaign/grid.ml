@@ -1,6 +1,5 @@
 module Json = Rtnet_util.Json
 module Instance = Rtnet_workload.Instance
-module Message = Rtnet_workload.Message
 module Channel = Rtnet_channel.Channel
 module Feasibility = Rtnet_core.Feasibility
 module Recorder = Rtnet_telemetry.Recorder
@@ -94,22 +93,6 @@ let params_for variant inst =
        variant.Spec.v_burst_bits)
     variant.Spec.v_theta
 
-(* Analytic per-class bounds for the cell's exact configuration — the
-   recorder annotates each transmission span and the headroom gauges
-   with them. *)
-let bounds_for params inst =
-  let report = Feasibility.check params inst in
-  List.map
-    (fun cr ->
-      {
-        Headroom.b_cls = cr.Feasibility.cr_cls.Message.cls_id;
-        b_name = cr.Feasibility.cr_cls.Message.cls_name;
-        b_deadline = cr.Feasibility.cr_cls.Message.cls_deadline;
-        b_bound = cr.Feasibility.cr_bound;
-        b_bound_impl = cr.Feasibility.cr_bound_impl;
-      })
-    report.Feasibility.per_class
-
 (* A topo scenario expands into a whole federated tree of uniform
    4-source segments (one flow per non-root segment, routed up to the
    root) — mirrored by Spec's scenario doc and the CFG-TOPO lint. *)
@@ -184,11 +167,16 @@ let run_cell ?(telemetry = false) spec c =
       c.variant.Spec.v_fault_plan
   in
   (* Telemetry is recorded for DDCR cells only — the probes live in
-     the DDCR simulator; baseline cells ignore the flag. *)
+     the DDCR simulator; baseline cells ignore the flag.  The recorder
+     annotates each transmission span and the headroom gauges with the
+     analytic per-class bounds of the cell's exact configuration. *)
   let recorder =
     if telemetry && c.protocol = Spec.Ddcr then
       Some
-        (Recorder.create ~bounds:(bounds_for (params_for c.variant inst) inst)
+        (Recorder.create
+           ~bounds:
+             (Feasibility.headroom_bounds
+                (Feasibility.check (params_for c.variant inst) inst))
            ())
     else None
   in

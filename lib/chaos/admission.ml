@@ -70,6 +70,29 @@ let first_missed_flow (outcome : Run.outcome) =
     | Some f -> Some f
     | None -> first_due outcome.Run.unfinished)
 
+let simulate_admitted eng ~trace_seed ~horizon_ms =
+  let* inst =
+    Result.map_error
+      (fun e -> "admitted set not instantiable: " ^ e)
+      (Engine.instance eng)
+  in
+  let horizon = horizon_ms * 1_000_000 in
+  let trace = Instance.trace inst ~seed:trace_seed ~horizon in
+  let outcome =
+    Ddcr.run_trace ~check_lockstep:true (Engine.params eng) inst trace
+      ~horizon
+  in
+  let misses = (Run.metrics outcome).Run.deadline_misses in
+  Ok
+    ( outcome,
+      if misses = 0 then Oracle.Pass
+      else
+        Oracle.Admission_violation
+          {
+            flow = Option.value ~default:"?" (first_missed_flow outcome);
+            misses;
+          } )
+
 let run ?postmortem:_ env cd =
   let* eng =
     Result.map_error (fun e -> "admission setup: " ^ e) (engine env)
@@ -93,27 +116,13 @@ let run ?postmortem:_ env cd =
     (* Nothing admitted, nothing to violate. *)
     Ok { Subject.rp_verdict = Oracle.Pass; rp_fingerprint = fingerprint "empty" }
   else
-    let* inst =
-      Result.map_error
-        (fun e -> "admitted set not instantiable: " ^ e)
-        (Engine.instance eng)
+    let* outcome, verdict =
+      simulate_admitted eng ~trace_seed:cd.ar_trace_seed
+        ~horizon_ms:env.an_horizon_ms
     in
-    let horizon = env.an_horizon_ms * 1_000_000 in
-    let trace = Instance.trace inst ~seed:cd.ar_trace_seed ~horizon in
-    let outcome =
-      Ddcr.run_trace ~check_lockstep:true env.an_params inst trace ~horizon
-    in
-    let misses = (Run.metrics outcome).Run.deadline_misses in
     Ok
       {
-        Subject.rp_verdict =
-          (if misses = 0 then Oracle.Pass
-           else
-             Oracle.Admission_violation
-               {
-                 flow = Option.value ~default:"?" (first_missed_flow outcome);
-                 misses;
-               });
+        Subject.rp_verdict = verdict;
         rp_fingerprint = fingerprint (Subject.fingerprint_outcome outcome);
       }
 
@@ -136,28 +145,31 @@ let to_json env cd =
     ("trace_seed", Json.Int cd.ar_trace_seed);
   ]
 
-let env_of_json j =
-  let* phy = Result.bind (Json.field "phy" j) Json.get_string in
-  let* sources = Result.bind (Json.field "sources" j) Json.get_int in
-  let* params = Result.bind (Json.field "params" j) Ddcr_params.of_json in
-  let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
-  if sources < 1 then Error "sources < 1"
-  else if horizon_ms < 1 then Error "horizon_ms < 1"
+let check_env env =
+  if env.an_sources < 1 then Error "sources < 1"
+  else if env.an_horizon_ms < 1 then Error "horizon_ms < 1"
+  else if env.an_horizon_ms > Plain.max_horizon_ms then
+    Error (Printf.sprintf "horizon_ms > %d" Plain.max_horizon_ms)
   else
-    let env =
-      {
-        an_phy = phy;
-        an_sources = sources;
-        an_params = params;
-        an_horizon_ms = horizon_ms;
-      }
-    in
     (* The environment must reconstruct: unknown phy names and
        parameters invalid for the source count fail here, not at replay
        time. *)
     match engine env with
     | Ok _ -> Ok env
     | Error e -> Error ("admit: " ^ e)
+
+let env_of_json j =
+  let* phy = Result.bind (Json.field "phy" j) Json.get_string in
+  let* sources = Result.bind (Json.field "sources" j) Json.get_int in
+  let* params = Result.bind (Json.field "params" j) Ddcr_params.of_json in
+  let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
+  check_env
+    {
+      an_phy = phy;
+      an_sources = sources;
+      an_params = params;
+      an_horizon_ms = horizon_ms;
+    }
 
 let of_json ~version:_ j =
   let* env = Result.bind (Json.field "admit" j) env_of_json in
@@ -171,6 +183,27 @@ let of_json ~version:_ j =
         | Error e -> Error (Printf.sprintf "requests: %d: %s" i e))
     in
     go 0 [] reqs
+  in
+  (* Whatever is admitted is among the added or modified flows; one
+     with a non-positive window or burst is never admitted. *)
+  let bound =
+    Plain.messages_bound ~horizon_ms:env.an_horizon_ms
+      (List.filter_map
+         (function
+           | (Request.Add f | Request.Modify f)
+             when f.Request.fl_window > 0 && f.Request.fl_burst > 0 ->
+             Some (f.Request.fl_burst, f.Request.fl_window)
+           | _ -> None)
+         requests)
+  in
+  let* () =
+    if bound > float_of_int Plain.max_trace_messages then
+      Error
+        (Printf.sprintf
+           "the requests may release %.3g messages, more than the %d an \
+            admission artifact allows"
+           bound Plain.max_trace_messages)
+    else Ok ()
   in
   let* trace_seed = Result.bind (Json.field "trace_seed" j) Json.get_int in
   Ok (env, { ar_requests = requests; ar_trace_seed = trace_seed })

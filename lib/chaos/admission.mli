@@ -41,3 +41,24 @@ include
      and type candidate := candidate
      and type space = churn
      and type atom = Rtnet_admit.Request.t
+
+val check_env : env -> (env, string) result
+(** [Ok env] iff [env] has a source, a horizon of 1 to
+    {!Plain.max_horizon_ms} ms, and builds an engine.  Checked wherever
+    an admission environment is decoded or built; {!of_json} also
+    rejects requests whose added and modified flows could release more
+    than {!Plain.max_trace_messages} messages ({!Plain.messages_bound})
+    before any decision is made. *)
+
+val simulate_admitted :
+  Rtnet_admit.Engine.t ->
+  trace_seed:int ->
+  horizon_ms:int ->
+  (Rtnet_stats.Run.outcome * Rtnet_analysis.Oracle.verdict, string) result
+(** [simulate_admitted eng ~trace_seed ~horizon_ms] is the
+    accept-then-violate check: [eng]'s admitted set simulated under its
+    parameters for [horizon_ms] ms (trace from [trace_seed], replica
+    lockstep check on).  The verdict is [Pass] without a deadline miss,
+    else an admission violation naming the first class that finished
+    late, then dropped, then unfinished though due.  [Error] if the
+    set does not instantiate (an empty one does not). *)

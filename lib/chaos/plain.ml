@@ -33,17 +33,12 @@ let unit = "events"
 let max_trace_messages = 1_000_000
 let max_horizon_ms = 60_000
 
-(* The most messages a trace of [inst] over [horizon_ms] can hold, in
-   floats so no product overflows: a class releases at most [a]
-   messages in any window [w], so at most a·⌈horizon/w⌉ in all. *)
-let trace_bound inst ~horizon_ms =
+let messages_bound ~horizon_ms rates =
   let horizon = float_of_int horizon_ms *. 1e6 in
   List.fold_left
-    (fun acc c ->
-      acc
-      +. float_of_int c.Message.cls_burst
-         *. Float.ceil (horizon /. float_of_int c.Message.cls_window))
-    0. (Instance.classes inst)
+    (fun acc (a, w) ->
+      acc +. (float_of_int a *. Float.ceil (horizon /. float_of_int w)))
+    0. rates
 
 let check_env env =
   let* inst = Spec.instance_result env.cf_scenario in
@@ -51,7 +46,12 @@ let check_env env =
   else if env.cf_horizon_ms > max_horizon_ms then
     Error (Printf.sprintf "horizon_ms > %d" max_horizon_ms)
   else
-    let bound = trace_bound inst ~horizon_ms:env.cf_horizon_ms in
+    let bound =
+      messages_bound ~horizon_ms:env.cf_horizon_ms
+        (List.map
+           (fun c -> (c.Message.cls_burst, c.Message.cls_window))
+           (Instance.classes inst))
+    in
     if bound > float_of_int max_trace_messages then
       Error
         (Printf.sprintf

@@ -47,6 +47,12 @@ val max_horizon_ms : int
     (60 000 ms).  A run resolves a slot at least every slot time, so
     the horizon bounds its work as the trace size does. *)
 
+val messages_bound : horizon_ms:int -> (int * int) list -> float
+(** [messages_bound ~horizon_ms rates] is the most messages classes of
+    the given [(a, w)] can release over [horizon_ms]: Σ a·⌈horizon/w⌉
+    (a class releases at most [a] messages in any window [w]), in
+    floats so no product overflows.  Every [w] must be positive. *)
+
 val check_env : env -> (env, string) result
 (** [Ok env] iff the scenario has a single-bus instance (an unknown
     kind, or ["topo"], does not), the horizon is between 1 ms and

@@ -2,6 +2,7 @@ module Int_math = Rtnet_util.Int_math
 module Message = Rtnet_workload.Message
 module Instance = Rtnet_workload.Instance
 module Phy = Rtnet_channel.Phy
+module Headroom = Rtnet_telemetry.Headroom
 
 let require_member inst m_cls =
   let id = m_cls.Message.cls_id in
@@ -16,33 +17,42 @@ let wires inst =
     (fun (c, _) -> Phy.tx_bits inst.Instance.phy c.Message.cls_bits)
     inst.Instance.classes
 
-(* The three Section 4.3 sums for class [m], in one walk over the
-   instance's classes ([wires] from {!wires}):
+(* The per-pair terms of the Section 4.3 sums for class [m], with
+   [wire] = l'(M): class [c]'s share of r(M) and of u(M).  This is the
+   only place they are written; [sums] adds them up over an instance,
+   the admission engine keeps running sums of them.  Inlined: [check]
+   runs them n² times. *)
+let[@inline] rank_term m c =
+  if c.Message.cls_source = m.Message.cls_source then
+    Int_math.cdiv m.Message.cls_deadline c.Message.cls_window
+    * c.Message.cls_burst
+  else 0
+
+let[@inline] interference_term ~wire m c =
+  Int.max 0
+    (Int_math.cdiv
+       (m.Message.cls_deadline + c.Message.cls_deadline - wire)
+       c.Message.cls_window)
+  * c.Message.cls_burst
+
+(* The three sums for class [m], in one walk over the instance's
+   classes ([wires] from {!wires}):
    - [r] = r(M) = Σ_{m∈MSG_i} ⌈d(M)/w(m)⌉·a(m) − 1;
    - [u] = u(M) = Σ_{m∈MSG} max(0, ⌈(d(M)+d(m)−l'(M))/w(m)⌉)·a(m);
-   - [tx], the transmission time of those u(M) messages: the same
-     per-class counts weighted by each class's l'(m).
-   This is the only place the sums are written; the engine's per-pair
-   terms mirror them integer for integer. *)
+   - [tx], the transmission time of those u(M) messages: each class's
+     share of u(M) weighted by its l'(m). *)
 type sums = { r : int; u : int; tx : int }
 
 let sums inst wires m =
   let classes = inst.Instance.classes in
-  let d_m = m.Message.cls_deadline in
-  let wire_m = Phy.tx_bits inst.Instance.phy m.Message.cls_bits in
+  let wire = Phy.tx_bits inst.Instance.phy m.Message.cls_bits in
   let r = ref (-1) and u = ref 0 and tx = ref 0 in
   for i = 0 to Array.length classes - 1 do
     let c, _ = classes.(i) in
-    let count =
-      Int.max 0
-        (Int_math.cdiv
-           (d_m + c.Message.cls_deadline - wire_m)
-           c.Message.cls_window)
-    in
-    u := !u + (count * c.Message.cls_burst);
-    tx := !tx + (count * c.Message.cls_burst * wires.(i));
-    if c.Message.cls_source = m.Message.cls_source then
-      r := !r + (Int_math.cdiv d_m c.Message.cls_window * c.Message.cls_burst)
+    let du = interference_term ~wire m c in
+    u := !u + du;
+    tx := !tx + (du * wires.(i));
+    r := !r + rank_term m c
   done;
   { r = !r; u = !u; tx = !tx }
 
@@ -54,28 +64,38 @@ let rank_bound inst m_cls = (sums_of inst m_cls).r
 let interference_bound inst m_cls = (sums_of inst m_cls).u
 
 (* v(M) = 1 + ⌊r(M)/ν_i⌋. *)
-let trees p m_cls r = 1 + (r / Ddcr_params.nu p m_cls.Message.cls_source)
+let static_trees p m_cls ~r =
+  1 + (r / Ddcr_params.nu p m_cls.Message.cls_source)
 
-let static_trees_bound p inst m_cls = trees p m_cls (rank_bound inst m_cls)
+let static_trees_bound p inst m_cls =
+  static_trees p m_cls ~r:(rank_bound inst m_cls)
 
-let eq5 p = Xi.eq5 ~m:p.Ddcr_params.time_m ~t:p.Ddcr_params.time_leaves
-
-(* S = S₁ + S₂: the static searches and ⌈v/2⌉ time-tree searches of
-   cost ξ₂ each ([eq5]). *)
-let search_slots p ~eq5 ~u ~v =
+(* S₁ straight from the ξ̃ machinery, and ξ₂ = Xi.eq5(m, F). *)
+let multi_tree p ~u ~v =
   Multi_tree.bound ~m:p.Ddcr_params.static_m ~t:p.Ddcr_params.static_leaves
     ~u ~v
-  +. float_of_int (Int_math.cdiv v 2 * eq5)
 
-(* Arbitrated medium with the re-probing discipline the automaton uses:
-   every collision slot carries the smallest-keyed frame, so each of
-   the u(M) interfering messages costs at most one collision slot, and
-   the only other costly slots are the empty epoch probes — bounded by
-   the paper's own epoch count ⌈v/2⌉ (Section 4.3's S₂ accounting). *)
-let search_slots_arbitrated ~u ~v = float_of_int (u + Int_math.cdiv v 2)
+let xi2 p = Xi.eq5 ~m:p.Ddcr_params.time_m ~t:p.Ddcr_params.time_leaves
+
+(* S in slots.  Destructive medium: S₁ + S₂, the static searches [s1]
+   and ⌈v/2⌉ time-tree searches of ξ₂ slots each.  Arbitrated medium
+   with the re-probing discipline the automaton uses: every collision
+   slot carries the smallest-keyed frame, so each of the u(M)
+   interfering messages costs at most one collision slot, and the only
+   other costly slots are the empty epoch probes — bounded by the
+   paper's own epoch count ⌈v/2⌉ (Section 4.3's S₂ accounting).
+   [search_slots] and [latency] are inlined so that [bound_of_sums],
+   which the admission engine calls per refreshed class, boxes one
+   float, not two. *)
+let[@inline] search_slots ~arbitrated ~xi2 ~s1 ~u ~v =
+  if arbitrated then float_of_int (u + Int_math.cdiv v 2)
+  else s1 ~u ~v +. float_of_int (Int_math.cdiv v 2 * xi2)
 
 let slot inst = float_of_int inst.Instance.phy.Phy.slot_bits
-let latency ~x ~tx slots = float_of_int tx +. (x *. slots)
+let[@inline] latency ~x ~tx slots = float_of_int tx +. (x *. slots)
+
+let bound_of_sums ~arbitrated ~x ~xi2 ~s1 ~tx ~u ~v =
+  latency ~x ~tx (search_slots ~arbitrated ~xi2 ~s1 ~u ~v)
 
 (* The paper bound [b] plus the per-realisation overheads: the
    open-attempt/collision slots bracketing each epoch and one maximal
@@ -85,32 +105,31 @@ let impl p ~x ~max_wire ~v b =
   +. (2. *. x *. float_of_int (Int_math.cdiv v 2 + 1))
   +. float_of_int (max_wire + p.Ddcr_params.burst_bits)
 
-let search_slot_bound p inst m_cls =
+(* One class's S and B_DDCR under the analysis for [arbitrated]. *)
+let class_slots ~arbitrated p inst m_cls =
   let s = sums_of inst m_cls in
-  search_slots p ~eq5:(eq5 p) ~u:s.u ~v:(trees p m_cls s.r)
+  search_slots ~arbitrated ~xi2:(xi2 p) ~s1:(multi_tree p) ~u:s.u
+    ~v:(static_trees p m_cls ~r:s.r)
 
-let search_slot_bound_arbitrated p inst m_cls =
+let class_bound ~arbitrated p inst m_cls =
   let s = sums_of inst m_cls in
-  search_slots_arbitrated ~u:s.u ~v:(trees p m_cls s.r)
+  bound_of_sums ~arbitrated ~x:(slot inst) ~xi2:(xi2 p) ~s1:(multi_tree p)
+    ~tx:s.tx ~u:s.u ~v:(static_trees p m_cls ~r:s.r)
 
-let latency_bound p inst m_cls =
-  let s = sums_of inst m_cls in
-  latency ~x:(slot inst) ~tx:s.tx
-    (search_slots p ~eq5:(eq5 p) ~u:s.u ~v:(trees p m_cls s.r))
-
-let latency_bound_arbitrated p inst m_cls =
-  let s = sums_of inst m_cls in
-  latency ~x:(slot inst) ~tx:s.tx
-    (search_slots_arbitrated ~u:s.u ~v:(trees p m_cls s.r))
+let search_slot_bound = class_slots ~arbitrated:false
+let search_slot_bound_arbitrated = class_slots ~arbitrated:true
+let latency_bound = class_bound ~arbitrated:false
+let latency_bound_arbitrated = class_bound ~arbitrated:true
 
 let latency_bound_impl p inst m_cls =
   require_member inst m_cls;
   let wires = wires inst in
   let s = sums inst wires m_cls in
-  let v = trees p m_cls s.r in
+  let v = static_trees p m_cls ~r:s.r in
   let x = slot inst in
   impl p ~x ~max_wire:(Array.fold_left Int.max 0 wires) ~v
-    (latency ~x ~tx:s.tx (search_slots p ~eq5:(eq5 p) ~u:s.u ~v))
+    (bound_of_sums ~arbitrated:false ~x ~xi2:(xi2 p) ~s1:(multi_tree p)
+       ~tx:s.tx ~u:s.u ~v)
 
 type class_report = {
   cr_cls : Message.cls;
@@ -140,20 +159,23 @@ let check p inst =
     inst.Instance.phy.Phy.semantics = Phy.Arbitration
   in
   let wires = wires inst in
-  let eq5 = eq5 p and x = slot inst in
+  let xi2 = xi2 p and s1 = multi_tree p and x = slot inst in
   let max_wire = Array.fold_left Int.max 0 wires in
   (* Per class: one walk for the sums and one Multi_tree call.  Every
      float is the expression the per-class functions evaluate, in the
-     same order, so each field is bit-identical to theirs. *)
+     same order, so each field is bit-identical to theirs.  The
+     realisation overheads are priced on the paper's bound, which an
+     arbitrated medium needs for nothing else. *)
   let row (c, _) rows =
     let s = sums inst wires c in
-    let v = trees p c s.r in
-    let paper_slots = search_slots p ~eq5 ~u:s.u ~v in
-    let paper = latency ~x ~tx:s.tx paper_slots in
-    let slots =
-      if arbitrated then search_slots_arbitrated ~u:s.u ~v else paper_slots
+    let v = static_trees p c ~r:s.r in
+    let slots = search_slots ~arbitrated ~xi2 ~s1 ~u:s.u ~v in
+    let bound = latency ~x ~tx:s.tx slots in
+    let paper =
+      if arbitrated then
+        bound_of_sums ~arbitrated:false ~x ~xi2 ~s1 ~tx:s.tx ~u:s.u ~v
+      else bound
     in
-    let bound = if arbitrated then latency ~x ~tx:s.tx slots else paper in
     {
       cr_cls = c;
       cr_r = s.r;
@@ -178,6 +200,18 @@ let check p inst =
     feasible = List.for_all (fun cr -> cr.cr_feasible) per_class;
     worst_margin;
   }
+
+let headroom_bounds report =
+  List.map
+    (fun cr ->
+      {
+        Headroom.b_cls = cr.cr_cls.Message.cls_id;
+        b_name = cr.cr_cls.Message.cls_name;
+        b_deadline = cr.cr_cls.Message.cls_deadline;
+        b_bound = cr.cr_bound;
+        b_bound_impl = cr.cr_bound_impl;
+      })
+    report.per_class
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>%-12s %6s %6s %4s %10s %12s %12s %s@,"

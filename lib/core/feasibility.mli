@@ -70,6 +70,46 @@ val latency_bound_arbitrated :
     arbitrated medium — the "reasonably straightforward" derivation
     Section 3.2 alludes to for busses internal to ATM switches. *)
 
+(** {1 The per-pair terms and the bound}
+
+    The only place the terms of [r(M)] and [u(M)] and the expression
+    of [B_DDCR] are written: {!check} and the per-class functions add
+    the terms up over an instance, the incremental admission engine
+    keeps running sums of them as flows come and go. *)
+
+val rank_term : Rtnet_workload.Message.cls -> Rtnet_workload.Message.cls -> int
+(** [rank_term m c] is class [c]'s share of [r(M)] for [M = m]:
+    [⌈d(M)/w(c)⌉·a(c)] if [c] belongs to [M]'s source, [0] otherwise.
+    [r(M)] is [−1] plus the shares of all the classes, [M] included. *)
+
+val interference_term :
+  wire:int -> Rtnet_workload.Message.cls -> Rtnet_workload.Message.cls -> int
+(** [interference_term ~wire m c] is class [c]'s share of [u(M)] for
+    [M = m], where [wire] is [l'(M)]:
+    [max(0, ⌈(d(M)+d(c)−l'(M)/ψ)/w(c)⌉)·a(c)].  [u(M)] is the sum of
+    the shares of all the classes, [M] included, and the transmission
+    time of the [u(M)] messages is the sum of each share times
+    [l'(c)]. *)
+
+val static_trees :
+  Ddcr_params.t -> Rtnet_workload.Message.cls -> r:int -> int
+(** [static_trees p m ~r] is [v(M) = 1 + ⌊r(M)/ν_i⌋] for
+    [r = r(M)], with [ν_i] the number of static indices of [m]'s
+    source ({!Ddcr_params.nu}). *)
+
+val bound_of_sums :
+  arbitrated:bool -> x:float -> xi2:int -> s1:(u:int -> v:int -> float) ->
+  tx:int -> u:int -> v:int -> float
+(** [bound_of_sums ~arbitrated ~x ~xi2 ~s1 ~tx ~u ~v] is
+    [B_DDCR(s_i, M)] in bit-times from [M]'s sums [u = u(M)],
+    [v = v(M)] and [tx], the transmission time of the [u(M)]
+    messages; [x] is the slot time.  On a destructive medium it is
+    [tx + x·(S₁ + ⌈v/2⌉·ξ₂)], with [S₁ = s1 ~u ~v] the static searches
+    [v·ξ̃^q_{u/v}] ({!Multi_tree.bound}) and [xi2 = ξ₂^F]
+    ({!Xi.eq5}); on an arbitrated one [tx + x·(u + ⌈v/2⌉)]
+    ({!search_slot_bound_arbitrated}), without [s1] or [xi2].  The
+    caller supplies [S₁] so that it can memoize it by [(u, v)]. *)
+
 type class_report = {
   cr_cls : Rtnet_workload.Message.cls;  (** the class [M] *)
   cr_r : int;  (** [r(M)] *)
@@ -97,6 +137,11 @@ val check : Ddcr_params.t -> Rtnet_workload.Instance.t -> report
     one walk over the classes per class ([O(n²)] integer work), one
     {!Multi_tree.bound} per class, [O(n)] allocation.
     @raise Invalid_argument if [p] fails validation. *)
+
+val headroom_bounds : report -> Rtnet_telemetry.Headroom.bound list
+(** [headroom_bounds r] is [r]'s rows as the per-class bounds that
+    telemetry annotates a run with: [B_DDCR] and the implementation
+    bound of every class, in class-id order. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** [pp_report fmt r] prints the per-class table and the verdict. *)

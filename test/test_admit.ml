@@ -14,6 +14,7 @@ module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
 module Subject = Rtnet_chaos.Subject
 module Admission = Rtnet_chaos.Admission
+module Plain = Rtnet_chaos.Plain
 module Shrink = Rtnet_chaos.Shrink
 module Repro = Rtnet_chaos.Repro
 module Ddcr_params = Rtnet_core.Ddcr_params
@@ -165,6 +166,27 @@ let test_differential_broken_params () =
         (Engine.decide inc req = Engine.decide_full full req))
     (churn 200 ~seed:9);
   ignore (ok_exn (Engine.selfcheck inc))
+
+(* The decision log of one long churn, pinned by its digest.  Every
+   accept and infeasible line carries the binding headroom d − B_DDCR
+   as a float, so a change to any §4.3 term, or to the order in which
+   the bound is evaluated, changes the digest.  Both paths must print
+   the same log. *)
+let test_pinned_stream phy_name expected () =
+  let phy = ok_exn (Request.phy_of_name phy_name) in
+  let reqs = churn 2_000 ~seed:17 ~pool:16 in
+  let digest decide =
+    let eng = fresh_engine ~phy () in
+    List.mapi
+      (fun seq req ->
+        let jr_decision = decide eng req in
+        Journal.record_line
+          { Journal.jr_seq = seq; jr_request = req; jr_decision })
+      reqs
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "incremental" expected (digest Engine.decide);
+  Alcotest.(check string) "from scratch" expected (digest Engine.decide_full)
 
 (* -------------------- snapshots -------------------- *)
 
@@ -583,6 +605,57 @@ let test_shrink_preserves_class () =
     <= List.length cd.Admission.ar_requests);
   Alcotest.(check bool) "did some checks" true (res.Shrink.sh_checks > 0)
 
+(* An admission artifact must bound its work before any decision is
+   made: the horizon by the plain cap, the messages its flows can
+   release by Σ a·⌈horizon/w⌉. *)
+let test_admit_artifact_bounds_work () =
+  let repro = ok_exn (Json.parse_file "fixtures/admit_chaos_repro_min.json") in
+  let set key v = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields)
+    | j -> j
+  in
+  let with_horizon ms j =
+    let admit = ok_exn (Json.field "admit" j) in
+    set "admit" (set "horizon_ms" (Json.Int ms) admit) j
+  in
+  let rejected label ~names j =
+    match Admission.of_json ~version:1 j with
+    | Error e ->
+      Alcotest.(check bool) (label ^ ": " ^ e) true
+        (Astring_contains.contains e names)
+    | Ok _ -> Alcotest.fail ("decoded " ^ label)
+    | exception exn ->
+      Alcotest.fail (label ^ " raised " ^ Printexc.to_string exn)
+  in
+  let at_cap = with_horizon Plain.max_horizon_ms repro in
+  let past_cap = Plain.max_horizon_ms + 1 in
+  ignore (ok_exn (Admission.of_json ~version:1 repro));
+  ignore (ok_exn (Admission.of_json ~version:1 at_cap));
+  rejected "a horizon past the cap" ~names:"horizon_ms"
+    (with_horizon past_cap repro);
+  rejected "a horizon of max_int ms" ~names:"horizon_ms"
+    (with_horizon max_int repro);
+  let fast = Request.Add (flow ~id:"fast" ~deadline:1_000 ~window:1_000 ()) in
+  let requests =
+    ok_exn (Result.bind (Json.field "requests" repro) Json.get_list)
+  in
+  rejected "a flow of 6e7 messages" ~names:"messages"
+    (set "requests" (Json.List (Request.to_json fast :: requests)) at_cap);
+  (match
+     Repro.load (module Admission)
+       ~path:"fixtures/admit_chaos_repro_huge_horizon.json"
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "loaded the huge-horizon artifact");
+  Alcotest.(check bool) "the search environment passes" true
+    (Result.is_ok (Admission.check_env admit_env));
+  Alcotest.(check bool) "a search past the cap is refused" true
+    (Result.is_error
+       (Admission.check_env
+          { admit_env with Admission.an_horizon_ms = past_cap }))
+
 let test_oracle_verdict_roundtrip () =
   let v = Oracle.Admission_violation { flow = "f3"; misses = 7 } in
   Alcotest.(check bool)
@@ -641,5 +714,12 @@ let suite =
           (test_differential_churn (ok_exn (Request.phy_of_name "atm-bus")));
         Alcotest.test_case "restore rejects a repeated cls_id" `Quick
           test_restore_rejects_repeated_cls_id;
+        Alcotest.test_case "decision stream pinned on gigabit-ethernet" `Quick
+          (test_pinned_stream "gigabit-ethernet"
+             "47aec1a1a9f33bb2493d06e8a900bcc1");
+        Alcotest.test_case "decision stream pinned on atm-bus" `Quick
+          (test_pinned_stream "atm-bus" "b7d0f1b071becdfd72b1ce866d03ef86");
+        Alcotest.test_case "admission artifacts bound the work" `Quick
+          test_admit_artifact_bounds_work;
       ] );
   ]

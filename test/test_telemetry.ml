@@ -92,24 +92,12 @@ let test_trace_validate_negative () =
 
 (* --- Recorder against a real DDCR run --- *)
 
-let bounds_for params inst =
-  List.map
-    (fun cr ->
-      {
-        Headroom.b_cls = cr.Feasibility.cr_cls.Message.cls_id;
-        b_name = cr.Feasibility.cr_cls.Message.cls_name;
-        b_deadline = cr.Feasibility.cr_cls.Message.cls_deadline;
-        b_bound = cr.Feasibility.cr_bound;
-        b_bound_impl = cr.Feasibility.cr_bound_impl;
-      })
-    (Feasibility.check params inst).Feasibility.per_class
-
 let test_recorder_end_to_end () =
   let inst = Scenarios.videoconference ~stations:4 in
   let horizon = 5 * ms in
   let trace = Instance.trace inst ~seed:11 ~horizon in
   let params = Ddcr_params.default inst in
-  let bounds = bounds_for params inst in
+  let bounds = Feasibility.headroom_bounds (Feasibility.check params inst) in
   let r = Recorder.create ~bounds () in
   let o = Ddcr.run_trace ~sink:(Recorder.sink r) params inst trace ~horizon in
   (* Counters reconcile with the channel's own statistics. *)
