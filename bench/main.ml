@@ -743,15 +743,6 @@ let bechamel () =
         Test.make ~name:"ddcr_sim_2ms_load0.4"
           (Staged.stage (fun () ->
                ignore (Ddcr.run_trace params uniform trace ~horizon:(2 * ms))));
-        (* The telemetry overhead guard (ISSUE 4): the explicit null
-           sink must track the seed's implicit-default run above to
-           within the ~2% noise floor, while the enabled recorder
-           quantifies the full probe + trace-buffer cost. *)
-        Test.make ~name:"ddcr_sim_2ms_sink_null"
-          (Staged.stage (fun () ->
-               ignore
-                 (Ddcr.run_trace ~sink:Rtnet_telemetry.Sink.null params uniform
-                    trace ~horizon:(2 * ms))));
         Test.make ~name:"ddcr_sim_2ms_sink_recorder"
           (Staged.stage (fun () ->
                let r = Rtnet_telemetry.Recorder.create () in

@@ -1,13 +1,13 @@
-(* obs_guard: the disabled-flight-recorder overhead gate (ISSUE 9).
+(* obs_guard: the live flight-recorder overhead gate.
 
-   The black-box recorder rides on the same Sink API as the telemetry
-   layer, so an attached-but-disabled probe must cost one boolean load
-   per instrumentation point and nothing else.  This guard measures the
-   simulator three ways — implicit default sink, explicit Sink.null,
-   and a live flight-recorder ring — and fails (exit 1) if the
-   null-sink run exceeds the default run by more than the noise
-   threshold.  The live ring is reported for context but not gated: it
-   is allowed to cost what a bounded int-array push costs.
+   The black-box recorder rides on the Sink API, and recording a run
+   must cost what a bounded int-array push per probe costs: this guard
+   times the simulator without a sink and with a live flight-recorder
+   ring, and fails (exit 1) if the ring run exceeds the plain run by
+   more than the threshold.  A run without a sink is a run with
+   Sink.null ([Ddcr.run_trace]'s default), so the disabled path itself
+   is pinned by allocation instead: the unit test "slot allocation
+   pinned at 16 stations" (test/test_ddcr.ml) runs with the null sink.
 
    Run directly (it is part of `make obs-smoke`):
      dune exec bench/obs_guard.exe *)
@@ -16,15 +16,14 @@ module Ddcr = Rtnet_core.Ddcr
 module Ddcr_params = Rtnet_core.Ddcr_params
 module Instance = Rtnet_workload.Instance
 module Scenarios = Rtnet_workload.Scenarios
-module Sink = Rtnet_telemetry.Sink
 module Flight = Rtnet_obs.Flight
 
 let ms = 1_000_000
 
-(* Ratio above which the "disabled probe" claim is considered broken.
-   Generous: CI machines are noisy and the runs are short; a real
-   regression (allocation or branch on the hot path) lands far above
-   this. *)
+(* Ratio above which recording is considered too costly.  Generous:
+   CI machines are noisy and the runs are short; the ring reads about
+   1.1–1.2x, and a real regression (allocation per probe, a probe
+   that stops being bounded) lands far above this. *)
 let threshold = 1.5
 
 let () =
@@ -42,11 +41,6 @@ let () =
         Test.make ~name:"default"
           (Staged.stage (fun () ->
                ignore (Ddcr.run_trace params uniform trace ~horizon:(2 * ms))));
-        Test.make ~name:"sink_null"
-          (Staged.stage (fun () ->
-               ignore
-                 (Ddcr.run_trace ~sink:Sink.null params uniform trace
-                    ~horizon:(2 * ms))));
         Test.make ~name:"flight_ring"
           (Staged.stage (fun () ->
                let f = Flight.create ~segment:"guard" () in
@@ -73,23 +67,22 @@ let () =
       | Some (est :: _) -> Some est
       | Some [] | None -> None)
   in
-  match (estimate "default", estimate "sink_null", estimate "flight_ring") with
-  | Some base, Some null, Some ring ->
-    let ratio_null = null /. base and ratio_ring = ring /. base in
+  match (estimate "default", estimate "flight_ring") with
+  | Some base, Some ring ->
+    let ratio = ring /. base in
     Printf.printf
-      "obs_guard: default %.0f ns/run, sink_null %.0f ns/run (%.3fx), \
-       flight_ring %.0f ns/run (%.3fx)\n"
-      base null ratio_null ring ratio_ring;
-    if ratio_null > threshold then begin
+      "obs_guard: default %.0f ns/run, flight_ring %.0f ns/run (%.3fx)\n"
+      base ring ratio;
+    if ratio > threshold then begin
       Printf.printf
-        "obs_guard: FAIL — disabled recorder costs %.3fx > %.2fx the \
-         unprobed run; the one-boolean-load discipline is broken\n"
-        ratio_null threshold;
+        "obs_guard: FAIL — the flight ring costs %.3fx > %.2fx the run \
+         without a sink\n"
+        ratio threshold;
       exit 1
     end
     else Printf.printf "obs_guard: ok (threshold %.2fx)\n" threshold
   | _ ->
     (* A missing estimate means Bechamel could not fit the model —
        treat as an infrastructure failure, not a perf regression. *)
-    Printf.printf "obs_guard: could not estimate all three runs\n";
+    Printf.printf "obs_guard: could not estimate both runs\n";
     exit 2

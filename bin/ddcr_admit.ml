@@ -6,8 +6,7 @@
    snapshots.  After a kill -9 mid-churn, `--resume` replays the intact
    journal prefix (snapshot-accelerated) and continues: the completed
    decision log is byte-identical to an uninterrupted run.  `gen`
-   samples a reproducible churn trace; `compare` gates a bench report
-   against the committed baseline.
+   samples a reproducible churn trace.
 
    Examples:
      ddcr_admit gen -o churn.json --sources 2 --pool 8 --requests 200
@@ -15,11 +14,10 @@
      ddcr_admit run churn.json --journal churn.wal --crash-after 100
      ddcr_admit run churn.json --journal churn.wal --resume -o decisions.log
      ddcr_admit run churn.json --paranoid --simulate
-     ddcr_admit compare _build/bench.json --baseline BENCH_admit_churn.json
 
-   Exit codes: 0 clean; 1 a differential self-check mismatch, a
-   simulated admission violation or a failed compare gate; 2 malformed
-   input (trace, config, journal or baseline). *)
+   Exit codes: 0 clean; 1 a differential self-check mismatch or a
+   simulated admission violation; 2 malformed input (trace, config or
+   journal). *)
 
 module Request = Rtnet_admit.Request
 module Engine = Rtnet_admit.Engine
@@ -150,15 +148,6 @@ let sim_horizon_ms =
     & info [ "horizon-ms" ] ~docv:"MS"
         ~doc:"Simulated horizon for $(b,--simulate), milliseconds.")
 
-let bench_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "bench-out" ] ~docv:"FILE"
-        ~doc:
-          "Write a bench report (decision counts + decisions/s) to \
-           $(docv), comparable with $(b,ddcr_admit compare).")
-
 let crash_after =
   Arg.(
     value
@@ -229,7 +218,7 @@ let rec drop n = function
 
 let run_main trace_file out journal_path resume chunk capacity high low
     selfcheck_every paranoid snapshot_every simulate sim_horizon_ms seed
-    bench_out crash_after crash_torn quiet =
+    crash_after crash_torn quiet =
   let fail code fmt = Format.kasprintf (fun s -> Format.eprintf "ddcr_admit: %s@." s; code) fmt in
   if crash_after <> None && journal_path = None then
     fail 2 "--crash-after requires --journal"
@@ -314,15 +303,12 @@ let run_main trace_file out journal_path resume chunk capacity high low
               Format.eprintf
                 "resumed: %d decision(s) replayed from journal%s@." start
                 (if torn then " (torn tail dropped)" else "");
-            let t0 = Unix.gettimeofday () in
             let summary =
               Service.run ?journal:journal_cb ?snapshot:snapshot_cb
                 ~log:log_oc config eng ~start remaining
             in
-            let elapsed = Unix.gettimeofday () -. t0 in
             Option.iter Journal.close writer;
             close_log ();
-            let stats = Engine.stats eng in
             if not quiet then begin
               Format.printf
                 "admit run: %d decision(s) (%d replayed), %d accepted, %d \
@@ -337,30 +323,6 @@ let run_main trace_file out journal_path resume chunk capacity high low
                 Format.printf "  degraded/restored    %d/%d@."
                   summary.Service.sm_degraded summary.Service.sm_restored
             end;
-            Option.iter
-              (fun p ->
-                let r =
-                  Json.Obj
-                    [
-                      ("bench_admit_version", Json.Int 1);
-                      ("decisions", Json.Int summary.Service.sm_processed);
-                      ("accepted", Json.Int summary.Service.sm_accepted);
-                      ("flows", Json.Int summary.Service.sm_flows);
-                      ("elapsed_s", Json.Float elapsed);
-                      ( "decisions_per_s",
-                        Json.Float
-                          (if elapsed > 0. then
-                             float_of_int summary.Service.sm_processed
-                             /. elapsed
-                           else 0.) );
-                      ("s1_hits", Json.Int stats.Engine.st_s1_hits);
-                      ("s1_misses", Json.Int stats.Engine.st_s1_misses);
-                    ]
-                in
-                Json.to_file p r;
-                if not quiet then
-                  Format.printf "bench report written to %s@." p)
-              bench_out;
             match summary.Service.sm_mismatch with
             | Some m -> fail 1 "differential self-check FAILED %s" m
             | None ->
@@ -392,7 +354,7 @@ let run_cmd =
     Term.(
       const run_main $ trace_arg $ out $ journal_arg $ resume $ chunk
       $ capacity $ high $ low $ selfcheck_every $ paranoid $ snapshot_every
-      $ simulate $ sim_horizon_ms $ seed $ bench_out $ crash_after
+      $ simulate $ sim_horizon_ms $ seed $ crash_after
       $ crash_torn $ quiet)
   in
   Cmd.v
@@ -515,97 +477,12 @@ let gen_cmd =
        ~doc:"Sample a reproducible churn trace (seeded, self-contained)")
     term
 
-(* -------------------- compare -------------------- *)
-
-let compare_current =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"FILE"
-        ~doc:"Current bench report (from $(b,ddcr_admit run --bench-out)).")
-
-let compare_baseline =
-  Arg.(
-    required
-    & opt (some file) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:"Committed baseline report to gate on.")
-
-let min_ratio =
-  Arg.(
-    value & opt float 0.1
-    & info [ "min-ratio" ] ~docv:"R"
-        ~doc:
-          "Fail unless current decisions/s >= R x the baseline's — a \
-           deliberately loose floor so the gate catches order-of-\
-           magnitude regressions (e.g. the incremental path silently \
-           falling back to from-scratch reanalysis) without flaking on \
-           machine noise.")
-
-(* The counts are deterministic functions of the committed trace, so
-   they must match exactly; only throughput gets a tolerance. *)
-let compare_main current baseline min_ratio =
-  let load path =
-    let* j = Json.parse_file path in
-    let* v = Result.bind (Json.field "bench_admit_version" j) Json.get_int in
-    if v <> 1 then Error (Printf.sprintf "%s: unknown bench version %d" path v)
-    else
-      let* decisions = Result.bind (Json.field "decisions" j) Json.get_int in
-      let* accepted = Result.bind (Json.field "accepted" j) Json.get_int in
-      let* flows = Result.bind (Json.field "flows" j) Json.get_int in
-      let* rate =
-        Result.bind (Json.field "decisions_per_s" j) Json.get_float
-      in
-      Ok (decisions, accepted, flows, rate)
-  in
-  match (load current, load baseline) with
-  | Error e, _ | _, Error e ->
-    Format.eprintf "ddcr_admit: %s@." e;
-    2
-  | Ok (cd, ca, cf, cr), Ok (bd, ba, bf, br) ->
-    let drift =
-      List.filter_map
-        (fun (what, c, b) ->
-          if c <> b then Some (Printf.sprintf "%s %d != baseline %d" what c b)
-          else None)
-        [ ("decisions", cd, bd); ("accepted", ca, ba); ("flows", cf, bf) ]
-    in
-    if drift <> [] then begin
-      List.iter (Format.eprintf "ddcr_admit: compare: %s@.") drift;
-      1
-    end
-    else if br > 0. && cr < min_ratio *. br then begin
-      Format.eprintf
-        "ddcr_admit: compare: %.0f decisions/s is below %.2f x baseline \
-         %.0f@."
-        cr min_ratio br;
-      1
-    end
-    else begin
-      Format.printf
-        "admit bench ok: %d decision(s), %d accepted, %.0f decisions/s \
-         (baseline %.0f)@."
-        cd ca cr br;
-      0
-    end
-
-let compare_cmd =
-  let term =
-    Term.(const compare_main $ compare_current $ compare_baseline $ min_ratio)
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Gate a bench report against the committed baseline: exact \
-          decision counts, loose throughput floor")
-    term
-
 let cmd =
   Cmd.group
     (Cmd.info "ddcr_admit"
        ~doc:
          "Crash-safe incremental admission-control service for CSMA/DDCR \
           churn streams")
-    [ run_cmd; gen_cmd; compare_cmd ]
+    [ run_cmd; gen_cmd ]
 
 let () = exit (Cmd.eval' cmd)

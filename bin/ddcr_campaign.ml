@@ -24,7 +24,6 @@ module Pool = Rtnet_campaign.Pool
 module Sink = Rtnet_telemetry.Sink
 module Recorder = Rtnet_telemetry.Recorder
 module Registry = Rtnet_telemetry.Registry
-module Perf = Rtnet_obs.Perf
 
 open Cmdliner
 
@@ -214,14 +213,6 @@ let run_campaign name spec_file jobs out resume max_cells quiet rich_progress
       Format.printf "report      %s@." options.Runner.out;
       Format.printf "spec hash   %s@." report.Report.spec_hash;
       Format.printf "fingerprint %s@." (Report.fingerprint report);
-      (* The perf counters ride in the report's stripped "perf" section;
-         echo the slots/sec headline for the operator. *)
-      (match report.Report.perf with
-      | None -> ()
-      | Some pj -> (
-        match Perf.of_json pj with
-        | Ok p -> Format.printf "%a@." Perf.pp p
-        | Error _ -> ()));
       emit_profile recorder profile_trace)
 
 let run_cmd =
@@ -366,7 +357,7 @@ let cmd =
     (Cmd.info "ddcr_campaign"
        ~doc:
          "Parallel experiment-campaign runner with JSON results and a \
-          perf-regression gate")
+          metric-regression gate")
     [ run_cmd; compare_cmd; list_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -318,23 +318,22 @@ let run_search pool budget config_file scenario size load deadline_windows
     with
     | Error e -> fail "%s" e
     | Ok config -> search (module Plain) config)
-  | None, true, None ->
-    if topo_segments < 2 then fail "--topo-segments must be >= 2"
-    else
-      search (module Federated)
+  | None, true, None -> (
+    match
+      Federated.check_env
         {
-          pool with
-          Search.s_env =
-            {
-              Federated.tc_segments = topo_segments;
-              tc_fanout = topo_fanout;
-              tc_sources = topo_sources;
-              tc_load = load;
-              tc_deadline_windows = deadline_windows;
-              tc_horizon_ms = horizon_ms;
-            };
-          s_space = budget;
+          Federated.tc_segments = topo_segments;
+          tc_fanout = topo_fanout;
+          tc_sources = topo_sources;
+          tc_load = load;
+          tc_deadline_windows = deadline_windows;
+          tc_horizon_ms = horizon_ms;
         }
+    with
+    | Error e -> fail "%s" e
+    | Ok env ->
+      search (module Federated)
+        { pool with Search.s_env = env; s_space = budget })
   | None, false, Some file -> (
     match
       Result.bind (Rtnet_util.Json.parse_file file)

@@ -15,7 +15,6 @@ type t = {
   spec : Spec.t;
   jobs : int;
   wall_clock_s : float;
-  perf : Json.t option;
   cells : cell_entry list;
 }
 
@@ -37,20 +36,15 @@ let cell_of_json j =
 
 let to_json r =
   Json.Obj
-    ([
-       ("schema_version", Json.Int schema_version);
-       ("campaign", Json.String r.campaign);
-       ("spec_hash", Json.String r.spec_hash);
-       ("jobs", Json.Int r.jobs);
-       ("wall_clock_s", Json.Float r.wall_clock_s);
-     ]
-    (* Optional key, timing metadata: absent reports hash identically
-       to pre-perf ones, and [strip_timings] removes it wholesale. *)
-    @ (match r.perf with None -> [] | Some p -> [ ("perf", p) ])
-    @ [
-        ("spec", Spec.to_json r.spec);
-        ("cells", Json.List (List.map cell_to_json r.cells));
-      ])
+    [
+      ("schema_version", Json.Int schema_version);
+      ("campaign", Json.String r.campaign);
+      ("spec_hash", Json.String r.spec_hash);
+      ("jobs", Json.Int r.jobs);
+      ("wall_clock_s", Json.Float r.wall_clock_s);
+      ("spec", Spec.to_json r.spec);
+      ("cells", Json.List (List.map cell_to_json r.cells));
+    ]
 
 let of_json j =
   let* v = Result.bind (Json.field "schema_version" j) Json.get_int in
@@ -89,7 +83,6 @@ let of_json j =
       spec;
       jobs;
       wall_clock_s = wall;
-      perf = Json.member "perf" j;
       cells;
     }
 
@@ -99,7 +92,7 @@ let load ~path =
   Result.map_error (fun e -> Printf.sprintf "%s: %s" path e)
     (Result.bind (Json.parse_file path) of_json)
 
-let timing_keys = [ "elapsed_s"; "wall_clock_s"; "jobs"; "perf" ]
+let timing_keys = [ "elapsed_s"; "wall_clock_s"; "jobs" ]
 
 let rec strip_timings = function
   | Json.Obj kvs ->

@@ -1,5 +1,5 @@
-(** Versioned campaign report ([BENCH_<name>.json]) and the
-    perf-regression gate.
+(** Versioned campaign report ([BENCH_<name>.json]) and the metric
+    regression gate.
 
     A report bundles the spec (and its hash), the per-cell metrics and
     the run's timing metadata into one JSON document.  Everything
@@ -25,11 +25,6 @@ type t = {
   spec : Spec.t;
   jobs : int;  (** worker count of the producing run (timing metadata) *)
   wall_clock_s : float;  (** coordinator wall-clock (timing metadata) *)
-  perf : Rtnet_util.Json.t option;
-      (** perf-counter section ([Rtnet_obs.Perf.to_json]: slots/sec
-          headline, GC allocation words, per-phase wall timing) —
-          recorded by profiled runs, timing metadata like [jobs]:
-          stripped from fingerprints, absent sections tolerated *)
   cells : cell_entry list;  (** sorted by [ce_index] *)
 }
 
@@ -50,9 +45,8 @@ val write : path:string -> t -> unit
 val load : path:string -> (t, string) result
 
 val strip_timings : Rtnet_util.Json.t -> Rtnet_util.Json.t
-(** Remove every timing field ([elapsed_s], [wall_clock_s], [jobs],
-    the whole [perf] section) at any depth, leaving only the
-    deterministic content. *)
+(** Remove every timing field ([elapsed_s], [wall_clock_s], [jobs]) at
+    any depth, leaving only the deterministic content. *)
 
 val fingerprint : t -> string
 (** Hex digest of the canonical timing-stripped JSON.  Two runs of the

@@ -1,6 +1,5 @@
 module Diagnostic = Rtnet_analysis.Diagnostic
 module Sink = Rtnet_telemetry.Sink
-module Perf = Rtnet_obs.Perf
 
 type options = {
   jobs : int;
@@ -87,13 +86,6 @@ let load_journal options spec =
 
 let run options spec =
   let t0 = Unix.gettimeofday () in
-  (* Perf profiling rides on the telemetry flag: lint/cells/report
-     phases, GC words and the slots/sec headline land in the report's
-     fingerprint-stripped "perf" section. *)
-  let perf =
-    if options.telemetry then Some (Perf.start ~phase:"prepare" ()) else None
-  in
-  let perf_phase name = Option.iter (fun c -> Perf.phase c name) perf in
   let* () =
     Result.map_error (fun e -> Invalid_spec e) (Spec.validate spec)
   in
@@ -125,7 +117,6 @@ let run options spec =
     | None -> ()
     | Some f -> f ~done_:(Hashtbl.length results) ~total ~key ~elapsed_s
   in
-  perf_phase "cells";
   let* () =
     if Array.length pending = 0 then Ok ()
     else begin
@@ -186,7 +177,6 @@ let run options spec =
   if Hashtbl.length results < total then
     Ok (Interrupted { completed = Hashtbl.length results; total })
   else begin
-    perf_phase "report";
     let entries =
       List.init total (fun i ->
           {
@@ -195,14 +185,6 @@ let run options spec =
             ce_result = Hashtbl.find results i;
           })
     in
-    let perf_json =
-      Option.map
-        (fun c ->
-          (* Virtual bit-times simulated across the whole grid: the
-             slots/sec numerator (1 bit-time = 1 slot tick). *)
-          Perf.to_json (Perf.finish c ~slots:(total * spec.Spec.horizon_ms * 1_000_000)))
-        perf
-    in
     let report =
       {
         Report.campaign = spec.Spec.name;
@@ -210,7 +192,6 @@ let run options spec =
         spec;
         jobs = options.jobs;
         wall_clock_s = Unix.gettimeofday () -. t0;
-        perf = perf_json;
         cells = entries;
       }
     in

@@ -496,13 +496,12 @@ let topology_fault_sweep =
   }
 
 let perf_v1 =
-  (* The slots/sec trajectory workload: one protocol per simulator
-     family (contention, slotted, federation) at a fixed size/load
-     point, single replicate — small enough for `make obs-smoke`, big
-     enough that the slots/sec headline measures the simulator and not
-     process startup.  Its deterministic cell metrics are gated by
-     `ddcr_campaign compare perf_v1 --baseline BENCH_perf.json`; the
-     wall-clock "perf" section rides along fingerprint-stripped. *)
+  (* DDCR against TDMA on two scenarios at a fixed size/load point,
+     single replicate — small enough for `make campaign-smoke`.  Its
+     deterministic cell metrics are gated by `ddcr_campaign compare
+     perf_v1 --baseline BENCH_perf.json`; nothing else pins these two
+     protocols on these scenarios.  Speed is measured by perfbench, not
+     here. *)
   {
     name = "perf_v1";
     base_seed = 31;

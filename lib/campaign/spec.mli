@@ -146,9 +146,9 @@ val builtins : (string * t) list
       scheduled crash of the root's inbound bridge — bridge failover
       and degraded-mode drain as a pinned trajectory
       ([BENCH_topology_fault_sweep.json]).
-    - ["perf_v1"]: the slots/sec perf trajectory — two protocols × two
-      scenarios at 5 ms, run with [--profile] so the report carries the
-      wall-clock ["perf"] section ([BENCH_perf.json]); the regression
-      gate compares only the deterministic cell metrics. *)
+    - ["perf_v1"]: DDCR and TDMA on two scenarios at 5 ms
+      ([BENCH_perf.json]); the regression gate pins their cell metrics.
+      The name is historical: the report carries no timing beyond
+      [wall_clock_s], and speed is measured by perfbench. *)
 
 val find_builtin : string -> t option

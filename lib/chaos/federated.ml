@@ -5,6 +5,8 @@ module Topo = Rtnet_topology.Topo
 module Admit = Rtnet_topology.Admit
 module Driver = Rtnet_topology.Driver
 module Decompose = Rtnet_core.Decompose
+module Instance = Rtnet_workload.Instance
+module Message = Rtnet_workload.Message
 module Flight = Rtnet_obs.Flight
 module Postmortem = Rtnet_obs.Postmortem
 
@@ -156,6 +158,45 @@ let env_to_json env =
       ("horizon_ms", Json.Int env.tc_horizon_ms);
     ]
 
+let check_env env =
+  let positive x = Float.is_finite x && x > 0. in
+  let cap = float_of_int Plain.max_trace_messages in
+  let stations = float_of_int env.tc_segments *. float_of_int env.tc_sources in
+  if env.tc_segments < 2 then Error "segments < 2"
+  else if env.tc_fanout < 1 then Error "fanout < 1"
+  else if env.tc_sources < 1 then Error "sources < 1"
+  else if not (positive env.tc_load) then Error "load must be finite and > 0"
+  else if not (positive env.tc_deadline_windows) then
+    Error "deadline_windows must be finite and > 0"
+  else if env.tc_horizon_ms < 1 then Error "horizon_ms < 1"
+  else if env.tc_horizon_ms > Plain.max_horizon_ms then
+    Error (Printf.sprintf "horizon_ms > %d" Plain.max_horizon_ms)
+  else if stations > cap then
+    Error
+      (Printf.sprintf
+         "the tree has %.3g stations, more than the %d a topology \
+          environment allows"
+         stations Plain.max_trace_messages)
+  else
+    (* Every segment carries the same workload, so the sum of the
+       segments' message bounds is [segments] times one segment's:
+       priced on a one-segment tree before the whole tree is built. *)
+    let seg = List.hd (tree { env with tc_segments = 1 }).Topo.tp_segments in
+    let bound =
+      float_of_int env.tc_segments
+      *. Plain.messages_bound ~horizon_ms:env.tc_horizon_ms
+           (List.map
+              (fun c -> (c.Message.cls_burst, c.Message.cls_window))
+              (Instance.classes seg.Topo.sg_instance))
+    in
+    if bound > cap then
+      Error
+        (Printf.sprintf
+           "the tree may release %.3g messages, more than the %d a \
+            topology environment allows"
+           bound Plain.max_trace_messages)
+    else Ok env
+
 let env_of_json j =
   let* segments = Result.bind (Json.field "segments" j) Json.get_int in
   let* fanout = Result.bind (Json.field "fanout" j) Json.get_int in
@@ -165,24 +206,15 @@ let env_of_json j =
     Result.bind (Json.field "deadline_windows" j) Json.get_float
   in
   let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
-  let positive x = Float.is_finite x && x > 0. in
-  if segments < 2 then Error "segments < 2"
-  else if fanout < 1 then Error "fanout < 1"
-  else if sources < 1 then Error "sources < 1"
-  else if not (positive load) then Error "load must be finite and > 0"
-  else if not (positive deadline_windows) then
-    Error "deadline_windows must be finite and > 0"
-  else if horizon_ms < 1 then Error "horizon_ms < 1"
-  else
-    Ok
-      {
-        tc_segments = segments;
-        tc_fanout = fanout;
-        tc_sources = sources;
-        tc_load = load;
-        tc_deadline_windows = deadline_windows;
-        tc_horizon_ms = horizon_ms;
-      }
+  check_env
+    {
+      tc_segments = segments;
+      tc_fanout = fanout;
+      tc_sources = sources;
+      tc_load = load;
+      tc_deadline_windows = deadline_windows;
+      tc_horizon_ms = horizon_ms;
+    }
 
 let to_json env cd =
   [

@@ -45,5 +45,19 @@ include
      and type space = Generator.budget
      and type atom = string * Rtnet_channel.Fault_plan.spec
 
+val check_env : env -> (env, string) result
+(** [Ok env] iff the tree is well formed (at least 2 segments, a
+    fanout and a source per segment, a finite positive load and
+    deadline), the horizon is between 1 ms and {!Plain.max_horizon_ms},
+    the tree has at most {!Plain.max_trace_messages} stations
+    (segments × sources, checked before any segment is built; every
+    class releases a message within the horizon, so the message cap
+    implies this one), and the segments together can release at most
+    {!Plain.max_trace_messages} messages ({!Plain.messages_bound} summed
+    over the segments).  Checked wherever a federated environment is
+    decoded or built, so neither an artifact nor a search can demand
+    unbounded work or make {!tree} raise. *)
+
 val tree : env -> Rtnet_topology.Topo.t
-(** The (fault-free) tree the environment describes. *)
+(** The (fault-free) tree the environment describes; raises
+    [Invalid_argument] on an environment {!check_env} rejects. *)

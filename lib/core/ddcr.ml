@@ -919,12 +919,12 @@ module Slot = struct
     normalize t services;
     next_free
 
-  let make ~check_lockstep ~on_event ~fault ~analyze ~sink ~on_complete
-      ~inject params inst trace ~horizon =
+  let make ~check_lockstep ~on_event ~fault ~analyze ~sink ~inject params
+      inst trace ~horizon =
     let z = inst.Instance.num_sources in
     let h =
-      Harness.create ~protocol:"csma-ddcr" ~fault ~analyze ~sink ~on_complete
-        ~inject ~phy:inst.Instance.phy ~num_sources:z ~horizon trace
+      Harness.create ~protocol:"csma-ddcr" ~fault ~analyze ~sink ~inject
+        ~phy:inst.Instance.phy ~num_sources:z ~horizon trace
     in
     {
       cfg =
@@ -954,8 +954,7 @@ module Slot = struct
 
   let create params inst trace ~horizon =
     make ~check_lockstep:false ~on_event:None ~fault:None ~analyze:true
-      ~sink:Sink.null ~on_complete:None ~inject:None params inst trace
-      ~horizon
+      ~sink:Sink.null ~inject:None params inst trace ~horizon
 
   let copy t =
     {
@@ -976,14 +975,13 @@ module Slot = struct
 end
 
 let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
-    ?(analyze = true) ?(sink = Sink.null) ?on_complete ?inject params inst
-    trace ~horizon =
+    ?(analyze = true) ?(sink = Sink.null) ?inject params inst trace ~horizon =
   (match Ddcr_params.validate params ~num_sources:inst.Instance.num_sources with
   | Ok () -> ()
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let t =
-    Slot.make ~check_lockstep ~on_event ~fault ~analyze ~sink ~on_complete
-      ~inject params inst trace ~horizon
+    Slot.make ~check_lockstep ~on_event ~fault ~analyze ~sink ~inject params
+      inst trace ~horizon
   in
   let rec loop () =
     Slot.step t plan;
@@ -992,9 +990,9 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
   loop ();
   Harness.finish t.h
 
-let run ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?on_complete
-    ?inject ?(seed = 1) params inst ~horizon =
-  run_trace ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?on_complete
-    ?inject params inst
+let run ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?inject
+    ?(seed = 1) params inst ~horizon =
+  run_trace ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?inject
+    params inst
     (Instance.trace inst ~seed ~horizon)
     ~horizon

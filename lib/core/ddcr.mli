@@ -209,8 +209,6 @@ val run_trace :
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
-  ?on_complete:
-    (msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit) ->
   ?inject:(now:int -> Rtnet_workload.Message.t list) ->
   Ddcr_params.t ->
   Rtnet_workload.Instance.t ->
@@ -267,10 +265,10 @@ val run_trace :
     completed TTs/STs descent and one [jump] per compressed-time θ
     advance (an unproductive TTs).
 
-    [on_complete] and [inject] are the harness's (see
-    {!Rtnet_mac.Harness.run}) — the federation hooks a multi-hop
-    topology driver uses to ingest this segment's completions online
-    and to inject bridged arrivals from upstream segments.
+    [inject] is the harness's (see {!Rtnet_mac.Harness.run}) — the
+    federation hook a multi-hop topology driver uses to inject bridged
+    arrivals from upstream segments; it reads what this segment
+    forwards from the outcome's completions.
     @raise Invalid_argument if [params] fail validation for [inst].
     @raise Protocol_violation on inconsistent channel feedback. *)
 
@@ -281,8 +279,6 @@ val run :
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
-  ?on_complete:
-    (msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit) ->
   ?inject:(now:int -> Rtnet_workload.Message.t list) ->
   ?seed:int ->
   Ddcr_params.t ->

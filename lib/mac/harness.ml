@@ -72,7 +72,6 @@ type state = {
   horizon : int;
   analyze : bool;
   sink : Sink.t;
-  on_complete : (msg:Message.t -> start:int -> finish:int -> unit) option;
   inject : (now:int -> Message.t list) option;
   channel : Channel.t;
   queues : Edf_queue.t array;
@@ -178,7 +177,6 @@ let complete st m ~start ~finish =
   if st.analyze then check_completion st m ~start ~finish;
   st.completed <- st.completed + 1;
   if st.sink.Sink.enabled then st.sink.Sink.complete ~msg:m ~start ~finish;
-  (match st.on_complete with None -> () | Some f -> f ~msg:m ~start ~finish);
   st.completions <-
     { Run.c_msg = m; c_start = start; c_finish = finish } :: st.completions
 
@@ -222,8 +220,8 @@ let services_of st =
 
 let attach st = { st; services = services_of st }
 
-let create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
-    ~num_sources ~horizon trace =
+let create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
+    trace =
   let per_source v = Array.make num_sources v in
   attach
     {
@@ -232,7 +230,6 @@ let create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
       horizon;
       analyze;
       sink;
-      on_complete;
       inject;
       channel = Channel.create ?fault phy;
       queues = per_source Edf_queue.empty;
@@ -480,11 +477,11 @@ let finish h =
     faults;
   }
 
-let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
-    ?on_complete ?inject ~phy ~num_sources ~horizon ~decide ~after trace =
+let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null) ?inject
+    ~phy ~num_sources ~horizon ~decide ~after trace =
   let h =
-    create ~protocol ~fault ~analyze ~sink ~on_complete ~inject ~phy
-      ~num_sources ~horizon trace
+    create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
+      trace
   in
   let decide () = decide and after () = after in
   let rec loop () =

@@ -111,8 +111,6 @@ val create :
   fault:Rtnet_channel.Channel.fault option ->
   analyze:bool ->
   sink:Rtnet_telemetry.Sink.t ->
-  on_complete:
-    (msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit) option ->
   inject:(now:int -> Rtnet_workload.Message.t list) option ->
   phy:Rtnet_channel.Phy.t ->
   num_sources:int ->
@@ -122,7 +120,7 @@ val create :
 (** The state before the slot at time 0; the arguments are {!run}'s. *)
 
 val copy : t -> t
-(** An independent state equal to [h] (the sink and hooks are shared). *)
+(** An independent state equal to [h] (the sink and [inject] are shared). *)
 
 val slot :
   t ->
@@ -193,8 +191,6 @@ val run :
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
-  ?on_complete:
-    (msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit) ->
   ?inject:(now:int -> Rtnet_workload.Message.t list) ->
   phy:Rtnet_channel.Phy.t ->
   num_sources:int ->
@@ -262,15 +258,12 @@ val run :
     fault epoch at the end of the run.  With the null sink every probe
     is a single boolean test.
 
-    [on_complete] and [inject] are the federation hooks for multi-hop
-    topologies ([Rtnet_topology]).  [on_complete] is called for every
-    recorded completion (main frames and burst frames alike), in
-    completion order, before the run's outcome is assembled — a bridge
-    station uses it to ingest frames bound for a downstream segment the
-    moment they finish on this one.  [inject ~now], polled at every
-    slot boundary before arrivals are delivered, returns messages to
-    merge into the arrival stream (the injector must return each
-    message exactly once); a message whose [arrival <= now] becomes
+    [inject] is the federation hook for multi-hop topologies
+    ([Rtnet_topology]), which read the forwarded frames from the
+    outcome's [completions].  [inject ~now], polled at every slot
+    boundary before arrivals are delivered, returns messages to merge
+    into the arrival stream (the injector must return each message
+    exactly once); a message whose [arrival <= now] becomes
     visible to the EDF queues this very slot, a later one when its
     arrival time passes — exactly the visibility rule trace arrivals
     follow.  Injected messages are indistinguishable from trace

@@ -464,16 +464,8 @@ let run_exn ~domains ?check_lockstep ?sink_for ~fault_seed (e : Admit.t)
       (Restored { rs_bridge = b.Topo.br_name; rs_at = until; rs_backlog = total })
   in
   let post_process name comps =
-    let comps =
-      List.sort
-        (fun ((a : Message.t), _, fa) ((b : Message.t), _, fb) ->
-          match compare fa fb with
-          | 0 -> compare a.Message.uid b.Message.uid
-          | c -> c)
-        comps
-    in
     List.iter
-      (fun ((m : Message.t), start, finish) ->
+      (fun { Run.c_msg = m; c_start = start; c_finish = finish } ->
         let info = Hashtbl.find hops (name, m.Message.cls.Message.cls_id) in
         let key =
           if info.hi_idx = 0 then (info.hi_flow, m.Message.uid)
@@ -594,16 +586,17 @@ let run_exn ~domains ?check_lockstep ?sink_for ~fault_seed (e : Admit.t)
                 in
                 take [] !pend
               in
-              let comps = ref [] in
-              let on_complete ~msg ~start ~finish =
-                if List.mem msg.Message.cls.Message.cls_id flow_ids then
-                  comps := (msg, start, finish) :: !comps
-              in
               let outcome =
-                Ddcr.run_trace ?check_lockstep ?plan ?sink ~on_complete ~inject
-                  params inst trace ~horizon
+                Ddcr.run_trace ?check_lockstep ?plan ?sink ~inject params inst
+                  trace ~horizon
               in
-              (outcome, List.rev !comps)
+              (* The flow-hop completions, in finish order: the channel
+                 carries one frame at a time. *)
+              ( outcome,
+                List.filter
+                  (fun c ->
+                    List.mem c.Run.c_msg.Message.cls.Message.cls_id flow_ids)
+                  outcome.Run.completions )
             in
             (name, thunk))
           level

@@ -9,11 +9,11 @@
     in parallel OCaml domains.
 
     Per segment it runs the ordinary CSMA/DDCR simulator
-    ({!Rtnet_core.Ddcr.run_trace}) with the two federation hooks of
-    {!Rtnet_mac.Harness.run}: [?on_complete] captures the completions
-    of flow-hop classes, [?inject] feeds the bridge deliveries
+    ({!Rtnet_core.Ddcr.run_trace}) with the federation hook of
+    {!Rtnet_mac.Harness.run}: [?inject] feeds the bridge deliveries
     ([finish + br_latency] on the downstream segment) into the arrival
-    stream.  Between levels the (sequential, deterministic)
+    stream, and the outcome's completions of flow-hop classes are what
+    the segment forwards.  Between levels the (sequential, deterministic)
     coordinator turns upstream completions into downstream arrivals —
     so the parallel run is fingerprint-identical to [~domains:1].
 

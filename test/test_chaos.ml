@@ -727,6 +727,50 @@ let test_plain_check_env_bounds_work () =
       | Error e -> Alcotest.fail (name ^ ": " ^ e))
     [ "chaos_repro_min.json"; "model_repro_min.json" ]
 
+(* A federated environment must bound its work before the tree is
+   built: a huge horizon resolves a slot per slot time, a huge load
+   clamps every window to one bit-time, and a huge station count built
+   the whole tree before any size was checked. *)
+let test_federated_check_env_bounds_work () =
+  (* The decoder goes through the check: both oversized artifacts are
+     typed errors naming what is too large. *)
+  List.iter
+    (fun (name, what) ->
+      match Repro.load (module Federated) ~path:(fixture name) with
+      | Error e ->
+        Alcotest.(check bool) (name ^ " names the " ^ what) true
+          (Astring_contains.contains e what)
+      | Ok _ -> Alcotest.fail ("decoded " ^ name))
+    [
+      ("topo_chaos_repro_huge_horizon.json", "horizon_ms");
+      ("topo_chaos_repro_huge_sources.json", "stations");
+    ];
+  let rejected label env =
+    match Federated.check_env env with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail ("accepted " ^ label)
+    | exception exn -> Alcotest.fail (label ^ " raised " ^ Printexc.to_string exn)
+  in
+  Alcotest.(check bool) "the committed environment passes" true
+    (Result.is_ok (Federated.check_env topo_env));
+  rejected "a horizon past the cap"
+    { topo_env with Federated.tc_horizon_ms = Plain.max_horizon_ms + 1 };
+  rejected "a load of 1e300" { topo_env with Federated.tc_load = 1e300 };
+  rejected "100 000 000 segments"
+    { topo_env with Federated.tc_segments = 100_000_000 };
+  rejected "max_int segments of max_int sources"
+    { topo_env with Federated.tc_segments = max_int; tc_sources = max_int };
+  (* Within the horizon and station caps, the segments' summed message
+     bound binds: the committed tree over one minute. *)
+  rejected "a one-minute horizon"
+    { topo_env with Federated.tc_horizon_ms = Plain.max_horizon_ms };
+  rejected "no source" { topo_env with Federated.tc_sources = 0 };
+  rejected "a negative load" { topo_env with Federated.tc_load = -1. };
+  rejected "a zero fanout" { topo_env with Federated.tc_fanout = 0 };
+  match Repro.load (module Federated) ~path:topo_fixture with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("topo_chaos_repro_min.json: " ^ e)
+
 let suite =
   [
     ( "chaos",
@@ -781,5 +825,7 @@ let suite =
           test_topo_repro_rejects_bad_env;
         Alcotest.test_case "plain check_env bounds the work" `Quick
           test_plain_check_env_bounds_work;
+        Alcotest.test_case "federated check_env bounds the work" `Quick
+          test_federated_check_env_bounds_work;
       ] );
   ]

@@ -187,26 +187,6 @@ let test_after_may_extend_acquisition () =
     Alcotest.(check int) "burst frame contiguous" a.Run.c_finish b.Run.c_start
   | _ -> Alcotest.fail "expected two completions"
 
-let test_on_complete_sees_every_completion () =
-  (* The federation ingest hook: called once per completion, in
-     completion order, with the same (msg, start, finish) the outcome
-     records. *)
-  let seen = ref [] in
-  let on_complete ~msg ~start ~finish =
-    seen := (msg.Message.uid, start, finish) :: !seen
-  in
-  let trace = [ msg 0 0 0; msg 1 0 0; msg 2 0 5_000 ] in
-  let o =
-    Harness.run ~protocol:"test-aloha" ~on_complete ~phy ~num_sources:2
-      ~horizon:50_000 ~decide:aloha_decide ~after:passthrough_after trace
-  in
-  Alcotest.(check (list (triple int int int)))
-    "hook mirrors the outcome"
-    (List.map
-       (fun c -> (c.Run.c_msg.Message.uid, c.Run.c_start, c.Run.c_finish))
-       o.Run.completions)
-    (List.rev !seen)
-
 let test_inject_merges_into_arrival_stream () =
   (* The federation inject hook: a message handed to the harness
      mid-run is EDF-queued at its arrival time and afterwards
@@ -542,8 +522,6 @@ let suite =
           test_arrivals_beyond_horizon_excluded;
         Alcotest.test_case "burst extension" `Quick
           test_after_may_extend_acquisition;
-        Alcotest.test_case "on_complete hook" `Quick
-          test_on_complete_sees_every_completion;
         Alcotest.test_case "inject hook" `Quick
           test_inject_merges_into_arrival_stream;
         Alcotest.test_case "inject pending unfinished" `Quick

@@ -16,7 +16,6 @@ module Ring = Rtnet_obs.Ring
 module Flight = Rtnet_obs.Flight
 module Causal = Rtnet_obs.Causal
 module Postmortem = Rtnet_obs.Postmortem
-module Perf = Rtnet_obs.Perf
 
 let ms = 1_000_000
 
@@ -285,27 +284,6 @@ let test_causal_stitch () =
   | Ok n -> Alcotest.(check bool) "flow events checked" true (n >= 2 * stitched)
   | Error err -> Alcotest.fail err
 
-(* -------------------- perf counters -------------------- *)
-
-let test_perf_roundtrip () =
-  let c = Perf.start ~phase:"prepare" () in
-  Perf.phase c "cells";
-  Perf.phase c "report";
-  let p = Perf.finish c ~slots:1_000_000 in
-  Alcotest.(check int) "three phases" 3 (List.length p.Perf.p_phases);
-  Alcotest.(check (list string))
-    "phase order"
-    [ "prepare"; "cells"; "report" ]
-    (List.map (fun ph -> ph.Perf.ph_name) p.Perf.p_phases);
-  Alcotest.(check bool) "throughput positive" true (p.Perf.p_slots_per_sec > 0.);
-  let j = Json.to_string (Perf.to_json p) in
-  match Perf.of_json (Result.get_ok (Json.parse j)) with
-  | Error e -> Alcotest.fail e
-  | Ok p' ->
-    Alcotest.(check string)
-      "canonical round-trip" j
-      (Json.to_string (Perf.to_json p'))
-
 let suite =
   [
     ( "obs",
@@ -325,6 +303,5 @@ let suite =
         Alcotest.test_case "sharded flight determinism" `Quick
           test_sharded_flight_determinism;
         Alcotest.test_case "causal stitch validates" `Quick test_causal_stitch;
-        Alcotest.test_case "perf round-trip" `Quick test_perf_roundtrip;
       ] );
   ]
