@@ -127,10 +127,11 @@ admit-smoke: build
 	cmp test/fixtures/admit_decisions_golden.log _build/admit_crash.log
 	dune exec bench/admit_guard.exe
 
-# Station-scaling gate of the DDCR slot: the dense bus with and without
-# 48 silent stations on one 64-leaf static tree must keep the same
-# outcome digest, and the silent stations may make a slot at most 1.8x
-# as costly (Bechamel guard).
+# Station-scaling and fault-path gates of the DDCR slot: the dense bus
+# with and without 48 silent stations on one 64-leaf static tree must
+# keep the same outcome digest, and the silent stations may make a slot
+# at most 1.8x as costly; the faulty bus under the benchmark's fault
+# plan may make a slot at most 3.5x as costly as without a plan.
 slot-guard: build
 	dune exec bench/slot_guard.exe
 

@@ -1,4 +1,5 @@
-(* slot_guard: the station-scaling gate of the DDCR slot.
+(* slot_guard: the station-scaling and fault-path gates of the DDCR
+   slot.
 
    Without a fault plan a slot does work in proportion to the stations
    that transmit, not to the station count: the shared replica is
@@ -11,6 +12,14 @@
    (exit 1) if the two outcome digests differ, or if a slot with the
    silent stations costs more than [threshold] times a slot without
    them.
+
+   The faulted arm runs the benchmark's faulty bus (the same classes
+   and arrivals with four times the deadline) under its fault plan —
+   misperception 0.001, i.i.d. garbling 0.002 and one 50 µs crash
+   window — and under no plan.  The per-station plan queries draw and
+   allocate nothing beyond what fault handling needs, so a slot under
+   the plan may cost at most [fault_threshold] times a slot without
+   one; a slot that allocates per station query lands well above it.
 
    The runs are timed with Bechamel's monotonic clock, alternating, one
    pair per round (see [rounds] below).
@@ -27,10 +36,15 @@ module Message = Rtnet_workload.Message
 module Channel = Rtnet_channel.Channel
 module Run = Rtnet_stats.Run
 module Prng = Rtnet_util.Prng
+module Fault_plan = Rtnet_channel.Fault_plan
 
 (* Four times the stations may cost at most this much more per slot.
    A slot that pays per station lands well above it. *)
 let threshold = 1.8
+
+(* A slot under the faulty plan may cost at most this much more than a
+   slot without a plan. *)
+let fault_threshold = 3.5
 
 let busy = 16
 let leaves = 64
@@ -72,6 +86,30 @@ let params_for ~stations =
 
 let trace = Instance.trace dense ~seed:1 ~horizon
 
+(* The benchmark's faulty bus and plan, seed 1. *)
+let faulty = Instance.scale_deadlines dense 4.0
+let faulty_trace = Instance.trace faulty ~seed:1 ~horizon
+
+let faulty_plan =
+  Fault_plan.merge
+    [
+      Fault_plan.misperceive 0.001;
+      Fault_plan.iid 0.002;
+      Fault_plan.crash
+        ~source:(Prng.int (Prng.create 2) busy)
+        ~from_:(horizon / 4)
+        ~until:((horizon / 4) + 50_000);
+    ]
+
+let run_faulty ~planned =
+  let p = Ddcr_params.default faulty in
+  fun () ->
+    let plan =
+      if planned then Some (Fault_plan.create ~horizon ~seed:1 faulty_plan)
+      else None
+    in
+    Ddcr.run_trace ?plan p faulty faulty_trace ~horizon
+
 let run inst =
   let p = params_for ~stations:inst.Instance.num_sources in
   fun () -> Ddcr.run_trace p inst trace ~horizon
@@ -107,7 +145,30 @@ let time f =
   ignore (Sys.opaque_identity (f ()));
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
 
-let () =
+(* Times [a] and [b], alternating, one pair per round, and returns the
+   median ns per slot of each and the median of the per-round ratios
+   of [b]'s ns per slot to [a]'s.  On a shared machine the speed
+   drifts between rounds, which a ratio of two separate batches would
+   read as a cost of [b]. *)
+let paired (a, slots_a) (b, slots_b) =
+  let t_a = Array.make rounds 0. and t_b = Array.make rounds 0. in
+  let ratios =
+    Array.init rounds (fun i ->
+        let ta, tb =
+          if i land 1 = 0 then
+            let ta = time a in
+            (ta, time b)
+          else
+            let tb = time b in
+            (time a, tb)
+        in
+        t_a.(i) <- ta /. slots_a;
+        t_b.(i) <- tb /. slots_b;
+        t_b.(i) /. t_a.(i))
+  in
+  (median t_a, median t_b, median ratios)
+
+let scaling () =
   let alone = run dense and crowded = run with_silent in
   let o_alone = alone () and o_crowded = crowded () in
   let d_alone = digest o_alone and d_crowded = digest o_crowded in
@@ -115,39 +176,52 @@ let () =
     Printf.printf
       "slot_guard: FAIL — the silent stations changed the schedule (%s vs %s)\n"
       d_alone d_crowded;
-    exit 1
-  end;
-  let n = float_of_int (slots o_alone) in
-  (* The two runs alternate, one pair per round, and the guard takes
-     the median of the per-round ratios: on a shared machine the speed
-     drifts between rounds, which a ratio of two separate batches
-     would read as a cost of the silent stations. *)
-  let t_alone = Array.make rounds 0. and t_crowded = Array.make rounds 0. in
-  let ratios =
-    Array.init rounds (fun i ->
-        let a, c =
-          if i land 1 = 0 then
-            let a = time alone in
-            (a, time crowded)
-          else
-            let c = time crowded in
-            (time alone, c)
-        in
-        t_alone.(i) <- a;
-        t_crowded.(i) <- c;
-        c /. a)
-  in
-  let ratio = median ratios in
-  Printf.printf
-    "slot_guard: %.0f slots, digest %s; %.0f ns/slot with %d stations, %.0f \
-     ns/slot with %d (median ratio of %d rounds %.2fx)\n"
-    n d_alone (median t_alone /. n) busy (median t_crowded /. n) leaves rounds
-    ratio;
-  if ratio > threshold then begin
-    Printf.printf
-      "slot_guard: FAIL — %d silent stations make a slot %.2fx as costly \
-       (ceiling %.1fx): the slot pays per station again\n"
-      (leaves - busy) ratio threshold;
-    exit 1
+    false
   end
-  else Printf.printf "slot_guard: ok (ceiling %.1fx)\n" threshold
+  else begin
+    let n = float_of_int (slots o_alone) in
+    let ns_alone, ns_crowded, ratio = paired (alone, n) (crowded, n) in
+    Printf.printf
+      "slot_guard: %.0f slots, digest %s; %.0f ns/slot with %d stations, %.0f \
+       ns/slot with %d (median ratio of %d rounds %.2fx)\n"
+      n d_alone ns_alone busy ns_crowded leaves rounds ratio;
+    if ratio > threshold then begin
+      Printf.printf
+        "slot_guard: FAIL — %d silent stations make a slot %.2fx as costly \
+         (ceiling %.1fx): the slot pays per station again\n"
+        (leaves - busy) ratio threshold;
+      false
+    end
+    else begin
+      Printf.printf "slot_guard: ok (ceiling %.1fx)\n" threshold;
+      true
+    end
+  end
+
+let faulted () =
+  let bare = run_faulty ~planned:false and planned = run_faulty ~planned:true in
+  let n_bare = float_of_int (slots (bare ()))
+  and n_planned = float_of_int (slots (planned ())) in
+  let ns_bare, ns_planned, ratio =
+    paired (bare, n_bare) (planned, n_planned)
+  in
+  Printf.printf
+    "slot_guard: faulty bus, %.0f slots without a plan at %.0f ns/slot, %.0f \
+     under the plan at %.0f ns/slot (median ratio of %d rounds %.2fx)\n"
+    n_bare ns_bare n_planned ns_planned rounds ratio;
+  if ratio > fault_threshold then begin
+    Printf.printf
+      "slot_guard: FAIL — the fault plan makes a slot %.2fx as costly \
+       (ceiling %.2fx): the plan queries cost per station again\n"
+      ratio fault_threshold;
+    false
+  end
+  else begin
+    Printf.printf "slot_guard: ok (ceiling %.2fx)\n" fault_threshold;
+    true
+  end
+
+let () =
+  let scaling_ok = scaling () in
+  let faulted_ok = faulted () in
+  if not (scaling_ok && faulted_ok) then exit 1

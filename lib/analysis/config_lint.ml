@@ -197,11 +197,17 @@ let check ?(strict = false) p inst =
    are checked against the horizon before any worker runs, plus
    heuristics for plans that are legal but probably not what the author
    meant. *)
-let check_fault ?horizon plan =
+let check_fault ?horizon ?stations plan =
   let subject = Rtnet_channel.Fault_plan.label plan in
   let ref_ = "fault model; Section 2.1 assumptions" in
   let validity =
-    match Rtnet_channel.Fault_plan.validate ?horizon plan with
+    match
+      Result.bind (Rtnet_channel.Fault_plan.validate ?horizon plan) (fun () ->
+          match stations with
+          | None -> Ok ()
+          | Some stations ->
+            Rtnet_channel.Fault_plan.check_stations ~stations plan)
+    with
     | Ok () -> []
     | Error e -> [ D.error ~rule_id:"CFG-FAULT" ~subject ~paper_ref:ref_ e ]
   in

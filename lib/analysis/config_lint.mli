@@ -50,12 +50,18 @@ val check :
     errors and skip the passes that presuppose validity. *)
 
 val check_fault :
-  ?horizon:int -> Rtnet_channel.Fault_plan.spec -> Diagnostic.t list
-(** [check_fault ?horizon plan] lints a fault plan (rule
+  ?horizon:int ->
+  ?stations:int ->
+  Rtnet_channel.Fault_plan.spec ->
+  Diagnostic.t list
+(** [check_fault ?horizon ?stations plan] lints a fault plan (rule
     ["CFG-FAULT"]): {!Rtnet_channel.Fault_plan.validate} failures as
     errors — including crash windows extending past [horizon]
-    (bit-times), whose station would never rejoin — plus warnings for
-    suspicious parameterizations. *)
+    (bit-times), whose station would never rejoin — and, given
+    [stations], {!Rtnet_channel.Fault_plan.check_stations} failures (a
+    crash window or scheduled misperception naming a station outside
+    [0 .. stations - 1]), plus warnings for suspicious
+    parameterizations. *)
 
 val check_admit : Rtnet_admit.Request.trace -> Diagnostic.t list
 (** [check_admit tr] lints an admission churn trace by replaying it

@@ -254,7 +254,18 @@ let result_of_json j =
    forgives is a warning); an [Error] rejects the whole campaign. *)
 let lint spec =
   let fault_diags =
-    (* Fault plans are scenario-independent: lint each one once. *)
+    (* Fault plans are scenario-independent: lint each one once.  A
+       station exists in every single-bus scenario iff it exists in
+       the smallest. *)
+    let stations =
+      List.fold_left
+        (fun acc scenario ->
+          if scenario.Spec.sc_kind = "topo" then acc
+          else
+            let n = (Spec.instance scenario).Instance.num_sources in
+            Some (match acc with None -> n | Some m -> min m n))
+        None spec.Spec.scenarios
+    in
     List.concat_map
       (fun variant ->
         match variant.Spec.v_fault_plan with
@@ -269,7 +280,7 @@ let lint spec =
               })
             (Config_lint.check_fault
                ~horizon:(spec.Spec.horizon_ms * 1_000_000)
-               plan))
+               ?stations plan))
       spec.Spec.variants
   in
   fault_diags

@@ -65,6 +65,7 @@ val lint : Spec.t -> Rtnet_analysis.Diagnostic.t list
     (scenario × variant) configuration of the sweep, with the same
     CSMA/DDCR parameter derivation {!run_cell} uses, plus
     {!Rtnet_analysis.Config_lint.check_fault} over every variant's
-    fault plan (against the spec horizon).  Subjects are prefixed with
+    fault plan (against the spec horizon, and against the stations of
+    the smallest single-bus scenario).  Subjects are prefixed with
     the scenario/variant labels.  The runner aborts the campaign iff
     the result contains an [Error] diagnostic. *)

@@ -1,6 +1,7 @@
 module Json = Rtnet_util.Json
 module Scenarios = Rtnet_workload.Scenarios
 module Fault_plan = Rtnet_channel.Fault_plan
+module Instance = Rtnet_workload.Instance
 
 let ( let* ) = Result.bind
 
@@ -177,6 +178,31 @@ let validate spec =
           "topo campaigns take only default-shaped variants (a fault \
            plan is allowed; fault_rate, bursting and theta are not)"
       else Ok ()
+    in
+    (* A plan may name only stations that exist: checked once per
+       single-bus scenario, against every variant's plan.  (A topo
+       scenario's plan is checked against its tree by the lint.) *)
+    let* () =
+      List.fold_left
+        (fun acc sc ->
+          let* () = acc in
+          if sc.sc_kind = "topo" then Ok ()
+          else
+            let* inst = instance_result sc in
+            List.fold_left
+              (fun acc v ->
+                let* () = acc in
+                match v.v_fault_plan with
+                | None -> Ok ()
+                | Some plan ->
+                  Result.map_error
+                    (fun e ->
+                      Printf.sprintf "%s/%s: %s" (scenario_label sc)
+                        (variant_label v) e)
+                    (Fault_plan.check_stations
+                       ~stations:inst.Instance.num_sources plan))
+              (Ok ()) spec.variants)
+        (Ok ()) spec.scenarios
     in
     List.fold_left
       (fun acc v ->

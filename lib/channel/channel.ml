@@ -126,7 +126,7 @@ let garbled ch plan ~now =
   | None -> (
     match ch.noise with
     | None -> false
-    | Some rng -> Rtnet_util.Prng.float rng 1.0 < ch.fault_rate)
+    | Some rng -> Rtnet_util.Prng.below rng ch.fault_rate)
 
 let finish_tx ch plan ~now a =
   if garbled ch plan ~now then begin

@@ -161,6 +161,30 @@ let validate ?horizon spec =
       else check_time (Printf.sprintf "scheduled misperception of source %d" s) t)
     (Ok ()) spec.sp_misperceive_at
 
+(* Which stations exist depends on where a plan runs, so this is not
+   part of [validate]: each decoder or linter that knows the station
+   set calls it. *)
+let check_stations ?(extra = []) ~stations spec =
+  let exists s = (s >= 0 && s < stations) || List.mem s extra in
+  let known () =
+    Printf.sprintf "the plan runs on stations 0..%d%s" (stations - 1)
+      (match extra with
+      | [] -> ""
+      | l -> " and " ^ String.concat ", " (List.map string_of_int l))
+  in
+  match List.find_opt (fun w -> not (exists w.cw_source)) spec.sp_crashes with
+  | Some w ->
+    Error
+      (Printf.sprintf "crash window [%d, %d) names station %d, but %s"
+         w.cw_from w.cw_until w.cw_source (known ()))
+  | None -> (
+    match List.find_opt (fun (s, _) -> not (exists s)) spec.sp_misperceive_at with
+    | Some (s, t) ->
+      Error
+        (Printf.sprintf "scheduled misperception at %d names station %d, but %s"
+           t s (known ()))
+    | None -> Ok ())
+
 let is_empty spec =
   spec.sp_garble = None && spec.sp_misperception = 0. && spec.sp_crashes = []
   && spec.sp_garbles_at = [] && spec.sp_misperceive_at = []
@@ -406,8 +430,15 @@ type t = {
   state_rng : Prng.t;
   garble_rng : Prng.t;
   mutable state : ge_state;
-  obs_rngs : (int, Prng.t) Hashtbl.t;
+  (* Indexed by source: its misperception stream, built on first use
+     ([unset] until then; the array grows on demand).  Each stream
+     depends only on (seed, path), so the order of first uses does not
+     matter. *)
+  mutable obs_rngs : Prng.t array;
 }
+
+(* The mark of a stream not built yet; never drawn from. *)
+let unset = Prng.create 0
 
 let create ?horizon ~seed sp =
   (match validate ?horizon sp with
@@ -419,7 +450,7 @@ let create ?horizon ~seed sp =
     state_rng = Prng.stream ~seed ~path:[ 0 ];
     garble_rng = Prng.stream ~seed ~path:[ 1 ];
     state = Good;
-    obs_rngs = Hashtbl.create 8;
+    obs_rngs = [||];
   }
 
 let spec t = t.sp
@@ -428,11 +459,27 @@ let tick t =
   match t.sp.sp_garble with
   | None | Some (Iid _) -> ()
   | Some (Gilbert_elliott { p_enter; p_exit; _ }) ->
-    let u = Prng.float t.state_rng 1.0 in
     t.state <-
       (match t.state with
-      | Good -> if u < p_enter then Bad else Good
-      | Bad -> if u < p_exit then Good else Bad)
+      | Good -> if Prng.below t.state_rng p_enter then Bad else Good
+      | Bad -> if Prng.below t.state_rng p_exit then Good else Bad)
+
+(* The queries below run for every station in every slot: they scan
+   the spec's lists with top-level loops and draw through
+   [Prng.below], so they build no closure and allocate nothing. *)
+let rec mem_time now = function
+  | [] -> false
+  | t :: rest -> t = now || mem_time now rest
+
+let rec scheduled source now = function
+  | [] -> false
+  | (s, at) :: rest -> (s = source && at = now) || scheduled source now rest
+
+let rec down source now = function
+  | [] -> false
+  | w :: rest ->
+    (w.cw_source = source && now >= w.cw_from && now < w.cw_until)
+    || down source now rest
 
 (* The random draw happens iff the random process is configured — never
    skipped because a scheduled atom already fires — so adding scheduled
@@ -442,31 +489,34 @@ let wire_garbles t ~now =
   let drawn =
     match t.sp.sp_garble with
     | None -> false
-    | Some (Iid { rate }) -> Prng.float t.garble_rng 1.0 < rate
+    | Some (Iid { rate }) -> Prng.below t.garble_rng rate
     | Some (Gilbert_elliott { rate_good; rate_bad; _ }) ->
-      let rate = match t.state with Good -> rate_good | Bad -> rate_bad in
-      Prng.float t.garble_rng 1.0 < rate
+      Prng.below t.garble_rng
+        (match t.state with Good -> rate_good | Bad -> rate_bad)
   in
-  drawn || List.mem now t.sp.sp_garbles_at
+  drawn || mem_time now t.sp.sp_garbles_at
 
 let obs_rng t source =
-  match Hashtbl.find_opt t.obs_rngs source with
-  | Some rng -> rng
-  | None ->
+  if source < 0 then invalid_arg "Fault_plan.misperceives: negative source";
+  let n = Array.length t.obs_rngs in
+  if source >= n then begin
+    let grown = Array.make (max (source + 1) (2 * n)) unset in
+    Array.blit t.obs_rngs 0 grown 0 n;
+    t.obs_rngs <- grown
+  end;
+  let rng = t.obs_rngs.(source) in
+  if rng != unset then rng
+  else begin
     let rng = Prng.stream ~seed:t.seed ~path:[ 2; source ] in
-    Hashtbl.add t.obs_rngs source rng;
+    t.obs_rngs.(source) <- rng;
     rng
+  end
 
 let misperceives t ~source ~now =
   let drawn =
     t.sp.sp_misperception > 0.
-    && Prng.float (obs_rng t source) 1.0 < t.sp.sp_misperception
+    && Prng.below (obs_rng t source) t.sp.sp_misperception
   in
-  drawn
-  || List.exists (fun (s, at) -> s = source && at = now) t.sp.sp_misperceive_at
+  drawn || scheduled source now t.sp.sp_misperceive_at
 
-let alive t ~source ~now =
-  not
-    (List.exists
-       (fun w -> w.cw_source = source && now >= w.cw_from && now < w.cw_until)
-       t.sp.sp_crashes)
+let alive t ~source ~now = not (down source now t.sp.sp_crashes)

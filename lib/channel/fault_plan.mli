@@ -107,6 +107,19 @@ val validate : ?horizon:int -> spec -> (unit, string) result
     bounds, non-overlapping per source and — when [horizon] is given —
     ending within it. *)
 
+val check_stations :
+  ?extra:int list -> stations:int -> spec -> (unit, string) result
+(** [check_stations ~stations spec] checks that every crash window and
+    every scheduled misperception names a station that exists: one of
+    [0 .. stations - 1] or one of [extra] (a topology segment's
+    incoming bridge stations).  {!validate} cannot check this, since it
+    does not know where the plan runs; every decoder and linter that
+    does calls this — the plain chaos artifact decoder, campaign spec
+    validation (once per single-bus scenario),
+    [Config_lint.check_fault] and [Topo.fault_errors].  A plan that
+    names a missing station would otherwise run as if that atom were
+    absent. *)
+
 val is_empty : spec -> bool
 (** [is_empty spec] iff the plan injects nothing at all. *)
 
@@ -174,7 +187,10 @@ val spec_of_json : Rtnet_util.Json.t -> (spec, string) result
     out-of-range plan is rejected at the JSON boundary with the same
     diagnostics {!create} raises, never silently accepted. *)
 
-(** {1 Instantiated plans} *)
+(** {1 Instantiated plans}
+
+    The queries below run for every station in every slot; none of
+    them allocates (the first draw of a station builds its stream). *)
 
 type t
 (** A sampler: [spec] plus the PRNG streams and Gilbert–Elliott state.

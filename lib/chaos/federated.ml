@@ -253,7 +253,10 @@ let of_json ~version:_ j =
      a renamed segment would otherwise fail only at replay time. *)
   let* () =
     match Topo.with_faults (tree env) plans with
-    | Ok _ -> Ok ()
+    | Ok t -> (
+      match Topo.fault_errors t with
+      | [] -> Ok ()
+      | e :: _ -> Error ("plans: " ^ e))
     | Error e -> Error ("plans: " ^ e)
   in
   let* trace_seed = Result.bind (Json.field "trace_seed" j) Json.get_int in

@@ -134,10 +134,12 @@ let of_json ~version j =
       { cf_scenario = scenario; cf_horizon_ms = horizon_ms; cf_params = params }
   in
   let* plan = Result.bind (Json.field "plan" j) Fault_plan.spec_of_json in
+  let* inst = Spec.instance_result scenario in
   let* () =
     Result.map_error
       (fun e -> "plan: " ^ e)
-      (Fault_plan.validate ~horizon:(horizon_ms * 1_000_000) plan)
+      (let* () = Fault_plan.validate ~horizon:(horizon_ms * 1_000_000) plan in
+       Fault_plan.check_stations ~stations:inst.Instance.num_sources plan)
   in
   let* trace_seed = Result.bind (Json.field "trace_seed" j) Json.get_int in
   let* fault_seed = Result.bind (Json.field "fault_seed" j) Json.get_int in

@@ -618,9 +618,11 @@ let rec check_agree t services ~now reference = function
               (Step.fingerprint t.replicas.(s))));
     check_agree t services ~now reference rest
 
+(* Rebuilds only the prefix before the last station that rejoins: a
+   slot in which nobody rejoins allocates nothing. *)
 let rec rejoin t services = function
   | [] -> []
-  | s :: rest ->
+  | s :: rest as l ->
     if
       t.replicas.(s) == t.shared && t.synced.(s) && services.Harness.alive s
     then begin
@@ -628,7 +630,9 @@ let rec rejoin t services = function
       t.n_differing <- t.n_differing - 1;
       rejoin t services rest
     end
-    else s :: rejoin t services rest
+    else
+      let rest' = rejoin t services rest in
+      if rest' == rest then l else s :: rest'
 
 module Slot = struct
   type t = slot

@@ -89,6 +89,10 @@ type state = {
   mutable planned : bool; (* the last slot ran under a fault plan *)
   (* Per-source fault bookkeeping (only written under a plan). *)
   alive : bool array;
+  (* [own_view.(s)]: [s] is one of this slot's deviants and observes
+     [observed.(s)]; every other station observes [wire], so a slot
+     stores nothing for the stations that agree with the wire. *)
+  own_view : bool array;
   observed : Channel.resolution array;
   crashed_slots : int array;
   missed : int array;
@@ -101,19 +105,25 @@ type state = {
      coalesce because the next slot starts exactly at this one's
      [next_free]. *)
   mutable epochs : (int * int) list; (* closed, most recent first *)
-  mutable epoch_open : (int * int) option;
+  (* The open epoch [\[open_from, open_until)], held in place so that
+     extending it allocates nothing; [open_from] is -1 when none is
+     open. *)
+  mutable open_from : int;
+  mutable open_until : int;
   participant : bool array; (* scratch, cleared by each slot: shared *)
 }
 
 type t = { st : state; services : services }
 
 let note_epoch st ~start ~finish =
-  match st.epoch_open with
-  | Some (s, e) when start <= e -> st.epoch_open <- Some (s, max e finish)
-  | Some span ->
-    st.epochs <- span :: st.epochs;
-    st.epoch_open <- Some (start, finish)
-  | None -> st.epoch_open <- Some (start, finish)
+  if st.open_from >= 0 && start <= st.open_until then
+    st.open_until <- max st.open_until finish
+  else begin
+    if st.open_from >= 0 then
+      st.epochs <- (st.open_from, st.open_until) :: st.epochs;
+    st.open_from <- start;
+    st.open_until <- finish
+  end
 
 (* A constant, so nothing is allocated at start-up. *)
 let no_attempt =
@@ -198,7 +208,8 @@ let pop st src =
 (* The per-source callbacks capture the arrays themselves: they run for
    every station in every slot. *)
 let services_of st =
-  let queues = st.queues and alive = st.alive and observed = st.observed in
+  let queues = st.queues and alive = st.alive in
+  let own_view = st.own_view and observed = st.observed in
   {
     channel = st.channel;
     peek = (fun src -> Edf_queue.peek queues.(src));
@@ -210,7 +221,7 @@ let services_of st =
         st.dropped <- m :: st.dropped);
     deliver_until = deliver st;
     alive = (fun src -> alive.(src));
-    observed = (fun src -> if st.planned then observed.(src) else st.wire);
+    observed = (fun src -> if own_view.(src) then observed.(src) else st.wire);
     mark_desync =
       (fun src ->
         st.desync_slots.(src) <- st.desync_slots.(src) + 1;
@@ -243,6 +254,7 @@ let create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
       wire = Channel.Idle;
       planned = false;
       alive = per_source true;
+      own_view = per_source false;
       observed = per_source Channel.Idle;
       crashed_slots = per_source 0;
       missed = per_source 0;
@@ -252,7 +264,8 @@ let create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
       slot_faulty = false;
       deviants = [];
       epochs = [];
-      epoch_open = None;
+      open_from = -1;
+      open_until = 0;
       participant = per_source false;
     }
 
@@ -265,6 +278,7 @@ let copy { st; _ } =
       heads = Array.copy st.heads;
       head_att = Array.copy st.head_att;
       alive = Array.copy st.alive;
+      own_view = Array.copy st.own_view;
       observed = Array.copy st.observed;
       crashed_slots = Array.copy st.crashed_slots;
       missed = Array.copy st.missed;
@@ -295,6 +309,12 @@ let rec all_alive alive = function
   | [] -> true
   | a :: rest -> alive.(a.Channel.att_source) && all_alive alive rest
 
+let rec clear_views own_view = function
+  | [] -> ()
+  | s :: rest ->
+    own_view.(s) <- false;
+    clear_views own_view rest
+
 let rec mark participant v = function
   | [] -> ()
   | a :: rest ->
@@ -313,6 +333,7 @@ let observe st plan ~now resolution attempts =
   | _ -> ());
   for s = 0 to st.num_sources - 1 do
     if not st.alive.(s) then begin
+      st.own_view.(s) <- true;
       st.observed.(s) <- Channel.Idle;
       match resolution with
       | Channel.Idle -> ()
@@ -324,11 +345,12 @@ let observe st plan ~now resolution attempts =
         if flips && not st.participant.(s) then misperceived_view resolution
         else resolution
       in
-      st.observed.(s) <- obs;
       (* The physical test first: an unflipped view is the wire value
          itself, and the structural one walks the slot's contender
          list. *)
       if obs != resolution && obs <> resolution then begin
+        st.own_view.(s) <- true;
+        st.observed.(s) <- obs;
         st.misperceived.(s) <- st.misperceived.(s) + 1;
         st.deviants <- s :: st.deviants;
         st.slot_faulty <- true
@@ -356,6 +378,7 @@ let slot { st; services } faults p ~decide ~after =
           st.arrivals));
   deliver st now;
   st.slot_faulty <- false;
+  clear_views st.own_view st.deviants;
   st.deviants <- [];
   (match faults with
   | None -> st.planned <- false
@@ -431,9 +454,9 @@ let completions h = h.st.completions
 
 let epochs h =
   List.rev
-    (match h.st.epoch_open with
-    | Some span -> span :: h.st.epochs
-    | None -> h.st.epochs)
+    (if h.st.open_from >= 0 then
+       (h.st.open_from, h.st.open_until) :: h.st.epochs
+     else h.st.epochs)
 
 let source_faults h s =
   let st = h.st in

@@ -348,24 +348,19 @@ let fault_errors t =
         (match Fault_plan.validate sp with
         | Ok () -> ()
         | Error e -> add "segment %s: invalid fault plan: %s" s.sg_name e);
-        let num_sources = s.sg_instance.Instance.num_sources in
-        let stations =
+        (* A plan may name a declared source or an incoming bridge
+           station. *)
+        let bridges =
           List.filter_map
             (fun b -> if b.br_to = s.sg_name then Some b.br_station else None)
             t.tp_bridges
         in
-        List.iter
-          (fun w ->
-            let src = w.Fault_plan.cw_source in
-            if
-              (src < 0 || src >= num_sources) && not (List.mem src stations)
-            then
-              add
-                "segment %s: crash window names station %d, which is \
-                 neither a declared source (0..%d) nor an incoming bridge \
-                 station"
-                s.sg_name src (num_sources - 1))
-          sp.Fault_plan.sp_crashes)
+        match
+          Fault_plan.check_stations ~extra:bridges
+            ~stations:s.sg_instance.Instance.num_sources sp
+        with
+        | Ok () -> ()
+        | Error e -> add "segment %s: %s" s.sg_name e)
     t.tp_segments;
   List.rev !errs
 

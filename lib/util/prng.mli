@@ -3,7 +3,15 @@
     All stochastic workload generators and randomized baselines draw
     from this generator so that every simulation is exactly
     reproducible from its seed — a prerequisite for the
-    bound-domination tests, which must be re-runnable on failure. *)
+    bound-domination tests, which must be re-runnable on failure.
+
+    The streams are pinned: the unit tests compare the first values of
+    every draw and of {!split} and {!copy} children for six seeds, and
+    samples of {!shuffle}, {!derive} and {!stream}, against a committed
+    listing, and seed 1234567's {!bits64} stream against the published
+    SplitMix64 reference outputs.  [int], [bool] and {!below} allocate nothing;
+    [bits64], [float] and [exponential] allocate only the box of their
+    result. *)
 
 type t
 (** Mutable generator state. *)
@@ -45,6 +53,12 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float g x] is uniform in [\[0, x)].  Requires [x > 0.]. *)
+
+val below : t -> float -> bool
+(** [below g p] is a Bernoulli draw with success probability [p]: it
+    is [float g 1.0 < p] bit for bit, consuming the same one draw, but
+    returns an unboxed [bool].  [p <= 0.] (or NaN) is never and
+    [p >= 1.] always true. *)
 
 val bool : t -> bool
 (** [bool g] is a fair coin flip. *)

@@ -489,28 +489,31 @@ let test_edf_service_order_within_source () =
       Alcotest.(check bool) "per-source EDF order" true (ok cs))
     by_source
 
-(* Minor words a fault-free run allocates per resolved slot.  The shared
-   replica step is evaluated once per slot, however many stations hold
-   a replica, so this grows with the station count only through the
-   slot's own attempts. *)
+(* Minor words a run allocates per resolved slot, and its outcome.
+   Without faults the shared replica step is evaluated once per slot,
+   however many stations hold a replica, so this grows with the station
+   count only through the slot's own attempts. *)
+let words_per_slot ?plan inst ~horizon =
+  let params = Ddcr_params.default inst in
+  let trace = Instance.trace inst ~seed:1 ~horizon in
+  let before = Gc.minor_words () in
+  let o = Ddcr.run_trace ?plan params inst trace ~horizon in
+  let words = Gc.minor_words () -. before in
+  match o.Run.channel with
+  | Some st ->
+    ( words
+      /. float_of_int
+           (st.Channel.idle_slots + st.Channel.collision_slots
+          + st.Channel.tx_count + st.Channel.garbled_count),
+      o )
+  | None -> Alcotest.fail "no channel statistics"
+
 let minor_words_per_slot ~sources =
   let inst =
     Scenarios.uniform ~sources ~classes_per_source:2 ~load:0.8
       ~deadline_windows:2.0
   in
-  let params = Ddcr_params.default inst in
-  let horizon = 20 * ms in
-  let trace = Instance.trace inst ~seed:1 ~horizon in
-  let before = Gc.minor_words () in
-  let o = Ddcr.run_trace params inst trace ~horizon in
-  let words = Gc.minor_words () -. before in
-  match o.Run.channel with
-  | Some st ->
-    words
-    /. float_of_int
-         (st.Channel.idle_slots + st.Channel.collision_slots
-        + st.Channel.tx_count + st.Channel.garbled_count)
-  | None -> Alcotest.fail "no channel statistics"
+  fst (words_per_slot inst ~horizon:(20 * ms))
 
 let test_allocation_flat_in_stations () =
   let small = minor_words_per_slot ~sources:4
@@ -576,27 +579,58 @@ let test_pinned_dense () =
     "e8b3a39beb7ddf0a9afdb61b3da7ff27"
     (pinned_digest (dense_instance ~seed:1) ~horizon:(20 * ms))
 
+module Fault_plan = Rtnet_channel.Fault_plan
+
 (* The same classes and arrivals with four times the deadline, under
-   misperception, i.i.d. garbling and one 50 µs crash window. *)
+   misperception, i.i.d. garbling and one 50 µs crash window: the
+   benchmark's faulty bus. *)
+let faulty_instance () = Instance.scale_deadlines (dense_instance ~seed:1) 4.0
+
+let faulty_plan ~horizon =
+  Fault_plan.create ~horizon ~seed:1
+    (Fault_plan.merge
+       [
+         Fault_plan.misperceive 0.001;
+         Fault_plan.iid 0.002;
+         Fault_plan.crash
+           ~source:(Rtnet_util.Prng.int (Rtnet_util.Prng.create 2) 16)
+           ~from_:(horizon / 4)
+           ~until:((horizon / 4) + 50_000);
+       ])
+
 let test_pinned_faulty () =
   let horizon = 20 * ms in
-  let inst = Instance.scale_deadlines (dense_instance ~seed:1) 4.0 in
-  let module Fault_plan = Rtnet_channel.Fault_plan in
-  let plan =
-    Fault_plan.create ~horizon ~seed:1
-      (Fault_plan.merge
-         [
-           Fault_plan.misperceive 0.001;
-           Fault_plan.iid 0.002;
-           Fault_plan.crash
-             ~source:(Rtnet_util.Prng.int (Rtnet_util.Prng.create 2) 16)
-             ~from_:(horizon / 4)
-             ~until:((horizon / 4) + 50_000);
-         ])
-  in
   Alcotest.(check string) "dense under faults, 16 stations, 20 ms"
     "d024e8e1978df3249fb1447885fd222e"
-    (pinned_digest ~plan inst ~horizon)
+    (pinned_digest ~plan:(faulty_plan ~horizon) (faulty_instance ()) ~horizon)
+
+(* An empty plan allocates what no plan allocates: its queries (one
+   liveness check and no draw per station) build nothing. *)
+let test_allocation_empty_plan () =
+  let horizon = 20 * ms and inst = faulty_instance () in
+  let bare, o_bare = words_per_slot inst ~horizon in
+  let empty, o_empty =
+    words_per_slot ~plan:(Fault_plan.create ~horizon ~seed:1 Fault_plan.none)
+      inst ~horizon
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "empty plan %.1f <= %.1f + 1 words per slot" empty bare)
+    true
+    (empty <= bare +. 1.);
+  Alcotest.(check string) "same completions"
+    (outcome_digest { o_bare with Run.faults = None })
+    (outcome_digest { o_empty with Run.faults = None })
+
+(* The faulted slot adds only fault handling: the per-station draws
+   and queries allocate nothing. *)
+let test_allocation_faulted () =
+  let horizon = 20 * ms in
+  let words, _ =
+    words_per_slot ~plan:(faulty_plan ~horizon) (faulty_instance ()) ~horizon
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "faulty plan allocates %.1f <= 100 words per slot" words)
+    true (words <= 100.)
 
 let test_pinned_64_stations () =
   Alcotest.(check string) "uniform, 64 stations, 20 ms"
@@ -641,6 +675,10 @@ let suite =
           test_allocation_flat_in_stations;
         Alcotest.test_case "slot allocation pinned at 16 stations" `Quick
           test_allocation_pinned;
+        Alcotest.test_case "empty plan allocates what no plan does" `Quick
+          test_allocation_empty_plan;
+        Alcotest.test_case "faulted slot allocation pinned" `Quick
+          test_allocation_faulted;
         Alcotest.test_case "dense outcome pinned" `Quick test_pinned_dense;
         Alcotest.test_case "dense outcome under faults pinned" `Quick
           test_pinned_faulty;

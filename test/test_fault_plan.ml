@@ -349,6 +349,247 @@ let test_alive_windows () =
   Alcotest.(check bool) "other source" true
     (Fault_plan.alive p ~source:0 ~now:150)
 
+(* A plan naming a station that does not exist is rejected wherever
+   the station set is known, whichever atom names it: the plain chaos
+   decoder (crash window on station 99 of a 4-station bus), campaign
+   spec validation (crash window on station 99 of a 3-station
+   scenario), the federated decoder and a topology segment (scheduled
+   misperception of station 99), instead of running as if the atom
+   were absent. *)
+let test_missing_station_rejected () =
+  let module Repro = Rtnet_chaos.Repro in
+  let module Plain = Rtnet_chaos.Plain in
+  let module Spec = Rtnet_campaign.Spec in
+  let module Topo = Rtnet_topology.Topo in
+  let rejected label = function
+    | Error e ->
+      Alcotest.(check bool) (label ^ " names station 99") true
+        (contains ~sub:"station 99" e)
+    | Ok _ -> Alcotest.fail (label ^ " accepted a plan naming station 99")
+  in
+  rejected "the chaos decoder"
+    (Repro.load (module Plain) ~path:"fixtures/chaos_repro_ghost_station.json");
+  rejected "campaign validation"
+    (Spec.load_file "fixtures/fault_plan_ghost_station.json");
+  (* The federated decoder: a committed artifact with its crash window
+     moved from bridge station 5 to station 99. *)
+  rejected "the federated decoder"
+    (Repro.load (module Rtnet_chaos.Federated)
+       ~path:"fixtures/topo_chaos_repro_ghost_station.json");
+  let tree =
+    Topo.tree ~name:"t3" ~segments:3 ~fanout:2 ~sources:4 ~load:0.1
+      ~deadline_windows:16.0 ()
+  in
+  match
+    Topo.with_faults tree
+      [ ("seg0", Fault_plan.misperceive_at [ (99, ms) ]) ]
+  with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+    rejected "a topology segment"
+      (match Topo.fault_errors t with [] -> Ok () | e :: _ -> Error e)
+
+let test_check_stations () =
+  let check label want spec ?extra stations =
+    Alcotest.(check bool) label want
+      (Result.is_ok (Fault_plan.check_stations ?extra ~stations spec))
+  in
+  let crash s = Fault_plan.crash ~source:s ~from_:100 ~until:200 in
+  let scheduled s = Fault_plan.misperceive_at [ (s, 100) ] in
+  check "crash on the last station" true (crash 3) 4;
+  check "crash past the last station" false (crash 4) 4;
+  check "scheduled misperception on the last station" true (scheduled 3) 4;
+  check "scheduled misperception past the last station" false (scheduled 4) 4;
+  check "an extra station" true (crash 7) ~extra:[ 7 ] 4;
+  check "not an extra station" false (scheduled 6) ~extra:[ 7 ] 4;
+  check "random processes name no station" true
+    (Fault_plan.merge
+       [ Fault_plan.misperceive 0.1; Fault_plan.iid 0.1; Fault_plan.garble_at [ 5 ] ])
+    1;
+  let errors stations =
+    List.filter
+      (fun d -> d.Diagnostic.severity = Diagnostic.Error)
+      (Rtnet_analysis.Config_lint.check_fault ?stations (crash 4))
+  in
+  Alcotest.(check int) "the lint without stations" 0 (List.length (errors None));
+  Alcotest.(check int) "the lint on 4 stations" 1
+    (List.length (errors (Some 4)))
+
+(* ------------------------------------------- queries vs a reference *)
+
+(* The sampler as it was before its queries stopped allocating: a hash
+   table of per-source streams, closures over the spec's lists, and
+   every Bernoulli draw through [Prng.float g 1.0 < p].  The property
+   below holds the sampler to it, answer for answer. *)
+module Reference = struct
+  module Prng = Rtnet_util.Prng
+
+  type ge_state = Good | Bad
+
+  type t = {
+    sp : Fault_plan.spec;
+    seed : int;
+    state_rng : Prng.t;
+    garble_rng : Prng.t;
+    mutable state : ge_state;
+    obs_rngs : (int, Prng.t) Hashtbl.t;
+  }
+
+  let create ~seed sp =
+    {
+      sp;
+      seed;
+      state_rng = Prng.stream ~seed ~path:[ 0 ];
+      garble_rng = Prng.stream ~seed ~path:[ 1 ];
+      state = Good;
+      obs_rngs = Hashtbl.create 8;
+    }
+
+  let tick t =
+    match t.sp.Fault_plan.sp_garble with
+    | None | Some (Fault_plan.Iid _) -> ()
+    | Some (Fault_plan.Gilbert_elliott { p_enter; p_exit; _ }) ->
+      let u = Prng.float t.state_rng 1.0 in
+      t.state <-
+        (match t.state with
+        | Good -> if u < p_enter then Bad else Good
+        | Bad -> if u < p_exit then Good else Bad)
+
+  let wire_garbles t ~now =
+    let drawn =
+      match t.sp.Fault_plan.sp_garble with
+      | None -> false
+      | Some (Fault_plan.Iid { rate }) -> Prng.float t.garble_rng 1.0 < rate
+      | Some (Fault_plan.Gilbert_elliott { rate_good; rate_bad; _ }) ->
+        let rate = match t.state with Good -> rate_good | Bad -> rate_bad in
+        Prng.float t.garble_rng 1.0 < rate
+    in
+    drawn || List.mem now t.sp.Fault_plan.sp_garbles_at
+
+  let obs_rng t source =
+    match Hashtbl.find_opt t.obs_rngs source with
+    | Some rng -> rng
+    | None ->
+      let rng = Prng.stream ~seed:t.seed ~path:[ 2; source ] in
+      Hashtbl.add t.obs_rngs source rng;
+      rng
+
+  let misperceives t ~source ~now =
+    let rate = t.sp.Fault_plan.sp_misperception in
+    let drawn = rate > 0. && Prng.float (obs_rng t source) 1.0 < rate in
+    drawn
+    || List.exists
+         (fun (s, at) -> s = source && at = now)
+         t.sp.Fault_plan.sp_misperceive_at
+
+  let alive t ~source ~now =
+    not
+      (List.exists
+         (fun w ->
+           w.Fault_plan.cw_source = source
+           && now >= w.Fault_plan.cw_from
+           && now < w.Fault_plan.cw_until)
+         t.sp.Fault_plan.sp_crashes)
+end
+
+(* A random valid plan over 1–8 stations — either garble kind,
+   misperception, non-overlapping crash windows, scheduled garbles and
+   misperceptions — and a slot schedule: slot k starts at 10k, ticks
+   the burst chain, draws the wire if it carries a lone frame, and
+   asks some stations, in random order, whether they are alive and,
+   if so, whether they misperceive. *)
+let gen_case =
+  let open QCheck.Gen in
+  let* stations = int_range 1 8 in
+  let* slots = int_range 1 80 in
+  let time = map (fun k -> 10 * k) (int_range 0 (slots - 1)) in
+  let rate = float_range 0. 1. in
+  let* sp_garble =
+    frequency
+      [
+        (1, return None);
+        (2, map (fun rate -> Some (Fault_plan.Iid { rate })) rate);
+        ( 2,
+          map
+            (fun ((p_enter, p_exit), (rate_good, rate_bad)) ->
+              Some
+                (Fault_plan.Gilbert_elliott { p_enter; p_exit; rate_good; rate_bad }))
+            (pair
+               (pair (float_range 0.05 0.95) (float_range 0.05 0.95))
+               (pair rate rate)) );
+      ]
+  in
+  let* sp_misperception = frequency [ (1, return 0.); (3, rate) ] in
+  (* Consecutive pairs of distinct sorted times never overlap. *)
+  let rec windows s = function
+    | a :: b :: rest ->
+      { Fault_plan.cw_source = s; cw_from = a; cw_until = b } :: windows s rest
+    | [ _ ] | [] -> []
+  in
+  let* crashes =
+    flatten_l
+      (List.init stations (fun s ->
+           map
+             (fun ts -> windows s (List.sort_uniq compare ts))
+             (list_size (int_range 0 4) (int_range 0 (10 * slots)))))
+  in
+  let* garbles_at = list_size (int_range 0 6) time in
+  let* misperceive_at =
+    list_size (int_range 0 10) (pair (int_range 0 (stations - 1)) time)
+  in
+  let spec =
+    {
+      Fault_plan.sp_garble;
+      sp_misperception;
+      sp_crashes = List.concat crashes;
+      sp_garbles_at = List.sort_uniq compare garbles_at;
+      sp_misperceive_at = List.sort_uniq compare misperceive_at;
+    }
+  in
+  let* seed = int in
+  let* schedule =
+    flatten_l
+      (List.init slots (fun k ->
+           let* lone = bool in
+           let* order = shuffle_l (List.init stations Fun.id) in
+           let* asked = frequency [ (3, return stations); (1, int_range 0 stations) ] in
+           return (10 * k, lone, List.filteri (fun i _ -> i < asked) order)))
+  in
+  return (seed, spec, schedule)
+
+let print_case (seed, spec, schedule) =
+  Printf.sprintf "seed %d, plan %s, %d slots" seed
+    (Json.to_string (Fault_plan.spec_to_json spec))
+    (List.length schedule)
+
+(* Every answer, in query order. *)
+let answers ~tick ~wire_garbles ~alive ~misperceives p schedule =
+  List.concat_map
+    (fun (now, lone, asked) ->
+      tick p;
+      (if lone then [ wire_garbles p ~now ] else [])
+      @ List.concat_map
+          (fun source ->
+            if alive p ~source ~now then [ true; misperceives p ~source ~now ]
+            else [ false ])
+          asked)
+    schedule
+
+let prop_queries_match_reference =
+  QCheck.Test.make ~name:"fault-plan queries answer as the reference does"
+    ~count:300
+    (QCheck.make ~print:print_case gen_case)
+    (fun (seed, spec, schedule) ->
+      (match Fault_plan.validate spec with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "generated an invalid plan: %s" e);
+      answers ~tick:Fault_plan.tick ~wire_garbles:Fault_plan.wire_garbles
+        ~alive:Fault_plan.alive ~misperceives:Fault_plan.misperceives
+        (Fault_plan.create ~seed spec) schedule
+      = answers ~tick:Reference.tick ~wire_garbles:Reference.wire_garbles
+          ~alive:Reference.alive ~misperceives:Reference.misperceives
+          (Reference.create ~seed spec) schedule)
+
 (* ------------------------------------------- DDCR under fault plans *)
 
 let run_under_plan ?(stations = 4) ?(seed = 5) ?(horizon = 40 * ms) spec =
@@ -574,6 +815,10 @@ let suite =
         Alcotest.test_case "draws deterministic" `Quick test_draws_deterministic;
         Alcotest.test_case "scheduled atoms" `Quick test_scheduled_atoms;
         Alcotest.test_case "alive windows" `Quick test_alive_windows;
+        Alcotest.test_case "plan naming a missing station rejected" `Quick
+          test_missing_station_rejected;
+        Alcotest.test_case "check_stations" `Quick test_check_stations;
+        QCheck_alcotest.to_alcotest prop_queries_match_reference;
         Alcotest.test_case "safety under every builtin plan" `Slow
           test_safety_under_every_builtin_plan;
         Alcotest.test_case "crash recovers within one tree epoch" `Slow

@@ -141,6 +141,122 @@ let prop_bool_balanced =
       done;
       !heads > 400 && !heads < 600)
 
+(* --- The streams pinned: values recorded from the boxed-state
+   implementation this module replaced, so a change of representation
+   cannot move a single draw. --- *)
+
+(* The first 16 values of every draw from six seeds (each row from a
+   fresh generator), of a split child and its parent, and of a copy
+   taken after 5 draws; a 50-element shuffle; [derive] and [stream]
+   over a few paths.  Floats print exactly ([%h]); the exponential
+   draws to 15 digits, so the listing pins the stream rather than the
+   last bit of [log]. *)
+let listing () =
+  let b = Buffer.create 65536 in
+  let row name f =
+    Buffer.add_string b name;
+    for _ = 1 to 16 do
+      Buffer.add_char b ' ';
+      Buffer.add_string b (f ())
+    done;
+    Buffer.add_char b '\n'
+  in
+  let hex64 g () = Printf.sprintf "%016Lx" (Prng.bits64 g) in
+  List.iter
+    (fun seed ->
+      Printf.bprintf b "seed %d\n" seed;
+      let fresh () = Prng.create seed in
+      row "bits64" (hex64 (fresh ()));
+      List.iter
+        (fun (name, n) ->
+          let g = fresh () in
+          row name (fun () -> string_of_int (Prng.int g n)))
+        [ ("int1", 1); ("int7", 7); ("int1000", 1000); ("int_max", max_int) ];
+      (let g = fresh () in
+       row "float" (fun () -> Printf.sprintf "%h" (Prng.float g 1.0)));
+      (let g = fresh () in
+       row "float3.5" (fun () -> Printf.sprintf "%h" (Prng.float g 3.5)));
+      (let g = fresh () in
+       row "bool" (fun () -> if Prng.bool g then "1" else "0"));
+      (let g = fresh () in
+       row "exponential2" (fun () ->
+           Printf.sprintf "%.15g" (Prng.exponential g 2.0)));
+      (let g = fresh () in
+       let child = Prng.split g in
+       row "split_child" (hex64 child);
+       row "split_parent" (hex64 g));
+      let g = fresh () in
+      for _ = 1 to 5 do
+        ignore (Prng.bits64 g)
+      done;
+      row "copy_after5" (hex64 (Prng.copy g)))
+    [ 0; 1; -1; max_int; min_int; 1234567 ];
+  List.iter
+    (fun seed ->
+      let arr = Array.init 50 Fun.id in
+      Prng.shuffle (Prng.create seed) arr;
+      Printf.bprintf b "shuffle50 %d:%s\n" seed
+        (String.concat "" (Array.to_list (Array.map (Printf.sprintf " %d") arr))))
+    [ 29; 1234567 ];
+  List.iter
+    (fun (seed, i) ->
+      Printf.bprintf b "derive %d %d = %d\n" seed i (Prng.derive seed i))
+    [ (0, 0); (1, 0); (1, 1); (42, 3); (-1, 7); (max_int, 2); (min_int, 1000) ];
+  List.iter
+    (fun (seed, path) ->
+      let g = Prng.stream ~seed ~path in
+      Printf.bprintf b "stream %d [%s]:" seed
+        (String.concat ";" (List.map string_of_int path));
+      for _ = 1 to 4 do
+        Printf.bprintf b " %016Lx" (Prng.bits64 g)
+      done;
+      Buffer.add_char b '\n')
+    [
+      (7, []);
+      (7, [ 0 ]);
+      (7, [ 1 ]);
+      (1, [ 2; 3 ]);
+      (1, [ 2; 0; 5 ]);
+      (42, [ 0xC4A0; 9 ]);
+    ];
+  Buffer.contents b
+
+let test_streams_pinned () =
+  let expected =
+    In_channel.with_open_bin "fixtures/prng_streams.expected"
+      In_channel.input_all
+  in
+  Alcotest.(check string) "fixtures/prng_streams.expected" expected (listing ())
+
+(* Seed 1234567 matches the reference outputs of Vigna's splitmix64.c
+   (state 1234567, unsigned decimal), so [create] seeds the published
+   generator and [bits64] is its [next]. *)
+let test_reference_outputs () =
+  let g = Prng.create 1234567 in
+  List.iter
+    (fun want ->
+      Alcotest.(check string) "splitmix64.c, seed 1234567" want
+        (Printf.sprintf "%Lu" (Prng.bits64 g)))
+    [
+      "6457827717110365317";
+      "3203168211198807973";
+      "9817491932198370423";
+      "4593380528125082431";
+      "16408922859458223821";
+    ]
+
+let prop_below_is_float_compare =
+  (* Two copies of one generator, one drawing through [below], the
+     other through [float g 1.0 < p]: same answers, same positions. *)
+  QCheck.Test.make ~name:"below g p = (float g 1.0 < p), draw for draw"
+    ~count:200
+    QCheck.(pair int (list_of_size Gen.(1 -- 64) (float_range 0. 1.)))
+    (fun (seed, ps) ->
+      let a = Prng.create seed in
+      let b = Prng.copy a in
+      List.for_all (fun p -> Prng.below a p = (Prng.float b 1.0 < p)) ps
+      && Prng.bits64 a = Prng.bits64 b)
+
 let suite =
   [
     ( "prng",
@@ -158,6 +274,10 @@ let suite =
           test_derive_streams_independent;
         Alcotest.test_case "stream path" `Quick test_stream_path;
         Alcotest.test_case "shuffle" `Quick test_shuffle_permutation;
+        Alcotest.test_case "streams pinned" `Quick test_streams_pinned;
+        Alcotest.test_case "splitmix64 reference outputs" `Quick
+          test_reference_outputs;
+        QCheck_alcotest.to_alcotest prop_below_is_float_compare;
         QCheck_alcotest.to_alcotest prop_bool_balanced;
         QCheck_alcotest.to_alcotest prop_coordinate_streams_independent;
       ] );
