@@ -21,9 +21,10 @@ lint:
 test:
 	dune runtest
 
-# Run the smoke campaign with 2 workers and the perf_v1 campaign (DDCR
-# and TDMA on two scenarios), and gate each against its committed
-# report; exits non-zero on any metric regression.
+# Run the smoke campaign with 2 workers, the perf_v1 campaign (DDCR
+# and TDMA on two scenarios) and campaign_v1 (five protocols on six
+# scenarios, clean and at fault_rate 0.05), and gate each against its
+# committed report; exits non-zero on any metric regression.
 campaign-smoke: build
 	dune exec bin/ddcr_campaign.exe -- compare smoke -j 2 --quiet \
 	  -o _build/BENCH_smoke.current.json \
@@ -31,6 +32,9 @@ campaign-smoke: build
 	dune exec bin/ddcr_campaign.exe -- compare perf_v1 --quiet \
 	  -o _build/BENCH_perf.current.json \
 	  --baseline BENCH_perf.json
+	dune exec bin/ddcr_campaign.exe -- compare campaign_v1 --quiet \
+	  -o _build/BENCH_campaign_v1.current.json \
+	  --baseline BENCH_campaign_v1.json
 
 # Run the fault-injection sweep (burst noise, misperception, crash
 # windows over DDCR) and gate it against the committed golden report.
