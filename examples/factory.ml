@@ -19,7 +19,7 @@
 module Scenarios = Rtnet_workload.Scenarios
 module Instance = Rtnet_workload.Instance
 module Arrival = Rtnet_workload.Arrival
-module Channel = Rtnet_channel.Channel
+module Fault_plan = Rtnet_channel.Fault_plan
 module Run = Rtnet_stats.Run
 module Ddcr = Rtnet_core.Ddcr
 module Ddcr_params = Rtnet_core.Ddcr_params
@@ -62,10 +62,10 @@ let () =
   Format.printf "  dual bus:   %a@." Run.pp_metrics dual_run;
 
   (* 4. Electromagnetic reality of a factory floor: 5%% frame loss. *)
-  let fault = { Channel.fault_rate = 0.05; fault_seed = 12 } in
+  let plan = Fault_plan.create ~seed:12 (Fault_plan.iid 0.05) in
   let noisy =
     Run.metrics
-      (Ddcr.run ~fault ~seed:4
+      (Ddcr.run ~plan ~seed:4
          (Ddcr_params.default assignment.Multi_bus.buses.(0))
          assignment.Multi_bus.buses.(0) ~horizon)
   in

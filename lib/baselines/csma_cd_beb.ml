@@ -8,7 +8,7 @@ type params = { max_attempts : int; max_backoff_exp : int }
 
 let ethernet = { max_attempts = 16; max_backoff_exp = 10 }
 
-let run_trace ?(params = ethernet) ?fault ?plan ~seed inst trace ~horizon =
+let run_trace ?(params = ethernet) ?plan ~seed inst trace ~horizon =
   let z = inst.Instance.num_sources in
   let rng = Prng.create seed in
   (* Per-station MAC state: consecutive collisions of the head frame,
@@ -69,8 +69,8 @@ let run_trace ?(params = ethernet) ?fault ?plan ~seed inst trace ~horizon =
         contenders);
     next_free
   in
-  Harness.run ~protocol:"csma-cd-beb" ?fault ?plan ~phy:inst.Instance.phy
+  Harness.run ~protocol:"csma-cd-beb" ?plan ~phy:inst.Instance.phy
     ~num_sources:z ~horizon ~decide ~after trace
 
-let run ?params ?fault ?plan ~seed inst ~horizon =
-  run_trace ?params ?fault ?plan ~seed inst (Instance.trace inst ~seed ~horizon) ~horizon
+let run ?params ?plan ~seed inst ~horizon =
+  run_trace ?params ?plan ~seed inst (Instance.trace inst ~seed ~horizon) ~horizon

@@ -19,7 +19,6 @@ val ethernet : params
 
 val run_trace :
   ?params:params ->
-  ?fault:Rtnet_channel.Channel.fault ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   seed:int ->
   Rtnet_workload.Instance.t ->
@@ -34,7 +33,6 @@ val run_trace :
 
 val run :
   ?params:params ->
-  ?fault:Rtnet_channel.Channel.fault ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   seed:int ->
   Rtnet_workload.Instance.t ->

@@ -1,6 +1,7 @@
 module Json = Rtnet_util.Json
 module Instance = Rtnet_workload.Instance
 module Channel = Rtnet_channel.Channel
+module Fault_plan = Rtnet_channel.Fault_plan
 module Feasibility = Rtnet_core.Feasibility
 module Recorder = Rtnet_telemetry.Recorder
 module Registry = Rtnet_telemetry.Registry
@@ -152,19 +153,14 @@ let run_cell ?(telemetry = false) spec c =
   let inst = Spec.instance c.scenario in
   let horizon = spec.Spec.horizon_ms * 1_000_000 in
   let trace = Instance.trace inst ~seed:c.trace_seed ~horizon in
-  let fault =
-    if c.variant.Spec.v_fault_rate > 0. then
-      Some
-        {
-          Channel.fault_rate = c.variant.Spec.v_fault_rate;
-          fault_seed = c.protocol_seed;
-        }
-    else None
-  in
+  (* [fault_rate] is shorthand for an i.i.d. plan; [Spec.validate]
+     rejects a variant that sets both. *)
   let plan =
     Option.map
-      (fun sp -> Rtnet_channel.Fault_plan.create ~horizon ~seed:c.fault_seed sp)
-      c.variant.Spec.v_fault_plan
+      (Fault_plan.create ~horizon ~seed:c.fault_seed)
+      (if c.variant.Spec.v_fault_rate > 0. then
+         Some (Fault_plan.iid c.variant.Spec.v_fault_rate)
+       else c.variant.Spec.v_fault_plan)
   in
   (* Telemetry is recorded for DDCR cells only — the probes live in
      the DDCR simulator; baseline cells ignore the flag.  The recorder
@@ -188,10 +184,9 @@ let run_cell ?(telemetry = false) spec c =
         | Some r -> Recorder.sink r
         | None -> Rtnet_telemetry.Sink.null
       in
-      Ddcr.run_trace ?fault ?plan ~sink (params_for c.variant inst) inst trace
-        ~horizon
+      Ddcr.run_trace ?plan ~sink (params_for c.variant inst) inst trace ~horizon
     | Spec.Beb ->
-      Beb.run_trace ?fault ?plan ~seed:c.protocol_seed inst trace ~horizon
+      Beb.run_trace ?plan ~seed:c.protocol_seed inst trace ~horizon
     | Spec.Dcr ->
       Dcr.run_trace (Dcr.of_ddcr (params_for c.variant inst)) inst trace ~horizon
     | Spec.Tdma -> Tdma.run_trace inst trace ~horizon

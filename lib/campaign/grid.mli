@@ -22,7 +22,7 @@ type cell = {
   variant : Spec.variant;
   replicate : int;  (** 0-based replication number *)
   trace_seed : int;  (** arrival-trace seed — protocol-independent *)
-  protocol_seed : int;  (** protocol/fault randomness seed *)
+  protocol_seed : int;  (** protocol-private randomness seed *)
   fault_seed : int;
       (** fault-plan sampler seed — protocol-independent, so every
           protocol faces the same fault sample path *)

@@ -30,7 +30,7 @@ val protocol_seed :
   protocol:int ->
   int
 (** [protocol_seed] seeds protocol-private randomness (BEB backoff
-    draws, channel fault injection) for one cell. *)
+    draws) for one cell; channel faults come from {!fault_seed}. *)
 
 val fault_seed : base:int -> scenario:int -> variant:int -> replicate:int -> int
 (** [fault_seed] seeds a {!Rtnet_channel.Fault_plan} sampler.  Like

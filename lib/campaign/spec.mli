@@ -72,7 +72,9 @@ val instance_result : scenario -> (Rtnet_workload.Instance.t, string) result
     chaos subjects report these and exit 2. *)
 
 type variant = {
-  v_fault_rate : float;  (** channel-noise probability (ddcr and beb) *)
+  v_fault_rate : float;
+      (** shorthand for the plan [Fault_plan.iid v_fault_rate] (ddcr and
+          beb), seeded with the cell's fault seed; 0 = off *)
   v_burst_bits : int;  (** packet-bursting budget, 0 = off (ddcr) *)
   v_theta : int;  (** compressed-time increment, 0 = off (ddcr) *)
   v_fault_plan : Rtnet_channel.Fault_plan.spec option;
@@ -131,8 +133,8 @@ val builtins : (string * t) list
     - ["smoke"]: 2 protocols × 2 scenarios, 1 ms — seconds to run; the
       [make campaign-smoke] gate.
     - ["campaign_v1"]: all 5 protocols × 3 scenarios × {clean, 5%
-      noise} × 2 replicates, 2 ms — the committed
-      [BENCH_campaign_v1.json] trajectory baseline.
+      i.i.d. noise} × 2 replicates, 2 ms — the committed
+      [BENCH_campaign_v1.json] baseline, gated by [make campaign-smoke].
     - ["load_sweep"]: all protocols over the uniform scenario at 6
       offered loads — the Fig. E7 comparison as a campaign.
     - ["fault_sweep"]: CSMA/DDCR under every builtin fault plan (clean,

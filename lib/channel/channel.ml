@@ -23,8 +23,6 @@ type stats = {
   total_bits : int;
 }
 
-type fault = { fault_rate : float; fault_seed : int }
-
 type carried = {
   mutable c_src : int;
   mutable c_tag : int;
@@ -38,8 +36,6 @@ type t = {
   phy : Phy.t;
   mutable free_at : int;
   mutable holder : int; (* source of the frame just carried, -1 if none *)
-  noise : Rtnet_util.Prng.t option; (* legacy fault-injection draws *)
-  fault_rate : float;
   mutable idle : int;
   mutable collisions : int;
   mutable carried_frames : int;
@@ -49,21 +45,11 @@ type t = {
   last : carried; (* the most recent carried frame, updated in place *)
 }
 
-let create ?fault phy =
-  let noise, fault_rate =
-    match fault with
-    | None -> (None, 0.)
-    | Some { fault_rate; fault_seed } ->
-      if fault_rate < 0. || fault_rate > 1. then
-        invalid_arg "Channel.create: fault_rate out of [0, 1]";
-      (Some (Rtnet_util.Prng.create fault_seed), fault_rate)
-  in
+let create phy =
   {
     phy;
     free_at = 0;
     holder = -1;
-    noise;
-    fault_rate;
     idle = 0;
     collisions = 0;
     carried_frames = 0;
@@ -75,7 +61,7 @@ let create ?fault phy =
 
 let copy ch =
   let last = { ch.last with c_src = ch.last.c_src } (* a fresh record *) in
-  { ch with noise = Option.map Rtnet_util.Prng.copy ch.noise; last }
+  { ch with last }
 
 let phy ch = ch.phy
 
@@ -120,16 +106,11 @@ let finish_idle ch ~now =
   ch.holder <- -1;
   Idle
 
-let garbled ch plan ~now =
-  match plan with
-  | Some p -> Fault_plan.wire_garbles p ~now
-  | None -> (
-    match ch.noise with
-    | None -> false
-    | Some rng -> Rtnet_util.Prng.below rng ch.fault_rate)
+let garbled plan ~now =
+  match plan with Some p -> Fault_plan.wire_garbles p ~now | None -> false
 
 let finish_tx ch plan ~now a =
-  if garbled ch plan ~now then begin
+  if garbled plan ~now then begin
     (* The frame occupies the wire for its full length but carries
        nothing: every station sees a CRC-invalid frame. *)
     let on_wire = Phy.tx_bits ch.phy a.att_bits in
@@ -184,28 +165,19 @@ let finish_clash ch ~now first rest =
     ch.holder <- a.att_source;
     Clash { contenders = ids; survivor = Some (a.att_source, a.att_tag, on_wire) }
 
-let contend_under ch plan ~now attempts =
+let contend ch plan ~now attempts =
   if now < ch.free_at then invalid_arg "Channel.contend: channel busy";
   if not (distinct_sources attempts) then
     invalid_arg "Channel.contend: duplicate source in slot";
-  (match (plan, ch.noise) with
-  | None, _ -> ()
-  | Some _, Some _ ->
-    invalid_arg "Channel.contend_under: fault and plan are mutually exclusive"
-  | Some p, None ->
-    (* The burst-noise state chain advances once per contention slot,
-       whatever the slot carries. *)
-    Fault_plan.tick p);
+  (* The burst-noise state chain advances once per contention slot,
+     whatever the slot carries. *)
+  (match plan with Some p -> Fault_plan.tick p | None -> ());
   match attempts with
   | [] -> finish_idle ch ~now
   | [ a ] -> finish_tx ch plan ~now a
   | first :: rest -> finish_clash ch ~now first rest
 
 let free_at ch = ch.free_at
-
-let contend ch ~now attempts =
-  let resolution = contend_under ch None ~now attempts in
-  (resolution, ch.free_at)
 
 let burst ch ~src ~tag ~bits =
   if ch.holder < 0 || ch.holder <> src then

@@ -29,8 +29,8 @@ type resolution =
       (** exactly one attempt: it is carried; [on_wire] is [l'] in
           bit-times *)
   | Garbled of { on_wire : int }
-      (** exactly one attempt, but the frame was destroyed by channel
-          noise (fault injection): the medium was busy for [on_wire]
+      (** exactly one attempt, but the slot's {!Fault_plan} garbled
+          the frame on the wire: the medium was busy for [on_wire]
           bit-times, every station observed a CRC-invalid frame, and
           nothing was carried — the sender's message stays queued *)
   | Clash of { contenders : (int * int) list; survivor : (int * int * int) option }
@@ -44,29 +44,16 @@ type t
 (** Stateful channel: medium parameters plus occupancy statistics and
     the most recent carried frame. *)
 
-type fault = {
-  fault_rate : float;  (** probability that a lone frame is garbled *)
-  fault_seed : int;  (** PRNG seed: fault patterns are reproducible *)
-}
-(** Channel-noise model: each frame carried through {!contend} is
-    independently destroyed with probability [fault_rate] (it still
-    occupies the medium for its full length — the full-frame CRC-error
-    model, distinguishable from a collision fragment by all stations).
-    Arbitrated survivors and {!burst} continuations are not subjected
-    to faults (bursting rides a verified acquisition). *)
-
-val create : ?fault:fault -> Phy.t -> t
-(** [create phy] is a fresh, idle channel over medium [phy], fault-free
-    unless [fault] (the legacy i.i.d. lone-frame garbling model) is
-    given.  A {!Fault_plan}'s wire-level axes (i.i.d. or
-    Gilbert–Elliott burst garbling) reach the channel per slot through
-    {!contend_under}; its per-source axes (misperception, crash
+val create : Phy.t -> t
+(** [create phy] is a fresh, idle channel over medium [phy].  The
+    channel itself is fault-free: a {!Fault_plan}'s wire-level axes
+    (i.i.d. or Gilbert–Elliott burst garbling) reach it per slot
+    through {!contend}; its per-source axes (misperception, crash
     windows) are sampled by the MAC harness: the channel models the
-    wire, which always carries one truth.
-    @raise Invalid_argument if [fault.fault_rate] is outside [\[0, 1]]. *)
+    wire, which always carries one truth. *)
 
 val copy : t -> t
-(** An independent channel in the same state (noise stream included). *)
+(** An independent channel in the same state. *)
 
 val phy : t -> Phy.t
 (** [phy ch] is the underlying medium. *)
@@ -74,31 +61,26 @@ val phy : t -> Phy.t
 val slot_bits : t -> int
 (** [slot_bits ch] is the contention-slot duration in bit-times. *)
 
-val contend : t -> now:int -> attempt list -> resolution * int
-(** [contend ch ~now attempts] resolves one contention slot beginning
-    at time [now] and returns the resolution together with the time at
-    which the channel is next free (start of the next slot): [now +
+val contend : t -> Fault_plan.t option -> now:int -> attempt list -> resolution
+(** [contend ch plan ~now attempts] resolves one contention slot
+    beginning at time [now]; the next slot starts at {!free_at}: [now +
     slot] after [Idle] or a destructive [Clash], [now + on_wire] after
-    a [Tx], and [now + slot + on_wire] after an arbitrated [Clash].
-    Statistics and {!last_carried} are updated.
+    a [Tx] or [Garbled], and [now + slot + on_wire] after an arbitrated
+    [Clash].  Statistics and {!last_carried} are updated.  With [Some
+    p], [p]'s state chain advances once and [p] decides whether a lone
+    frame is garbled: it still occupies the medium for its full length
+    (the full-frame CRC-error model, distinguishable from a collision
+    fragment by all stations).  Arbitrated survivors and {!burst}
+    continuations are never garbled.
     @raise Invalid_argument if [now] precedes the end of the previous
     slot, or if two attempts share a source id.
     @raise Failure ["MAC safety violated: ..."] if a carried frame would
     start before the previous carried frame ended. *)
 
-val contend_under :
-  t -> Fault_plan.t option -> now:int -> attempt list -> resolution
-(** {!contend} with the slot's wire faults from [plan], returning the
-    resolution alone (the next slot starts at {!free_at}, so nothing is
-    paired per slot): with [Some p], [p]'s state chain advances once and
-    [p] decides whether a lone frame is garbled; [None] is {!contend}.
-    @raise Invalid_argument as {!contend} does, and on [Some _] for a
-    channel created with a legacy [fault] (the two are exclusive). *)
-
 val free_at : t -> int
 (** [free_at ch] is the time at which the channel is next free: the
-    start of the next slot after a {!contend_under}, or the end of the
-    last {!burst} frame. *)
+    start of the next slot after a {!contend}, or the end of the last
+    {!burst} frame. *)
 
 val burst : t -> src:int -> tag:int -> bits:int -> int * int
 (** [burst ch ~src ~tag ~bits] appends one more frame to the channel
@@ -116,7 +98,7 @@ type stats = {
   idle_slots : int;  (** slots in which nobody attempted *)
   collision_slots : int;  (** slots consumed by collisions *)
   tx_count : int;  (** messages carried *)
-  garbled_count : int;  (** frames destroyed by injected noise *)
+  garbled_count : int;  (** lone frames garbled by a fault plan *)
   busy_bits : int;  (** bit-times spent carrying frames *)
   total_bits : int;  (** bit-times elapsed across all resolved slots *)
 }

@@ -1,14 +1,13 @@
 (** Composable fault plans for the broadcast medium.
 
     A fault plan bundles every way this repository can break the
-    paper's medium model (Section 2.1), beyond the single i.i.d.
-    garbling knob of {!Channel.fault}:
+    paper's medium model (Section 2.1); it is the only fault model, so
+    every garbled frame of every run comes from one:
 
     - {b wire garbling}: a lone frame is destroyed on the wire and
       every station sees the same CRC-invalid frame.  Either i.i.d.
-      per frame (the legacy model, now one combinator) or governed by
-      a Gilbert–Elliott two-state burst process whose good/bad states
-      have different garble rates;
+      per frame or governed by a Gilbert–Elliott two-state burst
+      process whose good/bad states have different garble rates;
     - {b per-source misperception}: a {e listening} station locally
       decodes the slot differently from what the wire carried — it
       sees [Garbled] where the wire carried a frame, or silence where
@@ -28,8 +27,8 @@
 (** Wire-garbling process for lone frames. *)
 type garble =
   | Iid of { rate : float }
-      (** every lone frame independently destroyed with [rate] —
-          exactly the legacy {!Channel.fault} model *)
+      (** every lone frame independently destroyed with [rate] (a
+          campaign's [fault_rate] is this process) *)
   | Gilbert_elliott of {
       p_enter : float;  (** per-slot probability good → bad *)
       p_exit : float;  (** per-slot probability bad → good *)

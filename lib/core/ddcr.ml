@@ -923,11 +923,11 @@ module Slot = struct
     normalize t services;
     next_free
 
-  let make ~check_lockstep ~on_event ~fault ~analyze ~sink ~inject params
-      inst trace ~horizon =
+  let make ~check_lockstep ~on_event ~analyze ~sink ~inject params inst
+      trace ~horizon =
     let z = inst.Instance.num_sources in
     let h =
-      Harness.create ~protocol:"csma-ddcr" ~fault ~analyze ~sink ~inject
+      Harness.create ~protocol:"csma-ddcr" ~analyze ~sink ~inject
         ~phy:inst.Instance.phy ~num_sources:z ~horizon trace
     in
     {
@@ -957,8 +957,8 @@ module Slot = struct
     }
 
   let create params inst trace ~horizon =
-    make ~check_lockstep:false ~on_event:None ~fault:None ~analyze:true
-      ~sink:Sink.null ~inject:None params inst trace ~horizon
+    make ~check_lockstep:false ~on_event:None ~analyze:true ~sink:Sink.null
+      ~inject:None params inst trace ~horizon
 
   let copy t =
     {
@@ -978,14 +978,14 @@ module Slot = struct
   let replica t s = { (state_of t s) with Step.rank = t.ranks.(s) }
 end
 
-let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
-    ?(analyze = true) ?(sink = Sink.null) ?inject params inst trace ~horizon =
+let run_trace ?(check_lockstep = false) ?on_event ?plan ?(analyze = true)
+    ?(sink = Sink.null) ?inject params inst trace ~horizon =
   (match Ddcr_params.validate params ~num_sources:inst.Instance.num_sources with
   | Ok () -> ()
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let t =
-    Slot.make ~check_lockstep ~on_event ~fault ~analyze ~sink ~inject params
-      inst trace ~horizon
+    Slot.make ~check_lockstep ~on_event ~analyze ~sink ~inject params inst
+      trace ~horizon
   in
   let rec loop () =
     Slot.step t plan;
@@ -994,9 +994,8 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan
   loop ();
   Harness.finish t.h
 
-let run ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?inject
-    ?(seed = 1) params inst ~horizon =
-  run_trace ?check_lockstep ?on_event ?fault ?plan ?analyze ?sink ?inject
-    params inst
+let run ?check_lockstep ?on_event ?plan ?analyze ?sink ?inject ?(seed = 1)
+    params inst ~horizon =
+  run_trace ?check_lockstep ?on_event ?plan ?analyze ?sink ?inject params inst
     (Instance.trace inst ~seed ~horizon)
     ~horizon

@@ -205,7 +205,6 @@ end
 val run_trace :
   ?check_lockstep:bool ->
   ?on_event:(Ddcr_trace.event -> unit) ->
-  ?fault:Rtnet_channel.Channel.fault ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
@@ -224,14 +223,14 @@ val run_trace :
     the reference's replica and one per differing station.  [on_event]
     receives one {!Ddcr_trace.event} per slot plus phase transitions
     (see {!Ddcr_trace.collector}); events are built only when
-    [on_event] is given.  [fault] injects channel noise (garbled
-    frames); the protocol retries garbled frames and remains safe, at
-    the cost of latency.  [analyze] is the harness's (default [true]):
+    [on_event] is given.  [analyze] is the harness's (default [true]):
     every completion is checked against the frame the channel
     carried.
 
     [plan] runs the protocol under a {!Rtnet_channel.Fault_plan}:
 
+    - a garbled frame is retried deterministically: the protocol
+      remains safe, at the cost of latency;
     - a crashed source neither decides nor observes; on rejoin it is
       {e desynchronized} and stays listen-only;
     - every live synced replica is fed its own local observation
@@ -257,8 +256,7 @@ val run_trace :
     - with [check_lockstep], lockstep is asserted among the live synced
       replicas only (the property fault plans preserve).
 
-    [fault] and [plan] are mutually exclusive; the outcome's [faults]
-    statistics are [Some] iff [plan] was given.
+    The outcome's [faults] statistics are [Some] iff [plan] was given.
 
     [sink] (default {!Rtnet_telemetry.Sink.null}) receives, on top of
     the harness probes, the DDCR-specific ones: one [search] span per
@@ -275,7 +273,6 @@ val run_trace :
 val run :
   ?check_lockstep:bool ->
   ?on_event:(Ddcr_trace.event -> unit) ->
-  ?fault:Rtnet_channel.Channel.fault ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->

@@ -231,8 +231,7 @@ let services_of st =
 
 let attach st = { st; services = services_of st }
 
-let create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
-    trace =
+let create ~protocol ~analyze ~sink ~inject ~phy ~num_sources ~horizon trace =
   let per_source v = Array.make num_sources v in
   attach
     {
@@ -242,7 +241,7 @@ let create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
       analyze;
       sink;
       inject;
-      channel = Channel.create ?fault phy;
+      channel = Channel.create phy;
       queues = per_source Edf_queue.empty;
       heads = per_source max_int;
       head_att = per_source no_attempt;
@@ -400,7 +399,7 @@ let slot { st; services } faults p ~decide ~after =
       List.filter (fun a -> st.alive.(a.Channel.att_source)) attempts
     | Some _ | None -> attempts
   in
-  let resolution = Channel.contend_under st.channel faults ~now attempts in
+  let resolution = Channel.contend st.channel faults ~now attempts in
   let next_free = Channel.free_at st.channel in
   if sink.Sink.enabled then sink.Sink.slot ~now ~next_free ~resolution;
   st.wire <- resolution;
@@ -500,11 +499,10 @@ let finish h =
     faults;
   }
 
-let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null) ?inject
-    ~phy ~num_sources ~horizon ~decide ~after trace =
+let run ~protocol ?plan ?(analyze = true) ?(sink = Sink.null) ?inject ~phy
+    ~num_sources ~horizon ~decide ~after trace =
   let h =
-    create ~protocol ~fault ~analyze ~sink ~inject ~phy ~num_sources ~horizon
-      trace
+    create ~protocol ~analyze ~sink ~inject ~phy ~num_sources ~horizon trace
   in
   let decide () = decide and after () = after in
   let rec loop () =

@@ -108,7 +108,6 @@ type t
 
 val create :
   protocol:string ->
-  fault:Rtnet_channel.Channel.fault option ->
   analyze:bool ->
   sink:Rtnet_telemetry.Sink.t ->
   inject:(now:int -> Rtnet_workload.Message.t list) option ->
@@ -138,7 +137,7 @@ val slot :
 (** [slot h faults p ~decide ~after] runs the slot at [now h] for the
     protocol state [p] (steps under {!run}).  Faults enter only through
     [faults], asked for liveness at the slot start, garbling of a lone
-    frame ({!Rtnet_channel.Channel.contend_under}) and misperception by
+    frame ({!Rtnet_channel.Channel.contend}) and misperception by
     each live listener; [None] means all live, observing the wire.
     @raise Mismatch as {!run} does; the state is then undefined. *)
 
@@ -187,7 +186,6 @@ val finish : t -> Rtnet_stats.Run.outcome
 
 val run :
   protocol:string ->
-  ?fault:Rtnet_channel.Channel.fault ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
@@ -231,11 +229,9 @@ val run :
     before the previous one ended fails the run with
     ["MAC safety violated: ..."].
 
-    [fault] is the legacy i.i.d. noise model, [plan] the composable
-    fault-plan model, handed to every {!slot}; they are mutually
-    exclusive (the channel rejects the pair at the first slot).  The
-    outcome's [faults] field is [Some] iff [plan] was
-    given.
+    [plan] is the run's fault model, handed to every {!slot}: every
+    garbled frame, misperception and crash comes from it.  The
+    outcome's [faults] field is [Some] iff [plan] was given.
 
     With [analyze] (default [true] — every harness run is
     invariant-checked unless explicitly opted out) every recorded

@@ -4,16 +4,21 @@ module Channel = Rtnet_channel.Channel
 let attempt ?(key = (0, 0)) src bits =
   { Channel.att_source = src; att_tag = 100 + src; att_bits = bits; att_key = key }
 
+(* A fault-free slot, with the start of the next one. *)
+let contend ch ~now attempts =
+  let res = Channel.contend ch None ~now attempts in
+  (res, Channel.free_at ch)
+
 let test_idle () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let res, next = Channel.contend ch ~now:0 [] in
+  let res, next = contend ch ~now:0 [] in
   Alcotest.(check bool) "idle" true (res = Channel.Idle);
   Alcotest.(check int) "advances one slot" 4096 next;
   Alcotest.(check int) "idle counted" 1 (Channel.stats ch).Channel.idle_slots
 
 let test_single_tx () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let res, next = Channel.contend ch ~now:0 [ attempt 3 12_000 ] in
+  let res, next = contend ch ~now:0 [ attempt 3 12_000 ] in
   (match res with
   | Channel.Tx { src; tag; on_wire } ->
     Alcotest.(check int) "src" 3 src;
@@ -25,7 +30,7 @@ let test_single_tx () =
 
 let test_destructive_clash () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let res, next = Channel.contend ch ~now:0 [ attempt 1 4000; attempt 2 4000 ] in
+  let res, next = contend ch ~now:0 [ attempt 1 4000; attempt 2 4000 ] in
   (match res with
   | Channel.Clash { contenders; survivor } ->
     Alcotest.(check int) "two contenders" 2 (List.length contenders);
@@ -38,7 +43,7 @@ let test_destructive_clash () =
 let test_arbitrated_clash () =
   let ch = Channel.create Phy.atm_bus in
   let res, next =
-    Channel.contend ch ~now:0
+    contend ch ~now:0
       [ attempt ~key:(900, 0) 1 384; attempt ~key:(100, 0) 2 384 ]
   in
   (match res with
@@ -54,7 +59,7 @@ let test_arbitrated_clash () =
 let test_arbitration_key_tie_breaks_by_source () =
   let ch = Channel.create Phy.atm_bus in
   let res, _ =
-    Channel.contend ch ~now:0
+    contend ch ~now:0
       [ attempt ~key:(100, 0) 7 384; attempt ~key:(100, 0) 3 384 ]
   in
   match res with
@@ -66,29 +71,29 @@ let test_arbitration_key_tie_breaks_by_source () =
 
 let test_busy_rejected () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let _, next = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
+  let _, next = contend ch ~now:0 [ attempt 1 8000 ] in
   Alcotest.check_raises "before free" (Invalid_argument "Channel.contend: channel busy")
-    (fun () -> ignore (Channel.contend ch ~now:(next - 1) []));
-  let res, _ = Channel.contend ch ~now:next [] in
+    (fun () -> ignore (contend ch ~now:(next - 1) []));
+  let res, _ = contend ch ~now:next [] in
   Alcotest.(check bool) "free again" true (res = Channel.Idle)
 
 let test_duplicate_source_rejected () =
   let ch = Channel.create Phy.gigabit_ethernet in
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Channel.contend: duplicate source in slot") (fun () ->
-      ignore (Channel.contend ch ~now:0 [ attempt 1 4000; attempt 1 4000 ]));
+      ignore (contend ch ~now:0 [ attempt 1 4000; attempt 1 4000 ]));
   Alcotest.check_raises "duplicate, not adjacent"
     (Invalid_argument "Channel.contend: duplicate source in slot") (fun () ->
       ignore
-        (Channel.contend ch ~now:0
+        (contend ch ~now:0
            [ attempt 3 4000; attempt 1 4000; attempt 2 4000; attempt 3 4000 ]))
 
 let test_safety_log () =
   let ch = Channel.create Phy.gigabit_ethernet in
   let last = Channel.last_carried ch in
   Alcotest.(check int) "nothing carried yet" (-1) last.Channel.c_src;
-  let _, n1 = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
-  let _, n2 = Channel.contend ch ~now:n1 [ attempt 2 8000 ] in
+  let _, n1 = contend ch ~now:0 [ attempt 1 8000 ] in
+  let _, n2 = contend ch ~now:n1 [ attempt 2 8000 ] in
   Alcotest.(check int) "two carried" 2 (Channel.stats ch).Channel.tx_count;
   (* The record is updated in place: the handle taken before the run
      now describes the second frame, back to back with the first. *)
@@ -102,7 +107,7 @@ let test_safety_log () =
 
 let test_stats_snapshot () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let _, n1 = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
+  let _, n1 = contend ch ~now:0 [ attempt 1 8000 ] in
   let snap = Channel.stats ch in
   let counters st =
     [
@@ -115,9 +120,9 @@ let test_stats_snapshot () =
     ]
   in
   let before = counters snap in
-  let _, n2 = Channel.contend ch ~now:n1 [ attempt 1 4000; attempt 2 4000 ] in
-  let _, n3 = Channel.contend ch ~now:n2 [] in
-  let _, _ = Channel.contend ch ~now:n3 [ attempt 2 8000 ] in
+  let _, n2 = contend ch ~now:n1 [ attempt 1 4000; attempt 2 4000 ] in
+  let _, n3 = contend ch ~now:n2 [] in
+  let _, _ = contend ch ~now:n3 [ attempt 2 8000 ] in
   let _ = Channel.burst ch ~src:2 ~tag:9 ~bits:1000 in
   Alcotest.(check (list int)) "snapshot unchanged by later slots" before
     (counters snap);
@@ -129,14 +134,14 @@ let test_stats_snapshot () =
 
 let test_utilization () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let _, n1 = Channel.contend ch ~now:0 [ attempt 1 12_000 ] in
-  let _, _ = Channel.contend ch ~now:n1 [] in
+  let _, n1 = contend ch ~now:0 [ attempt 1 12_000 ] in
+  let _, _ = contend ch ~now:n1 [] in
   let u = Channel.utilization ch in
   Alcotest.(check bool) "between 0 and 1" true (u > 0.7 && u < 1.0)
 
 let test_burst_extends_acquisition () =
   let ch = Channel.create Phy.gigabit_ethernet in
-  let _, n1 = Channel.contend ch ~now:0 [ attempt 1 8000 ] in
+  let _, n1 = contend ch ~now:0 [ attempt 1 8000 ] in
   let on_wire, n2 = Channel.burst ch ~src:1 ~tag:7 ~bits:5000 in
   Alcotest.(check int) "second frame appended" (n1 + on_wire) n2;
   Alcotest.(check int) "both carried" 2 (Channel.stats ch).Channel.tx_count;
@@ -148,7 +153,7 @@ let test_burst_extends_acquisition () =
   Alcotest.check_raises "stranger"
     (Invalid_argument "Channel.burst: source does not hold the channel")
     (fun () -> ignore (Channel.burst ch ~src:2 ~tag:8 ~bits:1000));
-  let _, _ = Channel.contend ch ~now:n2 [] in
+  let _, _ = contend ch ~now:n2 [] in
   Alcotest.check_raises "after idle slot"
     (Invalid_argument "Channel.burst: source does not hold the channel")
     (fun () -> ignore (Channel.burst ch ~src:1 ~tag:9 ~bits:1000))
@@ -159,7 +164,7 @@ let prop_resolution_cases =
     (fun n ->
       let ch = Channel.create Phy.classic_ethernet in
       let attempts = List.init n (fun i -> attempt i 1000) in
-      let res, _ = Channel.contend ch ~now:0 attempts in
+      let res, _ = contend ch ~now:0 attempts in
       match (n, res) with
       | 0, Channel.Idle -> true
       | 1, Channel.Tx _ -> true

@@ -12,6 +12,7 @@ module Message = Rtnet_workload.Message
 module Arrival = Rtnet_workload.Arrival
 module Phy = Rtnet_channel.Phy
 module Channel = Rtnet_channel.Channel
+module Fault_plan = Rtnet_channel.Fault_plan
 module Run = Rtnet_stats.Run
 
 type case = {
@@ -19,8 +20,11 @@ type case = {
   params : Ddcr_params.t;
   horizon : int;
   seed : int;
-  fault : Channel.fault option;
+  fault : Fault_plan.spec option;
 }
+
+(* A fresh sampler per run: plans are stateful. *)
+let plan c = Option.map (fun sp -> Fault_plan.create ~seed:c.seed sp) c.fault
 
 let case_gen =
   let open QCheck.Gen in
@@ -83,9 +87,7 @@ let case_gen =
   in
   let* seed = int_range 1 1_000_000 in
   let* faulty = bool in
-  let fault =
-    if faulty then Some { Channel.fault_rate = 0.05; fault_seed = seed } else None
-  in
+  let fault = if faulty then Some (Fault_plan.iid 0.05) else None in
   return { instance; params; horizon; seed; fault }
 
 let case_arb =
@@ -127,7 +129,7 @@ let prop_conformance =
       let trace = Instance.trace c.instance ~seed:c.seed ~horizon:c.horizon in
       (* Lockstep + channel safety asserted inside the run. *)
       let o =
-        Ddcr.run_trace ~check_lockstep:true ?fault:c.fault c.params c.instance
+        Ddcr.run_trace ~check_lockstep:true ?plan:(plan c) c.params c.instance
           trace ~horizon:c.horizon
       in
       let conserved =
@@ -164,7 +166,7 @@ let prop_baselines_conserve =
           c.instance trace ~horizon:c.horizon
       in
       let beb =
-        Rtnet_baselines.Csma_cd_beb.run_trace ?fault:c.fault ~seed:c.seed
+        Rtnet_baselines.Csma_cd_beb.run_trace ?plan:(plan c) ~seed:c.seed
           c.instance trace ~horizon:c.horizon
       in
       let contract o =

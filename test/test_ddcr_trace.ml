@@ -4,14 +4,15 @@ module Ddcr_trace = Rtnet_core.Ddcr_trace
 module Scenarios = Rtnet_workload.Scenarios
 module Instance = Rtnet_workload.Instance
 module Channel = Rtnet_channel.Channel
+module Fault_plan = Rtnet_channel.Fault_plan
 module Run = Rtnet_stats.Run
 
 let ms = 1_000_000
 
-let run_with_trace ?fault inst ~seed ~horizon =
+let run_with_trace ?plan inst ~seed ~horizon =
   let params = Ddcr_params.default inst in
   let record, finish = Ddcr_trace.collector () in
-  let outcome = Ddcr.run ~on_event:record ?fault ~seed params inst ~horizon in
+  let outcome = Ddcr.run ~on_event:record ?plan ~seed params inst ~horizon in
   (outcome, finish ())
 
 let test_totals_reconcile_with_channel () =
@@ -89,8 +90,8 @@ let test_burst_frames_traced () =
 
 let test_garbled_traced () =
   let inst = Scenarios.videoconference ~stations:4 in
-  let fault = { Channel.fault_rate = 0.3; fault_seed = 99 } in
-  let outcome, events = run_with_trace ~fault inst ~seed:3 ~horizon:(20 * ms) in
+  let plan = Fault_plan.create ~seed:99 (Fault_plan.iid 0.3) in
+  let outcome, events = run_with_trace ~plan inst ~seed:3 ~horizon:(20 * ms) in
   let s = Ddcr_trace.summarize events in
   Alcotest.(check bool) "garbled events seen" true (s.Ddcr_trace.garbled_slots > 0);
   match outcome.Run.channel with

@@ -1,5 +1,6 @@
 module Json = Rtnet_util.Json
 module Channel = Rtnet_channel.Channel
+module Fault_plan = Rtnet_channel.Fault_plan
 module Scenarios = Rtnet_workload.Scenarios
 module Instance = Rtnet_workload.Instance
 module Message = Rtnet_workload.Message
@@ -171,9 +172,9 @@ let test_engine_on_step () =
       ~slot:(fun ~now ~next_free:_ ~resolution:_ -> slots := now :: !slots)
       ()
   in
-  let fault = { Channel.fault_rate = 0.1; fault_seed = 7 } in
+  let plan = Fault_plan.create ~seed:7 (Fault_plan.iid 0.1) in
   let o =
-    Ddcr.run ~seed:11 ~fault
+    Ddcr.run ~seed:11 ~plan
       ~sink:(Sink.tee (Recorder.sink r) probe)
       params inst ~horizon
   in
