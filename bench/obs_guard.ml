@@ -9,6 +9,11 @@
    is pinned by allocation instead: the unit test "slot allocation
    pinned at 16 stations" (test/test_ddcr.ml) runs with the null sink.
 
+   The two runs alternate, one pair per round, and the gate reads the
+   median of the per-round ratios ([Paired.paired], shared with
+   slot_guard): two separately timed batches drift apart on a shared
+   machine, and the 400 rounds take about 0.1 s.
+
    Run directly (it is part of `make obs-smoke`):
      dune exec bench/obs_guard.exe *)
 
@@ -26,6 +31,8 @@ let ms = 1_000_000
    that stops being bounded) lands far above this. *)
 let threshold = 1.5
 
+let rounds = 400
+
 let () =
   let uniform =
     Scenarios.uniform ~sources:8 ~classes_per_source:2 ~load:0.4
@@ -33,56 +40,24 @@ let () =
   in
   let params = Ddcr_params.default uniform in
   let trace = Instance.trace uniform ~seed:1 ~horizon:(2 * ms) in
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"obs_guard"
-      [
-        Test.make ~name:"default"
-          (Staged.stage (fun () ->
-               ignore (Ddcr.run_trace params uniform trace ~horizon:(2 * ms))));
-        Test.make ~name:"flight_ring"
-          (Staged.stage (fun () ->
-               let f = Flight.create ~segment:"guard" () in
-               ignore
-                 (Ddcr.run_trace ~sink:(Flight.sink f) params uniform trace
-                    ~horizon:(2 * ms))));
-      ]
+  let default () = Ddcr.run_trace params uniform trace ~horizon:(2 * ms) in
+  let flight_ring () =
+    let f = Flight.create ~segment:"guard" () in
+    Ddcr.run_trace ~sink:(Flight.sink f) params uniform trace
+      ~horizon:(2 * ms)
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None ()
+  let base, ring, ratio =
+    Paired.paired ~rounds (default, 1.) (flight_ring, 1.)
   in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimate name =
-    let key = "obs_guard/" ^ name in
-    match Hashtbl.find_opt results key with
-    | None -> None
-    | Some r -> (
-      match Analyze.OLS.estimates r with
-      | Some (est :: _) -> Some est
-      | Some [] | None -> None)
-  in
-  match (estimate "default", estimate "flight_ring") with
-  | Some base, Some ring ->
-    let ratio = ring /. base in
+  Printf.printf
+    "obs_guard: default %.0f ns/run, flight_ring %.0f ns/run (median ratio \
+     of %d rounds %.3fx)\n"
+    base ring rounds ratio;
+  if ratio > threshold then begin
     Printf.printf
-      "obs_guard: default %.0f ns/run, flight_ring %.0f ns/run (%.3fx)\n"
-      base ring ratio;
-    if ratio > threshold then begin
-      Printf.printf
-        "obs_guard: FAIL — the flight ring costs %.3fx > %.2fx the run \
-         without a sink\n"
-        ratio threshold;
-      exit 1
-    end
-    else Printf.printf "obs_guard: ok (threshold %.2fx)\n" threshold
-  | _ ->
-    (* A missing estimate means Bechamel could not fit the model —
-       treat as an infrastructure failure, not a perf regression. *)
-    Printf.printf "obs_guard: could not estimate both runs\n";
-    exit 2
+      "obs_guard: FAIL — the flight ring costs %.3fx > %.2fx the run \
+       without a sink\n"
+      ratio threshold;
+    exit 1
+  end
+  else Printf.printf "obs_guard: ok (threshold %.2fx)\n" threshold

@@ -22,7 +22,8 @@
    one; a slot that allocates per station query lands well above it.
 
    The runs are timed with Bechamel's monotonic clock, alternating, one
-   pair per round (see [rounds] below).
+   pair per round, and each arm reads the median of the per-round
+   ratios ([Paired.paired]).
 
    Run directly (it is part of `make slot-guard`):
      dune exec bench/slot_guard.exe *)
@@ -132,41 +133,11 @@ let slots (o : Run.outcome) =
     + s.Channel.garbled_count
   | None -> 0
 
-(* Median of a non-empty array, sorted in place. *)
-let median a =
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 let rounds = 150
 
-(* Wall time of one call, from Bechamel's monotonic clock. *)
-let time f =
-  let t0 = Monotonic_clock.now () in
-  ignore (Sys.opaque_identity (f ()));
-  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
-
-(* Times [a] and [b], alternating, one pair per round, and returns the
-   median ns per slot of each and the median of the per-round ratios
-   of [b]'s ns per slot to [a]'s.  On a shared machine the speed
-   drifts between rounds, which a ratio of two separate batches would
-   read as a cost of [b]. *)
-let paired (a, slots_a) (b, slots_b) =
-  let t_a = Array.make rounds 0. and t_b = Array.make rounds 0. in
-  let ratios =
-    Array.init rounds (fun i ->
-        let ta, tb =
-          if i land 1 = 0 then
-            let ta = time a in
-            (ta, time b)
-          else
-            let tb = time b in
-            (time a, tb)
-        in
-        t_a.(i) <- ta /. slots_a;
-        t_b.(i) <- tb /. slots_b;
-        t_b.(i) /. t_a.(i))
-  in
-  (median t_a, median t_b, median ratios)
+(* The median ns per slot of each run and the median per-round ratio
+   ([Paired.paired]). *)
+let paired = Paired.paired ~rounds
 
 let scaling () =
   let alone = run dense and crowded = run with_silent in
