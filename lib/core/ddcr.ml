@@ -637,10 +637,14 @@ let rec rejoin t services = function
 module Slot = struct
   type t = slot
 
+  (* With nothing queued every head is [max_int], outside any band, so
+     an idle bus costs nothing per station; the band is still set, so
+     its checks still run. *)
   let decide t _services ~now:_ =
     let b = t.cfg.band in
     Step.set_band b t.cfg.params t.shared;
-    attempts t b (Harness.head_deadlines t.h) (Array.length t.ranks - 1) []
+    if Harness.queued_total t.h = 0 then []
+    else attempts t b (Harness.head_deadlines t.h) (Array.length t.ranks - 1) []
 
   (* Packet bursting (Section 5): the acquiring source may append
      further EDF-ranked frames while they fit in the budget.  The burst

@@ -80,6 +80,7 @@ type state = {
      on first demand ([no_attempt] until then). *)
   heads : int array;
   head_att : Channel.attempt array;
+  mutable queued_total : int; (* messages in all queues *)
   mutable arrivals : Message.t list; (* undelivered, in arrival order *)
   mutable now : int; (* start of the next slot *)
   mutable completions : Run.completion list; (* most recent first *)
@@ -147,6 +148,7 @@ let rec deliver_from st now = function
            s st.num_sources);
     let q = Edf_queue.insert st.queues.(s) m in
     st.queues.(s) <- q;
+    st.queued_total <- st.queued_total + 1;
     if Edf_queue.head q == m then refresh st s;
     if st.sink.Sink.enabled then st.sink.Sink.enqueue ~now ~msg:m;
     deliver_from st now rest
@@ -193,6 +195,7 @@ let complete st m ~start ~finish =
 (* Removes [src]'s head, which the caller has read. *)
 let remove_head st src =
   st.queues.(src) <- Edf_queue.rest st.queues.(src);
+  st.queued_total <- st.queued_total - 1;
   refresh st src
 
 let pop st src =
@@ -245,6 +248,7 @@ let create ~protocol ~analyze ~sink ~inject ~phy ~num_sources ~horizon trace =
       queues = per_source Edf_queue.empty;
       heads = per_source max_int;
       head_att = per_source no_attempt;
+      queued_total = 0;
       arrivals = sorted trace;
       now = 0;
       completions = [];
@@ -448,6 +452,7 @@ let head_attempt { st; _ } s =
 
 let deviants h = h.st.deviants
 let queued h src = Edf_queue.to_sorted_list h.st.queues.(src)
+let queued_total h = h.st.queued_total
 let pending h = h.st.arrivals
 let completions h = h.st.completions
 

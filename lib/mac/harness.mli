@@ -169,6 +169,11 @@ val deviants : t -> int list
 
 val queued : t -> int -> Rtnet_workload.Message.t list  (** Head first. *)
 
+val queued_total : t -> int
+(** The number of messages in all queues, kept as they are delivered
+    and removed: when it is 0, every entry of {!head_deadlines} is
+    [max_int]. *)
+
 val pending : t -> Rtnet_workload.Message.t list
 (** The undelivered arrivals, in {!arrival_order}. *)
 

@@ -640,6 +640,37 @@ let test_pinned_64_stations () =
           ~deadline_windows:2.0)
        ~horizon:(20 * ms))
 
+(* The harness's queued count, which lets an idle slot skip the
+   per-station scan, equals the summed queue lengths after every slot
+   of a faulty, bursting run: bursts pop, crashes and desyncs leave
+   messages queued. *)
+let test_queued_total_tracks_queues () =
+  let horizon = 4 * ms in
+  let inst = faulty_instance () in
+  let params = Ddcr_params.with_burst (Ddcr_params.default inst) 65_536 in
+  let t =
+    Ddcr.Slot.create params inst (Instance.trace inst ~seed:1 ~horizon) ~horizon
+  in
+  let plan = Some (faulty_plan ~horizon) in
+  let h = Ddcr.Slot.harness t in
+  let summed () =
+    List.fold_left
+      (fun acc s -> acc + List.length (Rtnet_mac.Harness.queued h s))
+      0
+      (List.init inst.Instance.num_sources Fun.id)
+  in
+  let slots = ref 0 and empty = ref 0 in
+  while Ddcr.Slot.now t < horizon do
+    Ddcr.Slot.step t plan;
+    incr slots;
+    let n = Rtnet_mac.Harness.queued_total h in
+    if n = 0 then incr empty;
+    if n <> summed () then
+      Alcotest.failf "slot %d at t=%d: queued_total %d, queues hold %d" !slots
+        (Ddcr.Slot.now t) n (summed ())
+  done;
+  Alcotest.(check bool) "some slots end with nothing queued" true (!empty > 0)
+
 let suite =
   [
     ( "ddcr",
@@ -684,5 +715,7 @@ let suite =
           test_pinned_faulty;
         Alcotest.test_case "64-station outcome pinned" `Quick
           test_pinned_64_stations;
+        Alcotest.test_case "queued count tracks the queues" `Quick
+          test_queued_total_tracks_queues;
       ] );
   ]

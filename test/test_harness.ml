@@ -151,6 +151,40 @@ let test_drop_accounting () =
   Alcotest.(check int) "all count as misses" 2
     (Run.metrics o).Run.deadline_misses
 
+(* The queued count after a run that drops as BEB does: a source
+   whose head collides gives it up (pop, then drop). *)
+let test_queued_total_after_drops () =
+  let trace = List.init 12 (fun i -> msg i (i mod 2) (i * 400)) in
+  let after services ~now:_ ~resolution ~next_free =
+    (match resolution with
+    | Channel.Clash { contenders; survivor = None } ->
+      List.iter
+        (fun (src, _) ->
+          match services.Harness.pop src with
+          | Some m -> services.Harness.drop m
+          | None -> ())
+        contenders
+    | Channel.Idle | Channel.Tx _ | Channel.Garbled _ | Channel.Clash _ -> ());
+    next_free
+  in
+  let h =
+    Harness.create ~protocol:"dropper" ~analyze:true ~sink:Sink.null
+      ~inject:None ~phy ~num_sources:2 ~horizon:20_000 trace
+  in
+  while Harness.now h < 20_000 do
+    Harness.slot h None () ~decide:(fun () -> aloha_decide)
+      ~after:(fun () -> after)
+  done;
+  let o = Harness.finish h in
+  Alcotest.(check bool) "some dropped" true (o.Run.dropped <> []);
+  Alcotest.(check bool) "some completed" true (o.Run.completions <> []);
+  Alcotest.(check int) "count equals the queues"
+    (List.length (Harness.queued h 0) + List.length (Harness.queued h 1))
+    (Harness.queued_total h);
+  Alcotest.(check int) "every delivered message accounted" 12
+    (List.length o.Run.completions + List.length o.Run.dropped
+   + Harness.queued_total h + List.length (Harness.pending h))
+
 let test_arrivals_beyond_horizon_excluded () =
   let trace = [ msg 0 0 0; msg 1 0 999_999 ] in
   let o =
@@ -536,6 +570,8 @@ let suite =
           test_analyze_wrong_finish;
         Alcotest.test_case "analyze: uncompleted frame" `Quick
           test_analyze_uncompleted_frame;
+        Alcotest.test_case "queued count after drops" `Quick
+          test_queued_total_after_drops;
       ] );
     ( "engine",
       [
