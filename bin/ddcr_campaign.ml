@@ -21,7 +21,6 @@ module Spec = Rtnet_campaign.Spec
 module Runner = Rtnet_campaign.Runner
 module Report = Rtnet_campaign.Report
 module Pool = Rtnet_campaign.Pool
-module Sink = Rtnet_telemetry.Sink
 module Recorder = Rtnet_telemetry.Recorder
 module Registry = Rtnet_telemetry.Registry
 
@@ -117,7 +116,7 @@ let spec_of name spec_file =
   | None, None -> Error "pass a builtin campaign name or --spec FILE"
 
 (* Builds the runner options and, when profiling, the telemetry
-   recorder fed by the pool's worker probes.  The rich --progress line
+   recorder fed the pool's worker timings.  The rich --progress line
    and the profile recorder share one wall-clock origin so throughput,
    ETA and the worker timeline agree. *)
 let options_of spec ~jobs ~out ~resume ~max_cells ~quiet ~rich_progress
@@ -147,17 +146,17 @@ let options_of spec ~jobs ~out ~resume ~max_cells ~quiet ~rich_progress
             (elapsed_s *. 1000.))
   in
   let recorder = if profile then Some (Recorder.create ~wall0:t0 ()) else None in
-  let sink =
-    match recorder with Some r -> Recorder.sink r | None -> Sink.null
-  in
+  let options = Runner.default_options ~out in
   ( {
-      (Runner.default_options ~out) with
+      options with
       Runner.jobs = (if jobs <= 0 then Pool.default_jobs () else jobs);
       resume;
       max_cells;
       progress;
       telemetry = profile;
-      sink;
+      on_cell =
+        Option.fold ~none:options.Runner.on_cell ~some:Recorder.worker_cell
+          recorder;
     },
     recorder )
 

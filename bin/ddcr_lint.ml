@@ -170,15 +170,15 @@ let lint_one ~strict ~seed ~trace_horizon params inst =
   | Some _ when structurally_broken -> cfg
   | Some horizon ->
     let workload = Instance.trace inst ~seed ~horizon in
-    let record, finish = Ddcr_trace.collector () in
-    let outcome = Ddcr.run_trace ~on_event:record params inst workload ~horizon in
+    let sink, finish = Ddcr_trace.collector () in
+    let outcome = Ddcr.run_trace ~sink params inst workload ~horizon in
     cfg @ Trace_check.check_run ~workload ~outcome (finish ())
 
 let dump ~seed ~horizon params inst path =
   let workload = Instance.trace inst ~seed ~horizon in
-  let record, finish = Ddcr_trace.collector () in
+  let sink, finish = Ddcr_trace.collector () in
   let (_ : Rtnet_stats.Run.outcome) =
-    Ddcr.run_trace ~on_event:record params inst workload ~horizon
+    Ddcr.run_trace ~sink params inst workload ~horizon
   in
   let deadlines = Hashtbl.create 256 in
   List.iter

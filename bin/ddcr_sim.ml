@@ -80,12 +80,10 @@ let headroom_flag =
           "Print the per-class bound-headroom table (observed worst access \
            delay vs. the analytic B_DDCR/B_impl bounds) for the DDCR run.")
 
-let run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~on_event ~sink
-    =
+let run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~sink =
   match name with
   | "ddcr" ->
-    Ddcr.run_trace ~check_lockstep:lockstep ?on_event ~sink params inst trace
-      ~horizon
+    Ddcr.run_trace ~check_lockstep:lockstep ~sink params inst trace ~horizon
   | "beb" -> Beb.run_trace ~seed inst trace ~horizon
   | "dcr" -> Dcr.run_trace (Dcr.of_ddcr params) inst trace ~horizon
   | "tdma" -> Tdma.run_trace inst trace ~horizon
@@ -127,7 +125,7 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
   end;
   List.iter
     (fun name ->
-      let recorder =
+      let collected =
         if trace_summary && name = "ddcr" then Some (Ddcr_trace.collector ())
         else None
       in
@@ -141,15 +139,15 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
         else None
       in
       let sink =
-        match tele with Some r -> Recorder.sink r | None -> Sink.null
+        Sink.tee
+          (Option.fold ~none:Sink.null ~some:fst collected)
+          (Option.fold ~none:Sink.null ~some:Recorder.sink tele)
       in
-      let on_event = Option.map fst recorder in
       let o =
-        run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~on_event
-          ~sink
+        run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~sink
       in
       Format.printf "%-14s %a@." o.Run.protocol Run.pp_metrics (Run.metrics o);
-      (match recorder with
+      (match collected with
       | Some (_, finish) ->
         Format.printf "%a@." Ddcr_trace.pp_summary
           (Ddcr_trace.summarize (finish ()))

@@ -1,5 +1,4 @@
 module Json = Rtnet_util.Json
-module Sink = Rtnet_telemetry.Sink
 
 type config = {
   sv_chunk : int;
@@ -69,8 +68,7 @@ let summary_to_json s =
    sequence number, which is what makes [--resume] reproduce the exact
    same shed/degrade pattern a crashed run would have produced. *)
 
-let run ?(sink = Sink.null) ?log ?journal ?snapshot config engine ~start
-    requests =
+let run ?log ?journal ?snapshot config engine ~start requests =
   let total = start + List.length requests in
   let chunk = config.sv_chunk in
   let accepted = ref 0 in
@@ -91,16 +89,8 @@ let run ?(sink = Sink.null) ?log ?journal ?snapshot config engine ~start
       let pos = seq - chunk_start in
       let backlog = n - pos in
       let degraded = n >= config.sv_high && backlog > config.sv_low in
-      if degraded && not !was_degraded then begin
-        incr degraded_on;
-        if sink.Sink.enabled then
-          sink.Sink.service ~component:"admit" ~degraded:true ~backlog
-      end
-      else if (not degraded) && !was_degraded then begin
-        incr degraded_off;
-        if sink.Sink.enabled then
-          sink.Sink.service ~component:"admit" ~degraded:false ~backlog
-      end;
+      if degraded && not !was_degraded then incr degraded_on
+      else if (not degraded) && !was_degraded then incr degraded_off;
       was_degraded := degraded;
       let shed_all = pos >= config.sv_capacity in
       let shed_load =
@@ -145,11 +135,7 @@ let run ?(sink = Sink.null) ?log ?journal ?snapshot config engine ~start
   Option.iter flush log;
   (* Leaving the run while degraded closes the episode, so Degraded /
      Restored counts pair up in the summary. *)
-  if !was_degraded then begin
-    incr degraded_off;
-    if sink.Sink.enabled then
-      sink.Sink.service ~component:"admit" ~degraded:false ~backlog:0
-  end;
+  if !was_degraded then incr degraded_off;
   {
     sm_processed = List.length requests;
     sm_accepted = !accepted;

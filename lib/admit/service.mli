@@ -13,9 +13,8 @@
       ([Overloaded] with a [retry_after] backlog hint);
     - a chunk of size ≥ [sv_high] starts {e degraded}: [Add]/[Modify]
       requests are shed (a [Remove] still runs — evictions relieve
-      load) until the backlog drains to [sv_low].  Transitions are
-      emitted through the {!Rtnet_telemetry.Sink.t.service} probe as
-      Degraded/Restored events.
+      load) until the backlog drains to [sv_low].  The summary counts
+      the Degraded and Restored transitions.
 
     A differential self-check ({!Engine.selfcheck}) runs on every
     decision under [sv_paranoid], or every [sv_selfcheck_every]-th
@@ -52,7 +51,6 @@ type summary = {
 val summary_to_json : summary -> Rtnet_util.Json.t
 
 val run :
-  ?sink:Rtnet_telemetry.Sink.t ->
   ?log:out_channel ->
   ?journal:(Journal.record -> unit) ->
   ?snapshot:(seq:int -> Rtnet_util.Json.t -> unit) ->

@@ -1,5 +1,4 @@
 module Diagnostic = Rtnet_analysis.Diagnostic
-module Sink = Rtnet_telemetry.Sink
 
 type options = {
   jobs : int;
@@ -10,7 +9,8 @@ type options = {
   progress : (done_:int -> total:int -> key:string -> elapsed_s:float -> unit)
              option;
   telemetry : bool;
-  sink : Sink.t;
+  on_cell :
+    worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit;
 }
 
 let default_options ~out =
@@ -22,7 +22,7 @@ let default_options ~out =
     max_cells = None;
     progress = None;
     telemetry = false;
-    sink = Sink.null;
+    on_cell = (fun ~worker:_ ~key:_ ~t0:_ ~t1:_ ~ok:_ -> ());
   }
 
 let order_failures l =
@@ -124,9 +124,8 @@ let run options spec =
       let oc = Checkpoint.open_for_append ~path ~spec in
       let failures = ref [] in
       let worker_probe tm key ok =
-        if options.sink.Sink.enabled then
-          options.sink.Sink.worker_cell ~worker:tm.Pool.worker ~key
-            ~t0:tm.Pool.t0 ~t1:tm.Pool.t1 ~ok
+        options.on_cell ~worker:tm.Pool.worker ~key ~t0:tm.Pool.t0
+          ~t1:tm.Pool.t1 ~ok
       in
       let on_event = function
         | Pool.Result (i, tm, r) ->

@@ -28,15 +28,18 @@ type options = {
       (** have each DDCR cell record a telemetry snapshot, embedded in
           the report behind the optional ["telemetry"] key (absent
           when off, so report fingerprints are unchanged) *)
-  sink : Rtnet_telemetry.Sink.t;
-      (** coordinator-side sink; receives one [worker_cell] probe per
-          pool event (the wall-clock worker timeline) *)
+  on_cell :
+    worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit;
+      (** called in the coordinator once per pool event: worker
+          [worker] ran cell [key] over wall-clock [\[t0, t1\]] (Unix
+          epoch seconds), [ok] false if it raised — the wall-clock
+          worker timeline *)
 }
 
 val default_options : out:string -> options
 (** [jobs = Pool.default_jobs ()], journal derived from [out], no
-    resume, no cap, no progress callback, telemetry off,
-    [Sink.null]. *)
+    resume, no cap, no progress callback, telemetry off, an [on_cell]
+    that does nothing. *)
 
 val order_failures : (int * string) list -> string list
 (** [order_failures l] sorts [(submission position, message)] pairs by

@@ -78,11 +78,10 @@ let run ?postmortem:_ env cd =
   let params =
     match env.cf_params with Some p -> p | None -> Ddcr_params.default inst
   in
-  let record, finish = Ddcr_trace.collector () in
+  let sink, finish = Ddcr_trace.collector () in
   let plan = Fault_plan.create ~horizon ~seed:cd.cd_fault_seed cd.cd_plan in
   let outcome =
-    Ddcr.run_trace ~check_lockstep:true ~on_event:record ~plan params inst
-      trace ~horizon
+    Ddcr.run_trace ~check_lockstep:true ~sink ~plan params inst trace ~horizon
   in
   Ok
     {

@@ -1,7 +1,5 @@
 module Pool = Rtnet_campaign.Pool
 module Oracle = Rtnet_analysis.Oracle
-module Registry = Rtnet_telemetry.Registry
-module Sink = Rtnet_telemetry.Sink
 
 type ('e, 's) config = {
   s_env : 'e;
@@ -47,10 +45,8 @@ type 'c result = {
   r_exhausted : bool;
 }
 
-let run ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ()) subject
-    config =
+let run ?(log = fun (_ : string) -> ()) subject config =
   let candidates = Array.init config.s_count (candidate_of subject config) in
-  let count key = Option.iter (fun r -> Registry.incr r key) registry in
   let t0 = Unix.gettimeofday () in
   let should_stop () =
     match config.s_wall_budget_s with
@@ -62,19 +58,10 @@ let run ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ()) subject
   let task_errors = ref [] in
   let gave_up = ref [] in
   let examined = ref 0 in
-  let cell pos (timing : Pool.timing) ~ok =
-    incr examined;
-    count "chaos/candidates";
-    sink.Sink.worker_cell ~worker:timing.Pool.worker
-      ~key:(Printf.sprintf "cand%d" pos)
-      ~t0:timing.Pool.t0 ~t1:timing.Pool.t1 ~ok
-  in
   let on_event = function
-    | Pool.Completed (pos, timing, report) ->
-      let ok = not (Oracle.is_failure report.Subject.rp_verdict) in
-      cell pos timing ~ok;
-      if not ok then begin
-        count "chaos/findings";
+    | Pool.Completed (pos, _, report) ->
+      incr examined;
+      if Oracle.is_failure report.Subject.rp_verdict then begin
         findings :=
           { fi_index = pos; fi_candidate = candidates.(pos); fi_report = report }
           :: !findings;
@@ -82,15 +69,12 @@ let run ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ()) subject
           (Printf.sprintf "candidate %d: %s" pos
              (Oracle.describe report.Subject.rp_verdict))
       end
-    | Pool.Task_error (pos, timing, e) ->
-      cell pos timing ~ok:false;
-      count "chaos/task_errors";
+    | Pool.Task_error (pos, _, e) ->
+      incr examined;
       task_errors := (pos, e) :: !task_errors;
       log (Printf.sprintf "candidate %d: task error: %s" pos e)
     | Pool.Gave_up { position; attempts; reason } ->
       incr examined;
-      count "chaos/candidates";
-      count "chaos/gave_up";
       gave_up :=
         {
           gu_index = position;
@@ -106,7 +90,6 @@ let run ?registry ?(sink = Sink.null) ?(log = fun (_ : string) -> ()) subject
     (Pool.supervise ~jobs:config.s_jobs ?watchdog_s:config.s_watchdog_s
        ~retries:config.s_retries ~backoff_s:config.s_backoff_s
        ~on_retry:(fun ~position ~attempt ~reason ->
-         count "chaos/retries";
          log
            (Printf.sprintf "candidate %d: retry %d (%s)" position attempt
               reason))

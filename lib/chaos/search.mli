@@ -53,15 +53,9 @@ type 'c result = {
 }
 
 val run :
-  ?registry:Rtnet_telemetry.Registry.t ->
-  ?sink:Rtnet_telemetry.Sink.t ->
   ?log:(string -> unit) ->
   ('e, 's, 'c) Subject.t ->
   ('e, 's) config ->
   'c result
-(** [run subject config] executes the search.  [registry] (optional)
-    receives the chaos counters ([chaos/candidates], [chaos/findings],
-    [chaos/retries], [chaos/gave_up], [chaos/task_errors]); [sink]
-    receives one [worker_cell] probe per candidate (wall-clock
-    timeline, Perfetto-exportable via {!Rtnet_telemetry.Recorder});
-    [log] receives one progress line per notable event. *)
+(** [run subject config] executes the search.  [log] receives one
+    progress line per notable event. *)

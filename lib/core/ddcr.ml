@@ -435,23 +435,15 @@ module Step = struct
       else Ok ()
 end
 
-let via_of_phase = function
-  | Step.Free -> Ddcr_trace.Free_csma
-  | Step.Attempt -> Ddcr_trace.Open_attempt
-  | Step.Tts _ -> Ddcr_trace.Time_tree
-  | Step.Sts _ -> Ddcr_trace.Static_tree
-
 module Harness = Rtnet_mac.Harness
 
-(* What copies of one run share: the parameters, the listeners, and
+(* What copies of one run share: the parameters, the sink, and
    scratch rewritten by every slot — the step memo (the slot's
    distinct (replica, observation) pairs, in the order first met, and
    their results) and the deadline band. *)
 type slot_config = {
   params : Ddcr_params.t;
   check_lockstep : bool;
-  on_event : (Ddcr_trace.event -> unit) option;
-  tracing : bool; (* trace events are built only when someone listens *)
   sink : Sink.t;
   memo_pre : Step.state array;
   memo_obs : Channel.resolution array;
@@ -481,17 +473,11 @@ type slot = {
      boundary. *)
   synced : bool array;
   prev_alive : bool array;
-  (* Open tree-search spans (start bit-time, -1 when closed), for the
-     telemetry [search] probe. *)
-  mutable tts_start : int;
-  mutable sts_start : int;
-  mutable sts_sent : bool;
 }
 
 (* The mark of a station holding the shared replica; never a state. *)
 let sharing = { Step.phase = Step.Free; reft = -1; rank = 0; last_out = false }
 
-let emit t ev = match t.cfg.on_event with Some f -> f ev | None -> ()
 let differs t s = t.replicas.(s) != sharing
 
 let state_of t s =
@@ -595,7 +581,9 @@ let resync t services ~next_free s st =
   t.ranks.(s) <- 0;
   t.synced.(s) <- true;
   services.Harness.mark_resync s;
-  if t.cfg.tracing then emit t (Ddcr_trace.Resync { time = next_free; source = s })
+  let sink = t.cfg.sink in
+  if sink.Sink.enabled then
+    sink.Sink.mark ~time:next_free (Sink.Resync { source = s })
 
 let rec resync_all t services ~next_free st = function
   | [] -> ()
@@ -667,16 +655,6 @@ module Slot = struct
               ~bits:m.Message.cls.Message.cls_bits
           in
           services.Harness.complete m ~start ~finish:(start + on_wire);
-          if t.cfg.tracing then
-            emit t
-              (Ddcr_trace.Frame_sent
-                 {
-                   time = start;
-                   finish = start + on_wire;
-                   source = src;
-                   uid = m.Message.uid;
-                   via = Ddcr_trace.Bursting;
-                 });
           burst t services src (start + on_wire) (budget - on_wire)
         | None -> start)
       | Some _ | None -> start
@@ -688,12 +666,15 @@ module Slot = struct
     | [] -> ()
     | s :: rest ->
       let alive = services.Harness.alive s in
+      let sink = t.cfg.sink in
       (match (t.prev_alive.(s), alive) with
       | true, false ->
         t.synced.(s) <- false;
-        if t.cfg.tracing then emit t (Ddcr_trace.Crash { time = now; source = s })
+        if sink.Sink.enabled then
+          sink.Sink.mark ~time:now (Sink.Crash { source = s })
       | false, true ->
-        if t.cfg.tracing then emit t (Ddcr_trace.Rejoin { time = now; source = s })
+        if sink.Sink.enabled then
+          sink.Sink.mark ~time:now (Sink.Rejoin { source = s })
       | _ -> ());
       t.prev_alive.(s) <- alive;
       liveness t services ~now rest
@@ -747,8 +728,9 @@ module Slot = struct
           if member s && not (Step.same_shared states.(s) states.(r)) then begin
             diverge t s;
             t.synced.(s) <- false;
-            if t.cfg.tracing then
-              emit t (Ddcr_trace.Desync { time = next_free; source = s })
+            let sink = t.cfg.sink in
+            if sink.Sink.enabled then
+              sink.Sink.mark ~time:next_free (Sink.Desync { source = s })
           end
         done
       | None -> ()
@@ -793,64 +775,57 @@ module Slot = struct
       t.differing <- rejoin t services t.differing
     end
 
+  (* The tree-search brackets, from the reference replica's phase
+     before and after the slot; an unproductive TTs compresses time:
+     reft jumped ahead by θ without consuming slots (Section 4.3). *)
+  let search_marks t ~next_free pre post =
+    let sink = t.cfg.sink in
+    let tts_end () =
+      let sent = post.Step.last_out and reft = post.Step.reft in
+      let theta = t.cfg.params.Ddcr_params.theta in
+      sink.Sink.mark ~time:next_free (Sink.Tts_end { sent });
+      if (not sent) && theta > 0 then
+        sink.Sink.mark ~time:next_free
+          (Sink.Jump { reft_from = reft - theta; reft_to = reft })
+    in
+    match (pre.Step.phase, post.Step.phase) with
+    | (Step.Free | Step.Attempt), Step.Tts _ ->
+      sink.Sink.mark ~time:next_free (Sink.Tts_begin { reft = post.Step.reft })
+    | Step.Tts _, Step.Sts (sts, _) ->
+      sink.Sink.mark ~time:next_free
+        (Sink.Sts_begin { time_leaf = sts.Step.time_leaf })
+    | Step.Sts _, Step.Tts _ -> sink.Sink.mark ~time:next_free Sink.Sts_end
+    | Step.Sts _, Step.Attempt ->
+      sink.Sink.mark ~time:next_free Sink.Sts_end;
+      tts_end ()
+    | Step.Tts _, Step.Attempt -> tts_end ()
+    | _, _ -> ()
+
   let after t services ~now ~resolution ~next_free =
     (* This slot's crashed and misperceiving stations leave the shared
        replica with the state they held entering it. *)
     diverge_all t (Harness.deviants t.h);
     let r_pre = reference t services 0 in
     let pre = state_of t (if r_pre >= 0 then r_pre else 0) in
-    let telemetry = t.cfg.sink.Sink.enabled in
-    let slot = Channel.slot_bits services.Harness.channel in
-    (if telemetry then
-       match (pre.Step.phase, resolution) with
-       | Step.Sts _, (Channel.Tx _ | Channel.Clash { survivor = Some _; _ }) ->
-         t.sts_sent <- true
-       | _ -> ());
-    (* Slot events, classified by the phase the slot was spent in. *)
-    (if t.cfg.tracing then
-       match resolution with
-       | Channel.Idle ->
-         emit t
-           (Ddcr_trace.Idle_slot { time = now; phase = Step.phase_name pre })
-       | Channel.Garbled { on_wire } ->
-         emit t (Ddcr_trace.Garbled_slot { time = now; on_wire })
-       | Channel.Tx { src; tag; on_wire } ->
-         emit t
-           (Ddcr_trace.Frame_sent
-              {
-                time = now;
-                finish = now + on_wire;
-                source = src;
-                uid = tag;
-                via = via_of_phase pre.Step.phase;
-              })
-       | Channel.Clash { survivor; contenders } -> (
-         emit t
-           (Ddcr_trace.Collision_slot
-              {
-                time = now;
-                phase = Step.phase_name pre;
-                contenders = List.length contenders;
-              });
-         match survivor with
-         | Some (src, tag, on_wire) ->
-           emit t
-             (Ddcr_trace.Frame_sent
-                {
-                  time = now + slot;
-                  finish = now + slot + on_wire;
-                  source = src;
-                  uid = tag;
-                  via = via_of_phase pre.Step.phase;
-                })
-         | None -> ()));
+    let sink = t.cfg.sink in
+    (* The phase the slot was spent in, after its frame's [complete]
+       and before any burst frame's. *)
+    (if sink.Sink.enabled then
+       sink.Sink.mark ~time:now
+         (match pre.Step.phase with
+         | Step.Free -> Sink.Free
+         | Step.Attempt -> Sink.Attempt
+         | Step.Tts _ -> Sink.Tts
+         | Step.Sts _ -> Sink.Sts));
     let budget = t.cfg.params.Ddcr_params.burst_bits in
     let next_free =
       match resolution with
       | Channel.Tx { src; on_wire; _ } ->
         burst t services src (now + on_wire) budget
       | Channel.Clash { survivor = Some (src, _, on_wire); _ } ->
-        burst t services src (now + slot + on_wire) budget
+        burst t services src
+          (now + Channel.slot_bits services.Harness.channel + on_wire)
+          budget
       | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ }
         ->
         next_free
@@ -860,57 +835,8 @@ module Slot = struct
     detect_divergence t services ~next_free;
     count_desync t services t.differing;
     let ref_post = reference t services 0 in
-    (if (t.cfg.tracing || telemetry) && ref_post >= 0 then
-       (* Phase-transition events, derived from the reference replica. *)
-       let post = state_of t ref_post in
-       let close_tts () =
-         let sent = post.Step.last_out in
-         if t.cfg.tracing then emit t (Ddcr_trace.Tts_end { time = next_free; sent });
-         if telemetry then begin
-           if t.tts_start >= 0 then
-             t.cfg.sink.Sink.search ~tree:Sink.Time_tree ~start:t.tts_start
-               ~finish:next_free ~sent;
-           t.tts_start <- -1;
-           (* An unproductive TTs compresses time: reft jumped ahead
-              by θ without consuming slots (Section 4.3). *)
-           let theta = t.cfg.params.Ddcr_params.theta in
-           if (not sent) && theta > 0 then
-             t.cfg.sink.Sink.jump ~now:next_free
-               ~reft_from:(post.Step.reft - theta)
-               ~reft_to:post.Step.reft
-         end
-       in
-       let close_sts () =
-         if t.cfg.tracing then emit t (Ddcr_trace.Sts_end { time = next_free });
-         if telemetry then begin
-           if t.sts_start >= 0 then
-             t.cfg.sink.Sink.search ~tree:Sink.Static_tree ~start:t.sts_start
-               ~finish:next_free ~sent:t.sts_sent;
-           t.sts_start <- -1;
-           t.sts_sent <- false
-         end
-       in
-       match (pre.Step.phase, post.Step.phase) with
-       | (Step.Free | Step.Attempt), Step.Tts _ ->
-         if t.cfg.tracing then
-           emit t
-             (Ddcr_trace.Tts_begin { time = next_free; reft = post.Step.reft });
-         if telemetry then t.tts_start <- next_free
-       | Step.Tts _, Step.Sts (sts, _) ->
-         if t.cfg.tracing then
-           emit t
-             (Ddcr_trace.Sts_begin
-                { time = next_free; time_leaf = sts.Step.time_leaf });
-         if telemetry then begin
-           t.sts_start <- next_free;
-           t.sts_sent <- false
-         end
-       | Step.Sts _, Step.Tts _ -> close_sts ()
-       | Step.Sts _, Step.Attempt ->
-         close_sts ();
-         close_tts ()
-       | Step.Tts _, Step.Attempt -> close_tts ()
-       | _, _ -> ());
+    if sink.Sink.enabled && ref_post >= 0 then
+      search_marks t ~next_free pre (state_of t ref_post);
     recover t services ~next_free ~ref_post;
     (if t.cfg.check_lockstep && ref_post >= 0 then
        let reference = state_of t ref_post in
@@ -927,8 +853,7 @@ module Slot = struct
     normalize t services;
     next_free
 
-  let make ~check_lockstep ~on_event ~analyze ~sink ~inject params inst
-      trace ~horizon =
+  let make ~check_lockstep ~analyze ~sink ~inject params inst trace ~horizon =
     let z = inst.Instance.num_sources in
     let h =
       Harness.create ~protocol:"csma-ddcr" ~analyze ~sink ~inject
@@ -939,8 +864,6 @@ module Slot = struct
         {
           params;
           check_lockstep;
-          on_event;
-          tracing = Option.is_some on_event;
           sink;
           memo_pre = Array.make (z + 1) Step.init;
           memo_obs = Array.make (z + 1) Channel.Idle;
@@ -955,14 +878,11 @@ module Slot = struct
       ranks = Array.make z 0;
       synced = Array.make z true;
       prev_alive = Array.make z true;
-      tts_start = -1;
-      sts_start = -1;
-      sts_sent = false;
     }
 
   let create params inst trace ~horizon =
-    make ~check_lockstep:false ~on_event:None ~analyze:true ~sink:Sink.null
-      ~inject:None params inst trace ~horizon
+    make ~check_lockstep:false ~analyze:true ~sink:Sink.null ~inject:None
+      params inst trace ~horizon
 
   let copy t =
     {
@@ -982,14 +902,13 @@ module Slot = struct
   let replica t s = { (state_of t s) with Step.rank = t.ranks.(s) }
 end
 
-let run_trace ?(check_lockstep = false) ?on_event ?plan ?(analyze = true)
+let run_trace ?(check_lockstep = false) ?plan ?(analyze = true)
     ?(sink = Sink.null) ?inject params inst trace ~horizon =
   (match Ddcr_params.validate params ~num_sources:inst.Instance.num_sources with
   | Ok () -> ()
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let t =
-    Slot.make ~check_lockstep ~on_event ~analyze ~sink ~inject params inst
-      trace ~horizon
+    Slot.make ~check_lockstep ~analyze ~sink ~inject params inst trace ~horizon
   in
   let rec loop () =
     Slot.step t plan;
@@ -998,8 +917,8 @@ let run_trace ?(check_lockstep = false) ?on_event ?plan ?(analyze = true)
   loop ();
   Harness.finish t.h
 
-let run ?check_lockstep ?on_event ?plan ?analyze ?sink ?inject ?(seed = 1)
-    params inst ~horizon =
-  run_trace ?check_lockstep ?on_event ?plan ?analyze ?sink ?inject params inst
+let run ?check_lockstep ?plan ?analyze ?sink ?inject ?(seed = 1) params inst
+    ~horizon =
+  run_trace ?check_lockstep ?plan ?analyze ?sink ?inject params inst
     (Instance.trace inst ~seed ~horizon)
     ~horizon

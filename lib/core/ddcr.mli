@@ -204,7 +204,6 @@ end
 
 val run_trace :
   ?check_lockstep:bool ->
-  ?on_event:(Ddcr_trace.event -> unit) ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
@@ -220,10 +219,8 @@ val run_trace :
     times; the channel's occupancy statistics are embedded).
     With [check_lockstep] (default [false]) every slot asserts that all
     sources' replicas agree — one comparison for the stations sharing
-    the reference's replica and one per differing station.  [on_event]
-    receives one {!Ddcr_trace.event} per slot plus phase transitions
-    (see {!Ddcr_trace.collector}); events are built only when
-    [on_event] is given.  [analyze] is the harness's (default [true]):
+    the reference's replica and one per differing station.
+    [analyze] is the harness's (default [true]):
     every completion is checked against the frame the channel
     carried.
 
@@ -259,9 +256,12 @@ val run_trace :
     The outcome's [faults] statistics are [Some] iff [plan] was given.
 
     [sink] (default {!Rtnet_telemetry.Sink.null}) receives, on top of
-    the harness probes, the DDCR-specific ones: one [search] span per
-    completed TTs/STs descent and one [jump] per compressed-time θ
-    advance (an unproductive TTs).
+    the harness probes, DDCR's facts as {!Rtnet_telemetry.Sink.mark}s,
+    each emitted once: the phase every slot was spent in (taken from
+    the reference replica before the slot), the TTs/STs brackets and
+    the compressed-time θ jumps (from its phase after the slot), and
+    each station's crash, rejoin, desync and resync.
+    {!Ddcr_trace.collector} rebuilds the protocol trace from them.
 
     [inject] is the harness's (see {!Rtnet_mac.Harness.run}) — the
     federation hook a multi-hop topology driver uses to inject bridged
@@ -272,7 +272,6 @@ val run_trace :
 
 val run :
   ?check_lockstep:bool ->
-  ?on_event:(Ddcr_trace.event -> unit) ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->

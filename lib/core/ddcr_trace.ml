@@ -35,11 +35,64 @@ type summary = {
   resyncs : int;
 }
 
+module Sink = Rtnet_telemetry.Sink
+module Channel = Rtnet_channel.Channel
+module Message = Rtnet_workload.Message
+
+let frame_sent ~via (msg : Message.t) ~start ~finish =
+  let source = msg.cls.cls_source and uid = msg.uid in
+  Frame_sent { time = start; finish; source; uid; via }
+
+(* A slot's events come from its resolution, its frame's [complete]
+   and the phase mark, which classifies both; a frame completing after
+   the mark is a burst. *)
 let collector () =
   let events = ref [] in
-  let record e = events := e :: !events in
-  let finish () = List.rev !events in
-  (record, finish)
+  let add e = events := e :: !events in
+  let resolution = ref Channel.Idle and frame = ref None in
+  let marked = ref true in
+  let slot ~now:_ ~next_free:_ ~resolution:r =
+    resolution := r;
+    frame := None;
+    marked := false
+  in
+  let complete ~msg ~start ~finish =
+    if !marked then add (frame_sent ~via:Bursting msg ~start ~finish)
+    else frame := Some (msg, start, finish)
+  in
+  let slot_events ~time via name =
+    let sent () =
+      Option.iter
+        (fun (msg, start, finish) -> add (frame_sent ~via msg ~start ~finish))
+        !frame
+    in
+    (match !resolution with
+    | Channel.Idle -> add (Idle_slot { time; phase = name })
+    | Channel.Garbled { on_wire } -> add (Garbled_slot { time; on_wire })
+    | Channel.Tx _ -> sent ()
+    | Channel.Clash { contenders; _ } ->
+      add
+        (Collision_slot
+           { time; phase = name; contenders = List.length contenders });
+      sent ());
+    marked := true
+  in
+  let mark ~time : Sink.mark -> unit = function
+    | Sink.Free -> slot_events ~time Free_csma "free"
+    | Sink.Attempt -> slot_events ~time Open_attempt "attempt"
+    | Sink.Tts -> slot_events ~time Time_tree "tts"
+    | Sink.Sts -> slot_events ~time Static_tree "sts"
+    | Sink.Tts_begin { reft } -> add (Tts_begin { time; reft })
+    | Sink.Tts_end { sent } -> add (Tts_end { time; sent })
+    | Sink.Sts_begin { time_leaf } -> add (Sts_begin { time; time_leaf })
+    | Sink.Sts_end -> add (Sts_end { time })
+    | Sink.Jump _ -> ()
+    | Sink.Crash { source } -> add (Crash { time; source })
+    | Sink.Rejoin { source } -> add (Rejoin { time; source })
+    | Sink.Desync { source } -> add (Desync { time; source })
+    | Sink.Resync { source } -> add (Resync { time; source })
+  in
+  (Sink.create ~slot ~complete ~mark (), fun () -> List.rev !events)
 
 let bump assoc key =
   let rec go = function

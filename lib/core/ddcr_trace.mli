@@ -1,12 +1,13 @@
 (** Structured protocol event traces.
 
-    {!Ddcr.run_trace} can emit one event per channel slot plus phase
-    transitions.  Traces serve three purposes: debugging a
-    configuration (print them), validating the slot accounting
-    (e.g. the test suite checks that a trace's totals reconcile exactly
-    with the channel statistics and the completion list), and measuring
-    where the protocol spends the medium — free slots, open attempts,
-    time-tree probes, static-tree probes, frames. *)
+    A DDCR run's probe stream ({!Rtnet_telemetry.Sink.t}), read back as
+    one event per channel slot plus phase transitions.  Traces serve
+    three purposes: debugging a configuration (print them), validating
+    the slot accounting (e.g. the test suite checks that a trace's
+    totals reconcile exactly with the channel statistics and the
+    completion list), and measuring where the protocol spends the
+    medium — free slots, open attempts, time-tree probes, static-tree
+    probes, frames. *)
 
 type via =
   | Free_csma  (** carried during free CSMA-CD operation *)
@@ -66,9 +67,14 @@ type summary = {
   resyncs : int;  (** completed recoveries *)
 }
 
-val collector : unit -> (event -> unit) * (unit -> event list)
-(** [collector ()] is [(record, finish)]: pass [record] as
-    [?on_event]; [finish ()] returns the events in emission order. *)
+val collector : unit -> Rtnet_telemetry.Sink.t * (unit -> event list)
+(** [collector ()] is [(sink, finish)]: pass [sink] to a DDCR run
+    ({!Ddcr.run_trace}), alone or {!Rtnet_telemetry.Sink.tee}d with
+    other sinks; [finish ()] returns the events in emission order.
+    The events are rebuilt from the run's probes: a slot's from its
+    [slot] resolution, its frame's [complete] and DDCR's phase mark
+    (a frame completing after the mark is a burst), every other event
+    from its own mark. *)
 
 val summarize : event list -> summary
 (** [summarize events] tallies the trace. *)

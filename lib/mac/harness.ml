@@ -365,7 +365,6 @@ let observe st plan ~now resolution attempts =
 let slot { st; services } faults p ~decide ~after =
   let now = st.now in
   let sink = st.sink in
-  if sink.Sink.enabled then sink.Sink.engine_event ~time:now;
   (* Bridge ingress (multi-hop topologies): the injector may hand the
      harness new messages at any slot boundary; they join the arrival
      stream and become visible to the EDF queues exactly like trace

@@ -255,9 +255,8 @@ val run :
     [sink] (default {!Rtnet_telemetry.Sink.null}) receives the
     harness-level probes: [enqueue] on queue insertion, [slot] after
     every channel resolution, [complete]/[drop] on message service,
-    [engine_event] once per slot (at its start), and [epoch] for each merged
-    fault epoch at the end of the run.  With the null sink every probe
-    is a single boolean test.
+    and [epoch] for each merged fault epoch at the end of the run.
+    With the null sink every probe is a single boolean test.
 
     [inject] is the federation hook for multi-hop topologies
     ([Rtnet_topology]), which read the forwarded frames from the

@@ -18,7 +18,12 @@ type t = {
   pid0 : int;  (** pid of the virtual-time process track *)
   plabel : string;  (** its Perfetto process name *)
   mutable wall0 : float option;
-  mutable sink : Sink.t;
+  (* The open tree-search spans (start bit-time, -1 when closed), from
+     DDCR's marks; an STs span is [sent] if a frame completed inside
+     it. *)
+  mutable tts_start : int;
+  mutable sts_start : int;
+  mutable sts_sent : bool;
 }
 
 let ensure_process t ~pid name =
@@ -40,6 +45,7 @@ let virtual_span t ~tid ~track_name ~name ~cat ~ts ~dur args =
   Trace_event.complete t.trace ~pid:t.pid0 ~tid ~name ~cat ~ts ~dur ~args ()
 
 let on_slot t ~now ~next_free ~resolution =
+  Registry.incr t.reg "engine/events";
   let dur = next_free - now in
   let span name args =
     virtual_span t ~tid:tid_channel ~track_name:"channel" ~name ~cat:"slot"
@@ -77,6 +83,7 @@ let on_enqueue t ~now ~msg =
 
 let on_complete t ~msg ~start ~finish =
   Registry.incr t.reg "frames/completed";
+  if t.sts_start >= 0 then t.sts_sent <- true;
   let cls = msg.Message.cls in
   let latency = finish - msg.Message.arrival in
   Registry.observe t.reg ("access_delay/" ^ cls.Message.cls_name) latency;
@@ -109,12 +116,7 @@ let on_drop t ~msg =
   ignore msg;
   Registry.incr t.reg "queue/dropped"
 
-let on_search t ~tree ~start ~finish ~sent =
-  let name, key =
-    match (tree : Sink.tree) with
-    | Sink.Time_tree -> ("TTs", "tts")
-    | Sink.Static_tree -> ("STs", "sts")
-  in
+let search_span t ~name ~key ~start ~finish ~sent =
   Registry.incr t.reg ("search/" ^ key);
   Registry.observe t.reg ("search_bits/" ^ key) (finish - start);
   virtual_span t ~tid:tid_search ~track_name:"searches" ~name ~cat:"search"
@@ -141,13 +143,29 @@ let on_epoch t ~start ~finish =
     ~cat:"fault" ~ts:start ~dur:(finish - start)
     [ ("start", Json.Int start); ("finish", Json.Int finish) ]
 
-let on_engine_event t ~time =
-  ignore time;
-  Registry.incr t.reg "engine/events"
+let on_mark t ~time : Sink.mark -> unit = function
+  | Sink.Tts_begin _ -> t.tts_start <- time
+  | Sink.Tts_end { sent } ->
+    if t.tts_start >= 0 then
+      search_span t ~name:"TTs" ~key:"tts" ~start:t.tts_start ~finish:time
+        ~sent;
+    t.tts_start <- -1
+  | Sink.Sts_begin _ ->
+    t.sts_start <- time;
+    t.sts_sent <- false
+  | Sink.Sts_end ->
+    if t.sts_start >= 0 then
+      search_span t ~name:"STs" ~key:"sts" ~start:t.sts_start ~finish:time
+        ~sent:t.sts_sent;
+    t.sts_start <- -1
+  | Sink.Jump { reft_from; reft_to } -> on_jump t ~now:time ~reft_from ~reft_to
+  | Sink.Free | Sink.Attempt | Sink.Tts | Sink.Sts | Sink.Crash _
+  | Sink.Rejoin _ | Sink.Desync _ | Sink.Resync _ ->
+    ()
 
 let us_of_s s = int_of_float (Float.round (s *. 1e6))
 
-let on_worker_cell t ~worker ~key ~t0 ~t1 ~ok =
+let worker_cell t ~worker ~key ~t0 ~t1 ~ok =
   let wall0 =
     match t.wall0 with
     | Some w -> w
@@ -182,28 +200,19 @@ let create ?(bounds = []) ?wall0 ?(pid = pid_virtual)
       pid0 = pid;
       plabel = process_name;
       wall0;
-      sink = Sink.null;
+      tts_start = -1;
+      sts_start = -1;
+      sts_sent = false;
     }
   in
   List.iter (fun b -> Hashtbl.replace t.bounds b.Headroom.b_cls b) bounds;
-  t.sink <-
-    Sink.create
-      ~slot:(fun ~now ~next_free ~resolution ->
-        on_slot t ~now ~next_free ~resolution)
-      ~enqueue:(fun ~now ~msg -> on_enqueue t ~now ~msg)
-      ~complete:(fun ~msg ~start ~finish -> on_complete t ~msg ~start ~finish)
-      ~drop:(fun ~msg -> on_drop t ~msg)
-      ~search:(fun ~tree ~start ~finish ~sent ->
-        on_search t ~tree ~start ~finish ~sent)
-      ~jump:(fun ~now ~reft_from ~reft_to -> on_jump t ~now ~reft_from ~reft_to)
-      ~epoch:(fun ~start ~finish -> on_epoch t ~start ~finish)
-      ~engine_event:(fun ~time -> on_engine_event t ~time)
-      ~worker_cell:(fun ~worker ~key ~t0 ~t1 ~ok ->
-        on_worker_cell t ~worker ~key ~t0 ~t1 ~ok)
-      ();
   t
 
-let sink t = t.sink
+let sink t =
+  Sink.create ~slot:(on_slot t) ~enqueue:(on_enqueue t)
+    ~complete:(on_complete t) ~drop:(on_drop t) ~epoch:(on_epoch t)
+    ~mark:(on_mark t) ()
+
 let registry t = t.reg
 let snapshot t = Registry.snapshot t.reg
 

@@ -1,6 +1,10 @@
 (** The standard sink implementation: feeds every probe into a
     {!Registry}, a {!Trace_event} buffer and a per-class worst-case
-    table, from which the headroom report derives.
+    table, from which the headroom report derives.  It counts each
+    [slot] probe as [engine/events] too, and builds the TTs/STs search
+    spans and the θ jumps from DDCR's {!Sink.mark}s: a span runs from
+    its begin mark to its end mark, and an STs span is [sent] if a
+    frame completed inside it.
 
     Track layout of the exported trace:
     - pid 0 ["virtual time (bit-times)"] — tid 1 channel slots
@@ -33,6 +37,14 @@ val create :
     ({!Trace_event.merge_json}). *)
 
 val sink : t -> Sink.t
+(** The sink feeding [t]. *)
+
+val worker_cell :
+  t -> worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit
+(** [worker_cell t ~worker ~key ~t0 ~t1 ~ok] records that campaign
+    worker [worker] ran cell [key] over wall-clock [\[t0, t1\]] (Unix
+    epoch seconds); [ok] is false if the cell raised.  One span on the
+    worker's wall-clock track, plus the [campaign/*] counters. *)
 
 val registry : t -> Registry.t
 

@@ -1,4 +1,17 @@
-type tree = Time_tree | Static_tree
+type mark =
+  | Free
+  | Attempt
+  | Tts
+  | Sts
+  | Tts_begin of { reft : int }
+  | Tts_end of { sent : bool }
+  | Sts_begin of { time_leaf : int }
+  | Sts_end
+  | Jump of { reft_from : int; reft_to : int }
+  | Crash of { source : int }
+  | Rejoin of { source : int }
+  | Desync of { source : int }
+  | Resync of { source : int }
 
 type t = {
   enabled : bool;
@@ -10,25 +23,16 @@ type t = {
   enqueue : now:int -> msg:Rtnet_workload.Message.t -> unit;
   complete : msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit;
   drop : msg:Rtnet_workload.Message.t -> unit;
-  search : tree:tree -> start:int -> finish:int -> sent:bool -> unit;
-  jump : now:int -> reft_from:int -> reft_to:int -> unit;
   epoch : start:int -> finish:int -> unit;
-  engine_event : time:int -> unit;
-  worker_cell :
-    worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit;
-  service : component:string -> degraded:bool -> backlog:int -> unit;
+  mark : time:int -> mark -> unit;
 }
 
 let nop_slot ~now:_ ~next_free:_ ~resolution:_ = ()
 let nop_enqueue ~now:_ ~msg:_ = ()
 let nop_complete ~msg:_ ~start:_ ~finish:_ = ()
 let nop_drop ~msg:_ = ()
-let nop_search ~tree:_ ~start:_ ~finish:_ ~sent:_ = ()
-let nop_jump ~now:_ ~reft_from:_ ~reft_to:_ = ()
 let nop_epoch ~start:_ ~finish:_ = ()
-let nop_engine_event ~time:_ = ()
-let nop_worker_cell ~worker:_ ~key:_ ~t0:_ ~t1:_ ~ok:_ = ()
-let nop_service ~component:_ ~degraded:_ ~backlog:_ = ()
+let nop_mark ~time:_ _ = ()
 
 let null =
   {
@@ -37,12 +41,8 @@ let null =
     enqueue = nop_enqueue;
     complete = nop_complete;
     drop = nop_drop;
-    search = nop_search;
-    jump = nop_jump;
     epoch = nop_epoch;
-    engine_event = nop_engine_event;
-    worker_cell = nop_worker_cell;
-    service = nop_service;
+    mark = nop_mark;
   }
 
 let tee a b =
@@ -69,46 +69,16 @@ let tee a b =
         (fun ~msg ->
           a.drop ~msg;
           b.drop ~msg);
-      search =
-        (fun ~tree ~start ~finish ~sent ->
-          a.search ~tree ~start ~finish ~sent;
-          b.search ~tree ~start ~finish ~sent);
-      jump =
-        (fun ~now ~reft_from ~reft_to ->
-          a.jump ~now ~reft_from ~reft_to;
-          b.jump ~now ~reft_from ~reft_to);
       epoch =
         (fun ~start ~finish ->
           a.epoch ~start ~finish;
           b.epoch ~start ~finish);
-      engine_event =
-        (fun ~time ->
-          a.engine_event ~time;
-          b.engine_event ~time);
-      worker_cell =
-        (fun ~worker ~key ~t0 ~t1 ~ok ->
-          a.worker_cell ~worker ~key ~t0 ~t1 ~ok;
-          b.worker_cell ~worker ~key ~t0 ~t1 ~ok);
-      service =
-        (fun ~component ~degraded ~backlog ->
-          a.service ~component ~degraded ~backlog;
-          b.service ~component ~degraded ~backlog);
+      mark =
+        (fun ~time m ->
+          a.mark ~time m;
+          b.mark ~time m);
     }
 
 let create ?(slot = nop_slot) ?(enqueue = nop_enqueue) ?(complete = nop_complete)
-    ?(drop = nop_drop) ?(search = nop_search) ?(jump = nop_jump)
-    ?(epoch = nop_epoch) ?(engine_event = nop_engine_event)
-    ?(worker_cell = nop_worker_cell) ?(service = nop_service) () =
-  {
-    enabled = true;
-    slot;
-    enqueue;
-    complete;
-    drop;
-    search;
-    jump;
-    epoch;
-    engine_event;
-    worker_cell;
-    service;
-  }
+    ?(drop = nop_drop) ?(epoch = nop_epoch) ?(mark = nop_mark) () =
+  { enabled = true; slot; enqueue; complete; drop; epoch; mark }

@@ -1,19 +1,47 @@
-(** Probe sink: the typed callback surface the whole stack emits into.
+(** Probe sink: the one typed stream a simulated run emits.
 
-    Instrumented layers ({!Rtnet_mac.Harness}, [Rtnet_core.Ddcr],
-    [Rtnet_campaign.Pool]) take a [Sink.t] and call
-    its fields at well-defined probe points.  The default is {!null},
-    whose [enabled] flag is [false]: every emit site guards with
-    [if sink.enabled then ...], so a disabled sink costs one boolean
-    load per probe point — no closure call, no allocation.
+    {!Rtnet_mac.Harness} and [Rtnet_core.Ddcr] take a [Sink.t] and
+    call its fields at well-defined probe points: the harness emits the
+    five channel and queue probes, and DDCR adds what only it knows
+    through {!t.mark}.  The default is {!null}, whose [enabled] flag
+    is [false]: every emit site guards with [if sink.enabled then ...],
+    so a disabled sink costs one boolean load per probe point — no
+    closure call, no allocation.
+
+    The consumers read this one stream: [Rtnet_core.Ddcr_trace]'s
+    collector rebuilds the protocol trace from it, {!Recorder} the
+    registry and the Perfetto timeline, and [Rtnet_obs.Flight] the
+    black-box ring.
 
     The sink deliberately depends only on the vocabulary layers
     (channel, workload): it never sees protocol internals, so [mac]
     and [core] can both emit into it without a dependency cycle. *)
 
-type tree = Time_tree | Static_tree
-(** Which tree-search phase a {!t.search} span describes: the dynamic
-    time tree (TTs) or the static source tree (STs). *)
+(** What DDCR reports of its own state through {!t.mark}, each at the
+    mark's [time]. *)
+type mark =
+  | Free
+  | Attempt
+  | Tts
+  | Sts
+      (** The phase the slot starting at [time] was spent in.  One per
+          slot, after the slot's [slot] probe and its frame's
+          [complete], before any burst frame's [complete]; constant,
+          so emitting it allocates nothing. *)
+  | Tts_begin of { reft : int }  (** a time tree search starts *)
+  | Tts_end of { sent : bool }  (** it ends; [sent] is its [out] flag *)
+  | Sts_begin of { time_leaf : int }
+      (** a static tree search starts on the colliding time leaf *)
+  | Sts_end  (** it ends *)
+  | Jump of { reft_from : int; reft_to : int }
+      (** an unproductive time tree search moved the reference time
+          without consuming slots (compressed time, Section 4.3) *)
+  | Crash of { source : int }  (** the station goes down *)
+  | Rejoin of { source : int }  (** it comes back up, listen-only *)
+  | Desync of { source : int }
+      (** its replica disagreed with the plurality: listen-only *)
+  | Resync of { source : int }
+      (** it re-acquired the shared state and contends again *)
 
 type t = {
   enabled : bool;
@@ -31,28 +59,11 @@ type t = {
       (** [msg]'s frame occupied the wire over [\[start, finish)]. *)
   drop : msg:Rtnet_workload.Message.t -> unit;
       (** [msg] was dropped (deadline passed before service). *)
-  search : tree:tree -> start:int -> finish:int -> sent:bool -> unit;
-      (** A tree search ran over [\[start, finish)] and did ([sent]) or
-          did not resolve into a transmission. *)
-  jump : now:int -> reft_from:int -> reft_to:int -> unit;
-      (** Compressed-time jump: the reference time advanced from
-          [reft_from] to [reft_to] at [now] without consuming slots. *)
   epoch : start:int -> finish:int -> unit;
       (** A fault epoch (injected perturbation window) covered
           [\[start, finish)]. *)
-  engine_event : time:int -> unit;
-      (** The simulation loop started one slot at [time] (fired by the
-          MAC harness once per slot, before the slot's other probes). *)
-  worker_cell :
-    worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit;
-      (** Campaign worker [worker] ran cell [key] over wall-clock
-          [\[t0, t1\]] (Unix epoch seconds); [ok] is false if the cell
-          raised. *)
-  service : component:string -> degraded:bool -> backlog:int -> unit;
-      (** Long-running service [component] crossed a load watermark:
-          [degraded = true] when backpressure engages (Degraded),
-          [false] when it releases (Restored); [backlog] is the queue
-          depth at the transition. *)
+  mark : time:int -> mark -> unit;
+      (** A DDCR fact at virtual time [time] (see {!mark}). *)
 }
 
 val null : t
@@ -73,13 +84,8 @@ val create :
   ?enqueue:(now:int -> msg:Rtnet_workload.Message.t -> unit) ->
   ?complete:(msg:Rtnet_workload.Message.t -> start:int -> finish:int -> unit) ->
   ?drop:(msg:Rtnet_workload.Message.t -> unit) ->
-  ?search:(tree:tree -> start:int -> finish:int -> sent:bool -> unit) ->
-  ?jump:(now:int -> reft_from:int -> reft_to:int -> unit) ->
   ?epoch:(start:int -> finish:int -> unit) ->
-  ?engine_event:(time:int -> unit) ->
-  ?worker_cell:
-    (worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit) ->
-  ?service:(component:string -> degraded:bool -> backlog:int -> unit) ->
+  ?mark:(time:int -> mark -> unit) ->
   unit ->
   t
 (** [create ()] is an enabled sink whose unspecified callbacks are

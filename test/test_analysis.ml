@@ -61,8 +61,8 @@ let test_horizon_shutout_caught () =
 let run_with_trace inst ~horizon =
   let params = Ddcr_params.default inst in
   let workload = Instance.trace inst ~seed:6 ~horizon in
-  let record, finish = Ddcr_trace.collector () in
-  let outcome = Ddcr.run_trace ~on_event:record params inst workload ~horizon in
+  let sink, finish = Ddcr_trace.collector () in
+  let outcome = Ddcr.run_trace ~sink params inst workload ~horizon in
   (workload, outcome, finish ())
 
 let test_real_trace_clean () =

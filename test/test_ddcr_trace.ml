@@ -18,8 +18,8 @@ let ms = 1_000_000
 
 let run_with_trace ?plan inst ~seed ~horizon =
   let params = Ddcr_params.default inst in
-  let record, finish = Ddcr_trace.collector () in
-  let outcome = Ddcr.run ~on_event:record ?plan ~seed params inst ~horizon in
+  let sink, finish = Ddcr_trace.collector () in
+  let outcome = Ddcr.run ~sink ?plan ~seed params inst ~horizon in
   (outcome, finish ())
 
 let test_totals_reconcile_with_channel () =
@@ -89,8 +89,8 @@ let test_vias_observed () =
 let test_burst_frames_traced () =
   let inst = Scenarios.trading ~gateways:4 in
   let params = Ddcr_params.with_burst (Ddcr_params.default inst) 65_536 in
-  let record, finish = Ddcr_trace.collector () in
-  let _ = Ddcr.run ~on_event:record ~seed:6 params inst ~horizon:(10 * ms) in
+  let sink, finish = Ddcr_trace.collector () in
+  let _ = Ddcr.run ~sink ~seed:6 params inst ~horizon:(10 * ms) in
   let s = Ddcr_trace.summarize (finish ()) in
   let via v = try List.assoc v s.Ddcr_trace.frames_by_via with Not_found -> 0 in
   Alcotest.(check bool) "burst frames recorded" true (via Ddcr_trace.Bursting > 0)
@@ -168,10 +168,10 @@ let slot_report inst spec =
   in
   let f = Flight.create ~segment:"pin" () in
   let plan = Option.map (fun s -> Fault_plan.create ~seed:101 s) spec in
-  let record, finish = Ddcr_trace.collector () in
-  let sink = Sink.tee (Recorder.sink r) (Flight.sink f) in
+  let collect, finish = Ddcr_trace.collector () in
+  let sink = Sink.tee collect (Sink.tee (Recorder.sink r) (Flight.sink f)) in
   let _ =
-    Ddcr.run ~on_event:record ?plan ~sink ~seed:1 params inst ~horizon:(4 * ms)
+    Ddcr.run ?plan ~sink ~seed:1 params inst ~horizon:(4 * ms)
   in
   let events = finish () in
   let text =

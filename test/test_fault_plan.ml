@@ -596,11 +596,10 @@ let run_under_plan ?(stations = 4) ?(seed = 5) ?(horizon = 40 * ms) spec =
   let inst = Scenarios.videoconference ~stations in
   let params = Ddcr_params.default inst in
   let trace = Instance.trace inst ~seed ~horizon in
-  let record, finish = Ddcr_trace.collector () in
+  let sink, finish = Ddcr_trace.collector () in
   let plan = Fault_plan.create ~horizon ~seed:7 spec in
   let outcome =
-    Ddcr.run_trace ~check_lockstep:true ~on_event:record ~plan params inst
-      trace ~horizon
+    Ddcr.run_trace ~check_lockstep:true ~sink ~plan params inst trace ~horizon
   in
   (outcome, finish (), trace)
 
@@ -741,11 +740,10 @@ let test_all_stations_crash_cold_restart () =
   let params = Ddcr_params.default inst in
   let horizon = 10 * ms in
   let trace = Instance.trace inst ~seed:3 ~horizon in
-  let record, finish = Ddcr_trace.collector () in
+  let sink, finish = Ddcr_trace.collector () in
   let plan = Fault_plan.create ~horizon ~seed:11 every_source_down in
   let outcome =
-    Ddcr.run_trace ~check_lockstep:true ~on_event:record ~plan params inst
-      trace ~horizon
+    Ddcr.run_trace ~check_lockstep:true ~sink ~plan params inst trace ~horizon
   in
   let summary = Ddcr_trace.summarize (finish ()) in
   Alcotest.(check int) "all crashed" 3 summary.Ddcr_trace.crashes;

@@ -388,11 +388,13 @@ let test_analyze_uncompleted_frame () =
 (* --- The slot loop: [run] is the simulation engine --- *)
 
 (* Runs [trace] under the ALOHA protocol and returns, in order, the slot
-   starts the [engine_event] probe saw, with the outcome. *)
+   starts the [slot] probe saw, with the outcome. *)
 let slot_starts ?(after = passthrough_after) ~horizon trace =
   let starts = ref [] in
   let sink =
-    Sink.create ~engine_event:(fun ~time -> starts := time :: !starts) ()
+    Sink.create
+      ~slot:(fun ~now ~next_free:_ ~resolution:_ -> starts := now :: !starts)
+      ()
   in
   let o =
     Harness.run ~protocol:"test-aloha" ~sink ~phy ~num_sources:2 ~horizon
@@ -476,17 +478,16 @@ let test_engine_until_empty_queue () =
   let starts, _ = slot_starts ~horizon:0 [] in
   Alcotest.(check (list int)) "slot 0 runs at horizon 0" [ 0 ] starts
 
-type probe = Start of int | Enqueue of int | Slot of int | Complete of int
+type probe = Enqueue of int | Slot of int | Complete of int
 
 let test_engine_step () =
-  (* One engine event opens each slot, before the slot's other probes:
-     its arrivals, exactly one channel resolution at the same time,
-     then the completion of the carried frame, if any. *)
+  (* Each slot's probes come in order, all at the slot's start: its
+     arrivals, exactly one channel resolution, then the completion of
+     the carried frame, if any. *)
   let log = ref [] in
   let note p = log := p :: !log in
   let sink =
     Sink.create
-      ~engine_event:(fun ~time -> note (Start time))
       ~enqueue:(fun ~now ~msg:_ -> note (Enqueue now))
       ~slot:(fun ~now ~next_free:_ ~resolution:_ -> note (Slot now))
       ~complete:(fun ~msg:_ ~start ~finish:_ -> note (Complete start))
@@ -499,23 +500,23 @@ let test_engine_step () =
   in
   let rec slots n = function
     | [] -> n
-    | Start t :: rest ->
+    | log ->
       let rec enqueued = function
-        | Enqueue t' :: rest ->
-          Alcotest.(check int) "arrival in its slot" t t';
-          enqueued rest
-        | Slot t' :: rest ->
-          Alcotest.(check int) "resolution at the slot start" t t';
-          completed rest
-        | _ -> Alcotest.fail "a slot without a resolution"
-      and completed = function
+        | Enqueue t :: rest ->
+          let t', rest = enqueued rest in
+          Alcotest.(check int) "arrival in its slot" t' t;
+          (t', rest)
+        | Slot t :: rest -> (t, rest)
+        | Complete _ :: _ | [] -> Alcotest.fail "a slot without a resolution"
+      in
+      let t, rest = enqueued log in
+      let rec completed = function
         | Complete s :: rest ->
           Alcotest.(check int) "frame starts with its slot" t s;
           completed rest
         | rest -> rest
       in
-      slots (n + 1) (enqueued rest)
-    | _ -> Alcotest.fail "probe outside a slot"
+      slots (n + 1) (completed rest)
   in
   let n = slots 0 (List.rev !log) in
   let st = Option.get o.Run.channel in

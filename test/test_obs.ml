@@ -81,9 +81,9 @@ let test_flight_records_and_dumps () =
     ~finish:2048;
   s.Sink.drop ~msg:(msg ~uid:9 ~cls_id:3 ~arrival:700);
   s.Sink.epoch ~start:100 ~finish:200;
-  (* Searches and engine steps are not black-box material. *)
-  s.Sink.search ~tree:Sink.Time_tree ~start:0 ~finish:10 ~sent:true;
-  s.Sink.engine_event ~time:42;
+  (* DDCR's marks are not black-box material. *)
+  s.Sink.mark ~time:0 (Sink.Tts_begin { reft = 0 });
+  s.Sink.mark ~time:42 Sink.Free;
   Alcotest.(check int) "five events recorded" 5 (Flight.recorded f);
   match Flight.to_json f with
   | Json.Obj fields ->
