@@ -78,13 +78,22 @@ let segment_of_workload ~name wk =
         sg_fault = None;
       }
 
-let rec dup = function
-  | [] -> None
-  | x :: rest -> if List.mem x rest then Some x else dup rest
+(* The first element, in list order, that occurs again later: the first
+   whose value occurs more than once. *)
+let dup l =
+  let count = Hashtbl.create 64 in
+  List.iter
+    (fun x ->
+      Hashtbl.replace count x
+        (1 + Option.value ~default:0 (Hashtbl.find_opt count x)))
+    l;
+  List.find_opt (fun x -> Hashtbl.find count x > 1) l
 
 let create ~name ~segments ~bridges ~flows =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let seg_names = List.map (fun s -> s.sg_name) segments in
+  let is_segment = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace is_segment n ()) seg_names;
   if name = "" then err "topology name is empty"
   else if segments = [] then err "topology %s has no segments" name
   else begin
@@ -103,8 +112,8 @@ let create ~name ~segments ~bridges ~flows =
             let bad =
               List.find_opt
                 (fun b ->
-                  (not (List.mem b.br_from seg_names))
-                  || (not (List.mem b.br_to seg_names))
+                  (not (Hashtbl.mem is_segment b.br_from))
+                  || (not (Hashtbl.mem is_segment b.br_to))
                   || b.br_from = b.br_to || b.br_station < 0
                   || b.br_latency < 0 || b.br_capacity < 1)
                 bridges
@@ -137,60 +146,75 @@ let find_segment t name =
 let find_bridge t ~from_ ~to_ =
   List.find_opt (fun b -> b.br_from = from_ && b.br_to = to_) t.tp_bridges
 
+module Ints = Set.Make (Int)
+
 (* Kahn's algorithm, stable on the declaration order: among the nodes
    with no remaining upstream edge, the first-declared segment goes
    next — so the topological order (and everything derived from it:
-   wavefront levels, fingerprints) is a pure function of the value. *)
-let toposort t =
-  let names = List.map (fun s -> s.sg_name) t.tp_segments in
-  let indeg = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace indeg n 0) names;
+   wavefront levels, fingerprints) is a pure function of the value.
+   The ready segments are a set of declaration indices, so each step
+   takes the least in logarithmic time.  Returns the names, each
+   segment's downstream indices (one per bridge) and the order. *)
+let kahn t =
+  let names = Array.of_list (List.map (fun s -> s.sg_name) t.tp_segments) in
+  let n = Array.length names in
+  let index = Hashtbl.create (2 * n) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let indeg = Array.make n 0 and down = Array.make n [] in
   List.iter
     (fun b ->
-      match Hashtbl.find_opt indeg b.br_to with
-      | Some d -> Hashtbl.replace indeg b.br_to (d + 1)
-      | None -> ())
+      match Hashtbl.find_opt index b.br_to with
+      | None -> ()
+      | Some d -> (
+        indeg.(d) <- indeg.(d) + 1;
+        match Hashtbl.find_opt index b.br_from with
+        | Some f -> down.(f) <- d :: down.(f)
+        | None -> ()))
     t.tp_bridges;
-  let rec go acc remaining =
-    if remaining = [] then Ok (List.rev acc)
-    else begin
-      match
-        List.find_opt (fun n -> Hashtbl.find indeg n = 0) remaining
-      with
-      | None ->
+  let ready = ref Ints.empty in
+  Array.iteri (fun i d -> if d = 0 then ready := Ints.add i !ready) indeg;
+  let rec go acc =
+    match Ints.min_elt_opt !ready with
+    | Some i ->
+      ready := Ints.remove i !ready;
+      List.iter
+        (fun d ->
+          indeg.(d) <- indeg.(d) - 1;
+          if indeg.(d) = 0 then ready := Ints.add d !ready)
+        down.(i);
+      indeg.(i) <- -1;
+      go (i :: acc)
+    | None ->
+      let unsorted =
+        List.filter (fun i -> indeg.(i) >= 0) (List.init n Fun.id)
+      in
+      if unsorted = [] then Ok (names, down, List.rev acc)
+      else
         Error
           (Printf.sprintf "bridge graph is cyclic (among segments %s)"
-             (String.concat ", " remaining))
-      | Some n ->
-        List.iter
-          (fun b ->
-            if b.br_from = n then
-              Hashtbl.replace indeg b.br_to (Hashtbl.find indeg b.br_to - 1))
-          t.tp_bridges;
-        go (n :: acc) (List.filter (fun m -> m <> n) remaining)
-    end
+             (String.concat ", " (List.map (fun i -> names.(i)) unsorted)))
   in
-  go [] names
+  go []
+
+let toposort t =
+  Result.map
+    (fun (names, _, order) -> List.map (fun i -> names.(i)) order)
+    (kahn t)
 
 let levels t =
-  match toposort t with
+  match kahn t with
   | Error e -> Error e
-  | Ok order ->
-    let level = Hashtbl.create 8 in
-    List.iter (fun n -> Hashtbl.replace level n 0) order;
+  | Ok (names, down, order) ->
+    let level = Array.make (Array.length names) 0 in
     List.iter
-      (fun n ->
-        List.iter
-          (fun b ->
-            if b.br_from = n then
-              Hashtbl.replace level b.br_to
-                (max (Hashtbl.find level b.br_to) (Hashtbl.find level n + 1)))
-          t.tp_bridges)
+      (fun i ->
+        List.iter (fun d -> level.(d) <- max level.(d) (level.(i) + 1)) down.(i))
       order;
-    let deepest = List.fold_left (fun acc n -> max acc (Hashtbl.find level n)) 0 order in
-    Ok
-      (List.init (deepest + 1) (fun k ->
-           List.filter (fun n -> Hashtbl.find level n = k) order))
+    let groups = Array.make (1 + Array.fold_left max 0 level) [] in
+    List.iter
+      (fun i -> groups.(level.(i)) <- names.(i) :: groups.(level.(i)))
+      (List.rev order);
+    Ok (Array.to_list groups)
 
 let route_errors t =
   let errs = ref [] in

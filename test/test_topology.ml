@@ -842,6 +842,129 @@ let test_lint_warns_unabsorbable_outage () =
          && d.Diagnostic.severity = Diagnostic.Warning)
        (Config_lint.check_topo ok))
 
+(* ---------------- toposort against the quadratic reference ---------------- *)
+
+(* The declaration-order Kahn [Topo.toposort] and [Topo.levels] used to
+   be: rescan the remaining segments for the first with no upstream
+   edge left, and every bridge for each segment placed. *)
+let reference_toposort (t : Topo.t) =
+  let names = List.map (fun s -> s.Topo.sg_name) t.Topo.tp_segments in
+  let indeg = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace indeg n 0) names;
+  let bump n d = Hashtbl.replace indeg n (Hashtbl.find indeg n + d) in
+  List.iter (fun b -> bump b.Topo.br_to 1) t.Topo.tp_bridges;
+  let rec go acc remaining =
+    if remaining = [] then Ok (List.rev acc)
+    else
+      match List.find_opt (fun n -> Hashtbl.find indeg n = 0) remaining with
+      | None ->
+        Error
+          (Printf.sprintf "bridge graph is cyclic (among segments %s)"
+             (String.concat ", " remaining))
+      | Some n ->
+        List.iter
+          (fun b -> if b.Topo.br_from = n then bump b.Topo.br_to (-1))
+          t.Topo.tp_bridges;
+        go (n :: acc) (List.filter (fun m -> m <> n) remaining)
+  in
+  go [] names
+
+let reference_levels (t : Topo.t) =
+  Result.map
+    (fun order ->
+      let level = Hashtbl.create 8 in
+      List.iter (fun n -> Hashtbl.replace level n 0) order;
+      List.iter
+        (fun n ->
+          List.iter
+            (fun b ->
+              if b.Topo.br_from = n then
+                Hashtbl.replace level b.Topo.br_to
+                  (max (Hashtbl.find level b.Topo.br_to)
+                     (Hashtbl.find level n + 1)))
+            t.Topo.tp_bridges)
+        order;
+      let deepest =
+        List.fold_left (fun acc n -> max acc (Hashtbl.find level n)) 0 order
+      in
+      List.init (deepest + 1) (fun k ->
+          List.filter (fun n -> Hashtbl.find level n = k) order))
+    (reference_toposort t)
+
+(* [n] segments declared in index order, with a random topological
+   rank: a bridge joins each pair of increasing rank with probability
+   1/4.  [cyclic] adds the reverse of one bridge (or a self-loop). *)
+let random_topo ~cyclic (n, seed) =
+  let rs = Random.State.make [| seed |] in
+  let rank = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rs (i + 1) in
+    let x = rank.(i) in
+    rank.(i) <- rank.(j);
+    rank.(j) <- x
+  done;
+  let edges = ref [] in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if rank.(i) < rank.(j) && Random.State.int rs 4 = 0 then
+        edges := (i, j) :: !edges
+    done
+  done;
+  let edges =
+    match (cyclic, List.rev !edges) with
+    | false, edges -> edges
+    | true, [] -> [ (0, 0) ]
+    | true, edges ->
+      let i, j = List.nth edges (Random.State.int rs (List.length edges)) in
+      edges @ [ (j, i) ]
+  in
+  let inst =
+    Scenarios.uniform ~sources:1 ~classes_per_source:1 ~load:0.1
+      ~deadline_windows:2.0
+  in
+  let name i = Printf.sprintf "s%d" i in
+  {
+    Topo.tp_name = "random";
+    tp_segments =
+      List.init n (fun i ->
+          {
+            Topo.sg_name = name i;
+            sg_instance = inst;
+            sg_workload = None;
+            sg_fault = None;
+          });
+    tp_bridges =
+      List.mapi
+        (fun k (i, j) ->
+          {
+            Topo.br_name = Printf.sprintf "b%d" k;
+            br_from = name i;
+            br_to = name j;
+            br_station = 1;
+            br_latency = 0;
+            br_capacity = 1;
+          })
+        edges;
+    tp_flows = [];
+  }
+
+let prop_toposort_matches_reference =
+  let arb =
+    QCheck.make
+      ~print:(fun (n, seed, cyclic) ->
+        Printf.sprintf "n=%d seed=%d cyclic=%b" n seed cyclic)
+      QCheck.Gen.(triple (int_range 1 24) (int_bound 1_000_000) bool)
+  in
+  QCheck.Test.make ~name:"toposort and levels match the quadratic reference"
+    ~count:300 arb (fun (n, seed, cyclic) ->
+      let t = random_topo ~cyclic (n, seed) in
+      let sorted = Topo.toposort t in
+      (match (cyclic, sorted) with
+      | true, Ok _ -> QCheck.Test.fail_report "a cyclic graph sorted"
+      | false, Error e -> QCheck.Test.fail_report e
+      | _ -> ());
+      sorted = reference_toposort t && Topo.levels t = reference_levels t)
+
 let suite =
   [
     ( "topology",
@@ -897,5 +1020,6 @@ let suite =
           test_lint_flags_bad_fault_plan;
         Alcotest.test_case "lint warns unabsorbable outage" `Quick
           test_lint_warns_unabsorbable_outage;
+        QCheck_alcotest.to_alcotest prop_toposort_matches_reference;
       ] );
   ]
