@@ -58,9 +58,10 @@ let run ?(log = fun (_ : string) -> ()) subject config =
   let task_errors = ref [] in
   let gave_up = ref [] in
   let examined = ref 0 in
-  let on_event = function
+  let on_event ev =
+    incr examined;
+    match ev with
     | Pool.Completed (pos, _, report) ->
-      incr examined;
       if Oracle.is_failure report.Subject.rp_verdict then begin
         findings :=
           { fi_index = pos; fi_candidate = candidates.(pos); fi_report = report }
@@ -70,11 +71,9 @@ let run ?(log = fun (_ : string) -> ()) subject config =
              (Oracle.describe report.Subject.rp_verdict))
       end
     | Pool.Task_error (pos, _, e) ->
-      incr examined;
       task_errors := (pos, e) :: !task_errors;
       log (Printf.sprintf "candidate %d: task error: %s" pos e)
     | Pool.Gave_up { position; attempts; reason } ->
-      incr examined;
       gave_up :=
         {
           gu_index = position;

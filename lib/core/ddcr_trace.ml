@@ -1,3 +1,7 @@
+module Sink = Rtnet_telemetry.Sink
+module Channel = Rtnet_channel.Channel
+module Message = Rtnet_workload.Message
+
 type via = Free_csma | Open_attempt | Time_tree | Static_tree | Bursting
 
 type event =
@@ -34,10 +38,6 @@ type summary = {
   desyncs : int;
   resyncs : int;
 }
-
-module Sink = Rtnet_telemetry.Sink
-module Channel = Rtnet_channel.Channel
-module Message = Rtnet_workload.Message
 
 let frame_sent ~via (msg : Message.t) ~start ~finish =
   let source = msg.cls.cls_source and uid = msg.uid in
