@@ -844,9 +844,10 @@ let test_lint_warns_unabsorbable_outage () =
 
 (* ---------------- toposort against the quadratic reference ---------------- *)
 
-(* The declaration-order Kahn [Topo.toposort] and [Topo.levels] used to
-   be: rescan the remaining segments for the first with no upstream
-   edge left, and every bridge for each segment placed. *)
+(* The reference for [Topo.toposort] and [Topo.levels]: declaration-
+   order Kahn in its plainest, quadratic form, which rescans the
+   remaining segments for the first with no upstream edge left, and
+   every bridge for each segment placed. *)
 let reference_toposort (t : Topo.t) =
   let names = List.map (fun s -> s.Topo.sg_name) t.Topo.tp_segments in
   let indeg = Hashtbl.create 8 in
