@@ -362,14 +362,12 @@ let observe st plan ~now resolution attempts =
   done;
   mark st.participant false attempts
 
-let slot { st; services } faults p ~decide ~after =
-  let now = st.now in
-  let sink = st.sink in
-  (* Bridge ingress (multi-hop topologies): the injector may hand the
-     harness new messages at any slot boundary; they join the arrival
-     stream and become visible to the EDF queues exactly like trace
-     arrivals (at the first boundary at or after their arrival time). *)
-  (match st.inject with
+(* Bridge ingress (multi-hop topologies): the injector may hand the
+   harness new messages at any slot boundary; they join the arrival
+   stream and become visible to the EDF queues exactly like trace
+   arrivals (at the first boundary at or after their arrival time). *)
+let poll_inject st ~now =
+  match st.inject with
   | None -> ()
   | Some f -> (
     match f ~now with
@@ -377,7 +375,12 @@ let slot { st; services } faults p ~decide ~after =
     | injected ->
       st.arrivals <-
         List.merge arrival_order (List.sort arrival_order injected)
-          st.arrivals));
+          st.arrivals)
+
+let slot { st; services } faults p ~decide ~after =
+  let now = st.now in
+  let sink = st.sink in
+  poll_inject st ~now;
   deliver st now;
   st.slot_faulty <- false;
   clear_views st.own_view st.deviants;
@@ -474,6 +477,9 @@ let source_faults h s =
 
 let finish h =
   let st = h.st in
+  (* A hand-off arriving after the last slot start but before the
+     horizon was never polled: it is unfinished like a trace arrival. *)
+  poll_inject st ~now:(st.horizon - 1);
   let unfinished =
     Array.fold_left (fun acc q -> acc @ Edf_queue.to_sorted_list q) [] st.queues
     @ List.filter (fun m -> m.Message.arrival < st.horizon) st.arrivals

@@ -269,6 +269,32 @@ let test_inject_pending_counts_unfinished () =
   Alcotest.(check int) "trace + injected pending" 2
     (List.length o.Run.unfinished)
 
+let test_inject_late_counts_unfinished () =
+  (* A hand-off arriving after the last slot start but before the
+     horizon is never polled by a slot; the outcome must still count
+     it, exactly like the same message in the trace.  Idle slots of a
+     silent protocol start every 512 bit-times: the last one at 9728. *)
+  let horizon = 10_000 in
+  let late = msg 4 0 (horizon - 1) in
+  let run ~inject trace =
+    Harness.run ~protocol:"silent" ?inject ~phy ~num_sources:1 ~horizon
+      ~decide:(fun _ ~now:_ -> []) ~after:passthrough_after trace
+  in
+  let held = ref [ late ] in
+  let inject ~now =
+    let ready, rest = List.partition (fun m -> m.Message.arrival <= now) !held in
+    held := rest;
+    ready
+  in
+  let counts o =
+    ( List.length o.Run.completions,
+      List.length o.Run.unfinished,
+      List.length o.Run.dropped )
+  in
+  let same = Alcotest.(triple int int int) in
+  Alcotest.check same "in the trace" (0, 1, 0) (counts (run ~inject:None [ late ]));
+  Alcotest.check same "injected" (0, 1, 0) (counts (run ~inject:(Some inject) []))
+
 let test_inject_while_all_crashed_accounted () =
   (* A federation hand-off arriving while every station of the segment
      is crashed must be queued and served after revival (or reported
@@ -561,6 +587,8 @@ let suite =
           test_inject_merges_into_arrival_stream;
         Alcotest.test_case "inject pending unfinished" `Quick
           test_inject_pending_counts_unfinished;
+        Alcotest.test_case "inject late in the horizon unfinished" `Quick
+          test_inject_late_counts_unfinished;
         Alcotest.test_case "inject while all crashed" `Quick
           test_inject_while_all_crashed_accounted;
         Alcotest.test_case "inject unknown source" `Quick
