@@ -7,10 +7,10 @@
    most one fault action per slot (wire garble, local misperception,
    crash, revive) within a fault budget, each action handed to the slot
    as a one-slot plan of scheduled fault atoms.  Invariants checked on
-   every reached state: protocol safety, per-replica well-formedness
-   (slot accounting), lockstep among synced replicas,
-   resync-by-the-next-tree-epoch-boundary, and unexcused deadline
-   misses.
+   every reached state: protocol safety (which includes the slot's own
+   lockstep assertion among synced replicas), per-replica
+   well-formedness (slot accounting), resync-by-the-next-tree-epoch-
+   boundary, and unexcused deadline misses.
 
    `explore` prints state-space statistics; `check` additionally fails
    (exit 1) on any reachable violation or a non-exhaustive run;

@@ -49,12 +49,6 @@ let trace_summary =
         ~doc:"Collect a protocol event trace (ddcr only) and print its \
               per-phase slot accounting.")
 
-let lockstep =
-  Arg.(
-    value & flag
-    & info [ "lockstep" ]
-        ~doc:"Assert replica lockstep after every slot (slower).")
-
 let telemetry_flag =
   Arg.(
     value & flag
@@ -80,10 +74,10 @@ let headroom_flag =
           "Print the per-class bound-headroom table (observed worst access \
            delay vs. the analytic B_DDCR/B_impl bounds) for the DDCR run.")
 
-let run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~sink =
+let run_one ~name ~inst ~params ~trace ~horizon ~seed ~sink =
   match name with
   | "ddcr" ->
-    Ddcr.run_trace ~check_lockstep:lockstep ~sink params inst trace ~horizon
+    Ddcr.run_trace ~sink params inst trace ~horizon
   | "beb" -> Beb.run_trace ~seed inst trace ~horizon
   | "dcr" -> Dcr.run_trace (Dcr.of_ddcr params) inst trace ~horizon
   | "tdma" -> Tdma.run_trace inst trace ~horizon
@@ -92,7 +86,7 @@ let run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~sink =
 
 let main scenario size load deadline_windows seed horizon_ms indices burst
     theta allocation adversary protocol per_class histogram trace_summary
-    lockstep telemetry trace_out headroom =
+    telemetry trace_out headroom =
   let inst =
     Cli_common.instance_of ~scenario ~size ~load ~deadline_windows
   in
@@ -144,7 +138,7 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
           (Option.fold ~none:Sink.null ~some:Recorder.sink tele)
       in
       let o =
-        run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~sink
+        run_one ~name ~inst ~params ~trace ~horizon ~seed ~sink
       in
       Format.printf "%-14s %a@." o.Run.protocol Run.pp_metrics (Run.metrics o);
       (match collected with
@@ -208,8 +202,8 @@ let cmd =
       $ Cli_common.deadline_windows $ Cli_common.seed $ Cli_common.horizon_ms
       $ Cli_common.indices_per_source $ Cli_common.burst_bits
       $ Cli_common.theta $ Cli_common.allocation $ Cli_common.adversary
-      $ protocol $ per_class $ histogram $ trace_summary $ lockstep
-      $ telemetry_flag $ trace_out $ headroom_flag)
+      $ protocol $ per_class $ histogram $ trace_summary $ telemetry_flag
+      $ trace_out $ headroom_flag)
   in
   Cmd.v
     (Cmd.info "ddcr_sim" ~doc:"Simulate HRTDM scenarios under MAC protocols")

@@ -57,7 +57,7 @@ let () =
   Format.printf "%a@.parameters: %a@.@." Instance.pp inst Ddcr_params.pp params;
   let sink, finish = Ddcr_trace.collector () in
   let outcome =
-    Ddcr.run ~check_lockstep:true ~sink ~seed:1 params inst ~horizon:8_500
+    Ddcr.run ~sink ~seed:1 params inst ~horizon:8_500
   in
   print_endline "protocol trace (one line per slot / transition):";
   List.iter (fun e -> Format.printf "  %a@." Ddcr_trace.pp_event e) (finish ());

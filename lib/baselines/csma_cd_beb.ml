@@ -19,10 +19,10 @@ let run_trace ?(params = ethernet) ?plan ~seed inst trace ~horizon =
     attempts.(src) <- 0;
     backoff.(src) <- 0
   in
-  let decide services ~now:_ =
+  let decide h ~now:_ =
     List.filter_map
       (fun src ->
-        match services.Harness.peek src with
+        match Harness.peek h src with
         | Some m when backoff.(src) = 0 ->
           Some
             {
@@ -34,7 +34,7 @@ let run_trace ?(params = ethernet) ?plan ~seed inst trace ~horizon =
         | Some _ | None -> None)
       (List.init z Fun.id)
   in
-  let after services ~now:_ ~resolution ~next_free =
+  let after h ~now:_ ~resolution ~next_free =
     (match resolution with
     | Channel.Garbled _ ->
       (* A CRC error is not a collision: the station retransmits
@@ -57,8 +57,8 @@ let run_trace ?(params = ethernet) ?plan ~seed inst trace ~horizon =
           | Some _ | None ->
             attempts.(src) <- attempts.(src) + 1;
             if attempts.(src) >= params.max_attempts then begin
-              (match services.Harness.pop src with
-              | Some m -> services.Harness.drop m
+              (match Harness.pop h src with
+              | Some m -> Harness.drop h m
               | None -> assert false);
               reset src
             end

@@ -47,11 +47,11 @@ let run_trace params inst trace ~horizon =
     let child = w / params.static_m in
     List.init params.static_m (fun i -> (lo + (i * child), child))
   in
-  let decide services ~now:_ =
+  let decide h ~now:_ =
     match !phase with
     | Free ->
       List.filter_map
-        (fun src -> Option.map (attempt_of src) (services.Harness.peek src))
+        (fun src -> Option.map (attempt_of src) (Harness.peek h src))
         (List.init z Fun.id)
     | Search [] -> assert false
     | Search ((lo, w) :: _) ->
@@ -62,11 +62,11 @@ let run_trace params inst trace ~horizon =
             ranks.(src) < Array.length own
             && own.(ranks.(src)) >= lo
             && own.(ranks.(src)) < lo + w
-          then Option.map (attempt_of src) (services.Harness.peek src)
+          then Option.map (attempt_of src) (Harness.peek h src)
           else None)
         (List.init z Fun.id)
   in
-  let after _services ~now:_ ~resolution ~next_free =
+  let after _ ~now:_ ~resolution ~next_free =
     (match (!phase, resolution) with
     | _, Channel.Garbled _ -> () (* noise: retry the current step *)
     | Free, (Channel.Idle | Channel.Tx _) -> ()

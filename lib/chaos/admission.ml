@@ -78,10 +78,7 @@ let simulate_admitted eng ~trace_seed ~horizon_ms =
   in
   let horizon = horizon_ms * 1_000_000 in
   let trace = Instance.trace inst ~seed:trace_seed ~horizon in
-  let outcome =
-    Ddcr.run_trace ~check_lockstep:true (Engine.params eng) inst trace
-      ~horizon
-  in
+  let outcome = Ddcr.run_trace (Engine.params eng) inst trace ~horizon in
   let misses = (Run.metrics outcome).Run.deadline_misses in
   Ok
     ( outcome,

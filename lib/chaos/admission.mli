@@ -57,8 +57,8 @@ val simulate_admitted :
   (Rtnet_stats.Run.outcome * Rtnet_analysis.Oracle.verdict, string) result
 (** [simulate_admitted eng ~trace_seed ~horizon_ms] is the
     accept-then-violate check: [eng]'s admitted set simulated under its
-    parameters for [horizon_ms] ms (trace from [trace_seed], replica
-    lockstep check on).  The verdict is [Pass] without a deadline miss,
+    parameters for [horizon_ms] ms (trace from [trace_seed]; the slot
+    asserts replica lockstep).  The verdict is [Pass] without a deadline miss,
     else an admission violation naming the first class that finished
     late, then dropped, then unfinished though due.  [Error] if the
     set does not instantiate (an empty one does not). *)

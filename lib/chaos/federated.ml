@@ -70,8 +70,8 @@ let run ?postmortem env cd =
   in
   let* res =
     prefix "driver: "
-      (Driver.run_seeded ~check_lockstep:true ?sink_for admitted
-         ~seed:cd.td_trace_seed ~fault_seed:cd.td_fault_seed ~horizon)
+      (Driver.run_seeded ?sink_for admitted ~seed:cd.td_trace_seed
+         ~fault_seed:cd.td_fault_seed ~horizon)
   in
   let verdict = Oracle.classify_topo res in
   Option.iter

@@ -80,9 +80,7 @@ let run ?postmortem:_ env cd =
   in
   let sink, finish = Ddcr_trace.collector () in
   let plan = Fault_plan.create ~horizon ~seed:cd.cd_fault_seed cd.cd_plan in
-  let outcome =
-    Ddcr.run_trace ~check_lockstep:true ~sink ~plan params inst trace ~horizon
-  in
+  let outcome = Ddcr.run_trace ~sink ~plan params inst trace ~horizon in
   Ok
     {
       Subject.rp_verdict = Oracle.classify ~workload:trace ~outcome (finish ());

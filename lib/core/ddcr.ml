@@ -443,7 +443,6 @@ module Harness = Rtnet_mac.Harness
    their results) and the deadline band. *)
 type slot_config = {
   params : Ddcr_params.t;
-  check_lockstep : bool;
   sink : Sink.t;
   memo_pre : Step.state array;
   memo_obs : Channel.resolution array;
@@ -524,11 +523,11 @@ let rec diverge_all t = function
    It stands for "the shared state" in trace events and recovery.
    Stations outside the differing set are live and synced, so the scan
    ends at the first of them: without a fault plan, station 0. *)
-let rec reference t services s =
+let rec reference t s =
   if s >= Array.length t.ranks then -1
-  else if (not (differs t s)) || (t.synced.(s) && services.Harness.alive s)
+  else if (not (differs t s)) || (t.synced.(s) && Harness.alive t.h s)
   then s
-  else reference t services (s + 1)
+  else reference t (s + 1)
 
 let rec memo_find t pre obs j distinct =
   if j >= distinct || (t.cfg.memo_pre.(j) == pre && t.cfg.memo_obs.(j) == obs)
@@ -541,12 +540,12 @@ let rec memo_find t pre obs j distinct =
    once per distinct (state, observation) pair, the shared replica's
    pair first, and every replica that supplied a pair gets the same
    physical result. *)
-let rec step_differing t services ~next_free distinct = function
+let rec step_differing t ~next_free distinct = function
   | [] -> ()
   | s :: rest ->
     let distinct =
-      if t.synced.(s) && services.Harness.alive s then begin
-        let pre = t.replicas.(s) and obs = services.Harness.observed s in
+      if t.synced.(s) && Harness.alive t.h s then begin
+        let pre = t.replicas.(s) and obs = Harness.observed t.h s in
         let j = memo_find t pre obs 0 distinct in
         let distinct =
           if j < distinct then distinct
@@ -566,60 +565,60 @@ let rec step_differing t services ~next_free distinct = function
       end
       else distinct
     in
-    step_differing t services ~next_free distinct rest
+    step_differing t ~next_free distinct rest
 
 (* Every live synced differing replica agrees with the shared one. *)
-let rec all_agree t services = function
+let rec all_agree t = function
   | [] -> true
   | s :: rest ->
-    ((not (t.synced.(s) && services.Harness.alive s))
+    ((not (t.synced.(s) && Harness.alive t.h s))
     || Step.same_shared t.replicas.(s) t.shared)
-    && all_agree t services rest
+    && all_agree t rest
 
-let resync t services ~next_free s st =
+let resync t ~next_free s st =
   t.replicas.(s) <- st;
   t.ranks.(s) <- 0;
   t.synced.(s) <- true;
-  services.Harness.mark_resync s;
+  Harness.mark_resync t.h s;
   let sink = t.cfg.sink in
   if sink.Sink.enabled then
     sink.Sink.mark ~time:next_free (Sink.Resync { source = s })
 
-let rec resync_all t services ~next_free st = function
+let rec resync_all t ~next_free st = function
   | [] -> ()
   | s :: rest ->
-    if services.Harness.alive s && not t.synced.(s) then
-      resync t services ~next_free s st;
-    resync_all t services ~next_free st rest
+    if Harness.alive t.h s && not t.synced.(s) then
+      resync t ~next_free s st;
+    resync_all t ~next_free st rest
 
-let rec check_agree t services ~now reference = function
+let lockstep_broken ~now reference st =
+  Protocol_violation
+    (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
+       (Step.fingerprint reference) (Step.fingerprint st))
+
+let rec check_agree t ~now reference = function
   | [] -> ()
   | s :: rest ->
     if
-      t.synced.(s) && services.Harness.alive s
+      t.synced.(s) && Harness.alive t.h s
       && not (Step.same_shared t.replicas.(s) reference)
-    then
-      raise
-        (Protocol_violation
-           (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
-              (Step.fingerprint reference)
-              (Step.fingerprint t.replicas.(s))));
-    check_agree t services ~now reference rest
+    then raise (lockstep_broken ~now reference t.replicas.(s));
+    check_agree t ~now reference rest
 
 (* Rebuilds only the prefix before the last station that rejoins: a
    slot in which nobody rejoins allocates nothing. *)
-let rec rejoin t services = function
+let rec rejoin t = function
   | [] -> []
   | s :: rest as l ->
     if
-      t.replicas.(s) == t.shared && t.synced.(s) && services.Harness.alive s
+      t.replicas.(s) == t.shared && t.synced.(s) && Harness.alive t.h s
     then begin
       t.replicas.(s) <- sharing;
       t.n_differing <- t.n_differing - 1;
-      rejoin t services rest
+      rejoin t rest
     end
     else
-      let rest' = rejoin t services rest in
+      let rest' = rejoin t rest in
       if rest' == rest then l else s :: rest'
 
 module Slot = struct
@@ -628,7 +627,7 @@ module Slot = struct
   (* With nothing queued every head is [max_int], outside any band, so
      an idle bus costs nothing per station; the band is still set, so
      its checks still run. *)
-  let decide t _services ~now:_ =
+  let decide t ~now:_ =
     let b = t.cfg.band in
     Step.set_band b t.cfg.params t.shared;
     if Harness.queued_total t.h = 0 then []
@@ -639,33 +638,33 @@ module Slot = struct
      carries "the first k messages (EDF ranked) waiting in Q" — the live
      queue, so arrivals during the acquisition participate in the
      ranking. *)
-  let rec burst t services src start budget =
-    services.Harness.deliver_until start;
+  let rec burst t src start budget =
+    Harness.deliver_until t.h start;
     if budget <= 0 then start
     else
-      match services.Harness.peek src with
+      match Harness.peek t.h src with
       | Some m
-        when Phy.tx_bits (Channel.phy services.Harness.channel)
+        when Phy.tx_bits (Channel.phy (Harness.channel t.h))
                m.Message.cls.Message.cls_bits
              <= budget -> (
-        match services.Harness.pop src with
+        match Harness.pop t.h src with
         | Some m ->
           let on_wire, _ =
-            Channel.burst services.Harness.channel ~src ~tag:m.Message.uid
+            Channel.burst (Harness.channel t.h) ~src ~tag:m.Message.uid
               ~bits:m.Message.cls.Message.cls_bits
           in
-          services.Harness.complete m ~start ~finish:(start + on_wire);
-          burst t services src (start + on_wire) (budget - on_wire)
+          Harness.complete t.h m ~start ~finish:(start + on_wire);
+          burst t src (start + on_wire) (budget - on_wire)
         | None -> start)
       | Some _ | None -> start
 
   (* Liveness transitions (only a plan crashes stations, and a crashed
      station differs): one entering a crash window loses its replica
      (stale on rejoin); one leaving it rejoins listen-only. *)
-  let rec liveness t services ~now = function
+  let rec liveness t ~now = function
     | [] -> ()
     | s :: rest ->
-      let alive = services.Harness.alive s in
+      let alive = Harness.alive t.h s in
       let sink = t.cfg.sink in
       (match (t.prev_alive.(s), alive) with
       | true, false ->
@@ -677,11 +676,11 @@ module Slot = struct
           sink.Sink.mark ~time:now (Sink.Rejoin { source = s })
       | _ -> ());
       t.prev_alive.(s) <- alive;
-      liveness t services ~now rest
+      liveness t ~now rest
 
   (* Desynchronized stations are listen-only: their stale replica is
      not advanced (it is replaced wholesale on resync). *)
-  let step_replicas t services ~resolution ~next_free =
+  let step_replicas t ~resolution ~next_free =
     let distinct =
       if t.n_differing = Array.length t.ranks then 0
       else begin
@@ -710,18 +709,18 @@ module Slot = struct
         1
       end
     in
-    step_differing t services ~next_free distinct t.differing
+    step_differing t ~next_free distinct t.differing
 
   (* Divergence detection: live synced replicas disagreeing with the
      plurality ("consensus reality", ties broken toward the lowest
      station id) go listen-only.  While the shared replica has holders
      and every live synced differing replica agrees with it, that is
      the plurality and nobody disagrees. *)
-  let detect_divergence t services ~next_free =
-    if not (t.n_differing < Array.length t.ranks && all_agree t services t.differing)
+  let detect_divergence t ~next_free =
+    if not (t.n_differing < Array.length t.ranks && all_agree t t.differing)
     then begin
       let states = Array.init (Array.length t.ranks) (state_of t) in
-      let member s = t.synced.(s) && services.Harness.alive s in
+      let member s = t.synced.(s) && Harness.alive t.h s in
       match Step.plurality ~member states with
       | Some r ->
         for s = 0 to Array.length states - 1 do
@@ -738,12 +737,12 @@ module Slot = struct
 
   (* Degradation accounting: every live station sitting out this slot
      desynchronized extends the fault epoch. *)
-  let rec count_desync t services = function
+  let rec count_desync t = function
     | [] -> ()
     | s :: rest ->
-      if services.Harness.alive s && not t.synced.(s) then
-        services.Harness.mark_desync s;
-      count_desync t services rest
+      if Harness.alive t.h s && not t.synced.(s) then
+        Harness.mark_desync t.h s;
+      count_desync t rest
 
   (* Recovery.  A listen-only station re-acquires the shared state at
      the next tree-epoch boundary: the reference replica must be in
@@ -751,28 +750,28 @@ module Slot = struct
      copy resets the private rank.  If no live synced station remains,
      the lowest-id live one cold-starts the shared state and becomes
      the reference.  Only differing stations are listen-only. *)
-  let recover t services ~next_free ~ref_post =
+  let recover t ~next_free ~ref_post =
     (if ref_post < 0 then
        let rec first_alive s =
          if s >= Array.length t.ranks then -1
-         else if services.Harness.alive s then s
+         else if Harness.alive t.h s then s
          else first_alive (s + 1)
        in
        let s = first_alive 0 in
        if s >= 0 then
-         resync t services ~next_free s { Step.init with Step.reft = next_free });
-    let r = reference t services 0 in
+         resync t ~next_free s { Step.init with Step.reft = next_free });
+    let r = reference t 0 in
     if r >= 0 && Step.at_boundary (state_of t r) then
-      resync_all t services ~next_free (state_of t r) t.differing
+      resync_all t ~next_free (state_of t r) t.differing
 
   (* Stations holding the shared value again, live and synced, rejoin
      it; if no station holds it, the reference's replica becomes it. *)
-  let normalize t services =
+  let normalize t =
     if t.n_differing > 0 then begin
       (if t.n_differing = Array.length t.ranks then
-         let r = reference t services 0 in
+         let r = reference t 0 in
          if r >= 0 then t.shared <- t.replicas.(r));
-      t.differing <- rejoin t services t.differing
+      t.differing <- rejoin t t.differing
     end
 
   (* The tree-search brackets, from the reference replica's phase
@@ -801,11 +800,11 @@ module Slot = struct
     | Step.Tts _, Step.Attempt -> tts_end ()
     | _, _ -> ()
 
-  let after t services ~now ~resolution ~next_free =
+  let after t ~now ~resolution ~next_free =
     (* This slot's crashed and misperceiving stations leave the shared
        replica with the state they held entering it. *)
     diverge_all t (Harness.deviants t.h);
-    let r_pre = reference t services 0 in
+    let r_pre = reference t 0 in
     let pre = state_of t (if r_pre >= 0 then r_pre else 0) in
     let sink = t.cfg.sink in
     (* The phase the slot was spent in, after its frame's [complete]
@@ -821,39 +820,37 @@ module Slot = struct
     let next_free =
       match resolution with
       | Channel.Tx { src; on_wire; _ } ->
-        burst t services src (now + on_wire) budget
+        burst t src (now + on_wire) budget
       | Channel.Clash { survivor = Some (src, _, on_wire); _ } ->
-        burst t services src
-          (now + Channel.slot_bits services.Harness.channel + on_wire)
-          budget
+        let slot_bits = Channel.slot_bits (Harness.channel t.h) in
+        burst t src (now + slot_bits + on_wire) budget
       | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ }
         ->
         next_free
     in
-    liveness t services ~now t.differing;
-    step_replicas t services ~resolution ~next_free;
-    detect_divergence t services ~next_free;
-    count_desync t services t.differing;
-    let ref_post = reference t services 0 in
+    liveness t ~now t.differing;
+    step_replicas t ~resolution ~next_free;
+    detect_divergence t ~next_free;
+    count_desync t t.differing;
+    let ref_post = reference t 0 in
     if sink.Sink.enabled && ref_post >= 0 then
       search_marks t ~next_free pre (state_of t ref_post);
-    recover t services ~next_free ~ref_post;
-    (if t.cfg.check_lockstep && ref_post >= 0 then
-       let reference = state_of t ref_post in
-       if
-         t.n_differing < Array.length t.ranks
-         && not (Step.same_shared t.shared reference)
-       then
-         raise
-           (Protocol_violation
-              (Printf.sprintf "lockstep broken at t=%d: %s vs %s" now
-                 (Step.fingerprint reference)
-                 (Step.fingerprint t.shared)));
-       check_agree t services ~now reference t.differing);
-    normalize t services;
+    recover t ~next_free ~ref_post;
+    (* Lockstep (Sections 2.1 and 3.2), asserted in every slot: each
+       live synced replica holds the reference's state — one comparison
+       for the shared replica and one per differing station. *)
+    if ref_post >= 0 then begin
+      let reference = state_of t ref_post in
+      if
+        t.n_differing < Array.length t.ranks
+        && not (Step.same_shared t.shared reference)
+      then raise (lockstep_broken ~now reference t.shared);
+      check_agree t ~now reference t.differing
+    end;
+    normalize t;
     next_free
 
-  let make ~check_lockstep ~analyze ~sink ~inject params inst trace ~horizon =
+  let make ~analyze ~sink ~inject params inst trace ~horizon =
     let z = inst.Instance.num_sources in
     let h =
       Harness.create ~protocol:"csma-ddcr" ~analyze ~sink ~inject
@@ -863,7 +860,6 @@ module Slot = struct
       cfg =
         {
           params;
-          check_lockstep;
           sink;
           memo_pre = Array.make (z + 1) Step.init;
           memo_obs = Array.make (z + 1) Channel.Idle;
@@ -881,8 +877,7 @@ module Slot = struct
     }
 
   let create params inst trace ~horizon =
-    make ~check_lockstep:false ~analyze:true ~sink:Sink.null ~inject:None
-      params inst trace ~horizon
+    make ~analyze:true ~sink:Sink.null ~inject:None params inst trace ~horizon
 
   let copy t =
     {
@@ -897,19 +892,17 @@ module Slot = struct
   let step t faults = Harness.slot t.h faults t ~decide ~after
   let harness t = t.h
   let now t = Harness.now t.h
-  let alive t s = (Harness.services t.h).Harness.alive s
+  let alive t s = Harness.alive t.h s
   let synced t s = t.synced.(s)
   let replica t s = { (state_of t s) with Step.rank = t.ranks.(s) }
 end
 
-let run_trace ?(check_lockstep = false) ?plan ?(analyze = true)
-    ?(sink = Sink.null) ?inject params inst trace ~horizon =
+let run_trace ?plan ?(analyze = true) ?(sink = Sink.null) ?inject params inst
+    trace ~horizon =
   (match Ddcr_params.validate params ~num_sources:inst.Instance.num_sources with
   | Ok () -> ()
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
-  let t =
-    Slot.make ~check_lockstep ~analyze ~sink ~inject params inst trace ~horizon
-  in
+  let t = Slot.make ~analyze ~sink ~inject params inst trace ~horizon in
   let rec loop () =
     Slot.step t plan;
     if Slot.now t < horizon then loop ()
@@ -917,8 +910,7 @@ let run_trace ?(check_lockstep = false) ?plan ?(analyze = true)
   loop ();
   Harness.finish t.h
 
-let run ?check_lockstep ?plan ?analyze ?sink ?inject ?(seed = 1) params inst
-    ~horizon =
-  run_trace ?check_lockstep ?plan ?analyze ?sink ?inject params inst
+let run ?plan ?analyze ?sink ?inject ?(seed = 1) params inst ~horizon =
+  run_trace ?plan ?analyze ?sink ?inject params inst
     (Instance.trace inst ~seed ~horizon)
     ~horizon

@@ -185,9 +185,9 @@ module Slot : sig
   val step : t -> Rtnet_channel.Fault_plan.t option -> unit
   (** One slot of {!run_trace} under [faults] (see
       {!Rtnet_mac.Harness.slot}); with [Some _] DDCR's fault handling
-      runs too.
-      @raise Protocol_violation on inconsistent channel feedback, and
-      {!Rtnet_mac.Harness.Mismatch}. *)
+      runs too.  Lockstep is asserted as in {!run_trace}.
+      @raise Protocol_violation on inconsistent channel feedback or a
+      broken lockstep, and {!Rtnet_mac.Harness.Mismatch}. *)
 
   val harness : t -> Rtnet_mac.Harness.t
   val now : t -> int
@@ -203,7 +203,6 @@ module Slot : sig
 end
 
 val run_trace :
-  ?check_lockstep:bool ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->
@@ -217,9 +216,11 @@ val run_trace :
     given arrival trace on [inst]'s medium until [horizon] (bit-times)
     and reports the outcome (completions carry exact start/finish
     times; the channel's occupancy statistics are embedded).
-    With [check_lockstep] (default [false]) every slot asserts that all
-    sources' replicas agree — one comparison for the stations sharing
-    the reference's replica and one per differing station.
+    Every slot asserts lockstep, the property the paper's safety
+    argument rests on (Sections 2.1 and 3.2): after recovery, every
+    live synced replica agrees with the reference's — one comparison
+    for the stations sharing the reference's replica and one per
+    differing station.
     [analyze] is the harness's (default [true]):
     every completion is checked against the frame the channel
     carried.
@@ -250,8 +251,8 @@ val run_trace :
       clearing.  If {e no} synced source
       remains, the lowest-id live source cold-restarts the protocol and
       the others resync to it;
-    - with [check_lockstep], lockstep is asserted among the live synced
-      replicas only (the property fault plans preserve).
+    - lockstep is asserted among the live synced replicas only (the
+      property fault plans preserve).
 
     The outcome's [faults] statistics are [Some] iff [plan] was given.
 
@@ -268,10 +269,10 @@ val run_trace :
     arrivals from upstream segments; it reads what this segment
     forwards from the outcome's completions.
     @raise Invalid_argument if [params] fail validation for [inst].
-    @raise Protocol_violation on inconsistent channel feedback. *)
+    @raise Protocol_violation on inconsistent channel feedback or a
+    broken lockstep. *)
 
 val run :
-  ?check_lockstep:bool ->
   ?plan:Rtnet_channel.Fault_plan.t ->
   ?analyze:bool ->
   ?sink:Rtnet_telemetry.Sink.t ->

@@ -95,12 +95,12 @@ let check a =
         0. per_bus;
   }
 
-let run ?check_lockstep ?(seed = 1) a ~horizon =
+let run ?(seed = 1) a ~horizon =
   let outcomes =
     List.map
       (fun bus ->
         let params = Ddcr_params.default bus in
-        Ddcr.run ?check_lockstep ~seed params bus ~horizon)
+        Ddcr.run ~seed params bus ~horizon)
       (Array.to_list a.buses)
   in
   Run.merge

@@ -44,7 +44,6 @@ val check : assignment -> report
     evaluates the Section 4.3 feasibility conditions for each. *)
 
 val run :
-  ?check_lockstep:bool ->
   ?seed:int ->
   assignment ->
   horizon:int ->

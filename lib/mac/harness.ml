@@ -5,19 +5,6 @@ module Edf_queue = Rtnet_edf.Edf_queue
 module Run = Rtnet_stats.Run
 module Sink = Rtnet_telemetry.Sink
 
-type services = {
-  channel : Channel.t;
-  peek : int -> Message.t option;
-  pop : int -> Message.t option;
-  complete : Message.t -> start:int -> finish:int -> unit;
-  drop : Message.t -> unit;
-  deliver_until : int -> unit;
-  alive : int -> bool;
-  observed : int -> Channel.resolution;
-  mark_desync : int -> unit;
-  mark_resync : int -> unit;
-}
-
 type mismatch = {
   mm_slot : int;
   mm_source : int;
@@ -66,7 +53,7 @@ let rec in_order = function
 let sorted trace = if in_order trace then trace else List.sort arrival_order trace
 
 (* Everything one slot reads and writes, updated in place. *)
-type state = {
+type t = {
   protocol : string;
   num_sources : int;
   horizon : int;
@@ -114,8 +101,6 @@ type state = {
   participant : bool array; (* scratch, cleared by each slot: shared *)
 }
 
-type t = { st : state; services : services }
-
 let note_epoch st ~start ~finish =
   if st.open_from >= 0 && start <= st.open_until then
     st.open_until <- max st.open_until finish
@@ -154,7 +139,7 @@ let rec deliver_from st now = function
     deliver_from st now rest
   | rest -> st.arrivals <- rest
 
-let deliver st now = deliver_from st now st.arrivals
+let deliver_until st now = deliver_from st now st.arrivals
 
 let analyze_failure fmt =
   Printf.ksprintf (fun msg -> failwith ("harness analyze: " ^ msg)) fmt
@@ -207,88 +192,59 @@ let pop st src =
     Some m
   end
 
-
-(* The per-source callbacks capture the arrays themselves: they run for
-   every station in every slot. *)
-let services_of st =
-  let queues = st.queues and alive = st.alive in
-  let own_view = st.own_view and observed = st.observed in
-  {
-    channel = st.channel;
-    peek = (fun src -> Edf_queue.peek queues.(src));
-    pop = pop st;
-    complete = complete st;
-    drop =
-      (fun m ->
-        if st.sink.Sink.enabled then st.sink.Sink.drop ~msg:m;
-        st.dropped <- m :: st.dropped);
-    deliver_until = deliver st;
-    alive = (fun src -> alive.(src));
-    observed = (fun src -> if own_view.(src) then observed.(src) else st.wire);
-    mark_desync =
-      (fun src ->
-        st.desync_slots.(src) <- st.desync_slots.(src) + 1;
-        st.slot_faulty <- true);
-    mark_resync = (fun src -> st.resyncs.(src) <- st.resyncs.(src) + 1);
-  }
-
-let attach st = { st; services = services_of st }
-
 let create ~protocol ~analyze ~sink ~inject ~phy ~num_sources ~horizon trace =
   let per_source v = Array.make num_sources v in
-  attach
-    {
-      protocol;
-      num_sources;
-      horizon;
-      analyze;
-      sink;
-      inject;
-      channel = Channel.create phy;
-      queues = per_source Edf_queue.empty;
-      heads = per_source max_int;
-      head_att = per_source no_attempt;
-      queued_total = 0;
-      arrivals = sorted trace;
-      now = 0;
-      completions = [];
-      completed = 0;
-      dropped = [];
-      wire = Channel.Idle;
-      planned = false;
-      alive = per_source true;
-      own_view = per_source false;
-      observed = per_source Channel.Idle;
-      crashed_slots = per_source 0;
-      missed = per_source 0;
-      misperceived = per_source 0;
-      desync_slots = per_source 0;
-      resyncs = per_source 0;
-      slot_faulty = false;
-      deviants = [];
-      epochs = [];
-      open_from = -1;
-      open_until = 0;
-      participant = per_source false;
-    }
+  {
+    protocol;
+    num_sources;
+    horizon;
+    analyze;
+    sink;
+    inject;
+    channel = Channel.create phy;
+    queues = per_source Edf_queue.empty;
+    heads = per_source max_int;
+    head_att = per_source no_attempt;
+    queued_total = 0;
+    arrivals = sorted trace;
+    now = 0;
+    completions = [];
+    completed = 0;
+    dropped = [];
+    wire = Channel.Idle;
+    planned = false;
+    alive = per_source true;
+    own_view = per_source false;
+    observed = per_source Channel.Idle;
+    crashed_slots = per_source 0;
+    missed = per_source 0;
+    misperceived = per_source 0;
+    desync_slots = per_source 0;
+    resyncs = per_source 0;
+    slot_faulty = false;
+    deviants = [];
+    epochs = [];
+    open_from = -1;
+    open_until = 0;
+    participant = per_source false;
+  }
 
-let copy { st; _ } =
-  attach
-    {
-      st with
-      channel = Channel.copy st.channel;
-      queues = Array.copy st.queues;
-      heads = Array.copy st.heads;
-      head_att = Array.copy st.head_att;
-      alive = Array.copy st.alive;
-      own_view = Array.copy st.own_view;
-      observed = Array.copy st.observed;
-      crashed_slots = Array.copy st.crashed_slots;
-      missed = Array.copy st.missed;
-      misperceived = Array.copy st.misperceived;
-      desync_slots = Array.copy st.desync_slots;
-      resyncs = Array.copy st.resyncs;
-    }
+let copy st =
+  {
+    st with
+    channel = Channel.copy st.channel;
+    queues = Array.copy st.queues;
+    heads = Array.copy st.heads;
+    head_att = Array.copy st.head_att;
+    alive = Array.copy st.alive;
+    own_view = Array.copy st.own_view;
+    observed = Array.copy st.observed;
+    crashed_slots = Array.copy st.crashed_slots;
+    missed = Array.copy st.missed;
+    misperceived = Array.copy st.misperceived;
+    desync_slots = Array.copy st.desync_slots;
+    resyncs = Array.copy st.resyncs;
+  }
 
 let mismatch ~now src tag reason =
   Mismatch { mm_slot = now; mm_source = src; mm_tag = tag; mm_reason = reason }
@@ -377,11 +333,11 @@ let poll_inject st ~now =
         List.merge arrival_order (List.sort arrival_order injected)
           st.arrivals)
 
-let slot { st; services } faults p ~decide ~after =
+let slot st faults p ~decide ~after =
   let now = st.now in
   let sink = st.sink in
   poll_inject st ~now;
-  deliver st now;
+  deliver_until st now;
   st.slot_faulty <- false;
   clear_views st.own_view st.deviants;
   st.deviants <- [];
@@ -398,7 +354,7 @@ let slot { st; services } faults p ~decide ~after =
         st.slot_faulty <- true
       end
     done);
-  let attempts = decide p services ~now in
+  let attempts = decide p ~now in
   let attempts =
     match faults with
     | Some _ when not (all_alive st.alive attempts) ->
@@ -422,7 +378,7 @@ let slot { st; services } faults p ~decide ~after =
     let m = take st ~now src tag in
     let start = now + Channel.slot_bits st.channel in
     complete st m ~start ~finish:(start + on_wire));
-  let next_free = after p services ~now ~resolution ~next_free in
+  let next_free = after p ~now ~resolution ~next_free in
   if st.analyze && Channel.tx_count st.channel <> st.completed then
     analyze_failure
       "slot at t=%d: the channel carried %d frames but %d completions were \
@@ -431,15 +387,29 @@ let slot { st; services } faults p ~decide ~after =
   if st.slot_faulty then note_epoch st ~start:now ~finish:next_free;
   st.now <- next_free
 
-let now h = h.st.now
-let services h = h.services
-let head_deadlines h = h.st.heads
+let now h = h.now
+let channel h = h.channel
+let peek h src = Edf_queue.peek h.queues.(src)
 
-let head_attempt { st; _ } s =
-  let a = st.head_att.(s) in
+let drop h m =
+  if h.sink.Sink.enabled then h.sink.Sink.drop ~msg:m;
+  h.dropped <- m :: h.dropped
+
+let alive h src = h.alive.(src)
+let observed h src = if h.own_view.(src) then h.observed.(src) else h.wire
+
+let mark_desync h src =
+  h.desync_slots.(src) <- h.desync_slots.(src) + 1;
+  h.slot_faulty <- true
+
+let mark_resync h src = h.resyncs.(src) <- h.resyncs.(src) + 1
+let head_deadlines h = h.heads
+
+let head_attempt h s =
+  let a = h.head_att.(s) in
   if a != no_attempt then a
   else begin
-    let m = Edf_queue.head st.queues.(s) in
+    let m = Edf_queue.head h.queues.(s) in
     let a =
       {
         Channel.att_source = s;
@@ -448,35 +418,32 @@ let head_attempt { st; _ } s =
         att_key = (Message.abs_deadline m, s);
       }
     in
-    st.head_att.(s) <- a;
+    h.head_att.(s) <- a;
     a
   end
 
-let deviants h = h.st.deviants
-let queued h src = Edf_queue.to_sorted_list h.st.queues.(src)
-let queued_total h = h.st.queued_total
-let pending h = h.st.arrivals
-let completions h = h.st.completions
+let deviants h = h.deviants
+let queued h src = Edf_queue.to_sorted_list h.queues.(src)
+let queued_total h = h.queued_total
+let pending h = h.arrivals
+let completions h = h.completions
 
 let epochs h =
   List.rev
-    (if h.st.open_from >= 0 then
-       (h.st.open_from, h.st.open_until) :: h.st.epochs
-     else h.st.epochs)
+    (if h.open_from >= 0 then (h.open_from, h.open_until) :: h.epochs
+     else h.epochs)
 
 let source_faults h s =
-  let st = h.st in
   {
     Run.sf_source = s;
-    sf_crashed_slots = st.crashed_slots.(s);
-    sf_missed = st.missed.(s);
-    sf_misperceived = st.misperceived.(s);
-    sf_desync_slots = st.desync_slots.(s);
-    sf_resyncs = st.resyncs.(s);
+    sf_crashed_slots = h.crashed_slots.(s);
+    sf_missed = h.missed.(s);
+    sf_misperceived = h.misperceived.(s);
+    sf_desync_slots = h.desync_slots.(s);
+    sf_resyncs = h.resyncs.(s);
   }
 
-let finish h =
-  let st = h.st in
+let finish st =
   (* A hand-off arriving after the last slot start but before the
      horizon was never polled: it is unfinished like a trace arrival. *)
   poll_inject st ~now:(st.horizon - 1);
@@ -487,14 +454,14 @@ let finish h =
   let faults =
     if not st.planned then None
     else begin
-      let epochs = epochs h in
+      let epochs = epochs st in
       if st.sink.Sink.enabled then
         List.iter
           (fun (start, finish) -> st.sink.Sink.epoch ~start ~finish)
           epochs;
       Some
         {
-          Run.f_per_source = List.init st.num_sources (source_faults h);
+          Run.f_per_source = List.init st.num_sources (source_faults st);
           f_epochs = epochs;
         }
     end
@@ -514,9 +481,8 @@ let run ~protocol ?plan ?(analyze = true) ?(sink = Sink.null) ?inject ~phy
   let h =
     create ~protocol ~analyze ~sink ~inject ~phy ~num_sources ~horizon trace
   in
-  let decide () = decide and after () = after in
   let rec loop () =
-    slot h plan () ~decide ~after;
+    slot h plan h ~decide ~after;
     if now h < horizon then loop ()
   in
   loop ();

@@ -15,6 +15,9 @@
       the option to extend the acquisition (packet bursting) by
       returning a later [next_free].
 
+    Both reach the slot state through plain functions on {!t}
+    ({!peek}, {!pop}, {!complete}, {!alive}, {!observed}, ...).
+
     Under a {!Rtnet_channel.Fault_plan} the harness additionally owns
     the {e per-source} view of each slot: a crashed source's attempts
     are discarded and it observes nothing; a live listener may
@@ -33,43 +36,6 @@
     {!run} is {!create}, a loop of {!slot} and {!finish} over one
     mutable slot state ({!t}); {!copy} lets a model checker
     ([Rtnet_model]) branch a run and step the very same slot. *)
-
-type services = {
-  channel : Rtnet_channel.Channel.t;  (** the medium (e.g. for {!Rtnet_channel.Channel.burst}) *)
-  peek : int -> Rtnet_workload.Message.t option;
-      (** [peek src] is the head ([msg*]) of [src]'s EDF queue *)
-  pop : int -> Rtnet_workload.Message.t option;
-      (** [pop src] removes and returns the head *)
-  complete : Rtnet_workload.Message.t -> start:int -> finish:int -> unit;
-      (** record a carried frame (used by the harness itself for the
-          slot's main frame, and by protocols for burst frames) *)
-  drop : Rtnet_workload.Message.t -> unit;
-      (** record a message the protocol abandoned (counts as missed) *)
-  deliver_until : int -> unit;
-      (** make arrivals with [T <= time] visible in the queues; the
-          harness already does this at every slot boundary, but a
-          protocol extending an acquisition (packet bursting) must call
-          it before choosing each continuation frame so the EDF ranking
-          sees messages that arrived mid-acquisition *)
-  alive : int -> bool;
-      (** [alive src] — false while [src] is inside a fault-plan crash
-          window (always true without a plan).  Valid during [decide]
-          and [after] of the current slot. *)
-  observed : int -> Rtnet_channel.Channel.resolution;
-      (** [observed src] is [src]'s {e local} decoding of the current
-          slot — equal to the wire resolution unless the fault plan
-          made [src] misperceive it.  Only meaningful inside [after];
-          a protocol with replicated state must feed each replica its
-          own observation, not the wire's. *)
-  mark_desync : int -> unit;
-      (** protocol callback: count one slot during which [src]'s
-          replica was desynchronized (listen-only); feeds
-          {!Rtnet_stats.Run.source_faults} and extends the current
-          fault epoch *)
-  mark_resync : int -> unit;
-      (** protocol callback: count one completed divergence recovery
-          by [src] *)
-}
 
 type mismatch = {
   mm_slot : int;  (** slot start time (bit-times) *)
@@ -125,10 +91,9 @@ val slot :
   t ->
   Rtnet_channel.Fault_plan.t option ->
   'p ->
-  decide:('p -> services -> now:int -> Rtnet_channel.Channel.attempt list) ->
+  decide:('p -> now:int -> Rtnet_channel.Channel.attempt list) ->
   after:
     ('p ->
-    services ->
     now:int ->
     resolution:Rtnet_channel.Channel.resolution ->
     next_free:int ->
@@ -143,15 +108,60 @@ val slot :
 
 val now : t -> int  (** The start of the next slot. *)
 
-val services : t -> services
-(** After a slot, [alive] and [observed] still answer for it. *)
+(** {2 What a protocol reads and writes}
+
+    A protocol's [decide] and [after] reach the slot state through
+    these functions.  [alive] and [observed] answer for the slot that
+    runs and, after it, for the slot that ran last. *)
+
+val channel : t -> Rtnet_channel.Channel.t
+(** The medium (e.g. for {!Rtnet_channel.Channel.burst}). *)
+
+val peek : t -> int -> Rtnet_workload.Message.t option
+(** [peek h src] is the head ([msg*]) of [src]'s EDF queue. *)
+
+val pop : t -> int -> Rtnet_workload.Message.t option
+(** [pop h src] removes and returns the head. *)
+
+val complete : t -> Rtnet_workload.Message.t -> start:int -> finish:int -> unit
+(** Records a carried frame: the harness itself does so for the slot's
+    main frame, and a protocol for its burst frames. *)
+
+val drop : t -> Rtnet_workload.Message.t -> unit
+(** Records a message the protocol abandoned (counts as missed). *)
+
+val deliver_until : t -> int -> unit
+(** [deliver_until h time] makes arrivals with [T <= time] visible in
+    the queues.  The harness already does this at every slot boundary,
+    but a protocol extending an acquisition (packet bursting) must call
+    it before choosing each continuation frame, so that the EDF ranking
+    sees messages that arrived mid-acquisition. *)
+
+val alive : t -> int -> bool
+(** [alive h src] is false while [src] is inside a fault-plan crash
+    window (always true without a plan). *)
+
+val observed : t -> int -> Rtnet_channel.Channel.resolution
+(** [observed h src] is [src]'s {e local} decoding of the slot: equal
+    to the wire resolution unless the fault plan made [src]
+    misperceive it.  Only meaningful from [after] on; a protocol with
+    replicated state must feed each replica its own observation, not
+    the wire's. *)
+
+val mark_desync : t -> int -> unit
+(** Counts one slot during which [src]'s replica was desynchronized
+    (listen-only): feeds {!Rtnet_stats.Run.source_faults} and extends
+    the current fault epoch. *)
+
+val mark_resync : t -> int -> unit
+(** Counts one completed divergence recovery by [src]. *)
 
 val head_deadlines : t -> int array
 (** Per source, the absolute deadline of its queue's head ([msg*]), or
     [max_int] for an empty queue — the array itself, kept equal to the
-    queues wherever a head changes (delivery, {!services}' [pop], the
-    slot's own take), so a protocol deciding by deadline reads one int
-    per station and calls nothing.  Read-only for callers. *)
+    queues wherever a head changes (delivery, {!pop}, the slot's own
+    take), so a protocol deciding by deadline reads one int per
+    station and calls nothing.  Read-only for callers. *)
 
 val head_attempt : t -> int -> Rtnet_channel.Channel.attempt
 (** [head_attempt h s] is the attempt that sends [s]'s head: its uid
@@ -163,9 +173,9 @@ val head_attempt : t -> int -> Rtnet_channel.Channel.attempt
 val deviants : t -> int list
 (** The stations that are down in the current slot or whose local view
     of it differs from the wire's, in no particular order; empty
-    without a fault plan.  Valid during [after], like [alive] and
-    [observed]: a protocol with replicated state needs to look at no
-    other station apart. *)
+    without a fault plan.  Valid from [after] on, like {!observed}: a
+    protocol with replicated state needs to look at no other station
+    apart. *)
 
 val queued : t -> int -> Rtnet_workload.Message.t list  (** Head first. *)
 
@@ -198,9 +208,9 @@ val run :
   phy:Rtnet_channel.Phy.t ->
   num_sources:int ->
   horizon:int ->
-  decide:(services -> now:int -> Rtnet_channel.Channel.attempt list) ->
+  decide:(t -> now:int -> Rtnet_channel.Channel.attempt list) ->
   after:
-    (services ->
+    (t ->
     now:int ->
     resolution:Rtnet_channel.Channel.resolution ->
     next_free:int ->
@@ -209,7 +219,8 @@ val run :
   Rtnet_stats.Run.outcome
 (** [run ~protocol ~phy ~num_sources ~horizon ~decide ~after trace]
     simulates the protocol on [trace]: {!create}, {!slot} until the
-    horizon, {!finish}.  Per slot, the harness:
+    horizon, {!finish}.  The callbacks get the run's state and keep
+    their own.  Per slot, the harness:
 
     + delivers arrivals with [T <= now] into the EDF queues,
     + under a [plan], refreshes per-source liveness (crash windows),
@@ -261,9 +272,10 @@ val run :
     [inject] is the federation hook for multi-hop topologies
     ([Rtnet_topology]), which read the forwarded frames from the
     outcome's [completions].  [inject ~now], polled at every slot
-    boundary before arrivals are delivered, returns messages to merge
-    into the arrival stream (the injector must return each message
-    exactly once); a message whose [arrival <= now] becomes
+    boundary before arrivals are delivered and once more by {!finish}
+    at [horizon - 1], returns messages to merge into the arrival
+    stream (the injector must return each message exactly once); a
+    message whose [arrival <= now] becomes
     visible to the EDF queues this very slot, a later one when its
     arrival time passes — exactly the visibility rule trace arrivals
     follow.  Injected messages are indistinguishable from trace

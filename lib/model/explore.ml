@@ -1,4 +1,5 @@
 module T = Transition
+module Slot = Rtnet_core.Ddcr.Slot
 
 (* Breadth-first explicit-state exploration, exhaustive up to a slot
    depth and a fault budget.  Dedup is by Transition.key, so a state
@@ -57,12 +58,10 @@ let run ?(config = default_config) sys ~budget =
   (try
      while not (Queue.is_empty frontier) do
        let nd, rtrail, depth = Queue.pop frontier in
+       let now = Slot.now nd.T.slot in
        incr explored;
        if depth > !depth_reached then depth_reached := depth;
-       if
-         depth < config.c_depth
-         && nd.T.time < sys.T.horizon
-       then
+       if depth < config.c_depth && now < sys.T.horizon then
          List.iter
            (fun action ->
              match T.step sys nd action with
@@ -76,7 +75,7 @@ let run ?(config = default_config) sys ~budget =
                  else begin
                    Hashtbl.replace visited k ();
                    Queue.add
-                     (nd', (nd.T.time, action) :: rtrail, depth + 1)
+                     (nd', (now, action) :: rtrail, depth + 1)
                      frontier
                  end
                end
@@ -88,7 +87,7 @@ let run ?(config = default_config) sys ~budget =
                  findings :=
                    {
                      f_violation = v;
-                     f_trail = List.rev ((nd.T.time, action) :: rtrail);
+                     f_trail = List.rev ((now, action) :: rtrail);
                    }
                    :: !findings;
                  if List.length !findings >= config.c_max_violations then

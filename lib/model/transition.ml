@@ -24,7 +24,6 @@ type sys = {
 }
 
 type node = {
-  time : int; (* start of the next contention slot, bit-times *)
   budget : int; (* remaining fault actions *)
   slot : Slot.t; (* the simulator's state; stepped only on copies *)
 }
@@ -39,13 +38,6 @@ type action =
 type violation =
   | Protocol_error of { time : int; reason : string }
   | Wf_error of { time : int; source : int; reason : string }
-  | Lockstep_broken of {
-      time : int;
-      reference : int;
-      source : int;
-      ref_fp : string;
-      fp : string;
-    }
   | Missed_resync of { time : int; source : int }
   | Deadline_miss of {
       time : int;
@@ -74,11 +66,6 @@ let describe_violation = function
   | Wf_error { time; source; reason } ->
     Printf.sprintf "ill-formed replica state of source %d at t=%d: %s" source
       time reason
-  | Lockstep_broken { time; reference; source; ref_fp; fp } ->
-    Printf.sprintf
-      "lockstep broken at t=%d: source %d [%s] disagrees with reference %d \
-       [%s] after recovery"
-      time source fp reference ref_fp
   | Missed_resync { time; source } ->
     Printf.sprintf
       "missed resync at t=%d: source %d still desynchronized at a tree-epoch \
@@ -104,7 +91,7 @@ let make ~params ~inst ~trace ~horizon =
 
 let init sys =
   let slot = Slot.create sys.params sys.inst sys.trace ~horizon:sys.horizon in
-  { time = 0; budget = 0 (* set by the explorer *); slot }
+  { budget = 0 (* set by the explorer *); slot }
 
 (* The action as a one-slot fault plan of scheduled atoms: the garble
    or misperception at [now], and a [now, now+1) crash window for every
@@ -134,8 +121,7 @@ let took_effect ~pre ~post =
   let misperceived slot s =
     (Harness.source_faults (h slot) s).Run.sf_misperceived
   and garbled slot =
-    (Channel.stats (Harness.services (h slot)).Harness.channel)
-      .Channel.garbled_count
+    (Channel.stats (Harness.channel (h slot))).Channel.garbled_count
   in
   function
   | Garble -> garbled post > garbled pre
@@ -146,7 +132,7 @@ let took_effect ~pre ~post =
 let check sys ~pre ~now nd =
   let z = sys.inst.Instance.num_sources in
   let slot = nd.slot in
-  let next_free = nd.time in
+  let next_free = Slot.now slot in
   let live_synced s = Slot.alive slot s && Slot.synced slot s in
   let violation = ref None in
   let set v = if !violation = None then violation := Some v in
@@ -161,28 +147,14 @@ let check sys ~pre ~now nd =
   let rec reference s =
     if s >= z then None else if live_synced s then Some s else reference (s + 1)
   in
+  (* Lockstep among live synced replicas is the slot's own assertion. *)
   (match reference 0 with
   | None -> ()
   | Some r ->
-    (* Lockstep among live synced replicas. *)
-    let ref_st = Slot.replica slot r in
-    for s = 0 to z - 1 do
-      let st = Slot.replica slot s in
-      if live_synced s && not (Step.same_shared st ref_st) then
-        set
-          (Lockstep_broken
-             {
-               time = next_free;
-               reference = r;
-               source = s;
-               ref_fp = Step.fingerprint ref_st;
-               fp = Step.fingerprint st;
-             })
-    done;
     (* Resync within one tree epoch: no live station may still be
        desynchronized once the reference reached a boundary (recovery
        must have fired this very slot). *)
-    if Step.at_boundary ref_st then
+    if Step.at_boundary (Slot.replica slot r) then
       for s = 0 to z - 1 do
         if Slot.alive slot s && not (Slot.synced slot s) then
           set (Missed_resync { time = next_free; source = s })
@@ -219,7 +191,8 @@ let check sys ~pre ~now nd =
 
 let step sys nd action =
   let z = sys.inst.Instance.num_sources in
-  let pre = nd.slot and now = nd.time in
+  let pre = nd.slot in
+  let now = Slot.now pre in
   let alive = Slot.alive pre in
   let enabled, budget =
     match action with
@@ -245,7 +218,7 @@ let step sys nd action =
     else
       match raised with
       | Some v -> Violating v
-      | None -> check sys ~pre ~now { time = Slot.now slot; budget; slot }
+      | None -> check sys ~pre ~now { budget; slot }
   end
 
 (* Canonical state key for dedup: every field that influences any
@@ -256,7 +229,7 @@ let key sys nd =
   let slot = nd.slot in
   let h = Slot.harness slot in
   let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int nd.time);
+  Buffer.add_string b (string_of_int (Slot.now slot));
   Buffer.add_char b '|';
   (* The undelivered arrivals are a suffix of the sorted trace: the uid
      of the first one identifies it. *)

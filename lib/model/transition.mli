@@ -18,10 +18,11 @@ type sys = {
 }
 
 type node = {
-  time : int;  (** start of the next contention slot, bit-times *)
   budget : int;  (** remaining fault actions *)
   slot : Rtnet_core.Ddcr.Slot.t;
-      (** the simulator's state; {!step} steps a copy of it *)
+      (** the simulator's state; {!step} steps a copy of it.  Its
+          {!Rtnet_core.Ddcr.Slot.now} is the start of the next
+          contention slot. *)
 }
 
 type action =
@@ -34,19 +35,12 @@ type action =
 
 type violation =
   | Protocol_error of { time : int; reason : string }
-      (** the slot raised {!Rtnet_core.Ddcr.Protocol_violation} *)
+      (** the slot raised {!Rtnet_core.Ddcr.Protocol_violation}: among
+          others, two live synced replicas disagree after recovery ran
+          (the slot asserts lockstep, the no-two-winners safety root) *)
   | Wf_error of { time : int; source : int; reason : string }
       (** a live synced replica failed {!Rtnet_core.Ddcr.Step.wf} —
           the slot-accounting invariant *)
-  | Lockstep_broken of {
-      time : int;
-      reference : int;
-      source : int;
-      ref_fp : string;
-      fp : string;
-    }
-      (** two live synced replicas disagree {e after} recovery ran —
-          the no-two-winners safety root *)
   | Missed_resync of { time : int; source : int }
       (** a live station is still desynchronized although the
           reference reached a tree-epoch boundary this slot *)

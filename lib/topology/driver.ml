@@ -156,8 +156,7 @@ let run_batch ~domains thunks =
 
 exception Driver_error of string
 
-let run_exn ~domains ?check_lockstep ?sink_for ~fault_seed (e : Admit.t)
-    ~traces ~horizon =
+let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
   let topo = e.Admit.e_topo in
   let seg_names = List.map (fun s -> s.Topo.sg_name) topo.Topo.tp_segments in
   (match Topo.fault_errors topo with
@@ -587,8 +586,7 @@ let run_exn ~domains ?check_lockstep ?sink_for ~fault_seed (e : Admit.t)
                 take [] !pend
               in
               let outcome =
-                Ddcr.run_trace ?check_lockstep ?plan ?sink ~inject params inst
-                  trace ~horizon
+                Ddcr.run_trace ?plan ?sink ~inject params inst trace ~horizon
               in
               (* The flow-hop completions, in finish order: the channel
                  carries one frame at a time. *)
@@ -760,16 +758,15 @@ let run_exn ~domains ?check_lockstep ?sink_for ~fault_seed (e : Admit.t)
    exceptions ([Harness.Mismatch], [Ddcr.Protocol_violation]) still
    propagate — they are run verdicts, not configuration diagnostics,
    and the chaos layer classifies them. *)
-let run ?(domains = 1) ?check_lockstep ?sink_for ?(fault_seed = 0)
-    (e : Admit.t) ~traces ~horizon =
+let run ?(domains = 1) ?sink_for ?(fault_seed = 0) (e : Admit.t) ~traces
+    ~horizon =
   try
-    Ok (run_exn ~domains ?check_lockstep ?sink_for ~fault_seed e ~traces ~horizon)
+    Ok (run_exn ~domains ?sink_for ~fault_seed e ~traces ~horizon)
   with
   | Driver_error msg -> Error msg
   | Invalid_argument msg | Failure msg -> Error msg
 
-let run_seeded ?domains ?check_lockstep ?sink_for ?fault_seed (e : Admit.t)
-    ~seed ~horizon =
+let run_seeded ?domains ?sink_for ?fault_seed (e : Admit.t) ~seed ~horizon =
   let traces =
     List.mapi
       (fun i (s : Topo.segment) ->
@@ -784,7 +781,7 @@ let run_seeded ?domains ?check_lockstep ?sink_for ?fault_seed (e : Admit.t)
   let fault_seed =
     match fault_seed with Some s -> s | None -> Prng.derive seed 0xFA
   in
-  run ?domains ?check_lockstep ?sink_for ~fault_seed e ~traces ~horizon
+  run ?domains ?sink_for ~fault_seed e ~traces ~horizon
 
 let pp_verdict fmt v =
   Format.fprintf fmt

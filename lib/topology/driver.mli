@@ -137,7 +137,6 @@ type result = {
 
 val run :
   ?domains:int ->
-  ?check_lockstep:bool ->
   ?sink_for:(index:int -> segment:string -> Rtnet_telemetry.Sink.t) ->
   ?fault_seed:int ->
   Admit.t ->
@@ -175,7 +174,6 @@ val run :
 
 val run_seeded :
   ?domains:int ->
-  ?check_lockstep:bool ->
   ?sink_for:(index:int -> segment:string -> Rtnet_telemetry.Sink.t) ->
   ?fault_seed:int ->
   Admit.t ->

@@ -1,7 +1,7 @@
 (* Randomized conformance: CSMA/DDCR must uphold its invariants on
    arbitrary small instances — random media, class shapes, arrival
    laws and protocol parameters.  Each case runs a full simulation
-   with lockstep checking on (so replication divergence or a safety
+   (the slot asserts lockstep, so replication divergence or a safety
    violation raises) and then checks the observable contracts. *)
 
 module Ddcr = Rtnet_core.Ddcr
@@ -129,8 +129,8 @@ let prop_conformance =
       let trace = Instance.trace c.instance ~seed:c.seed ~horizon:c.horizon in
       (* Lockstep + channel safety asserted inside the run. *)
       let o =
-        Ddcr.run_trace ~check_lockstep:true ?plan:(plan c) c.params c.instance
-          trace ~horizon:c.horizon
+        Ddcr.run_trace ?plan:(plan c) c.params c.instance trace
+          ~horizon:c.horizon
       in
       let conserved =
         List.length o.Run.completions + List.length o.Run.unfinished

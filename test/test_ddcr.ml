@@ -256,7 +256,7 @@ let test_scenarios_safe_and_feasible () =
   List.iter
     (fun (name, inst) ->
       let params = Ddcr_params.default inst in
-      let o = Ddcr.run ~check_lockstep:true ~seed:11 params inst ~horizon:(20 * ms) in
+      let o = Ddcr.run ~seed:11 params inst ~horizon:(20 * ms) in
       let m = Run.metrics o in
       if (Feasibility.check params inst).Feasibility.feasible then
         Alcotest.(check int) (name ^ ": no misses when FC holds") 0
@@ -323,7 +323,7 @@ let test_lockstep_across_seeds () =
   let inst = Scenarios.trading ~gateways:4 in
   let params = Ddcr_params.default inst in
   List.iter
-    (fun seed -> ignore (Ddcr.run ~check_lockstep:true ~seed params inst ~horizon:(5 * ms)))
+    (fun seed -> ignore (Ddcr.run ~seed params inst ~horizon:(5 * ms)))
     [ 1; 2; 3; 42 ]
 
 let test_deterministic_replay () =
@@ -339,7 +339,7 @@ let test_deterministic_replay () =
 let test_arbitration_medium () =
   let inst = Scenarios.atm_fabric ~ports:4 in
   let params = Ddcr_params.default inst in
-  let o = Ddcr.run ~check_lockstep:true ~seed:2 params inst ~horizon:(2 * ms) in
+  let o = Ddcr.run ~seed:2 params inst ~horizon:(2 * ms) in
   let m = Run.metrics o in
   Alcotest.(check bool) "delivers" true (m.Run.delivered > 100);
   Alcotest.(check int) "no misses" 0 m.Run.deadline_misses
@@ -419,7 +419,7 @@ let test_bursting_preserves_safety_and_conservation () =
   let p = Ddcr_params.with_burst (Ddcr_params.default inst) 32_768 in
   (* run_trace verifies channel safety internally and raises on
      violation; lockstep is also checked. *)
-  let o = Ddcr.run_trace ~check_lockstep:true p inst trace ~horizon in
+  let o = Ddcr.run_trace p inst trace ~horizon in
   Alcotest.(check int) "conservation"
     (List.length trace)
     (List.length o.Run.completions + List.length o.Run.unfinished)
@@ -433,7 +433,7 @@ let test_runs_under_every_branching () =
   List.iter
     (fun m ->
       let params = Ddcr_params.default ~branching:m inst in
-      let o = Ddcr.run_trace ~check_lockstep:true params inst trace ~horizon in
+      let o = Ddcr.run_trace params inst trace ~horizon in
       Alcotest.(check int)
         (Printf.sprintf "conservation m=%d" m)
         (List.length trace)

@@ -598,9 +598,7 @@ let run_under_plan ?(stations = 4) ?(seed = 5) ?(horizon = 40 * ms) spec =
   let trace = Instance.trace inst ~seed ~horizon in
   let sink, finish = Ddcr_trace.collector () in
   let plan = Fault_plan.create ~horizon ~seed:7 spec in
-  let outcome =
-    Ddcr.run_trace ~check_lockstep:true ~sink ~plan params inst trace ~horizon
-  in
+  let outcome = Ddcr.run_trace ~sink ~plan params inst trace ~horizon in
   (outcome, finish (), trace)
 
 let errors_of_kind diags rule =
@@ -742,9 +740,7 @@ let test_all_stations_crash_cold_restart () =
   let trace = Instance.trace inst ~seed:3 ~horizon in
   let sink, finish = Ddcr_trace.collector () in
   let plan = Fault_plan.create ~horizon ~seed:11 every_source_down in
-  let outcome =
-    Ddcr.run_trace ~check_lockstep:true ~sink ~plan params inst trace ~horizon
-  in
+  let outcome = Ddcr.run_trace ~sink ~plan params inst trace ~horizon in
   let summary = Ddcr_trace.summarize (finish ()) in
   Alcotest.(check int) "all crashed" 3 summary.Ddcr_trace.crashes;
   Alcotest.(check int) "all rejoined" 3 summary.Ddcr_trace.rejoins;
@@ -772,11 +768,9 @@ let test_clean_plan_matches_planless_run () =
   let params = Ddcr_params.default inst in
   let horizon = 20 * ms in
   let trace = Instance.trace inst ~seed:9 ~horizon in
-  let bare = Ddcr.run_trace ~check_lockstep:true params inst trace ~horizon in
+  let bare = Ddcr.run_trace params inst trace ~horizon in
   let plan = Fault_plan.create ~horizon ~seed:1 Fault_plan.none in
-  let clean =
-    Ddcr.run_trace ~check_lockstep:true ~plan params inst trace ~horizon
-  in
+  let clean = Ddcr.run_trace ~plan params inst trace ~horizon in
   Alcotest.(check int) "same completions"
     (List.length bare.Run.completions)
     (List.length clean.Run.completions);

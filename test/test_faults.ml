@@ -58,10 +58,9 @@ let test_ddcr_survives_noise () =
   let params = Ddcr_params.default inst in
   let horizon = 40 * ms in
   let trace = Instance.trace inst ~seed:5 ~horizon in
-  let clean = Ddcr.run_trace ~check_lockstep:true params inst trace ~horizon in
+  let clean = Ddcr.run_trace params inst trace ~horizon in
   let noisy =
-    Ddcr.run_trace ~check_lockstep:true ~plan:(iid ~seed:7 0.2) params inst
-      trace ~horizon
+    Ddcr.run_trace ~plan:(iid ~seed:7 0.2) params inst trace ~horizon
   in
   Alcotest.(check int) "all delivered despite noise"
     (List.length clean.Run.completions)

@@ -22,7 +22,7 @@ let cls src =
 let msg uid src arrival = { Message.uid; cls = cls src; arrival }
 
 (* The simplest protocol: everyone with a message attempts every slot. *)
-let aloha_decide services ~now:_ =
+let aloha_decide h ~now:_ =
   List.filter_map
     (fun src ->
       Option.map
@@ -33,10 +33,10 @@ let aloha_decide services ~now:_ =
             att_bits = m.Message.cls.Message.cls_bits;
             att_key = (0, src);
           })
-        (services.Harness.peek src))
+        (Harness.peek h src))
     [ 0; 1 ]
 
-let passthrough_after _services ~now:_ ~resolution:_ ~next_free = next_free
+let passthrough_after _ ~now:_ ~resolution:_ ~next_free = next_free
 
 let test_single_source_drains () =
   let trace = [ msg 0 0 0; msg 1 0 0; msg 2 0 5_000 ] in
@@ -72,8 +72,8 @@ let test_two_sources_livelock_without_backoff () =
 
 let test_mismatch_detected () =
   (* A protocol that attempts a tag that is not the queue head. *)
-  let bad_decide services ~now:_ =
-    match services.Harness.peek 0 with
+  let bad_decide h ~now:_ =
+    match Harness.peek h 0 with
     | Some m ->
       [
         {
@@ -111,8 +111,8 @@ let test_mismatch_diagnostic_format () =
     ("Rtnet_mac.Harness.Mismatch: " ^ Harness.mismatch_message m)
     (Printexc.to_string (Harness.Mismatch m));
   (* And the harness raises with the offending coordinates filled in. *)
-  let bad_decide services ~now:_ =
-    match services.Harness.peek 0 with
+  let bad_decide h ~now:_ =
+    match Harness.peek h 0 with
     | Some m ->
       [
         {
@@ -135,9 +135,9 @@ let test_mismatch_diagnostic_format () =
 
 let test_drop_accounting () =
   (* A protocol that drops every message it sees instead of sending. *)
-  let drop_decide services ~now:_ =
-    (match services.Harness.pop 0 with
-    | Some m -> services.Harness.drop m
+  let drop_decide h ~now:_ =
+    (match Harness.pop h 0 with
+    | Some m -> Harness.drop h m
     | None -> ());
     []
   in
@@ -155,13 +155,13 @@ let test_drop_accounting () =
    whose head collides gives it up (pop, then drop). *)
 let test_queued_total_after_drops () =
   let trace = List.init 12 (fun i -> msg i (i mod 2) (i * 400)) in
-  let after services ~now:_ ~resolution ~next_free =
+  let after h ~now:_ ~resolution ~next_free =
     (match resolution with
     | Channel.Clash { contenders; survivor = None } ->
       List.iter
         (fun (src, _) ->
-          match services.Harness.pop src with
-          | Some m -> services.Harness.drop m
+          match Harness.pop h src with
+          | Some m -> Harness.drop h m
           | None -> ())
         contenders
     | Channel.Idle | Channel.Tx _ | Channel.Garbled _ | Channel.Clash _ -> ());
@@ -172,8 +172,7 @@ let test_queued_total_after_drops () =
       ~inject:None ~phy ~num_sources:2 ~horizon:20_000 trace
   in
   while Harness.now h < 20_000 do
-    Harness.slot h None () ~decide:(fun () -> aloha_decide)
-      ~after:(fun () -> after)
+    Harness.slot h None h ~decide:aloha_decide ~after
   done;
   let o = Harness.finish h in
   Alcotest.(check bool) "some dropped" true (o.Run.dropped <> []);
@@ -196,16 +195,16 @@ let test_arrivals_beyond_horizon_excluded () =
 
 let test_after_may_extend_acquisition () =
   (* A bursting protocol: after each Tx it appends the next frame. *)
-  let burst_after services ~now:_ ~resolution ~next_free =
+  let burst_after h ~now:_ ~resolution ~next_free =
     match resolution with
     | Channel.Tx { src; _ } -> (
-      match services.Harness.pop src with
+      match Harness.pop h src with
       | Some m ->
         let on_wire, free =
-          Channel.burst services.Harness.channel ~src ~tag:m.Message.uid
+          Channel.burst (Harness.channel h) ~src ~tag:m.Message.uid
             ~bits:m.Message.cls.Message.cls_bits
         in
-        services.Harness.complete m ~start:(free - on_wire) ~finish:free;
+        Harness.complete h m ~start:(free - on_wire) ~finish:free;
         free
       | None -> next_free)
     | Channel.Idle | Channel.Garbled _ | Channel.Clash _ -> next_free
@@ -353,29 +352,29 @@ let test_inject_unknown_source_rejected () =
 (* --- [analyze]: every completion is checked against the wire --- *)
 
 (* Protocols whose bookkeeping disagrees with the channel. *)
-let silent_decide _services ~now:_ = []
+let silent_decide _ ~now:_ = []
 
 (* Records a completion for a frame the channel never carried. *)
-let phantom_after services ~now ~resolution:_ ~next_free =
-  (match services.Harness.pop 0 with
-  | Some m -> services.Harness.complete m ~start:now ~finish:(now + 1160)
+let phantom_after h ~now ~resolution:_ ~next_free =
+  (match Harness.pop h 0 with
+  | Some m -> Harness.complete h m ~start:now ~finish:(now + 1160)
   | None -> ());
   next_free
 
 (* Bursts the next frame after a carried one and records it — one bit
    short of the wire ([skew = -1]) or not at all ([skew = None]). *)
-let burst_after ~skew services ~now:_ ~resolution ~next_free =
+let burst_after ~skew h ~now:_ ~resolution ~next_free =
   match resolution with
   | Channel.Tx { src; _ } -> (
-    match services.Harness.pop src with
+    match Harness.pop h src with
     | Some m ->
       let on_wire, free =
-        Channel.burst services.Harness.channel ~src ~tag:m.Message.uid
+        Channel.burst (Harness.channel h) ~src ~tag:m.Message.uid
           ~bits:m.Message.cls.Message.cls_bits
       in
       (match skew with
       | Some d ->
-        services.Harness.complete m ~start:(free - on_wire) ~finish:(free + d)
+        Harness.complete h m ~start:(free - on_wire) ~finish:(free + d)
       | None -> ());
       free
     | None -> next_free)
@@ -438,8 +437,8 @@ let test_engine_run_order () =
   (* Each slot starts at the boundary the previous slot's [after]
      returned; the first starts at 0. *)
   let returned = ref [] in
-  let after services ~now ~resolution ~next_free =
-    let b = passthrough_after services ~now ~resolution ~next_free in
+  let after h ~now ~resolution ~next_free =
+    let b = passthrough_after h ~now ~resolution ~next_free in
     returned := b :: !returned;
     b
   in
@@ -556,7 +555,7 @@ let test_engine_stop_inside_callback () =
      the horizon: the frame carried in that slot still completes, no
      further slot runs, and the rest of the queue is unfinished. *)
   let horizon = 50_000 in
-  let stop _services ~now:_ ~resolution ~next_free =
+  let stop _ ~now:_ ~resolution ~next_free =
     match resolution with
     | Channel.Tx _ -> horizon
     | Channel.Idle | Channel.Garbled _ | Channel.Clash _ -> next_free

@@ -292,7 +292,8 @@ let random_trail sys ~rng ~slots =
         | None -> try_step Transition.No_fault
       in
       match stepped with
-      | Some (action, nd') -> go nd' ((nd.Transition.time, action) :: trail) (n - 1)
+      | Some (action, nd') ->
+        go nd' ((Slot.now nd.Transition.slot, action) :: trail) (n - 1)
       | None -> (nd, List.rev trail)
   in
   go { (Transition.init sys) with Transition.budget = max_int } [] slots
@@ -309,8 +310,8 @@ let prop_simulator_matches_reference =
       else begin
         let plan = Fault_plan.create ~seed:0 (Witness.plan_of_trail trail) in
         let o =
-          Ddcr.run_trace ~check_lockstep:true ~plan params inst
-            sys.Transition.trace ~horizon:nd.Transition.time
+          Ddcr.run_trace ~plan params inst sys.Transition.trace
+            ~horizon:(Slot.now nd.Transition.slot)
         in
         let h = Slot.harness nd.Transition.slot in
         let uids completions =
@@ -364,9 +365,7 @@ let prop_replicas_match_step_observe =
             Slot.synced pre s && Slot.alive post s
             && resyncs pre s = resyncs post s
           then begin
-            let observed =
-              (Harness.services (Slot.harness post)).Harness.observed s
-            in
+            let observed = Harness.observed (Slot.harness post) s in
             let expected =
               Step.observe params ~source:s (Slot.replica pre s)
                 ~resolution:observed ~next_free:(Slot.now post)
@@ -439,15 +438,13 @@ let prop_senders_match_step_decide =
                  <> None)
             stations
         in
-        let stats slot =
-          Channel.stats (Harness.services (Slot.harness slot)).Harness.channel
-        in
+        let stats slot = Channel.stats (Harness.channel (Slot.harness slot)) in
         let before = stats pre and after = stats post in
         let senders =
           if after.Channel.collision_slots > before.Channel.collision_slots then
             List.find_map
               (fun s ->
-                match (Harness.services (Slot.harness post)).Harness.observed s with
+                match Harness.observed (Slot.harness post) s with
                 | Channel.Clash { contenders; _ } ->
                   Some (List.sort compare (List.map fst contenders))
                 | Channel.Idle | Channel.Tx _ | Channel.Garbled _ -> None)

@@ -111,7 +111,7 @@ let test_run_merges_and_conserves () =
   let inst = Scenarios.trading ~gateways:4 in
   let horizon = 10 * ms in
   let a = Multi_bus.partition_exn inst ~buses:2 in
-  let merged = Multi_bus.run ~check_lockstep:true ~seed:3 a ~horizon in
+  let merged = Multi_bus.run ~seed:3 a ~horizon in
   (* Each bus generates its own trace from the same seed; merged
      accounting must reconcile with the per-bus traces. *)
   let expected =
