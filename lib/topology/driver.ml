@@ -95,22 +95,23 @@ let catchup_burst = 4
 (* Static per-(segment, class) routing info, derived from the
    elaborated flows once per run. *)
 type hop_info = {
-  hi_flow : string;
+  hi_ef : Admit.eflow;  (* the flow this hop belongs to *)
+  hi_flow : string;  (* its name *)
+  hi_criticality : int;  (* its criticality *)
   hi_idx : int;
-  hi_e2e : int;  (* the flow's end-to-end relative deadline *)
   hi_cls : Message.cls;  (* elaborated class on this segment *)
   hi_next : (Topo.bridge * string * Message.cls) option;
 }
 
 (* A chain tracks one origin arrival across its hops. *)
 type chain = {
+  ch_ef : Admit.eflow;
   ch_flow : string;
+  ch_criticality : int;
   ch_uid : int;
   ch_t0 : int;
   ch_deadline : int;  (* absolute *)
-  mutable ch_done : (int * string * int * int * int * int) list;
-      (* (hop idx, segment, hop arrival, frame start, hop finish,
-         transmitting station), reverse order *)
+  mutable ch_done : hop_record list;  (* reverse completion order *)
   mutable ch_fault : string option;
       (* first bridge whose crash window held this chain *)
   mutable ch_shed : bool;  (* shed under degraded-mode operation *)
@@ -181,9 +182,10 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
           Hashtbl.replace hops
             (h.Admit.h_segment, h.Admit.h_cls.Message.cls_id)
             {
+              hi_ef = f;
               hi_flow = f.Admit.ef_flow.Topo.fl_name;
+              hi_criticality = f.Admit.ef_flow.Topo.fl_criticality;
               hi_idx = i;
-              hi_e2e = f.Admit.ef_deadline;
               hi_cls = h.Admit.h_cls;
               hi_next = next;
             };
@@ -217,10 +219,13 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
                 let key = (info.hi_flow, m.Message.uid) in
                 Hashtbl.replace chains key
                   {
+                    ch_ef = info.hi_ef;
                     ch_flow = info.hi_flow;
+                    ch_criticality = info.hi_criticality;
                     ch_uid = m.Message.uid;
                     ch_t0 = m.Message.arrival;
-                    ch_deadline = m.Message.arrival + info.hi_e2e;
+                    ch_deadline =
+                      m.Message.arrival + info.hi_ef.Admit.ef_deadline;
                     ch_done = [];
                     ch_fault = None;
                     ch_shed = false;
@@ -278,22 +283,23 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
     | Some s -> s.Topo.sg_fault
     | None -> None
   in
-  let bridge_windows (b : Topo.bridge) =
-    match plan_of_segment b.Topo.br_to with
-    | None -> []
-    | Some sp ->
-      List.sort
-        (fun (a : Fault_plan.crash_window) b ->
-          compare a.Fault_plan.cw_from b.Fault_plan.cw_from)
-        (List.filter
-           (fun (w : Fault_plan.crash_window) -> w.Fault_plan.cw_from < horizon)
-           (Fault_plan.crashes_of sp ~source:b.Topo.br_station))
-  in
-  let criticality_of flow =
-    match List.find_opt (fun f -> f.Topo.fl_name = flow) topo.Topo.tp_flows with
-    | Some f -> f.Topo.fl_criticality
-    | None -> 0
-  in
+  (* Each bridge's crash windows before the horizon, by start. *)
+  let windows = Hashtbl.create 8 in
+  List.iter
+    (fun (b : Topo.bridge) ->
+      Hashtbl.replace windows b.Topo.br_name
+        (match plan_of_segment b.Topo.br_to with
+        | None -> []
+        | Some sp ->
+          List.sort
+            (fun (a : Fault_plan.crash_window) b ->
+              compare a.Fault_plan.cw_from b.Fault_plan.cw_from)
+            (List.filter
+               (fun (w : Fault_plan.crash_window) ->
+                 w.Fault_plan.cw_from < horizon)
+               (Fault_plan.crashes_of sp ~source:b.Topo.br_station))))
+    topo.Topo.tp_bridges;
+  let bridge_windows (b : Topo.bridge) = Hashtbl.find windows b.Topo.br_name in
   let events = ref [] in
   let emit ev = events := ev :: !events in
   let drops = ref [] in
@@ -304,13 +310,8 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
      remaining bridge delays — [at] already includes this bridge's
      latency.) *)
   let still_feasible chain ~at ~next_idx =
-    let ef =
-      List.find
-        (fun (f : Admit.eflow) -> f.Admit.ef_flow.Topo.fl_name = chain.ch_flow)
-        e.Admit.e_flows
-    in
     let remaining =
-      List.filteri (fun i _ -> i >= next_idx) ef.Admit.ef_hops
+      List.filteri (fun i _ -> i >= next_idx) chain.ch_ef.Admit.ef_hops
     in
     let bounds = List.map (fun (h : Admit.hop) -> h.Admit.h_bound) remaining in
     let bridge_delays =
@@ -439,14 +440,12 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
                sh_flow = c.ch_flow;
                sh_uid = c.ch_uid;
                sh_at = until;
-               sh_criticality = criticality_of c.ch_flow;
+               sh_criticality = c.ch_criticality;
              }))
       (List.sort
          (fun a b ->
            let ca = chain_of a and cb = chain_of b in
-           match
-             compare (criticality_of ca.ch_flow) (criticality_of cb.ch_flow)
-           with
+           match compare ca.ch_criticality cb.ch_criticality with
            | 0 -> compare ca.ch_uid cb.ch_uid
            | c -> c)
          infeasible);
@@ -480,12 +479,14 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
         in
         let chain = Hashtbl.find chains key in
         chain.ch_done <-
-          ( info.hi_idx,
-            name,
-            m.Message.arrival,
-            start,
-            finish,
-            m.Message.cls.Message.cls_source )
+          {
+            hr_index = info.hi_idx;
+            hr_segment = name;
+            hr_arrival = m.Message.arrival;
+            hr_start = start;
+            hr_finish = finish;
+            hr_source = m.Message.cls.Message.cls_source;
+          }
           :: chain.ch_done;
         match info.hi_next with
         | None -> ()
@@ -606,22 +607,25 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
           post_process name comps)
         jobs results)
     e.Admit.e_levels;
-  (* End-to-end verdict, chains in deterministic (trace) order. *)
+  (* Every chain in deterministic (trace) order, with its hops in path
+     order: hop records compare by index first. *)
+  let keys = List.rev !chain_keys in
+  let finished =
+    List.map
+      (fun key ->
+        let c = Hashtbl.find chains key in
+        (c, List.sort compare (List.rev c.ch_done)))
+      keys
+  in
+  (* End-to-end verdict. *)
   let misses = ref [] in
   let delivered = ref 0 and met = ref 0 and in_flight = ref 0 in
-  let keys = List.rev !chain_keys in
   List.iter
-    (fun key ->
-      let c = Hashtbl.find chains key in
+    (fun (c, done_) ->
       if c.ch_shed || c.ch_dropped then ()
       else
-      let ef =
-        List.find
-          (fun (f : Admit.eflow) -> f.Admit.ef_flow.Topo.fl_name = c.ch_flow)
-          e.Admit.e_flows
-      in
-      let total = List.length ef.Admit.ef_hops in
-      let done_ = List.sort compare (List.rev c.ch_done) in
+      let path = c.ch_ef.Admit.ef_hops in
+      let total = List.length path in
       let miss ~finish ~hop ~idx =
         (* A held chain's miss is the crashed bridge's fault; otherwise
            a miss on a fault-injected segment is attributed to that
@@ -649,23 +653,21 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
       in
       if List.length done_ = total then begin
         incr delivered;
-        let _, _, _, _, finish, _ = List.nth done_ (total - 1) in
+        let last = List.nth done_ (total - 1) in
+        let finish = last.hr_finish in
         if finish <= c.ch_deadline then incr met
         else begin
           (* By the decomposition invariant a late chain overran some
              hop budget; attribute the miss to the first such hop. *)
           let over =
             List.find_opt
-              (fun (idx, _, arr, _, fin, _) ->
-                fin
-                > arr + (List.nth ef.Admit.ef_hops idx).Admit.h_budget)
+              (fun h ->
+                h.hr_finish
+                > h.hr_arrival + (List.nth path h.hr_index).Admit.h_budget)
               done_
           in
-          match over with
-          | Some (idx, seg, _, _, _, _) -> miss ~finish:(Some finish) ~hop:seg ~idx
-          | None ->
-            let idx, seg, _, _, _, _ = List.nth done_ (total - 1) in
-            miss ~finish:(Some finish) ~hop:seg ~idx
+          let h = Option.value over ~default:last in
+          miss ~finish:(Some finish) ~hop:h.hr_segment ~idx:h.hr_index
         end
       end
       else if c.ch_deadline >= horizon then incr in_flight
@@ -673,16 +675,14 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
         (* Hops complete strictly in path order, so the first
            un-completed hop is where the chain is stuck. *)
         let idx = List.length done_ in
-        miss ~finish:None
-          ~hop:(List.nth ef.Admit.ef_hops idx).Admit.h_segment ~idx
+        miss ~finish:None ~hop:(List.nth path idx).Admit.h_segment ~idx
       end)
-    keys;
-  (* Deterministic per-chain hop records (trace order), for causal
-     tracing and postmortem artifacts. *)
+    finished;
+  (* Per-chain hop records, for causal tracing and postmortem
+     artifacts. *)
   let chain_records =
     List.map
-      (fun key ->
-        let c = Hashtbl.find chains key in
+      (fun (c, hops) ->
         {
           cr_flow = c.ch_flow;
           cr_uid = c.ch_uid;
@@ -691,20 +691,9 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
           cr_fault = c.ch_fault;
           cr_shed = c.ch_shed;
           cr_dropped = c.ch_dropped;
-          cr_hops =
-            List.map
-              (fun (idx, seg, arr, start, fin, src) ->
-                {
-                  hr_index = idx;
-                  hr_segment = seg;
-                  hr_arrival = arr;
-                  hr_start = start;
-                  hr_finish = fin;
-                  hr_source = src;
-                })
-              (List.sort compare (List.rev c.ch_done));
+          cr_hops = hops;
         })
-      keys
+      finished
   in
   let seg_outcomes =
     List.map
