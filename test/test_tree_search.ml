@@ -1,5 +1,9 @@
 module Tree_search = Rtnet_core.Tree_search
 module Xi = Rtnet_core.Xi
+module Step = Rtnet_core.Ddcr.Step
+module Ddcr_params = Rtnet_core.Ddcr_params
+module Channel = Rtnet_channel.Channel
+module Message = Rtnet_workload.Message
 
 let cost ~m ~t active = Tree_search.cost (Tree_search.run ~m ~t ~active)
 
@@ -117,6 +121,111 @@ let prop_cost_invariant_under_m =
       cost ~m:2 ~t active <= Xi.exact ~m:2 ~t ~k
       && cost ~m:4 ~t active <= Xi.exact ~m:4 ~t ~k)
 
+(* The protocol's own static tree search, from an STs entry: station
+   [s] owns the one index [active.(s)] and holds one message inside the
+   colliding deadline class; station [k] only listens.  Each slot, every
+   replica decides by [Step.decide] and a destructive wire resolves the
+   attempts; every replica observes by [Step.observe].  Returns the
+   idle and collision slots and the indices of the frames carried, in
+   order, once the replicas leave the static tree. *)
+let sts_walk ~m ~t active =
+  let k = Array.length active in
+  let params =
+    {
+      Ddcr_params.time_m = 2;
+      time_leaves = 2;
+      class_width = 1_000;
+      alpha = 0;
+      theta = 0;
+      static_m = m;
+      static_leaves = t;
+      static_indices =
+        Array.init (k + 1) (fun s -> if s < k then [| active.(s) |] else [||]);
+      burst_bits = 0;
+    }
+  in
+  let msg s =
+    let cls =
+      {
+        Message.cls_id = s;
+        cls_name = "c" ^ string_of_int s;
+        cls_source = s;
+        cls_bits = 100;
+        cls_deadline = 500;
+        cls_burst = 1;
+        cls_window = 500;
+      }
+    in
+    { Message.uid = s; cls; arrival = 0 }
+  in
+  let entry =
+    {
+      Step.phase =
+        Step.Sts
+          ( { Step.s_stack = [ (0, t) ]; time_leaf = 0 },
+            { Step.t_stack = [ (0, 1) ]; f_star = -1; sent = false } );
+      reft = 0;
+      rank = 0;
+      last_out = false;
+    }
+  in
+  let replicas = Array.make (k + 1) entry in
+  let sent = Array.make k false in
+  let rec go slot costly frames =
+    match replicas.(k).Step.phase with
+    | Step.Sts _ when slot <= 4 * t ->
+      let attempts =
+        List.filter_map
+          (fun s ->
+            Step.decide params ~source:s replicas.(s)
+              ~msg_star:(if sent.(s) then None else Some (msg s)))
+          (List.init k Fun.id)
+      in
+      let resolution, costly, frames =
+        match attempts with
+        | [] -> (Channel.Idle, costly + 1, frames)
+        | [ a ] ->
+          let src = a.Channel.att_source in
+          sent.(src) <- true;
+          ( Channel.Tx { src; tag = a.Channel.att_tag; on_wire = 100 },
+            costly,
+            active.(src) :: frames )
+        | _ ->
+          let contenders =
+            List.map
+              (fun a -> (a.Channel.att_source, a.Channel.att_tag))
+              attempts
+          in
+          (Channel.Clash { contenders; survivor = None }, costly + 1, frames)
+      in
+      let next_free = (slot + 1) * 1_000 in
+      Array.iteri
+        (fun s st ->
+          replicas.(s) <-
+            Step.observe params ~source:s st ~resolution ~next_free)
+        replicas;
+      go (slot + 1) costly frames
+    | _ -> (costly, List.rev frames)
+  in
+  go 0 0 []
+
+let prop_sts_walks_the_instrument_tree =
+  QCheck.Test.make
+    ~name:"DDCR's static search walks Tree_search's tree" ~count:600
+    QCheck.(triple (oneofl [ 2; 3; 4 ]) (int_range 1 6) (int_range 0 100_000))
+    (fun (m, n, seed) ->
+      (* t = m^n <= 81 *)
+      let rec tree t n =
+        if n = 0 || t * m > 81 then t else tree (t * m) (n - 1)
+      in
+      let t = tree m (n - 1) in
+      let rng = Rtnet_util.Prng.create seed in
+      let leaves = Array.init t Fun.id in
+      Rtnet_util.Prng.shuffle rng leaves;
+      let active = Array.sub leaves 0 (Rtnet_util.Prng.int rng (t + 1)) in
+      let tr = Tree_search.run ~m ~t ~active:(Array.to_list active) in
+      sts_walk ~m ~t active = (Tree_search.cost tr, Tree_search.isolated tr))
+
 let suite =
   [
     ( "tree_search",
@@ -132,5 +241,6 @@ let suite =
           test_exhaustive_brute_force_matches_xi;
         QCheck_alcotest.to_alcotest prop_isolates_everyone;
         QCheck_alcotest.to_alcotest prop_cost_invariant_under_m;
+        QCheck_alcotest.to_alcotest prop_sts_walks_the_instrument_tree;
       ] );
   ]
