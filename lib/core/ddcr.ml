@@ -819,8 +819,7 @@ module Slot = struct
     let budget = t.cfg.params.Ddcr_params.burst_bits in
     let next_free =
       match resolution with
-      | Channel.Tx { src; on_wire; _ } ->
-        burst t src (now + on_wire) budget
+      | Channel.Tx { src; on_wire; _ } -> burst t src (now + on_wire) budget
       | Channel.Clash { survivor = Some (src, _, on_wire); _ } ->
         let slot_bits = Channel.slot_bits (Harness.channel t.h) in
         burst t src (now + slot_bits + on_wire) budget

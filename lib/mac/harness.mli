@@ -108,11 +108,10 @@ val slot :
 
 val now : t -> int  (** The start of the next slot. *)
 
-(** {2 What a protocol reads and writes}
-
-    A protocol's [decide] and [after] reach the slot state through
-    these functions.  [alive] and [observed] answer for the slot that
-    runs and, after it, for the slot that ran last. *)
+(** A protocol's [decide] and [after] read and write the slot state
+    through the functions from {!channel} to {!deviants}.  {!alive} and
+    {!observed} answer for the slot that runs and, after it, for the
+    slot that ran last. *)
 
 val channel : t -> Rtnet_channel.Channel.t
 (** The medium (e.g. for {!Rtnet_channel.Channel.burst}). *)
@@ -197,7 +196,9 @@ val source_faults : t -> int -> Rtnet_stats.Run.source_faults
 
 val finish : t -> Rtnet_stats.Run.outcome
 (** The run's outcome ([faults] is [Some] iff the last slot ran under
-    a plan); also sends each merged epoch to the sink. *)
+    a plan); also sends each merged epoch to the sink.  It polls
+    [inject] once more at [horizon - 1], so a message injected after
+    the last slot start but before the horizon counts as unfinished. *)
 
 val run :
   protocol:string ->
