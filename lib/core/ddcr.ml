@@ -837,8 +837,10 @@ module Slot = struct
     recover t ~next_free ~ref_post;
     (* Lockstep (Sections 2.1 and 3.2), asserted in every slot: each
        live synced replica holds the reference's state — one comparison
-       for the shared replica and one per differing station. *)
-    if ref_post >= 0 then begin
+       for the shared replica and one per differing station.  When no
+       station differs, every one holds the shared replica itself, so
+       it holds by construction and nothing is compared. *)
+    if t.n_differing > 0 && ref_post >= 0 then begin
       let reference = state_of t ref_post in
       if
         t.n_differing < Array.length t.ranks

@@ -218,9 +218,10 @@ val run_trace :
     times; the channel's occupancy statistics are embedded).
     Every slot asserts lockstep, the property the paper's safety
     argument rests on (Sections 2.1 and 3.2): after recovery, every
-    live synced replica agrees with the reference's — one comparison
-    for the stations sharing the reference's replica and one per
-    differing station.
+    live synced replica agrees with the reference's.  When no station
+    differs they all hold one physical replica and nothing is
+    compared; otherwise it costs one comparison for the stations
+    sharing the reference's replica and one per differing station.
     [analyze] is the harness's (default [true]):
     every completion is checked against the frame the channel
     carried.

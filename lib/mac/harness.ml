@@ -321,8 +321,10 @@ let observe st plan ~now resolution attempts =
 (* Bridge ingress (multi-hop topologies): the injector may hand the
    harness new messages at any slot boundary; they join the arrival
    stream and become visible to the EDF queues exactly like trace
-   arrivals (at the first boundary at or after their arrival time). *)
-let poll_inject st ~now =
+   arrivals (at the first boundary at or after their arrival time).
+   Inlined: a call here cost every slot a few percent (EXPERIMENTS.md,
+   "One interface from a protocol to the slot"). *)
+let[@inline] poll_inject st ~now =
   match st.inject with
   | None -> ()
   | Some f -> (
