@@ -189,6 +189,21 @@ let fail fmt =
       2)
     fmt
 
+(* --out-dir must name a directory before any candidate runs: [search]
+   writes into an existing one, [soak] makes it when it is missing. *)
+let check_out_dir ~create = function
+  | None -> Ok ()
+  | Some d -> (
+    match if create && not (Sys.file_exists d) then Unix.mkdir d 0o755 with
+    | exception Unix.Unix_error (err, _, _) ->
+      Error (Printf.sprintf "--out-dir %s: %s" d (Unix.error_message err))
+    | () ->
+      if not (Sys.file_exists d) then
+        Error (Printf.sprintf "--out-dir %s: no such directory" d)
+      else if not (Sys.is_directory d) then
+        Error (Printf.sprintf "--out-dir %s: not a directory" d)
+      else Ok ())
+
 (* Seed, candidate count and pool supervision, shared by every
    subject's search; the environment and sampling space are filled in
    per subject. *)
@@ -256,6 +271,9 @@ let expect_finding =
 let search (type e s c) ~out ~out_dir ~quiet ~expect_finding
     ((module S) as subject : (e, s, c) Subject.t) (config : (e, s) Search.config)
     =
+  match check_out_dir ~create:false out_dir with
+  | Error e -> fail "%s" e
+  | Ok () ->
   let res = Search.run ~log:(log_of quiet) subject config in
   Format.printf "%s: %d/%d candidates examined, %d finding(s), %d gave up%s@."
     S.search_label res.Search.r_examined config.Search.s_count
@@ -556,10 +574,10 @@ let run_soak pool budget config_file scenario size load deadline_windows
       budget
   with
   | Error e -> fail "%s" e
-  | Ok search_config ->
-    (match out_dir with
-    | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-    | _ -> ());
+  | Ok search_config -> (
+    match check_out_dir ~create:true out_dir with
+    | Error e -> fail "%s" e
+    | Ok () ->
     let res =
       Soak.run ~log:(log_of quiet)
         {
@@ -576,7 +594,7 @@ let run_soak pool budget config_file scenario size load deadline_windows
       res.Soak.so_gave_up
       (if res.Soak.so_exhausted then " (budget exhausted)" else "");
     List.iter (fun p -> Format.printf "  %s@." p) res.Soak.so_repro_paths;
-    0
+    0)
 
 let soak_cmd =
   let term =
