@@ -49,20 +49,93 @@ type metrics = {
   missed_offline : int;
 }
 
+(* The pairs (i, j) with i before j in the list, T(j) <= start(i) and
+   DM(i) > DM(j), counted by divide and conquer on list position: the
+   pairs inside each half recursively, then the pairs across the split.
+   For those, the left half is swept in start order while a Fenwick
+   tree over deadline ranks holds the right half's messages that had
+   arrived by then.  Each range leaves its positions merge-sorted by
+   start in [by_start] and by arrival in [by_arrival], ready for its
+   parent's sweep. *)
 let inversions cs =
   let arr = Array.of_list cs in
   let n = Array.length arr in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = arr.(i) and b = arr.(j) in
-      if
-        b.c_msg.Message.arrival <= a.c_start
-        && Message.abs_deadline a.c_msg > Message.abs_deadline b.c_msg
-      then incr count
-    done
-  done;
-  !count
+  if n < 2 then 0
+  else begin
+    let start k = arr.(k).c_start in
+    let arrival k = arr.(k).c_msg.Message.arrival in
+    let by_start = Array.init n Fun.id in
+    let by_arrival = Array.init n Fun.id in
+    (* Deadline ranks in [1, n], equal deadlines sharing one:
+       rank k < rank k' iff DM(k) < DM(k').  [rank] holds the deadlines
+       while [by_start] is sorted on them. *)
+    let rank = Array.map (fun c -> Message.abs_deadline c.c_msg) arr in
+    Array.sort (fun a b -> Int.compare rank.(a) rank.(b)) by_start;
+    let prev = ref 0 in
+    Array.iteri
+      (fun p k ->
+        let d = rank.(k) in
+        rank.(k) <-
+          (if p > 0 && d = !prev then rank.(by_start.(p - 1)) else p + 1);
+        prev := d)
+      by_start;
+    Array.iteri (fun p _ -> by_start.(p) <- p) by_start;
+    let tree = Array.make (n + 1) 0 in
+    let add r d =
+      let r = ref r in
+      while !r <= n do
+        tree.(!r) <- tree.(!r) + d;
+        r := !r + (!r land - !r)
+      done
+    in
+    let below r =
+      let r = ref (r - 1) and s = ref 0 in
+      while !r > 0 do
+        s := !s + tree.(!r);
+        r := !r - (!r land - !r)
+      done;
+      !s
+    in
+    let tmp = Array.make n 0 in
+    (* Merges perm's sorted runs [lo, mid) and [mid, hi) on key. *)
+    let merge perm key lo mid hi =
+      let a = ref lo and b = ref mid in
+      for t = lo to hi - 1 do
+        if !b >= hi || (!a < mid && key perm.(!a) <= key perm.(!b)) then begin
+          tmp.(t) <- perm.(!a);
+          incr a
+        end
+        else begin
+          tmp.(t) <- perm.(!b);
+          incr b
+        end
+      done;
+      Array.blit tmp lo perm lo (hi - lo)
+    in
+    let rec count lo hi =
+      if hi - lo < 2 then 0
+      else begin
+        let mid = (lo + hi) / 2 in
+        let inside = count lo mid + count mid hi in
+        let across = ref 0 and q = ref mid in
+        for p = lo to mid - 1 do
+          let i = by_start.(p) in
+          while !q < hi && arrival by_arrival.(!q) <= start i do
+            add rank.(by_arrival.(!q)) 1;
+            incr q
+          done;
+          across := !across + below rank.(i)
+        done;
+        for p = mid to !q - 1 do
+          add rank.(by_arrival.(p)) (-1)
+        done;
+        merge by_start start lo mid hi;
+        merge by_arrival arrival lo mid hi;
+        inside + !across
+      end
+    in
+    count 0 n
+  end
 
 let metrics o =
   let delivered = List.length o.completions in
@@ -136,14 +209,17 @@ let merge_epochs lists =
   in
   go [] all
 
+let by_finish a b =
+  match Int.compare a.c_finish b.c_finish with
+  | 0 -> (
+    match Int.compare a.c_start b.c_start with
+    | 0 -> Int.compare a.c_msg.Message.uid b.c_msg.Message.uid
+    | c -> c)
+  | c -> c
+
 let merge ~protocol ~horizon outcomes =
   let completions =
-    List.sort
-      (fun a b ->
-        compare
-          (a.c_finish, a.c_start, a.c_msg.Message.uid)
-          (b.c_finish, b.c_start, b.c_msg.Message.uid))
-      (List.concat_map (fun o -> o.completions) outcomes)
+    List.sort by_finish (List.concat_map (fun o -> o.completions) outcomes)
   in
   let channel =
     List.fold_left

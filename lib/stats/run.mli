@@ -84,9 +84,14 @@ type metrics = {
 val inversions : completion list -> int
 (** [inversions cs] counts pairs [(a, b)] where [a] started
     transmission while [b] was already pending ([T(b) <= c_start a])
-    yet [DM(a) > DM(b)] and [b] completed after [a] — the
-    deadline-inversion count that CSMA/DDCR's deadline equivalence
-    classes are designed to keep small. *)
+    yet [DM(a) > DM(b)] and [b] completed after [a] ([b] comes after
+    [a] in [cs]) — the deadline-inversion count that CSMA/DDCR's
+    deadline equivalence classes are designed to keep small.
+
+    O(n log² n) time and O(n) space for [n] completions: divide and
+    conquer on list position, with a Fenwick tree over deadline ranks
+    for the pairs across each split.  [cs] need not be in start order
+    ({!merge} of overlapping media is not). *)
 
 val metrics : outcome -> metrics
 (** [metrics o] computes the scoreboard for one run. *)

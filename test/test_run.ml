@@ -72,6 +72,99 @@ let test_inversions () =
   let late_b = completion 3 200 500 300 400 in
   Alcotest.(check int) "arrival after start" 0 (Run.inversions [ a; late_b ])
 
+(* The definition, pair by pair: the reference the divide-and-conquer
+   count must equal. *)
+let pairwise_inversions cs =
+  let arr = Array.of_list cs in
+  let n = Array.length arr in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = arr.(i) and b = arr.(j) in
+      if
+        b.Run.c_msg.Message.arrival <= a.Run.c_start
+        && Message.abs_deadline a.Run.c_msg > Message.abs_deadline b.Run.c_msg
+      then incr count
+    done
+  done;
+  !count
+
+(* Small value ranges, so equal deadlines, arrival = start, arrivals
+   equal to another message's start and equal finish times are common;
+   a third of the lists have 0-2 elements.  The list order is random,
+   not start order. *)
+let gen_completion uid =
+  let open QCheck.Gen in
+  let* arrival = int_range 0 12 in
+  let* wait = frequencyl [ (1, 0); (3, 1); (3, 2); (3, 6) ] in
+  let* d = int_range 1 6 in
+  let+ len = int_range 0 3 in
+  let start = arrival + wait in
+  completion uid arrival d start (start + len)
+
+let gen_completions =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, int_range 0 2); (2, int_range 3 40) ] in
+  flatten_l (List.init n gen_completion)
+
+(* Segments of one federated run: each in start order, as one bus
+   completes them, with uids that repeat across segments. *)
+let gen_segments =
+  let open QCheck.Gen in
+  let* k = int_range 1 4 in
+  list_repeat k
+    (map
+       (List.sort (fun a b -> Int.compare a.Run.c_start b.Run.c_start))
+       gen_completions)
+
+let print_completions cs =
+  String.concat "; "
+    (List.map
+       (fun c ->
+         Printf.sprintf "uid %d T %d DM %d [%d, %d]" c.Run.c_msg.Message.uid
+           c.Run.c_msg.Message.arrival
+           (Message.abs_deadline c.Run.c_msg)
+           c.Run.c_start c.Run.c_finish)
+       cs)
+
+let arb_segments =
+  QCheck.make
+    ~print:(fun segs -> String.concat " | " (List.map print_completions segs))
+    gen_segments
+
+let prop_inversions_pairwise =
+  QCheck.Test.make ~name:"inversions = pairwise definition" ~count:1000
+    (QCheck.make ~print:print_completions gen_completions)
+    (fun cs -> Run.inversions cs = pairwise_inversions cs)
+
+let merged segs =
+  let outcomes = List.map (fun cs -> outcome cs) segs in
+  (Run.merge ~protocol:"test" ~horizon:100 outcomes).Run.completions
+
+let prop_inversions_merged =
+  QCheck.Test.make ~name:"inversions of merged segments = pairwise"
+    ~count:500 arb_segments
+    (fun segs ->
+      let cs = merged segs in
+      Run.inversions cs = pairwise_inversions cs)
+
+(* Run.merge sorted on polymorphic [compare] of (finish, start, uid)
+   tuples; the monomorphic comparator must give the same order, ties
+   in the same (stable) place. *)
+let prop_merge_order =
+  QCheck.Test.make ~name:"merge order = (finish, start, uid) tuple order"
+    ~count:500 arb_segments
+    (fun segs ->
+      let tuple_order =
+        List.sort
+          (fun a b ->
+            compare
+              (a.Run.c_finish, a.Run.c_start, a.Run.c_msg.Message.uid)
+              (b.Run.c_finish, b.Run.c_start, b.Run.c_msg.Message.uid))
+          (List.concat segs)
+      in
+      List.for_all2 ( == ) (merged segs) tuple_order)
+
 let test_per_class_worst () =
   let o =
     outcome
@@ -163,5 +256,11 @@ let suite =
         Alcotest.test_case "metrics json round-trip" `Quick
           test_metrics_json_roundtrip;
         Alcotest.test_case "outcome json shape" `Quick test_outcome_json_shape;
-      ] );
+      ]
+      @ List.map
+          (fun t ->
+            QCheck_alcotest.to_alcotest ~speed_level:`Quick
+              ~rand:(Random.State.make [| 25 |]) t)
+          [ prop_inversions_pairwise; prop_inversions_merged; prop_merge_order ]
+    );
   ]
