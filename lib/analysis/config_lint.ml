@@ -410,10 +410,11 @@ let check_topo ?policy topo =
          end-to-end slack cannot be absorbed downstream — every held
          chain of that flow will miss or be shed. *)
       let fault_diags =
+        let find_segment = Topo.segment_lookup topo in
         List.concat_map
           (fun (b : Topo.bridge) ->
             let window =
-              match Topo.find_segment topo b.Topo.br_to with
+              match find_segment b.Topo.br_to with
               | Some { Topo.sg_fault = Some sp; _ } ->
                 Rtnet_channel.Fault_plan.max_outage sp
                   ~source:b.Topo.br_station

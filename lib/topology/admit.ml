@@ -31,6 +31,7 @@ type t = {
   e_reports : (string * Feasibility.report) list;
   e_flows : eflow list;
   e_admitted : bool;
+  e_by_name : (string, Instance.t * Ddcr_params.t) Hashtbl.t;
 }
 
 (* Static route of one flow, resolved once [Topo.route_errors] came
@@ -43,14 +44,16 @@ type route = {
 }
 
 let routes topo =
+  let find_segment = Topo.segment_lookup topo in
   List.map
     (fun (f : Topo.flow) ->
       let origin = List.hd f.Topo.fl_path in
-      let seg = Option.get (Topo.find_segment topo origin) in
+      let seg = Option.get (find_segment origin) in
       let cls, law =
-        List.find
-          (fun (c, _) -> c.Message.cls_id = f.Topo.fl_cls)
-          (Array.to_list seg.Topo.sg_instance.Instance.classes)
+        Option.get
+          (Array.find_opt
+             (fun (c, _) -> c.Message.cls_id = f.Topo.fl_cls)
+             seg.Topo.sg_instance.Instance.classes)
       in
       let rec bridges = function
         | a :: (b :: _ as rest) ->
@@ -161,11 +164,22 @@ let price instances =
       (name, p, Feasibility.check p inst))
     instances
 
-let class_report priced seg cls_id =
-  let _, _, rep = List.find (fun (n, _, _) -> n = seg) priced in
-  List.find
-    (fun cr -> cr.Feasibility.cr_cls.Message.cls_id = cls_id)
-    rep.Feasibility.per_class
+(* The class reports of one pricing pass, by segment and class id (of
+   two segments sharing a name, the first, as a scan would find it). *)
+let class_reports priced =
+  let by_seg = Hashtbl.create 64 in
+  List.iter
+    (fun (seg, _, rep) ->
+      if not (Hashtbl.mem by_seg seg) then begin
+        let by_id = Hashtbl.create 16 in
+        List.iter
+          (fun cr ->
+            Hashtbl.replace by_id cr.Feasibility.cr_cls.Message.cls_id cr)
+          rep.Feasibility.per_class;
+        Hashtbl.add by_seg seg by_id
+      end)
+    priced;
+  fun seg cls_id -> Hashtbl.find (Hashtbl.find by_seg seg) cls_id
 
 let elaborate ?(policy = Decompose.Proportional) topo =
   match Topo.route_errors topo @ Topo.fault_errors topo with
@@ -184,7 +198,7 @@ let elaborate ?(policy = Decompose.Proportional) topo =
           (routes topo)
       in
       let insts1, hops1 = build topo provisional in
-      let priced1 = price insts1 in
+      let class_report = class_reports (price insts1) in
       let final =
         List.map
           (fun (rt, fallback) ->
@@ -194,8 +208,7 @@ let elaborate ?(policy = Decompose.Proportional) topo =
                   let seg, c =
                     Hashtbl.find hops1 (rt.rt_flow.Topo.fl_name, i)
                   in
-                  (class_report priced1 seg c.Message.cls_id)
-                    .Feasibility.cr_bound)
+                  (class_report seg c.Message.cls_id).Feasibility.cr_bound)
                 rt.rt_flow.Topo.fl_path
             in
             match
@@ -211,6 +224,7 @@ let elaborate ?(policy = Decompose.Proportional) topo =
         build topo (List.map (fun (rt, budgets, _) -> (rt, budgets)) final)
       in
       let priced2 = price insts2 in
+      let class_report = class_reports priced2 in
       let e_flows =
         List.map
           (fun (rt, budgets, err) ->
@@ -220,7 +234,7 @@ let elaborate ?(policy = Decompose.Proportional) topo =
                   let seg, c =
                     Hashtbl.find hops2 (rt.rt_flow.Topo.fl_name, i)
                   in
-                  let cr = class_report priced2 seg c.Message.cls_id in
+                  let cr = class_report seg c.Message.cls_id in
                   {
                     h_segment = seg;
                     h_cls = c;
@@ -243,6 +257,12 @@ let elaborate ?(policy = Decompose.Proportional) topo =
             })
           final
       in
+      let e_by_name = Hashtbl.create (2 * List.length priced2) in
+      List.iter2
+        (fun (n, inst) (_, p, _) ->
+          if not (Hashtbl.mem e_by_name n) then
+            Hashtbl.add e_by_name n (inst, p))
+        insts2 priced2;
       Ok
         {
           e_topo = topo;
@@ -254,10 +274,11 @@ let elaborate ?(policy = Decompose.Proportional) topo =
           e_reports = List.map (fun (n, _, r) -> (n, r)) priced2;
           e_flows;
           e_admitted = List.for_all (fun f -> f.ef_admitted) e_flows;
+          e_by_name;
         })
 
-let instance_of t name = List.assoc name t.e_instances
-let params_of t name = List.assoc name t.e_params
+let instance_of t name = fst (Hashtbl.find t.e_by_name name)
+let params_of t name = snd (Hashtbl.find t.e_by_name name)
 
 let pp_report fmt t =
   Format.fprintf fmt "@[<v>topology %s: %s (decomposition %s)@,"

@@ -66,6 +66,11 @@ type t = {
           classes too, not just flow hops) *)
   e_flows : eflow list;
   e_admitted : bool;
+  e_by_name :
+    (string, Rtnet_workload.Instance.t * Rtnet_core.Ddcr_params.t) Hashtbl.t;
+      (** [e_instances] and [e_params] indexed by segment name, built
+          once by {!elaborate}: the table behind {!instance_of} and
+          {!params_of} *)
 }
 
 val elaborate :
@@ -80,11 +85,12 @@ val elaborate :
     predicted misses). *)
 
 val instance_of : t -> string -> Rtnet_workload.Instance.t
-(** Elaborated instance by segment name.
+(** Elaborated instance by segment name, in constant time.
     @raise Not_found on an unknown segment. *)
 
 val params_of : t -> string -> Rtnet_core.Ddcr_params.t
-(** @raise Not_found on an unknown segment. *)
+(** Parameters by segment name, in constant time.
+    @raise Not_found on an unknown segment. *)
 
 val pp_report : Format.formatter -> t -> unit
 (** Per-flow hop tables (budget, [B_DDCR], headroom, verdict),

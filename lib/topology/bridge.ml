@@ -16,39 +16,59 @@ type verdict = {
    segment's fault plan: while crashed the bridge neither drains its
    queue nor contends, so the fault-aware test must fit each forwarded
    class into [deadline - window]. *)
-let worst_window (e : Admit.t) (b : Topo.bridge) =
-  match Topo.find_segment e.Admit.e_topo b.Topo.br_to with
+let worst_window find_segment (b : Topo.bridge) =
+  match find_segment b.Topo.br_to with
   | Some { Topo.sg_fault = Some sp; _ } ->
     Fault_plan.max_outage sp ~source:b.Topo.br_station
   | Some _ | None -> 0
 
-(* The forwarded (class, law) pairs a bridge injects downstream: every
-   flow hop reached through this bridge, with the law looked up in the
-   elaborated downstream instance. *)
-let crossing (e : Admit.t) (b : Topo.bridge) =
-  List.concat_map
+(* The forwarded (class, law) pairs each bridge injects downstream, by
+   bridge name: every flow hop reached through the bridge, in flow and
+   path order, with the law looked up in the elaborated downstream
+   instance (the first of a name, as {!Admit.instance_of} finds it). *)
+let crossings (e : Admit.t) =
+  let laws = Hashtbl.create 64 in
+  List.iter
+    (fun (seg, (inst : Instance.t)) ->
+      if not (Hashtbl.mem laws seg) then begin
+        let by_id = Hashtbl.create 16 in
+        Array.iter
+          (fun ((c : Message.cls), law) ->
+            Hashtbl.replace by_id c.Message.cls_id law)
+          inst.Instance.classes;
+        Hashtbl.add laws seg by_id
+      end)
+    e.Admit.e_instances;
+  let by_bridge = Hashtbl.create 16 in
+  List.iter
     (fun (f : Admit.eflow) ->
-      List.filter_map
+      List.iter
         (fun (h : Admit.hop) ->
-          match h.Admit.h_bridge with
-          | Some hb when hb.Topo.br_name = b.Topo.br_name ->
-            let inst = Admit.instance_of e h.Admit.h_segment in
-            let _, law =
-              List.find
-                (fun (c, _) ->
-                  c.Message.cls_id = h.Admit.h_cls.Message.cls_id)
-                (Array.to_list inst.Instance.classes)
-            in
-            Some (h.Admit.h_cls, law)
-          | Some _ | None -> None)
+          Option.iter
+            (fun (hb : Topo.bridge) ->
+              let law =
+                Hashtbl.find
+                  (Hashtbl.find laws h.Admit.h_segment)
+                  h.Admit.h_cls.Message.cls_id
+              in
+              Hashtbl.replace by_bridge hb.Topo.br_name
+                ((h.Admit.h_cls, law)
+                :: Option.value ~default:[]
+                     (Hashtbl.find_opt by_bridge hb.Topo.br_name)))
+            h.Admit.h_bridge)
         f.Admit.ef_hops)
-    e.Admit.e_flows
+    e.Admit.e_flows;
+  fun (b : Topo.bridge) ->
+    List.rev
+      (Option.value ~default:[] (Hashtbl.find_opt by_bridge b.Topo.br_name))
 
 let check ?(fault_aware = false) (e : Admit.t) =
+  let find_segment = Topo.segment_lookup e.Admit.e_topo in
+  let crossing = crossings e in
   List.map
     (fun (b : Topo.bridge) ->
-      let window = if fault_aware then worst_window e b else 0 in
-      match crossing e b with
+      let window = if fault_aware then worst_window find_segment b else 0 in
+      match crossing b with
       | [] ->
         {
           bv_bridge = b.Topo.br_name;

@@ -163,8 +163,15 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
   (match Topo.fault_errors topo with
   | [] -> ()
   | errs -> raise (Driver_error (String.concat "; " errs)));
-  (* (segment, cls id) -> hop routing info *)
-  let hops = Hashtbl.create 16 in
+  let seg_table = Hashtbl.create 8 in
+  List.iteri (fun i n -> Hashtbl.replace seg_table n i) seg_names;
+  let seg_index n = Hashtbl.find seg_table n in
+  let find_segment = Topo.segment_lookup topo in
+  (* Per segment (declaration index): cls id -> hop routing info.  A
+     completion of a class found here is a flow hop to forward. *)
+  let hops =
+    Array.init (List.length seg_names) (fun _ -> Hashtbl.create 8)
+  in
   List.iter
     (fun (f : Admit.eflow) ->
       let rec walk i = function
@@ -179,8 +186,9 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
                   nh.Admit.h_segment,
                   nh.Admit.h_cls )
           in
-          Hashtbl.replace hops
-            (h.Admit.h_segment, h.Admit.h_cls.Message.cls_id)
+          Hashtbl.replace
+            hops.(seg_index h.Admit.h_segment)
+            h.Admit.h_cls.Message.cls_id
             {
               hi_ef = f;
               hi_flow = f.Admit.ef_flow.Topo.fl_name;
@@ -199,48 +207,55 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
      accounting are budget-driven). *)
   let chains = Hashtbl.create 64 in
   let chain_keys = ref [] in
+  let given = Hashtbl.create 8 in
+  List.iter
+    (fun (name, trace) ->
+      if not (Hashtbl.mem given name) then Hashtbl.add given name trace)
+    traces;
   let prepared =
-    List.map
-      (fun name ->
-        let trace =
-          try List.assoc name traces
-          with Not_found ->
-            raise
-              (Driver_error
-                 (Printf.sprintf "Driver.run: no trace for segment %s" name))
-        in
-        let trace =
-          List.map
-            (fun (m : Message.t) ->
-              match
-                Hashtbl.find_opt hops (name, m.Message.cls.Message.cls_id)
-              with
-              | Some info when info.hi_idx = 0 ->
-                let key = (info.hi_flow, m.Message.uid) in
-                Hashtbl.replace chains key
-                  {
-                    ch_ef = info.hi_ef;
-                    ch_flow = info.hi_flow;
-                    ch_criticality = info.hi_criticality;
-                    ch_uid = m.Message.uid;
-                    ch_t0 = m.Message.arrival;
-                    ch_deadline =
-                      m.Message.arrival + info.hi_ef.Admit.ef_deadline;
-                    ch_done = [];
-                    ch_fault = None;
-                    ch_shed = false;
-                    ch_dropped = false;
-                  };
-                chain_keys := key :: !chain_keys;
-                { m with Message.cls = info.hi_cls }
-              | Some _ | None -> m)
-            trace
-        in
-        (name, trace))
-      seg_names
+    Array.of_list
+      (List.mapi
+         (fun i name ->
+           let trace =
+             match Hashtbl.find_opt given name with
+             | Some trace -> trace
+             | None ->
+               raise
+                 (Driver_error
+                    (Printf.sprintf "Driver.run: no trace for segment %s" name))
+           in
+           let trace =
+             List.map
+               (fun (m : Message.t) ->
+                 match
+                   Hashtbl.find_opt hops.(i) m.Message.cls.Message.cls_id
+                 with
+                 | Some info when info.hi_idx = 0 ->
+                   let key = (info.hi_flow, m.Message.uid) in
+                   Hashtbl.replace chains key
+                     {
+                       ch_ef = info.hi_ef;
+                       ch_flow = info.hi_flow;
+                       ch_criticality = info.hi_criticality;
+                       ch_uid = m.Message.uid;
+                       ch_t0 = m.Message.arrival;
+                       ch_deadline =
+                         m.Message.arrival + info.hi_ef.Admit.ef_deadline;
+                       ch_done = [];
+                       ch_fault = None;
+                       ch_shed = false;
+                       ch_dropped = false;
+                     };
+                   chain_keys := key :: !chain_keys;
+                   { m with Message.cls = info.hi_cls }
+                 | Some _ | None -> m)
+               trace
+           in
+           (name, trace))
+         seg_names)
   in
   let next_uid = Hashtbl.create 8 in
-  List.iter
+  Array.iter
     (fun (name, trace) ->
       let top =
         List.fold_left (fun acc (m : Message.t) -> max acc m.Message.uid) (-1)
@@ -266,11 +281,6 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
   (* (segment, injected uid) -> chain key *)
   let injected = Hashtbl.create 64 in
   let outcomes = Hashtbl.create 8 in
-  let seg_index =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun i n -> Hashtbl.replace tbl n i) seg_names;
-    fun n -> Hashtbl.find tbl n
-  in
   (* Fault machinery.  A crash window of a bridge's station (in the
      downstream segment's plan) takes the bridge's store-and-forward
      queue offline: hand-offs whose ready time falls inside the window
@@ -279,7 +289,7 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
      empty and the hand-off path is bit-identical to the fault-free
      driver. *)
   let plan_of_segment nm =
-    match Topo.find_segment topo nm with
+    match find_segment nm with
     | Some s -> s.Topo.sg_fault
     | None -> None
   in
@@ -461,65 +471,78 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
     emit
       (Restored { rs_bridge = b.Topo.br_name; rs_at = until; rs_backlog = total })
   in
-  let post_process name comps =
+  (* Each segment's outgoing bridges, in declaration order. *)
+  let outgoing = Array.make (Array.length hops) [] in
+  List.iter
+    (fun (b : Topo.bridge) ->
+      Option.iter
+        (fun i -> outgoing.(i) <- b :: outgoing.(i))
+        (Hashtbl.find_opt seg_table b.Topo.br_from))
+    (List.rev topo.Topo.tp_bridges);
+  (* Forward the flow-hop completions of segment [i], in finish order:
+     the channel carries one frame at a time. *)
+  let post_process i name comps =
     List.iter
       (fun { Run.c_msg = m; c_start = start; c_finish = finish } ->
-        let info = Hashtbl.find hops (name, m.Message.cls.Message.cls_id) in
-        let key =
-          if info.hi_idx = 0 then (info.hi_flow, m.Message.uid)
-          else
-            try Hashtbl.find injected (name, m.Message.uid)
-            with Not_found ->
-              raise
-                (Driver_error
-                   (Printf.sprintf
-                      "Driver.run: malformed cross-segment hand-off (segment \
-                       %s, class %d, uid %d has no upstream chain)"
-                      name m.Message.cls.Message.cls_id m.Message.uid))
-        in
-        let chain = Hashtbl.find chains key in
-        chain.ch_done <-
-          {
-            hr_index = info.hi_idx;
-            hr_segment = name;
-            hr_arrival = m.Message.arrival;
-            hr_start = start;
-            hr_finish = finish;
-            hr_source = m.Message.cls.Message.cls_source;
-          }
-          :: chain.ch_done;
-        match info.hi_next with
+        match Hashtbl.find_opt hops.(i) m.Message.cls.Message.cls_id with
         | None -> ()
-        | Some (bridge, next_seg, next_cls) -> (
-          let ready = finish + bridge.Topo.br_latency in
-          let outage =
-            List.find_opt
-              (fun (w : Fault_plan.crash_window) ->
-                ready >= w.Fault_plan.cw_from && ready < w.Fault_plan.cw_until)
-              (bridge_windows bridge)
+        | Some info -> (
+          let key =
+            if info.hi_idx = 0 then (info.hi_flow, m.Message.uid)
+            else
+              try Hashtbl.find injected (name, m.Message.uid)
+              with Not_found ->
+                raise
+                  (Driver_error
+                     (Printf.sprintf
+                        "Driver.run: malformed cross-segment hand-off (segment \
+                         %s, class %d, uid %d has no upstream chain)"
+                        name m.Message.cls.Message.cls_id m.Message.uid))
           in
-          match outage with
-          | None ->
-            let uid = fresh_uid next_seg in
-            let m' = { Message.uid; cls = next_cls; arrival = ready } in
-            Hashtbl.replace injected (next_seg, uid) key;
-            let r = pending_ref next_seg in
-            r := m' :: !r
-          | Some w ->
-            if chain.ch_fault = None then
-              chain.ch_fault <- Some bridge.Topo.br_name;
-            let r =
-              backlog_ref (bridge.Topo.br_name, w.Fault_plan.cw_from)
+          let chain = Hashtbl.find chains key in
+          chain.ch_done <-
+            {
+              hr_index = info.hi_idx;
+              hr_segment = name;
+              hr_arrival = m.Message.arrival;
+              hr_start = start;
+              hr_finish = finish;
+              hr_source = m.Message.cls.Message.cls_source;
+            }
+            :: chain.ch_done;
+          match info.hi_next with
+          | None -> ()
+          | Some (bridge, next_seg, next_cls) -> (
+            let ready = finish + bridge.Topo.br_latency in
+            let outage =
+              List.find_opt
+                (fun (w : Fault_plan.crash_window) ->
+                  ready >= w.Fault_plan.cw_from
+                  && ready < w.Fault_plan.cw_until)
+                (bridge_windows bridge)
             in
-            r :=
-              {
-                hd_key = key;
-                hd_ready = ready;
-                hd_seg = next_seg;
-                hd_cls = next_cls;
-                hd_next_idx = info.hi_idx + 1;
-              }
-              :: !r))
+            match outage with
+            | None ->
+              let uid = fresh_uid next_seg in
+              let m' = { Message.uid; cls = next_cls; arrival = ready } in
+              Hashtbl.replace injected (next_seg, uid) key;
+              let r = pending_ref next_seg in
+              r := m' :: !r
+            | Some w ->
+              if chain.ch_fault = None then
+                chain.ch_fault <- Some bridge.Topo.br_name;
+              let r =
+                backlog_ref (bridge.Topo.br_name, w.Fault_plan.cw_from)
+              in
+              r :=
+                {
+                  hd_key = key;
+                  hd_ready = ready;
+                  hd_seg = next_seg;
+                  hd_cls = next_cls;
+                  hd_next_idx = info.hi_idx + 1;
+                }
+                :: !r)))
       comps;
     (* Revive this segment's outgoing bridges: all hand-offs a window
        can hold are known once the upstream segment completed (its
@@ -527,25 +550,25 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
        once, in declaration/chronological order. *)
     List.iter
       (fun (b : Topo.bridge) ->
-        if b.Topo.br_from = name then
-          List.iter
-            (fun (w : Fault_plan.crash_window) ->
-              let entries =
-                match
-                  Hashtbl.find_opt backlog (b.Topo.br_name, w.Fault_plan.cw_from)
-                with
-                | Some r -> List.rev !r
-                | None -> []
-              in
-              drain_window b w entries)
-            (bridge_windows b))
-      topo.Topo.tp_bridges
+        List.iter
+          (fun (w : Fault_plan.crash_window) ->
+            let entries =
+              match
+                Hashtbl.find_opt backlog (b.Topo.br_name, w.Fault_plan.cw_from)
+              with
+              | Some r -> List.rev !r
+              | None -> []
+            in
+            drain_window b w entries)
+          (bridge_windows b))
+      outgoing.(i)
   in
   List.iter
     (fun level ->
       let jobs =
         List.map
           (fun name ->
+            let i = seg_index name in
             let inst = Admit.instance_of e name in
             let params = Admit.params_of e name in
             (* Per-segment fault sampler, seeded protocol-blind from
@@ -556,23 +579,16 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
               Option.map
                 (fun sp ->
                   Fault_plan.create ~horizon
-                    ~seed:(Prng.derive fault_seed (seg_index name))
+                    ~seed:(Prng.derive fault_seed i)
                     sp)
                 (plan_of_segment name)
             in
-            let trace = List.assoc name prepared in
+            let trace = snd prepared.(i) in
             let pend0 =
               List.sort Rtnet_mac.Harness.arrival_order !(pending_ref name)
             in
-            let flow_ids =
-              Hashtbl.fold
-                (fun (s, id) _ acc -> if s = name then id :: acc else acc)
-                hops []
-            in
             let sink =
-              Option.map
-                (fun f -> f ~index:(seg_index name) ~segment:name)
-                sink_for
+              Option.map (fun f -> f ~index:i ~segment:name) sink_for
             in
             let thunk () =
               let pend = ref pend0 in
@@ -586,25 +602,16 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
                 in
                 take [] !pend
               in
-              let outcome =
-                Ddcr.run_trace ?plan ?sink ~inject params inst trace ~horizon
-              in
-              (* The flow-hop completions, in finish order: the channel
-                 carries one frame at a time. *)
-              ( outcome,
-                List.filter
-                  (fun c ->
-                    List.mem c.Run.c_msg.Message.cls.Message.cls_id flow_ids)
-                  outcome.Run.completions )
+              Ddcr.run_trace ?plan ?sink ~inject params inst trace ~horizon
             in
-            (name, thunk))
+            ((i, name), thunk))
           level
       in
       let results = run_batch ~domains (List.map snd jobs) in
       List.iter2
-        (fun (name, _) (outcome, comps) ->
+        (fun ((i, name), _) outcome ->
           Hashtbl.replace outcomes name outcome;
-          post_process name comps)
+          post_process i name outcome.Run.completions)
         jobs results)
     e.Admit.e_levels;
   (* Every chain in deterministic (trace) order, with its hops in path
@@ -634,7 +641,7 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
           match c.ch_fault with
           | Some _ as f -> f
           | None -> (
-            match Topo.find_segment topo hop with
+            match find_segment hop with
             | Some { Topo.sg_fault = Some _; _ } -> Some hop
             | Some _ | None -> None)
         in
@@ -714,10 +721,14 @@ let run_exn ~domains ?sink_for ~fault_seed (e : Admit.t) ~traces ~horizon =
         Buffer.add_char buf '\n';
         List.iter
           (fun (c : Run.completion) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%d:%d:%d:%d\n"
-                 c.Run.c_msg.Message.cls.Message.cls_id c.Run.c_msg.Message.uid
-                 c.Run.c_start c.Run.c_finish))
+            let field n sep =
+              Buffer.add_string buf (string_of_int n);
+              Buffer.add_char buf sep
+            in
+            field c.Run.c_msg.Message.cls.Message.cls_id ':';
+            field c.Run.c_msg.Message.uid ':';
+            field c.Run.c_start ':';
+            field c.Run.c_finish '\n')
           sr.sr_outcome.Run.completions)
       seg_outcomes;
     Digest.to_hex (Digest.string (Buffer.contents buf))

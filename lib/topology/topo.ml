@@ -140,8 +140,13 @@ let create_exn ~name ~segments ~bridges ~flows =
   | Ok t -> t
   | Error e -> invalid_arg ("Topo.create_exn: " ^ e)
 
-let find_segment t name =
-  List.find_opt (fun s -> s.sg_name = name) t.tp_segments
+let segment_lookup t =
+  let tbl = Hashtbl.create (2 * List.length t.tp_segments) in
+  List.iter
+    (fun s ->
+      if not (Hashtbl.mem tbl s.sg_name) then Hashtbl.add tbl s.sg_name s)
+    t.tp_segments;
+  Hashtbl.find_opt tbl
 
 let find_bridge t ~from_ ~to_ =
   List.find_opt (fun b -> b.br_from = from_ && b.br_to = to_) t.tp_bridges
@@ -217,6 +222,7 @@ let levels t =
     Ok (Array.to_list groups)
 
 let route_errors t =
+  let find_segment = segment_lookup t in
   let errs = ref [] in
   let add fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let origins = Hashtbl.create 8 in
@@ -231,14 +237,14 @@ let route_errors t =
         | None -> ());
         List.iter
           (fun n ->
-            if find_segment t n = None then
+            if find_segment n = None then
               add "flow %s: unknown path segment %S" f.fl_name n)
           path;
         let rec hops = function
           | a :: (b :: _ as rest) ->
             if
-              find_segment t a <> None
-              && find_segment t b <> None
+              find_segment a <> None
+              && find_segment b <> None
               && find_bridge t ~from_:a ~to_:b = None
             then add "flow %s: no bridge joins %s -> %s" f.fl_name a b;
             hops rest
@@ -247,7 +253,7 @@ let route_errors t =
         hops path);
       match f.fl_path with
       | origin :: _ -> (
-        match find_segment t origin with
+        match find_segment origin with
         | None -> ()
         | Some seg ->
           if

@@ -124,7 +124,12 @@ val create_exn :
   t
 (** {!create} or @raise Invalid_argument. *)
 
-val find_segment : t -> string -> segment option
+val segment_lookup : t -> string -> segment option
+(** [segment_lookup t] indexes [t]'s segments by name once; the
+    returned function finds a segment in constant time (the first
+    declared, should two share a name).  Apply it to [t] once and keep
+    the lookup for repeated queries. *)
+
 val find_bridge : t -> from_:string -> to_:string -> bridge option
 
 val toposort : t -> (string list, string) result

@@ -548,7 +548,7 @@ let test_sample_topo_deterministic_and_targeted () =
     List.iter
       (fun (seg, sp) ->
         Alcotest.(check bool) "plan targets a known segment" true
-          (Topo.find_segment topo seg <> None);
+          (Topo.segment_lookup topo seg <> None);
         match Fault_plan.validate ~horizon sp with
         | Ok () -> ()
         | Error e -> Alcotest.fail e)

@@ -528,7 +528,7 @@ let test_json_fault_roundtrip () =
   (match Topo.of_json json with
   | Error e -> Alcotest.fail e
   | Ok t' -> (
-    (match Topo.find_segment t' "seg0" with
+    (match Topo.segment_lookup t' "seg0" with
     | Some { Topo.sg_fault = Some sp; _ } ->
       Alcotest.(check int) "crash window survives" 1
         (List.length sp.Fault_plan.sp_crashes)
