@@ -204,6 +204,15 @@ let check_out_dir ~create = function
         Error (Printf.sprintf "--out-dir %s: not a directory" d)
       else Ok ())
 
+(* -o FILE is written after the search, so its directory is checked
+   before any candidate runs, like --out-dir. *)
+let check_out_file = function
+  | None -> Ok ()
+  | Some path ->
+    let d = Filename.dirname path in
+    if Sys.file_exists d && Sys.is_directory d then Ok ()
+    else Error (Printf.sprintf "-o %s: no such directory %s" path d)
+
 (* Seed, candidate count and pool supervision, shared by every
    subject's search; the environment and sampling space are filled in
    per subject. *)
@@ -271,7 +280,10 @@ let expect_finding =
 let search (type e s c) ~out ~out_dir ~quiet ~expect_finding
     ((module S) as subject : (e, s, c) Subject.t) (config : (e, s) Search.config)
     =
-  match check_out_dir ~create:false out_dir with
+  match
+    Result.bind (check_out_dir ~create:false out_dir) (fun () ->
+        check_out_file out)
+  with
   | Error e -> fail "%s" e
   | Ok () ->
   let res = Search.run ~log:(log_of quiet) subject config in

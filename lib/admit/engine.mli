@@ -15,7 +15,15 @@
     {!Rtnet_core.Feasibility.bound_of_sums} of its sums.  The ξ
     machinery is cached: the time-tree bound [ξ₂ = Xi.eq5] is a
     per-engine constant of the parameters, and the static-tree bound
-    [S₁ = Multi_tree.bound] is memoized by its only inputs [(u, v)].
+    [S₁ = Multi_tree.bound] is memoized by its only inputs [(u, v)]
+    ({!S1_memo}).
+
+    The admitted flows sit densely in an array, each knowing its
+    index; evicting one moves the last into its place (swap-remove),
+    so a decision walks an array and rebuilds no list.  Their [B_DDCR]
+    values sit unboxed in a float array at the same indices.  Which
+    class binds never depends on that order: least headroom, ties to
+    the lower class id.
 
     Because the sums are exact integers and the bound is Feasibility's
     own expression, the incremental answer is bit-identical to a
@@ -115,6 +123,31 @@ val restore :
     {!snapshot}, recomputing every cached sum from scratch.  [Error] on
     a malformed snapshot, including one that repeats a flow id or a
     class id. *)
+
+(** The [S₁] memo: [Multi_tree.bound ~m ~t ~u ~v] keyed by [(u, v)] in
+    an open-addressed table of [(u, v, S₁)] slots.  A lookup hashes and
+    compares the two ints in place — no key is built, no functor
+    closure called — and a hit returns the stored float box, so it
+    allocates nothing; the table doubles when more than half full.
+    Exposed so tier-1 can check it against [Multi_tree.bound] across
+    every growth. *)
+module S1_memo : sig
+  type t
+
+  val create : m:int -> t:int -> t
+  (** An empty memo of [Multi_tree.bound ~m ~t], 256 slots. *)
+
+  val find : t -> u:int -> v:int -> float
+  (** [find memo ~u ~v] is [Multi_tree.bound ~m ~t ~u ~v], computed on
+      the first lookup of [(u, v)] (a miss) and read back after (a
+      hit).  Raises what [Multi_tree.bound] raises. *)
+
+  val hits : t -> int
+  val misses : t -> int
+
+  val capacity : t -> int
+  (** Slots in the table. *)
+end
 
 type stats = {
   st_decisions : int;  (** decisions answered *)

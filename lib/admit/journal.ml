@@ -46,13 +46,6 @@ let header_json ~trace_hash =
       ("trace_hash", Json.String trace_hash);
     ]
 
-let frame payload =
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.to_string b
-
 type loaded = {
   lo_records : record list;
   lo_torn : bool;  (** a torn tail (or torn header) was dropped *)
@@ -128,14 +121,39 @@ let load ~path ~trace_hash =
 
 (* -------------------- appending -------------------- *)
 
-type writer = { w_oc : out_channel }
+(* The payload is rendered into [w_buf] and its length into [w_len],
+   both reused from record to record, then written straight to the
+   channel: no framed copy of the payload is made. *)
+type writer = { w_oc : out_channel; w_buf : Buffer.t; w_len : Bytes.t }
+
+let writer oc = { w_oc = oc; w_buf = Buffer.create 512; w_len = Bytes.create 4 }
+
+(* Write [j] as one frame and flush: the record is on its way to disk
+   when this returns, which is the durability contract (one flush per
+   record).  [~torn:true] writes only the first half of the frame —
+   exactly what a kill -9 mid-write leaves behind. *)
+let write_frame ?(torn = false) w j =
+  let buf = w.w_buf in
+  Buffer.clear buf;
+  Json.to_buffer buf j;
+  let n = Buffer.length buf in
+  Bytes.set_int32_be w.w_len 0 (Int32.of_int n);
+  if not torn then begin
+    output w.w_oc w.w_len 0 4;
+    Buffer.output_buffer w.w_oc buf
+  end
+  else begin
+    let keep = (4 + n) / 2 in
+    output w.w_oc w.w_len 0 (min 4 keep);
+    if keep > 4 then output_string w.w_oc (Buffer.sub buf 0 (keep - 4))
+  end;
+  flush w.w_oc
 
 let create ~path ~trace_hash =
   try
-    let oc = open_out_bin path in
-    output_string oc (frame (Json.to_string (header_json ~trace_hash)));
-    flush oc;
-    Ok { w_oc = oc }
+    let w = writer (open_out_bin path) in
+    write_frame w (header_json ~trace_hash);
+    Ok w
   with Sys_error e -> Error e
 
 (* Re-open after a crash: the torn tail (if any) is cut off so fresh
@@ -145,21 +163,13 @@ let open_append ~path ~valid_bytes =
     let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
     Unix.ftruncate fd valid_bytes;
     let (_ : int) = Unix.lseek fd 0 Unix.SEEK_END in
-    Ok { w_oc = Unix.out_channel_of_descr fd }
+    Ok (writer (Unix.out_channel_of_descr fd))
   with
   | Sys_error e -> Error e
   | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
-let append w r =
-  output_string w.w_oc (frame (record_line r));
-  flush w.w_oc
-
-(* Test hook: write only the first half of the framed record — exactly
-   what a kill -9 mid-write leaves behind. *)
-let append_torn w r =
-  let framed = frame (record_line r) in
-  output_string w.w_oc (String.sub framed 0 (String.length framed / 2));
-  flush w.w_oc
+let append w r = write_frame w (record_to_json r)
+let append_torn w r = write_frame ~torn:true w (record_to_json r)
 
 let close w = close_out_noerr w.w_oc
 

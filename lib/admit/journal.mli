@@ -52,7 +52,11 @@ val open_append : path:string -> valid_bytes:int -> (writer, string) result
     [valid_bytes] (as reported by {!load}) and appends from there. *)
 
 val append : writer -> record -> unit
-(** Framed write + flush, one record at a time. *)
+(** [append w r] writes [r]'s frame — the 4-byte length, then the
+    canonical JSON — and flushes the channel: exactly one [flush] per
+    record, so a record that {!append} returned from survives a
+    [kill -9] of the process.  The header {!create} writes and
+    {!append_torn} go through the same framing function. *)
 
 val append_torn : writer -> record -> unit
 (** Test hook: writes only the first half of the framed record —

@@ -95,15 +95,20 @@ type trace = {
 
 let schema_version = 1
 
-let trace_to_json tr =
+(* The trace envelope around its request list — the one definition of
+   a trace file's keys and their order.  "requests" is its last key. *)
+let envelope tr requests =
   Json.Obj
     [
       ("admit_trace_version", Json.Int schema_version);
       ("phy", Json.String tr.tr_phy.Phy.name);
       ("sources", Json.Int tr.tr_sources);
       ("params", Ddcr_params.to_json tr.tr_params);
-      ("requests", Json.List (List.map to_json tr.tr_requests));
+      ("requests", requests);
     ]
+
+let trace_to_json tr =
+  envelope tr (Json.List (List.map to_json tr.tr_requests))
 
 let trace_of_json j =
   let* v = Result.bind (Json.field "admit_trace_version" j) Json.get_int in
@@ -149,5 +154,15 @@ let load_trace ~path =
 
 (* The hash pins journal and snapshot files to the exact trace they
    were recorded under; resuming against a different trace is refused
-   rather than silently replayed into nonsense. *)
-let trace_hash tr = Digest.to_hex (Digest.string (Json.to_string (trace_to_json tr)))
+   rather than silently replayed into nonsense.  It digests the bytes
+   of [Json.to_string (trace_to_json tr)] without building that tree:
+   the envelope is rendered around an empty request list, which, its
+   value being the last, ends the rendering as "[]}"; the requests are
+   streamed into the list's place one at a time. *)
+let trace_hash tr =
+  let head = Json.to_string (envelope tr (Json.List [])) in
+  let buf = Buffer.create (String.length head + (128 * List.length tr.tr_requests)) in
+  Buffer.add_substring buf head 0 (String.length head - 3);
+  Json.list_to_buffer buf to_json tr.tr_requests;
+  Buffer.add_char buf '}';
+  Digest.to_hex (Digest.string (Buffer.contents buf))

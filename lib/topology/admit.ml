@@ -44,7 +44,8 @@ type route = {
 }
 
 let routes topo =
-  let find_segment = Topo.segment_lookup topo in
+  let find_segment = Topo.segment_lookup topo
+  and find_bridge = Topo.find_bridge topo in
   List.map
     (fun (f : Topo.flow) ->
       let origin = List.hd f.Topo.fl_path in
@@ -57,7 +58,7 @@ let routes topo =
       in
       let rec bridges = function
         | a :: (b :: _ as rest) ->
-          Option.get (Topo.find_bridge topo ~from_:a ~to_:b) :: bridges rest
+          Option.get (find_bridge ~from_:a ~to_:b) :: bridges rest
         | [ _ ] | [] -> []
       in
       {
@@ -84,6 +85,7 @@ let equal_split ~k ~available =
    classes get fresh ids above the segment's maximum, assigned in flow
    declaration order, so elaboration is deterministic. *)
 let build topo routed =
+  let bridges_into = Topo.bridges_into topo in
   let overrides = Hashtbl.create 8 in
   let additions = Hashtbl.create 8 in
   let add_addition seg x =
@@ -145,10 +147,8 @@ let build topo routed =
         in
         let num_sources =
           List.fold_left
-            (fun acc (b : Topo.bridge) ->
-              if b.Topo.br_to = name then max acc (b.Topo.br_station + 1)
-              else acc)
-            s.Topo.sg_instance.Instance.num_sources topo.Topo.tp_bridges
+            (fun acc (b : Topo.bridge) -> max acc (b.Topo.br_station + 1))
+            s.Topo.sg_instance.Instance.num_sources (bridges_into name)
         in
         ( name,
           Instance.create_exn ~name ~phy:s.Topo.sg_instance.Instance.phy

@@ -131,6 +131,15 @@ val segment_lookup : t -> string -> segment option
     the lookup for repeated queries. *)
 
 val find_bridge : t -> from_:string -> to_:string -> bridge option
+(** [find_bridge t] groups [t]'s bridges by upstream segment once; the
+    returned function finds the first-declared bridge [from_ -> to_]
+    by scanning only the bridges out of [from_].  Like
+    {!segment_lookup}, apply it to [t] once per batch of queries. *)
+
+val bridges_into : t -> string -> bridge list
+(** [bridges_into t] groups [t]'s bridges by downstream segment once;
+    the returned function lists the bridges into a segment, in
+    declaration order ([[]] for an unknown name). *)
 
 val toposort : t -> (string list, string) result
 (** [toposort t] orders segment names upstream-first along the bridge

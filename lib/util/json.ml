@@ -7,26 +7,68 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* The writer appends straight to a [Buffer.t]: ints through a digit
+   loop, floats through the C formatter Printf itself ends in, strings
+   that need no escape in one [add_string], lists and objects by plain
+   recursion — no [Printf], no closure per element or per byte.  The
+   bytes are the ones [string_of_int], [Printf.sprintf "%.12g"] and a
+   per-character escape would give; the tier-1 writer property compares
+   them with that reference on random trees. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Digits of a non-positive [n], most significant first.  Working on
+   the negative side covers [min_int], whose magnitude is no int. *)
+let rec add_neg_digits buf n =
+  if n <> 0 then begin
+    add_neg_digits buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+  end
+
+let add_int buf i =
+  if i >= 0 && i < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + i))
+  else if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf i
+  end
+  else add_neg_digits buf (-i)
+
+let rec has_dot_or_exponent s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | '.' | 'e' | 'E' -> true
+  | _ -> has_dot_or_exponent s (i + 1)
+
 (* Canonical float rendering: the shortest of %.12g / %.17g that
    round-trips, forced to contain a '.' or exponent so the token parses
    back as a Float (not an Int). *)
-let float_repr f =
+let add_float buf f =
   (match Float.classify_float f with
   | FP_nan | FP_infinite ->
     invalid_arg "Json: non-finite floats have no JSON representation"
   | FP_normal | FP_subnormal | FP_zero -> ());
   let s =
-    let short = Printf.sprintf "%.12g" f in
-    if float_of_string short = f then short else Printf.sprintf "%.17g" f
+    let short = format_float "%.12g" f in
+    if float_of_string short = f then short else format_float "%.17g" f
   in
-  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
-  else s ^ ".0"
+  Buffer.add_string buf s;
+  if not (has_dot_or_exponent s 0) then Buffer.add_string buf ".0"
+
+let hex_digit n = Char.unsafe_chr (if n < 10 then 48 + n else 87 + n)
+
+let rec clean s i =
+  i >= String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && Char.code c >= 0x20 && clean s (i + 1)
 
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  if clean s 0 then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -35,77 +77,124 @@ let escape_string buf s =
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
       | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+        Buffer.add_char buf (hex_digit (Char.code c land 15))
+      | c -> Buffer.add_char buf c
+    done;
   Buffer.add_char buf '"'
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
   | String s -> escape_string buf s
-  | List vs ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (v :: vs) ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf v)
-      vs;
+    write buf v;
+    write_items buf vs;
     Buffer.add_char buf ']'
-  | Obj kvs ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (kv :: kvs) ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        escape_string buf k;
-        Buffer.add_char buf ':';
-        write buf v)
-      kvs;
+    write_field buf kv;
+    write_fields buf kvs;
     Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | v :: vs ->
+    Buffer.add_char buf ',';
+    write buf v;
+    write_items buf vs
+
+and write_field buf (k, v) =
+  escape_string buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_fields buf = function
+  | [] -> ()
+  | kv :: kvs ->
+    Buffer.add_char buf ',';
+    write_field buf kv;
+    write_fields buf kvs
+
+let to_buffer = write
+
+let list_to_buffer buf f = function
+  | [] -> Buffer.add_string buf "[]"
+  | x :: xs ->
+    Buffer.add_char buf '[';
+    write buf (f x);
+    List.iter
+      (fun x ->
+        Buffer.add_char buf ',';
+        write buf (f x))
+      xs;
+    Buffer.add_char buf ']'
 
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
 
-let pretty buf v =
-  let pad n = Buffer.add_string buf (String.make (2 * n) ' ') in
-  let rec go depth = function
-    | (Null | Bool _ | Int _ | Float _ | String _) as v -> write buf v
-    | List [] -> Buffer.add_string buf "[]"
-    | List vs ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (depth + 1);
-          go (depth + 1) v)
-        vs;
-      Buffer.add_char buf '\n';
-      pad depth;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj kvs ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (depth + 1);
-          escape_string buf k;
-          Buffer.add_string buf ": ";
-          go (depth + 1) v)
-        kvs;
-      Buffer.add_char buf '\n';
-      pad depth;
-      Buffer.add_char buf '}'
-  in
-  go 0 v
+(* The pretty layout: two-space indentation, one element or field per
+   line, scalars in {!write}'s bytes. *)
+let rec pad buf n =
+  if n > 0 then begin
+    Buffer.add_string buf "  ";
+    pad buf (n - 1)
+  end
+
+let rec pretty buf depth = function
+  | (Null | Bool _ | Int _ | Float _ | String _) as v -> write buf v
+  | List [] -> Buffer.add_string buf "[]"
+  | List (v :: vs) ->
+    Buffer.add_string buf "[\n";
+    pretty_item buf depth v;
+    pretty_items buf depth vs;
+    Buffer.add_char buf '\n';
+    pad buf depth;
+    Buffer.add_char buf ']'
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (kv :: kvs) ->
+    Buffer.add_string buf "{\n";
+    pretty_field buf depth kv;
+    pretty_fields buf depth kvs;
+    Buffer.add_char buf '\n';
+    pad buf depth;
+    Buffer.add_char buf '}'
+
+and pretty_item buf depth v =
+  pad buf (depth + 1);
+  pretty buf (depth + 1) v
+
+and pretty_items buf depth = function
+  | [] -> ()
+  | v :: vs ->
+    Buffer.add_string buf ",\n";
+    pretty_item buf depth v;
+    pretty_items buf depth vs
+
+and pretty_field buf depth (k, v) =
+  pad buf (depth + 1);
+  escape_string buf k;
+  Buffer.add_string buf ": ";
+  pretty buf (depth + 1) v
+
+and pretty_fields buf depth = function
+  | [] -> ()
+  | kv :: kvs ->
+    Buffer.add_string buf ",\n";
+    pretty_field buf depth kv;
+    pretty_fields buf depth kvs
 
 let pp fmt v =
   let buf = Buffer.create 256 in
-  pretty buf v;
+  pretty buf 0 v;
   Format.pp_print_string fmt (Buffer.contents buf)
 
 let to_file path v =
@@ -114,9 +203,9 @@ let to_file path v =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       let buf = Buffer.create 4096 in
-      pretty buf v;
+      pretty buf 0 v;
       Buffer.add_char buf '\n';
-      output_string oc (Buffer.contents buf))
+      Buffer.output_buffer oc buf)
 
 (* ---------------------------------------------------------------- *)
 (* Parser: plain recursive descent over a string.                    *)

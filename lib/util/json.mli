@@ -24,9 +24,32 @@ type t =
   | List of t list
   | Obj of (string * t) list  (** key order is preserved *)
 
+(** {2 Writing}
+
+    The byte contract, shared by {!to_string}, {!to_buffer}, {!pp} and
+    {!to_file}: an {!Int} is written as [string_of_int] writes it
+    ([min_int] included); a {!Float} as [Printf.sprintf "%.12g"] when
+    that parses back to the same float, else as ["%.17g"], with [".0"]
+    appended when neither holds a ['.'] nor an exponent; a string
+    escapes ['"'], ['\\'] and every byte below [0x20] ([\n], [\r],
+    [\t], [\b], [\f], else [\u00XX] in lowercase hex) and copies
+    every other byte.  The writer gets these bytes without [Printf] or
+    a closure per element; a tier-1 QCheck property compares its output
+    on random trees with a reference writer built from those library
+    calls, and the committed goldens, journals and repro artifacts pin
+    them too. *)
+
 val to_string : t -> string
 (** [to_string v] is the compact (single-line) canonical rendering.
     @raise Invalid_argument on NaN or infinite floats. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer buf v] appends {!to_string}[ v] to [buf]. *)
+
+val list_to_buffer : Buffer.t -> ('a -> t) -> 'a list -> unit
+(** [list_to_buffer buf f xs] appends {!to_string}[ (List (List.map f
+    xs))] to [buf], rendering one element at a time, so no element's
+    tree outlives its own rendering. *)
 
 val pp : Format.formatter -> t -> unit
 (** [pp fmt v] pretty-prints [v] with two-space indentation — the

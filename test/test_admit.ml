@@ -188,6 +188,61 @@ let test_pinned_stream phy_name expected () =
   Alcotest.(check string) "incremental" expected (digest Engine.decide);
   Alcotest.(check string) "from scratch" expected (digest Engine.decide_full)
 
+(* The S₁ memo answers exactly what Multi_tree.bound answers, bit for
+   bit, for key sequences that mix a few hot (u, v) pairs with many
+   cold ones — enough distinct keys to double the table several times.
+   After every growth each key seen so far is looked up again; every
+   lookup is a hit or a miss, and the misses are the distinct keys. *)
+let prop_s1_memo =
+  let m = 4 and t = 64 in
+  QCheck.Test.make ~name:"S1 memo = Multi_tree.bound across every growth"
+    ~count:30
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair int int))
+       QCheck.Gen.(
+         list_size (int_range 1 3000)
+           (frequency
+              [
+                (1, pair (int_bound 20) (int_range 1 3));
+                (2, pair (int_bound 5000) (int_range 1 60));
+              ])))
+    (fun keys ->
+      let memo = Engine.S1_memo.create ~m ~t in
+      let lookups = ref 0 and seen = Hashtbl.create 64 in
+      let exact (u, v) =
+        incr lookups;
+        Int64.equal
+          (Int64.bits_of_float (Engine.S1_memo.find memo ~u ~v))
+          (Int64.bits_of_float (Rtnet_core.Multi_tree.bound ~m ~t ~u ~v))
+      in
+      List.for_all
+        (fun key ->
+          let cap = Engine.S1_memo.capacity memo in
+          let ok = exact key in
+          Hashtbl.replace seen key ();
+          ok
+          && (Engine.S1_memo.capacity memo = cap
+             || Hashtbl.fold (fun k () ok -> ok && exact k) seen true))
+        keys
+      && Engine.S1_memo.hits memo + Engine.S1_memo.misses memo = !lookups
+      && Engine.S1_memo.misses memo = Hashtbl.length seen)
+
+(* What one decision allocates on the 20k churn of the stress test:
+   the residents live in an array (no list rebuilt per eviction), the
+   bounds unboxed, and an S₁ lookup builds no key, so what is left is
+   each refreshed bound's return box and the decision itself.  The
+   list-held engine with a tuple-keyed memo allocated 58.1 words per
+   decision here; this one 27.3. *)
+let test_engine_allocation_pinned () =
+  let reqs = churn 20_000 ~pool:16 in
+  let eng = fresh_engine () in
+  let before = Gc.minor_words () in
+  List.iter (fun req -> ignore (Engine.decide eng req)) reqs;
+  let words = (Gc.minor_words () -. before) /. 20_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f <= 36 minor words per decision" words)
+    true (words <= 36.)
+
 (* -------------------- snapshots -------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -515,6 +570,26 @@ let trace_of requests =
     tr_requests = requests;
   }
 
+(* The request-trace hash binds every journal and snapshot to its
+   trace, so its value is part of the on-disk format: pinned here for
+   both committed traces and a generated 20k-request churn, and checked
+   against its definition, the digest of the rendered trace JSON. *)
+let test_trace_hash_pinned () =
+  let check name expected tr =
+    Alcotest.(check string) (name ^ ": trace_hash") expected
+      (Request.trace_hash tr);
+    Alcotest.(check string)
+      (name ^ ": digest of the rendered trace")
+      expected
+      (Digest.to_hex (Digest.string (Json.to_string (Request.trace_to_json tr))))
+  in
+  let load path = ok_exn (Request.load_trace ~path) in
+  check "admit_churn_smoke.json" "b5c1abdf7195a70c0e0667a303df2982"
+    (load "fixtures/admit_churn_smoke.json");
+  check "admit_churn_violation.json" "ca8b8a20a1d11ea915961dea957311fe"
+    (load "fixtures/admit_churn_violation.json");
+  check "20k churn" "eda1fefbc82d738da2cc0c2dda2fea79" (trace_of (churn 20_000 ~pool:16))
+
 let test_lint_clean () =
   let diags =
     Config_lint.check_admit
@@ -719,6 +794,13 @@ let suite =
              "47aec1a1a9f33bb2493d06e8a900bcc1");
         Alcotest.test_case "decision stream pinned on atm-bus" `Quick
           (test_pinned_stream "atm-bus" "b7d0f1b071becdfd72b1ce866d03ef86");
+        Alcotest.test_case "request trace hash pinned" `Quick
+          test_trace_hash_pinned;
+        Alcotest.test_case "engine allocation per decision pinned" `Quick
+          test_engine_allocation_pinned;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick
+          ~rand:(Random.State.make [| 26 |])
+          prop_s1_memo;
         Alcotest.test_case "admission artifacts bound the work" `Quick
           test_admit_artifact_bounds_work;
       ] );

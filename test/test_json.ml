@@ -120,6 +120,208 @@ let test_to_file_parse_file () =
       | Ok v -> Alcotest.(check bool) "file round-trip" true (v = sample)
       | Error e -> Alcotest.fail e)
 
+(* --- The writer against a reference --- *)
+
+(* The writer as it was written before it stopped going through
+   [string_of_int], [Printf] and [List.iteri]: kept here only as the
+   reference that pins the bytes of the faster one. *)
+module Reference = struct
+  let float_repr f =
+    (match Float.classify_float f with
+    | FP_nan | FP_infinite -> invalid_arg "non-finite"
+    | FP_normal | FP_subnormal | FP_zero -> ());
+    let s =
+      let short = Printf.sprintf "%.12g" f in
+      if float_of_string short = f then short else Printf.sprintf "%.17g" f
+    in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let rec write buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Int i -> Buffer.add_string buf (string_of_int i)
+    | Json.Float f -> Buffer.add_string buf (float_repr f)
+    | Json.String s -> escape_string buf s
+    | Json.List vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf v)
+        vs;
+      Buffer.add_char buf ']'
+    | Json.Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          escape_string buf k;
+          Buffer.add_char buf ':';
+          write buf v)
+        kvs;
+      Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    write buf v;
+    Buffer.contents buf
+
+  let pretty buf v =
+    let pad n = Buffer.add_string buf (String.make (2 * n) ' ') in
+    let rec go depth = function
+      | (Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.String _)
+        as v ->
+        write buf v
+      | Json.List [] -> Buffer.add_string buf "[]"
+      | Json.List vs ->
+        Buffer.add_string buf "[\n";
+        List.iteri
+          (fun i v ->
+            if i > 0 then Buffer.add_string buf ",\n";
+            pad (depth + 1);
+            go (depth + 1) v)
+          vs;
+        Buffer.add_char buf '\n';
+        pad depth;
+        Buffer.add_char buf ']'
+      | Json.Obj [] -> Buffer.add_string buf "{}"
+      | Json.Obj kvs ->
+        Buffer.add_string buf "{\n";
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_string buf ",\n";
+            pad (depth + 1);
+            escape_string buf k;
+            Buffer.add_string buf ": ";
+            go (depth + 1) v)
+          kvs;
+        Buffer.add_char buf '\n';
+        pad depth;
+        Buffer.add_char buf '}'
+    in
+    go 0 v
+
+  (* What [to_file] writes. *)
+  let file_bytes v =
+    let buf = Buffer.create 4096 in
+    pretty buf v;
+    Buffer.add_char buf '\n';
+    Buffer.contents buf
+end
+
+(* Trees whose scalars sit where a writer's edge cases are: the ints
+   around a digit boundary and the two ends of the range; bytes drawn
+   mostly from the ones that need an escape or border one, the rest
+   from all 256; floats at both ends of the range, subnormals, signed
+   zero, integral values (the ".0" rule), and values whose %.12g does
+   and does not read back to the same float. *)
+let gen_tree =
+  let open QCheck.Gen in
+  let int_g =
+    frequency
+      [
+        (3, oneofl [ 0; 1; -1; 9; -9; 10; -10; min_int; max_int ]);
+        (1, oneofl [ 99; -100; 1_000_000; min_int + 1; max_int - 1 ]);
+        (2, int);
+      ]
+  in
+  let byte_g =
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\012'; '\x00'; '\x1f';
+              '\x20'; '\x7f'; '\x80'; '\xff'; '/' ] );
+        (2, map Char.chr (int_range 0 255));
+      ]
+  in
+  let string_g =
+    frequency
+      [
+        (1, string_size ~gen:byte_g (int_range 0 12));
+        (1, string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
+      ]
+  in
+  let float_g =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ 0.; -0.; 5e-324; -5e-324; 2.2250738585072009e-308;
+              1.7976931348623157e308; -1.7976931348623157e308; 1.; -2.; 1e15;
+              1e16; 1e17; 123456789012.; 0.1; 0.25; 1. /. 3.; 2. /. 3.;
+              1e-7; 123.456; 0.30000000000000004 ] );
+        (1, map (fun i -> float_of_int i) int);
+        (1, map (fun i -> Int64.float_of_bits (Int64.of_int i)) (int_bound 1_000_000));
+        (2, map2 (fun a b -> float_of_int a /. float_of_int (b + 1)) int (int_bound 1000));
+        ( 2,
+          map (fun b -> Int64.float_of_bits b) ui64
+          >|= fun f -> if Float.is_finite f then f else 0.5 );
+      ]
+  in
+  let scalar =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (3, map (fun i -> Json.Int i) int_g);
+        (3, map (fun f -> Json.Float f) float_g);
+        (3, map (fun s -> Json.String s) string_g);
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair string_g (self (n - 1)))) );
+               (1, return (Json.List []));
+               (1, return (Json.Obj []));
+             ])
+
+let prop_writer_bytes =
+  QCheck.Test.make ~name:"writer bytes match the reference writer" ~count:500
+    (QCheck.make ~print:Reference.to_string gen_tree)
+    (fun v ->
+      let path = Filename.temp_file "rtnet_json_prop" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Json.to_file path v;
+          let ic = open_in_bin path in
+          let file =
+            Fun.protect
+              ~finally:(fun () -> close_in_noerr ic)
+              (fun () -> really_input_string ic (in_channel_length ic))
+          in
+          String.equal (Json.to_string v) (Reference.to_string v)
+          && String.equal file (Reference.file_bytes v)))
+
 let suite =
   [
     ( "json",
@@ -133,5 +335,8 @@ let suite =
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "accessors" `Quick test_accessors;
         Alcotest.test_case "file io" `Quick test_to_file_parse_file;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick
+          ~rand:(Random.State.make [| 26 |])
+          prop_writer_bytes;
       ] );
   ]
