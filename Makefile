@@ -112,13 +112,14 @@ obs-smoke: build
 	dune build @obs-smoke
 	dune exec bench/obs_guard.exe
 
-# Crash-safe admission gate: replay the committed churn fixture, in
-# paranoid mode and in the default configuration, against the golden
-# decision log and run the seeded accept-then-violate chaos pipeline
-# (@admit-smoke); kill -9 the service mid-trace with a torn journal
-# record and assert --resume completes a decision log byte-identical
-# to the golden; and pin the incremental engine at >= 10x the
-# from-scratch analysis (Bechamel guard).
+# Crash-safe admission gate: replay the committed churn fixture, with
+# a self-check on every decision and in the default configuration,
+# against the golden decision log and run the seeded
+# accept-then-violate chaos pipeline (@admit-smoke); kill -9 the
+# service mid-trace with a torn journal record and assert --resume
+# completes a decision log byte-identical to the golden; and pin the
+# incremental engine at >= 10x the from-scratch analysis (Bechamel
+# guard).
 admit-smoke: build
 	dune build @admit-smoke
 	rm -f _build/admit_crash.log _build/admit_crash.wal _build/admit_crash.wal.snap

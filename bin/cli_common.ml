@@ -6,22 +6,17 @@ let scenario_doc =
   "Workload scenario: videoconference, atc, trading, atm, manufacturing, \
    skewed, uniform."
 
-(* One source of truth for scenario naming: the campaign spec's
-   scenario decoder, so `ddcr_sim -s trading -n 4` and a campaign cell
-   build byte-identical instances.  A scenario with no single-bus
-   instance (unknown kind, "topo", bad size) ends the tool with exit 2. *)
 let tool () = Filename.remove_extension (Filename.basename Sys.executable_name)
 
+(* One source of truth for scenario naming: the scenario decoder
+   campaign cells and topology segments use, so `ddcr_sim -s trading
+   -n 4` and a campaign cell build byte-identical instances.  A
+   scenario with no single-bus instance (unknown kind, "topo", bad
+   size) ends the tool with exit 2. *)
 let instance_of ~scenario ~size ~load ~deadline_windows =
   match
-    Rtnet_campaign.Spec.instance_result
-      {
-        Rtnet_campaign.Spec.sc_kind = scenario;
-        sc_size = size;
-        sc_load = load;
-        sc_deadline_windows = deadline_windows;
-        sc_fanout = 1;
-      }
+    Rtnet_workload.Scenarios.of_kind ~kind:scenario ~size ~load
+      ~deadline_windows
   with
   | Ok inst -> inst
   | Error e ->
@@ -38,6 +33,44 @@ let horizon_of horizon_ms =
     exit 2
   end;
   horizon_ms * 1_000_000
+
+(* Output paths are checked before any work starts, so a mistyped
+   directory costs nothing.  A file's directory must exist; a
+   directory must exist or, with [~create], is made here (its parent
+   must exist).  [flag] names the option in the message. *)
+let check_out_file ~flag = function
+  | None -> Ok ()
+  | Some path ->
+    let d = Filename.dirname path in
+    if not (Sys.file_exists d && Sys.is_directory d) then
+      Error (Printf.sprintf "%s %s: no such directory %s" flag path d)
+    else if Sys.file_exists path && Sys.is_directory path then
+      Error (Printf.sprintf "%s %s: is a directory" flag path)
+    else Ok ()
+
+let check_out_dir ~flag ~create = function
+  | None -> Ok ()
+  | Some d -> (
+    match if create && not (Sys.file_exists d) then Unix.mkdir d 0o755 with
+    | exception Unix.Unix_error (err, _, _) ->
+      Error (Printf.sprintf "%s %s: %s" flag d (Unix.error_message err))
+    | () ->
+      if not (Sys.file_exists d) then
+        Error (Printf.sprintf "%s %s: no such directory" flag d)
+      else if not (Sys.is_directory d) then
+        Error (Printf.sprintf "%s %s: not a directory" flag d)
+      else Ok ())
+
+(* Ends the tool with exit 2 and one line on stderr at the first
+   failed check. *)
+let require checks =
+  List.iter
+    (function
+      | Ok () -> ()
+      | Error e ->
+        Printf.eprintf "%s: %s\n%!" (tool ()) e;
+        exit 2)
+    checks
 
 let scenario =
   Arg.(

@@ -13,7 +13,7 @@
      ddcr_admit run churn.json -o decisions.log --journal churn.wal
      ddcr_admit run churn.json --journal churn.wal --crash-after 100
      ddcr_admit run churn.json --journal churn.wal --resume -o decisions.log
-     ddcr_admit run churn.json --paranoid --simulate
+     ddcr_admit run churn.json --selfcheck-every 1 --simulate
 
    Exit codes: 0 clean; 1 a differential self-check mismatch or a
    simulated admission violation; 2 malformed input (trace, config or
@@ -119,12 +119,6 @@ let selfcheck_every =
            feasibility, exact equality) every $(docv)-th decision; 0 \
            disables sampling.")
 
-let paranoid =
-  Arg.(
-    value & flag
-    & info [ "paranoid" ]
-        ~doc:"Differential self-check on every decision.")
-
 let snapshot_every =
   Arg.(
     value & opt int Service.default.Service.sv_snapshot_every
@@ -217,9 +211,10 @@ let rec drop n = function
   | _ :: tl -> drop (n - 1) tl
 
 let run_main trace_file out journal_path resume chunk capacity high low
-    selfcheck_every paranoid snapshot_every simulate sim_horizon_ms seed
+    selfcheck_every snapshot_every simulate sim_horizon_ms seed
     crash_after crash_torn quiet =
   let fail code fmt = Format.kasprintf (fun s -> Format.eprintf "ddcr_admit: %s@." s; code) fmt in
+  Cli_common.require [ Cli_common.check_out_file ~flag:"-o" out ];
   if crash_after <> None && journal_path = None then
     fail 2 "--crash-after requires --journal"
   else if resume && journal_path = None then fail 2 "--resume requires --journal"
@@ -234,7 +229,6 @@ let run_main trace_file out journal_path resume chunk capacity high low
           sv_high = high;
           sv_low = low;
           sv_selfcheck_every = selfcheck_every;
-          sv_paranoid = paranoid;
           sv_snapshot_every = snapshot_every;
         }
       in
@@ -353,7 +347,7 @@ let run_cmd =
   let term =
     Term.(
       const run_main $ trace_arg $ out $ journal_arg $ resume $ chunk
-      $ capacity $ high $ low $ selfcheck_every $ paranoid $ snapshot_every
+      $ capacity $ high $ low $ selfcheck_every $ snapshot_every
       $ simulate $ sim_horizon_ms $ seed $ crash_after
       $ crash_torn $ quiet)
   in
@@ -436,6 +430,7 @@ let default_params ~sources =
 
 let gen_main out sources pool requests seed phy params quiet =
   let fail code fmt = Format.kasprintf (fun s -> Format.eprintf "ddcr_admit: %s@." s; code) fmt in
+  Cli_common.require [ Cli_common.check_out_file ~flag:"-o" (Some out) ];
   if sources < 1 || pool < 1 || requests < 0 then
     fail 2 "gen: --sources and --pool must be >= 1, --requests >= 0"
   else

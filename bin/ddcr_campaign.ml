@@ -126,6 +126,7 @@ let options_of spec ~jobs ~out ~resume ~max_cells ~quiet ~rich_progress
     | Some o -> o
     | None -> Printf.sprintf "BENCH_%s.json" spec.Spec.name
   in
+  Cli_common.require [ Cli_common.check_out_file ~flag:"-o" (Some out) ];
   let t0 = Unix.gettimeofday () in
   let progress =
     if rich_progress then
@@ -192,6 +193,11 @@ let run_campaign name spec_file jobs out resume max_cells quiet rich_progress
     Format.eprintf "ddcr_campaign: %s@." e;
     2
   | Ok spec -> (
+    Cli_common.require
+      [
+        Cli_common.check_out_file ~flag:"--profile-trace"
+          (if profile then profile_trace else None);
+      ];
     let options, recorder =
       options_of spec ~jobs ~out ~resume ~max_cells ~quiet ~rich_progress
         ~profile

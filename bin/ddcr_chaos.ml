@@ -189,30 +189,6 @@ let fail fmt =
       2)
     fmt
 
-(* --out-dir must name a directory before any candidate runs: [search]
-   writes into an existing one, [soak] makes it when it is missing. *)
-let check_out_dir ~create = function
-  | None -> Ok ()
-  | Some d -> (
-    match if create && not (Sys.file_exists d) then Unix.mkdir d 0o755 with
-    | exception Unix.Unix_error (err, _, _) ->
-      Error (Printf.sprintf "--out-dir %s: %s" d (Unix.error_message err))
-    | () ->
-      if not (Sys.file_exists d) then
-        Error (Printf.sprintf "--out-dir %s: no such directory" d)
-      else if not (Sys.is_directory d) then
-        Error (Printf.sprintf "--out-dir %s: not a directory" d)
-      else Ok ())
-
-(* -o FILE is written after the search, so its directory is checked
-   before any candidate runs, like --out-dir. *)
-let check_out_file = function
-  | None -> Ok ()
-  | Some path ->
-    let d = Filename.dirname path in
-    if Sys.file_exists d && Sys.is_directory d then Ok ()
-    else Error (Printf.sprintf "-o %s: no such directory %s" path d)
-
 (* Seed, candidate count and pool supervision, shared by every
    subject's search; the environment and sampling space are filled in
    per subject. *)
@@ -280,12 +256,13 @@ let expect_finding =
 let search (type e s c) ~out ~out_dir ~quiet ~expect_finding
     ((module S) as subject : (e, s, c) Subject.t) (config : (e, s) Search.config)
     =
-  match
-    Result.bind (check_out_dir ~create:false out_dir) (fun () ->
-        check_out_file out)
-  with
-  | Error e -> fail "%s" e
-  | Ok () ->
+  (* Both outputs are written after the search, so they are checked
+     before any candidate runs. *)
+  Cli_common.require
+    [
+      Cli_common.check_out_dir ~flag:"--out-dir" ~create:false out_dir;
+      Cli_common.check_out_file ~flag:"-o" out;
+    ];
   let res = Search.run ~log:(log_of quiet) subject config in
   Format.printf "%s: %d/%d candidates examined, %d finding(s), %d gave up%s@."
     S.search_label res.Search.r_examined config.Search.s_count
@@ -483,6 +460,7 @@ let shrink (type e s c) ~quiet ~repro_in ~shrink_out ~max_fraction
   end
 
 let run_shrink repro_in shrink_out max_fraction quiet =
+  Cli_common.require [ Cli_common.check_out_file ~flag:"-o" (Some shrink_out) ];
   match Repro.load_any ~path:repro_in with
   | Error e -> fail "%s" e
   | Ok (Repro.Any (subject, repro)) ->
@@ -520,6 +498,8 @@ let replay_postmortem_out =
            replay writes a byte-identical artifact.")
 
 let run_replay replay_file postmortem_out =
+  Cli_common.require
+    [ Cli_common.check_out_file ~flag:"--postmortem-out" postmortem_out ];
   match Repro.load_any ~path:replay_file with
   | Error e -> fail "%s" e
   | Ok (Repro.Any (subject, repro)) ->
@@ -586,10 +566,10 @@ let run_soak pool budget config_file scenario size load deadline_windows
       budget
   with
   | Error e -> fail "%s" e
-  | Ok search_config -> (
-    match check_out_dir ~create:true out_dir with
-    | Error e -> fail "%s" e
-    | Ok () ->
+  | Ok search_config ->
+    (* Soak makes --out-dir when it is missing. *)
+    Cli_common.require
+      [ Cli_common.check_out_dir ~flag:"--out-dir" ~create:true out_dir ];
     let res =
       Soak.run ~log:(log_of quiet)
         {
@@ -606,7 +586,7 @@ let run_soak pool budget config_file scenario size load deadline_windows
       res.Soak.so_gave_up
       (if res.Soak.so_exhausted then " (budget exhausted)" else "");
     List.iter (fun p -> Format.printf "  %s@." p) res.Soak.so_repro_paths;
-    0)
+    0
 
 let soak_cmd =
   let term =

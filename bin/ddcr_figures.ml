@@ -100,6 +100,8 @@ let expected () =
   csv
 
 let main dir =
+  Cli_common.require
+    [ Cli_common.check_out_dir ~flag:"--out" ~create:true (Some dir) ];
   let save name csv =
     let path = Table.save_csv ~dir ~name csv in
     Printf.printf "wrote %s\n" path

@@ -281,6 +281,8 @@ let main scenario size load deadline_windows indices burst theta allocation
     | Some path ->
       let name, inst = List.hd targets in
       let horizon = Cli_common.horizon_of horizon_ms in
+      Cli_common.require
+        [ Cli_common.check_out_file ~flag:"--dump-trace" (Some path) ];
       Format.printf "== scenario %s ==@." name;
       dump ~seed ~horizon (params_for ~indices ~burst ~theta ~allocation inst)
         inst path;

@@ -253,6 +253,7 @@ let out_t =
 
 let run_export scenario size load deadline_windows horizon_ms seed params_file
     depth budget max_states quiet out =
+  Cli_common.require [ Cli_common.check_out_file ~flag:"-o" (Some out) ];
   match
     build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed
       ~params_file ~depth ~budget ~max_states

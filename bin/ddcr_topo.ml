@@ -216,6 +216,11 @@ let seg_bounds e name =
 
 let run_run path policy domains horizon_ms seed trace_out faults telemetry
     headroom postmortem_out =
+  Cli_common.require
+    [
+      Cli_common.check_out_file ~flag:"--trace-out" trace_out;
+      Cli_common.check_out_file ~flag:"--postmortem-out" postmortem_out;
+    ];
   match elaborated ?faults ~policy path with
   | Error e ->
     Format.eprintf "ddcr_topo: %s@." e;

@@ -1,12 +1,9 @@
-module Json = Rtnet_util.Json
-
 type config = {
   sv_chunk : int;
   sv_capacity : int;
   sv_high : int;
   sv_low : int;
   sv_selfcheck_every : int;
-  sv_paranoid : bool;
   sv_snapshot_every : int;
 }
 
@@ -17,7 +14,6 @@ let default =
     sv_high = 768;
     sv_low = 256;
     sv_selfcheck_every = 64;
-    sv_paranoid = false;
     sv_snapshot_every = 512;
   }
 
@@ -42,23 +38,6 @@ type summary = {
   sm_mismatch : string option;
   sm_flows : int;
 }
-
-let summary_to_json s =
-  Json.Obj
-    [
-      ("processed", Json.Int s.sm_processed);
-      ("accepted", Json.Int s.sm_accepted);
-      ( "rejected",
-        Json.Obj (List.map (fun (c, n) -> (c, Json.Int n)) s.sm_rejected) );
-      ("degraded", Json.Int s.sm_degraded);
-      ("restored", Json.Int s.sm_restored);
-      ("selfchecks", Json.Int s.sm_selfchecks);
-      ( "mismatch",
-        match s.sm_mismatch with
-        | None -> Json.Null
-        | Some e -> Json.String e );
-      ("flows", Json.Int s.sm_flows);
-    ]
 
 (* The arrival model is deterministic in the absolute request index:
    requests land in back-to-back chunks of [sv_chunk], and within a
@@ -114,9 +93,8 @@ let run ?log ?journal ?snapshot config engine ~start requests =
           output_char oc '\n')
         log;
       let check =
-        config.sv_paranoid
-        || config.sv_selfcheck_every > 0
-           && (seq + 1) mod config.sv_selfcheck_every = 0
+        config.sv_selfcheck_every > 0
+        && (seq + 1) mod config.sv_selfcheck_every = 0
       in
       if check then begin
         incr selfchecks;

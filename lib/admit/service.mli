@@ -17,9 +17,8 @@
       the Degraded and Restored transitions.
 
     A differential self-check ({!Engine.selfcheck}) runs on every
-    decision under [sv_paranoid], or every [sv_selfcheck_every]-th
-    decision otherwise; the first mismatch is reported in the
-    summary. *)
+    [sv_selfcheck_every]-th decision (every decision at 1); the first
+    mismatch is reported in the summary. *)
 
 type config = {
   sv_chunk : int;  (** requests arriving per chunk (1 = steady drip) *)
@@ -27,13 +26,12 @@ type config = {
   sv_high : int;  (** chunk size at which degraded mode engages *)
   sv_low : int;  (** backlog at which degraded mode releases *)
   sv_selfcheck_every : int;  (** sampled differential check; 0 = off *)
-  sv_paranoid : bool;  (** differential check on every decision *)
   sv_snapshot_every : int;  (** snapshot cadence in decisions; 0 = off *)
 }
 
 val default : config
 (** chunk 1, capacity 1024, high 768, low 256, selfcheck every 64,
-    paranoid off, snapshot every 512. *)
+    snapshot every 512. *)
 
 val validate : config -> (unit, string) result
 
@@ -47,8 +45,6 @@ type summary = {
   sm_mismatch : string option;  (** first incremental/full divergence *)
   sm_flows : int;  (** admitted set size after the run *)
 }
-
-val summary_to_json : summary -> Rtnet_util.Json.t
 
 val run :
   ?log:out_channel ->

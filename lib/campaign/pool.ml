@@ -1,77 +1,4 @@
 type timing = { worker : int; t0 : float; t1 : float }
-type 'b event = Result of int * timing * 'b | Failed of int * timing * string
-
-let default_jobs () = Domain.recommended_domain_count ()
-
-(* -------------------- framing -------------------- *)
-
-(* Each message is [8-byte little-endian length][Marshal payload]; the
-   coordinator reassembles frames from whatever chunk boundaries the
-   pipe delivers. *)
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let rec go off =
-    if off < len then
-      let n = Unix.write fd bytes off (len - off) in
-      go (off + n)
-  in
-  go 0
-
-let frame v =
-  let payload = Marshal.to_string v [] in
-  let len = String.length payload in
-  let b = Bytes.create (8 + len) in
-  Bytes.set_int64_le b 0 (Int64.of_int len);
-  Bytes.blit_string payload 0 b 8 len;
-  b
-
-(* Per-pipe reassembly buffer: concatenated unread bytes. *)
-type inbox = { fd : Unix.file_descr; pid : int; mutable pending : Bytes.t }
-
-let drain_frames inbox emit =
-  let continue = ref true in
-  while !continue do
-    let avail = Bytes.length inbox.pending in
-    if avail < 8 then continue := false
-    else
-      let len = Int64.to_int (Bytes.get_int64_le inbox.pending 0) in
-      if avail < 8 + len then continue := false
-      else begin
-        let payload = Bytes.sub_string inbox.pending 8 len in
-        inbox.pending <-
-          Bytes.sub inbox.pending (8 + len) (avail - 8 - len);
-        emit (Marshal.from_string payload 0)
-      end
-  done
-
-(* -------------------- worker -------------------- *)
-
-(* Tasks arrive as [(position, task)] pairs so a retry round can run a
-   compacted array of survivors while still reporting the original
-   positions. *)
-let run_worker ~tasks ~jobs ~rank ~worker_id ~fd f =
-  let n = Array.length tasks in
-  let i = ref rank in
-  while !i < n do
-    let pos, task = tasks.(!i) in
-    (* Wall-clock is measured in the worker, around [f] alone, so the
-       coordinator's timeline reflects compute time, not pipe latency. *)
-    let t0 = Unix.gettimeofday () in
-    let timing t1 = { worker = worker_id; t0; t1 } in
-    let ev =
-      match f task with
-      | v -> Result (pos, timing (Unix.gettimeofday ()), v)
-      | exception e ->
-        Failed (pos, timing (Unix.gettimeofday ()), Printexc.to_string e)
-    in
-    write_all fd (frame ev);
-    i := !i + jobs
-  done;
-  Unix.close fd
-
-(* -------------------- supervised pool -------------------- *)
-
 type give_up_reason = Timed_out of float | Worker_lost of string
 
 type 'b sevent =
@@ -79,299 +6,274 @@ type 'b sevent =
   | Task_error of int * timing * string
   | Gave_up of { position : int; attempts : int; reason : give_up_reason }
 
+let default_jobs () = Domain.recommended_domain_count ()
+
 let reason_text = function
   | Timed_out s -> Printf.sprintf "watchdog timeout after %.2f s" s
   | Worker_lost e -> "worker lost: " ^ e
 
-(* One running supervised worker: exactly one task per fork, so the
-   coordinator always knows which task a hung or dead pid was running
-   and can kill, back off and retry it individually. *)
-type swork = {
-  sw_pos : int;
-  sw_pid : int;
-  sw_fd : Unix.file_descr;
-  mutable sw_pending : Bytes.t;
-  sw_deadline : float option;
-  mutable sw_delivered : bool;
+(* -------------------- pipes -------------------- *)
+
+let write_all fd b =
+  let len = Bytes.length b in
+  let rec go off =
+    if off < len then go (off + Unix.write fd b off (len - off))
+  in
+  go 0
+
+(* [read_exact fd b] fills [b]; false if the pipe ends first. *)
+let read_exact fd b =
+  let len = Bytes.length b in
+  let rec go off =
+    off = len
+    || match Unix.read fd b off (len - off) with 0 -> false | r -> go (off + r)
+  in
+  go 0
+
+let int_bytes i =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int i);
+  b
+
+(* A reply is [8-byte little-endian length][Marshal payload].  A worker
+   writes its whole frame at once, so the coordinator reads a frame in
+   one go as soon as its first bytes are readable. *)
+let send_frame fd v =
+  let payload = Marshal.to_bytes v [] in
+  write_all fd (Bytes.cat (int_bytes (Bytes.length payload)) payload)
+
+let recv_frame fd =
+  let hdr = Bytes.create 8 in
+  if not (read_exact fd hdr) then None
+  else
+    let b = Bytes.create (Int64.to_int (Bytes.get_int64_le hdr 0)) in
+    if read_exact fd b then Some (Marshal.from_bytes b 0) else None
+
+(* -------------------- worker -------------------- *)
+
+(* A worker reads task positions (8 bytes each) until its command pipe
+   ends, and answers each with one frame.  The wall clock is read
+   around [f] alone, so pipe and coordinator latency never inflate the
+   timing. *)
+let serve ~slot ~cmd ~res f tasks =
+  let b = Bytes.create 8 in
+  while read_exact cmd b do
+    let pos = Int64.to_int (Bytes.get_int64_le b 0) in
+    let t0 = Unix.gettimeofday () in
+    let r =
+      match f tasks.(pos) with
+      | v -> Ok v
+      | exception e -> Error (Printexc.to_string e)
+    in
+    send_frame res ({ worker = slot; t0; t1 = Unix.gettimeofday () }, r)
+  done
+
+(* -------------------- coordinator -------------------- *)
+
+type worker = {
+  pid : int;
+  cmd : Unix.file_descr;  (** coordinator's end: task positions out *)
+  res : Unix.file_descr;  (** coordinator's end: reply frames in *)
+  mutable task : int;  (** in-flight position, -1 while idle *)
+  mutable deadline : float;  (** watchdog for [task]; infinity if none *)
 }
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | exception Unix.Unix_error _ -> ()
 
 let supervise ~jobs ?watchdog_s ?(retries = 1) ?(backoff_s = 0.05)
     ?(on_retry = fun ~position:_ ~attempt:_ ~reason:_ -> ())
     ?(should_stop = fun () -> false) ~on_event f tasks =
   if jobs < 1 then invalid_arg "Pool.supervise: jobs < 1";
   let n = Array.length tasks in
-  let attempts = Array.make (max n 1) 0 in
-  (* Ready queue: (not-before time, position).  Launch order follows
-     readiness, so backed-off retries never starve fresh tasks. *)
-  let queue = ref (List.init n (fun i -> (0., i))) in
-  let running = ref [] in
-  let launches = ref 0 in
+  let slots = Array.make (min jobs n) None in
+  let attempts = Array.make n 0 in
+  (* Fresh positions go out in order; a lost attempt waits in [retry]
+     until its backoff has passed and fresh work has run out. *)
+  let next = ref 0 in
+  let retry = ref [] in
   let emitted = ref 0 in
   let emit ev =
     incr emitted;
     on_event ev
   in
-  let spawn now pos =
+  (* A write to a worker that died while idle must surface as EPIPE,
+     not kill the coordinator. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let fork_worker slot =
     flush stdout;
     flush stderr;
-    let r, w = Unix.pipe ~cloexec:false () in
+    let cmd_r, cmd_w = Unix.pipe () in
+    let res_r, res_w = Unix.pipe () in
     match Unix.fork () with
     | 0 ->
-      Unix.close r;
-      let worker_id = !launches in
-      let t0 = Unix.gettimeofday () in
-      let timing t1 = { worker = worker_id; t0; t1 } in
-      let ev =
-        match f tasks.(pos) with
-        | v -> Result (pos, timing (Unix.gettimeofday ()), v)
-        | exception e ->
-          Failed (pos, timing (Unix.gettimeofday ()), Printexc.to_string e)
-      in
-      (match write_all w (frame ev) with
+      (* Keep only this worker's own ends: a sibling's command end held
+         here would keep that sibling waiting once the coordinator is
+         gone.  [Unix._exit] skips the at_exit handlers and buffers
+         inherited from the coordinator. *)
+      Array.iter
+        (Option.iter (fun w ->
+             Unix.close w.cmd;
+             Unix.close w.res))
+        slots;
+      Unix.close cmd_w;
+      Unix.close res_r;
+      Sys.set_signal Sys.sigpipe sigpipe;
+      (match serve ~slot ~cmd:cmd_r ~res:res_w f tasks with
       | () -> Unix._exit 0
       | exception _ -> Unix._exit 2)
     | pid ->
-      Unix.close w;
-      incr launches;
-      running :=
-        {
-          sw_pos = pos;
-          sw_pid = pid;
-          sw_fd = r;
-          sw_pending = Bytes.empty;
-          sw_deadline = Option.map (fun s -> now +. s) watchdog_s;
-          sw_delivered = false;
-        }
-        :: !running
+      Unix.close cmd_r;
+      Unix.close res_w;
+      let w =
+        { pid; cmd = cmd_w; res = res_r; task = -1; deadline = infinity }
+      in
+      slots.(slot) <- Some w;
+      w
   in
-  let reap pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> () in
-  let retire sw =
-    (try Unix.close sw.sw_fd with Unix.Unix_error _ -> ());
-    running := List.filter (fun o -> o != sw) !running;
-    reap sw.sw_pid
+  let retire slot w =
+    slots.(slot) <- None;
+    w.task <- -1;
+    (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+    Unix.close w.cmd;
+    Unix.close w.res;
+    reap w.pid
   in
-  (* A failed attempt either re-enqueues the task after a linear
-     backoff or — once the retry budget is spent — reports a
-     structured [Gave_up] and moves on.  The search never aborts. *)
-  let failed now sw reason =
-    retire sw;
-    let pos = sw.sw_pos in
-    attempts.(pos) <- attempts.(pos) + 1;
-    if attempts.(pos) > retries then
-      emit (Gave_up { position = pos; attempts = attempts.(pos); reason })
+  (* A lost attempt costs only its own position: re-enqueued after a
+     linear backoff, or reported as [Gave_up] once the retry budget is
+     spent.  The pool never aborts. *)
+  let failed now slot w reason =
+    let pos = w.task in
+    retire slot w;
+    let a = attempts.(pos) + 1 in
+    attempts.(pos) <- a;
+    if a > retries then emit (Gave_up { position = pos; attempts = a; reason })
     else begin
-      on_retry ~position:pos ~attempt:attempts.(pos)
-        ~reason:(reason_text reason);
-      queue :=
-        !queue @ [ (now +. (backoff_s *. float_of_int attempts.(pos)), pos) ]
+      on_retry ~position:pos ~attempt:a ~reason:(reason_text reason);
+      retry := !retry @ [ (now +. (backoff_s *. float_of_int a), pos) ]
     end
   in
-  let chunk = Bytes.create 65536 in
-  let continue = ref true in
-  while !continue do
-    let now = Unix.gettimeofday () in
-    (* Launch every ready task while worker slots are free; a true
-       [should_stop] (budget exhausted) stops launching but still
-       drains what is already running — graceful degradation. *)
-    let stop = should_stop () in
-    if stop then queue := [];
-    let rec launch () =
-      if List.length !running < jobs then
-        match List.find_opt (fun (nb, _) -> nb <= now) !queue with
-        | Some ((_, pos) as item) ->
-          queue := List.filter (fun o -> o != item) !queue;
-          spawn now pos;
-          launch ()
+  let free_slot () =
+    let rec go i =
+      if i = Array.length slots then None
+      else
+        match slots.(i) with
+        | Some w when w.task >= 0 -> go (i + 1)
+        | _ -> Some i
+    in
+    go 0
+  in
+  let take_ready now =
+    if !next < n then begin
+      incr next;
+      Some (!next - 1)
+    end
+    else
+      match List.find_opt (fun (nb, _) -> nb <= now) !retry with
+      | Some ((_, pos) as item) ->
+        retry := List.filter (fun o -> o != item) !retry;
+        Some pos
+      | None -> None
+  in
+  let dispatch now slot pos =
+    let w = match slots.(slot) with Some w -> w | None -> fork_worker slot in
+    w.task <- pos;
+    w.deadline <-
+      Option.fold ~none:infinity ~some:(fun s -> now +. s) watchdog_s;
+    try write_all w.cmd (int_bytes pos)
+    with Unix.Unix_error (Unix.EPIPE, _, _) ->
+      failed now slot w (Worker_lost "died while idle")
+  in
+  (* Hand ready positions to free slots.  A true [should_stop]
+     dispatches nothing more; what is in flight drains. *)
+  let rec launch now =
+    if should_stop () then begin
+      next := n;
+      retry := []
+    end
+    else
+      match free_slot () with
+      | None -> ()
+      | Some slot -> (
+        match take_ready now with
         | None -> ()
-    in
-    launch ();
-    if !running = [] && !queue = [] then continue := false
-    else if !running = [] then
-      (* Only backed-off retries remain: sleep until the earliest. *)
-      let wake = List.fold_left (fun a (nb, _) -> min a nb) infinity !queue in
-      let d = wake -. Unix.gettimeofday () in
-      if d > 0. then Unix.sleepf (min d 0.05) else ()
-    else begin
-      let timeout =
-        let next_deadline =
-          List.fold_left
-            (fun a sw ->
-              match sw.sw_deadline with Some d -> min a d | None -> a)
-            infinity !running
-        in
-        let next_ready =
-          if List.length !running < jobs then
-            List.fold_left (fun a (nb, _) -> min a nb) infinity !queue
-          else infinity
-        in
-        let t = min next_deadline next_ready -. now in
-        if t = infinity then -1. else Float.max t 0.001
-      in
-      let fds = List.map (fun sw -> sw.sw_fd) !running in
-      let readable, _, _ =
-        try Unix.select fds [] [] timeout
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      List.iter
-        (fun sw ->
-          if List.mem sw.sw_fd readable then
-            match Unix.read sw.sw_fd chunk 0 (Bytes.length chunk) with
-            | 0 ->
-              if sw.sw_delivered then retire sw
-              else failed now sw (Worker_lost "exited without delivering")
-            | r ->
-              let ib =
-                {
-                  fd = sw.sw_fd;
-                  pid = sw.sw_pid;
-                  pending = Bytes.cat sw.sw_pending (Bytes.sub chunk 0 r);
-                }
-              in
-              drain_frames ib (fun ev ->
-                  sw.sw_delivered <- true;
-                  match ev with
-                  | Result (pos, timing, v) -> emit (Completed (pos, timing, v))
-                  | Failed (pos, timing, e) ->
-                    (* The task itself raised: deterministic, so a
-                       retry would fail identically — report, don't
-                       retry. *)
-                    emit (Task_error (pos, timing, e)));
-              sw.sw_pending <- ib.pending)
-        (List.filter (fun sw -> List.mem sw.sw_fd fds) !running);
-      (* Kill whatever overran its watchdog and was not delivered. *)
+        | Some pos ->
+          dispatch now slot pos;
+          launch now)
+  in
+  let earliest_retry () =
+    List.fold_left (fun a (nb, _) -> min a nb) infinity !retry
+  in
+  let loop () =
+    let continue = ref true in
+    while !continue do
       let now = Unix.gettimeofday () in
-      List.iter
-        (fun sw ->
-          match sw.sw_deadline with
-          | Some d when now >= d ->
-            (try Unix.kill sw.sw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            if sw.sw_delivered then
-              (* Result already in hand; the overrun is only a worker
-                 that failed to exit — reclaim it silently. *)
-              retire sw
-            else
-              failed now sw (Timed_out (Option.value watchdog_s ~default:0.))
-          | _ -> ())
-        !running
-    end
-  done;
+      launch now;
+      let running =
+        List.filter_map
+          (fun slot ->
+            match slots.(slot) with
+            | Some w when w.task >= 0 -> Some (slot, w)
+            | _ -> None)
+          (List.init (Array.length slots) Fun.id)
+      in
+      if running = [] && !next = n && !retry = [] then continue := false
+      else if running = [] then begin
+        (* Only backed-off retries remain: sleep until the earliest. *)
+        let d = earliest_retry () -. Unix.gettimeofday () in
+        if d > 0. then Unix.sleepf (min d 0.05) else ()
+      end
+      else begin
+        let wake =
+          List.fold_left (fun a (_, w) -> min a w.deadline) infinity running
+        in
+        (* Waiting retries shorten the wait only while a slot is free;
+           otherwise the coordinator would poll beside busy workers. *)
+        let wake =
+          if free_slot () = None then wake else min wake (earliest_retry ())
+        in
+        let timeout =
+          if wake = infinity then -1. else Float.max (wake -. now) 0.001
+        in
+        let readable, _, _ =
+          try Unix.select (List.map (fun (_, w) -> w.res) running) [] [] timeout
+          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+        in
+        let now = Unix.gettimeofday () in
+        List.iter
+          (fun (slot, w) ->
+            if List.mem w.res readable then
+              match recv_frame w.res with
+              | None ->
+                failed now slot w (Worker_lost "exited without delivering")
+              | Some (timing, r) ->
+                let pos = w.task in
+                w.task <- -1;
+                w.deadline <- infinity;
+                (* The worker gets its next position before this
+                   answer is reported, so it computes while the
+                   coordinator runs [on_event]. *)
+                launch now;
+                (* An exception from the task itself is deterministic:
+                   a retry would raise again, so it is not retried. *)
+                emit
+                  (match r with
+                  | Ok v -> Completed (pos, timing, v)
+                  | Error e -> Task_error (pos, timing, e)))
+          running;
+        List.iter
+          (fun (slot, w) ->
+            if w.task >= 0 && now >= w.deadline then
+              failed now slot w
+                (Timed_out (Option.value watchdog_s ~default:0.)))
+          running
+      end
+    done
+  in
+  Fun.protect loop ~finally:(fun () ->
+      Array.iteri (fun slot -> Option.iter (retire slot)) slots;
+      Sys.set_signal Sys.sigpipe sigpipe);
   !emitted
-
-(* -------------------- coordinator -------------------- *)
-
-let map ~jobs ?max_results ?(on_retry = fun _ -> ()) ~on_event f tasks =
-  if jobs < 1 then invalid_arg "Pool.map: jobs < 1";
-  let n = Array.length tasks in
-  if n = 0 then 0
-  else begin
-    let expected = n in
-    let collected = ref 0 in
-    let stopped = ref false in
-    let seen = Array.make n false in
-    let target =
-      match max_results with None -> expected | Some m -> min m expected
-    in
-    (* One fork-and-drain round over [(position, task)] pairs.  Returns
-       the pids of workers that exited abnormally.  [worker_base]
-       offsets the worker ids events report (the retry round's spare
-       worker gets id [jobs], distinguishing it on profiles). *)
-    let round ~jobs ?(worker_base = 0) indexed =
-      let jobs = min jobs (Array.length indexed) in
-      (* Flush before forking so buffered output is not duplicated into
-         the children. *)
-      flush stdout;
-      flush stderr;
-      let inboxes =
-        List.init jobs (fun rank ->
-            let r, w = Unix.pipe ~cloexec:false () in
-            match Unix.fork () with
-            | 0 ->
-              (* Child: only its own write end matters.  [Unix._exit]
-                 skips at_exit handlers and buffered channels inherited
-                 from the coordinator. *)
-              Unix.close r;
-              (match
-                 run_worker ~tasks:indexed ~jobs ~rank
-                   ~worker_id:(worker_base + rank) ~fd:w f
-               with
-              | () -> Unix._exit 0
-              | exception _ -> Unix._exit 2)
-            | pid ->
-              Unix.close w;
-              { fd = r; pid; pending = Bytes.empty })
-      in
-      (* Children inherit the read (and not-yet-created write) ends of
-         pipes forked before them; that is harmless — they never read,
-         and EOF detection only needs the coordinator's copies closed,
-         which happens below, plus each child's copies vanishing when
-         it exits. *)
-      let open_inboxes = ref inboxes in
-      let chunk = Bytes.create 65536 in
-      while !open_inboxes <> [] && not !stopped do
-        let fds = List.map (fun ib -> ib.fd) !open_inboxes in
-        let readable, _, _ = Unix.select fds [] [] (-1.) in
-        List.iter
-          (fun ib ->
-            if (not !stopped) && List.mem ib.fd readable then begin
-              match Unix.read ib.fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                Unix.close ib.fd;
-                open_inboxes := List.filter (fun o -> o != ib) !open_inboxes
-              | r ->
-                ib.pending <- Bytes.cat ib.pending (Bytes.sub chunk 0 r);
-                drain_frames ib (fun ev ->
-                    if not !stopped then begin
-                      (match ev with
-                      | Result (pos, _, _) | Failed (pos, _, _) ->
-                        seen.(pos) <- true);
-                      incr collected;
-                      on_event ev;
-                      if !collected >= target then stopped := true
-                    end)
-            end)
-          !open_inboxes
-      done;
-      if !stopped then
-        (* Early stop: kill whatever is still running. *)
-        List.iter
-          (fun ib ->
-            (try Unix.kill ib.pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try Unix.close ib.fd with Unix.Unix_error _ -> ())
-          !open_inboxes;
-      let crashed = ref [] in
-      List.iter
-        (fun ib ->
-          match Unix.waitpid [] ib.pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _, (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-            crashed := ib.pid :: !crashed
-          | exception Unix.Unix_error _ -> ())
-        inboxes;
-      !crashed
-    in
-    let (_ : int list) =
-      round ~jobs (Array.mapi (fun i t -> (i, t)) tasks)
-    in
-    (* A worker that died (crash, signal) leaves its undelivered tasks
-       behind.  Retry them once on a spare worker — a transient death
-       (OOM kill of one cell, a stray signal) then costs only the lost
-       cells, not the campaign.  A second failure aborts. *)
-    if (not !stopped) && !collected < expected then begin
-      let missing =
-        List.filter (fun i -> not seen.(i)) (List.init n (fun i -> i))
-      in
-      on_retry missing;
-      let crashed =
-        round ~jobs:1 ~worker_base:jobs
-          (Array.of_list (List.map (fun i -> (i, tasks.(i))) missing))
-      in
-      if (not !stopped) && !collected < expected then
-        failwith
-          (Printf.sprintf
-             "Pool.map: collected %d of %d results after retrying %d cells \
-              (worker died twice; pids: %s)"
-             !collected expected (List.length missing)
-             (String.concat ", " (List.map string_of_int crashed)))
-    end;
-    !collected
-  end

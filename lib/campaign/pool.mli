@@ -1,91 +1,46 @@
 (** Multi-process worker pool ([Unix.fork] + pipes).
 
-    The coordinator forks [jobs] workers; worker [w] executes the
-    tasks whose array position is congruent to [w] modulo [jobs]
-    (static round-robin — no coordinator→worker protocol needed) and
-    streams each result back over its pipe as a length-prefixed
-    [Marshal] frame.  The coordinator multiplexes the pipes with
-    [Unix.select], decoding frames as they complete and invoking
-    [on_event] for each — which is where the campaign runner
-    checkpoints and reports progress.
+    The coordinator keeps up to [jobs] long-lived forked workers and
+    feeds each one task position at a time: an 8-byte write on that
+    worker's command pipe.  The worker runs the task and answers with
+    a length-prefixed [Marshal] frame on its reply pipe; the
+    coordinator multiplexes the reply pipes with [Unix.select] and
+    hands the next ready position to whichever worker answered.  The
+    task array reaches the workers by [fork], never over a pipe.
 
-    Task results must be marshal-safe plain data (no closures).
-    Because work assignment is static and results carry their task
-    position, the outcome is independent of scheduling: any [jobs]
-    produces the same result set.
+    Workers persist because a fork plus its reap (~0.15 ms on a
+    2-vCPU VM) is as long as a typical campaign cell ([campaign_v1]:
+    0.02–1.5 ms, median 0.14 ms): forking once per task took
+    [campaign_v1] and [fault_sweep] at [-j 2] from ~16 to ~34 ms of
+    wall clock.  One fork now serves many tasks, yet the
+    coordinator still knows which position each worker is running, so
+    a fault costs only that position: a worker that overruns the
+    watchdog or dies is reaped, its slot is forked again at the next
+    dispatch, and only its in-flight position is retried (with
+    backoff) or, once the retry budget is spent, reported as
+    {!Gave_up}.  The pool never raises on a lost task.
 
-    An exception inside a worker's task is caught in the worker and
-    reported as {!Failed} for that task; the worker carries on with
-    its remaining tasks.  A worker that dies without delivering all
-    its results (crash, signal) does {e not} sink the campaign: after
-    the first round drains, the coordinator collects the undelivered
-    task positions, reports them via [on_retry], and retries them once
-    on a single spare worker.  Only a second failure raises [Failure]
-    in the coordinator. *)
+    {b Isolation caveat.}  Tasks that run in one worker share its
+    heap: global state a task mutates is seen by the later tasks of
+    the same worker (and by none of the other workers).  Task
+    functions must therefore depend only on their argument, as the
+    campaign cells and chaos candidates do; then every [jobs] yields
+    the same result set.  Results must be marshal-safe plain data (no
+    closures). *)
 
 type timing = {
-  worker : int;
-      (** worker id: the first round's rank, or [jobs] for the retry
-          round's spare worker *)
+  worker : int;  (** the worker's slot, in [\[0, jobs)] *)
   t0 : float;  (** wall-clock start of the task, Unix epoch seconds *)
   t1 : float;  (** wall-clock end of the task *)
 }
 (** Worker-side measurement around one task — the telemetry probe the
-    campaign profiler renders as a wall-clock timeline.  Measured in
-    the worker around the task function alone, so pipe and coordinator
-    latency never inflate it. *)
-
-type 'b event =
-  | Result of int * timing * 'b
-      (** task position, timing, worker's return value *)
-  | Failed of int * timing * string
-      (** task position, timing, exception text *)
+    campaign profiler renders as a wall-clock timeline, one track per
+    worker slot.  Measured in the worker around the task function
+    alone, so pipe and coordinator latency never inflate it. *)
 
 val default_jobs : unit -> int
 (** [default_jobs ()] is the machine's recommended parallelism
     ([Domain.recommended_domain_count]). *)
-
-val map :
-  jobs:int ->
-  ?max_results:int ->
-  ?on_retry:(int list -> unit) ->
-  on_event:('b event -> unit) ->
-  ('a -> 'b) ->
-  'a array ->
-  int
-(** [map ~jobs ~on_event f tasks] runs [f] on every task across [jobs]
-    worker processes and returns the number of events collected.
-    [on_event] runs in the coordinator, in frame-arrival order (an
-    arbitrary interleaving of the workers' per-worker task order).
-
-    [max_results] stops collection early after that many events: the
-    workers are killed, remaining results are discarded, and [map]
-    returns the count collected — the hook the checkpoint/resume tests
-    use to simulate an interrupted campaign.
-
-    [on_retry missing] is called (default: ignored) before the spare
-    worker re-runs the task positions a dead worker failed to deliver
-    — the campaign runner's hook for journalling them as failed before
-    the retry outcome overwrites them.
-
-    [jobs] is clamped to [\[1, Array.length tasks\]]; with an empty
-    task array no worker is forked and [map] returns 0.
-    @raise Invalid_argument if [jobs < 1].
-    @raise Failure if a retried task is lost a second time. *)
-
-(** {1 Supervised pool (watchdog + bounded retry)}
-
-    {!map} amortizes forks by giving each worker a static share of the
-    tasks — the right trade for a campaign of uniform, trusted cells.
-    The chaos search runs {e adversarial} candidates: any one may hang
-    the simulator or kill its worker, and losing the whole share (or
-    the whole search) to one bad candidate is unacceptable.
-    {!supervise} therefore forks {b one worker per task}: the
-    coordinator always knows which task a pid is running, kills it
-    when it overruns the watchdog, retries it a bounded number of
-    times with linear backoff, and — once the retry budget is spent —
-    reports a structured {!Gave_up} instead of raising.  It never
-    aborts the run. *)
 
 type give_up_reason =
   | Timed_out of float  (** killed by the watchdog after this many seconds *)
@@ -96,7 +51,8 @@ type 'b sevent =
       (** task position, timing, worker's return value *)
   | Task_error of int * timing * string
       (** the task function itself raised — deterministic, so it is
-          reported immediately and {e not} retried *)
+          reported immediately and {e not} retried; the worker carries
+          on with its next task *)
   | Gave_up of { position : int; attempts : int; reason : give_up_reason }
       (** every attempt timed out or lost its worker *)
 
@@ -114,10 +70,13 @@ val supervise :
   ('a -> 'b) ->
   'a array ->
   int
-(** [supervise ~jobs ~on_event f tasks] runs [f] on every task, one
-    fork per task, at most [jobs] concurrently, and returns the number
-    of events emitted.  [on_event] runs in the coordinator in
-    completion order.
+(** [supervise ~jobs ~on_event f tasks] runs [f] on every task on at
+    most [min jobs (Array.length tasks)] workers and returns the
+    number of events emitted, at most one per task.  [on_event] runs
+    in the coordinator in completion order.  Positions are handed out
+    in order; a retry goes out once its backoff has passed and no
+    fresh position is left.  A worker gets its next position before
+    its answer is reported, so it computes while [on_event] runs.
 
     [watchdog_s] (default: none) kills any attempt still undelivered
     after that many seconds.  A killed or lost attempt is re-enqueued
@@ -126,9 +85,15 @@ val supervise :
     re-enqueue.  When the budget is spent the task yields one
     {!Gave_up} event.
 
-    [should_stop] (default: never) is polled each scheduling round;
-    once true no further task is {e launched} — already-running
-    attempts drain normally and tasks never launched emit nothing, so
-    a caller on an exhausted budget gets partial results, not an
-    exception.
+    [should_stop] (default: never) is polled before every dispatch;
+    once true no further task is {e dispatched} — in-flight attempts
+    drain normally and tasks never dispatched emit nothing, so a
+    caller on an exhausted budget gets partial results, not an
+    exception.  A [should_stop] that counts events sees each answer
+    only after its worker's next dispatch, so up to [jobs] more
+    events may follow the one that makes it true.
+
+    Every worker is killed and reaped before [supervise] returns or
+    re-raises an exception from a callback.  SIGPIPE is ignored for
+    the duration of the call.
     @raise Invalid_argument if [jobs < 1]. *)

@@ -84,7 +84,7 @@ let load_journal options spec =
       (Ok []) entries
     |> Result.map List.rev
 
-let run options spec =
+let run_with cell options spec =
   let t0 = Unix.gettimeofday () in
   let* () =
     Result.map_error (fun e -> Invalid_spec e) (Spec.validate spec)
@@ -123,51 +123,56 @@ let run options spec =
       let path = journal_path options in
       let oc = Checkpoint.open_for_append ~path ~spec in
       let failures = ref [] in
+      let fail i msg =
+        (* Keyed by submission position: events arrive in completion
+           order, but failures are reported in submission order. *)
+        let key = Grid.key pending.(i) in
+        failures := (i, Printf.sprintf "%s: %s" key msg) :: !failures
+      in
       let worker_probe tm key ok =
         options.on_cell ~worker:tm.Pool.worker ~key ~t0:tm.Pool.t0
           ~t1:tm.Pool.t1 ~ok
       in
-      let on_event = function
-        | Pool.Result (i, tm, r) ->
-          let c = pending.(i) in
-          let key = Grid.key c in
-          worker_probe tm key true;
-          Checkpoint.append oc ~index:c.Grid.index ~key
-            (Grid.result_to_json r);
-          Hashtbl.replace results c.Grid.index r;
-          report_progress key r.Grid.r_elapsed_s
-        | Pool.Failed (i, tm, msg) ->
-          let key = Grid.key pending.(i) in
-          worker_probe tm key false;
-          (* Keyed by submission position: events arrive in frame
-             order, but failures are reported in submission order. *)
-          failures := (i, Printf.sprintf "%s: %s" key msg) :: !failures
-      in
-      let on_retry missing =
-        (* Journal the cells a dead worker never delivered before the
-           spare worker retries them: if the retry also dies, the
-           journal shows exactly which cells were lost, and a resumed
-           run re-executes them. *)
-        List.iter
-          (fun i ->
+      (* [max_cells] stops dispatching after the N-th event and ignores
+         whatever was still in flight, so exactly N cells count. *)
+      let cap = Option.value options.max_cells ~default:max_int in
+      let seen = ref 0 in
+      let on_event ev =
+        if !seen < cap then begin
+          incr seen;
+          match ev with
+          | Pool.Completed (i, tm, r) ->
             let c = pending.(i) in
-            Checkpoint.append_failed oc ~index:c.Grid.index ~key:(Grid.key c)
-              ~reason:"worker died before delivering this cell; retrying")
-          missing
+            let key = Grid.key c in
+            worker_probe tm key true;
+            Checkpoint.append oc ~index:c.Grid.index ~key
+              (Grid.result_to_json r);
+            Hashtbl.replace results c.Grid.index r;
+            report_progress key r.Grid.r_elapsed_s
+          | Pool.Task_error (i, tm, msg) ->
+            worker_probe tm (Grid.key pending.(i)) false;
+            fail i msg
+          | Pool.Gave_up { position; attempts; reason } ->
+            fail position
+              (Printf.sprintf "%s after %d attempt(s)" (Pool.reason_text reason)
+                 attempts)
+        end
       in
-      let run_pool () =
-        Pool.map ~jobs:options.jobs ?max_results:options.max_cells ~on_retry
-          ~on_event
-          (Grid.run_cell ~telemetry:options.telemetry spec)
-          pending
+      (* Journal a cell whose worker was lost before it is retried: if
+         the retry is lost too, the journal shows exactly which cells
+         were, and a resumed run re-executes them. *)
+      let on_retry ~position ~attempt:_ ~reason =
+        let c = pending.(position) in
+        Checkpoint.append_failed oc ~index:c.Grid.index ~key:(Grid.key c)
+          ~reason:(reason ^ "; retrying")
       in
-      let r =
-        match run_pool () with
-        | (_ : int) -> Ok ()
-        | exception Failure msg -> Error (Worker_failure msg)
-      in
-      close_out_noerr oc;
-      let* () = r in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          ignore
+            (Pool.supervise ~jobs:options.jobs ~on_retry
+               ~should_stop:(fun () -> !seen >= cap)
+               ~on_event cell pending));
       match !failures with
       | [] -> Ok ()
       | fs -> Error (Worker_failure (String.concat "; " (order_failures fs)))
@@ -198,3 +203,6 @@ let run options spec =
     Checkpoint.remove ~path:(journal_path options);
     Ok (Complete report)
   end
+
+let run options spec =
+  run_with (Grid.run_cell ~telemetry:options.telemetry spec) options spec

@@ -21,7 +21,9 @@ type options = {
       (** reuse an existing journal instead of starting fresh *)
   max_cells : int option;
       (** stop after this many fresh results, leaving the journal in
-          place — the interrupted-campaign test hook *)
+          place — the interrupted-campaign test hook.  Nothing is
+          dispatched after the N-th pool event, and cells still in
+          flight then are discarded *)
   progress : (done_:int -> total:int -> key:string -> elapsed_s:float -> unit)
              option;  (** per-cell completion callback *)
   telemetry : bool;
@@ -30,10 +32,11 @@ type options = {
           when off, so report fingerprints are unchanged) *)
   on_cell :
     worker:int -> key:string -> t0:float -> t1:float -> ok:bool -> unit;
-      (** called in the coordinator once per pool event: worker
-          [worker] ran cell [key] over wall-clock [\[t0, t1\]] (Unix
-          epoch seconds), [ok] false if it raised — the wall-clock
-          worker timeline *)
+      (** called in the coordinator once per delivered cell: the
+          worker in slot [worker] ([\[0, jobs)]) ran cell [key] over
+          wall-clock [\[t0, t1\]] (Unix epoch seconds), [ok] false if
+          it raised — the wall-clock worker timeline, one track per
+          slot *)
 }
 
 val default_options : out:string -> options
@@ -54,6 +57,8 @@ type error =
           the [Error]-severity ones) *)
   | Checkpoint_error of string
   | Worker_failure of string
+      (** a cell raised, or lost its worker on every attempt; the
+          journal stays for a resume *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -64,3 +69,8 @@ type outcome =
       (** [max_cells] stopped the run; journal left for resume *)
 
 val run : options -> Spec.t -> (outcome, error) result
+
+val run_with :
+  (Grid.cell -> Grid.result_) -> options -> Spec.t -> (outcome, error) result
+(** [run_with cell options spec] is {!run} with [cell] in place of
+    {!Grid.run_cell} — how the tests make a cell lose its worker. *)

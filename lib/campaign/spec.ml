@@ -51,27 +51,17 @@ let scenario_label sc =
     Printf.sprintf "topo-%dseg-f%d-%.2f" sc.sc_size sc.sc_fanout sc.sc_load
   else Printf.sprintf "%s-%d" sc.sc_kind sc.sc_size
 
-let instance sc =
-  match sc.sc_kind with
-  | "videoconference" -> Scenarios.videoconference ~stations:sc.sc_size
-  | "atc" -> Scenarios.air_traffic_control ~radars:sc.sc_size
-  | "trading" -> Scenarios.trading ~gateways:sc.sc_size
-  | "atm" -> Scenarios.atm_fabric ~ports:sc.sc_size
-  | "manufacturing" -> Scenarios.manufacturing ~cells:sc.sc_size
-  | "skewed" -> Scenarios.skewed ~sources:sc.sc_size ~heavy_fraction:0.7
-  | "uniform" ->
-    Scenarios.uniform ~sources:sc.sc_size ~classes_per_source:2
-      ~load:sc.sc_load ~deadline_windows:sc.sc_deadline_windows
-  | "topo" ->
+let instance_result sc =
+  if sc.sc_kind = "topo" then
     (* A "topo" scenario is a whole federation, not one medium —
        Grid.run_cell builds it via Rtnet_topology.Topo.tree. *)
-    failwith "topo scenarios have no single-segment instance"
-  | other -> failwith (Printf.sprintf "unknown scenario %S" other)
+    Error "topo scenarios have no single-segment instance"
+  else
+    Scenarios.of_kind ~kind:sc.sc_kind ~size:sc.sc_size ~load:sc.sc_load
+      ~deadline_windows:sc.sc_deadline_windows
 
-let instance_result sc =
-  match instance sc with
-  | inst -> Ok inst
-  | exception (Failure e | Invalid_argument e) -> Error e
+let instance sc =
+  match instance_result sc with Ok inst -> inst | Error e -> failwith e
 
 type variant = {
   v_fault_rate : float;

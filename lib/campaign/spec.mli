@@ -46,6 +46,9 @@ type scenario = {
           non-root segment routed up to the root. *)
 }
 
+val scenario_kinds : string list
+(** The [sc_kind]s {!validate} accepts. *)
+
 val scenario_label : scenario -> string
 (** e.g. ["trading-4"] or ["uniform-8-0.30"] — stable across runs, used
     in cell keys and reports. *)
@@ -61,10 +64,12 @@ val scenario_of_json : Rtnet_util.Json.t -> (scenario, string) result
     byte-identically. *)
 
 val instance : scenario -> Rtnet_workload.Instance.t
-(** [instance sc] builds the workload instance.
-    @raise Failure on an unknown [sc_kind] ({!validate} rejects such
-    specs first) and on ["topo"] — a topo scenario is a federation,
-    not one instance; [Grid] builds it via [Rtnet_topology.Topo.tree]. *)
+(** [instance sc] builds the workload instance
+    ({!Rtnet_workload.Scenarios.of_kind}).
+    @raise Failure on an unknown [sc_kind] or a rejected size
+    ({!validate} rejects such specs first) and on ["topo"] — a topo
+    scenario is a federation, not one instance; [Grid] builds it via
+    [Rtnet_topology.Topo.tree]. *)
 
 val instance_result : scenario -> (Rtnet_workload.Instance.t, string) result
 (** [instance] with its errors (unknown kind, ["topo"], a size the

@@ -105,23 +105,6 @@ let source_faults_to_json (sf : Run.source_faults) =
       ("resyncs", Json.Int sf.Run.sf_resyncs);
     ]
 
-let source_faults_of_json j =
-  let* sf_source = int_field j "source" in
-  let* sf_crashed_slots = int_field j "crashed_slots" in
-  let* sf_missed = int_field j "missed" in
-  let* sf_misperceived = int_field j "misperceived" in
-  let* sf_desync_slots = int_field j "desync_slots" in
-  let* sf_resyncs = int_field j "resyncs" in
-  Ok
-    {
-      Run.sf_source;
-      sf_crashed_slots;
-      sf_missed;
-      sf_misperceived;
-      sf_desync_slots;
-      sf_resyncs;
-    }
-
 let fault_stats_to_json (fs : Run.fault_stats) =
   Json.Obj
     [
@@ -133,34 +116,6 @@ let fault_stats_to_json (fs : Run.fault_stats) =
              (fun (s, f) -> Json.List [ Json.Int s; Json.Int f ])
              fs.Run.f_epochs) );
     ]
-
-let fault_stats_of_json j =
-  let* per_source =
-    let* l = Result.bind (Json.field "per_source" j) Json.get_list in
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* sf = source_faults_of_json item in
-        Ok (sf :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  in
-  let* epochs =
-    let* l = Result.bind (Json.field "epochs" j) Json.get_list in
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* pair = Json.get_list item in
-        match pair with
-        | [ s; f ] ->
-          let* s = Json.get_int s in
-          let* f = Json.get_int f in
-          Ok ((s, f) :: acc)
-        | _ -> Error "epoch is not a [start, finish] pair")
-      (Ok []) l
-    |> Result.map List.rev
-  in
-  Ok { Run.f_per_source = per_source; f_epochs = epochs }
 
 let message_to_json (m : Message.t) =
   Json.Obj

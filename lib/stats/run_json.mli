@@ -24,10 +24,6 @@ val channel_stats_of_json :
 
 val fault_stats_to_json : Run.fault_stats -> Rtnet_util.Json.t
 
-val fault_stats_of_json :
-  Rtnet_util.Json.t -> (Run.fault_stats, string) result
-(** Exact round-trip, like the metrics codec. *)
-
 val outcome_to_json : Run.outcome -> Rtnet_util.Json.t
 (** [outcome_to_json o] renders the whole outcome: protocol, horizon,
     completions as [{uid, cls, src, arrival, deadline, start, finish}],

@@ -48,26 +48,11 @@ let relabel ~name inst =
     ~num_sources:inst.Instance.num_sources
     (Array.to_list inst.Instance.classes)
 
-let workload_instance wk =
-  try
-    Ok
-      (match wk.wk_kind with
-      | "videoconference" -> Scenarios.videoconference ~stations:wk.wk_size
-      | "atc" -> Scenarios.air_traffic_control ~radars:wk.wk_size
-      | "trading" -> Scenarios.trading ~gateways:wk.wk_size
-      | "atm" -> Scenarios.atm_fabric ~ports:wk.wk_size
-      | "manufacturing" -> Scenarios.manufacturing ~cells:wk.wk_size
-      | "skewed" -> Scenarios.skewed ~sources:wk.wk_size ~heavy_fraction:0.7
-      | "uniform" ->
-        Scenarios.uniform ~sources:wk.wk_size ~classes_per_source:2
-          ~load:wk.wk_load ~deadline_windows:wk.wk_deadline_windows
-      | other -> failwith (Printf.sprintf "unknown workload kind %S" other))
-  with
-  | Failure e -> Error e
-  | Invalid_argument e -> Error e
-
 let segment_of_workload ~name wk =
-  match workload_instance wk with
+  match
+    Scenarios.of_kind ~kind:wk.wk_kind ~size:wk.wk_size ~load:wk.wk_load
+      ~deadline_windows:wk.wk_deadline_windows
+  with
   | Error e -> Error (Printf.sprintf "segment %s: %s" name e)
   | Ok inst ->
     Ok

@@ -92,14 +92,10 @@ type t = {
   tp_flows : flow list;
 }
 
-val workload_instance : workload -> (Rtnet_workload.Instance.t, string) result
-(** [workload_instance wk] builds the segment instance from the
-    descriptor — the same dispatch the campaign layer applies to its
-    scenarios. *)
-
 val segment_of_workload : name:string -> workload -> (segment, string) result
-(** [segment_of_workload ~name wk] is {!workload_instance} relabelled
-    with the segment name. *)
+(** [segment_of_workload ~name wk] builds the segment instance from the
+    descriptor with {!Rtnet_workload.Scenarios.of_kind} — the decoder
+    campaign scenarios use too — relabelled with the segment name. *)
 
 val create :
   name:string ->

@@ -186,3 +186,19 @@ let all =
       uniform ~sources:8 ~classes_per_source:2 ~load:0.3 ~deadline_windows:2.0
     );
   ]
+
+let of_kind ~kind ~size ~load ~deadline_windows =
+  match
+    match kind with
+    | "videoconference" -> videoconference ~stations:size
+    | "atc" -> air_traffic_control ~radars:size
+    | "trading" -> trading ~gateways:size
+    | "atm" -> atm_fabric ~ports:size
+    | "manufacturing" -> manufacturing ~cells:size
+    | "skewed" -> skewed ~sources:size ~heavy_fraction:0.7
+    | "uniform" ->
+      uniform ~sources:size ~classes_per_source:2 ~load ~deadline_windows
+    | other -> failwith (Printf.sprintf "unknown scenario %S" other)
+  with
+  | inst -> Ok inst
+  | exception (Failure e | Invalid_argument e) -> Error e

@@ -63,3 +63,17 @@ val uniform :
 val all : (string * Instance.t) list
 (** [all] is a representative list of named instances (small sizes)
     used by tests and benches. *)
+
+val of_kind :
+  kind:string ->
+  size:int ->
+  load:float ->
+  deadline_windows:float ->
+  (Instance.t, string) result
+(** [of_kind ~kind ~size ~load ~deadline_windows] decodes a scenario
+    by the name campaign specs, topology segments and the CLIs use:
+    [videoconference], [atc], [trading], [atm], [manufacturing],
+    [skewed] (heavy fraction 0.7) or [uniform] (two classes per
+    source; only it reads [load] and [deadline_windows]), each with
+    [size] stations.  An unknown kind or a size the builder rejects is
+    an [Error]. *)

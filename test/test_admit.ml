@@ -472,7 +472,7 @@ let service_log reqs config =
 let test_service_summary () =
   let reqs = churn 200 in
   let summary, records, eng =
-    service_log reqs { Service.default with Service.sv_paranoid = true }
+    service_log reqs { Service.default with Service.sv_selfcheck_every = 1 }
   in
   Alcotest.(check int) "processed" 200 summary.Service.sm_processed;
   Alcotest.(check int) "journaled" 200 (List.length records);
@@ -498,7 +498,6 @@ let test_service_overload () =
       sv_high = 20;
       sv_low = 5;
       sv_selfcheck_every = 0;
-      sv_paranoid = false;
       sv_snapshot_every = 0;
     }
   in

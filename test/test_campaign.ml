@@ -108,6 +108,39 @@ let test_spec_roundtrip () =
           (Spec.hash spec) (Spec.hash spec'))
     Spec.builtins
 
+let test_scenario_kinds_decode () =
+  (* Specs, topology segments and the CLIs share one decoder: every
+     kind a spec may name except "topo" (a federation) decodes, to the
+     segment a topology builds from the same descriptor. *)
+  List.iter
+    (fun kind ->
+      let sc =
+        { Spec.sc_kind = kind; sc_size = 4; sc_load = 0.3;
+          sc_deadline_windows = 2.0; sc_fanout = 1 }
+      in
+      match (kind, Spec.instance_result sc) with
+      | "topo", Ok _ -> Alcotest.fail "topo decoded to one instance"
+      | "topo", Error _ -> ()
+      | _, Error e -> Alcotest.fail (kind ^ ": " ^ e)
+      | _, Ok inst -> (
+        let wk =
+          { Rtnet_topology.Topo.wk_kind = kind; wk_size = 4; wk_load = 0.3;
+            wk_deadline_windows = 2.0 }
+        in
+        match Rtnet_topology.Topo.segment_of_workload ~name:"s" wk with
+        | Error e -> Alcotest.fail (kind ^ " segment: " ^ e)
+        | Ok seg ->
+          let classes i = Array.length i.Rtnet_workload.Instance.classes in
+          Alcotest.(check int) (kind ^ " classes") (classes inst)
+            (classes seg.Rtnet_topology.Topo.sg_instance)))
+    Spec.scenario_kinds;
+  let bogus = { (List.hd tiny.Spec.scenarios) with Spec.sc_kind = "bogus" } in
+  match Spec.instance_result bogus with
+  | Error e ->
+    Alcotest.(check bool) "unknown kind named" true
+      (Astring_contains.contains e "bogus")
+  | Ok _ -> Alcotest.fail "unknown kind decoded"
+
 let test_spec_validate () =
   let expect_error what spec =
     match Spec.validate spec with
@@ -268,73 +301,110 @@ let test_fault_seed_protocol_blind () =
 
 (* -------------------- pool -------------------- *)
 
-let collect_events ~jobs ?max_results f tasks =
+let collect_sevents ?watchdog_s ?retries ?backoff_s ?on_retry ?should_stop
+    ~jobs f tasks =
   let events = ref [] in
   let n =
-    Pool.map ~jobs ?max_results ~on_event:(fun e -> events := e :: !events) f
-      tasks
+    Pool.supervise ~jobs ?watchdog_s ?retries ?backoff_s ?on_retry ?should_stop
+      ~on_event:(fun e -> events := e :: !events)
+      f tasks
   in
   (n, List.rev !events)
+
+let completed events =
+  List.sort compare
+    (List.filter_map
+       (function Pool.Completed (i, _, v) -> Some (i, v) | _ -> None)
+       events)
+
+(* A reaped worker is no longer a child of the test process. *)
+let reaped pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | _ -> false
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
 
 let test_pool_matches_serial () =
   let tasks = Array.init 23 (fun i -> i) in
   let f x = x * x in
-  let normalize evs =
-    List.sort compare
-      (List.map
-         (function
-           | Pool.Result (i, _, v) -> (i, v)
-           | Pool.Failed (i, _, msg) -> Alcotest.fail (Printf.sprintf "task %d: %s" i msg))
-         evs)
-  in
-  let n1, e1 = collect_events ~jobs:1 f tasks in
-  let n3, e3 = collect_events ~jobs:3 f tasks in
+  let n1, e1 = collect_sevents ~jobs:1 f tasks in
+  let n3, e3 = collect_sevents ~jobs:3 f tasks in
   Alcotest.(check int) "serial count" 23 n1;
   Alcotest.(check int) "parallel count" 23 n3;
-  Alcotest.(check bool) "same result set" true (normalize e1 = normalize e3);
+  Alcotest.(check bool) "same result set" true (completed e1 = completed e3);
   Alcotest.(check bool) "results correct" true
-    (List.for_all (fun (i, v) -> v = i * i) (normalize e1))
+    (completed e1 = List.init 23 (fun i -> (i, i * i)))
+
+let test_pool_persistent_workers () =
+  (* Workers outlive their tasks: 23 tasks at jobs 3 run in at most 3
+     processes, every timing names a worker slot in [0, 3), and no
+     worker is left once [supervise] returns. *)
+  let n, events =
+    collect_sevents ~jobs:3 (fun () -> Unix.getpid ()) (Array.make 23 ())
+  in
+  Alcotest.(check int) "every task delivered" 23 n;
+  let pids = List.sort_uniq compare (List.map snd (completed events)) in
+  Alcotest.(check bool) "at most jobs processes" true (List.length pids <= 3);
+  List.iter
+    (function
+      | Pool.Completed (_, tm, _) ->
+        Alcotest.(check bool) "worker slot in [0, jobs)" true
+          (tm.Pool.worker >= 0 && tm.Pool.worker < 3)
+      | _ -> Alcotest.fail "unexpected event")
+    events;
+  Alcotest.(check bool) "no child left" true (List.for_all reaped pids)
 
 let test_pool_task_exception_reported () =
+  (* The exception is caught in the worker, which carries on: the run
+     needs no more than [jobs] processes. *)
   let tasks = Array.init 5 (fun i -> i) in
-  let f x = if x = 2 then failwith "boom" else x in
-  let n, events = collect_events ~jobs:2 f tasks in
+  let f x = if x = 2 then failwith "boom" else Unix.getpid () in
+  let n, events = collect_sevents ~jobs:2 f tasks in
   Alcotest.(check int) "every task produced an event" 5 n;
-  let failed =
-    List.filter_map
-      (function
-        | Pool.Failed (i, _, msg) -> Some (i, msg)
-        | Pool.Result _ -> None)
-      events
-  in
-  match failed with
+  (match
+     List.filter_map
+       (function Pool.Task_error (i, _, msg) -> Some (i, msg) | _ -> None)
+       events
+   with
   | [ (2, msg) ] ->
     Alcotest.(check bool) "exception text carried" true
       (String.length msg > 0)
-  | _ -> Alcotest.fail "expected exactly task 2 to fail"
+  | _ -> Alcotest.fail "expected exactly task 2 to fail");
+  let ok = completed events in
+  Alcotest.(check (list int)) "the others completed" [ 0; 1; 3; 4 ]
+    (List.map fst ok);
+  Alcotest.(check bool) "no worker replaced" true
+    (List.length (List.sort_uniq compare (List.map snd ok)) <= 2)
 
-let test_pool_max_results_stops_early () =
+let test_pool_should_stop_prefix () =
+  (* [should_stop] is polled before each dispatch, and a worker gets
+     its next position before its answer is reported.  At jobs 1,
+     stopping once 7 events are in lets exactly one more task drain,
+     so the events are the deterministic prefix 0..7. *)
   let tasks = Array.init 50 (fun i -> i) in
-  let n, events = collect_events ~jobs:1 ~max_results:7 Fun.id tasks in
-  Alcotest.(check int) "stopped at cap" 7 n;
-  (* jobs=1 makes the surviving prefix deterministic: tasks 0..6. *)
+  let events = ref [] in
+  let n =
+    Pool.supervise ~jobs:1
+      ~should_stop:(fun () -> List.length !events >= 7)
+      ~on_event:(fun e -> events := e :: !events)
+      Fun.id tasks
+  in
+  Alcotest.(check int) "stopped one answer past the cap" 8 n;
   Alcotest.(check (list int)) "deterministic prefix"
-    [ 0; 1; 2; 3; 4; 5; 6 ]
-    (List.map
-       (function Pool.Result (i, _, _) -> i | Pool.Failed _ -> -1)
-       events)
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    (List.map fst (completed !events))
 
 let test_pool_empty_and_bad_jobs () =
-  let n, events = collect_events ~jobs:4 Fun.id [||] in
+  let n, events = collect_sevents ~jobs:4 Fun.id [||] in
   Alcotest.(check int) "empty task array" 0 n;
   Alcotest.(check int) "no events" 0 (List.length events);
-  Alcotest.check_raises "jobs < 1" (Invalid_argument "Pool.map: jobs < 1")
-    (fun () -> ignore (Pool.map ~jobs:0 ~on_event:ignore Fun.id [| 1 |]))
+  Alcotest.check_raises "jobs < 1"
+    (Invalid_argument "Pool.supervise: jobs < 1") (fun () ->
+      ignore (Pool.supervise ~jobs:0 ~on_event:ignore Fun.id [| 1 |]))
 
 let test_pool_worker_crash_retried () =
-  (* A worker killed mid-task must not sink the run: its undelivered
-     tasks are reported via [on_retry] and re-run on a spare worker.
-     The flag file makes the crash happen only on the first attempt. *)
+  (* A worker killed mid-task costs only its in-flight position: the
+     retry sees exactly that one, and every result still arrives.  The
+     flag file makes the crash happen only on the first attempt. *)
   let flag = Filename.temp_file "rtnet_pool_crash" ".flag" in
   Sys.remove flag;
   Fun.protect
@@ -350,65 +420,53 @@ let test_pool_worker_crash_retried () =
         x * x
       in
       let retried = ref [] in
-      let events = ref [] in
-      let n =
-        Pool.map ~jobs:2
-          ~on_retry:(fun missing -> retried := missing :: !retried)
-          ~on_event:(fun e -> events := e :: !events)
+      let n, events =
+        collect_sevents ~jobs:2 ~backoff_s:0.01
+          ~on_retry:(fun ~position ~attempt:_ ~reason:_ ->
+            retried := position :: !retried)
           f tasks
       in
       Alcotest.(check int) "every task delivered" 8 n;
-      let results =
-        List.sort compare
-          (List.filter_map
-             (function
-               | Pool.Result (i, _, v) -> Some (i, v)
-               | Pool.Failed (i, _, msg) ->
-                 Alcotest.fail (Printf.sprintf "task %d failed: %s" i msg))
-             !events)
-      in
       Alcotest.(check bool) "results complete and correct" true
-        (results = List.init 8 (fun i -> (i, i * i)));
-      (* jobs=2 round-robin: the killed worker held positions 1,3,5,7
-         and died at 3, so exactly 3,5,7 go to the spare worker. *)
-      match !retried with
-      | [ missing ] ->
-        Alcotest.(check (list int)) "undelivered positions retried"
-          [ 3; 5; 7 ] missing
-      | rounds ->
-        Alcotest.fail
-          (Printf.sprintf "expected one retry round, saw %d"
-             (List.length rounds)))
+        (completed events = List.init 8 (fun i -> (i, i * i)));
+      Alcotest.(check (list int)) "only the in-flight position retried" [ 3 ]
+        !retried)
 
-let test_pool_worker_crash_twice_aborts () =
-  (* No flag file: the poisoned task kills its worker on the retry too,
-     and only then does the coordinator give up. *)
-  let tasks = [| 0; 1; 2 |] in
+let test_pool_worker_crash_twice_gives_up () =
+  (* No flag file: the poisoned task kills its worker on the retry too.
+     It yields one [Gave_up]; the other tasks complete on replacement
+     workers, and every worker is reaped. *)
   let f x =
     if x = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-    x
+    Unix.getpid ()
   in
   let retried = ref 0 in
-  match
-    Pool.map ~jobs:1 ~on_retry:(fun _ -> incr retried) ~on_event:ignore f tasks
-  with
-  | (_ : int) -> Alcotest.fail "expected Failure after the second crash"
-  | exception Failure msg ->
-    Alcotest.(check int) "retried exactly once" 1 !retried;
-    Alcotest.(check bool) "diagnostic names the repeated death" true
-      (Astring_contains.contains msg "worker died twice")
+  let n, events =
+    collect_sevents ~jobs:1 ~backoff_s:0.01
+      ~on_retry:(fun ~position:_ ~attempt:_ ~reason:_ -> incr retried)
+      f [| 0; 1; 2 |]
+  in
+  Alcotest.(check int) "one event per task" 3 n;
+  Alcotest.(check int) "retried exactly once" 1 !retried;
+  (match
+     List.filter_map
+       (function
+         | Pool.Gave_up { position; attempts; reason } ->
+           Some (position, attempts, reason)
+         | _ -> None)
+       events
+   with
+  | [ (1, 2, Pool.Worker_lost _) ] -> ()
+  | gs ->
+    Alcotest.fail
+      (Printf.sprintf "expected one give-up of task 1, saw %d"
+         (List.length gs)));
+  let ok = completed events in
+  Alcotest.(check (list int)) "the others completed" [ 0; 2 ] (List.map fst ok);
+  Alcotest.(check bool) "no child left" true
+    (List.for_all (fun (_, pid) -> reaped pid) ok)
 
 (* -------------------- supervised pool -------------------- *)
-
-let collect_sevents ?watchdog_s ?retries ?backoff_s ?on_retry ?should_stop
-    ~jobs f tasks =
-  let events = ref [] in
-  let n =
-    Pool.supervise ~jobs ?watchdog_s ?retries ?backoff_s ?on_retry ?should_stop
-      ~on_event:(fun e -> events := e :: !events)
-      f tasks
-  in
-  (n, List.rev !events)
 
 let test_supervise_hung_task_gives_up () =
   (* A deliberately hung task must be killed at the watchdog timeout,
@@ -573,6 +631,37 @@ let test_interrupt_and_resume () =
         (Report.fingerprint fresh) (Report.fingerprint resumed);
       Alcotest.(check bool) "journal removed on completion" false
         (Sys.file_exists (Checkpoint.journal_path ~out)))
+
+let test_lost_cell_is_worker_failure () =
+  (* A cell that kills its worker on every attempt gives up after one
+     retry; the campaign reports it as a Worker_failure naming the
+     cell, keeps the journal, and a resume re-runs the cell. *)
+  with_tmp_dir (fun dir ->
+      let out = Filename.concat dir "lost.json" in
+      let poisoned = (Grid.cells tiny).(1) in
+      let cell c =
+        if c.Grid.index = poisoned.Grid.index then
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+        Grid.run_cell tiny c
+      in
+      let options = { (Runner.default_options ~out) with Runner.jobs = 2 } in
+      (match Runner.run_with cell options tiny with
+      | Error (Runner.Worker_failure msg) ->
+        Alcotest.(check bool) "names the cell" true
+          (Astring_contains.contains msg (Grid.key poisoned));
+        Alcotest.(check bool) "names the loss" true
+          (Astring_contains.contains msg "worker lost")
+      | Error e ->
+        Alcotest.fail (Format.asprintf "wrong error: %a" Runner.pp_error e)
+      | Ok _ -> Alcotest.fail "a lost cell went unreported");
+      Alcotest.(check bool) "journal kept" true
+        (Sys.file_exists (Checkpoint.journal_path ~out));
+      let resumed = complete_exn tiny ~jobs:2 ~resume:true ~out in
+      let fresh =
+        complete_exn tiny ~jobs:1 ~out:(Filename.concat dir "fresh.json")
+      in
+      Alcotest.(check string) "resume completes the campaign"
+        (Report.fingerprint fresh) (Report.fingerprint resumed))
 
 let test_checkpoint_rejects_other_spec () =
   with_tmp_dir (fun dir ->
@@ -811,6 +900,8 @@ let suite =
       [
         Alcotest.test_case "spec json round-trip" `Quick test_spec_roundtrip;
         Alcotest.test_case "spec validation" `Quick test_spec_validate;
+        Alcotest.test_case "scenario kinds decode" `Quick
+          test_scenario_kinds_decode;
         Alcotest.test_case "fault-plan spec validation" `Quick
           test_fault_plan_spec_validate;
         Alcotest.test_case "spec file loading" `Quick test_spec_load_file;
@@ -826,15 +917,19 @@ let suite =
         Alcotest.test_case "pool task exception" `Quick
           test_pool_task_exception_reported;
         Alcotest.test_case "pool early stop" `Quick
-          test_pool_max_results_stops_early;
+          test_pool_should_stop_prefix;
         Alcotest.test_case "pool edge cases" `Quick test_pool_empty_and_bad_jobs;
         Alcotest.test_case "pool worker crash retried" `Quick
           test_pool_worker_crash_retried;
-        Alcotest.test_case "pool worker crash twice aborts" `Quick
-          test_pool_worker_crash_twice_aborts;
+        Alcotest.test_case "pool worker crash twice gives up" `Quick
+          test_pool_worker_crash_twice_gives_up;
+        Alcotest.test_case "pool persistent workers" `Quick
+          test_pool_persistent_workers;
         Alcotest.test_case "-j1 = -j4" `Quick test_parallel_serial_identical;
         Alcotest.test_case "interrupt and resume" `Quick
           test_interrupt_and_resume;
+        Alcotest.test_case "lost cell is a worker failure" `Quick
+          test_lost_cell_is_worker_failure;
         Alcotest.test_case "checkpoint spec guard" `Quick
           test_checkpoint_rejects_other_spec;
         Alcotest.test_case "checkpoint torn tail" `Quick

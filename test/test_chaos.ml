@@ -179,7 +179,7 @@ let topo_case =
         {
           (Search.default_config topo_env Generator.default_budget) with
           Search.s_seed = 29;
-          s_count = 4;
+          s_count = 16;
           s_jobs = 2;
         };
       fixture = fixture "topo_chaos_repro_min.json";
@@ -221,20 +221,27 @@ let admit_case =
       tamper = (fun cd -> { cd with Admission.ar_requests = [] });
     }
 
+(* Candidates share worker processes, so a search must depend on its
+   seed alone, not on how many workers run it: one worker and three
+   report the same findings (with their fingerprints), task errors and
+   give-ups. *)
 let test_search_deterministic (Case { subject; config; _ }) () =
-  let key r =
-    List.map
-      (fun f ->
-        ( f.Search.fi_index,
-          Oracle.label f.Search.fi_report.Subject.rp_verdict,
-          f.Search.fi_report.Subject.rp_fingerprint ))
-      r.Search.r_findings
+  let run jobs =
+    let r = Search.run subject { config with Search.s_jobs = jobs } in
+    Alcotest.(check int) "all candidates examined" config.Search.s_count
+      r.Search.r_examined;
+    ( List.map
+        (fun f ->
+          ( f.Search.fi_index,
+            Oracle.label f.Search.fi_report.Subject.rp_verdict,
+            f.Search.fi_report.Subject.rp_fingerprint ))
+        r.Search.r_findings,
+      r.Search.r_task_errors,
+      List.map (fun g -> g.Search.gu_index) r.Search.r_gave_up )
   in
-  let r1 = Search.run subject config in
-  let r2 = Search.run subject config in
-  Alcotest.(check int) "all candidates examined" config.Search.s_count
-    r1.Search.r_examined;
-  Alcotest.(check bool) "same seed, same findings" true (key r1 = key r2)
+  let ((findings, _, _) as one) = run 1 in
+  Alcotest.(check bool) "the search finds something" true (findings <> []);
+  Alcotest.(check bool) "jobs 1 = jobs 3" true (one = run 3)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

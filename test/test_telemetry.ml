@@ -190,13 +190,14 @@ let test_engine_on_step () =
 let test_pool_timing () =
   let timings = ref [] in
   let n =
-    Pool.map ~jobs:2
+    Pool.supervise ~jobs:2
       ~on_event:(fun ev ->
         match ev with
-        | Pool.Result (i, tm, v) ->
+        | Pool.Completed (i, tm, v) ->
           Alcotest.(check int) "value" (i * i) v;
           timings := tm :: !timings
-        | Pool.Failed (_, _, msg) -> Alcotest.fail msg)
+        | Pool.Task_error (_, _, msg) -> Alcotest.fail msg
+        | Pool.Gave_up { reason; _ } -> Alcotest.fail (Pool.reason_text reason))
       (fun i -> i * i)
       (Array.init 6 Fun.id)
   in
