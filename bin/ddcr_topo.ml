@@ -135,18 +135,13 @@ let postmortem_out_t =
 let load_faults path =
   match Json.parse_file path with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
-  | Ok (Json.Obj fields) ->
-    List.fold_left
-      (fun acc (seg, pj) ->
-        match acc with
-        | Error _ as e -> e
-        | Ok plans -> (
-          match Fault_plan.spec_of_json pj with
-          | Ok sp -> Ok ((seg, sp) :: plans)
-          | Error e ->
-            Error (Printf.sprintf "%s: segment %s: %s" path seg e)))
-      (Ok []) fields
-    |> Result.map List.rev
+  | Ok (Json.Obj _ as j) ->
+    Json.obj_of
+      (fun seg pj ->
+        Result.map_error
+          (fun e -> Printf.sprintf "%s: segment %s: %s" path seg e)
+          (Fault_plan.spec_of_json pj))
+      j
   | Ok _ -> Error (Printf.sprintf "%s: expected an object of segment plans" path)
 
 let load_spec ?faults path =

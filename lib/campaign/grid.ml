@@ -225,16 +225,8 @@ let result_to_json r =
 let result_of_json j =
   let* mj = Json.field "metrics" j in
   let* metrics = Run_json.metrics_of_json mj in
-  let* channel =
-    match Json.member "channel" j with
-    | None | Some Json.Null -> Ok None
-    | Some cj -> Result.map Option.some (Run_json.channel_stats_of_json cj)
-  in
-  let* elapsed =
-    match Json.member "elapsed_s" j with
-    | None -> Ok 0.
-    | Some v -> Json.get_float v
-  in
+  let* channel = Json.field_opt "channel" Run_json.channel_stats_of_json j in
+  let* elapsed = Json.field_or "elapsed_s" ~default:0. Json.get_float j in
   Ok
     {
       r_metrics = metrics;

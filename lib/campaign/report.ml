@@ -66,16 +66,7 @@ let of_json j =
             corrupted or hand-edited report"
            spec_hash (Spec.hash spec))
   in
-  let* cells =
-    let* l = Result.bind (Json.field "cells" j) Json.get_list in
-    List.fold_left
-      (fun acc cj ->
-        let* acc = acc in
-        let* ce = cell_of_json cj in
-        Ok (ce :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  in
+  let* cells = Result.bind (Json.field "cells" j) (Json.list_of cell_of_json) in
   Ok
     {
       campaign;

@@ -287,17 +287,12 @@ let to_json spec =
       ("variants", Json.List (List.map variant_to_json spec.variants));
     ]
 
-let opt_field j key decode default =
-  match Json.member key j with
-  | None -> Ok default
-  | Some v -> decode v
-
 let scenario_of_json j =
   let* kind = Result.bind (Json.field "kind" j) Json.get_string in
   let* size = Result.bind (Json.field "size" j) Json.get_int in
-  let* load = opt_field j "load" Json.get_float 0.3 in
-  let* dw = opt_field j "deadline_windows" Json.get_float 2.0 in
-  let* fanout = opt_field j "fanout" Json.get_int 1 in
+  let* load = Json.field_or "load" ~default:0.3 Json.get_float j in
+  let* dw = Json.field_or "deadline_windows" ~default:2.0 Json.get_float j in
+  let* fanout = Json.field_or "fanout" ~default:1 Json.get_int j in
   Ok
     {
       sc_kind = kind;
@@ -308,14 +303,10 @@ let scenario_of_json j =
     }
 
 let variant_of_json j =
-  let* fault = opt_field j "fault_rate" Json.get_float 0. in
-  let* burst = opt_field j "burst_bits" Json.get_int 0 in
-  let* theta = opt_field j "theta" Json.get_int 0 in
-  let* plan =
-    match Json.member "fault_plan" j with
-    | None | Some Json.Null -> Ok None
-    | Some pj -> Result.map Option.some (Fault_plan.spec_of_json pj)
-  in
+  let* fault = Json.field_or "fault_rate" ~default:0. Json.get_float j in
+  let* burst = Json.field_or "burst_bits" ~default:0 Json.get_int j in
+  let* theta = Json.field_or "theta" ~default:0 Json.get_int j in
+  let* plan = Json.field_opt "fault_plan" Fault_plan.spec_of_json j in
   Ok
     {
       v_fault_rate = fault;
@@ -324,31 +315,22 @@ let variant_of_json j =
       v_fault_plan = plan;
     }
 
-let list_field j key decode_one =
-  let* v = Json.field key j in
-  let* items = Json.get_list v in
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* x = decode_one item in
-      Ok (x :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
 let of_json j =
   let* name = Result.bind (Json.field "name" j) Json.get_string in
-  let* base_seed = opt_field j "base_seed" Json.get_int 1 in
-  let* replicates = opt_field j "replicates" Json.get_int 1 in
-  let* horizon_ms = opt_field j "horizon_ms" Json.get_int 10 in
+  let* base_seed = Json.field_or "base_seed" ~default:1 Json.get_int j in
+  let* replicates = Json.field_or "replicates" ~default:1 Json.get_int j in
+  let* horizon_ms = Json.field_or "horizon_ms" ~default:10 Json.get_int j in
   let* protocols =
-    list_field j "protocols" (fun v ->
-        Result.bind (Json.get_string v) protocol_of_string)
+    Result.bind (Json.field "protocols" j)
+      (Json.list_of (fun v ->
+           Result.bind (Json.get_string v) protocol_of_string))
   in
-  let* scenarios = list_field j "scenarios" scenario_of_json in
+  let* scenarios =
+    Result.bind (Json.field "scenarios" j) (Json.list_of scenario_of_json)
+  in
   let* variants =
-    match Json.member "variants" j with
-    | None -> Ok [ default_variant ]
-    | Some _ -> list_field j "variants" variant_of_json
+    Json.field_or "variants" ~default:[ default_variant ]
+      (Json.list_of variant_of_json) j
   in
   Ok { name; base_seed; replicates; horizon_ms; protocols; scenarios; variants }
 

@@ -351,55 +351,23 @@ let crash_of_json j =
   Ok { cw_source = source; cw_from = from_; cw_until = until }
 
 let spec_of_json j =
-  let* garble =
-    match Json.member "garble" j with
-    | None | Some Json.Null -> Ok None
-    | Some gj -> Result.map Option.some (garble_of_json gj)
-  in
+  let* garble = Json.field_opt "garble" garble_of_json j in
   let* misperception =
-    match Json.member "misperception" j with
-    | None -> Ok 0.
-    | Some v -> Json.get_float v
+    Json.field_or "misperception" ~default:0. Json.get_float j
   in
   let* crashes =
-    match Json.member "crashes" j with
-    | None -> Ok []
-    | Some cj ->
-      let* l = Json.get_list cj in
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* w = crash_of_json item in
-          Ok (w :: acc))
-        (Ok []) l
-      |> Result.map List.rev
+    Json.field_or "crashes" ~default:[] (Json.list_of crash_of_json) j
   in
   let* garbles_at =
-    match Json.member "garbles_at" j with
-    | None -> Ok []
-    | Some gj ->
-      let* l = Json.get_list gj in
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* t = Json.get_int item in
-          Ok (t :: acc))
-        (Ok []) l
-      |> Result.map List.rev
+    Json.field_or "garbles_at" ~default:[] (Json.list_of Json.get_int) j
   in
   let* misperceive_at =
-    match Json.member "misperceive_at" j with
-    | None -> Ok []
-    | Some mj ->
-      let* l = Json.get_list mj in
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* s = Result.bind (Json.field "source" item) Json.get_int in
-          let* t = Result.bind (Json.field "at" item) Json.get_int in
-          Ok ((s, t) :: acc))
-        (Ok []) l
-      |> Result.map List.rev
+    Json.field_or "misperceive_at" ~default:[]
+      (Json.list_of (fun item ->
+           let* s = Result.bind (Json.field "source" item) Json.get_int in
+           let* t = Result.bind (Json.field "at" item) Json.get_int in
+           Ok (s, t)))
+      j
   in
   let spec =
     {

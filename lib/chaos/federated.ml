@@ -230,22 +230,16 @@ let to_json env cd =
 let of_json ~version:_ j =
   let* env = Result.bind (Json.field "topology" j) env_of_json in
   let horizon = env.tc_horizon_ms * 1_000_000 in
+  let plan_of_json name pj =
+    Result.map_error
+      (fun e -> Printf.sprintf "plans: %s: %s" name e)
+      (let* sp = Fault_plan.spec_of_json pj in
+       let* () = Fault_plan.validate ~horizon sp in
+       Ok sp)
+  in
   let* plans =
     match Json.member "plans" j with
-    | Some (Json.Obj kvs) ->
-      let rec decode acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, pj) :: tl ->
-          let* sp =
-            Result.map_error
-              (fun e -> Printf.sprintf "plans: %s: %s" name e)
-              (let* sp = Fault_plan.spec_of_json pj in
-               let* () = Fault_plan.validate ~horizon sp in
-               Ok sp)
-          in
-          decode ((name, sp) :: acc) tl
-      in
-      decode [] kvs
+    | Some (Json.Obj _ as pj) -> Json.obj_of plan_of_json pj
     | Some _ -> Error "plans: expected an object"
     | None -> Error "missing plans"
   in

@@ -36,19 +36,22 @@ let budget_to_json b =
       ("max_crash_fraction", Json.Float b.g_max_crash_fraction);
     ]
 
-let opt j key decode default =
-  match Json.member key j with None -> Ok default | Some v -> decode v
-
 let budget_of_json j =
-  let* max_events = opt j "max_events" Json.get_int default_budget.g_max_events in
-  let* garble = opt j "garble" Json.get_bool default_budget.g_garble in
-  let* misperceive =
-    opt j "misperceive" Json.get_bool default_budget.g_misperceive
+  let d = default_budget in
+  let* max_events =
+    Json.field_or "max_events" ~default:d.g_max_events Json.get_int j
   in
-  let* crash = opt j "crash" Json.get_bool default_budget.g_crash in
-  let* max_rate = opt j "max_rate" Json.get_float default_budget.g_max_rate in
+  let* garble = Json.field_or "garble" ~default:d.g_garble Json.get_bool j in
+  let* misperceive =
+    Json.field_or "misperceive" ~default:d.g_misperceive Json.get_bool j
+  in
+  let* crash = Json.field_or "crash" ~default:d.g_crash Json.get_bool j in
+  let* max_rate =
+    Json.field_or "max_rate" ~default:d.g_max_rate Json.get_float j
+  in
   let* max_crash_fraction =
-    opt j "max_crash_fraction" Json.get_float default_budget.g_max_crash_fraction
+    Json.field_or "max_crash_fraction" ~default:d.g_max_crash_fraction
+      Json.get_float j
   in
   Ok
     {

@@ -42,11 +42,7 @@ let of_json (type e s c) ((module S) as subject : (e, s, c) Subject.t) j =
     let* env, candidate = S.of_json ~version:v j in
     let* verdict = Result.bind (Json.field "verdict" j) Oracle.of_json in
     let* fingerprint = Result.bind (Json.field "fingerprint" j) Json.get_string in
-    let* note =
-      match Json.member "note" j with
-      | None -> Ok ""
-      | Some n -> Json.get_string n
-    in
+    let* note = Json.field_or "note" ~default:"" Json.get_string j in
     Ok
       {
         re_env = env;

@@ -217,24 +217,11 @@ let of_json j =
   let* static_m = int_field "static_m" in
   let* static_leaves = int_field "static_leaves" in
   let* burst_bits = int_field "burst_bits" in
-  let* rows = Result.bind (Json.field "static_indices" j) Json.get_list in
-  let* static_indices =
-    List.fold_left
-      (fun acc row ->
-        let* acc = acc in
-        let* l = Json.get_list row in
-        let* ints =
-          List.fold_left
-            (fun acc v ->
-              let* acc = acc in
-              let* i = Json.get_int v in
-              Ok (i :: acc))
-            (Ok []) l
-        in
-        Ok (Array.of_list (List.rev ints) :: acc))
-      (Ok []) rows
-    |> Result.map (fun rows -> Array.of_list (List.rev rows))
+  let* rows =
+    Result.bind (Json.field "static_indices" j)
+      (Json.list_of (Json.list_of Json.get_int))
   in
+  let static_indices = Array.of_list (List.map Array.of_list rows) in
   let p =
     {
       time_m;

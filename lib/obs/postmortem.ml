@@ -223,12 +223,12 @@ let of_json j =
   let* chains = Json.field "chains" j in
   let* flight = Json.field "flight" j in
   let* repro =
-    match Json.member "repro" j with
-    | None -> Ok None
-    | Some r ->
-      let* note = Result.bind (Json.field "note" r) Json.get_string in
-      let* fp = Result.bind (Json.field "fingerprint" r) Json.get_string in
-      Ok (Some (note, fp))
+    Json.field_or "repro" ~default:None
+      (fun r ->
+        let* note = Result.bind (Json.field "note" r) Json.get_string in
+        let* fp = Result.bind (Json.field "fingerprint" r) Json.get_string in
+        Ok (Some (note, fp)))
+      j
   in
   Ok
     {

@@ -30,11 +30,6 @@ let float_field j key =
   let* v = Json.field key j in
   Result.map_error (fun e -> Printf.sprintf "%s: %s" key e) (Json.get_float v)
 
-(* Fault counters default to 0 so reports written before the fault-plan
-   subsystem still load. *)
-let opt_int_field j key =
-  match Json.member key j with None -> Ok 0 | Some v -> Json.get_int v
-
 let metrics_of_json j =
   let* delivered = int_field j "delivered" in
   let* deadline_misses = int_field j "deadline_misses" in
@@ -45,10 +40,13 @@ let metrics_of_json j =
   let* inversions = int_field j "inversions" in
   let* garbled = int_field j "garbled" in
   let* utilization = float_field j "utilization" in
-  let* desync_slots = opt_int_field j "desync_slots" in
-  let* recoveries = opt_int_field j "recoveries" in
-  let* misperceived = opt_int_field j "misperceived" in
-  let* missed_offline = opt_int_field j "missed_offline" in
+  (* Fault counters default to 0 so reports written before the
+     fault-plan subsystem still load. *)
+  let fault_count key = Json.field_or key ~default:0 Json.get_int j in
+  let* desync_slots = fault_count "desync_slots" in
+  let* recoveries = fault_count "recoveries" in
+  let* misperceived = fault_count "misperceived" in
+  let* missed_offline = fault_count "missed_offline" in
   Ok
     {
       Run.delivered;

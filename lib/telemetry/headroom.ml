@@ -73,12 +73,4 @@ let entry_of_json j =
       e_count = count;
     }
 
-let of_json j =
-  let* l = Json.get_list j in
-  List.fold_left
-    (fun acc e ->
-      let* acc = acc in
-      let* e = entry_of_json e in
-      Ok (e :: acc))
-    (Ok []) l
-  |> Result.map List.rev
+let of_json = Json.list_of entry_of_json

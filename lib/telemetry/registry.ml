@@ -105,16 +105,6 @@ let snapshot_to_json s =
 
 let ( let* ) = Result.bind
 
-let decode_obj_fields j decode =
-  let* fields = Json.get_obj j in
-  List.fold_left
-    (fun acc (k, v) ->
-      let* acc = acc in
-      let* v = decode v in
-      Ok ((k, v) :: acc))
-    (Ok []) fields
-  |> Result.map List.rev
-
 let decode_pair j =
   let* l = Json.get_list j in
   match l with
@@ -125,22 +115,12 @@ let decode_pair j =
   | _ -> Error "histogram bucket: expected [bucket, count]"
 
 let snapshot_of_json j =
-  let* counters = Json.field "counters" j in
-  let* counters = decode_obj_fields counters Json.get_int in
-  let* gauges = Json.field "gauges" j in
-  let* gauges = decode_obj_fields gauges Json.get_float in
-  let* histograms = Json.field "histograms" j in
-  let* histograms =
-    decode_obj_fields histograms (fun v ->
-        let* l = Json.get_list v in
-        List.fold_left
-          (fun acc p ->
-            let* acc = acc in
-            let* p = decode_pair p in
-            Ok (p :: acc))
-          (Ok []) l
-        |> Result.map List.rev)
+  let obj_field key decode =
+    Result.bind (Json.field key j) (Json.obj_of (fun _ -> decode))
   in
+  let* counters = obj_field "counters" Json.get_int in
+  let* gauges = obj_field "gauges" Json.get_float in
+  let* histograms = obj_field "histograms" (Json.list_of decode_pair) in
   Ok { counters; gauges; histograms }
 
 let render s =

@@ -488,96 +488,66 @@ let to_json t =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let* name = Result.bind (Json.field "name" j) Json.get_string in
-  let* seg_list = Result.bind (Json.field "segments" j) Json.get_list in
-  let* segments =
-    List.fold_left
-      (fun acc sj ->
-        let* acc = acc in
-        let* sname = Result.bind (Json.field "name" sj) Json.get_string in
-        let* wj = Json.field "workload" sj in
-        let* wk = workload_of_json wj in
-        let* seg = segment_of_workload ~name:sname wk in
-        let* fault =
-          match Json.member "fault_plan" sj with
-          | None -> Ok None
-          | Some fj -> (
-            match Fault_plan.spec_of_json fj with
-            | Ok sp -> Ok (Some sp)
-            | Error e ->
-              Error (Printf.sprintf "segment %s: fault_plan: %s" sname e))
-        in
-        Ok ({ seg with sg_fault = fault } :: acc))
-      (Ok []) seg_list
+  let segment_of_json sj =
+    let* sname = Result.bind (Json.field "name" sj) Json.get_string in
+    let* wk = Result.bind (Json.field "workload" sj) workload_of_json in
+    let* seg = segment_of_workload ~name:sname wk in
+    let* fault =
+      Json.field_or "fault_plan" ~default:None
+        (fun fj ->
+          match Fault_plan.spec_of_json fj with
+          | Ok sp -> Ok (Some sp)
+          | Error e ->
+            Error (Printf.sprintf "segment %s: fault_plan: %s" sname e))
+        sj
+    in
+    Ok { seg with sg_fault = fault }
   in
-  let* bridge_list =
-    match Json.member "bridges" j with
-    | None -> Ok []
-    | Some l -> Json.get_list l
+  let bridge_of_json bj =
+    let* bname = Result.bind (Json.field "name" bj) Json.get_string in
+    let* from_ = Result.bind (Json.field "from" bj) Json.get_string in
+    let* to_ = Result.bind (Json.field "to" bj) Json.get_string in
+    let* station = Result.bind (Json.field "station" bj) Json.get_int in
+    let* latency = Result.bind (Json.field "latency" bj) Json.get_int in
+    let* capacity =
+      Json.field_or "capacity" ~default:default_capacity Json.get_int bj
+    in
+    Ok
+      {
+        br_name = bname;
+        br_from = from_;
+        br_to = to_;
+        br_station = station;
+        br_latency = latency;
+        br_capacity = capacity;
+      }
+  in
+  let flow_of_json fj =
+    let* fname = Result.bind (Json.field "name" fj) Json.get_string in
+    let* cls = Result.bind (Json.field "class" fj) Json.get_int in
+    let* path =
+      Result.bind (Json.field "path" fj) (Json.list_of Json.get_string)
+    in
+    let* criticality = Json.field_or "criticality" ~default:0 Json.get_int fj in
+    Ok
+      {
+        fl_name = fname;
+        fl_cls = cls;
+        fl_path = path;
+        fl_criticality = criticality;
+      }
+  in
+  let* name = Result.bind (Json.field "name" j) Json.get_string in
+  let* segments =
+    Result.bind (Json.field "segments" j) (Json.list_of segment_of_json)
   in
   let* bridges =
-    List.fold_left
-      (fun acc bj ->
-        let* acc = acc in
-        let* bname = Result.bind (Json.field "name" bj) Json.get_string in
-        let* from_ = Result.bind (Json.field "from" bj) Json.get_string in
-        let* to_ = Result.bind (Json.field "to" bj) Json.get_string in
-        let* station = Result.bind (Json.field "station" bj) Json.get_int in
-        let* latency = Result.bind (Json.field "latency" bj) Json.get_int in
-        let* capacity =
-          match Json.member "capacity" bj with
-          | None -> Ok default_capacity
-          | Some cj -> Json.get_int cj
-        in
-        Ok
-          ({
-             br_name = bname;
-             br_from = from_;
-             br_to = to_;
-             br_station = station;
-             br_latency = latency;
-             br_capacity = capacity;
-           }
-          :: acc))
-      (Ok []) bridge_list
-  in
-  let* flow_list =
-    match Json.member "flows" j with
-    | None -> Ok []
-    | Some l -> Json.get_list l
+    Json.field_or "bridges" ~default:[] (Json.list_of bridge_of_json) j
   in
   let* flows =
-    List.fold_left
-      (fun acc fj ->
-        let* acc = acc in
-        let* fname = Result.bind (Json.field "name" fj) Json.get_string in
-        let* cls = Result.bind (Json.field "class" fj) Json.get_int in
-        let* pathj = Result.bind (Json.field "path" fj) Json.get_list in
-        let* path =
-          List.fold_left
-            (fun acc p ->
-              let* acc = acc in
-              let* s = Json.get_string p in
-              Ok (s :: acc))
-            (Ok []) pathj
-        in
-        let* criticality =
-          match Json.member "criticality" fj with
-          | None -> Ok 0
-          | Some cj -> Json.get_int cj
-        in
-        Ok
-          ({
-             fl_name = fname;
-             fl_cls = cls;
-             fl_path = List.rev path;
-             fl_criticality = criticality;
-           }
-          :: acc))
-      (Ok []) flow_list
+    Json.field_or "flows" ~default:[] (Json.list_of flow_of_json) j
   in
-  create ~name ~segments:(List.rev segments) ~bridges:(List.rev bridges)
-    ~flows:(List.rev flows)
+  create ~name ~segments ~bridges ~flows
 
 let load_file path =
   match Json.parse_file path with
