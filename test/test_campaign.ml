@@ -108,6 +108,19 @@ let test_spec_roundtrip () =
           (Spec.hash spec) (Spec.hash spec'))
     Spec.builtins
 
+let test_spec_rejects_non_object_variant () =
+  (* Every key of a variant is optional, so ["x", 7] used to decode as
+     two default variants. *)
+  let j =
+    Json.parse
+      {|{"name": "v", "protocols": ["ddcr"],
+         "scenarios": [{"kind": "trading", "size": 3}],
+         "variants": ["x", 7]}|}
+  in
+  match Result.bind j Spec.of_json with
+  | Error e -> Alcotest.(check string) "error" "expected object, found string" e
+  | Ok _ -> Alcotest.fail "non-object variants decoded"
+
 let test_scenario_kinds_decode () =
   (* Specs, topology segments and the CLIs share one decoder: every
      kind a spec may name except "topo" (a federation) decodes, to the
@@ -954,5 +967,7 @@ let suite =
           test_compare_rejects_mismatched_specs;
         Alcotest.test_case "fault_rate is an iid fault plan" `Quick
           test_fault_rate_is_iid_plan;
+        Alcotest.test_case "spec rejects a non-object variant" `Quick
+          test_spec_rejects_non_object_variant;
       ] );
   ]

@@ -363,6 +363,22 @@ let test_search_config_roundtrip () =
   | Ok c -> Alcotest.(check bool) "round-trips" true (c = smoke_config)
   | Error e -> Alcotest.fail e
 
+let test_search_config_rejects_non_object_budget () =
+  (* Every key of a budget is optional, so "x" used to decode as the
+     default budget. *)
+  let j =
+    match Plain.config_to_json smoke_config with
+    | Json.Obj kvs ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "budget" then (k, Json.String "x") else (k, v))
+           kvs)
+    | _ -> Alcotest.fail "config is not an object"
+  in
+  match Plain.config_of_json j with
+  | Error e -> Alcotest.(check string) "error" "expected object, found string" e
+  | Ok _ -> Alcotest.fail "non-object budget decoded"
+
 (* -------------------- shrink -------------------- *)
 
 let four_event_finding () =
@@ -834,5 +850,7 @@ let suite =
           test_plain_check_env_bounds_work;
         Alcotest.test_case "federated check_env bounds the work" `Quick
           test_federated_check_env_bounds_work;
+        Alcotest.test_case "search config rejects a non-object budget" `Quick
+          test_search_config_rejects_non_object_budget;
       ] );
   ]

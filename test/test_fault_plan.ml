@@ -784,6 +784,17 @@ let test_clean_plan_matches_planless_run () =
     (Json.to_string (Run_json.outcome_to_json { bare with Run.faults = None }))
     (Json.to_string (Run_json.outcome_to_json { clean with Run.faults = None }))
 
+let test_json_non_object_rejected () =
+  (* Every key of a plan is optional, so a plan that is not an object
+     used to decode as the clean plan. *)
+  List.iter
+    (fun (s, found) ->
+      match Result.bind (Json.parse s) Fault_plan.spec_of_json with
+      | Error e ->
+        Alcotest.(check string) s ("expected object, found " ^ found) e
+      | Ok _ -> Alcotest.fail ("decoded " ^ s ^ " as a plan"))
+    [ ({|"garbage"|}, "string"); ("[1,2,3]", "list"); ("0.5", "float") ]
+
 let suite =
   [
     ( "fault_plan",
@@ -823,5 +834,7 @@ let suite =
           test_run_json_deterministic_under_plan;
         Alcotest.test_case "clean plan matches planless run" `Quick
           test_clean_plan_matches_planless_run;
+        Alcotest.test_case "json non-object plan rejected" `Quick
+          test_json_non_object_rejected;
       ] );
   ]

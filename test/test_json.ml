@@ -322,6 +322,64 @@ let prop_writer_bytes =
           String.equal (Json.to_string v) (Reference.to_string v)
           && String.equal file (Reference.file_bytes v)))
 
+let test_decoding_helpers () =
+  let int_r = Alcotest.(result int string) in
+  let opt_r = Alcotest.(result (option int) string) in
+  let o = Json.Obj [ ("a", Json.Int 1); ("n", Json.Null) ] in
+  Alcotest.check int_r "field_or present" (Ok 1)
+    (Json.field_or "a" ~default:7 Json.get_int o);
+  Alcotest.check int_r "field_or absent" (Ok 7)
+    (Json.field_or "b" ~default:7 Json.get_int o);
+  Alcotest.check int_r "field_or: a present null is a value"
+    (Error "expected int, found null")
+    (Json.field_or "n" ~default:7 Json.get_int o);
+  Alcotest.check opt_r "field_opt present" (Ok (Some 1))
+    (Json.field_opt "a" Json.get_int o);
+  Alcotest.check opt_r "field_opt absent" (Ok None)
+    (Json.field_opt "b" Json.get_int o);
+  Alcotest.check opt_r "field_opt: null is absent" (Ok None)
+    (Json.field_opt "n" Json.get_int o);
+  (* A non-object is not an empty object. *)
+  List.iter
+    (fun (v, found) ->
+      let e = Error ("expected object, found " ^ found) in
+      Alcotest.check int_r ("field_or on " ^ found) e
+        (Json.field_or "a" ~default:7 Json.get_int v);
+      Alcotest.check opt_r ("field_opt on " ^ found) e
+        (Json.field_opt "a" Json.get_int v))
+    [
+      (Json.String "a", "string");
+      (Json.List [], "list");
+      (Json.Int 3, "int");
+      (Json.Null, "null");
+    ];
+  (* list_of and obj_of keep order and stop at the first error. *)
+  let seen = ref [] in
+  let count_int v =
+    seen := v :: !seen;
+    Json.get_int v
+  in
+  let list_r = Alcotest.(result (list int) string) in
+  Alcotest.check list_r "list_of in order" (Ok [ 3; 1; 2 ])
+    (Json.list_of Json.get_int (Json.List [ Json.Int 3; Json.Int 1; Json.Int 2 ]));
+  Alcotest.check list_r "list_of: first error wins"
+    (Error "expected int, found string")
+    (Json.list_of count_int
+       (Json.List [ Json.Int 1; Json.String "x"; Json.Bool true ]));
+  Alcotest.(check int) "list_of stops at the error" 2 (List.length !seen);
+  Alcotest.check list_r "list_of on an object" (Error "expected list, found object")
+    (Json.list_of Json.get_int o);
+  let obj_r = Alcotest.(result (list (pair string int)) string) in
+  Alcotest.check obj_r "obj_of in key order" (Ok [ ("b", 2); ("a", 1) ])
+    (Json.obj_of (fun _ -> Json.get_int)
+       (Json.Obj [ ("b", Json.Int 2); ("a", Json.Int 1) ]));
+  Alcotest.check obj_r "obj_of passes the key" (Error "bad key a")
+    (Json.obj_of
+       (fun k v -> if k = "a" then Error ("bad key " ^ k) else Json.get_int v)
+       (Json.Obj [ ("b", Json.Int 2); ("a", Json.Int 1); ("c", Json.Null) ]));
+  Alcotest.check obj_r "obj_of on a list" (Error "expected object, found list")
+    (Json.obj_of (fun _ -> Json.get_int) (Json.List []))
+
 let suite =
   [
     ( "json",
@@ -338,5 +396,6 @@ let suite =
         QCheck_alcotest.to_alcotest ~speed_level:`Quick
           ~rand:(Random.State.make [| 26 |])
           prop_writer_bytes;
+        Alcotest.test_case "decoding helpers" `Quick test_decoding_helpers;
       ] );
   ]
