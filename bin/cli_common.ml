@@ -8,20 +8,22 @@ let scenario_doc =
 
 let tool () = Filename.remove_extension (Filename.basename Sys.executable_name)
 
+(* Ends the tool with exit 2 and one line on stderr on an [Error]. *)
+let or_exit = function
+  | Ok x -> x
+  | Error e ->
+    Printf.eprintf "%s: %s\n%!" (tool ()) e;
+    exit 2
+
 (* One source of truth for scenario naming: the scenario decoder
    campaign cells and topology segments use, so `ddcr_sim -s trading
    -n 4` and a campaign cell build byte-identical instances.  A
    scenario with no single-bus instance (unknown kind, "topo", bad
    size) ends the tool with exit 2. *)
 let instance_of ~scenario ~size ~load ~deadline_windows =
-  match
-    Rtnet_workload.Scenarios.of_kind ~kind:scenario ~size ~load
-      ~deadline_windows
-  with
-  | Ok inst -> inst
-  | Error e ->
-    Printf.eprintf "%s: %s\n%!" (tool ()) e;
-    exit 2
+  or_exit
+    (Rtnet_workload.Scenarios.of_kind ~kind:scenario ~size ~load
+       ~deadline_windows)
 
 (* The simulated horizon in bit-times.  A non-positive --horizon-ms
    leaves nothing to simulate: like an unknown scenario, it ends the
@@ -63,14 +65,7 @@ let check_out_dir ~flag ~create = function
 
 (* Ends the tool with exit 2 and one line on stderr at the first
    failed check. *)
-let require checks =
-  List.iter
-    (function
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "%s: %s\n%!" (tool ()) e;
-        exit 2)
-    checks
+let require checks = List.iter or_exit checks
 
 let scenario =
   Arg.(

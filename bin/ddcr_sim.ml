@@ -22,6 +22,7 @@ module Sink = Rtnet_telemetry.Sink
 module Recorder = Rtnet_telemetry.Recorder
 module Registry = Rtnet_telemetry.Registry
 module Headroom = Rtnet_telemetry.Headroom
+module Spec = Rtnet_campaign.Spec
 
 open Cmdliner
 
@@ -74,15 +75,28 @@ let headroom_flag =
           "Print the per-class bound-headroom table (observed worst access \
            delay vs. the analytic B_DDCR/B_impl bounds) for the DDCR run.")
 
-let run_one ~name ~inst ~params ~trace ~horizon ~seed ~sink =
-  match name with
-  | "ddcr" ->
-    Ddcr.run_trace ~sink params inst trace ~horizon
-  | "beb" -> Beb.run_trace ~seed inst trace ~horizon
-  | "dcr" -> Dcr.run_trace (Dcr.of_ddcr params) inst trace ~horizon
-  | "tdma" -> Tdma.run_trace inst trace ~horizon
-  | "oracle" -> Np_edf.run inst.Instance.phy trace ~horizon
-  | other -> failwith (Printf.sprintf "unknown protocol %S" other)
+(* The protocols to run: "all" or one single-bus protocol ("topo"
+   simulates a federation, not one bus).  Decoded before anything is
+   printed. *)
+let protocols_of = function
+  | "all" -> Ok Spec.all_protocols
+  | name -> (
+    match Spec.protocol_of_string name with
+    | Ok p when List.mem p Spec.all_protocols -> Ok [ p ]
+    | Ok _ | Error _ ->
+      Error
+        (Printf.sprintf "unknown protocol %S (one of: %s, all)" name
+           (String.concat ", "
+              (List.map Spec.protocol_label Spec.all_protocols))))
+
+let run_one protocol ~inst ~params ~trace ~horizon ~seed ~sink =
+  match protocol with
+  | Spec.Ddcr -> Ddcr.run_trace ~sink params inst trace ~horizon
+  | Beb -> Beb.run_trace ~seed inst trace ~horizon
+  | Dcr -> Dcr.run_trace (Dcr.of_ddcr params) inst trace ~horizon
+  | Tdma -> Tdma.run_trace inst trace ~horizon
+  | Oracle -> Np_edf.run inst.Instance.phy trace ~horizon
+  | Topo -> invalid_arg "ddcr_sim: topo has no single-bus run"
 
 let main scenario size load deadline_windows seed horizon_ms indices burst
     theta allocation adversary protocol per_class histogram trace_summary
@@ -94,6 +108,9 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
     if adversary then Instance.with_law inst Arrival.Greedy_burst else inst
   in
   let horizon = Cli_common.horizon_of horizon_ms in
+  let protocols = Cli_common.or_exit (protocols_of protocol) in
+  Cli_common.require
+    [ Cli_common.check_out_file ~flag:"--trace-out" trace_out ];
   let trace = Instance.trace inst ~seed ~horizon in
   let params =
     Ddcr_params.with_theta
@@ -104,13 +121,9 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
   in
   Format.printf "%a@.parameters: %a@.trace: %d messages over %d ms@.@."
     Instance.pp inst Ddcr_params.pp params (List.length trace) horizon_ms;
-  let names =
-    if protocol = "all" then [ "ddcr"; "beb"; "dcr"; "tdma"; "oracle" ]
-    else [ protocol ]
-  in
   let want_telemetry = telemetry || headroom || trace_out <> None in
   let rc = ref 0 in
-  if want_telemetry && not (List.mem "ddcr" names) then begin
+  if want_telemetry && not (List.mem Spec.Ddcr protocols) then begin
     Format.eprintf
       "ddcr_sim: --telemetry/--trace-out/--headroom record the DDCR run; \
        protocol %S never runs it@."
@@ -118,13 +131,14 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
     rc := 1
   end;
   List.iter
-    (fun name ->
+    (fun p ->
+      let is_ddcr = p = Spec.Ddcr in
       let collected =
-        if trace_summary && name = "ddcr" then Some (Ddcr_trace.collector ())
+        if trace_summary && is_ddcr then Some (Ddcr_trace.collector ())
         else None
       in
       let tele =
-        if want_telemetry && name = "ddcr" then
+        if want_telemetry && is_ddcr then
           Some
             (Recorder.create
                ~bounds:
@@ -137,9 +151,7 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
           (Option.fold ~none:Sink.null ~some:fst collected)
           (Option.fold ~none:Sink.null ~some:Recorder.sink tele)
       in
-      let o =
-        run_one ~name ~inst ~params ~trace ~horizon ~seed ~sink
-      in
+      let o = run_one p ~inst ~params ~trace ~horizon ~seed ~sink in
       Format.printf "%-14s %a@." o.Run.protocol Run.pp_metrics (Run.metrics o);
       (match collected with
       | Some (_, finish) ->
@@ -192,7 +204,7 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
           with Sys_error e ->
             Format.eprintf "ddcr_sim: cannot write trace: %s@." e;
             rc := 1)))
-    names;
+    protocols;
   !rc
 
 let cmd =
