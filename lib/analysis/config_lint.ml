@@ -382,6 +382,7 @@ let check_topo ?policy topo =
                    f.Admit.ef_hops))
           e.Admit.e_flows
       in
+      let verdicts = Bridge.check ~fault_aware:true e in
       let bridge_diags =
         List.filter_map
           (fun (v : Bridge.verdict) ->
@@ -403,29 +404,21 @@ let check_topo ?policy topo =
                          demand-bound margin %.3f > 1 — the relay cannot \
                          sustain the aggregate flow demand under NP-EDF"
                         v.Bridge.bv_classes v.Bridge.bv_margin)))
-          (Bridge.check ~fault_aware:true e)
+          verdicts
       in
       (* CFG-TOPO-FAULT heuristic: a crash window parking a segment's
          only inbound bridge for longer than a crossing flow's whole
          end-to-end slack cannot be absorbed downstream — every held
          chain of that flow will miss or be shed. *)
       let fault_diags =
-        let find_segment = Topo.segment_lookup topo in
+        let into = Topo.bridges_into topo in
         List.concat_map
-          (fun (b : Topo.bridge) ->
-            let window =
-              match find_segment b.Topo.br_to with
-              | Some { Topo.sg_fault = Some sp; _ } ->
-                Rtnet_channel.Fault_plan.max_outage sp
-                  ~source:b.Topo.br_station
-              | Some _ | None -> 0
-            in
+          (fun ((b : Topo.bridge), (v : Bridge.verdict)) ->
+            let window = v.Bridge.bv_crash_window in
             let only_inbound =
               List.for_all
-                (fun (b' : Topo.bridge) ->
-                  b'.Topo.br_to <> b.Topo.br_to
-                  || b'.Topo.br_name = b.Topo.br_name)
-                topo.Topo.tp_bridges
+                (fun (b' : Topo.bridge) -> b'.Topo.br_name = b.Topo.br_name)
+                (into b.Topo.br_to)
             in
             if window = 0 || not only_inbound then []
             else
@@ -466,7 +459,7 @@ let check_topo ?policy topo =
                                downstream"
                               window b.Topo.br_name b.Topo.br_to (max slack 0))))
                 e.Admit.e_flows)
-          topo.Topo.tp_bridges
+          (List.combine topo.Topo.tp_bridges verdicts)
       in
       (* Local (non-flow) infeasibility predates the topology: the
          segment's own workload already violates Section 4.3.  Warn

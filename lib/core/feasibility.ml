@@ -105,10 +105,11 @@ let impl p ~x ~max_wire ~v b =
   +. (2. *. x *. float_of_int (Int_math.cdiv v 2 + 1))
   +. float_of_int (max_wire + p.Ddcr_params.burst_bits)
 
-(* One class's S and B_DDCR under the analysis for [arbitrated]. *)
-let class_slots ~arbitrated p inst m_cls =
+(* One class's S on a destructive medium, and its B_DDCR under the
+   analysis for [arbitrated]. *)
+let search_slot_bound p inst m_cls =
   let s = sums_of inst m_cls in
-  search_slots ~arbitrated ~xi2:(xi2 p) ~s1:(multi_tree p) ~u:s.u
+  search_slots ~arbitrated:false ~xi2:(xi2 p) ~s1:(multi_tree p) ~u:s.u
     ~v:(static_trees p m_cls ~r:s.r)
 
 let class_bound ~arbitrated p inst m_cls =
@@ -116,8 +117,6 @@ let class_bound ~arbitrated p inst m_cls =
   bound_of_sums ~arbitrated ~x:(slot inst) ~xi2:(xi2 p) ~s1:(multi_tree p)
     ~tx:s.tx ~u:s.u ~v:(static_trees p m_cls ~r:s.r)
 
-let search_slot_bound = class_slots ~arbitrated:false
-let search_slot_bound_arbitrated = class_slots ~arbitrated:true
 let latency_bound = class_bound ~arbitrated:false
 let latency_bound_arbitrated = class_bound ~arbitrated:true
 

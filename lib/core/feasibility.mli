@@ -54,21 +54,16 @@ val latency_bound_impl :
     bursting is enabled).  Simulated latencies are validated against
     this bound. *)
 
-val search_slot_bound_arbitrated :
-  Ddcr_params.t -> Rtnet_workload.Instance.t -> Rtnet_workload.Message.cls -> float
-(** [search_slot_bound_arbitrated p inst m_cls] is the counterpart of
-    {!search_slot_bound} for a non-destructive
-    ({!Rtnet_channel.Phy.Arbitration}) medium under the re-probing
-    discipline the automaton uses there: every collision slot carries a
-    frame, so the [u(M)] interfering messages cost at most [u] slots,
-    plus the paper's [⌈v/2⌉] epoch probes.  ({!Xi_arb} analyses the
-    alternative split discipline.) *)
-
 val latency_bound_arbitrated :
   Ddcr_params.t -> Rtnet_workload.Instance.t -> Rtnet_workload.Message.cls -> float
 (** [latency_bound_arbitrated p inst m_cls] is [B_DDCR] for an
     arbitrated medium — the "reasonably straightforward" derivation
-    Section 3.2 alludes to for busses internal to ATM switches. *)
+    Section 3.2 alludes to for busses internal to ATM switches.  Under
+    the re-probing discipline the automaton uses on a non-destructive
+    ({!Rtnet_channel.Phy.Arbitration}) medium every collision slot
+    carries a frame, so the [u(M)] interfering messages cost at most
+    [u] slots, plus the paper's [⌈v/2⌉] epoch probes.  ({!Xi_arb}
+    analyses the alternative split discipline.) *)
 
 (** {1 The per-pair terms and the bound}
 
@@ -107,7 +102,7 @@ val bound_of_sums :
     [tx + x·(S₁ + ⌈v/2⌉·ξ₂)], with [S₁ = s1 ~u ~v] the static searches
     [v·ξ̃^q_{u/v}] ({!Multi_tree.bound}) and [xi2 = ξ₂^F]
     ({!Xi.eq5}); on an arbitrated one [tx + x·(u + ⌈v/2⌉)]
-    ({!search_slot_bound_arbitrated}), without [s1] or [xi2].  The
+    ({!latency_bound_arbitrated}), without [s1] or [xi2].  The
     caller supplies [S₁] so that it can memoize it by [(u, v)]. *)
 
 type class_report = {

@@ -47,16 +47,6 @@ let isolated tr =
     (fun s -> match s.outcome with Isolated l -> Some l | Empty | Split | Leaf_collision _ -> None)
     tr
 
-let pp_step fmt s =
-  let label =
-    match s.outcome with
-    | Empty -> "empty"
-    | Isolated l -> Printf.sprintf "isolated %d" l
-    | Split -> "split"
-    | Leaf_collision ls -> Printf.sprintf "leaf-collision (%d)" (List.length ls)
-  in
-  Format.fprintf fmt "[%d,%d) -> %s" s.lo (s.lo + s.width) label
-
 let run_arbitrated ~m ~t ~active =
   if m < 2 then invalid_arg "Tree_search.run_arbitrated: m < 2";
   if t < 1 || not (Int_math.is_power_of m t) then

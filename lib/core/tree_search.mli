@@ -51,9 +51,6 @@ val isolated : trace -> int list
 (** [isolated tr] is the leaves isolated (transmitted), in search
     order — always left-to-right. *)
 
-val pp_step : Format.formatter -> step -> unit
-(** [pp_step fmt s] prints one probe in a compact form. *)
-
 val run_arbitrated :
   m:int -> t:int -> active:(int * int) list -> int * int list
 (** [run_arbitrated ~m ~t ~active] searches the tree on a

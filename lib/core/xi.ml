@@ -143,19 +143,6 @@ let max_gap ~m ~t =
   in
   go 2 0.
 
-let max_gap_any_parity ~m ~t =
-  check_tree ~m ~t;
-  let xs = table ~m ~t in
-  let hi = 2 * t / m in
-  let rec go k best =
-    if k > hi then best
-    else begin
-      let gap = tilde ~m ~t (float_of_int k) -. float_of_int xs.(k) in
-      go (k + 1) (max best gap)
-    end
-  in
-  go 2 0.
-
 let gap_bound ~m =
   if m < 2 then invalid_arg "Xi.gap_bound: m < 2";
   let fm = float_of_int m in

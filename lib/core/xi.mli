@@ -77,12 +77,6 @@ val max_gap : m:int -> t:int -> float
     is derived — the quantity bounded by Eq. 13–14 (computed
     exhaustively; the bound is numerically tight in this form). *)
 
-val max_gap_any_parity : m:int -> t:int -> float
-(** [max_gap_any_parity ~m ~t] is the same maximum over all integer
-    [k ∈ [2, 2t/m]].  Odd abscissas add a bounded sawtooth (Eq. 3:
-    [ξ_{2p+1} = ξ_{2p} − 1] while [ξ̃] interpolates smoothly), so this
-    value exceeds {!max_gap} by a few slots. *)
-
 val gap_bound : m:int -> float
 (** [gap_bound ~m] is the per-[m] tightness coefficient of Eq. 13:
     [m^{1/(m−1)}/(e·ln m) − 1/(m−1)]; [max_gap ~m ~t <= gap_bound ~m · t]. *)

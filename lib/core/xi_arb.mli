@@ -31,7 +31,7 @@
     automaton does {e not} split after a carried winner: on arbitrated
     media it re-probes the same interval (CAN-style), resolving [k]
     contenders in exactly [k − 1] slots — the trivial bound
-    {!Feasibility.search_slot_bound_arbitrated} uses.  This module
+    {!Feasibility.latency_bound_arbitrated} counts.  This module
     quantifies the split alternative, i.e. what running the destructive
     search schedule unchanged over a wired-OR bus would cost. *)
 
