@@ -2,28 +2,28 @@
     maintained as a running data structure instead of recomputed per
     request.
 
-    The engine writes none of the analysis itself.  For every admitted
-    flow [M] it keeps running sums of [r(M)], [u(M)] and the
-    interference transmission time, each a sum of
-    {!Rtnet_core.Feasibility}'s per-pair terms
-    ({!Rtnet_core.Feasibility.rank_term},
-    {!Rtnet_core.Feasibility.interference_term}); admitting or
-    evicting a flow [f] adds or subtracts [f]'s terms from each
-    resident class in O(1) per class (with only the classes whose sums
-    moved marked dirty), instead of re-running the O(n²) pairwise
-    analysis.  A dirty class's [B_DDCR] is
-    {!Rtnet_core.Feasibility.bound_of_sums} of its sums.  The ξ
+    The engine writes none of the analysis itself.  The admitted flows'
+    running sums of [r(M)], [u(M)] and the interference transmission
+    time, and their [B_DDCR], are {!Rtnet_core.Feasibility.Rows}: the
+    per-pair terms, [v(M)], the bound and the three loops over the
+    residents (add a flow's terms, subtract them and swap-remove its
+    row, refresh the dirty bounds) are all in
+    {!Rtnet_core.Feasibility}, which {!Rtnet_core.Feasibility.check}
+    shares the terms and the bound with.  Admitting or evicting a flow
+    [f] adds or subtracts [f]'s terms from each resident class in O(1)
+    per class (with only the classes whose sums moved marked dirty),
+    instead of re-running the O(n²) pairwise analysis.  The ξ
     machinery is cached: the time-tree bound [ξ₂ = Xi.eq5] is a
-    per-engine constant of the parameters, and the static-tree bound
+    constant of the parameters, and the static-tree bound
     [S₁ = Multi_tree.bound] is memoized by its only inputs [(u, v)]
-    ({!S1_memo}).
+    ({!S1_memo}) and called once per dirty row.
 
-    The admitted flows sit densely in an array, each knowing its
-    index; evicting one moves the last into its place (swap-remove),
-    so a decision walks an array and rebuilds no list.  Their [B_DDCR]
-    values sit unboxed in a float array at the same indices.  Which
-    class binds never depends on that order: least headroom, ties to
-    the lower class id.
+    The engine keeps the flow table and an entry per admitted flow,
+    densely in an array at its row's index; evicting one moves the last
+    entry into its place as the rows do (swap-remove), so a decision
+    walks arrays and rebuilds no list.  Which class binds never depends
+    on that order: the engine's walk over the bounds takes the least
+    headroom, ties to the lower class id.
 
     Because the sums are exact integers and the bound is Feasibility's
     own expression, the incremental answer is bit-identical to a

@@ -65,45 +65,67 @@ val latency_bound_arbitrated :
     [u] slots, plus the paper's [⌈v/2⌉] epoch probes.  ({!Xi_arb}
     analyses the alternative split discipline.) *)
 
-(** {1 The per-pair terms and the bound}
+(** {1 The incremental analysis}
 
-    The only place the terms of [r(M)] and [u(M)] and the expression
-    of [B_DDCR] are written: {!check} and the per-class functions add
-    the terms up over an instance, the incremental admission engine
-    keeps running sums of them as flows come and go. *)
+    The per-pair terms of [r(M)] and [u(M)], [v(M)] and the expression
+    of [B_DDCR] are written once, as private inlined functions of this
+    module.  {!check} and the per-class functions add the terms up over
+    an instance in one walk per class; {!Rows} keeps running sums of
+    the same terms as classes come and go, for the incremental
+    admission engine.  The two share the terms and the bound but no
+    loop, so comparing them (the engine's self-check) compares the
+    bookkeeping with an independent computation. *)
 
-val rank_term : Rtnet_workload.Message.cls -> Rtnet_workload.Message.cls -> int
-(** [rank_term m c] is class [c]'s share of [r(M)] for [M = m]:
-    [⌈d(M)/w(c)⌉·a(c)] if [c] belongs to [M]'s source, [0] otherwise.
-    [r(M)] is [−1] plus the shares of all the classes, [M] included. *)
+module Rows : sig
+  type t
+  (** A mutable set of classes, one row each, holding the class's
+      deadline, window, burst, source, [l'(M)] and [ν] of its source,
+      its running sums [r(M)], [u(M)] and their transmission time, a
+      dirty flag and its cached [B_DDCR] unboxed.  The rows are dense
+      in [\[0, length)], in no particular order. *)
 
-val interference_term :
-  wire:int -> Rtnet_workload.Message.cls -> Rtnet_workload.Message.cls -> int
-(** [interference_term ~wire m c] is class [c]'s share of [u(M)] for
-    [M = m], where [wire] is [l'(M)]:
-    [max(0, ⌈(d(M)+d(c)−l'(M)/ψ)/w(c)⌉)·a(c)].  [u(M)] is the sum of
-    the shares of all the classes, [M] included, and the transmission
-    time of the [u(M)] messages is the sum of each share times
-    [l'(c)]. *)
+  val create : Ddcr_params.t -> Rtnet_channel.Phy.t -> t
+  (** [create p phy] has no row.  The medium's semantics choose the
+      bound ({!latency_bound} or {!latency_bound_arbitrated}); [p]
+      must be valid for every source a class will name. *)
 
-val static_trees :
-  Ddcr_params.t -> Rtnet_workload.Message.cls -> r:int -> int
-(** [static_trees p m ~r] is [v(M) = 1 + ⌊r(M)/ν_i⌋] for
-    [r = r(M)], with [ν_i] the number of static indices of [m]'s
-    source ({!Ddcr_params.nu}). *)
+  val length : t -> int
 
-val bound_of_sums :
-  arbitrated:bool -> x:float -> xi2:int -> s1:(u:int -> v:int -> float) ->
-  tx:int -> u:int -> v:int -> float
-(** [bound_of_sums ~arbitrated ~x ~xi2 ~s1 ~tx ~u ~v] is
-    [B_DDCR(s_i, M)] in bit-times from [M]'s sums [u = u(M)],
-    [v = v(M)] and [tx], the transmission time of the [u(M)]
-    messages; [x] is the slot time.  On a destructive medium it is
-    [tx + x·(S₁ + ⌈v/2⌉·ξ₂)], with [S₁ = s1 ~u ~v] the static searches
-    [v·ξ̃^q_{u/v}] ({!Multi_tree.bound}) and [xi2 = ξ₂^F]
-    ({!Xi.eq5}); on an arbitrated one [tx + x·(u + ⌈v/2⌉)]
-    ({!latency_bound_arbitrated}), without [s1] or [xi2].  The
-    caller supplies [S₁] so that it can memoize it by [(u, v)]. *)
+  val attach : t -> Rtnet_workload.Message.cls -> int
+  (** [attach t c] adds [c] as row [length t] and returns that index:
+      [c]'s terms go into every row, every row's terms and [c]'s own
+      into the new one.  The new row and every row whose sums moved
+      are dirty.  [c] must pass {!Rtnet_workload.Message.cls_validate}
+      with a source of the parameters. *)
+
+  val detach : t -> int -> unit
+  (** [detach t i] removes row [i]: the last row (its sums, dirty flag
+      and bound) moves to index [i], then [i]'s terms leave every
+      remaining row, dirtying those whose sums moved.  The caller
+      moves whatever it keeps per row the same way. *)
+
+  val refresh : t -> s1:(u:int -> v:int -> float) -> unit
+  (** [refresh t ~s1] recomputes the bound of every dirty row from its
+      sums, calling [s1 ~u ~v] (the static searches [S₁ =
+      Multi_tree.bound], which the caller may memoize by [(u, v)])
+      once per dirty row on a destructive medium and never on an
+      arbitrated one.  Each bound is bit-identical to the one {!check}
+      reports for the same class set. *)
+
+  val bounds : t -> Float.Array.t
+  (** [B_DDCR] of row [i] at index [i], as of the last {!refresh}.
+      The array is the rows' own: read it, do not write it, and fetch
+      it again after an {!attach} (which may reallocate it). *)
+
+  val r : t -> int -> int
+  (** [r t i] is row [i]'s [r(M)]. *)
+
+  val u : t -> int -> int
+  (** [u t i] is row [i]'s [u(M)]. *)
+
+  val v : t -> int -> int
+  (** [v t i] is row [i]'s [v(M) = 1 + ⌊r(M)/ν⌋]. *)
+end
 
 type class_report = {
   cr_cls : Rtnet_workload.Message.cls;  (** the class [M] *)
