@@ -15,6 +15,16 @@ type t = {
   burst_bits : int;
 }
 
+(* The indices seen so far, hashed by value: every index reaching the
+   table lies in [0, q), so the identity spreads them over the buckets
+   without a call to the polymorphic hash. *)
+module Index_set = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash v = v
+end)
+
 let validate p ~num_sources =
   let power_of m v = m >= 2 && v >= m && Int_math.is_power_of m v in
   if not (power_of p.time_m p.time_leaves) then
@@ -28,7 +38,11 @@ let validate p ~num_sources =
   else if Array.length p.static_indices <> num_sources then
     Error "static_indices must have one entry per source"
   else begin
-    let seen = Hashtbl.create 16 in
+    (* Sized for every index up front, so it never grows. *)
+    let seen =
+      Index_set.create
+        (Array.fold_left (fun n idx -> n + Array.length idx) 0 p.static_indices)
+    in
     let check_source i idx =
       if Array.length idx = 0 then
         Some (Printf.sprintf "source %d has no static index" i)
@@ -40,9 +54,9 @@ let validate p ~num_sources =
               bad := Some (Printf.sprintf "source %d: index %d out of range" i v)
             else if j > 0 && idx.(j - 1) >= v then
               bad := Some (Printf.sprintf "source %d: indices not ascending" i)
-            else if Hashtbl.mem seen v then
+            else if Index_set.mem seen v then
               bad := Some (Printf.sprintf "static index %d allocated twice" v)
-            else Hashtbl.add seen v ())
+            else Index_set.add seen v ())
           idx;
         !bad
       end

@@ -137,6 +137,90 @@ let test_with_theta () =
   Alcotest.check_raises "negative" (Invalid_argument "Ddcr_params.with_theta: negative")
     (fun () -> ignore (Ddcr_params.with_theta base (-1)))
 
+(* [Ddcr_params.validate] before its index set was presized and keyed
+   by value: kept as the reference its checks, messages and first
+   error must match.  Within one source the last failing index names
+   the error; the first source with one stops the walk. *)
+let validate_reference p ~num_sources =
+  let power_of m v = m >= 2 && v >= m && Rtnet_util.Int_math.is_power_of m v in
+  if not (power_of p.Ddcr_params.time_m p.Ddcr_params.time_leaves) then
+    Error "time_leaves must be a power (>= m) of time_m"
+  else if not (power_of p.Ddcr_params.static_m p.Ddcr_params.static_leaves)
+  then Error "static_leaves must be a power (>= m) of static_m"
+  else if p.Ddcr_params.class_width <= 0 then Error "class_width must be positive"
+  else if p.Ddcr_params.alpha < 0 then Error "alpha must be non-negative"
+  else if p.Ddcr_params.theta < 0 then Error "theta must be non-negative"
+  else if p.Ddcr_params.burst_bits < 0 then Error "burst_bits must be non-negative"
+  else if Array.length p.Ddcr_params.static_indices <> num_sources then
+    Error "static_indices must have one entry per source"
+  else begin
+    let seen = Hashtbl.create 16 in
+    let check_source i idx =
+      if Array.length idx = 0 then
+        Some (Printf.sprintf "source %d has no static index" i)
+      else begin
+        let bad = ref None in
+        Array.iteri
+          (fun j v ->
+            if v < 0 || v >= p.Ddcr_params.static_leaves then
+              bad := Some (Printf.sprintf "source %d: index %d out of range" i v)
+            else if j > 0 && idx.(j - 1) >= v then
+              bad := Some (Printf.sprintf "source %d: indices not ascending" i)
+            else if Hashtbl.mem seen v then
+              bad := Some (Printf.sprintf "static index %d allocated twice" v)
+            else Hashtbl.add seen v ())
+          idx;
+        !bad
+      end
+    in
+    let rec go i =
+      if i >= num_sources then Ok ()
+      else
+        match check_source i p.Ddcr_params.static_indices.(i) with
+        | Some e -> Error e
+        | None -> go (i + 1)
+    in
+    go 0
+  end
+
+(* Parameters that mostly reach the index checks: valid tree shapes
+   with q from 2 to 64 (sometimes a broken shape or a negative field),
+   one index row per source or one too many or too few, rows of 0–6
+   indices drawn around [0, q) and either sorted or as drawn. *)
+let gen_params =
+  QCheck.Gen.(
+    let* q = oneofl [ 2; 4; 8; 16; 64; 6 ] in
+    let* z = int_range 0 5 in
+    let* rows = oneofl [ z; z; z; z + 1; max 0 (z - 1) ] in
+    let* static_indices =
+      array_repeat rows
+        (let* len = int_range 0 6 in
+         let* row = array_repeat len (int_range (-1) q) in
+         let* sorted = bool in
+         if sorted then return (Array.of_list (List.sort compare (Array.to_list row)))
+         else return row)
+    in
+    let* class_width = oneofl [ 1000; 1000; 1000; 0 ] in
+    let* theta = oneofl [ 0; 0; 0; -1 ] in
+    return
+      ( z,
+        {
+          base with
+          Ddcr_params.static_leaves = q;
+          static_indices;
+          class_width;
+          theta;
+        } ))
+
+let prop_validate_reference =
+  QCheck.Test.make ~name:"validate = the reference validate" ~count:2000
+    (QCheck.make
+       ~print:(fun (z, p) ->
+         Printf.sprintf "z=%d %s" z (Rtnet_util.Json.to_string (Ddcr_params.to_json p)))
+       gen_params)
+    (fun (num_sources, p) ->
+      Ddcr_params.validate p ~num_sources = validate_reference p ~num_sources)
+
 let suite =
   [
     ( "ddcr_params",
@@ -152,5 +236,8 @@ let suite =
         Alcotest.test_case "allocations" `Quick test_allocations_valid_and_shaped;
         Alcotest.test_case "branching" `Quick test_branching_parameter;
         Alcotest.test_case "with_theta" `Quick test_with_theta;
+        QCheck_alcotest.to_alcotest ~speed_level:`Quick
+          ~rand:(Random.State.make [| 29 |])
+          prop_validate_reference;
       ] );
   ]
