@@ -109,8 +109,18 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
   in
   let horizon = Cli_common.horizon_of horizon_ms in
   let protocols = Cli_common.or_exit (protocols_of protocol) in
+  let want_telemetry = telemetry || headroom || trace_out <> None in
   Cli_common.require
-    [ Cli_common.check_out_file ~flag:"--trace-out" trace_out ];
+    [
+      Cli_common.check_out_file ~flag:"--trace-out" trace_out;
+      (if want_telemetry && not (List.mem Spec.Ddcr protocols) then
+         Error
+           (Printf.sprintf
+              "--telemetry/--trace-out/--headroom record the DDCR run; \
+               protocol %S never runs it"
+              protocol)
+       else Ok ());
+    ];
   let trace = Instance.trace inst ~seed ~horizon in
   let params =
     Ddcr_params.with_theta
@@ -121,15 +131,7 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
   in
   Format.printf "%a@.parameters: %a@.trace: %d messages over %d ms@.@."
     Instance.pp inst Ddcr_params.pp params (List.length trace) horizon_ms;
-  let want_telemetry = telemetry || headroom || trace_out <> None in
   let rc = ref 0 in
-  if want_telemetry && not (List.mem Spec.Ddcr protocols) then begin
-    Format.eprintf
-      "ddcr_sim: --telemetry/--trace-out/--headroom record the DDCR run; \
-       protocol %S never runs it@."
-      protocol;
-    rc := 1
-  end;
   List.iter
     (fun p ->
       let is_ddcr = p = Spec.Ddcr in

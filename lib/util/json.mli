@@ -62,7 +62,9 @@ val to_file : string -> t -> unit
 
 val parse : string -> (t, string) result
 (** [parse s] parses one JSON value (surrounding whitespace allowed);
-    trailing garbage is an error. *)
+    trailing garbage is an error, and so is a number too large for a
+    finite float ([1e999], or an integer of over 308 digits), which
+    {!to_string} could not write back. *)
 
 val parse_file : string -> (t, string) result
 (** [parse_file path] is {!parse} on the file's contents; I/O failures

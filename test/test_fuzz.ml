@@ -45,7 +45,10 @@ let numbers s =
   go 0 false []
 
 let edge_values =
-  [ "0"; "-1"; "1e308"; "4611686018427387904"; "-4611686018427387904" ]
+  [
+    "0"; "-1"; "1e308"; "1e999"; "4611686018427387904";
+    "-4611686018427387904";
+  ]
 
 (* [(label, text)]: the original, [flips] single-byte replacements
    (half arbitrary bytes, half JSON punctuation and digits), [cuts]
