@@ -72,6 +72,61 @@ let flow ?(id = "f0") ?(source = 0) ?(bits = 4000) ?(deadline = 800_000)
 let churn ?(seed = 3) ?(index = 0) ?(sources = 2) ?(pool = 8) n =
   Generator.sample_churn ~seed ~index ~sources ~pool ~requests:n
 
+(* The churn sampler saturates at ~20 flows.  This stream holds ~100:
+   light flows (one frame per 24 ms window, deadlines 3–6 ms) over 64
+   sources, drawn from 1 000 ids, with adds dominating below 100
+   resident flows and removes at or above.  A few requests are
+   duplicate adds and removes of unknown ids.  Nearly every add fits,
+   so the resident count tracks the generator's. *)
+let resident_sources = 64
+
+let resident_churn ?(seed = 1) n =
+  let module Prng = Rtnet_util.Prng in
+  let pool = 1000 and target = 100 and window = 24_000_000 in
+  let rng = Prng.create seed in
+  let members = Array.make pool 0 and resident = Array.make pool false in
+  let count = ref 0 in
+  let flow id =
+    let fl_source = Prng.int rng resident_sources in
+    let fl_bits = 800 + Prng.int rng 1600 in
+    let fl_deadline = 3_000_000 + Prng.int rng 3_000_000 in
+    {
+      Request.fl_id = Printf.sprintf "f%d" id;
+      fl_source;
+      fl_bits;
+      fl_deadline;
+      fl_burst = 1;
+      fl_window = window;
+      fl_offset = Prng.int rng window;
+    }
+  in
+  let rec fresh () =
+    let id = Prng.int rng pool in
+    if resident.(id) then fresh () else id
+  in
+  let member () = members.(Prng.int rng !count) in
+  List.init n (fun _ ->
+      let r = Prng.int rng 100 in
+      let adds = if !count < target then 79 else 14 in
+      if r < 2 && !count > 0 then Request.Add (flow (member ()))
+      else if r < 4 then Request.Remove (Printf.sprintf "f%d" (fresh ()))
+      else if r < adds || !count = 0 then begin
+        let id = fresh () in
+        resident.(id) <- true;
+        members.(!count) <- id;
+        incr count;
+        Request.Add (flow id)
+      end
+      else if r < 90 then begin
+        let i = Prng.int rng !count in
+        let id = members.(i) in
+        resident.(id) <- false;
+        decr count;
+        members.(i) <- members.(!count);
+        Request.Remove (Printf.sprintf "f%d" id)
+      end
+      else Request.Modify (flow (member ())))
+
 let code d = Engine.decision_code d
 
 (* -------------------- engine semantics -------------------- *)
@@ -135,9 +190,9 @@ let test_engine_never_raises () =
    self-check (a third, Feasibility-based path) agrees too.  Run per
    medium: destructive media take the ξ branch of the bound, arbitrated
    ones the re-probe branch. *)
-let test_differential_churn phy () =
-  let inc = fresh_engine ~phy () in
-  let full = fresh_engine ~phy () in
+let test_differential_churn ?(sources = 2) ?(reqs = churn 400) phy () =
+  let inc = fresh_engine ~phy ~sources () in
+  let full = fresh_engine ~phy ~sources () in
   List.iteri
     (fun i req ->
       let a = Engine.decide inc req in
@@ -147,8 +202,21 @@ let test_differential_churn phy () =
           (Json.to_string (Engine.decision_to_json a))
           (Json.to_string (Engine.decision_to_json b));
       if i mod 17 = 0 then ignore (ok_exn (Engine.selfcheck inc)))
-    (churn 400);
+    reqs;
   ignore (ok_exn (Engine.selfcheck inc))
+
+(* The same at ~100 resident flows, the size the churn benchmark runs
+   at: every decision against Feasibility.check, and the stream must
+   really reach that size. *)
+let test_differential_resident () =
+  let reqs = resident_churn 1_500 in
+  test_differential_churn ~sources:resident_sources ~reqs phy ();
+  let eng = fresh_engine ~sources:resident_sources () in
+  List.iter (fun req -> ignore (Engine.decide eng req)) reqs;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d resident flows >= 90" (Engine.size eng))
+    true
+    (Engine.size eng >= 90)
 
 let test_differential_broken_params () =
   (* The broken (horizon-starved) parameters are still internally
@@ -227,21 +295,31 @@ let prop_s1_memo =
       && Engine.S1_memo.hits memo + Engine.S1_memo.misses memo = !lookups
       && Engine.S1_memo.misses memo = Hashtbl.length seen)
 
-(* What one decision allocates on the 20k churn of the stress test:
-   the residents live in an array (no list rebuilt per eviction), the
-   bounds unboxed, and an S₁ lookup builds no key, so what is left is
-   each refreshed bound's return box and the decision itself.  The
-   list-held engine with a tuple-keyed memo allocated 58.1 words per
-   decision here; this one 27.3. *)
-let test_engine_allocation_pinned () =
-  let reqs = churn 20_000 ~pool:16 in
-  let eng = fresh_engine () in
+(* What one decision allocates: the residents live in an array (no
+   list rebuilt per eviction), the bounds are refreshed unboxed in
+   Feasibility's rows, and an S₁ lookup builds no key, so what is left
+   is the decision itself and an admitted flow's entry.  On the 20k
+   churn of the stress test the list-held engine with a tuple-keyed
+   memo allocated 58.1 words per decision, the array-held one 27.3
+   (each refreshed bound came back boxed).  At ~100 resident flows that
+   box cost 215.5 words per decision. *)
+let words_per_decision ?(sources = 2) reqs =
+  let eng = fresh_engine ~sources () in
   let before = Gc.minor_words () in
   List.iter (fun req -> ignore (Engine.decide eng req)) reqs;
-  let words = (Gc.minor_words () -. before) /. 20_000. in
+  (Gc.minor_words () -. before) /. float_of_int (List.length reqs)
+
+let test_engine_allocation_pinned () =
+  let words = words_per_decision (churn 20_000 ~pool:16) in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f <= 36 minor words per decision" words)
-    true (words <= 36.)
+    true (words <= 36.);
+  let words =
+    words_per_decision ~sources:resident_sources (resident_churn 20_000)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f <= 40 minor words per decision at ~100 flows" words)
+    true (words <= 40.)
 
 (* -------------------- snapshots -------------------- *)
 
@@ -786,6 +864,8 @@ let suite =
         Alcotest.test_case "incremental == from-scratch on atm-bus churn"
           `Quick
           (test_differential_churn (ok_exn (Request.phy_of_name "atm-bus")));
+        Alcotest.test_case "incremental == from-scratch at ~100 flows" `Quick
+          test_differential_resident;
         Alcotest.test_case "restore rejects a repeated cls_id" `Quick
           test_restore_rejects_repeated_cls_id;
         Alcotest.test_case "decision stream pinned on gigabit-ethernet" `Quick
