@@ -2,7 +2,7 @@
 
    `run` drains a churn trace (flow add/remove/modify requests) through
    the incremental Section 4.3 feasibility engine, journaling every
-   decision to a length-prefixed write-ahead log with periodic engine
+   decision to a line-per-record write-ahead log with periodic engine
    snapshots.  After a kill -9 mid-churn, `--resume` replays the intact
    journal prefix (snapshot-accelerated) and continues: the completed
    decision log is byte-identical to an uninterrupted run.  `gen`
@@ -246,8 +246,11 @@ let run_main trace_file out journal_path resume chunk capacity high low
             match journal_path with
             | None -> Ok None
             | Some jp ->
+              (* A journal without an intact header (missing, or torn
+                 in its first write) starts over. *)
               Result.map Option.some
-                (if resume then Journal.open_append ~path:jp ~valid_bytes
+                (if resume && valid_bytes > 0 then
+                   Journal.open_append ~path:jp ~valid_bytes
                  else Journal.create ~path:jp ~trace_hash:hash)
           in
           match writer with

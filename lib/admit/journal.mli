@@ -1,16 +1,9 @@
-(** Crash-safe decision journal: a length-prefixed write-ahead log of
-    (request, decision) pairs plus periodic engine snapshots.
+(** Crash-safe decision journal: a {!Rtnet_util.Wal} log of
+    (request, decision) records plus periodic engine snapshots.
 
-    Wire format: each record is a 4-byte big-endian payload length
-    followed by canonical JSON bytes.  The first record is a header
-    carrying the schema version and the {!Request.trace_hash} of the
-    churn trace, so a journal can never be replayed against a
-    different trace.  Records are flushed one by one; a [kill -9]
-    therefore leaves at most one torn record at the tail, which
-    {!load} drops (torn-tail tolerance — the Campaign.Checkpoint
-    contract transposed to length prefixes).  Interior corruption — a
-    fully-present record that does not parse, or a sequence gap — is
-    an error, never silently skipped.
+    The header binds the journal to the {!Request.trace_hash} of its
+    churn trace; every later line is the decision-log line
+    {!record_line} of one record, and the records' [seq] must be dense.
 
     Snapshots live next to the journal at [path ^ ".snap"], written
     atomically (tmp + rename); a stale or torn snapshot is ignored and
@@ -26,9 +19,8 @@ val record_to_json : record -> Rtnet_util.Json.t
 val record_of_json : Rtnet_util.Json.t -> (record, string) result
 
 val record_line : record -> string
-(** Canonical single-line rendering — also the decision-log line
-    format, so the journal and the human-readable log are
-    byte-relatable. *)
+(** Canonical single-line rendering: the decision-log line, and the
+    journal's line for the record. *)
 
 type loaded = {
   lo_records : record list;
@@ -37,10 +29,9 @@ type loaded = {
 }
 
 val load : path:string -> trace_hash:string -> (loaded, string) result
-(** [load ~path ~trace_hash] reads the intact record prefix.  A
-    missing file is an empty journal; a torn tail sets [lo_torn]; a
-    header recorded under a different trace, an unparseable interior
-    record or a non-dense sequence is an [Error]. *)
+(** [load ~path ~trace_hash] reads the intact record prefix
+    ({!Rtnet_util.Wal.load}); a header recorded under a different
+    trace or a non-dense sequence is an [Error] too. *)
 
 type writer
 
@@ -48,19 +39,16 @@ val create : path:string -> trace_hash:string -> (writer, string) result
 (** [create] truncates [path] and writes the header. *)
 
 val open_append : path:string -> valid_bytes:int -> (writer, string) result
-(** [open_append ~path ~valid_bytes] truncates any torn tail past
-    [valid_bytes] (as reported by {!load}) and appends from there. *)
+(** [open_append ~path ~valid_bytes] cuts the torn tail past
+    [valid_bytes] (as reported by {!load}) and appends from there;
+    [valid_bytes] 0 (no intact header) is an [Error]. *)
 
 val append : writer -> record -> unit
-(** [append w r] writes [r]'s frame — the 4-byte length, then the
-    canonical JSON — and flushes the channel: exactly one [flush] per
-    record, so a record that {!append} returned from survives a
-    [kill -9] of the process.  The header {!create} writes and
-    {!append_torn} go through the same framing function. *)
+(** [append w r] writes [r]'s line and flushes
+    ({!Rtnet_util.Wal.append}). *)
 
 val append_torn : writer -> record -> unit
-(** Test hook: writes only the first half of the framed record —
-    exactly the tail a [kill -9] mid-write leaves behind. *)
+(** Test hook: writes only the first half of [r]'s line. *)
 
 val close : writer -> unit
 

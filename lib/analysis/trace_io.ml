@@ -168,8 +168,4 @@ let parse text =
   in
   go 1 [] [] lines
 
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
+let parse_file path = Result.bind (Rtnet_util.Io.read_file path) parse

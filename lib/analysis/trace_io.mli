@@ -38,4 +38,5 @@ val parse :
 
 val parse_file :
   string -> (Rtnet_core.Ddcr_trace.event list * (int * int) list, string) result
-(** [parse_file path] is {!parse} on the contents of [path]. *)
+(** [parse_file path] is {!parse} on the contents of [path]; a file
+    that cannot be read is an [Error] too. *)

@@ -1,4 +1,5 @@
 module Json = Rtnet_util.Json
+module Wal = Rtnet_util.Wal
 
 let ( let* ) = Result.bind
 
@@ -28,18 +29,6 @@ let check_header spec j =
          name h spec.Spec.name (Spec.hash spec))
   else Ok ()
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
 type entry = Completed of int * Json.t | Failed_marker of int
 
 let entry_of_json j =
@@ -51,97 +40,58 @@ let entry_of_json j =
     | Some _ -> Ok (Failed_marker index)
     | None -> Error "entry has neither \"result\" nor \"failed\"")
 
+let load_log ~path ~spec =
+  Wal.load ~path ~header:(check_header spec) ~record:entry_of_json
+
 let load ?(on_warning = fun (_ : string) -> ()) ~path ~spec () =
-  if not (Sys.file_exists path) then Ok []
-  else
-    match read_lines path with
-    | [] -> Ok []
-    | [ header ] when Result.is_error (Json.parse header) ->
-      (* The kill landed while the header itself was being written:
-         nothing was checkpointed yet, so resume from scratch rather
-         than refusing — but say so. *)
-      on_warning
-        (Printf.sprintf
+  let* log = load_log ~path ~spec in
+  if log.Wal.torn then
+    on_warning
+      (if log.Wal.valid_bytes = 0 then
+         (* Nothing was checkpointed yet: resume from scratch rather
+            than refusing, but say so. *)
+         Printf.sprintf
            "%s: header line is torn (kill landed mid-write); treating the \
             journal as empty and restarting the campaign"
-           path);
-      Ok []
-    | header :: entries -> (
-      match Json.parse header with
-      | Error e -> Error (Printf.sprintf "%s: corrupt header: %s" path e)
-      | Ok hj ->
-        let* () =
-          Result.map_error (fun e -> Printf.sprintf "%s: %s" path e)
-            (check_header spec hj)
-        in
-        let total = List.length entries in
-        (* Replay the journal in order: a completed line records a
-           cell's result, a failed marker (worker died before
-           delivering it) voids any earlier record so resume re-runs
-           the cell; a retry's later completed line re-records it. *)
-        let rec go i acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest -> (
-            match Result.bind (Json.parse line) entry_of_json with
-            | Ok (Completed (index, result)) ->
-              let acc =
-                (index, result)
-                :: List.filter (fun (i', _) -> i' <> index) acc
-              in
-              go (i + 1) acc rest
-            | Ok (Failed_marker index) ->
-              go (i + 1) (List.filter (fun (i', _) -> i' <> index) acc) rest
-            | Error e ->
-              if i = total - 1 then begin
-                (* Torn final line: the kill landed mid-append.  The
-                   cell it recorded simply re-runs; everything before
-                   it is intact. *)
-                on_warning
-                  (Printf.sprintf
-                     "%s: final journal line %d is torn (%s); dropping it — \
-                      the cell it recorded will re-run"
-                     path (i + 2) e);
-                Ok (List.rev acc)
-              end
-              else
-                Error
-                  (Printf.sprintf "%s: corrupt entry on line %d: %s" path
-                     (i + 2) e))
-        in
-        go 0 [] entries)
+           path
+       else
+         Printf.sprintf
+           "%s: final journal line %d is torn; dropping it — the cell it \
+            recorded will re-run"
+           path
+           (List.length log.Wal.records + 2));
+  (* Replay the journal in order: a completed line records a cell's
+     result, a failed marker (worker died before delivering it) voids
+     any earlier record so resume re-runs the cell; a retry's later
+     completed line re-records it. *)
+  let drop index = List.filter (fun (i, _) -> i <> index) in
+  Ok
+    (List.rev
+       (List.fold_left
+          (fun acc -> function
+            | Completed (index, result) -> (index, result) :: drop index acc
+            | Failed_marker index -> drop index acc)
+          [] log.Wal.records))
+
+type writer = Wal.writer
 
 let open_for_append ~path ~spec =
-  let fresh = (not (Sys.file_exists path)) || (Unix.stat path).Unix.st_size = 0 in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  if fresh then begin
-    output_string oc (Json.to_string (header_json spec));
-    output_char oc '\n';
-    flush oc
-  end;
-  oc
+  let opened =
+    let* { Wal.valid_bytes; _ } = load_log ~path ~spec in
+    if valid_bytes > 0 then Wal.open_append ~path ~valid_bytes
+    else Wal.create ~path ~header:(header_json spec)
+  in
+  match opened with Ok w -> w | Error e -> raise (Sys_error e)
 
-let append oc ~index ~key result =
-  output_string oc
-    (Json.to_string
-       (Json.Obj
-          [
-            ("cell", Json.Int index);
-            ("key", Json.String key);
-            ("result", result);
-          ]));
-  output_char oc '\n';
-  flush oc
+let append_entry w ~index ~key outcome =
+  Wal.append w
+    (Json.Obj [ ("cell", Json.Int index); ("key", Json.String key); outcome ])
 
-let append_failed oc ~index ~key ~reason =
-  output_string oc
-    (Json.to_string
-       (Json.Obj
-          [
-            ("cell", Json.Int index);
-            ("key", Json.String key);
-            ("failed", Json.String reason);
-          ]));
-  output_char oc '\n';
-  flush oc
+let append w ~index ~key result = append_entry w ~index ~key ("result", result)
+
+let append_failed w ~index ~key ~reason =
+  append_entry w ~index ~key ("failed", Json.String reason)
+
+let close = Wal.close
 
 let remove ~path = if Sys.file_exists path then Sys.remove path

@@ -1,26 +1,19 @@
-(** Append-only checkpoint journal for interrupted campaigns.
+(** Append-only checkpoint journal for interrupted campaigns: a
+    {!Rtnet_util.Wal} log the coordinator appends one line to per
+    finished cell, so a campaign killed at any point resumes without
+    recomputing finished cells.
 
-    The coordinator appends one line per completed cell as results
-    arrive (and flushes), so a campaign killed at any point can be
-    re-invoked and resume from the journal without recomputing
-    finished cells.  The file is line-oriented JSON:
-
-    - line 1 (header): [{"campaign": name, "spec_hash": h,
-      "schema_version": 1}]
-    - completed cell: [{"cell": index, "key": k, "result": {...}}]
+    - header: [{"campaign": name, "spec_hash": h, "schema_version": 1}],
+      so a journal never resumes under a different spec, where cell
+      indices would mean different configurations;
+    - completed cell: [{"cell": index, "key": k, "result": {...}}];
     - failed cell (worker died before delivering it):
-      [{"cell": index, "key": k, "failed": reason}]
+      [{"cell": index, "key": k, "failed": reason}].
 
     {!load} replays the journal in order: a failed marker voids any
     earlier result for that cell (so a resumed run re-executes it),
     and a later result line — the in-run retry succeeding — records it
-    again.
-
-    A partially written final line (the kill landed mid-write) is
-    tolerated and dropped on load; corruption anywhere else is an
-    error.  The header's spec hash guards against resuming a journal
-    under a different spec — cell indices would silently mean
-    different configurations. *)
+    again. *)
 
 val journal_path : out:string -> string
 (** [journal_path ~out] is the default journal location for a report
@@ -34,32 +27,34 @@ val load :
   ((int * Rtnet_util.Json.t) list, string) result
 (** [load ~path ~spec] returns the completed [(cell index, result)]
     pairs recorded so far after replaying failed markers, oldest first
-    ([\[\]] if the file does not exist), or [Error] on a
-    header/spec-hash mismatch or a corrupt interior line.
+    ([\[\]] if the file does not exist), or [Error] on an unreadable
+    file, a header/spec-hash mismatch or a corrupt line.
 
-    Mid-write truncation is recoverable, not fatal: a torn {e final}
-    entry line is dropped (that cell re-runs) and a torn header —
-    nothing was checkpointed yet — yields an empty journal.  Both are
-    reported through [on_warning] (default: silent). *)
+    A torn final entry is dropped (that cell re-runs) and a torn
+    header — nothing was checkpointed yet — yields an empty journal.
+    Both are reported through [on_warning] (default: silent). *)
 
-val open_for_append : path:string -> spec:Spec.t -> out_channel
-(** [open_for_append ~path ~spec] opens the journal for appending,
-    writing the header first if the file is new or empty.  Call
-    {!load} first when resuming — this function does not validate an
-    existing header. *)
+type writer
 
-val append :
-  out_channel -> index:int -> key:string -> Rtnet_util.Json.t -> unit
-(** [append oc ~index ~key result] writes one completed-cell line and
+val open_for_append : path:string -> spec:Spec.t -> writer
+(** [open_for_append ~path ~spec] opens the journal for appending: a
+    journal that {!load}s is cut after its intact prefix, a missing or
+    header-torn one starts over with the header.
+    @raise Sys_error if the file cannot be opened or does not load. *)
+
+val append : writer -> index:int -> key:string -> Rtnet_util.Json.t -> unit
+(** [append w ~index ~key result] writes one completed-cell line and
     flushes, so the line survives a subsequent kill. *)
 
-val append_failed :
-  out_channel -> index:int -> key:string -> reason:string -> unit
-(** [append_failed oc ~index ~key ~reason] writes a failed-cell marker
+val append_failed : writer -> index:int -> key:string -> reason:string -> unit
+(** [append_failed w ~index ~key ~reason] writes a failed-cell marker
     (and flushes): the cell's previous results, if any, are void and a
     resumed run must re-execute it unless a later {!append} for the
     same cell — the retry succeeding — supersedes the marker. *)
 
+val close : writer -> unit
+
 val remove : path:string -> unit
 (** [remove ~path] deletes the journal (after the final report has
-    been written); missing files are ignored. *)
+    been written); missing files are ignored.
+    @raise Sys_error if [path] cannot be removed (a directory, say). *)

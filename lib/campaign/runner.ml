@@ -60,21 +60,19 @@ let journal_path options =
 
 let load_journal options spec =
   let path = journal_path options in
-  if not options.resume then begin
+  if not options.resume then
     (* A fresh run must not silently absorb a stale journal. *)
-    Checkpoint.remove ~path;
-    Ok []
-  end
+    match Checkpoint.remove ~path with
+    | () -> Ok []
+    | exception Sys_error e -> Error e
   else
     let* entries =
       (* Truncation warnings (torn tail line, torn header) go to
          stderr: the resume proceeds, but the operator should know a
          kill landed mid-write. *)
-      Result.map_error
-        (fun e -> e)
-        (Checkpoint.load
-           ~on_warning:(fun w -> Printf.eprintf "ddcr_campaign: warning: %s\n%!" w)
-           ~path ~spec ())
+      Checkpoint.load
+        ~on_warning:(fun w -> Printf.eprintf "ddcr_campaign: warning: %s\n%!" w)
+        ~path ~spec ()
     in
     List.fold_left
       (fun acc (index, rj) ->
@@ -121,7 +119,11 @@ let run_with cell options spec =
     if Array.length pending = 0 then Ok ()
     else begin
       let path = journal_path options in
-      let oc = Checkpoint.open_for_append ~path ~spec in
+      let* journal =
+        match Checkpoint.open_for_append ~path ~spec with
+        | journal -> Ok journal
+        | exception Sys_error e -> Error (Checkpoint_error e)
+      in
       let failures = ref [] in
       let fail i msg =
         (* Keyed by submission position: events arrive in completion
@@ -145,7 +147,7 @@ let run_with cell options spec =
             let c = pending.(i) in
             let key = Grid.key c in
             worker_probe tm key true;
-            Checkpoint.append oc ~index:c.Grid.index ~key
+            Checkpoint.append journal ~index:c.Grid.index ~key
               (Grid.result_to_json r);
             Hashtbl.replace results c.Grid.index r;
             report_progress key r.Grid.r_elapsed_s
@@ -163,11 +165,11 @@ let run_with cell options spec =
          were, and a resumed run re-executes them. *)
       let on_retry ~position ~attempt:_ ~reason =
         let c = pending.(position) in
-        Checkpoint.append_failed oc ~index:c.Grid.index ~key:(Grid.key c)
+        Checkpoint.append_failed journal ~index:c.Grid.index ~key:(Grid.key c)
           ~reason:(reason ^ "; retrying")
       in
       Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
+        ~finally:(fun () -> Checkpoint.close journal)
         (fun () ->
           ignore
             (Pool.supervise ~jobs:options.jobs ~on_retry

@@ -456,15 +456,7 @@ let parse s =
   | v -> Ok v
   | exception Parse_error msg -> Error msg
 
-let parse_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | contents -> parse contents
-  | exception Sys_error msg -> Error msg
+let parse_file path = Result.bind (Io.read_file path) parse
 
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs

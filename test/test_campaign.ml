@@ -681,7 +681,7 @@ let test_checkpoint_rejects_other_spec () =
       let path = Filename.concat dir "x.ckpt" in
       let oc = Checkpoint.open_for_append ~path ~spec:tiny in
       Checkpoint.append oc ~index:0 ~key:"k" Json.Null;
-      close_out oc;
+      Checkpoint.close oc;
       (match Checkpoint.load ~path ~spec:tiny () with
       | Ok [ (0, Json.Null) ] -> ()
       | Ok _ -> Alcotest.fail "journal content lost"
@@ -695,7 +695,7 @@ let test_checkpoint_tolerates_torn_tail () =
       let path = Filename.concat dir "torn.ckpt" in
       let oc = Checkpoint.open_for_append ~path ~spec:tiny in
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 1);
-      close_out oc;
+      Checkpoint.close oc;
       (* Simulate a kill mid-append: half a JSON line at the tail. *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc {|{"cell":1,"key":"b","res|};
@@ -746,7 +746,7 @@ let test_checkpoint_failed_marker_replay () =
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 1);
       Checkpoint.append_failed oc ~index:0 ~key:"a" ~reason:"worker died";
       Checkpoint.append oc ~index:1 ~key:"b" (Json.Int 2);
-      close_out oc;
+      Checkpoint.close oc;
       (* The failed marker voids cell 0's earlier result. *)
       (match Checkpoint.load ~path ~spec:tiny () with
       | Ok [ (1, Json.Int 2) ] -> ()
@@ -758,12 +758,76 @@ let test_checkpoint_failed_marker_replay () =
       (* A later result — the in-run retry succeeding — supersedes it. *)
       let oc = Checkpoint.open_for_append ~path ~spec:tiny in
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 3);
-      close_out oc;
+      Checkpoint.close oc;
       match Checkpoint.load ~path ~spec:tiny () with
       | Ok entries ->
         Alcotest.(check bool) "retry result recorded" true
           (List.sort compare entries = [ (0, Json.Int 3); (1, Json.Int 2) ])
       | Error e -> Alcotest.fail e)
+
+(* A resume after a kill that tore the journal's last write, cut to
+   [keep size] bytes: the resumed run cuts the torn bytes before it
+   appends, so a second interruption and a plain resume still complete
+   the campaign with the fresh run's fingerprint. *)
+let resume_after_tear ~keep =
+  with_tmp_dir (fun dir ->
+      let out = Filename.concat dir "bench.json" in
+      let fresh =
+        complete_exn tiny ~jobs:1 ~out:(Filename.concat dir "fresh.json")
+      in
+      ignore (run_exn tiny ~jobs:1 ~max_cells:1 ~out : Runner.outcome);
+      let path = Checkpoint.journal_path ~out in
+      Unix.truncate path (keep (Unix.stat path).Unix.st_size);
+      (match run_exn tiny ~jobs:1 ~resume:true ~max_cells:2 ~out with
+      | Runner.Interrupted _ -> ()
+      | Runner.Complete _ -> Alcotest.fail "expected interruption");
+      let resumed = complete_exn tiny ~jobs:1 ~resume:true ~out in
+      Alcotest.(check string) "resume reproduces the fresh run"
+        (Report.fingerprint fresh) (Report.fingerprint resumed))
+
+let test_resume_after_torn_entry () =
+  resume_after_tear ~keep:(fun size -> size - 40)
+
+let test_resume_after_torn_header () = resume_after_tear ~keep:(fun _ -> 30)
+
+let test_checkpoint_complete_line_corrupt () =
+  (* Only the bytes after the last newline can be torn: a complete
+     line that does not parse is corruption, not a tear. *)
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "bad.ckpt" in
+      let oc = Checkpoint.open_for_append ~path ~spec:tiny in
+      Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 1);
+      Checkpoint.close oc;
+      Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+          output_string oc "{\"cell\":1,\"key\n");
+      match Checkpoint.load ~path ~spec:tiny () with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a corrupt complete line was dropped as torn")
+
+let test_checkpoint_directory () =
+  (* A directory where the journal belongs is a checkpoint error for
+     a resumed run and for a fresh one, never an exception. *)
+  with_tmp_dir (fun dir ->
+      let out = Filename.concat dir "bench.json" in
+      let path = Checkpoint.journal_path ~out in
+      Sys.mkdir path 0o755;
+      Fun.protect
+        ~finally:(fun () -> Sys.rmdir path)
+        (fun () ->
+          (match Checkpoint.load ~path ~spec:tiny () with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "a directory loaded as a checkpoint");
+          List.iter
+            (fun resume ->
+              let options =
+                { (Runner.default_options ~out) with Runner.jobs = 1; resume }
+              in
+              match Runner.run options tiny with
+              | Error (Runner.Checkpoint_error _) -> ()
+              | Error e ->
+                Alcotest.failf "wrong error: %a" Runner.pp_error e
+              | Ok _ -> Alcotest.fail "ran with a directory as its journal")
+            [ true; false ]))
 
 let test_fault_campaign_deterministic () =
   (* A campaign whose variants carry fault plans must stay a pure
@@ -959,6 +1023,14 @@ let suite =
           test_supervise_should_stop_drains;
         Alcotest.test_case "checkpoint failed-marker replay" `Quick
           test_checkpoint_failed_marker_replay;
+        Alcotest.test_case "resume after a torn entry" `Quick
+          test_resume_after_torn_entry;
+        Alcotest.test_case "resume after a torn header" `Quick
+          test_resume_after_torn_header;
+        Alcotest.test_case "checkpoint complete line corrupt" `Quick
+          test_checkpoint_complete_line_corrupt;
+        Alcotest.test_case "checkpoint path is a directory" `Quick
+          test_checkpoint_directory;
         Alcotest.test_case "fault campaign deterministic" `Quick
           test_fault_campaign_deterministic;
         Alcotest.test_case "lint gate" `Quick test_lint_gate_rejects_overload;
