@@ -113,11 +113,14 @@ let main scenario size load deadline_windows seed horizon_ms indices burst
   Cli_common.require
     [
       Cli_common.check_out_file ~flag:"--trace-out" trace_out;
-      (if want_telemetry && not (List.mem Spec.Ddcr protocols) then
+      (if
+         (want_telemetry || trace_summary)
+         && not (List.mem Spec.Ddcr protocols)
+       then
          Error
            (Printf.sprintf
-              "--telemetry/--trace-out/--headroom record the DDCR run; \
-               protocol %S never runs it"
+              "--telemetry/--trace-out/--headroom/--trace-summary record the \
+               DDCR run; protocol %S never runs it"
               protocol)
        else Ok ());
     ];
