@@ -43,23 +43,27 @@ let validate p ~num_sources =
       Index_set.create
         (Array.fold_left (fun n idx -> n + Array.length idx) 0 p.static_indices)
     in
+    (* A row reports its first failing index, as every decoder reports
+       its first error. *)
     let check_source i idx =
+      let rec walk j =
+        if j >= Array.length idx then None
+        else
+          let v = idx.(j) in
+          if v < 0 || v >= p.static_leaves then
+            Some (Printf.sprintf "source %d: index %d out of range" i v)
+          else if j > 0 && idx.(j - 1) >= v then
+            Some (Printf.sprintf "source %d: indices not ascending" i)
+          else if Index_set.mem seen v then
+            Some (Printf.sprintf "static index %d allocated twice" v)
+          else begin
+            Index_set.add seen v ();
+            walk (j + 1)
+          end
+      in
       if Array.length idx = 0 then
         Some (Printf.sprintf "source %d has no static index" i)
-      else begin
-        let bad = ref None in
-        Array.iteri
-          (fun j v ->
-            if v < 0 || v >= p.static_leaves then
-              bad := Some (Printf.sprintf "source %d: index %d out of range" i v)
-            else if j > 0 && idx.(j - 1) >= v then
-              bad := Some (Printf.sprintf "source %d: indices not ascending" i)
-            else if Index_set.mem seen v then
-              bad := Some (Printf.sprintf "static index %d allocated twice" v)
-            else Index_set.add seen v ())
-          idx;
-        !bad
-      end
+      else walk 0
     in
     let rec go i =
       if i >= num_sources then Ok ()

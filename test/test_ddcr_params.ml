@@ -43,7 +43,14 @@ let test_validate_rejects () =
     ~z:2 "not ascending";
   expect_error
     { base with Ddcr_params.static_indices = [| [| 0 |]; [| 4 |] |] }
-    ~z:2 "out of range"
+    ~z:2 "out of range";
+  (* The first failure of a row is the one reported: index 1 breaks
+     the order before 99 leaves the range. *)
+  Alcotest.(check (result unit string))
+    "first failure" (Error "source 0: indices not ascending")
+    (Ddcr_params.validate
+       { base with Ddcr_params.static_indices = [| [| 3; 1; 99 |]; [| 0 |] |] }
+       ~num_sources:2)
 
 let test_nu () =
   Alcotest.(check int) "nu 0" 1 (Ddcr_params.nu base 0);
@@ -137,10 +144,11 @@ let test_with_theta () =
   Alcotest.check_raises "negative" (Invalid_argument "Ddcr_params.with_theta: negative")
     (fun () -> ignore (Ddcr_params.with_theta base (-1)))
 
-(* [Ddcr_params.validate] before its index set was presized and keyed
-   by value: kept as the reference its checks, messages and first
-   error must match.  Within one source the last failing index names
-   the error; the first source with one stops the walk. *)
+(* [Ddcr_params.validate] written plainly, with a list of the indices
+   taken instead of the presized index set: the reference its checks,
+   messages and first error must match.  Each source's walk stops at
+   its first failing index, and the first source with one stops the
+   whole walk. *)
 let validate_reference p ~num_sources =
   let power_of m v = m >= 2 && v >= m && Rtnet_util.Int_math.is_power_of m v in
   if not (power_of p.Ddcr_params.time_m p.Ddcr_params.time_leaves) then
@@ -154,24 +162,25 @@ let validate_reference p ~num_sources =
   else if Array.length p.Ddcr_params.static_indices <> num_sources then
     Error "static_indices must have one entry per source"
   else begin
-    let seen = Hashtbl.create 16 in
+    let seen = ref [] in
     let check_source i idx =
+      let rec walk prev = function
+        | [] -> None
+        | v :: rest ->
+          if v < 0 || v >= p.Ddcr_params.static_leaves then
+            Some (Printf.sprintf "source %d: index %d out of range" i v)
+          else if (match prev with Some u -> u >= v | None -> false) then
+            Some (Printf.sprintf "source %d: indices not ascending" i)
+          else if List.mem v !seen then
+            Some (Printf.sprintf "static index %d allocated twice" v)
+          else begin
+            seen := v :: !seen;
+            walk (Some v) rest
+          end
+      in
       if Array.length idx = 0 then
         Some (Printf.sprintf "source %d has no static index" i)
-      else begin
-        let bad = ref None in
-        Array.iteri
-          (fun j v ->
-            if v < 0 || v >= p.Ddcr_params.static_leaves then
-              bad := Some (Printf.sprintf "source %d: index %d out of range" i v)
-            else if j > 0 && idx.(j - 1) >= v then
-              bad := Some (Printf.sprintf "source %d: indices not ascending" i)
-            else if Hashtbl.mem seen v then
-              bad := Some (Printf.sprintf "static index %d allocated twice" v)
-            else Hashtbl.add seen v ())
-          idx;
-        !bad
-      end
+      else walk None (Array.to_list idx)
     in
     let rec go i =
       if i >= num_sources then Ok ()
