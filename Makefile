@@ -107,7 +107,7 @@ topo-faults-smoke: build
 # the stitched cross-segment causal flows must pass ddcr_lint
 # --check-perfetto (with the corrupted-flow fixture asserted to exit
 # 1), and a live flight-recorder ring may cost at most 1.5x a run
-# without a sink (Bechamel guard).
+# without a sink (paired-timing guard, bench/paired.ml).
 obs-smoke: build
 	dune build @obs-smoke
 	dune exec bench/obs_guard.exe
@@ -118,8 +118,8 @@ obs-smoke: build
 # accept-then-violate chaos pipeline (@admit-smoke); kill -9 the
 # service mid-trace with a torn journal record and assert --resume
 # completes a decision log byte-identical to the golden; and pin the
-# incremental engine at >= 10x the from-scratch analysis (Bechamel
-# guard).
+# incremental engine at >= 10x the from-scratch analysis (paired-timing
+# guard, bench/paired.ml).
 admit-smoke: build
 	dune build @admit-smoke
 	rm -f _build/admit_crash.log _build/admit_crash.wal _build/admit_crash.wal.snap

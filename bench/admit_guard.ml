@@ -8,7 +8,9 @@
    fresh engines and fails (exit 1) unless the incremental path is at
    least [threshold] times faster — the regression it pins is the
    incremental path silently degrading into re-analysis (a dropped
-   cache, an accidentally-quadratic delta).
+   cache, an accidentally-quadratic delta).  The two drains alternate,
+   one pair per round, and the gate reads the median of the per-round
+   ratios ([Paired.paired], shared with obs_guard and slot_guard).
 
    Run directly (it is part of `make admit-smoke`):
      dune exec bench/admit_guard.exe *)
@@ -81,51 +83,24 @@ let drain decide () =
   | Error e -> failwith e
   | Ok eng -> List.iter (fun r -> ignore (decide eng r)) requests
 
+let rounds = 30
+
 let () =
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    Test.make_grouped ~name:"admit_guard"
-      [
-        Test.make ~name:"incremental" (Staged.stage (drain Engine.decide));
-        Test.make ~name:"from_scratch"
-          (Staged.stage (drain Engine.decide_full));
-      ]
+  let inc, full, ratio =
+    Paired.paired ~rounds
+      (drain Engine.decide, 1.)
+      (drain Engine.decide_full, 1.)
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let estimate name =
-    let key = "admit_guard/" ^ name in
-    match Hashtbl.find_opt results key with
-    | None -> None
-    | Some r -> (
-      match Analyze.OLS.estimates r with
-      | Some (est :: _) -> Some est
-      | Some [] | None -> None)
-  in
-  match (estimate "incremental", estimate "from_scratch") with
-  | Some inc, Some full ->
-    let ratio = full /. inc in
+  Printf.printf
+    "admit_guard: incremental %.0f ns/stream, from_scratch %.0f ns/stream \
+     (median ratio of %d rounds %.1fx)\n"
+    inc full rounds ratio;
+  if ratio < threshold then begin
     Printf.printf
-      "admit_guard: incremental %.0f ns/stream, from_scratch %.0f \
-       ns/stream (%.1fx)\n"
-      inc full ratio;
-    if ratio < threshold then begin
-      Printf.printf
-        "admit_guard: FAIL — incremental admission is only %.1fx the \
-         from-scratch analysis (pinned floor %.0fx); the cached sums \
-         have stopped paying for themselves\n"
-        ratio threshold;
-      exit 1
-    end
-    else Printf.printf "admit_guard: ok (floor %.0fx)\n" threshold
-  | _ ->
-    (* A missing estimate means Bechamel could not fit the model —
-       treat as an infrastructure failure, not a perf regression. *)
-    Printf.printf "admit_guard: could not estimate both runs\n";
-    exit 2
+      "admit_guard: FAIL — incremental admission is only %.1fx the \
+       from-scratch analysis (pinned floor %.0fx); the cached sums have \
+       stopped paying for themselves\n"
+      ratio threshold;
+    exit 1
+  end
+  else Printf.printf "admit_guard: ok (floor %.0fx)\n" threshold

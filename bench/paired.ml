@@ -1,5 +1,5 @@
 (* Paired timing for the guards that gate a cost ratio within one run
-   ([obs_guard], [slot_guard]).  The two runs alternate, one pair per
+   ([admit_guard], [obs_guard], [slot_guard]).  The two runs alternate, one pair per
    round, and the gate reads the median of the per-round ratios: on a
    shared machine the speed drifts between rounds, which a ratio of
    two separately timed batches would read as a cost of one run. *)
