@@ -1,8 +1,9 @@
-(* Every input decoder is total: a committed input fixture with bytes
-   flipped, cut short or duplicated, or with a number replaced by an
-   edge value, decodes to [Ok _] or [Error _] and never raises.  The
-   mutants are drawn from a fixed seed, so a failure names the same
-   fixture, mutant and decoder on every run. *)
+(* Every input decoder is total: a committed input fixture, or a log
+   or snapshot written from one, with bytes flipped, cut short or
+   duplicated, or with a number replaced by an edge value, decodes to
+   [Ok _] or [Error _] and never raises.  The mutants are drawn from a
+   fixed seed, so a failure names the same fixture, mutant and decoder
+   on every run. *)
 
 module Json = Rtnet_util.Json
 module Fault_plan = Rtnet_channel.Fault_plan
@@ -18,6 +19,10 @@ module Ddcr_params = Rtnet_core.Ddcr_params
 module Postmortem = Rtnet_obs.Postmortem
 module Trace_event = Rtnet_telemetry.Trace_event
 module Trace_io = Rtnet_analysis.Trace_io
+module Engine = Rtnet_admit.Engine
+module Journal = Rtnet_admit.Journal
+module Checkpoint = Rtnet_campaign.Checkpoint
+module Grid = Rtnet_campaign.Grid
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
@@ -181,6 +186,106 @@ let test_trace_dumps () =
                text))
     [ "clean_trace.txt"; "corrupt_trace.txt" ]
 
+(* The crash-safe logs and snapshots are read from files: each mutant
+   is written over [path], then read back with [load path]. *)
+let check_file ~name ~path load (label, text) =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  never_raises ~what:(Printf.sprintf "%s [%s]" name label) load path
+
+let with_temp_file f =
+  let path = Filename.temp_file "fuzz" ".log" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Journal.snapshot_path path ])
+    (fun () -> f path)
+
+let ok_exn = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* The committed churn trace decided from an empty engine: its journal
+   bytes and an engine snapshot after every 50 decisions. *)
+let churn_journal path =
+  let trace =
+    ok_exn (Request.load_trace ~path:"fixtures/admit_churn_smoke.json")
+  in
+  let trace_hash = Request.trace_hash trace in
+  let eng =
+    ok_exn
+      (Engine.create ~phy:trace.Request.tr_phy
+         ~num_sources:trace.Request.tr_sources ~params:trace.Request.tr_params)
+  in
+  let w = ok_exn (Journal.create ~path ~trace_hash) in
+  let snapshots =
+    List.concat
+      (List.mapi
+         (fun i req ->
+           Journal.append w
+             {
+               Journal.jr_seq = i;
+               jr_request = req;
+               jr_decision = Engine.decide eng req;
+             };
+           if i mod 50 = 49 then [ Engine.snapshot eng ] else [])
+         trace.Request.tr_requests)
+  in
+  Journal.close w;
+  (trace, trace_hash, read path, snapshots)
+
+let test_journals () =
+  let rng = Random.State.make [| 32 |] in
+  with_temp_file (fun path ->
+      let _, trace_hash, text, _ = churn_journal path in
+      mutants ~rng ~flips:16 ~cuts:8 ~dups:4 ~nums:8 text
+      |> List.iter
+           (check_file ~name:"admit_churn_smoke journal Journal.load" ~path
+              (fun path -> Journal.load ~path ~trace_hash)))
+
+let test_snapshots () =
+  let rng = Random.State.make [| 33 |] in
+  with_temp_file (fun path ->
+      let trace, trace_hash, _, snapshots = churn_journal path in
+      let restore path =
+        match Journal.load_snapshot ~path ~trace_hash with
+        | None -> Ok ()
+        | Some (_, state) ->
+          Result.map ignore
+            (Engine.restore ~phy:trace.Request.tr_phy
+               ~num_sources:trace.Request.tr_sources
+               ~params:trace.Request.tr_params state)
+      in
+      List.iteri
+        (fun k state ->
+          ok_exn (Journal.save_snapshot ~path ~trace_hash ~seq:0 state);
+          mutants ~rng ~flips:8 ~cuts:4 ~dups:2 ~nums:8
+            (read (Journal.snapshot_path path))
+          |> List.iter
+               (check_file
+                  ~name:(Printf.sprintf "snapshot %d Engine.restore" k)
+                  ~path:(Journal.snapshot_path path)
+                  (fun _ -> restore path)))
+        snapshots)
+
+(* The smoke campaign's checkpoint, every cell run in this process. *)
+let test_checkpoints () =
+  let rng = Random.State.make [| 34 |] in
+  let spec = List.assoc "smoke" Spec.builtins in
+  with_temp_file (fun path ->
+      let w = Checkpoint.open_for_append ~path ~spec in
+      Array.iter
+        (fun c ->
+          Checkpoint.append w ~index:c.Grid.index ~key:(Grid.key c)
+            (Grid.result_to_json (Grid.run_cell spec c)))
+        (Grid.cells spec);
+      Checkpoint.close w;
+      let load path =
+        Result.bind (Checkpoint.load ~path ~spec ()) (fun entries ->
+            Json.list_of Grid.result_of_json (Json.List (List.map snd entries)))
+      in
+      mutants ~rng ~flips:16 ~cuts:8 ~dups:4 ~nums:8 (read path)
+      |> List.iter
+           (check_file ~name:"smoke checkpoint Checkpoint.load" ~path load))
+
 let suite =
   [
     ( "fuzz",
@@ -193,5 +298,11 @@ let suite =
           test_builtin_specs;
         Alcotest.test_case "mutated trace dumps never raise" `Quick
           test_trace_dumps;
+        Alcotest.test_case "mutated admission journals never raise" `Quick
+          test_journals;
+        Alcotest.test_case "mutated engine snapshots never raise" `Quick
+          test_snapshots;
+        Alcotest.test_case "mutated campaign checkpoints never raise" `Quick
+          test_checkpoints;
       ] );
   ]
