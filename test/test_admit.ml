@@ -444,6 +444,22 @@ let test_journal_torn_tail () =
   Alcotest.(check bool) "no tear left" false healed.Journal.lo_torn;
   Sys.remove path
 
+(* A kill during the journal's first write leaves a torn header: the
+   journal loads as empty, and appending needs a fresh header, so
+   open_append refuses the empty prefix instead of writing records
+   after none. *)
+let test_journal_torn_header () =
+  let path = temp_journal () in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc {|{"admit_journal_version":1,"tra|});
+  let loaded = ok_exn (Journal.load ~path ~trace_hash:"h1") in
+  Alcotest.(check bool) "tear detected" true loaded.Journal.lo_torn;
+  Alcotest.(check int) "no intact prefix" 0 loaded.Journal.lo_valid_bytes;
+  (match Journal.open_append ~path ~valid_bytes:0 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "appended after a torn header");
+  Sys.remove path
+
 (* The crash-recovery property: truncate the journal at EVERY byte
    length; the intact prefix always loads (torn tail dropped, never an
    error), and resuming — replaying the prefix through Engine.apply and
@@ -834,6 +850,8 @@ let suite =
           test_journal_roundtrip;
         Alcotest.test_case "journal torn tail heals" `Quick
           test_journal_torn_tail;
+        Alcotest.test_case "journal torn header is not appended to" `Quick
+          test_journal_torn_header;
         Alcotest.test_case "resume from every byte-truncation" `Slow
           test_journal_prefix_truncation;
         Alcotest.test_case "snapshot file roundtrip" `Quick
