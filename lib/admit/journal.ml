@@ -83,6 +83,10 @@ let create ~path ~trace_hash =
   Wal.create ~path ~header:(header_json ~trace_hash)
 
 let open_append = Wal.open_append
+
+let resume ~path ~trace_hash ~valid_bytes =
+  Wal.resume ~path ~header:(header_json ~trace_hash) ~valid_bytes
+
 let append w r = Wal.append w (record_to_json r)
 let append_torn w r = Wal.append_torn w (record_to_json r)
 let close = Wal.close
@@ -114,21 +118,14 @@ let save_snapshot ~path ~trace_hash ~seq state =
 (* A missing, unparseable or mismatched snapshot is not fatal — the
    journal alone reconstructs the state, just more slowly. *)
 let load_snapshot ~path ~trace_hash =
-  let sp = snapshot_path path in
-  if not (Sys.file_exists sp) then None
-  else
-    match Json.parse_file sp with
-    | Error _ -> None
-    | Ok j -> (
-      let ok =
-        let* v =
-          Result.bind (Json.field "admit_snapshot_version" j) Json.get_int
-        in
-        let* h = Result.bind (Json.field "trace_hash" j) Json.get_string in
-        let* seq = Result.bind (Json.field "seq" j) Json.get_int in
-        let* state = Json.field "engine" j in
-        if v <> schema_version || not (String.equal h trace_hash) then
-          Error "stale"
-        else Ok (seq, state)
-      in
-      match ok with Ok r -> Some r | Error _ -> None)
+  Result.to_option
+    (Json.load_file (snapshot_path path) (fun j ->
+         let* v =
+           Result.bind (Json.field "admit_snapshot_version" j) Json.get_int
+         in
+         let* h = Result.bind (Json.field "trace_hash" j) Json.get_string in
+         let* seq = Result.bind (Json.field "seq" j) Json.get_int in
+         let* state = Json.field "engine" j in
+         if v <> schema_version || not (String.equal h trace_hash) then
+           Error "stale"
+         else Ok (seq, state)))

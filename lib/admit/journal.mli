@@ -43,6 +43,11 @@ val open_append : path:string -> valid_bytes:int -> (writer, string) result
     [valid_bytes] (as reported by {!load}) and appends from there;
     [valid_bytes] 0 (no intact header) is an [Error]. *)
 
+val resume :
+  path:string -> trace_hash:string -> valid_bytes:int -> (writer, string) result
+(** [resume ~path ~trace_hash ~valid_bytes] is
+    {!Rtnet_util.Wal.resume} with the journal's header. *)
+
 val append : writer -> record -> unit
 (** [append w r] writes [r]'s line and flushes
     ({!Rtnet_util.Wal.append}). *)

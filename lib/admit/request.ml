@@ -148,9 +148,7 @@ let trace_of_json j =
 
 let save_trace ~path tr = Json.to_file path (trace_to_json tr)
 
-let load_trace ~path =
-  let* j = Json.parse_file path in
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (trace_of_json j)
+let load_trace ~path = Json.load_file path trace_of_json
 
 (* The hash pins journal and snapshot files to the exact trace they
    were recorded under; resuming against a different trace is refused

@@ -168,4 +168,4 @@ let parse text =
   in
   go 1 [] [] lines
 
-let parse_file path = Result.bind (Rtnet_util.Io.read_file path) parse
+let parse_file path = Rtnet_util.Io.load path parse

@@ -39,4 +39,4 @@ val parse :
 val parse_file :
   string -> (Rtnet_core.Ddcr_trace.event list * (int * int) list, string) result
 (** [parse_file path] is {!parse} on the contents of [path]; a file
-    that cannot be read is an [Error] too. *)
+    that cannot be read is an [Error] too ({!Rtnet_util.Io.load}). *)

@@ -40,11 +40,10 @@ let entry_of_json j =
     | Some _ -> Ok (Failed_marker index)
     | None -> Error "entry has neither \"result\" nor \"failed\"")
 
-let load_log ~path ~spec =
-  Wal.load ~path ~header:(check_header spec) ~record:entry_of_json
+type loaded = { entries : (int * Json.t) list; valid_bytes : int }
 
 let load ?(on_warning = fun (_ : string) -> ()) ~path ~spec () =
-  let* log = load_log ~path ~spec in
+  let* log = Wal.load ~path ~header:(check_header spec) ~record:entry_of_json in
   if log.Wal.torn then
     on_warning
       (if log.Wal.valid_bytes = 0 then
@@ -65,23 +64,19 @@ let load ?(on_warning = fun (_ : string) -> ()) ~path ~spec () =
      any earlier record so resume re-runs the cell; a retry's later
      completed line re-records it. *)
   let drop index = List.filter (fun (i, _) -> i <> index) in
-  Ok
-    (List.rev
-       (List.fold_left
-          (fun acc -> function
-            | Completed (index, result) -> (index, result) :: drop index acc
-            | Failed_marker index -> drop index acc)
-          [] log.Wal.records))
+  let entries =
+    List.fold_left
+      (fun acc -> function
+        | Completed (index, result) -> (index, result) :: drop index acc
+        | Failed_marker index -> drop index acc)
+      [] log.Wal.records
+  in
+  Ok { entries = List.rev entries; valid_bytes = log.Wal.valid_bytes }
 
 type writer = Wal.writer
 
-let open_for_append ~path ~spec =
-  let opened =
-    let* { Wal.valid_bytes; _ } = load_log ~path ~spec in
-    if valid_bytes > 0 then Wal.open_append ~path ~valid_bytes
-    else Wal.create ~path ~header:(header_json spec)
-  in
-  match opened with Ok w -> w | Error e -> raise (Sys_error e)
+let open_for_append ~path ~spec ~valid_bytes =
+  Wal.resume ~path ~header:(header_json spec) ~valid_bytes
 
 let append_entry w ~index ~key outcome =
   Wal.append w

@@ -19,16 +19,20 @@ val journal_path : out:string -> string
 (** [journal_path ~out] is the default journal location for a report
     written to [out]: [out ^ ".ckpt"]. *)
 
+type loaded = { entries : (int * Rtnet_util.Json.t) list; valid_bytes : int }
+(** The completed [(cell index, result)] pairs, oldest first, and the
+    length of the intact prefix {!open_for_append} keeps. *)
+
 val load :
   ?on_warning:(string -> unit) ->
   path:string ->
   spec:Spec.t ->
   unit ->
-  ((int * Rtnet_util.Json.t) list, string) result
-(** [load ~path ~spec] returns the completed [(cell index, result)]
-    pairs recorded so far after replaying failed markers, oldest first
-    ([\[\]] if the file does not exist), or [Error] on an unreadable
-    file, a header/spec-hash mismatch or a corrupt line.
+  (loaded, string) result
+(** [load ~path ~spec] returns the completed cells recorded so far
+    after replaying failed markers ([\[\]] and [valid_bytes] 0 if the
+    file does not exist), or [Error] on an unreadable file, a
+    header/spec-hash mismatch or a corrupt line.
 
     A torn final entry is dropped (that cell re-runs) and a torn
     header — nothing was checkpointed yet — yields an empty journal.
@@ -36,11 +40,11 @@ val load :
 
 type writer
 
-val open_for_append : path:string -> spec:Spec.t -> writer
-(** [open_for_append ~path ~spec] opens the journal for appending: a
-    journal that {!load}s is cut after its intact prefix, a missing or
-    header-torn one starts over with the header.
-    @raise Sys_error if the file cannot be opened or does not load. *)
+val open_for_append :
+  path:string -> spec:Spec.t -> valid_bytes:int -> (writer, string) result
+(** [open_for_append ~path ~spec ~valid_bytes] opens the journal for
+    appending after the intact prefix {!load} reported, or starts it
+    over with the header when there is none ({!Rtnet_util.Wal.resume}). *)
 
 val append : writer -> index:int -> key:string -> Rtnet_util.Json.t -> unit
 (** [append w ~index ~key result] writes one completed-cell line and

@@ -79,9 +79,7 @@ let of_json j =
 
 let write ~path r = Json.to_file path (to_json r)
 
-let load ~path =
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e)
-    (Result.bind (Json.parse_file path) of_json)
+let load ~path = Json.load_file path of_json
 
 let timing_keys = [ "elapsed_s"; "wall_clock_s"; "jobs" ]
 

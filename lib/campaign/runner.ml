@@ -63,10 +63,10 @@ let load_journal options spec =
   if not options.resume then
     (* A fresh run must not silently absorb a stale journal. *)
     match Checkpoint.remove ~path with
-    | () -> Ok []
+    | () -> Ok ([], 0)
     | exception Sys_error e -> Error e
   else
-    let* entries =
+    let* { Checkpoint.entries; valid_bytes } =
       (* Truncation warnings (torn tail line, torn header) go to
          stderr: the resume proceeds, but the operator should know a
          kill landed mid-write. *)
@@ -80,7 +80,7 @@ let load_journal options spec =
         let* r = Grid.result_of_json rj in
         Ok ((index, r) :: acc))
       (Ok []) entries
-    |> Result.map List.rev
+    |> Result.map (fun cells -> (List.rev cells, valid_bytes))
 
 let run_with cell options spec =
   let t0 = Unix.gettimeofday () in
@@ -95,7 +95,7 @@ let run_with cell options spec =
   in
   let cells = Grid.cells spec in
   let total = Array.length cells in
-  let* recovered =
+  let* recovered, valid_bytes =
     Result.map_error (fun e -> Checkpoint_error e) (load_journal options spec)
   in
   let results : (int, Grid.result_) Hashtbl.t = Hashtbl.create total in
@@ -120,9 +120,9 @@ let run_with cell options spec =
     else begin
       let path = journal_path options in
       let* journal =
-        match Checkpoint.open_for_append ~path ~spec with
-        | journal -> Ok journal
-        | exception Sys_error e -> Error (Checkpoint_error e)
+        Result.map_error
+          (fun e -> Checkpoint_error e)
+          (Checkpoint.open_for_append ~path ~spec ~valid_bytes)
       in
       let failures = ref [] in
       let fail i msg =

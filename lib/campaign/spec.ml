@@ -335,14 +335,9 @@ let of_json j =
   Ok { name; base_seed; replicates; horizon_ms; protocols; scenarios; variants }
 
 let load_file path =
-  let* j = Json.parse_file path in
-  let* spec =
-    Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (of_json j)
-  in
-  let* () =
-    Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (validate spec)
-  in
-  Ok spec
+  Json.load_file path (fun j ->
+      let* spec = of_json j in
+      Result.map (fun () -> spec) (validate spec))
 
 let hash spec = Digest.to_hex (Digest.string (Json.to_string (to_json spec)))
 

@@ -205,6 +205,4 @@ let config_of_json j =
         s_wall_budget_s = wall_budget_s;
       }
 
-let load_config path =
-  let* j = Json.parse_file path in
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (config_of_json j)
+let load_config path = Json.load_file path config_of_json

@@ -54,9 +54,7 @@ let of_json (type e s c) ((module S) as subject : (e, s, c) Subject.t) j =
 
 let save subject ~path t = Json.to_file path (to_json subject t)
 
-let load subject ~path =
-  let* j = Json.parse_file path in
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (of_json subject j)
+let load subject ~path = Json.load_file path (of_json subject)
 
 type replay = {
   rr_report : Subject.report;
@@ -76,11 +74,11 @@ let replay ?postmortem subject t =
 type any = Any : ('e, 's, 'c) Subject.t * ('e, 'c) t -> any
 
 let load_any ~path =
-  let* j = Json.parse_file path in
-  let has subject = Json.member (version_key subject) j <> None in
-  let decode subject = Result.map (fun t -> Any (subject, t)) (of_json subject j) in
-  Result.map_error
-    (fun e -> Printf.sprintf "%s: %s" path e)
-    (if has (module Federated) then decode (module Federated)
-     else if has (module Admission) then decode (module Admission)
-     else decode (module Plain))
+  Json.load_file path (fun j ->
+      let has subject = Json.member (version_key subject) j <> None in
+      let decode subject =
+        Result.map (fun t -> Any (subject, t)) (of_json subject j)
+      in
+      if has (module Federated) then decode (module Federated)
+      else if has (module Admission) then decode (module Admission)
+      else decode (module Plain))

@@ -247,6 +247,4 @@ let of_json j =
 
 let save ~path t = Json.to_file path (to_json t)
 
-let load ~path =
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" path e)
-    (Result.bind (Json.parse_file path) of_json)
+let load ~path = Json.load_file path of_json

@@ -549,10 +549,7 @@ let of_json j =
   in
   create ~name ~segments ~bridges ~flows
 
-let load_file path =
-  match Json.parse_file path with
-  | Error e -> Error e
-  | Ok j -> of_json j
+let load_file path = Json.load_file path of_json
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>topology %s: %d segments, %d bridges, %d flows@,"

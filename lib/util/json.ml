@@ -456,7 +456,8 @@ let parse s =
   | v -> Ok v
   | exception Parse_error msg -> Error msg
 
-let parse_file path = Result.bind (Io.read_file path) parse
+let load_file path decode = Io.load path (fun s -> Result.bind (parse s) decode)
+let parse_file path = load_file path Result.ok
 
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs

@@ -66,9 +66,12 @@ val parse : string -> (t, string) result
     finite float ([1e999], or an integer of over 308 digits), which
     {!to_string} could not write back. *)
 
+val load_file : string -> (t -> ('a, string) result) -> ('a, string) result
+(** [load_file path decode] reads, parses and decodes the file at
+    [path]; each failure is an [Error] ["path: reason"] ({!Io.load}). *)
+
 val parse_file : string -> (t, string) result
-(** [parse_file path] is {!parse} on the file's contents; I/O failures
-    are returned as [Error]. *)
+(** [parse_file path] is [load_file path Result.ok]. *)
 
 (** {2 Reading}
 

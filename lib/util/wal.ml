@@ -4,36 +4,30 @@ let load ~path ~header ~record =
   if not (Sys.file_exists path) then
     Ok { records = []; torn = false; valid_bytes = 0 }
   else
-    match Io.read_file path with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok text ->
-      let corrupt line e =
-        Error (Printf.sprintf "%s: line %d: %s" path line e)
-      in
-      (* [pos] starts line [line]; what follows the last newline is the
-         torn tail. *)
-      let rec go pos line acc =
-        match String.index_from_opt text pos '\n' with
-        | None ->
-          Ok
-            {
-              records = List.rev acc;
-              torn = pos < String.length text;
-              valid_bytes = pos;
-            }
-        | Some nl -> (
-          match Json.parse (String.sub text pos (nl - pos)) with
-          | Error e -> corrupt line e
-          | Ok j when line = 1 -> (
-            match header j with
-            | Error e -> Error (Printf.sprintf "%s: %s" path e)
-            | Ok () -> go (nl + 1) 2 acc)
-          | Ok j -> (
-            match record j with
+    Io.load path (fun text ->
+        let corrupt line e = Error (Printf.sprintf "line %d: %s" line e) in
+        (* [pos] starts line [line]; what follows the last newline is
+           the torn tail. *)
+        let rec go pos line acc =
+          match String.index_from_opt text pos '\n' with
+          | None ->
+            Ok
+              {
+                records = List.rev acc;
+                torn = pos < String.length text;
+                valid_bytes = pos;
+              }
+          | Some nl -> (
+            match Json.parse (String.sub text pos (nl - pos)) with
             | Error e -> corrupt line e
-            | Ok r -> go (nl + 1) (line + 1) (r :: acc)))
-      in
-      go 0 1 []
+            | Ok j when line = 1 ->
+              Result.bind (header j) (fun () -> go (nl + 1) 2 acc)
+            | Ok j -> (
+              match record j with
+              | Error e -> corrupt line e
+              | Ok r -> go (nl + 1) (line + 1) (r :: acc)))
+        in
+        go 0 1 [])
 
 (* The line is rendered into [buf], reused from record to record, and
    written from there: no copy of it is made. *)
@@ -77,6 +71,10 @@ let open_append ~path ~valid_bytes =
     with
     | fd -> Ok (writer (Unix.out_channel_of_descr fd))
     | exception Unix.Unix_error (e, _, _) ->
-      Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+      Io.named path (Error (Unix.error_message e))
+
+let resume ~path ~header ~valid_bytes =
+  if valid_bytes > 0 then open_append ~path ~valid_bytes
+  else create ~path ~header
 
 let close w = close_out_noerr w.oc

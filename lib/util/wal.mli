@@ -10,8 +10,8 @@
     {!append} writes a whole line and flushes, so a record's newline is
     the last of its bytes to reach the file: a [kill -9] leaves at most
     one line without its newline at the tail.  {!load} drops that torn
-    tail and reports where the intact prefix ends, and {!open_append}
-    cuts the file there before appending.  A complete line that does
+    tail and reports where the intact prefix ends, and {!resume} cuts
+    the file there before appending.  A complete line that does
     not parse, or that the header check or the record decoder rejects,
     is corruption: an [Error], never skipped. *)
 
@@ -43,6 +43,12 @@ val open_append : path:string -> valid_bytes:int -> (writer, string) result
     {!load} reported and appends after it.  [valid_bytes] 0 is an
     [Error]: a log without an intact header starts over with
     {!create}. *)
+
+val resume :
+  path:string -> header:Json.t -> valid_bytes:int -> (writer, string) result
+(** [resume ~path ~header ~valid_bytes] is how both logs resume:
+    {!open_append} after the intact prefix {!load} reported, or
+    {!create} when there is none ([valid_bytes] 0). *)
 
 val append : writer -> Json.t -> unit
 (** [append w j] writes [j]'s line and flushes: one render into a

@@ -12,4 +12,4 @@ let () =
    @ Test_baselines.suite @ Test_ddcr_trace.suite @ Test_faults.suite @ Test_multi_bus.suite @ Test_cos.suite @ Test_np_edf_fc.suite @ Test_harness.suite @ Test_conformance.suite @ Test_xi_arb.suite @ Test_analysis.suite @ Test_json.suite @ Test_campaign.suite @ Test_fault_plan.suite
    @ Test_telemetry.suite @ Test_chaos.suite @ Test_model.suite
    @ Test_topology.suite @ Test_obs.suite @ Test_admit.suite
-   @ Test_fuzz.suite)
+   @ Test_fuzz.suite @ Test_cli.suite)

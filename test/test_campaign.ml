@@ -676,13 +676,26 @@ let test_lost_cell_is_worker_failure () =
       Alcotest.(check string) "resume completes the campaign"
         (Report.fingerprint fresh) (Report.fingerprint resumed))
 
+(* A writer appending after what the checkpoint at [path] holds, and
+   the completed cells a load recovers. *)
+let open_checkpoint ~path =
+  match
+    Result.bind (Checkpoint.load ~path ~spec:tiny ()) (fun l ->
+        Checkpoint.open_for_append ~path ~spec:tiny
+          ~valid_bytes:l.Checkpoint.valid_bytes)
+  with
+  | Ok w -> w
+  | Error e -> Alcotest.fail e
+
+let entries_of = Result.map (fun l -> l.Checkpoint.entries)
+
 let test_checkpoint_rejects_other_spec () =
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "x.ckpt" in
-      let oc = Checkpoint.open_for_append ~path ~spec:tiny in
+      let oc = open_checkpoint ~path in
       Checkpoint.append oc ~index:0 ~key:"k" Json.Null;
       Checkpoint.close oc;
-      (match Checkpoint.load ~path ~spec:tiny () with
+      (match entries_of (Checkpoint.load ~path ~spec:tiny ()) with
       | Ok [ (0, Json.Null) ] -> ()
       | Ok _ -> Alcotest.fail "journal content lost"
       | Error e -> Alcotest.fail e);
@@ -693,7 +706,7 @@ let test_checkpoint_rejects_other_spec () =
 let test_checkpoint_tolerates_torn_tail () =
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "torn.ckpt" in
-      let oc = Checkpoint.open_for_append ~path ~spec:tiny in
+      let oc = open_checkpoint ~path in
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 1);
       Checkpoint.close oc;
       (* Simulate a kill mid-append: half a JSON line at the tail. *)
@@ -702,8 +715,9 @@ let test_checkpoint_tolerates_torn_tail () =
       close_out oc;
       let warnings = ref [] in
       (match
-         Checkpoint.load ~on_warning:(fun w -> warnings := w :: !warnings)
-           ~path ~spec:tiny ()
+         entries_of
+           (Checkpoint.load ~on_warning:(fun w -> warnings := w :: !warnings)
+              ~path ~spec:tiny ())
        with
       | Ok [ (0, Json.Int 1) ] -> ()
       | Ok _ -> Alcotest.fail "torn tail mishandled"
@@ -731,8 +745,9 @@ let test_checkpoint_tolerates_torn_header () =
       close_out oc;
       let warnings = ref [] in
       match
-        Checkpoint.load ~on_warning:(fun w -> warnings := w :: !warnings)
-          ~path ~spec:tiny ()
+        entries_of
+          (Checkpoint.load ~on_warning:(fun w -> warnings := w :: !warnings)
+             ~path ~spec:tiny ())
       with
       | Ok [] ->
         Alcotest.(check int) "torn header announced" 1 (List.length !warnings)
@@ -742,13 +757,13 @@ let test_checkpoint_tolerates_torn_header () =
 let test_checkpoint_failed_marker_replay () =
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "f.ckpt" in
-      let oc = Checkpoint.open_for_append ~path ~spec:tiny in
+      let oc = open_checkpoint ~path in
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 1);
       Checkpoint.append_failed oc ~index:0 ~key:"a" ~reason:"worker died";
       Checkpoint.append oc ~index:1 ~key:"b" (Json.Int 2);
       Checkpoint.close oc;
       (* The failed marker voids cell 0's earlier result. *)
-      (match Checkpoint.load ~path ~spec:tiny () with
+      (match entries_of (Checkpoint.load ~path ~spec:tiny ()) with
       | Ok [ (1, Json.Int 2) ] -> ()
       | Ok entries ->
         Alcotest.fail
@@ -756,10 +771,10 @@ let test_checkpoint_failed_marker_replay () =
              (List.length entries))
       | Error e -> Alcotest.fail e);
       (* A later result — the in-run retry succeeding — supersedes it. *)
-      let oc = Checkpoint.open_for_append ~path ~spec:tiny in
+      let oc = open_checkpoint ~path in
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 3);
       Checkpoint.close oc;
-      match Checkpoint.load ~path ~spec:tiny () with
+      match entries_of (Checkpoint.load ~path ~spec:tiny ()) with
       | Ok entries ->
         Alcotest.(check bool) "retry result recorded" true
           (List.sort compare entries = [ (0, Json.Int 3); (1, Json.Int 2) ])
@@ -795,7 +810,7 @@ let test_checkpoint_complete_line_corrupt () =
      line that does not parse is corruption, not a tear. *)
   with_tmp_dir (fun dir ->
       let path = Filename.concat dir "bad.ckpt" in
-      let oc = Checkpoint.open_for_append ~path ~spec:tiny in
+      let oc = open_checkpoint ~path in
       Checkpoint.append oc ~index:0 ~key:"a" (Json.Int 1);
       Checkpoint.close oc;
       Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->

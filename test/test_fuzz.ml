@@ -23,6 +23,7 @@ module Engine = Rtnet_admit.Engine
 module Journal = Rtnet_admit.Journal
 module Checkpoint = Rtnet_campaign.Checkpoint
 module Grid = Rtnet_campaign.Grid
+module Cli = Rtnet_cli
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
@@ -271,7 +272,7 @@ let test_checkpoints () =
   let rng = Random.State.make [| 34 |] in
   let spec = List.assoc "smoke" Spec.builtins in
   with_temp_file (fun path ->
-      let w = Checkpoint.open_for_append ~path ~spec in
+      let w = ok_exn (Checkpoint.open_for_append ~path ~spec ~valid_bytes:0) in
       Array.iter
         (fun c ->
           Checkpoint.append w ~index:c.Grid.index ~key:(Grid.key c)
@@ -279,12 +280,99 @@ let test_checkpoints () =
         (Grid.cells spec);
       Checkpoint.close w;
       let load path =
-        Result.bind (Checkpoint.load ~path ~spec ()) (fun entries ->
-            Json.list_of Grid.result_of_json (Json.List (List.map snd entries)))
+        Result.bind (Checkpoint.load ~path ~spec ()) (fun l ->
+            Json.list_of Grid.result_of_json
+              (Json.List (List.map snd l.Checkpoint.entries)))
       in
       mutants ~rng ~flips:16 ~cuts:8 ~dups:4 ~nums:8 (read path)
       |> List.iter
            (check_file ~name:"smoke checkpoint Checkpoint.load" ~path load))
+
+(* The subcommands that read a file, evaluated in this process on
+   mutants of the fixtures they read, each mutant written over one file:
+   every run exits 0, 1 or 2 (never 124, a usage error, or 125, an
+   uncaught exception), and an exit 2 writes exactly one stderr line.
+   [readers] pairs a fixture name with the command line for its mutant
+   at [path]; [None] skips the fixture. *)
+let check_cli ~seed ~name cmd readers =
+  let rng = Random.State.make [| seed |] in
+  Test_cli.with_tmp_dir (fun dir ->
+      List.iter
+        (fun f ->
+          match readers f with
+          | None -> ()
+          | Some args ->
+            let path = Filename.concat dir f in
+            mutants ~rng ~flips:8 ~cuts:4 ~dups:2 ~nums:4
+              (read (Filename.concat "fixtures" f))
+            |> List.iter (fun (label, text) ->
+                   Out_channel.with_open_bin path (fun oc ->
+                       output_string oc text);
+                   let r = Test_cli.eval cmd (args path) in
+                   let what =
+                     Printf.sprintf "%s %s [%s]: exit %d, stderr %S" name f
+                       label r.Test_cli.code r.Test_cli.err
+                   in
+                   if not (List.mem r.Test_cli.code [ 0; 1; 2 ]) then
+                     Alcotest.fail what;
+                   if r.Test_cli.code = 2 && Test_cli.lines r.Test_cli.err <> 1
+                   then Alcotest.fail (what ^ ": not one line")))
+        (fixtures ".json" @ [ "clean_trace.txt"; "corrupt_trace.txt" ]))
+
+let prefixed prefixes f =
+  List.exists (fun prefix -> String.starts_with ~prefix f) prefixes
+
+let when_ ok args f = if ok f then Some (args f) else None
+
+let admit_traces = prefixed [ "admit_churn"; "admit_trace" ]
+
+let test_cli_lint () =
+  let lint flag ok = when_ ok (fun _ path -> [ flag; path ]) in
+  check_cli ~seed:35 ~name:"ddcr_lint --check-repro" Cli.Ddcr_lint.cmd
+    (lint "--check-repro" (fun f ->
+         Astring_contains.contains f "repro"
+         && Filename.check_suffix f ".json"));
+  check_cli ~seed:36 ~name:"ddcr_lint --check-trace" Cli.Ddcr_lint.cmd
+    (lint "--check-trace" (fun f -> Filename.check_suffix f "_trace.txt"));
+  check_cli ~seed:37 ~name:"ddcr_lint --check-perfetto" Cli.Ddcr_lint.cmd
+    (lint "--check-perfetto" (prefixed [ "perfetto_" ]));
+  check_cli ~seed:38 ~name:"ddcr_lint --check-admit-trace" Cli.Ddcr_lint.cmd
+    (lint "--check-admit-trace" admit_traces)
+
+let test_cli_topo () =
+  let spec f =
+    not (prefixed [ "topo_fault_"; "topo_obs_fault"; "topo_chaos" ] f)
+  in
+  check_cli ~seed:39 ~name:"ddcr_topo check" Cli.Ddcr_topo.cmd
+    (when_
+       (fun f -> prefixed [ "topo_" ] f && spec f)
+       (fun _ path -> [ "check"; path ]));
+  check_cli ~seed:40 ~name:"ddcr_topo check --fault-plan" Cli.Ddcr_topo.cmd
+    (when_
+       (prefixed [ "topo_fault_"; "topo_obs_fault" ])
+       (fun f path ->
+         let tree =
+           if prefixed [ "topo_obs" ] f then "topo_obs_tree.json"
+           else "topo_tree.json"
+         in
+         [ "check"; Filename.concat "fixtures" tree; "--fault-plan"; path ]))
+
+let test_cli_admit_campaign_model () =
+  check_cli ~seed:41 ~name:"ddcr_admit run" Cli.Ddcr_admit.cmd
+    (when_ admit_traces (fun _ path -> [ "run"; path ]));
+  check_cli ~seed:42 ~name:"ddcr_campaign compare --current"
+    Cli.Ddcr_campaign.cmd
+    (when_ (prefixed [ "BENCH_" ]) (fun _ path ->
+         [
+           "compare"; "--baseline"; "fixtures/BENCH_smoke_golden.json";
+           "--current"; path;
+         ]));
+  check_cli ~seed:43 ~name:"ddcr_model check --params" Cli.Ddcr_model.cmd
+    (when_ (prefixed [ "model_params" ]) (fun _ path ->
+         [
+           "check"; "--params"; path; "-s"; "uniform"; "-n"; "2";
+           "--horizon-ms"; "1"; "--depth"; "12"; "--budget"; "1";
+         ]))
 
 let suite =
   [
@@ -304,5 +392,12 @@ let suite =
           test_snapshots;
         Alcotest.test_case "mutated campaign checkpoints never raise" `Quick
           test_checkpoints;
+        Alcotest.test_case "ddcr_lint on mutated files: exit 0-2" `Quick
+          test_cli_lint;
+        Alcotest.test_case "ddcr_topo check on mutated files: exit 0-2" `Quick
+          test_cli_topo;
+        Alcotest.test_case
+          "ddcr_admit, ddcr_campaign, ddcr_model on mutated files: exit 0-2"
+          `Quick test_cli_admit_campaign_model;
       ] );
   ]
