@@ -15,9 +15,6 @@ type record = {
   jr_decision : Engine.decision;
 }
 
-val record_to_json : record -> Rtnet_util.Json.t
-val record_of_json : Rtnet_util.Json.t -> (record, string) result
-
 val record_line : record -> string
 (** Canonical single-line rendering: the decision-log line, and the
     journal's line for the record. *)

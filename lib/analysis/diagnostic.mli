@@ -41,9 +41,6 @@ val warning :
 val info : rule_id:string -> subject:string -> paper_ref:string -> string -> t
 (** [info ~rule_id ~subject ~paper_ref msg] is {!make} at {!Info}. *)
 
-val severity_rank : severity -> int
-(** [severity_rank s] orders severities: [Info = 0 < Warning < Error]. *)
-
 val count : severity -> t list -> int
 (** [count s ds] is the number of diagnostics of severity [s]. *)
 
@@ -56,9 +53,6 @@ val has_errors : t list -> bool
 val exit_code : t list -> int
 (** [exit_code ds] is [1] if any diagnostic is an {!Error}, else [0] —
     the CI contract of [ddcr_lint]. *)
-
-val pp_severity : Format.formatter -> severity -> unit
-(** [pp_severity fmt s] prints ["error"], ["warning"] or ["info"]. *)
 
 val pp : Format.formatter -> t -> unit
 (** [pp fmt d] prints one diagnostic on one line:

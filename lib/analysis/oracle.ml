@@ -1,7 +1,5 @@
 module Json = Rtnet_util.Json
-module Trace = Rtnet_core.Ddcr_trace
 module Topo_driver = Rtnet_topology.Driver
-module D = Diagnostic
 
 let ( let* ) = Result.bind
 
@@ -89,94 +87,47 @@ let to_json v =
       [ tag; ("flow", Json.String flow); ("misses", Json.Int misses) ])
 
 let of_json j =
-  let* tag = Result.bind (Json.field "verdict" j) Json.get_string in
-  let msg () = Result.bind (Json.field "message" j) Json.get_string in
+  let int k = Result.bind (Json.field k j) Json.get_int
+  and str k = Result.bind (Json.field k j) Json.get_string in
+  let both a b f = Result.bind a (fun a -> Result.map (f a) b) in
+  let message f = Result.map f (str "message") in
+  let* tag = str "verdict" in
   match tag with
   | "pass" -> Ok Pass
-  | "safety-violation" ->
-    let* m = msg () in
-    Ok (Safety_violation m)
-  | "harness-mismatch" ->
-    let* m = msg () in
-    Ok (Harness_mismatch m)
-  | "run-crash" ->
-    let* m = msg () in
-    Ok (Run_crash m)
+  | "safety-violation" -> message (fun m -> Safety_violation m)
+  | "harness-mismatch" -> message (fun m -> Harness_mismatch m)
+  | "run-crash" -> message (fun m -> Run_crash m)
   | "deadline-miss" ->
-    let* misses = Result.bind (Json.field "misses" j) Json.get_int in
-    let* first_uid = Result.bind (Json.field "first_uid" j) Json.get_int in
-    Ok (Deadline_miss { misses; first_uid })
+    both (int "misses") (int "first_uid") (fun misses first_uid ->
+        Deadline_miss { misses; first_uid })
   | "failed-resync" ->
-    let* source = Result.bind (Json.field "source" j) Json.get_int in
-    Ok (Failed_resync { source })
+    Result.map (fun source -> Failed_resync { source }) (int "source")
   | "invariant-violation" ->
-    let* rule = Result.bind (Json.field "rule" j) Json.get_string in
-    let* message = msg () in
-    Ok (Invariant_violation { rule; message })
+    both (str "rule") (str "message") (fun rule message ->
+        Invariant_violation { rule; message })
   | "chain-deadline-miss" ->
-    let* misses = Result.bind (Json.field "misses" j) Json.get_int in
-    let* flow = Result.bind (Json.field "flow" j) Json.get_string in
-    Ok (Chain_deadline_miss { misses; flow })
+    both (int "misses") (str "flow") (fun misses flow ->
+        Chain_deadline_miss { misses; flow })
   | "handoff-loss" ->
-    let* bridge = Result.bind (Json.field "bridge" j) Json.get_string in
-    let* chains = Result.bind (Json.field "chains" j) Json.get_int in
-    Ok (Handoff_loss { bridge; chains })
+    both (str "bridge") (int "chains") (fun bridge chains ->
+        Handoff_loss { bridge; chains })
   | "bridge-overflow" ->
-    let* bridge = Result.bind (Json.field "bridge" j) Json.get_string in
-    let* dropped = Result.bind (Json.field "dropped" j) Json.get_int in
-    Ok (Bridge_overflow { bridge; dropped })
+    both (str "bridge") (int "dropped") (fun bridge dropped ->
+        Bridge_overflow { bridge; dropped })
   | "admission-violation" ->
-    let* flow = Result.bind (Json.field "flow" j) Json.get_string in
-    let* misses = Result.bind (Json.field "misses" j) Json.get_int in
-    Ok (Admission_violation { flow; misses })
+    both (str "flow") (int "misses") (fun flow misses ->
+        Admission_violation { flow; misses })
   | other -> Error (Printf.sprintf "unknown verdict %S" other)
 
 (* -------------------- classification -------------------- *)
 
-(* Sources whose divergence span is still open when the trace ends: a
-   [Crash] or [Desync] opens it, only [Resync] closes it — a [Rejoin]
-   leaves the station listen-only, so recovery is not complete. *)
-let unresynced events =
-  let open_ = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Trace.Crash { source; _ } | Trace.Desync { source; _ } ->
-        Hashtbl.replace open_ source ()
-      | Trace.Resync { source; _ } -> Hashtbl.remove open_ source
-      | _ -> ())
-    events;
-  List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) open_ [])
-
-let uid_of_subject s =
-  match String.index_opt s '=' with
-  | Some i -> (
-    try int_of_string (String.sub s (i + 1) (String.length s - i - 1))
-    with _ -> -1)
-  | None -> -1
-
-let classify ~workload ~outcome events =
-  let errors = D.errors (Trace_check.check_run ~workload ~outcome events) in
-  let by_rule rule =
-    List.filter (fun d -> String.equal d.D.rule_id rule) errors
-  in
-  match by_rule "TRC-SAFETY" with
-  | d :: _ -> Safety_violation d.D.message
-  | [] -> (
-    match by_rule "TRC-DEADLINE" with
-    | d :: _ as misses ->
-      Deadline_miss
-        {
-          misses = List.length misses;
-          first_uid = uid_of_subject d.D.subject;
-        }
-    | [] -> (
-      match unresynced events with
-      | source :: _ -> Failed_resync { source }
-      | [] -> (
-        match errors with
-        | d :: _ ->
-          Invariant_violation { rule = d.D.rule_id; message = d.D.message }
-        | [] -> Pass)))
+let classify (f : Trace_check.findings) =
+  match (f.safety, f.first_miss, f.degraded, f.other_error) with
+  | Some m, _, _, _ -> Safety_violation m
+  | _, Some first_uid, _, _ -> Deadline_miss { misses = f.misses; first_uid }
+  | _, _, source :: _, _ -> Failed_resync { source }
+  | _, _, _, Some (rule, message) -> Invariant_violation { rule; message }
+  | _ -> Pass
 
 (* End-to-end classification of a federated run.  Shed and dropped
    chains are already excluded from [v_misses] by the driver; what is

@@ -3,12 +3,10 @@
     The chaos search ([rtnet.chaos]) and the trace checker share this
     verdict vocabulary: a run either upholds the paper's properties
     ({!Pass}) or fails in one of the ways the correctness proofs rule
-    out.  {!classify} reduces a completed run — its trace, outcome and
-    workload — to a verdict by running {!Trace_check.check_run} and
-    inspecting the divergence-recovery bookkeeping; exceptions the
-    simulator raises ({!Rtnet_mac.Harness.Mismatch}, safety failures)
-    are mapped to verdicts by the caller via the dedicated
-    constructors.
+    out.  {!classify} reduces the {!Trace_check.findings} of a
+    completed run to a verdict; exceptions the simulator raises
+    ({!Rtnet_mac.Harness.Mismatch}, safety failures) are mapped to
+    verdicts by the caller via the dedicated constructors.
 
     Verdicts carry enough detail to print, but equality for the
     shrinker is {e by class} ({!same_class}): a minimized plan must
@@ -78,18 +76,12 @@ val to_json : verdict -> Rtnet_util.Json.t
 
 val of_json : Rtnet_util.Json.t -> (verdict, string) result
 
-val classify :
-  workload:Rtnet_workload.Message.t list ->
-  outcome:Rtnet_stats.Run.outcome ->
-  Rtnet_core.Ddcr_trace.event list ->
-  verdict
-(** [classify ~workload ~outcome events] runs
-    {!Trace_check.check_run} and reduces the diagnostics to one
-    verdict, most severe first: safety, then out-of-epoch deadline
-    misses, then incomplete divergence recovery (a [Crash]/[Desync]
-    with no matching [Resync] by the end of the trace), then any other
-    checker error.  Warnings (degraded epochs, truncated brackets)
-    never fail a run. *)
+val classify : Trace_check.findings -> verdict
+(** [classify f] reduces the trace checker's findings on a completed
+    run to one verdict, most severe first: safety, then out-of-epoch
+    deadline misses, then incomplete divergence recovery (a station
+    still degraded when the trace ends), then any other checker error.
+    Warnings (degraded epochs, truncated brackets) never fail a run. *)
 
 val classify_topo : Rtnet_topology.Driver.result -> verdict
 (** [classify_topo r] reduces a federated end-to-end run

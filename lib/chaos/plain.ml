@@ -7,6 +7,7 @@ module Ddcr = Rtnet_core.Ddcr
 module Ddcr_params = Rtnet_core.Ddcr_params
 module Ddcr_trace = Rtnet_core.Ddcr_trace
 module Oracle = Rtnet_analysis.Oracle
+module Trace_check = Rtnet_analysis.Trace_check
 
 let ( let* ) = Result.bind
 
@@ -78,12 +79,14 @@ let run ?postmortem:_ env cd =
   let params =
     match env.cf_params with Some p -> p | None -> Ddcr_params.default inst
   in
-  let sink, finish = Ddcr_trace.collector () in
+  let monitor = Trace_check.monitor ~workload:trace () in
+  let sink = Ddcr_trace.sink (Trace_check.observe monitor) in
   let plan = Fault_plan.create ~horizon ~seed:cd.cd_fault_seed cd.cd_plan in
   let outcome = Ddcr.run_trace ~sink ~plan params inst trace ~horizon in
+  let verdict = Oracle.classify (Trace_check.finish_run ~outcome monitor) in
   Ok
     {
-      Subject.rp_verdict = Oracle.classify ~workload:trace ~outcome (finish ());
+      Subject.rp_verdict = verdict;
       rp_fingerprint = Subject.fingerprint_outcome outcome;
     }
 

@@ -73,12 +73,11 @@ let replay ?postmortem subject t =
 
 type any = Any : ('e, 's, 'c) Subject.t * ('e, 'c) t -> any
 
-let load_any ~path =
-  Json.load_file path (fun j ->
-      let has subject = Json.member (version_key subject) j <> None in
-      let decode subject =
-        Result.map (fun t -> Any (subject, t)) (of_json subject j)
-      in
-      if has (module Federated) then decode (module Federated)
-      else if has (module Admission) then decode (module Admission)
-      else decode (module Plain))
+let any_of_json j =
+  let has subject = Json.member (version_key subject) j <> None in
+  let decode s = Result.map (fun t -> Any (s, t)) (of_json s j) in
+  if has (module Federated) then decode (module Federated)
+  else if has (module Admission) then decode (module Admission)
+  else decode (module Plain)
+
+let load_any ~path = Json.load_file path any_of_json

@@ -58,8 +58,11 @@ val replay :
 
 type any = Any : ('e, 's, 'c) Subject.t * ('e, 'c) t -> any
 
-val load_any : path:string -> (any, string) result
-(** [load_any ~path] loads an artifact of any of the three subjects
+val any_of_json : Rtnet_util.Json.t -> (any, string) result
+(** [any_of_json j] decodes an artifact of any of the three subjects
     ({!Plain}, {!Federated}, {!Admission}), dispatching on the version
-    key — [ddcr_chaos replay] and [shrink] take whichever file they are
-    handed.  A file carrying none of the keys is decoded as plain. *)
+    key.  A tree carrying none of the keys is decoded as plain. *)
+
+val load_any : path:string -> (any, string) result
+(** [load_any ~path] is {!any_of_json} on a file: [ddcr_chaos replay]
+    and [shrink] take whichever artifact they are handed. *)

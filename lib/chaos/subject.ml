@@ -40,7 +40,7 @@ type ('e, 's, 'c) t =
   (module S with type env = 'e and type space = 's and type candidate = 'c)
 
 let fingerprint_outcome outcome =
-  Digest.to_hex (Digest.string (Json.to_string (Run_json.outcome_to_json outcome)))
+  Digest.to_hex (Run_json.outcome_digest outcome)
 
 (* When the run dies in an exception there is no outcome to digest;
    fingerprint the verdict rendering instead — still a pure function

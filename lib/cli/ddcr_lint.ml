@@ -164,9 +164,10 @@ let lint_one ~strict ~seed ~trace_horizon params inst =
   | Some _ when structurally_broken -> cfg
   | Some horizon ->
     let workload = Instance.trace inst ~seed ~horizon in
-    let sink, finish = Ddcr_trace.collector () in
+    let monitor = Trace_check.monitor ~workload () in
+    let sink = Ddcr_trace.sink (Trace_check.observe monitor) in
     let outcome = Ddcr.run_trace ~sink params inst workload ~horizon in
-    cfg @ Trace_check.check_run ~workload ~outcome (finish ())
+    cfg @ Lazy.force (Trace_check.finish_run ~outcome monitor).diagnostics
 
 let dump ~seed ~horizon params inst path =
   let workload = Instance.trace inst ~seed ~horizon in
@@ -214,9 +215,9 @@ let check_admit_trace path =
     (Rtnet_admit.Request.load_trace ~path)
 
 let check_repro path =
-  let* j = Rtnet_util.Json.parse_file path in
-  let* (Rtnet_chaos.Repro.Any (((module S) as subject), r)) =
-    Rtnet_chaos.Repro.load_any ~path
+  let* j, Rtnet_chaos.Repro.Any (((module S) as subject), r) =
+    Rtnet_util.Json.load_file path (fun j ->
+        Result.map (fun any -> (j, any)) (Rtnet_chaos.Repro.any_of_json j))
   in
   (* Report the version the artifact DECLARES, not the current
      constant: a back-compatible v1 file must read as v1. *)

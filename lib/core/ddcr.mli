@@ -263,7 +263,7 @@ val run_trace :
     the reference replica before the slot), the TTs/STs brackets and
     the compressed-time θ jumps (from its phase after the slot), and
     each station's crash, rejoin, desync and resync.
-    {!Ddcr_trace.collector} rebuilds the protocol trace from them.
+    {!Ddcr_trace.sink} rebuilds the protocol trace from them.
 
     [inject] is the harness's (see {!Rtnet_mac.Harness.run}) — the
     federation hook a multi-hop topology driver uses to inject bridged

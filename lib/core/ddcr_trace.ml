@@ -46,9 +46,7 @@ let frame_sent ~via (msg : Message.t) ~start ~finish =
 (* A slot's events come from its resolution, its frame's [complete]
    and the phase mark, which classifies both; a frame completing after
    the mark is a burst. *)
-let collector () =
-  let events = ref [] in
-  let add e = events := e :: !events in
+let sink add =
   let resolution = ref Channel.Idle and frame = ref None in
   let marked = ref true in
   let slot ~now:_ ~next_free:_ ~resolution:r =
@@ -92,15 +90,16 @@ let collector () =
     | Sink.Desync { source } -> add (Desync { time; source })
     | Sink.Resync { source } -> add (Resync { time; source })
   in
-  (Sink.create ~slot ~complete ~mark (), fun () -> List.rev !events)
+  Sink.create ~slot ~complete ~mark ()
+
+let collector () =
+  let events = ref [] in
+  (sink (fun e -> events := e :: !events), fun () -> List.rev !events)
 
 let bump assoc key =
-  let rec go = function
-    | (k, n) :: rest when k = key -> (k, n + 1) :: rest
-    | pair :: rest -> pair :: go rest
-    | [] -> [ (key, 1) ]
-  in
-  go assoc
+  if List.mem_assoc key assoc then
+    List.map (fun (k, n) -> (k, if k = key then n + 1 else n)) assoc
+  else assoc @ [ (key, 1) ]
 
 let summarize events =
   List.fold_left
@@ -111,35 +110,20 @@ let summarize events =
       | Collision_slot _ -> { acc with collision_slots = acc.collision_slots + 1 }
       | Garbled_slot _ -> { acc with garbled_slots = acc.garbled_slots + 1 }
       | Frame_sent { via; _ } ->
-        {
-          acc with
-          frames = acc.frames + 1;
-          frames_by_via = bump acc.frames_by_via via;
-        }
+        let frames_by_via = bump acc.frames_by_via via in
+        { acc with frames = acc.frames + 1; frames_by_via }
       | Tts_begin _ -> { acc with tts_count = acc.tts_count + 1 }
-      | Tts_end { sent; _ } ->
-        if sent then { acc with tts_productive = acc.tts_productive + 1 }
-        else acc
+      | Tts_end { sent = true; _ } ->
+        { acc with tts_productive = acc.tts_productive + 1 }
       | Sts_begin _ -> { acc with sts_count = acc.sts_count + 1 }
-      | Sts_end _ -> acc
+      | Tts_end _ | Sts_end _ -> acc
       | Crash _ -> { acc with crashes = acc.crashes + 1 }
       | Rejoin _ -> { acc with rejoins = acc.rejoins + 1 }
       | Desync _ -> { acc with desyncs = acc.desyncs + 1 }
       | Resync _ -> { acc with resyncs = acc.resyncs + 1 })
-    {
-      idle_by_phase = [];
-      collision_slots = 0;
-      garbled_slots = 0;
-      frames = 0;
-      frames_by_via = [];
-      tts_count = 0;
-      tts_productive = 0;
-      sts_count = 0;
-      crashes = 0;
-      rejoins = 0;
-      desyncs = 0;
-      resyncs = 0;
-    }
+    { idle_by_phase = []; collision_slots = 0; garbled_slots = 0; frames = 0;
+      frames_by_via = []; tts_count = 0; tts_productive = 0; sts_count = 0;
+      crashes = 0; rejoins = 0; desyncs = 0; resyncs = 0 }
     events
 
 let via_name = function

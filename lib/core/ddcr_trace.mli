@@ -67,14 +67,17 @@ type summary = {
   resyncs : int;  (** completed recoveries *)
 }
 
+val sink : (event -> unit) -> Rtnet_telemetry.Sink.t
+(** [sink f] calls [f] on each event of a DDCR run ({!Ddcr.run_trace})
+    as it happens; pass it alone or {!Rtnet_telemetry.Sink.tee}d with
+    other sinks.  The events are rebuilt from the run's probes: a
+    slot's from its [slot] resolution, its frame's [complete] and
+    DDCR's phase mark (a frame completing after the mark is a burst),
+    every other event from its own mark. *)
+
 val collector : unit -> Rtnet_telemetry.Sink.t * (unit -> event list)
-(** [collector ()] is [(sink, finish)]: pass [sink] to a DDCR run
-    ({!Ddcr.run_trace}), alone or {!Rtnet_telemetry.Sink.tee}d with
-    other sinks; [finish ()] returns the events in emission order.
-    The events are rebuilt from the run's probes: a slot's from its
-    [slot] resolution, its frame's [complete] and DDCR's phase mark
-    (a frame completing after the mark is a burst), every other event
-    from its own mark. *)
+(** [collector ()] is [(sink, finish)]: {!sink} into a list, which
+    [finish ()] returns in emission order. *)
 
 val summarize : event list -> summary
 (** [summarize events] tallies the trace. *)

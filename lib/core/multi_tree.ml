@@ -1,3 +1,5 @@
+(* Eq. 11 extended to a real tree size [t]: Eq. 19's "tree" has [t·v]
+   leaves, which is not a power of [m]. *)
 let tilde_real ~m ~t ~k =
   if m < 2 then invalid_arg "Multi_tree.tilde_real: m < 2";
   if k <= 0. || t <= 0. then invalid_arg "Multi_tree.tilde_real: domain";

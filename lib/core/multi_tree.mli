@@ -10,11 +10,6 @@
 
     [max Σ ξ_{k_i}^t ≤ v·ξ̃_{u/v}^t = ξ̃_u^{tv} − (v−1)/(m−1)]. *)
 
-val tilde_real : m:int -> t:float -> k:float -> float
-(** [tilde_real ~m ~t ~k] is Eq. 11 extended to real tree size [t]
-    (needed by Eq. 19, where the "tree" has [t·v] leaves which is not a
-    power of [m]).  Requires [0 < k] and [0 < t]. *)
-
 val bound : m:int -> t:int -> u:int -> v:int -> float
 (** [bound ~m ~t ~u ~v] is the equal-split form [v·ξ̃_{u/v}^t] of
     Eq. 18.  The per-tree share [u/v] is clamped to [\[2, t\]]: below 2

@@ -34,12 +34,6 @@ type outcome = {
   o_findings : finding list;
 }
 
-val actions_for : Transition.sys -> Transition.action list
-(** The candidate actions, in the order successors are enqueued:
-    [Revive s], [Crash s] and [Misperceive s] of each source, then
-    [Garble] and [No_fault].  At a node, {!Transition.step} answers
-    [Disabled] to those whose preconditions fail. *)
-
 val run : ?config:config -> Transition.sys -> budget:int -> outcome
 (** [run sys ~budget] explores from {!Transition.init} with the given
     fault budget.  [budget] is the root node's allowance and should

@@ -2,6 +2,8 @@ module Json = Rtnet_util.Json
 module Trace_event = Rtnet_telemetry.Trace_event
 module Driver = Rtnet_topology.Driver
 
+(* The thread of bridge hand-off instants in each segment's process;
+   recorder tracks use 1–3 and [10 + source]. *)
 let tid_bridges = 4
 
 let stitch ~into ~seg_pid ~chains =

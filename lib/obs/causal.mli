@@ -11,10 +11,6 @@
     message's whole end-to-end journey, bridge queues included, as one
     connected chain. *)
 
-val tid_bridges : int
-(** Per-segment-process thread carrying bridge hand-off instants
-    (tid 4; recorder tracks use 1–3 and [10 + source]). *)
-
 val stitch :
   into:Rtnet_telemetry.Trace_event.t ->
   seg_pid:(segment:string -> int) ->

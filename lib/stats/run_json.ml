@@ -136,12 +136,11 @@ let completion_to_json (c : Run.completion) =
       ("finish", Json.Int c.Run.c_finish);
     ]
 
-let outcome_to_json (o : Run.outcome) =
-  Json.Obj
+(* The fields before and after the completions. *)
+let outcome_fields (o : Run.outcome) =
+  ( [ ("protocol", Json.String o.Run.protocol);
+      ("horizon", Json.Int o.Run.horizon) ],
     [
-      ("protocol", Json.String o.Run.protocol);
-      ("horizon", Json.Int o.Run.horizon);
-      ("completions", Json.List (List.map completion_to_json o.Run.completions));
       ("unfinished", Json.List (List.map message_to_json o.Run.unfinished));
       ("dropped", Json.List (List.map message_to_json o.Run.dropped));
       ( "channel",
@@ -153,4 +152,38 @@ let outcome_to_json (o : Run.outcome) =
         | None -> Json.Null
         | Some fs -> fault_stats_to_json fs );
       ("metrics", metrics_to_json (Run.metrics o));
-    ]
+    ] )
+
+let outcome_to_json (o : Run.outcome) =
+  let head, tail = outcome_fields o in
+  let completions = Json.List (List.map completion_to_json o.Run.completions) in
+  Json.Obj (head @ (("completions", completions) :: tail))
+
+let outcome_digest (o : Run.outcome) =
+  let head, tail = outcome_fields o in
+  let head = Json.to_string (Json.Obj head)
+  and tail = Json.to_string (Json.Obj tail) in
+  (* Each piece goes through [piece] into one string sized from the
+     completion count. *)
+  let piece = Buffer.create 4096 in
+  let out = ref (Bytes.create (4096 + (128 * List.length o.Run.completions))) in
+  let len = ref 0 in
+  let emit () =
+    let n = Buffer.length piece in
+    if !len + n > Bytes.length !out then
+      out := Bytes.extend !out 0 (max n !len);
+    Buffer.blit piece 0 !out !len n;
+    len := !len + n;
+    Buffer.clear piece
+  in
+  Buffer.add_string piece (String.sub head 0 (String.length head - 1));
+  Buffer.add_string piece ",\"completions\":[";
+  List.iteri
+    (fun i c ->
+      if i > 0 then Buffer.add_char piece ',';
+      Json.to_buffer piece (completion_to_json c);
+      emit ())
+    o.Run.completions;
+  Buffer.add_string piece ("]," ^ String.sub tail 1 (String.length tail - 1));
+  emit ();
+  Digest.subbytes !out 0 !len

@@ -22,11 +22,14 @@ val channel_stats_to_json : Rtnet_channel.Channel.stats -> Rtnet_util.Json.t
 val channel_stats_of_json :
   Rtnet_util.Json.t -> (Rtnet_channel.Channel.stats, string) result
 
-val fault_stats_to_json : Run.fault_stats -> Rtnet_util.Json.t
-
 val outcome_to_json : Run.outcome -> Rtnet_util.Json.t
 (** [outcome_to_json o] renders the whole outcome: protocol, horizon,
     completions as [{uid, cls, src, arrival, deadline, start, finish}],
     unfinished/dropped as [{uid, cls, arrival, deadline}], the
     channel counters ([null] if no medium was simulated) and the
     fault-plan degradation counters ([null] for fault-free runs). *)
+
+val outcome_digest : Run.outcome -> Digest.t
+(** [outcome_digest o] is [Digest.string (Json.to_string
+    (outcome_to_json o))], computed one completion at a time, without
+    the whole tree or a second copy of its bytes. *)

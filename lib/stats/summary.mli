@@ -44,9 +44,6 @@ module Histogram : sig
   val log2_buckets : int
   (** Number of buckets in a {!create_log2} histogram. *)
 
-  val bucket_of : h -> int -> int
-  (** [bucket_of h v] is the bucket index [add h v] would increment. *)
-
   val add : h -> int -> unit
   (** [add h v] records one sample. *)
 

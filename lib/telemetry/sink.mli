@@ -8,10 +8,10 @@
     so a disabled sink costs one boolean load per probe point — no
     closure call, no allocation.
 
-    The consumers read this one stream: [Rtnet_core.Ddcr_trace]'s
-    collector rebuilds the protocol trace from it, {!Recorder} the
-    registry and the Perfetto timeline, and [Rtnet_obs.Flight] the
-    black-box ring.
+    The consumers read this one stream: [Rtnet_core.Ddcr_trace]'s sink
+    rebuilds the protocol trace that the trace checker's monitor
+    reads, {!Recorder} the registry and the Perfetto timeline, and
+    [Rtnet_obs.Flight] the black-box ring.
 
     The sink deliberately depends only on the vocabulary layers
     (channel, workload): it never sees protocol internals, so [mac]

@@ -485,7 +485,6 @@ let get_float = function
 let get_bool = function Bool b -> Ok b | v -> expected "bool" v
 let get_string = function String s -> Ok s | v -> expected "string" v
 let get_list = function List vs -> Ok vs | v -> expected "list" v
-let get_obj = function Obj kvs -> Ok kvs | v -> expected "object" v
 
 let field key v =
   match member key v with

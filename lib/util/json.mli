@@ -111,7 +111,6 @@ val get_float : t -> (float, string) result
 val get_bool : t -> (bool, string) result
 val get_string : t -> (string, string) result
 val get_list : t -> (t list, string) result
-val get_obj : t -> ((string * t) list, string) result
 
 val field : string -> t -> (t, string) result
 (** [field key v] is {!member} as a [result], naming the missing key. *)

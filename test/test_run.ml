@@ -241,6 +241,28 @@ let test_outcome_json_shape () =
     (List.length (Result.get_ok (Json.get_list (get "unfinished"))));
   Alcotest.(check bool) "metrics embedded" true (Json.member "metrics" j <> None)
 
+(* The fingerprint's digest streams the completions into one byte
+   string sized from their count; it must digest the encoding's bytes,
+   including when 19-digit fields outgrow that size. *)
+let test_outcome_digest () =
+  let module Json = Rtnet_util.Json in
+  let big = max_int / 2 in
+  let many =
+    List.init 200 (fun i ->
+        completion (big + i) (big - i) (big / 4) (big + 1) (big + 2))
+  in
+  List.iter
+    (fun o ->
+      Alcotest.(check string) "digest of the encoding"
+        (Digest.to_hex (Digest.string (Json.to_string (Run_json.outcome_to_json o))))
+        (Digest.to_hex (Run_json.outcome_digest o)))
+    [
+      outcome [];
+      { (outcome ~unfinished:[ msg 10 0 500 ] [ completion 0 0 10_000 0 1000 ])
+        with channel = Some channel_stats };
+      outcome ~dropped:[ msg 3 0 5 ] many;
+    ]
+
 let suite =
   [
     ( "run",
@@ -256,6 +278,7 @@ let suite =
         Alcotest.test_case "metrics json round-trip" `Quick
           test_metrics_json_roundtrip;
         Alcotest.test_case "outcome json shape" `Quick test_outcome_json_shape;
+        Alcotest.test_case "outcome digest" `Quick test_outcome_digest;
       ]
       @ List.map
           (fun t ->
